@@ -20,7 +20,7 @@
 // Both timed fleets are benign on purpose: a rejected upsert skips the
 // shard rebuild and would flatter the admission path.
 //
-// The full `lint_zone` pass (denial walks, probe emulation, fix synthesis)
+// The full `lint_zone` pass (denial walks, probe answers, fix synthesis)
 // is timed separately for the record; it is the CI-time path, not the
 // serving path.
 //
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   const double paired_overhead =
       ratios.empty() ? 0.0 : ratios[ratios.size() / 2] - 1.0;
 
-  // The CI-time path: full lint (denial walks, probe emulation, fixes).
+  // The CI-time path: full lint (denial walks, probe answers, fixes).
   std::size_t total_findings = 0;
   run.stage("lint_full", [&] {
     dfx::zonelint::LintOptions options;

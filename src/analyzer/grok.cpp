@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "authserver/authserver.h"
 #include "util/codec.h"
 #include "util/metrics.h"
 #include "zone/nsec3.h"
@@ -57,20 +58,6 @@ std::vector<RRsetView> extract_proofs(const authserver::QueryResult& result,
     out.push_back(extract(result.authorities, rr.owner, type));
   }
   return out;
-}
-
-bool nsec_covers(const dns::Name& owner, const dns::Name& next,
-                 const dns::Name& name) {
-  if (owner < next) return owner < name && name < next;
-  return name > owner || name < next;
-}
-
-bool hash_covers(const Bytes& owner_hash, const Bytes& next_hash,
-                 const Bytes& target) {
-  if (owner_hash < next_hash) {
-    return owner_hash < target && target < next_hash;
-  }
-  return target > owner_hash || target < next_hash;
 }
 
 /// Expected signature length plausibility by algorithm family.
@@ -623,7 +610,7 @@ void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
     return;
   }
 
-  const dns::Name nx_name = apex.child("dnsviz-nxdomain-probe");
+  const dns::Name nx_name = nx_probe_name(apex);
 
   if (uses_nsec3) {
     // --- NSEC3 record sanity ---------------------------------------------
@@ -731,7 +718,10 @@ void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
       const Bytes h = hash_of(name);
       if (h.empty()) return nullptr;
       for (const auto& e : entries) {
-        if (hash_covers(e.owner_hash, e.rdata->next_hashed, h)) return &e;
+        if (authserver::nsec3_hash_covers(e.owner_hash, e.rdata->next_hashed,
+                                          h)) {
+          return &e;
+        }
       }
       return nullptr;
     };
@@ -830,7 +820,8 @@ void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
       for (const auto& rdata : view.rrset.rdatas()) {
         const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
         if (nsec == nullptr) continue;
-        if (nsec_covers(view.rrset.owner(), nsec->next, nx_name)) {
+        if (authserver::nsec_covers(view.rrset.owner(), nsec->next,
+                                    nx_name)) {
           covered = true;
         }
       }
@@ -843,7 +834,7 @@ void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
     // must be the final chain record pointing back to the apex.
     const auto last_proofs =
         extract_proofs(sp.nxdomain_last, dns::RRType::kNSEC);
-    const dns::Name last_name = apex.child("zzzzzzzz-dnsviz-last");
+    const dns::Name last_name = last_probe_name(apex);
     for (const auto& view : last_proofs) {
       if (!checker.check_rrset(view, all_keys, true)) {
         zone_state = TrustState::kBogus;
@@ -851,7 +842,8 @@ void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
       for (const auto& rdata : view.rrset.rdatas()) {
         const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
         if (nsec == nullptr) continue;
-        if (nsec_covers(view.rrset.owner(), nsec->next, last_name) &&
+        if (authserver::nsec_covers(view.rrset.owner(), nsec->next,
+                                    last_name) &&
             view.rrset.owner() > nsec->next && nsec->next != apex) {
           fail(ErrorCode::kIncorrectLastNsec,
                "the final NSEC record points to " + nsec->next.to_string() +

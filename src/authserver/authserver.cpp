@@ -23,6 +23,298 @@ bool nsec3_hash_covers(const Bytes& owner_hash, const Bytes& next_hash,
   return target > owner_hash || target < next_hash;
 }
 
+namespace {
+
+void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
+                         dns::RRType type,
+                         std::vector<dns::ResourceRecord>& section) {
+  const auto* rrset = zone.find(owner, type);
+  if (rrset == nullptr) return;
+  for (const auto& rr : rrset->to_records()) section.push_back(rr);
+  const auto* sigs = zone.find(owner, dns::RRType::kRRSIG);
+  if (sigs == nullptr) return;
+  for (const auto& rdata : sigs->rdatas()) {
+    const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
+    if (sig != nullptr && sig->type_covered == type) {
+      section.push_back(dns::ResourceRecord{owner, dns::RRType::kRRSIG,
+                                            dns::RRClass::kIN, sigs->ttl(),
+                                            rdata});
+    }
+  }
+}
+
+void add_nsec_proofs(const zone::Zone& zone, const dns::Name& qname,
+                     bool nxdomain, QueryResult& result) {
+  // Collect all NSEC owners once.
+  std::vector<dns::Name> chain;
+  for (const auto* rrset : zone.all_rrsets()) {
+    if (rrset->type() != dns::RRType::kNSEC || rrset->empty()) continue;
+    if (std::holds_alternative<dns::NsecRdata>(rrset->rdatas().front())) {
+      chain.push_back(rrset->owner());
+    }
+  }
+  // Real nameservers locate the proof by *owner-name predecessor* in
+  // canonical order (wrapping to the last record), not by checking that the
+  // record's interval actually covers the name — so a zone whose NSEC
+  // intervals were corrupted still serves the broken record, and the
+  // validator is the one that notices.
+  std::sort(chain.begin(), chain.end());
+  const auto emit = [&](const dns::Name& owner) {
+    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC, result.authorities);
+  };
+  const auto predecessor = [&](const dns::Name& name) -> const dns::Name* {
+    const dns::Name* best = nullptr;
+    for (const auto& owner : chain) {
+      if (owner <= name) best = &owner;
+    }
+    if (best == nullptr && !chain.empty()) best = &chain.back();  // wrap
+    return best;
+  };
+  if (chain.empty()) return;
+  if (!nxdomain) {
+    // NODATA: the NSEC matching qname proves the type's absence.
+    if (std::find(chain.begin(), chain.end(), qname) != chain.end()) {
+      emit(qname);
+      return;
+    }
+    // Fall through: the predecessor NSEC stands in (ENT case).
+  }
+  if (const auto* cover = predecessor(qname)) emit(*cover);
+  if (nxdomain) {
+    // ...plus the proof for the source-of-synthesis wildcard.
+    const dns::Name wildcard = zone.apex().child("*");
+    if (const auto* cover = predecessor(wildcard)) emit(*cover);
+  }
+}
+
+void add_nsec3_proofs(const zone::Zone& zone, const dns::Name& qname,
+                      bool nxdomain, QueryResult& result) {
+  const auto* param_set = zone.find(zone.apex(), dns::RRType::kNSEC3PARAM);
+  if (param_set == nullptr || param_set->empty()) return;
+  const auto* param =
+      std::get_if<dns::Nsec3ParamRdata>(&param_set->rdatas().front());
+  if (param == nullptr) return;
+
+  struct Nsec3Entry {
+    dns::Name owner;
+    Bytes owner_hash;  // decoded from the first label
+  };
+  std::vector<Nsec3Entry> chain;
+  std::vector<dns::Name> undecodable;  // broken-signer artifacts
+  for (const auto* rrset : zone.all_rrsets()) {
+    if (rrset->type() != dns::RRType::kNSEC3 || rrset->empty()) continue;
+    if (!std::holds_alternative<dns::Nsec3Rdata>(rrset->rdatas().front())) {
+      continue;
+    }
+    auto decoded = base32hex_decode(rrset->owner().leftmost_label());
+    if (!decoded) {
+      // The server cannot place this record in the hash order, but it still
+      // serves it alongside every negative answer — validation is the
+      // resolver's job, not the server's.
+      undecodable.push_back(rrset->owner());
+      continue;
+    }
+    chain.push_back({rrset->owner(), *std::move(decoded)});
+  }
+  // Undecodable owner labels (only produced by a broken signer) sort after
+  // the rest; the server still serves them — validation is not its job.
+  std::sort(chain.begin(), chain.end(),
+            [](const Nsec3Entry& a, const Nsec3Entry& b) {
+              return a.owner_hash < b.owner_hash;
+            });
+  const auto emit = [&](const dns::Name& owner) {
+    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC3, result.authorities);
+  };
+  const auto hash_of = [&](const dns::Name& name) {
+    return zone::nsec3_hash(name, param->salt, param->iterations);
+  };
+  const auto emit_match = [&](const dns::Name& name) {
+    const Bytes h = hash_of(name);
+    for (const auto& e : chain) {
+      if (e.owner_hash == h) {
+        emit(e.owner);
+        return true;
+      }
+    }
+    return false;
+  };
+  // Predecessor-by-hash selection, wrapping to the last record: the server
+  // serves whatever record its chain says is adjacent, even if the record's
+  // interval is corrupt — the validator decides whether it proves anything.
+  const auto emit_cover = [&](const dns::Name& name) {
+    if (chain.empty()) return false;
+    const Bytes h = hash_of(name);
+    const Nsec3Entry* best = nullptr;
+    for (const auto& e : chain) {
+      if (e.owner_hash <= h) best = &e;
+    }
+    if (best == nullptr) best = &chain.back();  // wrap-around
+    emit(best->owner);
+    return true;
+  };
+
+  for (const auto& owner : undecodable) emit(owner);
+
+  if (!nxdomain) {
+    // NODATA: NSEC3 matching qname.
+    emit_match(qname);
+    return;
+  }
+  // NXDOMAIN: closest-encloser proof (RFC 5155 §7.2.1):
+  //   1. matching NSEC3 for the closest encloser,
+  //   2. covering NSEC3 for the next-closer name,
+  //   3. covering NSEC3 for the wildcard at the closest encloser.
+  dns::Name closest = qname;
+  while (closest.label_count() > zone.apex().label_count()) {
+    closest = closest.parent();
+    if (zone.name_exists(closest) ||
+        zone.name_or_descendant_exists(closest) ||
+        closest == zone.apex()) {
+      break;
+    }
+  }
+  emit_match(closest);
+  // Next-closer: one label below the closest encloser toward qname.
+  const std::size_t next_labels = closest.label_count() + 1;
+  dns::Name next_closer = qname;
+  while (next_closer.label_count() > next_labels) {
+    next_closer = next_closer.parent();
+  }
+  emit_cover(next_closer);
+  emit_cover(closest.child("*"));
+}
+
+/// NSEC3 proofs when the apex advertises NSEC3PARAM, NSEC proofs otherwise.
+void add_denial_proofs(const zone::Zone& zone, const dns::Name& qname,
+                       bool nxdomain, QueryResult& result) {
+  if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
+    add_nsec3_proofs(zone, qname, nxdomain, result);
+  } else {
+    add_nsec_proofs(zone, qname, nxdomain, result);
+  }
+}
+
+void answer_positive(const zone::Zone& zone, const dns::Name& qname,
+                     dns::RRType qtype, QueryResult& result) {
+  result.rcode = dns::RCode::kNoError;
+  add_rrset_with_sigs(zone, qname, qtype, result.answers);
+}
+
+/// NODATA (the name exists, possibly as an empty non-terminal) or NXDOMAIN:
+/// the apex SOA plus the denial proofs.
+void answer_negative(const zone::Zone& zone, const dns::Name& qname,
+                     bool nxdomain, QueryResult& result) {
+  result.rcode = nxdomain ? dns::RCode::kNXDomain : dns::RCode::kNoError;
+  add_rrset_with_sigs(zone, zone.apex(), dns::RRType::kSOA,
+                      result.authorities);
+  add_denial_proofs(zone, qname, nxdomain, result);
+}
+
+void answer_wildcard(const zone::Zone& zone, const dns::Name& qname,
+                     const dns::Name& wildcard, dns::RRType qtype,
+                     QueryResult& result) {
+  result.rcode = dns::RCode::kNoError;
+  const auto* rrset = zone.find(wildcard, qtype);
+  if (rrset == nullptr) return;
+  // The answer is served at the query name; the RRSIG travels verbatim
+  // from the wildcard owner (its labels field signals the expansion).
+  for (const auto& rdata : rrset->rdatas()) {
+    result.answers.push_back(dns::ResourceRecord{
+        qname, qtype, dns::RRClass::kIN, rrset->ttl(), rdata});
+  }
+  if (const auto* sigs = zone.find(wildcard, dns::RRType::kRRSIG)) {
+    for (const auto& rdata : sigs->rdatas()) {
+      const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
+      if (sig != nullptr && sig->type_covered == qtype) {
+        result.answers.push_back(dns::ResourceRecord{
+            qname, dns::RRType::kRRSIG, dns::RRClass::kIN, sigs->ttl(),
+            rdata});
+      }
+    }
+  }
+  // RFC 4035 §3.1.3.3: the response must prove the query name itself does
+  // not exist (the next-closer cover).
+  add_denial_proofs(zone, qname, /*nxdomain=*/true, result);
+}
+
+void answer_referral(const zone::Zone& zone, const dns::Name& cut,
+                     QueryResult& result) {
+  result.rcode = dns::RCode::kNoError;
+  result.authoritative = false;
+  const auto* ns = zone.find(cut, dns::RRType::kNS);
+  if (ns != nullptr) {
+    for (const auto& rr : ns->to_records()) result.authorities.push_back(rr);
+  }
+  // DS (plus signature) travels with the referral; its absence is proven
+  // with NSEC(3) like any other missing type.
+  if (zone.find(cut, dns::RRType::kDS) != nullptr) {
+    add_rrset_with_sigs(zone, cut, dns::RRType::kDS, result.authorities);
+  } else {
+    add_denial_proofs(zone, cut, /*nxdomain=*/false, result);
+  }
+  // Glue.
+  if (ns != nullptr) {
+    for (const auto& rdata : ns->rdatas()) {
+      const auto* nsr = std::get_if<dns::NsRdata>(&rdata);
+      if (nsr == nullptr) continue;
+      for (dns::RRType glue_type : {dns::RRType::kA, dns::RRType::kAAAA}) {
+        const auto* glue = zone.find(nsr->nsdname, glue_type);
+        if (glue != nullptr) {
+          for (const auto& rr : glue->to_records()) {
+            result.additionals.push_back(rr);
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
+                   dns::RRType qtype) {
+  QueryResult result;
+  result.authoritative = true;
+
+  // Below a zone cut (or at one, for non-DS questions): referral.
+  const auto cut = zone.covering_delegation(qname);
+  if (cut && !(qname == *cut && qtype == dns::RRType::kDS)) {
+    answer_referral(zone, *cut, result);
+    return result;
+  }
+
+  if (zone.find(qname, qtype) != nullptr) {
+    answer_positive(zone, qname, qtype, result);
+    return result;
+  }
+  // CNAME at the owner answers any type.
+  if (qtype != dns::RRType::kCNAME &&
+      zone.find(qname, dns::RRType::kCNAME) != nullptr) {
+    answer_positive(zone, qname, dns::RRType::kCNAME, result);
+    return result;
+  }
+  if (zone.name_exists(qname) ||
+      zone.name_or_descendant_exists(qname)) {
+    // Name exists (possibly as an empty non-terminal): NODATA.
+    answer_negative(zone, qname, /*nxdomain=*/false, result);
+    return result;
+  }
+  // Wildcard synthesis (RFC 1034 §4.3.3): a "*" child of the closest
+  // encloser answers for every non-existent name beneath it.
+  dns::Name closest = qname.parent();
+  while (closest.label_count() > zone.apex().label_count() &&
+         !zone.name_or_descendant_exists(closest)) {
+    closest = closest.parent();
+  }
+  const dns::Name wildcard = closest.child("*");
+  if (zone.find(wildcard, qtype) != nullptr) {
+    answer_wildcard(zone, qname, wildcard, qtype, result);
+    return result;
+  }
+  answer_negative(zone, qname, /*nxdomain=*/true, result);
+  return result;
+}
+
 std::vector<dns::ResourceRecord> QueryResult::negative_proofs() const {
   std::vector<dns::ResourceRecord> out;
   for (const auto& rr : authorities) {
@@ -111,7 +403,7 @@ QueryResult AuthServer::query(const dns::Name& qname,
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer_from(*zone, qname, qtype);
+  return answer(*zone, qname, qtype);
 }
 
 QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
@@ -127,320 +419,7 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer_from(*zone, qname, qtype);
-}
-
-QueryResult AuthServer::answer_from(const zone::Zone& zone_ref,
-                                    const dns::Name& qname,
-                                    dns::RRType qtype) const {
-  const zone::Zone* zone = &zone_ref;
-  QueryResult result;
-  result.authoritative = true;
-
-  // Below a zone cut (or at one, for non-DS questions): referral.
-  const auto cut = zone->covering_delegation(qname);
-  if (cut && !(qname == *cut && qtype == dns::RRType::kDS)) {
-    answer_referral(*zone, *cut, result);
-    return result;
-  }
-
-  if (zone->find(qname, qtype) != nullptr) {
-    answer_positive(*zone, qname, qtype, result);
-    return result;
-  }
-  // CNAME at the owner answers any type.
-  if (qtype != dns::RRType::kCNAME &&
-      zone->find(qname, dns::RRType::kCNAME) != nullptr) {
-    answer_positive(*zone, qname, dns::RRType::kCNAME, result);
-    return result;
-  }
-  if (zone->name_exists(qname) ||
-      zone->name_or_descendant_exists(qname)) {
-    // Name exists (possibly as an empty non-terminal): NODATA.
-    answer_nodata(*zone, qname, result);
-    return result;
-  }
-  // Wildcard synthesis (RFC 1034 §4.3.3): a "*" child of the closest
-  // encloser answers for every non-existent name beneath it.
-  dns::Name closest = qname.parent();
-  while (closest.label_count() > zone->apex().label_count() &&
-         !zone->name_or_descendant_exists(closest)) {
-    closest = closest.parent();
-  }
-  const dns::Name wildcard = closest.child("*");
-  if (zone->find(wildcard, qtype) != nullptr) {
-    answer_wildcard(*zone, qname, wildcard, qtype, result);
-    return result;
-  }
-  answer_nxdomain(*zone, qname, result);
-  return result;
-}
-
-void AuthServer::answer_wildcard(const zone::Zone& zone,
-                                 const dns::Name& qname,
-                                 const dns::Name& wildcard, dns::RRType qtype,
-                                 QueryResult& result) const {
-  result.rcode = dns::RCode::kNoError;
-  const auto* rrset = zone.find(wildcard, qtype);
-  if (rrset == nullptr) return;
-  // The answer is served at the query name; the RRSIG travels verbatim
-  // from the wildcard owner (its labels field signals the expansion).
-  for (const auto& rdata : rrset->rdatas()) {
-    result.answers.push_back(dns::ResourceRecord{
-        qname, qtype, dns::RRClass::kIN, rrset->ttl(), rdata});
-  }
-  if (const auto* sigs = zone.find(wildcard, dns::RRType::kRRSIG)) {
-    for (const auto& rdata : sigs->rdatas()) {
-      const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
-      if (sig != nullptr && sig->type_covered == qtype) {
-        result.answers.push_back(dns::ResourceRecord{
-            qname, dns::RRType::kRRSIG, dns::RRClass::kIN, sigs->ttl(),
-            rdata});
-      }
-    }
-  }
-  // RFC 4035 §3.1.3.3: the response must prove the query name itself does
-  // not exist (the next-closer cover).
-  if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
-    add_nsec3_proofs(zone, qname, /*nxdomain=*/true, result);
-  } else {
-    add_nsec_proofs(zone, qname, /*nxdomain=*/true, result);
-  }
-}
-
-void AuthServer::add_rrset_with_sigs(
-    const zone::Zone& zone, const dns::Name& owner, dns::RRType type,
-    std::vector<dns::ResourceRecord>& section) const {
-  const auto* rrset = zone.find(owner, type);
-  if (rrset == nullptr) return;
-  for (const auto& rr : rrset->to_records()) section.push_back(rr);
-  const auto* sigs = zone.find(owner, dns::RRType::kRRSIG);
-  if (sigs == nullptr) return;
-  for (const auto& rdata : sigs->rdatas()) {
-    const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
-    if (sig != nullptr && sig->type_covered == type) {
-      section.push_back(dns::ResourceRecord{owner, dns::RRType::kRRSIG,
-                                            dns::RRClass::kIN, sigs->ttl(),
-                                            rdata});
-    }
-  }
-}
-
-void AuthServer::answer_positive(const zone::Zone& zone,
-                                 const dns::Name& qname, dns::RRType qtype,
-                                 QueryResult& result) const {
-  result.rcode = dns::RCode::kNoError;
-  add_rrset_with_sigs(zone, qname, qtype, result.answers);
-}
-
-void AuthServer::answer_nodata(const zone::Zone& zone, const dns::Name& qname,
-                               QueryResult& result) const {
-  result.rcode = dns::RCode::kNoError;
-  add_rrset_with_sigs(zone, zone.apex(), dns::RRType::kSOA,
-                      result.authorities);
-  if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
-    add_nsec3_proofs(zone, qname, /*nxdomain=*/false, result);
-  } else {
-    add_nsec_proofs(zone, qname, /*nxdomain=*/false, result);
-  }
-}
-
-void AuthServer::answer_nxdomain(const zone::Zone& zone,
-                                 const dns::Name& qname,
-                                 QueryResult& result) const {
-  result.rcode = dns::RCode::kNXDomain;
-  add_rrset_with_sigs(zone, zone.apex(), dns::RRType::kSOA,
-                      result.authorities);
-  if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
-    add_nsec3_proofs(zone, qname, /*nxdomain=*/true, result);
-  } else {
-    add_nsec_proofs(zone, qname, /*nxdomain=*/true, result);
-  }
-}
-
-void AuthServer::answer_referral(const zone::Zone& zone, const dns::Name& cut,
-                                 QueryResult& result) const {
-  result.rcode = dns::RCode::kNoError;
-  result.authoritative = false;
-  const auto* ns = zone.find(cut, dns::RRType::kNS);
-  if (ns != nullptr) {
-    for (const auto& rr : ns->to_records()) result.authorities.push_back(rr);
-  }
-  // DS (plus signature) travels with the referral; its absence is proven
-  // with NSEC(3) like any other missing type.
-  if (zone.find(cut, dns::RRType::kDS) != nullptr) {
-    add_rrset_with_sigs(zone, cut, dns::RRType::kDS, result.authorities);
-  } else if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
-    add_nsec3_proofs(zone, cut, /*nxdomain=*/false, result);
-  } else {
-    add_nsec_proofs(zone, cut, /*nxdomain=*/false, result);
-  }
-  // Glue.
-  if (ns != nullptr) {
-    for (const auto& rdata : ns->rdatas()) {
-      const auto* nsr = std::get_if<dns::NsRdata>(&rdata);
-      if (nsr == nullptr) continue;
-      for (dns::RRType glue_type : {dns::RRType::kA, dns::RRType::kAAAA}) {
-        const auto* glue = zone.find(nsr->nsdname, glue_type);
-        if (glue != nullptr) {
-          for (const auto& rr : glue->to_records()) {
-            result.additionals.push_back(rr);
-          }
-        }
-      }
-    }
-  }
-}
-
-void AuthServer::add_nsec_proofs(const zone::Zone& zone,
-                                 const dns::Name& qname, bool nxdomain,
-                                 QueryResult& result) const {
-  // Collect all NSEC records once.
-  struct NsecEntry {
-    dns::Name owner;
-    const dns::NsecRdata* rdata;
-  };
-  std::vector<NsecEntry> chain;
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC || rrset->empty()) continue;
-    const auto* nsec = std::get_if<dns::NsecRdata>(&rrset->rdatas().front());
-    if (nsec != nullptr) chain.push_back({rrset->owner(), nsec});
-  }
-  // Real nameservers locate the proof by *owner-name predecessor* in
-  // canonical order (wrapping to the last record), not by checking that the
-  // record's interval actually covers the name — so a zone whose NSEC
-  // intervals were corrupted still serves the broken record, and the
-  // validator is the one that notices.
-  std::sort(chain.begin(), chain.end(),
-            [](const NsecEntry& a, const NsecEntry& b) {
-              return a.owner < b.owner;
-            });
-  const auto emit = [&](const dns::Name& owner) {
-    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC, result.authorities);
-  };
-  const auto predecessor = [&](const dns::Name& name) -> const NsecEntry* {
-    const NsecEntry* best = nullptr;
-    for (const auto& entry : chain) {
-      if (entry.owner <= name) best = &entry;
-    }
-    if (best == nullptr && !chain.empty()) best = &chain.back();  // wrap
-    return best;
-  };
-  if (chain.empty()) return;
-  if (!nxdomain) {
-    // NODATA: the NSEC matching qname proves the type's absence.
-    for (const auto& entry : chain) {
-      if (entry.owner == qname) {
-        emit(entry.owner);
-        return;
-      }
-    }
-    // Fall through: the predecessor NSEC stands in (ENT case).
-  }
-  if (const auto* cover = predecessor(qname)) emit(cover->owner);
-  if (nxdomain) {
-    // ...plus the proof for the source-of-synthesis wildcard.
-    const dns::Name wildcard = zone.apex().child("*");
-    if (const auto* cover = predecessor(wildcard)) emit(cover->owner);
-  }
-}
-
-void AuthServer::add_nsec3_proofs(const zone::Zone& zone,
-                                  const dns::Name& qname, bool nxdomain,
-                                  QueryResult& result) const {
-  const auto* param_set = zone.find(zone.apex(), dns::RRType::kNSEC3PARAM);
-  if (param_set == nullptr || param_set->empty()) return;
-  const auto* param =
-      std::get_if<dns::Nsec3ParamRdata>(&param_set->rdatas().front());
-  if (param == nullptr) return;
-
-  struct Nsec3Entry {
-    dns::Name owner;
-    Bytes owner_hash;  // decoded from the first label
-    const dns::Nsec3Rdata* rdata;
-  };
-  std::vector<Nsec3Entry> chain;
-  std::vector<dns::Name> undecodable;  // broken-signer artifacts
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC3 || rrset->empty()) continue;
-    const auto* nsec3 = std::get_if<dns::Nsec3Rdata>(&rrset->rdatas().front());
-    if (nsec3 == nullptr) continue;
-    auto decoded = base32hex_decode(rrset->owner().leftmost_label());
-    if (!decoded) {
-      // The server cannot place this record in the hash order, but it still
-      // serves it alongside every negative answer — validation is the
-      // resolver's job, not the server's.
-      undecodable.push_back(rrset->owner());
-      continue;
-    }
-    chain.push_back({rrset->owner(), *std::move(decoded), nsec3});
-  }
-  // Undecodable owner labels (only produced by a broken signer) sort after
-  // the rest; the server still serves them — validation is not its job.
-  std::sort(chain.begin(), chain.end(),
-            [](const Nsec3Entry& a, const Nsec3Entry& b) {
-              return a.owner_hash < b.owner_hash;
-            });
-  const auto emit = [&](const dns::Name& owner) {
-    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC3, result.authorities);
-  };
-  const auto hash_of = [&](const dns::Name& name) {
-    return zone::nsec3_hash(name, param->salt, param->iterations);
-  };
-  const auto emit_match = [&](const dns::Name& name) {
-    const Bytes h = hash_of(name);
-    for (const auto& e : chain) {
-      if (e.owner_hash == h) {
-        emit(e.owner);
-        return true;
-      }
-    }
-    return false;
-  };
-  // Predecessor-by-hash selection, wrapping to the last record: the server
-  // serves whatever record its chain says is adjacent, even if the record's
-  // interval is corrupt — the validator decides whether it proves anything.
-  const auto emit_cover = [&](const dns::Name& name) {
-    if (chain.empty()) return false;
-    const Bytes h = hash_of(name);
-    const Nsec3Entry* best = nullptr;
-    for (const auto& e : chain) {
-      if (e.owner_hash <= h) best = &e;
-    }
-    if (best == nullptr) best = &chain.back();  // wrap-around
-    emit(best->owner);
-    return true;
-  };
-
-  for (const auto& owner : undecodable) emit(owner);
-
-  if (!nxdomain) {
-    // NODATA: NSEC3 matching qname.
-    emit_match(qname);
-    return;
-  }
-  // NXDOMAIN: closest-encloser proof (RFC 5155 §7.2.1):
-  //   1. matching NSEC3 for the closest encloser,
-  //   2. covering NSEC3 for the next-closer name,
-  //   3. covering NSEC3 for the wildcard at the closest encloser.
-  dns::Name closest = qname;
-  while (closest.label_count() > zone.apex().label_count()) {
-    closest = closest.parent();
-    if (zone.name_exists(closest) ||
-        zone.name_or_descendant_exists(closest) ||
-        closest == zone.apex()) {
-      break;
-    }
-  }
-  emit_match(closest);
-  // Next-closer: one label below the closest encloser toward qname.
-  const std::size_t next_labels = closest.label_count() + 1;
-  dns::Name next_closer = qname;
-  while (next_closer.label_count() > next_labels) {
-    next_closer = next_closer.parent();
-  }
-  emit_cover(next_closer);
-  emit_cover(closest.child("*"));
+  return answer(*zone, qname, qtype);
 }
 
 }  // namespace dfx::authserver

@@ -21,9 +21,10 @@
 namespace dfx::authserver {
 
 /// Does `name` fall in the NSEC interval (owner, next) in canonical order,
-/// with wrap-around at the end of the chain? Shared with the serving
-/// layer's aggressive negative cache (src/server), which must select the
-/// same records this server's answer logic would.
+/// with wrap-around at the end of the chain? The one definition of the
+/// interval predicates: grok judges served proofs with them, zonelint
+/// predicts grok's verdicts with them, and the serving layer's AnswerCache
+/// (src/server) synthesizes aggressive negative answers with them.
 bool nsec_covers(const dns::Name& owner, const dns::Name& next,
                  const dns::Name& name);
 
@@ -52,6 +53,18 @@ struct QueryResult {
                           std::uint16_t id = 0) const;
 };
 
+/// Answer a question from one zone with standard authoritative-server
+/// semantics: referral below a cut, positive (or CNAME) answer, NODATA,
+/// wildcard synthesis, NXDOMAIN. NSEC/NSEC3 proofs are picked the way real
+/// nameservers pick them — predecessor in canonical or hash order, wrapping
+/// to the last record — so a corrupt chain is served as-is and the
+/// validator is the one that notices. The one answer path: AuthServer,
+/// the serving layer (ZoneStore, WireFrontend) and zonelint all call it.
+/// `qname` must lie within the zone.
+DFX_COLD("the full zone walk only runs on answer-cache misses; its results are cached")
+QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
+                   dns::RRType qtype);
+
 class AuthServer {
  public:
   explicit AuthServer(std::string name) : name_(std::move(name)) {}
@@ -72,40 +85,17 @@ class AuthServer {
   const zone::Zone* zone_data(const dns::Name& apex) const;
   zone::Zone* mutable_zone_data(const dns::Name& apex);
 
-  /// Answer a question with standard authoritative-server semantics.
+  /// Answer from the deepest hosted zone covering `qname` (answer()).
   QueryResult query(const dns::Name& qname, dns::RRType qtype) const;
 
   /// Answer from one specific hosted zone (the parent-side view a prober
   /// gets from servers that are authoritative only for the parent).
-  DFX_COLD("the full zone walk only runs on answer-cache misses; its results are cached")
   QueryResult query_in_zone(const dns::Name& zone_apex, const dns::Name& qname,
                             dns::RRType qtype) const;
 
  private:
   const zone::Zone* best_zone_for(const dns::Name& qname,
                                   dns::RRType qtype) const;
-  QueryResult answer_from(const zone::Zone& zone, const dns::Name& qname,
-                          dns::RRType qtype) const;
-
-  void answer_positive(const zone::Zone& zone, const dns::Name& qname,
-                       dns::RRType qtype, QueryResult& result) const;
-  void answer_nodata(const zone::Zone& zone, const dns::Name& qname,
-                     QueryResult& result) const;
-  void answer_nxdomain(const zone::Zone& zone, const dns::Name& qname,
-                       QueryResult& result) const;
-  void answer_wildcard(const zone::Zone& zone, const dns::Name& qname,
-                       const dns::Name& wildcard, dns::RRType qtype,
-                       QueryResult& result) const;
-  void answer_referral(const zone::Zone& zone, const dns::Name& cut,
-                       QueryResult& result) const;
-
-  void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
-                           dns::RRType type,
-                           std::vector<dns::ResourceRecord>& section) const;
-  void add_nsec_proofs(const zone::Zone& zone, const dns::Name& qname,
-                       bool nxdomain, QueryResult& result) const;
-  void add_nsec3_proofs(const zone::Zone& zone, const dns::Name& qname,
-                        bool nxdomain, QueryResult& result) const;
 
   std::string name_;
   bool lame_ = false;

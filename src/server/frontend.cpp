@@ -359,8 +359,8 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
                                   epoch);
     }
     if (!result) {
-      result = view->snapshot->server.query_in_zone(
-          *view->apex, question.qname, question.qtype);
+      result = authserver::answer(*view->zone, question.qname,
+                                  question.qtype);
       if (cache_ != nullptr) cache_->observe(*view->apex, *result, epoch);
     }
     body = build_body(question, *result, do_bit);

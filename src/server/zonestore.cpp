@@ -74,8 +74,7 @@ std::optional<std::pair<dns::Name, authserver::QueryResult>> ZoneStore::query(
   auto view = find(qname, qtype);
   if (!view) return std::nullopt;
   return std::make_pair(*view->apex,
-                        view->snapshot->server.query_in_zone(
-                            *view->apex, qname, qtype));
+                        authserver::answer(*view->zone, qname, qtype));
 }
 
 void ZoneStore::publish_shard(std::size_t shard) {

@@ -89,7 +89,7 @@ class ZoneStore {
   std::optional<ZoneView> find(const dns::Name& qname,
                                dns::RRType qtype) const;
 
-  /// Full authoritative answer: find() + the AuthServer answer logic.
+  /// Full authoritative answer: find() + authserver::answer on that zone.
   DFX_HOT_PATH
   std::optional<std::pair<dns::Name, authserver::QueryResult>> query(
       const dns::Name& qname, dns::RRType qtype) const;

@@ -3,7 +3,7 @@
 // The serving path must not let a KeyTrap-shaped zone through to resolvers:
 // once served, every validating client pays the blowup. The admission
 // policy runs a dedicated single-pass cost scan — no trust-graph node
-// construction, no denial-chain decoding, no probe emulation — so upsert
+// construction, no denial-chain decoding, no probe answers — so upsert
 // latency stays within the benchmarked <5% overhead budget
 // (bench/bench_zonelint.cpp).
 //

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analyzer/probe.h"
+#include "authserver/authserver.h"
 #include "crypto/algorithm.h"
 #include "dnscore/rr.h"
 #include "util/codec.h"
@@ -130,189 +131,39 @@ class Sink {
   Report& report_;
 };
 
-// ---- Server-response emulation --------------------------------------------
-//
-// grok judges the proof records a *server selects for a response*, not the
-// whole chain in the zone file. An authoritative server picks proofs by
-// predecessor in canonical (NSEC) or hash (NSEC3) order, wrapping to the
-// last record, and serves whatever its chain says is adjacent — validation
-// is the resolver's job. Running grok's walk over the full zone chain would
-// diverge (e.g. a salt-tampered NSEC3 ring always yields *some* cover
-// zone-wide, flipping kBadNonexistenceProof into
-// kInconsistentAncestorForNxdomain), so the lint reproduces the selection
-// first and applies grok's rules to exactly that subset.
+// ---- Probe responses -------------------------------------------------------
 
-/// One simulated negative-probe response: the rcode the server would return
-/// and the proof-record owners it would serve, in emission order.
-struct SimResponse {
+/// What the denial rules read from one probe response. The response comes
+/// from the auth server's own answer path, so the lint judges exactly the
+/// proof records grok is served. Judging the whole chain in the zone file
+/// would diverge: a salt-tampered NSEC3 ring always yields *some* cover
+/// zone-wide, flipping kBadNonexistenceProof into
+/// kInconsistentAncestorForNxdomain.
+struct ProbeResponse {
   dns::RCode rcode = dns::RCode::kNoError;
+  /// Owners of the served NSEC/NSEC3 records, de-duplicated in response
+  /// order (grok's per-owner view extraction).
   std::vector<dns::Name> owners;
   bool positive = false;  // answered from an existing RRset
   bool wildcard = false;  // wildcard-synthesized positive answer
 };
 
-void select_nsec(const zone::Zone& zone, const dns::Name& qname,
-                 bool nxdomain, std::vector<dns::Name>& out) {
-  struct Entry {
-    dns::Name owner;
-    const dns::NsecRdata* rdata;
-  };
-  std::vector<Entry> chain;
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC || rrset->empty()) continue;
-    const auto* nsec = std::get_if<dns::NsecRdata>(&rrset->rdatas().front());
-    if (nsec != nullptr) chain.push_back({rrset->owner(), nsec});
-  }
-  std::sort(chain.begin(), chain.end(),
-            [](const Entry& a, const Entry& b) { return a.owner < b.owner; });
-  const auto predecessor = [&](const dns::Name& name) -> const Entry* {
-    const Entry* best = nullptr;
-    for (const auto& entry : chain) {
-      if (entry.owner <= name) best = &entry;
-    }
-    if (best == nullptr && !chain.empty()) best = &chain.back();  // wrap
-    return best;
-  };
-  if (chain.empty()) return;
-  if (!nxdomain) {
-    for (const auto& entry : chain) {
-      if (entry.owner == qname) {
-        out.push_back(entry.owner);
-        return;
-      }
-    }
-  }
-  if (const auto* cover = predecessor(qname)) out.push_back(cover->owner);
-  if (nxdomain) {
-    const dns::Name wildcard = zone.apex().child("*");
-    if (const auto* cover = predecessor(wildcard)) out.push_back(cover->owner);
-  }
-}
-
-void select_nsec3(const zone::Zone& zone, const dns::Name& qname,
-                  bool nxdomain, std::vector<dns::Name>& out) {
-  const auto* param_set =
-      zone.find(zone.apex(), dns::RRType::kNSEC3PARAM);
-  if (param_set == nullptr || param_set->empty()) return;
-  const auto* param =
-      std::get_if<dns::Nsec3ParamRdata>(&param_set->rdatas().front());
-  if (param == nullptr) return;
-
-  struct Entry {
-    dns::Name owner;
-    Bytes owner_hash;
-  };
-  std::vector<Entry> chain;
-  std::vector<dns::Name> undecodable;
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC3 || rrset->empty()) continue;
-    if (std::get_if<dns::Nsec3Rdata>(&rrset->rdatas().front()) == nullptr) {
+ProbeResponse ask(const zone::Zone& zone, const dns::Name& qname,
+                  dns::RRType qtype) {
+  const auto result = authserver::answer(zone, qname, qtype);
+  ProbeResponse out;
+  out.rcode = result.rcode;
+  out.positive = !result.answers.empty();
+  out.wildcard = out.positive && !zone.name_exists(qname);
+  for (const auto& rr : result.authorities) {
+    if (rr.type != dns::RRType::kNSEC && rr.type != dns::RRType::kNSEC3) {
       continue;
     }
-    auto decoded = base32hex_decode(rrset->owner().leftmost_label());
-    if (!decoded) {
-      undecodable.push_back(rrset->owner());
-      continue;
-    }
-    chain.push_back({rrset->owner(), *std::move(decoded)});
-  }
-  std::sort(chain.begin(), chain.end(), [](const Entry& a, const Entry& b) {
-    return a.owner_hash < b.owner_hash;
-  });
-  const auto hash_of = [&](const dns::Name& name) {
-    return zone::nsec3_hash(name, param->salt, param->iterations);
-  };
-  const auto emit_match = [&](const dns::Name& name) {
-    const Bytes h = hash_of(name);
-    for (const auto& e : chain) {
-      if (e.owner_hash == h) {
-        out.push_back(e.owner);
-        return;
-      }
-    }
-  };
-  const auto emit_cover = [&](const dns::Name& name) {
-    if (chain.empty()) return;
-    const Bytes h = hash_of(name);
-    const Entry* best = nullptr;
-    for (const auto& e : chain) {
-      if (e.owner_hash <= h) best = &e;
-    }
-    if (best == nullptr) best = &chain.back();  // wrap-around
-    out.push_back(best->owner);
-  };
-
-  for (const auto& owner : undecodable) out.push_back(owner);
-
-  if (!nxdomain) {
-    emit_match(qname);
-    return;
-  }
-  dns::Name closest = qname;
-  while (closest.label_count() > zone.apex().label_count()) {
-    closest = closest.parent();
-    if (zone.name_exists(closest) ||
-        zone.name_or_descendant_exists(closest) ||
-        closest == zone.apex()) {
-      break;
+    if (std::find(out.owners.begin(), out.owners.end(), rr.owner) ==
+        out.owners.end()) {
+      out.owners.push_back(rr.owner);
     }
   }
-  emit_match(closest);
-  const std::size_t next_labels = closest.label_count() + 1;
-  dns::Name next_closer = qname;
-  while (next_closer.label_count() > next_labels) {
-    next_closer = next_closer.parent();
-  }
-  emit_cover(next_closer);
-  emit_cover(closest.child("*"));
-}
-
-/// Emulate one negative probe against the zone, mirroring the auth server's
-/// answer path (positive / NODATA / wildcard synthesis / NXDOMAIN) and its
-/// proof selection. `out.owners` is de-duplicated in emission order, like
-/// grok's per-owner view extraction.
-SimResponse simulate_probe(const zone::Zone& zone, const dns::Name& qname,
-                           dns::RRType qtype, bool nsec3_path) {
-  SimResponse out;
-  std::vector<dns::Name> raw;
-  const auto select = [&](const dns::Name& name, bool nxdomain) {
-    if (nsec3_path) {
-      select_nsec3(zone, name, nxdomain, raw);
-    } else {
-      select_nsec(zone, name, nxdomain, raw);
-    }
-  };
-  if (zone.find(qname, qtype) != nullptr ||
-      (qtype != dns::RRType::kCNAME &&
-       zone.find(qname, dns::RRType::kCNAME) != nullptr)) {
-    out.rcode = dns::RCode::kNoError;
-    out.positive = true;
-  } else if (zone.name_exists(qname) ||
-             zone.name_or_descendant_exists(qname)) {
-    out.rcode = dns::RCode::kNoError;
-    select(qname, /*nxdomain=*/false);
-  } else {
-    dns::Name closest = qname.parent();
-    while (closest.label_count() > zone.apex().label_count() &&
-           !zone.name_or_descendant_exists(closest)) {
-      closest = closest.parent();
-    }
-    if (zone.find(closest.child("*"), qtype) != nullptr) {
-      out.rcode = dns::RCode::kNoError;
-      out.wildcard = true;
-      select(qname, /*nxdomain=*/true);
-    } else {
-      out.rcode = dns::RCode::kNXDomain;
-      select(qname, /*nxdomain=*/true);
-    }
-  }
-  std::vector<dns::Name> deduped;
-  for (const auto& owner : raw) {
-    if (std::find(deduped.begin(), deduped.end(), owner) == deduped.end()) {
-      deduped.push_back(owner);
-    }
-  }
-  out.owners = std::move(deduped);
   return out;
 }
 
@@ -598,7 +449,7 @@ class Linter {
   }
 
   // Rule E — denial-of-existence (grok's validate_negative, run over the
-  // emulated server responses to the three negative probes).
+  // auth server's responses to the three negative probes).
   void check_denial() {
     // The NSEC3PARAM advertisement is checked regardless of which proofs a
     // negative answer would carry.
@@ -624,12 +475,9 @@ class Linter {
         zone_.find(apex_, dns::RRType::kNSEC3PARAM) != nullptr;
     const dns::Name nx_name = analyzer::nx_probe_name(apex_);
     const dns::Name last_name = analyzer::last_probe_name(apex_);
-    const SimResponse nx =
-        simulate_probe(zone_, nx_name, dns::RRType::kA, nsec3_path);
-    const SimResponse last =
-        simulate_probe(zone_, last_name, dns::RRType::kA, nsec3_path);
-    const SimResponse nodata =
-        simulate_probe(zone_, apex_, dns::RRType::kMX, nsec3_path);
+    const ProbeResponse nx = ask(zone_, nx_name, dns::RRType::kA);
+    const ProbeResponse last = ask(zone_, last_name, dns::RRType::kA);
+    const ProbeResponse nodata = ask(zone_, apex_, dns::RRType::kMX);
     const dns::RRType proof_type =
         nsec3_path ? dns::RRType::kNSEC3 : dns::RRType::kNSEC;
 
@@ -665,8 +513,8 @@ class Linter {
     }
   }
 
-  void check_denial_nsec3(const SimResponse& nx, const SimResponse& last,
-                          const SimResponse& nodata,
+  void check_denial_nsec3(const ProbeResponse& nx, const ProbeResponse& last,
+                          const ProbeResponse& nodata,
                           const dns::Name& nx_name) {
     struct Entry {
       Bytes owner_hash;
@@ -678,8 +526,8 @@ class Linter {
     // Sanity runs over the union of every NSEC3 any negative response
     // serves, de-duplicated by owner in response order.
     std::vector<dns::Name> sanity_owners;
-    for (const auto* sim : {&nx, &last, &nodata}) {
-      for (const auto& owner : sim->owners) {
+    for (const auto* response : {&nx, &last, &nodata}) {
+      for (const auto& owner : response->owners) {
         if (std::find(sanity_owners.begin(), sanity_owners.end(), owner) ==
             sanity_owners.end()) {
           sanity_owners.push_back(owner);
@@ -757,17 +605,13 @@ class Linter {
       }
       return nullptr;
     };
-    const auto hash_covers = [](const Bytes& owner_hash,
-                                const Bytes& next_hash, const Bytes& target) {
-      if (owner_hash < next_hash) {
-        return owner_hash < target && target < next_hash;
-      }
-      return target > owner_hash || target < next_hash;
-    };
     const auto find_cover = [&](const dns::Name& name) -> const Entry* {
       const Bytes h = hash_of(name);
       for (const auto& e : entries) {
-        if (hash_covers(e.owner_hash, e.rdata->next_hashed, h)) return &e;
+        if (authserver::nsec3_hash_covers(e.owner_hash, e.rdata->next_hashed,
+                                          h)) {
+          return &e;
+        }
       }
       return nullptr;
     };
@@ -851,14 +695,9 @@ class Linter {
     }
   }
 
-  void check_denial_nsec(const SimResponse& nx, const SimResponse& last,
-                         const SimResponse& nodata, const dns::Name& nx_name,
+  void check_denial_nsec(const ProbeResponse& nx, const ProbeResponse& last,
+                         const ProbeResponse& nodata, const dns::Name& nx_name,
                          const dns::Name& last_name) {
-    const auto nsec_covers = [](const dns::Name& owner, const dns::Name& next,
-                                const dns::Name& name) {
-      if (owner < next) return owner < name && name < next;
-      return name > owner || name < next;
-    };
     if (nx.rcode == dns::RCode::kNXDomain) {
       bool covered = false;
       for (const auto& owner : nx.owners) {
@@ -867,7 +706,9 @@ class Linter {
         for (const auto& rdata : rrset->rdatas()) {
           const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
           if (nsec == nullptr) continue;
-          if (nsec_covers(owner, nsec->next, nx_name)) covered = true;
+          if (authserver::nsec_covers(owner, nsec->next, nx_name)) {
+            covered = true;
+          }
         }
       }
       if (!covered) {
@@ -885,7 +726,7 @@ class Linter {
         for (const auto& rdata : rrset->rdatas()) {
           const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
           if (nsec == nullptr) continue;
-          if (nsec_covers(owner, nsec->next, last_name) &&
+          if (authserver::nsec_covers(owner, nsec->next, last_name) &&
               owner > nsec->next && nsec->next != apex_) {
             sink_.add(ErrorCode::kIncorrectLastNsec, apex_,
                       "the final NSEC record points to " +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analyzer/probe.h"
 #include "util/codec.h"
 #include "zone/nsec3.h"
 #include "zone/signer.h"
@@ -10,9 +11,6 @@ namespace dfx::zreplicator {
 namespace {
 
 using analyzer::ErrorCode;
-
-// The fixed probe labels the analyzer uses (injectors may target them).
-const char* kNxProbeLabel = "dnsviz-nxdomain-probe";
 
 /// Remove the RRSIGs covering `type` at `owner` from a signed zone copy.
 void strip_sigs(zone::Zone& z, const dns::Name& owner, dns::RRType type) {
@@ -402,7 +400,7 @@ bool inject_bad_nonexistence(Sandbox& sb) {
   zone::Zone z = mz.signed_zone;
   if (mz.config.denial == zone::DenialMode::kNsec) {
     // Shrink the covering interval so the probe name is no longer denied.
-    const dns::Name probe = child.child(kNxProbeLabel);
+    const dns::Name probe = analyzer::nx_probe_name(child);
     // The covering NSEC for the probe is the apex record (apex < probe).
     auto* nsec_set = z.find(child, dns::RRType::kNSEC);
     if (nsec_set == nullptr || nsec_set->empty()) return false;
@@ -491,7 +489,7 @@ bool inject_inconsistent_ancestor(Sandbox& sb) {
     strip_sigs(z, owner, dns::RRType::kNSEC3);
     z.remove(owner, dns::RRType::kNSEC3);
   }
-  Bytes h0 = zone::nsec3_hash(child.child(kNxProbeLabel), params->salt,
+  Bytes h0 = zone::nsec3_hash(analyzer::nx_probe_name(child), params->salt,
                               params->iterations);
   h0.back() ^= 0x01;  // dfx-lint: allow(unchecked-front-back): digest is never empty  // near the probe's hash, equal to no real name's
   dns::Nsec3Rdata synthetic;
@@ -513,7 +511,7 @@ bool inject_incorrect_closest_encloser(Sandbox& sb) {
   zone::Zone z = mz.signed_zone;
   // Collapse the interval of the record covering the probe's next-closer
   // name so it covers nothing.
-  const dns::Name probe = child.child(kNxProbeLabel);
+  const dns::Name probe = analyzer::nx_probe_name(child);
   const auto cover = find_covering_nsec3(z, probe);
   if (!cover) return false;
   auto decoded = base32hex_decode(cover->owner.leftmost_label());
@@ -534,7 +532,7 @@ bool inject_invalid_nsec3_hash(Sandbox& sb) {
   if (!ensure_denial(sb, zone::DenialMode::kNsec3)) return false;
   auto& mz = sb.managed(child);
   zone::Zone z = mz.signed_zone;
-  const auto cover = find_covering_nsec3(z, child.child(kNxProbeLabel));
+  const auto cover = find_covering_nsec3(z, analyzer::nx_probe_name(child));
   if (!cover) return false;
   dns::Nsec3Rdata updated = cover->rdata;
   updated.next_hashed.resize(10);  // SHA-1 output must be 20 bytes
@@ -548,7 +546,7 @@ bool inject_invalid_nsec3_owner(Sandbox& sb) {
   if (!ensure_denial(sb, zone::DenialMode::kNsec3)) return false;
   auto& mz = sb.managed(child);
   zone::Zone z = mz.signed_zone;
-  const auto cover = find_covering_nsec3(z, child.child(kNxProbeLabel));
+  const auto cover = find_covering_nsec3(z, analyzer::nx_probe_name(child));
   if (!cover) return false;
   // Add an extra chain record whose owner label is not valid base32hex —
   // the artifact of a broken signer. The intact chain stays in place.
