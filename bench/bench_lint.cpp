@@ -2,21 +2,14 @@
 //
 // Measures the token-based engine end to end — discover files, read+lex
 // each one once, build the cross-TU symbol index, run every rule over the
-// shared token streams — and contrasts it with the pre-engine behaviour of
-// re-reading and re-lexing the tree once per rule pack. The shared-stream
-// design must win; the bench asserts it (set DFX_LINT_NO_ASSERT=1 to skip
-// on pathologically noisy machines).
-//
-// The cfg_dataflow stage measures the dataflow upgrade the same way: one
-// full pipeline run with Options.dataflow off (the flat PR-5 engine) and
-// one with it on, asserting the flow-aware lint stays within 2x.
-//
-// The interprocedural stage times the layer on top — call graph,
-// bottom-up summaries, the three cross-call rules — and asserts it stays
-// within 2x of the flow-aware per-file lint it extends.
+// shared token streams. The interprocedural stage times the layer on top —
+// call graph, bottom-up summaries, the three cross-call rules — and
+// asserts it stays within 2x of the per-file lint it extends (set
+// DFX_LINT_NO_ASSERT=1 to skip on pathologically noisy machines).
 //
 // Emits BENCH_lint.json via the bench_common schema; the committed record
 // lives in bench/records/.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,8 +59,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Engine path: every file is read and lexed exactly once; all rule packs
-  // share the resulting token streams.
+  // Every file is read and lexed exactly once; all rule packs share the
+  // resulting token streams. Read + index + rules together are one full
+  // per-file lint, the denominator of the interprocedural gate below.
+  const auto lint_begin = std::chrono::steady_clock::now();
   const auto analyses = run.stage("read_and_lex", [&] {
     std::vector<dfx::lint::FileAnalysis> out;
     out.reserve(files.size());
@@ -101,123 +96,24 @@ int main(int argc, char** argv) {
     return all;
   });
 
-  // Pre-engine baseline: dfixer_lint used to re-read every file once per
-  // rule pack (banned/contract, concurrency, layering). Reproduce that I/O
-  // and lexing pattern so the shared-stream speedup is measured, not
-  // asserted from theory.
-  constexpr int kLegacyRulePacks = 3;
-  double naive_seconds = 0.0;
-  run.stage("relex_per_pack", [&] {
-    const auto begin = std::chrono::steady_clock::now();
-    std::size_t token_total = 0;
-    for (int pack = 0; pack < kLegacyRulePacks; ++pack) {
-      for (const auto& path : files) {
-        if (auto content = read_file(path)) {
-          const auto fa = dfx::lint::analyze_file(path, std::move(*content));
-          token_total += fa.tokens.size();
-        }
-      }
-    }
-    naive_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    // Keep the work observable so the loop cannot be optimized away.
-    dfx::metrics::Registry::global()
-        .counter("lint.bench.relex_tokens")
-        .add(static_cast<std::int64_t>(token_total));
-  });
-
-  double shared_seconds = 0.0;
-  {
-    const auto begin = std::chrono::steady_clock::now();
-    std::size_t token_total = 0;
-    for (const auto& path : files) {
-      if (auto content = read_file(path)) {
-        const auto fa = dfx::lint::analyze_file(path, std::move(*content));
-        token_total += fa.tokens.size();
-      }
-    }
-    shared_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    dfx::metrics::Registry::global()
-        .counter("lint.bench.shared_tokens")
-        .add(static_cast<std::int64_t>(token_total));
-  }
-
-  // Cost envelope of the dataflow upgrade: the CFG construction and the
-  // taint/guard solving added to the rule pass must keep a full-repo lint
-  // within 2x of the PR-5 flat engine. Run the whole pipeline — read, lex,
-  // index, rules — once with the passes off and once on; both runs re-read
-  // the tree so the ratio covers exactly what `dfixer_lint --root .` pays.
-  double flat_seconds = 0.0;
-  double dataflow_seconds = 0.0;
-  run.stage("cfg_dataflow", [&] {
-    const auto lint_everything = [&](bool dataflow) {
-      std::vector<dfx::lint::FileAnalysis> fas;
-      fas.reserve(files.size());
-      for (const auto& path : files) {
-        if (auto content = read_file(path)) {
-          fas.push_back(dfx::lint::analyze_file(path, std::move(*content)));
-        }
-      }
-      dfx::lint::SymbolIndex idx;
-      for (const auto& fa : fas) {
-        if (fa.path.find("src/") != std::string::npos) {
-          idx.index_source(fa.path, fa.tokens);
-        }
-      }
-      dfx::lint::Options opt;
-      opt.symbols = &idx;
-      opt.dataflow = dataflow;
-      std::size_t count = 0;
-      for (const auto& fa : fas) {
-        count += dfx::lint::lint_file(fa, opt).size();
-      }
-      return count;
-    };
-    auto begin = std::chrono::steady_clock::now();
-    const std::size_t flat_count = lint_everything(false);
-    flat_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    begin = std::chrono::steady_clock::now();
-    const std::size_t dataflow_count = lint_everything(true);
-    dataflow_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    dfx::metrics::Registry::global()
-        .counter("lint.bench.flat_findings")
-        .add(static_cast<std::int64_t>(flat_count));
-    dfx::metrics::Registry::global()
-        .counter("lint.bench.dataflow_findings")
-        .add(static_cast<std::int64_t>(dataflow_count));
-  });
+  const double lint_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    lint_begin)
+          .count();
 
   // Marginal cost of the interprocedural layer: build the call graph,
   // compute every summary (including the differential taint runs) and run
   // the three cross-call rules over the src/ set — the exact work
-  // `dfixer_lint --root .` adds on top of the per-file lint. The analyses
-  // are prepared outside the timed window so the ratio compares
-  // analysis-to-analysis, not I/O.
+  // `dfixer_lint --root .` adds on top of the per-file lint. It reuses the
+  // analyses and the index built above.
   double interproc_seconds = 0.0;
   run.stage("interprocedural", [&] {
-    std::vector<dfx::lint::FileAnalysis> fas;
-    fas.reserve(files.size());
-    for (const auto& path : files) {
-      if (auto content = read_file(path)) {
-        fas.push_back(dfx::lint::analyze_file(path, std::move(*content)));
-      }
-    }
-    dfx::lint::SymbolIndex idx;
     std::vector<const dfx::lint::FileAnalysis*> ptrs;
-    for (const auto& fa : fas) {
-      if (fa.path.find("src/") == std::string::npos) continue;
-      idx.index_source(fa.path, fa.tokens);
-      ptrs.push_back(&fa);
+    for (const auto& fa : analyses) {
+      if (fa.path.find("src/") != std::string::npos) ptrs.push_back(&fa);
     }
     const auto begin = std::chrono::steady_clock::now();
-    const auto pa = dfx::lint::analyze_program(std::move(ptrs), &idx);
+    const auto pa = dfx::lint::analyze_program(std::move(ptrs), &index);
     const auto interproc_findings = dfx::lint::lint_interprocedural(pa);
     interproc_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
@@ -242,8 +138,6 @@ int main(int argc, char** argv) {
   }
   registry.counter("lint.symbols.functions")
       .add(static_cast<std::int64_t>(index.functions().size()));
-  registry.counter("lint.symbols.enums")
-      .add(static_cast<std::int64_t>(index.enums().size()));
 
   std::string rendered;
   for (const auto& v : findings) {
@@ -252,45 +146,19 @@ int main(int argc, char** argv) {
   run.checksum_text("findings", rendered);
   run.set_items(static_cast<std::int64_t>(files.size()));
 
-  std::printf("bench_lint: %zu files, %zu findings, %zu functions, "
-              "%zu enums indexed\n",
-              files.size(), findings.size(), index.functions().size(),
-              index.enums().size());
-  std::printf("bench_lint: shared read+lex %.3fs vs per-pack re-lex %.3fs "
-              "(x%d packs)\n",
-              shared_seconds, naive_seconds, kLegacyRulePacks);
-  std::printf("bench_lint: full lint flat %.3fs vs cfg+dataflow %.3fs "
-              "(ratio %.2f, limit 2.00)\n",
-              flat_seconds, dataflow_seconds,
-              flat_seconds > 0.0 ? dataflow_seconds / flat_seconds : 0.0);
-  std::printf("bench_lint: interprocedural pass %.3fs vs flow-aware lint "
+  std::printf("bench_lint: %zu files, %zu findings, %zu functions indexed\n",
+              files.size(), findings.size(), index.functions().size());
+  std::printf("bench_lint: interprocedural pass %.3fs vs per-file lint "
               "%.3fs (ratio %.2f, limit 2.00)\n",
-              interproc_seconds, dataflow_seconds,
-              dataflow_seconds > 0.0 ? interproc_seconds / dataflow_seconds
-                                     : 0.0);
+              interproc_seconds, lint_seconds,
+              lint_seconds > 0.0 ? interproc_seconds / lint_seconds : 0.0);
 
   if (std::getenv("DFX_LINT_NO_ASSERT") == nullptr &&
-      naive_seconds <= shared_seconds) {
-    std::fprintf(stderr,
-                 "bench_lint: FAIL: re-lexing per rule pack (%.3fs) should "
-                 "be slower than the shared token stream (%.3fs)\n",
-                 naive_seconds, shared_seconds);
-    return 1;
-  }
-  if (std::getenv("DFX_LINT_NO_ASSERT") == nullptr &&
-      dataflow_seconds > 2.0 * flat_seconds) {
-    std::fprintf(stderr,
-                 "bench_lint: FAIL: cfg+dataflow lint (%.3fs) exceeds 2x the "
-                 "flat engine (%.3fs)\n",
-                 dataflow_seconds, flat_seconds);
-    return 1;
-  }
-  if (std::getenv("DFX_LINT_NO_ASSERT") == nullptr &&
-      interproc_seconds > 2.0 * dataflow_seconds) {
+      interproc_seconds > 2.0 * lint_seconds) {
     std::fprintf(stderr,
                  "bench_lint: FAIL: interprocedural pass (%.3fs) exceeds 2x "
-                 "the flow-aware lint (%.3fs)\n",
-                 interproc_seconds, dataflow_seconds);
+                 "the per-file lint (%.3fs)\n",
+                 interproc_seconds, lint_seconds);
     return 1;
   }
 

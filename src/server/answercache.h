@@ -26,8 +26,7 @@
 // Thread-safety: all public methods are safe from any thread. The packet
 // tier is sharded (one annotated Mutex per shard, tiny critical
 // sections); the negative tier serializes on one Mutex but sits on the
-// miss path only. The lockgraph checker audits both in Debug/sanitizer
-// builds.
+// miss path only. TSan and the static-lock-cycle lint rule audit both.
 #pragma once
 
 #include <array>

@@ -9,8 +9,8 @@
 //
 // Thread-safety: `find`/`query`/`generation` are safe from any number of
 // threads concurrently with one writer. `upsert`/`remove`/`subscribe`
-// serialize on `writer_mu_` (annotated; the lockgraph checker audits the
-// acquisition order in Debug/sanitizer builds). Swap listeners run on the
+// serialize on `writer_mu_` (annotated; TSan and the static-lock-cycle
+// lint rule audit the acquisition order). Swap listeners run on the
 // writer thread with `writer_mu_` held — they must not call back into the
 // store's writer API.
 //

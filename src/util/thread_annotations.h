@@ -19,15 +19,12 @@
 //   - Raw `std::mutex`/`std::lock_guard` outside `src/util/` is a lint
 //     error (`raw-std-mutex`).
 //
-// In Debug and sanitizer builds each Mutex additionally feeds the runtime
-// lock-order checker (util/lockgraph.h); release builds compile the hooks
-// out entirely.
+// Lock order is checked by TSan at run time (any inconsistent acquisition
+// order it observes, even on one thread) and by dfixer_lint's
+// static-lock-cycle rule over the source.
 #pragma once
 
 #include <mutex>
-#include <source_location>
-
-#include "util/lockgraph.h"
 
 // Clang's analysis attributes; no-ops elsewhere. Attribute reference:
 // https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
@@ -81,47 +78,21 @@
 
 namespace dfx {
 
-/// std::mutex with (a) capability annotations so clang can check lock
-/// discipline at compile time and (b) lock-order-graph hooks so Debug and
-/// sanitizer builds abort on the first inconsistent acquisition order
-/// (potential deadlock) instead of waiting for the interleaving that
-/// actually deadlocks. Satisfies BasicLockable/Lockable, so it works with
-/// `std::condition_variable_any`.
+/// std::mutex with capability annotations so clang can check lock
+/// discipline at compile time. Satisfies BasicLockable/Lockable, so it
+/// works with `std::condition_variable_any`.
 class DFX_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() : graph_id_(lockgraph::register_mutex()) {}
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock([[maybe_unused]] const std::source_location loc =
-                std::source_location::current()) DFX_ACQUIRE() {
-    // Order check happens *before* blocking: a real ABBA interleaving
-    // aborts with the two sites instead of hanging in mu_.lock().
-    lockgraph::on_acquire(graph_id_, loc);
-    mu_.lock();
-  }
-
-  void unlock() DFX_RELEASE() {
-    // Copy the id first: the moment mu_ is released, the owner may destroy
-    // this Mutex (the stack-allocated-batch idiom in parallel.cpp relies on
-    // exactly that), so no member may be touched after mu_.unlock().
-    const lockgraph::MutexId id = graph_id_;
-    mu_.unlock();
-    lockgraph::on_release(id);
-  }
-
-  bool try_lock([[maybe_unused]] const std::source_location loc =
-                    std::source_location::current()) DFX_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    // A successful try_lock cannot deadlock, but it still establishes an
-    // order other threads may rely on, so it is recorded (not checked).
-    lockgraph::on_try_acquire(graph_id_, loc);
-    return true;
-  }
+  void lock() DFX_ACQUIRE() { mu_.lock(); }
+  void unlock() DFX_RELEASE() { mu_.unlock(); }
+  bool try_lock() DFX_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
-  [[maybe_unused]] lockgraph::MutexId graph_id_;
 };
 
 /// RAII scope lock over Mutex, the analogue of std::lock_guard. The
@@ -129,12 +100,7 @@ class DFX_CAPABILITY("mutex") Mutex {
 /// the lifetime of the object.
 class DFX_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu, const std::source_location loc =
-                                    std::source_location::current())
-      DFX_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock(loc);
-  }
+  explicit MutexLock(Mutex& mu) DFX_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
   ~MutexLock() DFX_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;

@@ -1,6 +1,6 @@
 // Fixture: nested namespaces, forward declarations, and an unscoped enum —
 // the shapes the symbol index must survive. cross_b.cpp defines one of
-// these functions out of line and switches over Flavor.
+// these functions out of line.
 #pragma once
 
 namespace outer {

@@ -1,44 +1,11 @@
-// Fixture: out-of-line qualified definition (indexed under the same name
-// as the declaration in cross_a.h) plus switches over an enum declared in
-// the other header — cross-TU exhaustiveness.
+// Fixture: out-of-line qualified definition, indexed under the same name
+// as the declaration in cross_a.h.
 
 namespace outer {
 
 ErrorCode inner::refresh_cache(int generation) {
   (void)generation;
   return {};
-}
-
-int flavor_rank(inner::Flavor f) {
-  switch (f) {  // line 13: nonexhaustive-enum-switch (misses kBitter)
-    case inner::Flavor::kSweet:
-      return 0;
-    case inner::Flavor::kSour:
-      return 1;
-  }
-  return -1;
-}
-
-int flavor_rank_unqualified(inner::Flavor f) {
-  switch (f) {  // line 23: nonexhaustive-enum-switch (unqualified labels)
-    case kSweet:
-      return 0;
-    case kSour:
-      return 1;
-  }
-  return -1;
-}
-
-int flavor_rank_complete(inner::Flavor f) {
-  switch (f) {  // ok: exhaustive
-    case kSweet:
-      return 0;
-    case kSour:
-      return 1;
-    case kBitter:
-      return 2;
-  }
-  return -1;
 }
 
 }  // namespace outer

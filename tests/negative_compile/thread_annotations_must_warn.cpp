@@ -37,6 +37,15 @@ class Counter {
 
   void call_helper_without_lock() { bump_locked(); }
 
+  // Violation 5: the same mutex acquired twice in one function. On a
+  // non-recursive mutex the second lock() blocks forever, and TSan does not
+  // report it (the process just hangs), so this static check is the only
+  // one that catches a self-deadlock.
+  void relock() {
+    const dfx::MutexLock first(mu_);
+    const dfx::MutexLock second(mu_);
+  }
+
  private:
   mutable dfx::Mutex mu_;
   int value_ DFX_GUARDED_BY(mu_) = 0;
@@ -49,5 +58,6 @@ int main() {
   c.bump_unlocked();
   c.call_helper_without_lock();
   c.reset_while_holding();
+  c.relock();
   return c.peek();
 }

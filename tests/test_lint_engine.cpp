@@ -20,7 +20,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using dfx::lint::EnumDecl;
 using dfx::lint::FunctionDecl;
 using dfx::lint::ReturnClass;
 using dfx::lint::SymbolIndex;
@@ -113,7 +112,9 @@ TEST(Lexer, RawStringsCollapseAndKeepLineCounting) {
   for (const auto& t : toks) {
     if (t.kind == Tok::kString) ++strings;
     EXPECT_NE(t.text, "mutex");
-    if (t.text == "after") EXPECT_EQ(t.line, 4u);
+    if (t.text == "after") {
+      EXPECT_EQ(t.line, 4u);
+    }
   }
   EXPECT_EQ(strings, 1u);
 }
@@ -186,8 +187,8 @@ std::string fixture_path(const std::string& name) {
 const SymbolIndex& fixture_index() {
   static const SymbolIndex index = [] {
     SymbolIndex idx;
-    for (const char* name : {"symbols/status_decls.h", "symbols/enum_decls.h",
-                             "symbols/cross_a.h", "symbols/cross_b.cpp"}) {
+    for (const char* name : {"symbols/status_decls.h", "symbols/cross_a.h",
+                             "symbols/cross_b.cpp"}) {
       const std::string content = read_file(fixture_path(name));
       const auto tokens = dfx::lint::lex(content);
       idx.index_source(name, tokens);
@@ -245,26 +246,8 @@ TEST(SymbolIndex, OutOfLineDefinitionJoinsTheForwardDeclaration) {
 TEST(SymbolIndex, NestedNamespacesAndForwardClassDeclsAreHandled) {
   const auto& idx = fixture_index();
   EXPECT_EQ(idx.find_functions("validate_entry").size(), 1u);
-  // `class Cache;` must not be indexed as a function or an enum.
+  // `class Cache;` must not be indexed as a function.
   EXPECT_TRUE(idx.find_functions("Cache").empty());
-  EXPECT_TRUE(idx.find_enums("Cache").empty());
-}
-
-TEST(SymbolIndex, RecordsEnumDefinitionsWithEnumeratorLists) {
-  const auto& idx = fixture_index();
-  const auto fix_kind = idx.find_enums("FixKind");
-  ASSERT_EQ(fix_kind.size(), 1u);
-  EXPECT_TRUE(fix_kind.front()->scoped);
-  EXPECT_EQ(fix_kind.front()->enumerators,
-            (std::vector<std::string>{"kRoll", "kPatch", "kRetry",
-                                      "kEscalate"}));
-  const auto phase = idx.find_enums("Phase");
-  ASSERT_EQ(phase.size(), 1u);  // underlying type must not confuse parsing
-  EXPECT_EQ(phase.front()->enumerators,
-            (std::vector<std::string>{"kInit", "kRun", "kDone"}));
-  const auto flavor = idx.find_enums("Flavor");
-  ASSERT_EQ(flavor.size(), 1u);
-  EXPECT_FALSE(flavor.front()->scoped);
 }
 
 TEST(SymbolIndex, ConflictingDeclarationsDisableMustUse) {

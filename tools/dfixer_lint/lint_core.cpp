@@ -120,16 +120,14 @@ class Linter {
         stripped_(fa.stripped),
         lines_(fa.lines),
         tokens_(fa.tokens),
-        suppressions_{fa.raw_lines} {
-    if (options_.dataflow) cfgs_ = build_cfgs(tokens_);
-  }
+        suppressions_{fa.raw_lines},
+        cfgs_(build_cfgs(tokens_)) {}
 
   std::vector<Violation> run() {
     check_banned_tokens();
     check_front_back();
     check_length_contracts();
     if (is_header(path_)) check_nodiscard();
-    check_enum_switches();
     check_raw_mutex();
     check_unguarded_mutable();
     check_lock_across_wait();
@@ -137,7 +135,6 @@ class Linter {
     check_discarded_error_return();
     check_dead_status_stores();
     check_narrowing_cast();
-    check_signed_loop();
     check_view_into_temporary();
     check_taint_flows();
     std::sort(violations_.begin(), violations_.end(),
@@ -602,8 +599,8 @@ class Linter {
 
   /// Concurrency rule: shared state must use the annotated wrappers from
   /// util/thread_annotations.h so clang's capability analysis and the
-  /// lockgraph checker see every lock. Raw primitives are legal only under
-  /// util/ (where the wrappers and the checker themselves live).
+  /// static-lock-cycle pass see every lock. Raw primitives are legal only
+  /// under util/ (where the wrappers themselves live).
   void check_raw_mutex() {
     if (path_contains(path_, "util/")) return;
     static const std::set<std::string_view> kRaw = {
@@ -692,7 +689,7 @@ class Linter {
   /// reassignment (`st = next();`) is a write, not a read; reads inside
   /// DFX_CHECK/DFX_DCHECK count (that is the intended consumption).
   void check_dead_status_stores() {
-    if (options_.symbols == nullptr || !options_.dataflow) return;
+    if (options_.symbols == nullptr) return;
     for (const Cfg& cfg : cfgs_) {
       for (std::size_t bi = 0; bi < cfg.blocks.size(); ++bi) {
         const std::vector<CfgStmt>& stmts = cfg.blocks[bi].stmts;
@@ -810,7 +807,6 @@ class Linter {
   /// CFG path before indexing, sizing, memcpy'ing or bounding a loop.
   /// Scoped to the wire-handling layers, like the other parser rules.
   void check_taint_flows() {
-    if (!options_.dataflow) return;
     static const char* const kScope[] = {"dnscore/",    "crypto/", "zone/",
                                          "authserver/", "server/", "dataflow/"};
     if (std::none_of(std::begin(kScope), std::end(kScope),
@@ -917,8 +913,7 @@ class Linter {
       // member chain is a width-safe conversion the types already prove.
       if (masked || simple) continue;
       const std::size_t li = tok_line_index(i);
-      const Cfg* cfg =
-          options_.dataflow ? enclosing_cfg(cfgs_, i) : nullptr;
+      const Cfg* cfg = enclosing_cfg(cfgs_, i);
       if (cfg != nullptr) {
         // Flow-aware path: the guard must dominate the cast — a check in
         // one branch only, or textually after the cast on the same line,
@@ -932,6 +927,8 @@ class Linter {
         }
         if (has_dominating_guard(*cfg, tokens_, i, spec)) continue;
       } else {
+        // No enclosing function body (a namespace-scope initializer, say):
+        // no CFG to ask, so fall back to the token walk.
         if (guarded_nearby(li, 6, kGuardLines)) continue;
         if (dominating_guard_before(i, kGuardCalls)) continue;
       }
@@ -940,90 +937,6 @@ class Linter {
                  "> of a computed value without a DFX_CHECK/DFX_DCHECK "
                  "bound — truncation here corrupts wire data");
     }
-  }
-
-  /// `for (int i = 0; i < v.size(); ...)` mixes a signed index with an
-  /// unsigned bound: the comparison promotes, and a size above INT_MAX (or
-  /// a buggy negative index) wraps instead of failing.
-  void check_signed_loop() {
-    static const std::set<std::string_view> kSignedMulti = {"int", "long",
-                                                            "short", "signed"};
-    static const std::set<std::string_view> kSignedSingle = {
-        "ptrdiff_t", "int8_t", "int16_t", "int32_t", "int64_t"};
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      if (!tok_is(i, "for") || !tok_is(i + 1, "(")) continue;
-      const std::size_t close = match_paren(i + 1);
-      if (close == kNpos) continue;
-      std::size_t p = i + 2;
-      if (tok_is(p, "const")) ++p;
-      if (tok_is(p, "std") && tok_is(p + 1, "::")) p += 2;
-      // The declared type: one std-typedef, or a run of int/long/short/
-      // signed keywords (`long long`, `signed int`, ...).
-      bool signed_type = false;
-      if (tok_ident(p) && kSignedSingle.contains(tokens_[p].text)) {
-        signed_type = true;
-        ++p;
-      } else {
-        while (tok_ident(p) && kSignedMulti.contains(tokens_[p].text)) {
-          signed_type = true;
-          ++p;
-        }
-      }
-      if (!signed_type || !tok_ident(p)) continue;
-      const std::string_view var = tokens_[p].text;
-      if (!tok_is(p + 1, "=")) continue;
-      // Condition: between the first and second ';' at paren depth 0.
-      std::size_t semi1 = kNpos;
-      int depth = 0;
-      for (std::size_t q = i + 2; q < close; ++q) {
-        const std::string_view t = tokens_[q].text;
-        if (t == "(" || t == "[") ++depth;
-        if (t == ")" || t == "]") --depth;
-        if (t == ";" && depth == 0) {
-          semi1 = q;
-          break;
-        }
-      }
-      if (semi1 == kNpos) continue;
-      for (std::size_t q = semi1 + 1; q < close; ++q) {
-        const std::string_view t = tokens_[q].text;
-        if (t == "(" || t == "[") ++depth;
-        if (t == ")" || t == "]") --depth;
-        if ((t == ";" && depth == 0) || q + 1 == close) {
-          // Condition tokens are (semi1, q). Find `var < bound`.
-          if (flag_signed_bound(semi1 + 1, t == ";" ? q : close, var)) {
-            report(tok_line_index(i), "signed-unsigned-loop",
-                   "loop index '" + std::string(var) +
-                       "' is signed but its bound is a container size — "
-                       "use std::size_t (or cast the bound once, checked)");
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  bool flag_signed_bound(std::size_t lo, std::size_t hi,
-                         std::string_view var) const {
-    for (std::size_t k = lo; k + 1 < hi; ++k) {
-      if (!(tok_ident(k) && tokens_[k].text == var)) continue;
-      if (tok(k + 1) != "<" && tok(k + 1) != "<=") continue;
-      bool size_call = false;
-      bool cast = false;
-      int depth = 0;
-      for (std::size_t b = k + 2; b < hi; ++b) {
-        const std::string_view t = tokens_[b].text;
-        if (t == "(" || t == "[") ++depth;
-        if (t == ")" || t == "]") --depth;
-        if (depth == 0 && (t == "&&" || t == "||" || t == ";")) break;
-        if ((t == "size" || t == "length") && tok_is(b + 1, "(")) {
-          size_call = true;
-        }
-        if (t == "static_cast") cast = true;
-      }
-      return size_call && !cast;
-    }
-    return false;
   }
 
   /// A function returning string_view/span must not return a view of one of
@@ -1128,104 +1041,13 @@ class Linter {
     }
   }
 
-  /// Generalized switch-exhaustiveness over every enum the symbol index
-  /// knows (replacing the old hardcoded ErrorCode rule). A switch whose
-  /// case labels all belong to one indexed enum must either cover every
-  /// enumerator or carry a default.
-  void check_enum_switches() {
-    if (options_.symbols == nullptr) return;
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      if (!tok_is(i, "switch") || !tok_is(i + 1, "(")) continue;
-      const std::size_t cond_close = match_paren(i + 1);
-      if (cond_close == kNpos || !tok_is(cond_close + 1, "{")) continue;
-      const std::size_t body_open = cond_close + 1;
-      const std::size_t body_close = match_brace(body_open);
-      if (body_close == kNpos) continue;
-      std::set<std::string, std::less<>> present;
-      std::set<std::string, std::less<>> qualifiers;
-      bool has_default = false;
-      int depth = 1;
-      for (std::size_t p = body_open + 1; p < body_close; ++p) {
-        const std::string_view t = tokens_[p].text;
-        if (t == "{") {
-          ++depth;
-        } else if (t == "}") {
-          --depth;
-        } else if (depth == 1 && t == "default" && tok_is(p + 1, ":")) {
-          has_default = true;
-        } else if (depth == 1 && t == "case") {
-          // Label runs to the next ':' ("::" is one token, so a scope
-          // separator can never be mistaken for the label end).
-          std::size_t q = p + 1;
-          std::size_t last_ident = kNpos;
-          while (q < body_close && !tok_is(q, ":")) {
-            if (tok_ident(q)) last_ident = q;
-            ++q;
-          }
-          if (last_ident != kNpos) {
-            present.insert(std::string(tokens_[last_ident].text));
-            if (last_ident >= 2 && tok(last_ident - 1) == "::" &&
-                tok_ident(last_ident - 2)) {
-              qualifiers.insert(std::string(tokens_[last_ident - 2].text));
-            }
-          }
-          p = q;
-        }
-      }
-      if (has_default || present.empty()) continue;
-      const EnumDecl* target = resolve_switched_enum(present, qualifiers);
-      if (target == nullptr) continue;
-      std::vector<std::string> missing;
-      for (const auto& e : target->enumerators) {
-        if (!present.contains(e)) missing.push_back(e);
-      }
-      if (missing.empty()) continue;
-      std::string msg = "switch over " + target->name + " misses " +
-                        std::to_string(missing.size()) +
-                        " enumerator(s) and has no default:";
-      for (std::size_t m = 0; m < missing.size() && m < 3; ++m) {
-        msg += " " + missing[m];
-      }
-      if (missing.size() > 3) msg += " ...";
-      report(tok_line_index(i), "nonexhaustive-enum-switch", msg);
-    }
-  }
-
-  const EnumDecl* resolve_switched_enum(
-      const std::set<std::string, std::less<>>& present,
-      const std::set<std::string, std::less<>>& qualifiers) const {
-    const auto covers = [&](const EnumDecl* e) {
-      const std::set<std::string_view> all(e->enumerators.begin(),
-                                           e->enumerators.end());
-      return std::all_of(present.begin(), present.end(),
-                         [&](const std::string& label) {
-                           return all.contains(std::string_view(label));
-                         });
-    };
-    for (const auto& q : qualifiers) {
-      for (const EnumDecl* e : options_.symbols->find_enums(q)) {
-        if (covers(e)) return e;
-      }
-    }
-    if (!qualifiers.empty()) return nullptr;
-    // Unscoped labels (`case kSweet:`): usable only if exactly one indexed
-    // enum contains every label — ambiguity keeps the rule quiet.
-    const EnumDecl* unique = nullptr;
-    for (const EnumDecl& e : options_.symbols->enums()) {
-      if (!covers(&e)) continue;
-      if (unique != nullptr) return nullptr;
-      unique = &e;
-    }
-    return unique;
-  }
-
   const std::string& path_;
   const Options& options_;
   const std::string& stripped_;
   const std::vector<std::string>& lines_;
   const std::vector<Token>& tokens_;
   Suppressions suppressions_;
-  std::vector<Cfg> cfgs_;  // built once when options_.dataflow
+  const std::vector<Cfg> cfgs_;  // built once per file
   std::vector<Violation> violations_;
 };
 
@@ -1361,10 +1183,7 @@ std::string strip_comments_and_strings(std::string_view src) {
 
 const char* severity_of(std::string_view rule) {
   static const std::set<std::string_view> kWarnings = {
-      "missing-nodiscard",     "nonexhaustive-enum-switch",
-      "raw-std-mutex",         "unguarded-mutable-field",
-      "signed-unsigned-loop",
-  };
+      "missing-nodiscard", "raw-std-mutex", "unguarded-mutable-field"};
   return kWarnings.contains(rule) ? "warning" : "error";
 }
 

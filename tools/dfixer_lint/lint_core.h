@@ -36,14 +36,8 @@ struct Violation {
 
 struct Options {
   /// Cross-TU symbol index over src/ (see symbols.h). Null disables the
-  /// rules that need it: discarded-error-return and
-  /// nonexhaustive-enum-switch.
+  /// rule that needs it: discarded-error-return.
   const SymbolIndex* symbols = nullptr;
-  /// Run the CFG + dataflow passes (cfg.h / dataflow.h): the taint pack,
-  /// the flow-aware narrowing-cast rule and dead status stores. Off, the
-  /// engine falls back to the token-walk heuristics of the pre-dataflow
-  /// linter (bench_lint times both to bound the cost of the upgrade).
-  bool dataflow = true;
 };
 
 /// Everything the rule packs need from one file, computed exactly once.

@@ -25,11 +25,11 @@
 //
 // Every file is read and lexed exactly once into a FileAnalysis shared by
 // all rule packs; the cross-TU symbol index is built from src/ before any
-// rule runs, so discarded-error-return and enum-switch exhaustiveness see
-// declarations from other translation units. The interprocedural pass runs
-// over the src/ analyses (product code only — test scaffolding deliberately
-// deadlocks in death tests) plus any explicitly listed files, so fixture
-// runs exercise the same program analysis a full sweep does.
+// rule runs, so discarded-error-return sees declarations from other
+// translation units. The interprocedural pass runs over the src/ analyses
+// (product code only — test scaffolding such as the TSan lock-order probe
+// inverts lock orders on purpose) plus any explicitly listed files, so
+// fixture runs exercise the same program analysis a full sweep does.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -53,11 +53,6 @@ bool read_file(const fs::path& path, std::string& out) {
   ss << in.rdbuf();
   out = ss.str();
   return true;
-}
-
-bool lintable(const fs::path& path) {
-  const std::string ext = path.extension().string();
-  return ext == ".cpp" || ext == ".h" || ext == ".hpp";
 }
 
 /// Report paths relative to the root so findings (and the committed

@@ -215,11 +215,10 @@ void scan_body(const CallGraph& g, std::size_t ni, FnSummary& s,
   const CgNode& n = g.nodes()[ni];
   const std::vector<Token>& toks = g.files()[n.file_index]->tokens;
   const Cfg& cfg = g.cfg_of(n);
-  // The runtime lock machinery itself acquires the underlying std::mutex;
-  // scanning it would wire every lock in the program to a phantom id.
+  // The Mutex wrapper itself acquires the underlying std::mutex; scanning
+  // it would wire every lock in the program to a phantom id.
   const bool scan_locks =
-      n.file.find("util/thread_annotations") == std::string::npos &&
-      n.file.find("util/lockgraph") == std::string::npos;
+      n.file.find("util/thread_annotations") == std::string::npos;
   struct Held {
     std::string id;
     int depth;
@@ -650,7 +649,8 @@ ProgramAnalysis analyze_program(std::vector<const FileAnalysis*> files,
   // holding H while calling something that may acquire L orders H before L.
   // Self-edges via calls are dropped — with name-based resolution a
   // `map.insert(...)` under a lock aliases any same-named method and would
-  // fabricate re-entrancy; the runtime lockgraph owns that class of bug.
+  // fabricate re-entrancy; clang's thread-safety analysis (DFX_EXCLUDES,
+  // double acquire) owns that class of bug.
   // The callee lock set takes the same candidate consensus as summary
   // propagation: an ambiguous name only contributes locks every candidate
   // agrees on, so a `.find()` that aliases both a locked registry accessor

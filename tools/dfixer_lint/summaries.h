@@ -19,8 +19,8 @@
 //
 //  * static-lock-cycle — MutexLock acquisition order observed statically:
 //    in-body nesting edges plus held-locks × callee-transitive-locks edges
-//    at every call site, cycle-checked. tests/test_callgraph.cpp
-//    cross-checks the edge set against the runtime lockgraph.
+//    at every call site, cycle-checked. tests/test_callgraph.cpp pins the
+//    edge set; TSan checks the orders the test suite actually executes.
 //
 // Effects of unresolved externals are modeled by a curated allowlist
 // (allocating/throwing std:: members); unknown externals are assumed

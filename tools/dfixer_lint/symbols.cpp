@@ -76,7 +76,6 @@ bool is_must_use_decl(const FunctionDecl& decl) {
 void SymbolIndex::index_source(const std::string& path,
                                const std::vector<Token>& tokens) {
   ++file_count_;
-  index_enums(path, tokens);
   index_functions(path, tokens);
   index_taints(tokens);
   index_hot_cold(tokens);
@@ -193,50 +192,6 @@ void SymbolIndex::index_taints(const std::vector<Token>& tokens) {
     } else if (field && last_ident != npos && !passthrough) {
       taint_fields_.insert(std::string(tokens[last_ident].text));
     }
-  }
-}
-
-void SymbolIndex::index_enums(const std::string& path,
-                              const std::vector<Token>& tokens) {
-  const std::size_t n = tokens.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tokens[i].kind != Tok::kIdent || tokens[i].text != "enum") continue;
-    std::size_t j = i + 1;
-    const bool scoped = tok_is(tokens, j, "class") || tok_is(tokens, j, "struct");
-    if (scoped) ++j;
-    if (!is_ident(tokens, j)) continue;  // anonymous enum: not indexable
-    EnumDecl decl;
-    decl.name = std::string(tokens[j].text);
-    decl.scoped = scoped;
-    decl.file = path;
-    decl.line = tokens[j].line;
-    ++j;
-    if (tok_is(tokens, j, ":")) {  // underlying type
-      ++j;
-      while (j < n && !tok_is(tokens, j, "{") && !tok_is(tokens, j, ";")) ++j;
-    }
-    if (!tok_is(tokens, j, "{")) continue;  // forward declaration only
-    // Enumerators sit at depth 1; initializer expressions may nest brackets.
-    int depth = 1;
-    bool expecting = true;
-    for (std::size_t k = j + 1; k < n && depth > 0; ++k) {
-      const std::string_view t = tokens[k].text;
-      if (t == "{" || t == "(" || t == "[") {
-        ++depth;
-      } else if (t == "}" || t == ")" || t == "]") {
-        --depth;
-      } else if (depth == 1) {
-        if (expecting && tokens[k].kind == Tok::kIdent) {
-          decl.enumerators.emplace_back(tokens[k].text);
-          expecting = false;
-        } else if (t == ",") {
-          expecting = true;
-        }
-      }
-    }
-    enum_by_name_[decl.name].push_back(enums_.size());
-    enums_.push_back(std::move(decl));
-    i = j;
   }
 }
 
@@ -381,19 +336,6 @@ std::vector<const FunctionDecl*> SymbolIndex::find_functions(
   if (it == fn_by_name_.end()) return out;
   out.reserve(it->second.size());
   for (const std::size_t idx : it->second) out.push_back(&functions_[idx]);
-  return out;
-}
-
-std::vector<const EnumDecl*> SymbolIndex::find_enums(
-    std::string_view name) const {
-  std::vector<const EnumDecl*> out;
-  const auto it = enum_by_name_.find(name);
-  if (it == enum_by_name_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::size_t idx : it->second) {
-    // Definitions only; a forward declaration never reaches enums_.
-    out.push_back(&enums_[idx]);
-  }
   return out;
 }
 

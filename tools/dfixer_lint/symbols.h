@@ -1,10 +1,8 @@
 // Cross-translation-unit symbol index for dfixer_lint. One sweep over all
-// of src/ records (a) function declarations with a coarse classification of
-// their return type and (b) enum definitions with their enumerator lists.
-// The flow-aware rules consume it: discarded-error-return asks whether a
-// called name returns a status the caller must consume, and the generalized
-// enum-switch-exhaustiveness rule looks switched-on enums up here instead of
-// hardcoding analyzer::ErrorCode.
+// of src/ records function declarations with a coarse classification of
+// their return type, plus the taint and hot-path annotations. The
+// flow-aware rules consume it: discarded-error-return asks whether a
+// called name returns a status the caller must consume.
 //
 // The index is name-based (unqualified), deliberately: it has no overload
 // resolution and no type checker. A name is only treated as must-use when
@@ -43,14 +41,6 @@ struct FunctionDecl {
   std::size_t line = 0;  // 1-based, of the declared name
 };
 
-struct EnumDecl {
-  std::string name;  // unqualified; anonymous enums are not indexed
-  bool scoped = false;  // enum class / enum struct
-  std::vector<std::string> enumerators;
-  std::string file;
-  std::size_t line = 0;  // 1-based, of the enum name
-};
-
 /// Names that must not silently drop their status result (parse_*,
 /// validate_*, *_decode, from_wire, ...).
 bool is_status_function_name(std::string_view name);
@@ -60,16 +50,14 @@ bool is_must_use_decl(const FunctionDecl& decl);
 
 class SymbolIndex {
  public:
-  /// Record every function declaration and enum definition found in one
+  /// Record every function declaration and annotation found in one
   /// already-lexed file. Safe to call once per file; later calls append.
   void index_source(const std::string& path, const std::vector<Token>& tokens);
 
   const std::vector<FunctionDecl>& functions() const { return functions_; }
-  const std::vector<EnumDecl>& enums() const { return enums_; }
   std::size_t indexed_file_count() const { return file_count_; }
 
   std::vector<const FunctionDecl*> find_functions(std::string_view name) const;
-  std::vector<const EnumDecl*> find_enums(std::string_view name) const;
 
   /// True when `name` is indexed and every declaration of it is must-use
   /// (ErrorCode / optional / variant / status-named bool / [[nodiscard]]).
@@ -103,7 +91,6 @@ class SymbolIndex {
   }
 
  private:
-  void index_enums(const std::string& path, const std::vector<Token>& tokens);
   void index_functions(const std::string& path,
                        const std::vector<Token>& tokens);
   void index_taints(const std::vector<Token>& tokens);
@@ -112,9 +99,7 @@ class SymbolIndex {
                      std::size_t begin, std::size_t end);
 
   std::vector<FunctionDecl> functions_;
-  std::vector<EnumDecl> enums_;
   std::map<std::string, std::vector<std::size_t>, std::less<>> fn_by_name_;
-  std::map<std::string, std::vector<std::size_t>, std::less<>> enum_by_name_;
   std::set<std::string, std::less<>> taint_sources_;
   std::set<std::string, std::less<>> taint_fields_;
   std::set<std::string, std::less<>> taint_passthrough_;
