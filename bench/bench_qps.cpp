@@ -8,7 +8,8 @@
 // (packet tier + RFC 8198 aggressive synthesis) must answer bit-identically
 // to the cache-off frontend — on the cold pass, the warm pass, and on a
 // probe set of never-before-seen negative names that can only be answered
-// by synthesis.
+// by synthesis. The fixture and that check live in qps_fixture.h, shared
+// with the tier-1 test that pins the digest (tests/test_qps_fixture.cpp).
 //
 // Set DFX_QPS_ASSERT=1 to additionally enforce the >= 1M aggregate QPS
 // floor at 8 threads (off by default: CI smoke runs on shared 1-2 core
@@ -17,209 +18,39 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "dnscore/message.h"
-#include "server/frontend.h"
+#include "qps_fixture.h"
 #include "util/check.hpp"
-#include "util/rng.h"
-#include "zone/signer.h"
-
-namespace {
-
-using dfx::Bytes;
-using dfx::UnixTime;
-using dfx::dns::Name;
-using dfx::dns::RRType;
-
-constexpr UnixTime kNow = dfx::kDatasetStart;
-
-/// One signed zone with every answer shape the workload needs: positives,
-/// a CNAME, a wildcard subtree, an empty non-terminal, and a signed
-/// delegation with glue and DS.
-dfx::zone::Zone build_zone(const Name& apex, dfx::zone::DenialMode denial,
-                           dfx::zone::KeyStore& keys, dfx::Rng& rng) {
-  dfx::zone::Zone unsigned_zone(apex);
-  dfx::dns::SoaRdata soa;
-  soa.mname = apex.child("ns1");
-  soa.rname = apex.child("hostmaster");
-  unsigned_zone.add(apex, RRType::kSOA, 3600, soa);
-  unsigned_zone.add(apex, RRType::kNS, 3600,
-                    dfx::dns::NsRdata{apex.child("ns1")});
-  dfx::dns::ARdata a;
-  a.address = {192, 0, 2, 1};
-  unsigned_zone.add(apex.child("ns1"), RRType::kA, 3600, a);
-  unsigned_zone.add(apex.child("www"), RRType::kA, 3600, a);
-  unsigned_zone.add(apex.child("mail"), RRType::kMX, 3600,
-                    dfx::dns::MxRdata{10, apex.child("www")});
-  unsigned_zone.add(apex.child("alias"), RRType::kCNAME, 3600,
-                    dfx::dns::CnameRdata{apex.child("www")});
-  // Wildcard subtree: *.wild.<apex> (its presence also makes wild.<apex>
-  // an empty non-terminal).
-  unsigned_zone.add(apex.child("wild").child("*"), RRType::kA, 3600, a);
-  // A deep record making ent.<apex> an empty non-terminal.
-  unsigned_zone.add(apex.child("ent").child("deep"), RRType::kTXT, 3600,
-                    dfx::dns::TxtRdata{{"ent-probe"}});
-  // Signed delegation: NS + glue below the cut + DS at the cut.
-  const Name child = apex.child("child");
-  unsigned_zone.add(child, RRType::kNS, 3600,
-                    dfx::dns::NsRdata{child.child("ns")});
-  dfx::dns::ARdata glue;
-  glue.address = {192, 0, 2, 53};
-  unsigned_zone.add(child.child("ns"), RRType::kA, 3600, glue);
-  dfx::dns::DsRdata ds;
-  ds.key_tag = 4242;
-  ds.algorithm = 13;
-  ds.digest_type = 2;
-  ds.digest.assign(32, 0x5A);
-  unsigned_zone.add(child, RRType::kDS, 3600, ds);
-
-  keys.generate(rng, dfx::zone::KeyRole::kKsk,
-                dfx::crypto::DnssecAlgorithm::kEcdsaP256Sha256, kNow);
-  keys.generate(rng, dfx::zone::KeyRole::kZsk,
-                dfx::crypto::DnssecAlgorithm::kEcdsaP256Sha256, kNow);
-  dfx::zone::SigningConfig config;
-  config.denial = denial;
-  if (denial == dfx::zone::DenialMode::kNsec3) {
-    config.nsec3_iterations = 2;  // nontrivial params to exercise hashing
-    config.nsec3_salt = {0xAB};
-  }
-  return dfx::zone::sign_zone(unsigned_zone, keys, config, kNow);
-}
-
-Bytes encode_query(std::uint16_t id, const Name& qname, RRType qtype,
-                   bool do_bit) {
-  dfx::dns::Message msg;
-  msg.header.id = id;
-  msg.header.rd = true;
-  msg.questions.push_back({qname, qtype, dfx::dns::RRClass::kIN});
-  if (do_bit) {
-    dfx::dns::EdnsInfo edns;
-    edns.udp_size = 4096;
-    edns.do_bit = true;
-    msg.edns = edns;
-  }
-  return dfx::dns::encode_message(msg);
-}
-
-std::uint64_t digest_response(dfx::ByteView bytes) {
-  return dfx::bench::fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto args = dfx::bench::parse_args(argc, argv);
   dfx::bench::BenchRun run("qps", args);  // resets the metrics registry
 
-  // --- Fixture: an NSEC zone, an NSEC3 zone, and the parent hosting
-  // their DS sets (exercising the apex-DS parent-side redirect).
-  const Name parent_apex = Name::of("test.");
-  const Name nsec_apex = Name::of("example.test.");
-  const Name nsec3_apex = Name::of("n3.test.");
-  dfx::Rng rng{args.seed};
-  dfx::zone::KeyStore nsec_keys{nsec_apex};
-  dfx::zone::KeyStore nsec3_keys{nsec3_apex};
-  dfx::server::ZoneStore store;
+  // --- Fixture (bench/qps_fixture.h): an NSEC zone, an NSEC3 zone, and
+  // the parent hosting their DS sets, with every answer shape, DO on and
+  // off, as the workload.
+  std::unique_ptr<dfx::bench::QpsFixture> fixture;
   run.stage("sign_zones", [&] {
-    store.upsert(
-        build_zone(nsec_apex, dfx::zone::DenialMode::kNsec, nsec_keys, rng));
-    store.upsert(build_zone(nsec3_apex, dfx::zone::DenialMode::kNsec3,
-                            nsec3_keys, rng));
-    dfx::zone::Zone parent(parent_apex);
-    dfx::dns::SoaRdata soa;
-    soa.mname = parent_apex.child("ns1");
-    soa.rname = parent_apex.child("hostmaster");
-    parent.add(parent_apex, RRType::kSOA, 3600, soa);
-    parent.add(parent_apex, RRType::kNS, 3600,
-               dfx::dns::NsRdata{parent_apex.child("ns1")});
-    for (const auto* keys : {&nsec_keys, &nsec3_keys}) {
-      const auto ksks = keys->active_with_role(kNow, dfx::zone::KeyRole::kKsk);
-      DFX_CHECK(!ksks.empty());
-      parent.add(keys->zone(), RRType::kDS, 3600,
-                 dfx::zone::make_ds(*ksks[0], dfx::crypto::DigestType::kSha256));
-      parent.add(keys->zone(), RRType::kNS, 3600,
-                 dfx::dns::NsRdata{keys->zone().child("ns1")});
-    }
-    store.upsert(std::move(parent));
+    fixture = std::make_unique<dfx::bench::QpsFixture>(args.seed);
   });
-
-  // AnswerCache resolves its metric handles at construction, so it must be
-  // created after BenchRun's registry reset.
-  dfx::server::AnswerCache cache;
-  dfx::server::connect_invalidation(store, cache);
-  const dfx::server::WireFrontend cached(store, &cache);
-  const dfx::server::WireFrontend uncached(store, nullptr);
-
-  // --- Workload: every answer shape, DO on and off.
-  std::vector<Bytes> queries;
-  const auto add_query = [&](const Name& qname, RRType qtype) {
-    for (const bool do_bit : {true, false}) {
-      queries.push_back(encode_query(
-          static_cast<std::uint16_t>(queries.size() * 7919u), qname, qtype,
-          do_bit));
-    }
-  };
-  for (const Name& apex : {nsec_apex, nsec3_apex}) {
-    add_query(apex.child("www"), RRType::kA);          // positive
-    add_query(apex.child("alias"), RRType::kA);        // CNAME
-    add_query(apex, RRType::kSOA);                     // apex positive
-    add_query(apex, RRType::kDNSKEY);                  // key set
-    add_query(apex.child("www"), RRType::kMX);         // NODATA
-    add_query(apex.child("ent"), RRType::kA);          // ENT NODATA
-    add_query(apex.child("wild").child("anything"), RRType::kA);  // wildcard
-    add_query(apex.child("child").child("deep"), RRType::kA);     // referral
-    add_query(apex.child("child"), RRType::kDS);       // DS at the cut
-    add_query(apex.child("child"), RRType::kMX);       // referral at cut
-    add_query(apex, RRType::kDS);                      // parent-side DS
-    for (int i = 0; i < 6; ++i) {
-      add_query(apex.child("nx" + std::to_string(i)), RRType::kA);  // NXDOMAIN
-    }
-  }
-  add_query(Name::of("unhosted.example."), RRType::kA);  // REFUSED
+  const dfx::server::WireFrontend& cached = fixture->cached;
+  const std::vector<dfx::Bytes>& queries = fixture->queries;
 
   // --- Digest assertions: cache-on == cache-off, bit for bit.
-  std::uint64_t workload_digest = 0;
-  run.stage("digest_check", [&] {
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const Bytes& q : queries) {
-        const Bytes want = uncached.serve(q);
-        const Bytes got = cached.serve(q);
-        DFX_CHECK(want == got,
-                  "cache-on response diverged from cache-off (pass %d)",
-                  pass);
-        workload_digest ^= digest_response(want);
-      }
-    }
-    // Probe names never queried before: the packet tier cannot have them,
-    // so a cache hit here is aggressive NSEC/NSEC3 synthesis.
-    const std::int64_t synth_before =
-        dfx::metrics::Registry::global().counter("server.cache.synth_hits")
-            .value();
-    for (const Name& apex : {nsec_apex, nsec3_apex}) {
-      for (int i = 0; i < 40; ++i) {
-        const Name qname = apex.child("probe" + std::to_string(i));
-        const Bytes q = encode_query(static_cast<std::uint16_t>(i), qname,
-                                     RRType::kA, /*do_bit=*/true);
-        const Bytes want = uncached.serve(q);
-        const Bytes got = cached.serve(q);
-        DFX_CHECK(want == got,
-                  "synthesized response diverged for probe %d under %s", i,
-                  apex.to_string().c_str());
-        workload_digest ^= digest_response(want);
-      }
-    }
-    const std::int64_t synth_after =
-        dfx::metrics::Registry::global().counter("server.cache.synth_hits")
-            .value();
-    DFX_CHECK(synth_after > synth_before,
-              "probe set exercised no aggressive synthesis");
-  });
-  run.checksum("responses", workload_digest);
+  dfx::bench::IdentityCheck check;
+  run.stage("digest_check",
+            [&] { check = dfx::bench::check_cache_identity(*fixture); });
+  DFX_CHECK(check.mismatches == 0,
+            "cache-on response diverged from cache-off (%d, first: %s)",
+            check.mismatches, check.first_mismatch.c_str());
+  DFX_CHECK(check.synthesized > 0,
+            "probe set exercised no aggressive synthesis");
+  run.checksum("responses", check.digest);
 
   // --- Timed runs: 1 -> 8 threads over the byte-level API.
   const std::size_t per_run = std::max<std::size_t>(
@@ -256,13 +87,13 @@ int main(int argc, char** argv) {
             // Sample 1 in 16 latencies; timing every call would turn the
             // bench into a clock benchmark.
             const auto begin = std::chrono::steady_clock::now();
-            const Bytes response = cached.serve(queries[at]);
+            const dfx::Bytes response = cached.serve(queries[at]);
             local.record(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
                              .count());
             DFX_CHECK(!response.empty());
           } else {
-            const Bytes response = cached.serve(queries[at]);
+            const dfx::Bytes response = cached.serve(queries[at]);
             DFX_CHECK(!response.empty());
           }
           ++at;

@@ -1,6 +1,8 @@
 #include "authserver/authserver.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "zone/nsec3.h"
 #include "util/check.hpp"
@@ -23,6 +25,69 @@ bool nsec3_hash_covers(const Bytes& owner_hash, const Bytes& next_hash,
   return target > owner_hash || target < next_hash;
 }
 
+DenialIndex::DenialIndex(const zone::Zone& zone) {
+  const dns::Name& apex = zone.apex();
+  zone.for_each_rrset([&](const dns::RRset& rrset) {
+    const auto& rdatas = rrset.rdatas();
+    if (rrset.type() == dns::RRType::kNSEC3PARAM) {
+      if (rrset.owner() != apex) return;
+      nsec3_ = true;  // even when empty or malformed: then with no proofs
+      if (rdatas.empty()) return;
+      if (const auto* p = std::get_if<dns::Nsec3ParamRdata>(&rdatas.front())) {
+        nsec3_param_ = *p;
+      }
+      return;
+    }
+    if (rdatas.empty()) return;
+    if (rrset.type() == dns::RRType::kNSEC &&
+        std::holds_alternative<dns::NsecRdata>(rdatas.front())) {
+      nsec_owners_.push_back(rrset.owner());  // already canonical
+    } else if (rrset.type() == dns::RRType::kNSEC3 &&
+               std::holds_alternative<dns::Nsec3Rdata>(rdatas.front())) {
+      auto decoded = base32hex_decode(rrset.owner().leftmost_label());
+      if (decoded) {
+        nsec3_chain_.push_back({*std::move(decoded), rrset.owner()});
+      } else {
+        nsec3_undecodable_.push_back(rrset.owner());
+      }
+    }
+  });
+  // Stable: owners sharing a hash keep their canonical order.
+  std::stable_sort(nsec3_chain_.begin(), nsec3_chain_.end(),
+                   [](const Nsec3Entry& a, const Nsec3Entry& b) {
+                     return a.hash < b.hash;
+                   });
+}
+
+const dns::Name* DenialIndex::nsec_match(const dns::Name& name) const {
+  const auto it =
+      std::lower_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
+  return it != nsec_owners_.end() && *it == name ? &*it : nullptr;
+}
+
+const dns::Name* DenialIndex::nsec_predecessor(const dns::Name& name) const {
+  if (nsec_owners_.empty()) return nullptr;
+  const auto it =
+      std::upper_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
+  return it == nsec_owners_.begin() ? &nsec_owners_.back() : &*std::prev(it);
+}
+
+const dns::Name* DenialIndex::nsec3_match(const Bytes& hash) const {
+  const auto it = std::lower_bound(
+      nsec3_chain_.begin(), nsec3_chain_.end(), hash,
+      [](const Nsec3Entry& e, const Bytes& h) { return e.hash < h; });
+  return it != nsec3_chain_.end() && it->hash == hash ? &it->owner : nullptr;
+}
+
+const dns::Name* DenialIndex::nsec3_predecessor(const Bytes& hash) const {
+  if (nsec3_chain_.empty()) return nullptr;
+  const auto it = std::upper_bound(
+      nsec3_chain_.begin(), nsec3_chain_.end(), hash,
+      [](const Bytes& h, const Nsec3Entry& e) { return h < e.hash; });
+  return it == nsec3_chain_.begin() ? &nsec3_chain_.back().owner
+                                    : &std::prev(it)->owner;
+}
+
 namespace {
 
 void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
@@ -43,121 +108,53 @@ void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
   }
 }
 
-void add_nsec_proofs(const zone::Zone& zone, const dns::Name& qname,
-                     bool nxdomain, QueryResult& result) {
-  // Collect all NSEC owners once.
-  std::vector<dns::Name> chain;
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC || rrset->empty()) continue;
-    if (std::holds_alternative<dns::NsecRdata>(rrset->rdatas().front())) {
-      chain.push_back(rrset->owner());
-    }
-  }
-  // Real nameservers locate the proof by *owner-name predecessor* in
-  // canonical order (wrapping to the last record), not by checking that the
-  // record's interval actually covers the name — so a zone whose NSEC
-  // intervals were corrupted still serves the broken record, and the
-  // validator is the one that notices.
-  std::sort(chain.begin(), chain.end());
-  const auto emit = [&](const dns::Name& owner) {
-    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC, result.authorities);
+/// The denial proofs of one negative answer. Real nameservers locate the
+/// proof by *predecessor* — owner name in canonical order, or hash in hash
+/// order, wrapping to the last record — not by checking that the record's
+/// interval actually covers the name: a zone whose chain was corrupted
+/// still serves the broken record, and the validator is the one that
+/// notices.
+void add_nsec_proofs(const zone::Zone& zone, const DenialIndex& denial,
+                     const dns::Name& qname, bool nxdomain,
+                     QueryResult& result) {
+  const auto emit = [&](const dns::Name* owner) {
+    if (owner == nullptr) return;
+    add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC, result.authorities);
   };
-  const auto predecessor = [&](const dns::Name& name) -> const dns::Name* {
-    const dns::Name* best = nullptr;
-    for (const auto& owner : chain) {
-      if (owner <= name) best = &owner;
-    }
-    if (best == nullptr && !chain.empty()) best = &chain.back();  // wrap
-    return best;
-  };
-  if (chain.empty()) return;
   if (!nxdomain) {
-    // NODATA: the NSEC matching qname proves the type's absence.
-    if (std::find(chain.begin(), chain.end(), qname) != chain.end()) {
-      emit(qname);
-      return;
-    }
-    // Fall through: the predecessor NSEC stands in (ENT case).
+    // NODATA: the NSEC matching qname proves the type's absence (its
+    // RRSIGs go out under qname's spelling); otherwise the predecessor
+    // NSEC stands in (ENT case).
+    emit(denial.nsec_match(qname) != nullptr ? &qname
+                                             : denial.nsec_predecessor(qname));
+    return;
   }
-  if (const auto* cover = predecessor(qname)) emit(*cover);
-  if (nxdomain) {
-    // ...plus the proof for the source-of-synthesis wildcard.
-    const dns::Name wildcard = zone.apex().child("*");
-    if (const auto* cover = predecessor(wildcard)) emit(*cover);
-  }
+  emit(denial.nsec_predecessor(qname));
+  // ...plus the proof for the source-of-synthesis wildcard.
+  emit(denial.nsec_predecessor(zone.apex().child("*")));
 }
 
-void add_nsec3_proofs(const zone::Zone& zone, const dns::Name& qname,
-                      bool nxdomain, QueryResult& result) {
-  const auto* param_set = zone.find(zone.apex(), dns::RRType::kNSEC3PARAM);
-  if (param_set == nullptr || param_set->empty()) return;
-  const auto* param =
-      std::get_if<dns::Nsec3ParamRdata>(&param_set->rdatas().front());
+void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
+                      const dns::Name& qname, bool nxdomain,
+                      QueryResult& result) {
+  const dns::Nsec3ParamRdata* param = denial.nsec3_param();
   if (param == nullptr) return;
-
-  struct Nsec3Entry {
-    dns::Name owner;
-    Bytes owner_hash;  // decoded from the first label
-  };
-  std::vector<Nsec3Entry> chain;
-  std::vector<dns::Name> undecodable;  // broken-signer artifacts
-  for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() != dns::RRType::kNSEC3 || rrset->empty()) continue;
-    if (!std::holds_alternative<dns::Nsec3Rdata>(rrset->rdatas().front())) {
-      continue;
-    }
-    auto decoded = base32hex_decode(rrset->owner().leftmost_label());
-    if (!decoded) {
-      // The server cannot place this record in the hash order, but it still
-      // serves it alongside every negative answer — validation is the
-      // resolver's job, not the server's.
-      undecodable.push_back(rrset->owner());
-      continue;
-    }
-    chain.push_back({rrset->owner(), *std::move(decoded)});
-  }
-  // Undecodable owner labels (only produced by a broken signer) sort after
-  // the rest; the server still serves them — validation is not its job.
-  std::sort(chain.begin(), chain.end(),
-            [](const Nsec3Entry& a, const Nsec3Entry& b) {
-              return a.owner_hash < b.owner_hash;
-            });
-  const auto emit = [&](const dns::Name& owner) {
-    add_rrset_with_sigs(zone, owner, dns::RRType::kNSEC3, result.authorities);
+  const auto emit = [&](const dns::Name* owner) {
+    if (owner == nullptr) return;
+    add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC3,
+                        result.authorities);
   };
   const auto hash_of = [&](const dns::Name& name) {
     return zone::nsec3_hash(name, param->salt, param->iterations);
   };
-  const auto emit_match = [&](const dns::Name& name) {
-    const Bytes h = hash_of(name);
-    for (const auto& e : chain) {
-      if (e.owner_hash == h) {
-        emit(e.owner);
-        return true;
-      }
-    }
-    return false;
-  };
-  // Predecessor-by-hash selection, wrapping to the last record: the server
-  // serves whatever record its chain says is adjacent, even if the record's
-  // interval is corrupt — the validator decides whether it proves anything.
-  const auto emit_cover = [&](const dns::Name& name) {
-    if (chain.empty()) return false;
-    const Bytes h = hash_of(name);
-    const Nsec3Entry* best = nullptr;
-    for (const auto& e : chain) {
-      if (e.owner_hash <= h) best = &e;
-    }
-    if (best == nullptr) best = &chain.back();  // wrap-around
-    emit(best->owner);
-    return true;
-  };
-
-  for (const auto& owner : undecodable) emit(owner);
+  // The server cannot place these in the hash order, but it still serves
+  // them alongside every negative answer — validation is the resolver's
+  // job, not the server's.
+  for (const auto& owner : denial.nsec3_undecodable()) emit(&owner);
 
   if (!nxdomain) {
     // NODATA: NSEC3 matching qname.
-    emit_match(qname);
+    emit(denial.nsec3_match(hash_of(qname)));
     return;
   }
   // NXDOMAIN: closest-encloser proof (RFC 5155 §7.2.1):
@@ -173,24 +170,28 @@ void add_nsec3_proofs(const zone::Zone& zone, const dns::Name& qname,
       break;
     }
   }
-  emit_match(closest);
+  emit(denial.nsec3_match(hash_of(closest)));
   // Next-closer: one label below the closest encloser toward qname.
   const std::size_t next_labels = closest.label_count() + 1;
   dns::Name next_closer = qname;
   while (next_closer.label_count() > next_labels) {
     next_closer = next_closer.parent();
   }
-  emit_cover(next_closer);
-  emit_cover(closest.child("*"));
+  emit(denial.nsec3_predecessor(hash_of(next_closer)));
+  emit(denial.nsec3_predecessor(hash_of(closest.child("*"))));
 }
 
 /// NSEC3 proofs when the apex advertises NSEC3PARAM, NSEC proofs otherwise.
-void add_denial_proofs(const zone::Zone& zone, const dns::Name& qname,
-                       bool nxdomain, QueryResult& result) {
-  if (zone.find(zone.apex(), dns::RRType::kNSEC3PARAM) != nullptr) {
-    add_nsec3_proofs(zone, qname, nxdomain, result);
+/// A null `denial` builds the index for this one answer.
+void add_denial_proofs(const zone::Zone& zone, const DenialIndex* denial,
+                       const dns::Name& qname, bool nxdomain,
+                       QueryResult& result) {
+  std::optional<DenialIndex> built;
+  if (denial == nullptr) denial = &built.emplace(zone);
+  if (denial->nsec3()) {
+    add_nsec3_proofs(zone, *denial, qname, nxdomain, result);
   } else {
-    add_nsec_proofs(zone, qname, nxdomain, result);
+    add_nsec_proofs(zone, *denial, qname, nxdomain, result);
   }
 }
 
@@ -202,17 +203,18 @@ void answer_positive(const zone::Zone& zone, const dns::Name& qname,
 
 /// NODATA (the name exists, possibly as an empty non-terminal) or NXDOMAIN:
 /// the apex SOA plus the denial proofs.
-void answer_negative(const zone::Zone& zone, const dns::Name& qname,
-                     bool nxdomain, QueryResult& result) {
+void answer_negative(const zone::Zone& zone, const DenialIndex* denial,
+                     const dns::Name& qname, bool nxdomain,
+                     QueryResult& result) {
   result.rcode = nxdomain ? dns::RCode::kNXDomain : dns::RCode::kNoError;
   add_rrset_with_sigs(zone, zone.apex(), dns::RRType::kSOA,
                       result.authorities);
-  add_denial_proofs(zone, qname, nxdomain, result);
+  add_denial_proofs(zone, denial, qname, nxdomain, result);
 }
 
-void answer_wildcard(const zone::Zone& zone, const dns::Name& qname,
-                     const dns::Name& wildcard, dns::RRType qtype,
-                     QueryResult& result) {
+void answer_wildcard(const zone::Zone& zone, const DenialIndex* denial,
+                     const dns::Name& qname, const dns::Name& wildcard,
+                     dns::RRType qtype, QueryResult& result) {
   result.rcode = dns::RCode::kNoError;
   const auto* rrset = zone.find(wildcard, qtype);
   if (rrset == nullptr) return;
@@ -234,11 +236,11 @@ void answer_wildcard(const zone::Zone& zone, const dns::Name& qname,
   }
   // RFC 4035 §3.1.3.3: the response must prove the query name itself does
   // not exist (the next-closer cover).
-  add_denial_proofs(zone, qname, /*nxdomain=*/true, result);
+  add_denial_proofs(zone, denial, qname, /*nxdomain=*/true, result);
 }
 
-void answer_referral(const zone::Zone& zone, const dns::Name& cut,
-                     QueryResult& result) {
+void answer_referral(const zone::Zone& zone, const DenialIndex* denial,
+                     const dns::Name& cut, QueryResult& result) {
   result.rcode = dns::RCode::kNoError;
   result.authoritative = false;
   const auto* ns = zone.find(cut, dns::RRType::kNS);
@@ -250,7 +252,7 @@ void answer_referral(const zone::Zone& zone, const dns::Name& cut,
   if (zone.find(cut, dns::RRType::kDS) != nullptr) {
     add_rrset_with_sigs(zone, cut, dns::RRType::kDS, result.authorities);
   } else {
-    add_denial_proofs(zone, cut, /*nxdomain=*/false, result);
+    add_denial_proofs(zone, denial, cut, /*nxdomain=*/false, result);
   }
   // Glue.
   if (ns != nullptr) {
@@ -269,17 +271,16 @@ void answer_referral(const zone::Zone& zone, const dns::Name& cut,
   }
 }
 
-}  // namespace
-
-QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
-                   dns::RRType qtype) {
+/// answer() with the caller's index, or with none (built on demand).
+QueryResult answer_with(const zone::Zone& zone, const DenialIndex* denial,
+                        const dns::Name& qname, dns::RRType qtype) {
   QueryResult result;
   result.authoritative = true;
 
   // Below a zone cut (or at one, for non-DS questions): referral.
   const auto cut = zone.covering_delegation(qname);
   if (cut && !(qname == *cut && qtype == dns::RRType::kDS)) {
-    answer_referral(zone, *cut, result);
+    answer_referral(zone, denial, *cut, result);
     return result;
   }
 
@@ -296,7 +297,7 @@ QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
   if (zone.name_exists(qname) ||
       zone.name_or_descendant_exists(qname)) {
     // Name exists (possibly as an empty non-terminal): NODATA.
-    answer_negative(zone, qname, /*nxdomain=*/false, result);
+    answer_negative(zone, denial, qname, /*nxdomain=*/false, result);
     return result;
   }
   // Wildcard synthesis (RFC 1034 §4.3.3): a "*" child of the closest
@@ -308,11 +309,23 @@ QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
   }
   const dns::Name wildcard = closest.child("*");
   if (zone.find(wildcard, qtype) != nullptr) {
-    answer_wildcard(zone, qname, wildcard, qtype, result);
+    answer_wildcard(zone, denial, qname, wildcard, qtype, result);
     return result;
   }
-  answer_negative(zone, qname, /*nxdomain=*/true, result);
+  answer_negative(zone, denial, qname, /*nxdomain=*/true, result);
   return result;
+}
+
+}  // namespace
+
+QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
+                   const dns::Name& qname, dns::RRType qtype) {
+  return answer_with(zone, &denial, qname, qtype);
+}
+
+QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
+                   dns::RRType qtype) {
+  return answer_with(zone, nullptr, qname, qtype);
 }
 
 std::vector<dns::ResourceRecord> QueryResult::negative_proofs() const {

@@ -53,6 +53,64 @@ struct QueryResult {
                           std::uint16_t id = 0) const;
 };
 
+/// Everything a negative answer needs from one zone version, sorted the
+/// way the server searches it. Built in one walk over the zone and never
+/// changed afterwards, so every lookup is a binary search:
+///  - the NSEC owners, in canonical order (the zone's own order);
+///  - the NSEC3 owners whose first label base32hex-decodes, by decoded
+///    hash, ties kept in canonical owner order;
+///  - the NSEC3 owners whose first label does not decode (only a broken
+///    signer makes them), in canonical order;
+///  - whether the apex has an NSEC3PARAM RRset, and its first rdata.
+/// The index holds owner names, not pointers into the zone, so it stays
+/// valid for as long as the zone version it was built from is unchanged.
+class DenialIndex {
+ public:
+  explicit DenialIndex(const zone::Zone& zone);
+
+  /// Negative answers use the NSEC3 chain: the apex has an NSEC3PARAM
+  /// RRset (even one that cannot be used).
+  bool nsec3() const { return nsec3_; }
+
+  /// The apex's first NSEC3PARAM rdata; null when absent or not an
+  /// NSEC3PARAM, in which case NSEC3 negative answers carry no proofs.
+  const dns::Nsec3ParamRdata* nsec3_param() const {
+    return nsec3_param_ ? &*nsec3_param_ : nullptr;
+  }
+
+  /// The NSEC owner equal to `name`, or null.
+  const dns::Name* nsec_match(const dns::Name& name) const;
+
+  /// The last NSEC owner at or before `name` in canonical order, wrapping
+  /// to the last owner; null only for an empty chain.
+  const dns::Name* nsec_predecessor(const dns::Name& name) const;
+
+  /// The first NSEC3 owner (in index order) whose hash equals `hash`.
+  const dns::Name* nsec3_match(const Bytes& hash) const;
+
+  /// The owner of the last NSEC3 record whose hash is at or before `hash`,
+  /// wrapping to the last record; null only for an empty chain.
+  const dns::Name* nsec3_predecessor(const Bytes& hash) const;
+
+  /// NSEC3 owners with undecodable first labels; served with every NSEC3
+  /// negative answer, since the server cannot place them in hash order.
+  const std::vector<dns::Name>& nsec3_undecodable() const {
+    return nsec3_undecodable_;
+  }
+
+ private:
+  struct Nsec3Entry {
+    Bytes hash;  // decoded from the owner's first label
+    dns::Name owner;
+  };
+
+  std::vector<dns::Name> nsec_owners_;
+  std::vector<Nsec3Entry> nsec3_chain_;
+  std::vector<dns::Name> nsec3_undecodable_;
+  bool nsec3_ = false;
+  std::optional<dns::Nsec3ParamRdata> nsec3_param_;
+};
+
 /// Answer a question from one zone with standard authoritative-server
 /// semantics: referral below a cut, positive (or CNAME) answer, NODATA,
 /// wildcard synthesis, NXDOMAIN. NSEC/NSEC3 proofs are picked the way real
@@ -60,7 +118,15 @@ struct QueryResult {
 /// to the last record — so a corrupt chain is served as-is and the
 /// validator is the one that notices. The one answer path: AuthServer,
 /// the serving layer (ZoneStore, WireFrontend) and zonelint all call it.
-/// `qname` must lie within the zone.
+/// `denial` must have been built from `zone` as it is now. `qname` must
+/// lie within the zone.
+DFX_COLD("runs on answer-cache misses only; its results are cached")
+QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
+                   const dns::Name& qname, dns::RRType qtype);
+
+/// Same, for zones that have no index of their own (AuthServer, zonelint,
+/// the replay's sandbox zones, which change between queries): builds a
+/// DenialIndex when the answer needs a denial proof, and only then.
 DFX_COLD("the full zone walk only runs on answer-cache misses; its results are cached")
 QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
                    dns::RRType qtype);

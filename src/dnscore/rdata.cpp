@@ -30,7 +30,17 @@ std::string AaaaRdata::to_text() const {
 }
 
 std::uint16_t DnskeyRdata::key_tag() const {
-  return crypto::key_tag(rdata_to_wire(Rdata(*this)));
+  // RFC 4034 Appendix B over the wire form, summed field by field instead
+  // of over a copy: octets at even offsets count as high bytes. The key
+  // starts at offset 4, so its octets keep their own index parity.
+  std::uint32_t ac = flags;
+  ac += static_cast<std::uint32_t>(protocol) << 8 | algorithm;
+  for (std::size_t i = 0; i < public_key.size(); ++i) {
+    ac += (i & 1) != 0 ? public_key[i]
+                       : static_cast<std::uint32_t>(public_key[i]) << 8;
+  }
+  ac += (ac >> 16) & 0xFFFF;
+  return static_cast<std::uint16_t>(ac & 0xFFFF);
 }
 
 Bytes RrsigRdata::to_wire_unsigned() const {

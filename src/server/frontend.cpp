@@ -359,8 +359,8 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
                                   epoch);
     }
     if (!result) {
-      result = authserver::answer(*view->zone, question.qname,
-                                  question.qtype);
+      result = authserver::answer(*view->zone, *view->denial,
+                                  question.qname, question.qtype);
       if (cache_ != nullptr) cache_->observe(*view->apex, *result, epoch);
     }
     body = build_body(question, *result, do_bit);

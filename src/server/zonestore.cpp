@@ -32,11 +32,13 @@ std::optional<ZoneStore::ZoneView> ZoneStore::find(const dns::Name& qname,
       [&](const dns::Name& apex) -> std::optional<ZoneView> {
     auto snapshot =
         shards_[shard_of(apex)].load(std::memory_order_acquire);
-    const zone::Zone* zone = snapshot->server.zone_data(apex);
-    if (zone == nullptr) return std::nullopt;
-    // The view's apex aliases the snapshot's own copy — the shared_ptr in
-    // the view keeps it alive, so no Name is copied per query.
-    return ZoneView{std::move(snapshot), zone, &zone->apex()};
+    const auto it = snapshot->zones.find(apex);
+    if (it == snapshot->zones.end()) return std::nullopt;
+    // The view aliases the snapshot's HostedZone — the shared_ptr in the
+    // view keeps it alive, so nothing is copied per query.
+    const HostedZone& hosted = *it->second;
+    return ZoneView{std::move(snapshot), &hosted.zone, &hosted.denial,
+                    &hosted.zone.apex()};
   };
 
   dns::Name candidate = qname;
@@ -74,13 +76,14 @@ std::optional<std::pair<dns::Name, authserver::QueryResult>> ZoneStore::query(
   auto view = find(qname, qtype);
   if (!view) return std::nullopt;
   return std::make_pair(*view->apex,
-                        authserver::answer(*view->zone, qname, qtype));
+                        authserver::answer(*view->zone, *view->denial,
+                                           qname, qtype));
 }
 
 void ZoneStore::publish_shard(std::size_t shard) {
   auto next = std::make_shared<ShardSnapshot>();
-  for (const auto& [apex, zone] : master_) {
-    if (shard_of(apex) == shard) next->server.load_zone(zone);
+  for (const auto& [apex, hosted] : master_) {
+    if (shard_of(apex) == shard) next->zones.emplace(apex, hosted);
   }
   shards_[shard].store(std::shared_ptr<const ShardSnapshot>(std::move(next)),
                        std::memory_order_release);
@@ -104,8 +107,10 @@ bool ZoneStore::upsert(zone::Zone zone) {
       flagged_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  const std::size_t shard = shard_of(zone.apex());
-  master_.insert_or_assign(zone.apex(), std::move(zone));
+  auto hosted = std::make_shared<const HostedZone>(std::move(zone));
+  const dns::Name& apex = hosted->zone.apex();
+  const std::size_t shard = shard_of(apex);
+  master_.insert_or_assign(apex, std::move(hosted));
   publish_shard(shard);
   commit();
   return true;

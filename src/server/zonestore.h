@@ -1,11 +1,14 @@
 // Sharded, read-mostly zone store for the wire-level serving engine.
 //
-// Zones are compiled into immutable per-shard snapshots (an AuthServer
-// preloaded with every zone whose apex hashes to the shard). The query
-// path performs a single atomic shared_ptr load per shard it touches and
-// never takes a lock; writers are serialized behind `writer_mu_` and swap
-// whole snapshots, so readers either see the old snapshot or the new one,
-// never a half-built zone.
+// Each hosted zone version is compiled once, at upsert, into an immutable
+// HostedZone: the zone plus its authserver::DenialIndex. Shard snapshots
+// map apexes to shared pointers to these, so publishing a shard copies
+// pointers, never zones: a zone that did not change is the same object in
+// the writer's master map and in every snapshot that includes it. The
+// query path performs a single atomic shared_ptr load per shard it
+// touches and never takes a lock; writers are serialized behind
+// `writer_mu_` and swap whole snapshots, so readers either see the old
+// snapshot or the new one, never a half-built zone.
 //
 // Thread-safety: `find`/`query`/`generation` are safe from any number of
 // threads concurrently with one writer. `upsert`/`remove`/`subscribe`
@@ -17,8 +20,9 @@
 // Invalidation contract: every committed write bumps `generation()` and
 // then notifies subscribers (the AnswerCache hooks its epoch bump here).
 // A reader that captured a ZoneView before the swap may still answer from
-// the old snapshot — the shared_ptr keeps it alive — which is equivalent
-// to the query having arrived just before the reload.
+// the old version — the view's shared_ptr keeps its snapshot, and so the
+// old HostedZone, alive — which is equivalent to the query having arrived
+// just before the reload.
 #pragma once
 
 #include <array>
@@ -40,11 +44,22 @@
 
 namespace dfx::server {
 
-/// Immutable compiled form of one shard's zones. Snapshots are built by
-/// writers, published with an atomic pointer swap, and never mutated after
+/// One hosted zone version and the denial index built from it. Compiled
+/// once per upsert and immutable afterwards; the master map and every
+/// snapshot share it.
+struct HostedZone {
+  explicit HostedZone(zone::Zone z) : zone(std::move(z)), denial(zone) {}
+
+  zone::Zone zone;
+  authserver::DenialIndex denial;
+};
+
+/// One shard's hosted zones by apex. Snapshots are built by writers,
+/// published with an atomic pointer swap, and never mutated after
 /// publication.
 struct ShardSnapshot {
-  authserver::AuthServer server{"zonestore"};
+  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
+      zones;
 };
 
 /// Outcome of an admission check run against a zone before it is hosted.
@@ -65,19 +80,22 @@ using AdmissionPolicy = std::function<AdmissionVerdict(const zone::Zone&)>;
 class ZoneStore {
  public:
   /// Shard count: a power of two so the hash → shard map is a mask. 16
-  /// shards keep writer rebuilds small without bloating the walk cost.
+  /// shards keep each published pointer map small without bloating the
+  /// walk cost.
   static constexpr std::size_t kShards = 16;
 
   ZoneStore();
 
   // ---- Query path (lock-free) ----
 
-  /// A zone resolved for one query. `snapshot` keeps the compiled shard
-  /// alive for as long as the caller holds the view; `apex` points into
-  /// that snapshot (no per-query Name copy) and shares its lifetime.
+  /// A zone resolved for one query. `snapshot` keeps the shard, and so
+  /// the HostedZone, alive for as long as the caller holds the view;
+  /// `zone`, `denial` and `apex` point into that HostedZone (no per-query
+  /// copy) and share its lifetime.
   struct ZoneView {
     std::shared_ptr<const ShardSnapshot> snapshot;
     const zone::Zone* zone = nullptr;
+    const authserver::DenialIndex* denial = nullptr;
     const dns::Name* apex = nullptr;
   };
 
@@ -89,7 +107,8 @@ class ZoneStore {
   std::optional<ZoneView> find(const dns::Name& qname,
                                dns::RRType qtype) const;
 
-  /// Full authoritative answer: find() + authserver::answer on that zone.
+  /// Full authoritative answer: find() + authserver::answer on that zone
+  /// and its denial index.
   DFX_HOT_PATH
   std::optional<std::pair<dns::Name, authserver::QueryResult>> query(
       const dns::Name& qname, dns::RRType qtype) const;
@@ -103,8 +122,9 @@ class ZoneStore {
   // ---- Writer path (serialized) ----
 
   /// Install or replace one zone and publish a new snapshot of its shard.
-  /// Returns false (and publishes nothing) when the admission policy
-  /// rejects the zone; flagged zones are admitted but counted.
+  /// The zone is compiled into a HostedZone after admission. Returns false
+  /// (and publishes nothing) when the admission policy rejects the zone;
+  /// flagged zones are admitted but counted.
   bool upsert(zone::Zone zone) DFX_EXCLUDES(writer_mu_);
 
   /// Install the policy consulted on every subsequent upsert. A default
@@ -135,7 +155,7 @@ class ZoneStore {
  private:
   static std::size_t shard_of(const dns::Name& apex);
 
-  /// Rebuild the snapshot of `shard` from `master_` and publish it.
+  /// Publish a new snapshot of `shard` sharing `master_`'s HostedZones.
   void publish_shard(std::size_t shard) DFX_REQUIRES(writer_mu_);
   void commit() DFX_REQUIRES(writer_mu_);
 
@@ -149,9 +169,9 @@ class ZoneStore {
 
   mutable Mutex writer_mu_;
   AdmissionPolicy admission_ DFX_GUARDED_BY(writer_mu_);
-  /// Writer-side master copy the snapshots are compiled from.
-  std::map<dns::Name, zone::Zone, dns::Name::Less> master_
-      DFX_GUARDED_BY(writer_mu_);
+  /// Writer-side map of every hosted zone the snapshots are built from.
+  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
+      master_ DFX_GUARDED_BY(writer_mu_);
   std::vector<SwapListener> listeners_ DFX_GUARDED_BY(writer_mu_);
 };
 

@@ -47,12 +47,23 @@ ValidationCost admission_cost_scan(const zone::Zone& zone,
   bool saw_signed = false;
   bool saw_nsec3 = false;
 
+  // The apex's DNSKEY and NSEC3PARAM RRsets, from one lookup.
   TagCounts tag_count;
-  if (const auto* dnskeys = zone.find(apex, dns::RRType::kDNSKEY)) {
-    saw_signed = !dnskeys->empty();
-    for (const auto& rdata : dnskeys->rdatas()) {
-      if (const auto* key = std::get_if<dns::DnskeyRdata>(&rdata)) {
-        tag_count.add(key->key_tag(), key->algorithm);
+  std::uint16_t iterations = 0;
+  for (const dns::RRset* rrset : zone.at(apex)) {
+    if (rrset->type() == dns::RRType::kDNSKEY) {
+      saw_signed = !rrset->empty();
+      for (const auto& rdata : rrset->rdatas()) {
+        if (const auto* key = std::get_if<dns::DnskeyRdata>(&rdata)) {
+          tag_count.add(key->key_tag(), key->algorithm);
+        }
+      }
+    } else if (rrset->type() == dns::RRType::kNSEC3PARAM) {
+      saw_nsec3 = true;
+      for (const auto& rdata : rrset->rdatas()) {
+        if (const auto* p = std::get_if<dns::Nsec3ParamRdata>(&rdata)) {
+          iterations = std::max(iterations, p->iterations);
+        }
       }
     }
   }
@@ -60,16 +71,6 @@ ValidationCost admission_cost_scan(const zone::Zone& zone,
     if (e.count < 2) continue;
     ++cost.colliding_tag_groups;
     cost.surplus_colliding_keys += e.count - 1;
-  }
-
-  std::uint16_t iterations = 0;
-  if (const auto* params = zone.find(apex, dns::RRType::kNSEC3PARAM)) {
-    saw_nsec3 = true;
-    for (const auto& rdata : params->rdatas()) {
-      if (const auto* p = std::get_if<dns::Nsec3ParamRdata>(&rdata)) {
-        iterations = std::max(iterations, p->iterations);
-      }
-    }
   }
 
   // Scratch for the per-RRSIG-rrset pairing tally, hoisted so the walk
@@ -142,15 +143,17 @@ server::AdmissionPolicy make_admission_policy(analyzer::GrokConfig budget) {
                        std::to_string(budget.max_nsec3_iterations);
       return verdict;
     }
-    if (cost.signature_attempts > budget.max_sig_validations ||
+    // Priced per response, as the validator's budget is per resolution:
+    // the worst RRset's pairings times the RRsets one response carries.
+    const std::size_t per_response =
+        cost.max_rrset_pairings * kSignedRrsetsPerResponse;
+    if (per_response > budget.max_sig_validations ||
         cost.max_rrset_pairings > budget.sig_pairing_threshold) {
       verdict.action = server::AdmissionVerdict::Action::kReject;
       verdict.reason =
-          "worst-case validator work " +
-          std::to_string(cost.signature_attempts) +
-          " signature attempts (single-RRset peak " +
-          std::to_string(cost.max_rrset_pairings) +
-          ") exceeds the budget";
+          "worst-case validator work " + std::to_string(per_response) +
+          " signature attempts per response (single-RRset peak " +
+          std::to_string(cost.max_rrset_pairings) + ") exceeds the budget";
       return verdict;
     }
     if (cost.colliding_tag_groups > 0) {

@@ -7,10 +7,17 @@
 // latency stays within the benchmarked <5% overhead budget
 // (bench/bench_zonelint.cpp).
 //
+// Work is priced per response, the way the validator's budget
+// (GrokConfig::max_sig_validations) and KeyTrap's bound are per
+// resolution: the zone's worst single-RRset pairing count times the
+// signed RRsets one response can carry. The whole zone's signature total
+// would grow with its size and refuse every large benign zone.
+//
 // Verdicts:
-//  - kReject: the zone's worst-case validator work exceeds the budget
-//    (pairing blowup) or its NSEC3 iteration count is above the refusal
-//    cap. The store refuses the upsert.
+//  - kReject: one response's worst-case validator work exceeds the budget,
+//    one RRset's pairings exceed the pairing threshold (KeyTrap blowup),
+//    or the NSEC3 iteration count is above the refusal cap. The store
+//    refuses the upsert.
 //  - kFlag: colliding key tags present but the work still fits the budget.
 //    Admitted, counted, for operators to chase.
 //  - kAdmit: everything else.
@@ -21,6 +28,10 @@
 #include "zonelint/costmodel.h"
 
 namespace dfx::zonelint {
+
+/// Signed RRsets one response can carry: the answer, the SOA, and up to
+/// three denial proofs (NSEC3 closest encloser, next closer, wildcard).
+inline constexpr std::size_t kSignedRrsetsPerResponse = 5;
 
 /// The single-pass cost scan the admission policy runs: one walk over the
 /// zone's RRsets, no graph allocation. Agrees with

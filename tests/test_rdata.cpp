@@ -4,6 +4,7 @@
 #include "dnscore/rdata.h"
 #include "dnscore/wire.h"
 #include "util/codec.h"
+#include "util/rng.h"
 #include "util/simclock.h"
 
 namespace dfx::dns {
@@ -53,6 +54,24 @@ TEST(Rdata, DnskeyKeyTagStable) {
   EXPECT_EQ(key.key_tag(), tag);  // deterministic
   key.public_key[0] = 9;
   EXPECT_NE(key.key_tag(), tag);
+}
+
+// key_tag() sums the fields directly; the wire-form checksum is the
+// definition it must agree with, for every field value and key length.
+TEST(Rdata, DnskeyKeyTagMatchesWireChecksumOnRandomKeys) {
+  Rng rng{4034};
+  for (int i = 0; i < 2000; ++i) {
+    DnskeyRdata key;
+    key.flags = static_cast<std::uint16_t>(rng.uniform(1u << 16));
+    key.protocol = static_cast<std::uint8_t>(rng.uniform(256));
+    key.algorithm = static_cast<std::uint8_t>(rng.uniform(256));
+    key.public_key.resize(rng.uniform(600));
+    for (auto& octet : key.public_key) {
+      octet = static_cast<std::uint8_t>(rng.uniform(256));
+    }
+    ASSERT_EQ(key.key_tag(), crypto::key_tag(rdata_to_wire(Rdata(key))))
+        << "flags " << key.flags << " length " << key.public_key.size();
+  }
 }
 
 TEST(Rdata, RrsigUnsignedWireOmitsSignature) {

@@ -740,6 +740,72 @@ TEST(ZoneStoreTest, SubscribersSeeEveryCommit) {
   EXPECT_EQ(seen[1], store.generation());
 }
 
+/// Two apexes whose zones land in the same shard.
+std::pair<Name, Name> same_shard_apexes() {
+  const auto shard = [](const Name& apex) {
+    return dns::NameHash{}(apex) & (ZoneStore::kShards - 1);
+  };
+  const Name first = Name::of("z0.example.");
+  int i = 1;
+  while (shard(Name::of("z" + std::to_string(i) + ".example.")) !=
+         shard(first)) {
+    ++i;  // 16 shards: a match within a few dozen names
+  }
+  return {first, Name::of("z" + std::to_string(i) + ".example.")};
+}
+
+TEST(ZoneStoreTest, ReupsertSharesTheShardsOtherZones) {
+  const auto [a, b] = same_shard_apexes();
+  zone::KeyStore a_keys{a}, b_keys{b};
+  Rng rng{11};
+  ZoneStore store;
+  ASSERT_TRUE(store.upsert(
+      build_child_zone(a, zone::DenialMode::kNsec, a_keys, rng)));
+  ASSERT_TRUE(store.upsert(
+      build_child_zone(b, zone::DenialMode::kNsec3, b_keys, rng)));
+  const auto before = store.find(b.child("www"), RRType::kA);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_NE(before->denial, nullptr);
+
+  ASSERT_TRUE(store.upsert(build_child_zone(
+      a, zone::DenialMode::kNsec, a_keys, rng, {192, 0, 2, 99})));
+  const auto after = store.find(b.child("www"), RRType::kA);
+  ASSERT_TRUE(after.has_value());
+  // A new snapshot of the shard, holding the very same compiled zone.
+  EXPECT_NE(after->snapshot, before->snapshot);
+  EXPECT_EQ(after->zone, before->zone);
+  EXPECT_EQ(after->denial, before->denial);
+  EXPECT_EQ(after->apex, before->apex);
+}
+
+TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
+  Fixture f;
+  const Name www = f.apex.child("www");
+  const Name missing = f.apex.child("missing");
+  const auto old_view = f.store.find(www, RRType::kA);
+  ASSERT_TRUE(old_view.has_value());
+  const auto old_positive = f.store.query(www, RRType::kA);
+  const auto old_negative = f.store.query(missing, RRType::kA);
+  ASSERT_TRUE(old_positive.has_value() && old_negative.has_value());
+
+  ASSERT_TRUE(f.store.upsert(build_child_zone(
+      f.apex, zone::DenialMode::kNsec3, f.keys, f.rng, {192, 0, 2, 77})));
+  const auto new_positive = f.store.query(www, RRType::kA);
+  ASSERT_TRUE(new_positive.has_value());
+  ASSERT_NE(section_text(new_positive->second.answers),
+            section_text(old_positive->second.answers));
+
+  const auto positive =
+      authserver::answer(*old_view->zone, *old_view->denial, www, RRType::kA);
+  EXPECT_EQ(section_text(positive.answers),
+            section_text(old_positive->second.answers));
+  const auto negative = authserver::answer(*old_view->zone, *old_view->denial,
+                                           missing, RRType::kA);
+  EXPECT_EQ(negative.rcode, dns::RCode::kNXDomain);
+  EXPECT_EQ(section_text(negative.authorities),
+            section_text(old_negative->second.authorities));
+}
+
 TEST(ZoneStoreTest, SnapshotSwapUnderConcurrentReaders) {
   Fixture f;
   const Bytes query = f.query_bytes(f.apex.child("www"), RRType::kA);
@@ -786,7 +852,7 @@ TEST(QueryResultToMessage, RoundTripsThroughWireCodec) {
     const auto view = f.store.find(qname, qtype);
     ASSERT_TRUE(view.has_value());
     const auto result =
-        view->snapshot->server.query_in_zone(*view->apex, qname, qtype);
+        authserver::answer(*view->zone, *view->denial, qname, qtype);
     const dns::Question question{qname, qtype, dns::RRClass::kIN};
     const dns::Message msg = result.to_message(question, 0xABCD);
     EXPECT_EQ(msg.header.id, 0xABCD);

@@ -19,6 +19,7 @@
 #include "analyzer/errorcode.h"
 #include "dfixer/autofix.h"
 #include "server/zonestore.h"
+#include "zone/signer.h"
 #include "zonelint/admission.h"
 #include "zonelint/costmodel.h"
 #include "zonelint/graph.h"
@@ -535,6 +536,47 @@ TEST(Admission, OversizedNsec3IterationsAreRejected) {
   EXPECT_FALSE(store.upsert(child_zone_with(
       ErrorCode::kExcessiveNsec3Iterations, 114, /*nsec3=*/true)));
   EXPECT_EQ(store.rejected_count(), 1u);
+}
+
+// Admission is priced per response, not per zone: a benign zone of any
+// size fits the default budget. The whole-zone price refused every signed
+// zone above about 100 names.
+TEST(Admission, DefaultPolicyAdmitsLargeBenignZones) {
+  constexpr UnixTime kNow = kDatasetStart;
+  Rng rng{119};
+  for (const auto denial :
+       {zone::DenialMode::kNsec, zone::DenialMode::kNsec3}) {
+    const dns::Name apex = dns::Name::of("large.example.");
+    zone::Zone z(apex);
+    dns::SoaRdata soa;
+    soa.mname = apex.child("ns1");
+    soa.rname = apex.child("hostmaster");
+    z.add(apex, dns::RRType::kSOA, 3600, soa);
+    z.add(apex, dns::RRType::kNS, 3600, dns::NsRdata{apex.child("ns1")});
+    for (int i = 0; i < 2000; ++i) {
+      z.add(apex.child("host" + std::to_string(i)), dns::RRType::kA, 3600,
+            dns::ARdata{{10, 0, static_cast<std::uint8_t>(i >> 8),
+                         static_cast<std::uint8_t>(i & 0xFF)}});
+    }
+    zone::KeyStore keys(apex);
+    keys.generate(rng, zone::KeyRole::kKsk,
+                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, kNow);
+    keys.generate(rng, zone::KeyRole::kZsk,
+                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, kNow);
+    zone::SigningConfig config;
+    config.denial = denial;
+    zone::Zone signed_zone = zone::sign_zone(z, keys, config, kNow);
+    const auto cost = zonelint::admission_cost_scan(signed_zone);
+    ASSERT_GT(cost.signature_attempts,
+              analyzer::GrokConfig{}.max_sig_validations)
+        << "the whole-zone total alone would refuse this zone";
+
+    server::ZoneStore store;
+    store.set_admission_policy(zonelint::make_admission_policy());
+    EXPECT_TRUE(store.upsert(std::move(signed_zone)));
+    EXPECT_EQ(store.rejected_count(), 0u);
+    EXPECT_EQ(store.flagged_count(), 0u);
+  }
 }
 
 // The admission fast path skips trust-graph construction; this pins the
