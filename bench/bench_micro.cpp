@@ -72,6 +72,18 @@ void BM_RsaSignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaSignVerify);
 
+// One RSA-family key per iteration from one advancing stream, so the
+// average covers the spread of prime-search lengths the signer sees.
+void BM_RsaGenerate(benchmark::State& state) {
+  Rng rng(10);
+  for (auto _ : state) {
+    const auto key =
+        crypto::generate_key(rng, crypto::DnssecAlgorithm::kRsaSha256);
+    benchmark::DoNotOptimize(key.public_key.data());
+  }
+}
+BENCHMARK(BM_RsaGenerate);
+
 void BM_SchnorrSignVerify(benchmark::State& state) {
   Rng rng(12);
   const auto key =

@@ -31,6 +31,13 @@ struct SubsetStats {
   }
 };
 
+/// What one spec's replicate → fix run contributes to the table.
+struct SpecOutcome {
+  bool generated = false;  // GE != ∅
+  bool complete = false;   // IE ⊆ GE
+  bool fixed = false;      // complete && AE == ∅
+};
+
 void print_row(const char* label, const SubsetStats& s, double paper_rr,
                double paper_fr) {
   std::printf(
@@ -54,26 +61,38 @@ int main(int argc, char** argv) {
   SubsetStats s1;
   SubsetStats s2;
   std::set<std::string> combinations;
-  std::uint64_t seed = args.seed;
   run.stage("pipeline", [&] {
-    for (const auto& eval : specs) {
+    // Specs run in parallel, spec i on seed args.seed + i + 1; the stats
+    // fold below walks the outcomes in spec order.
+    const auto outcomes = dfx::parallel_map(
+        dfx::ThreadPool::global(), specs.size(), 1, [&](std::size_t i) {
+          const auto replication =
+              dfx::zreplicator::replicate(specs[i].spec, args.seed + i + 1);
+          SpecOutcome outcome;
+          outcome.generated = !replication.generated.empty();
+          outcome.complete = replication.complete;
+          outcome.fixed = replication.complete &&
+                          dfx::dfixer::auto_fix(*replication.sandbox).success;
+          return outcome;
+        });
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto& eval = specs[i];
+      const SpecOutcome& outcome = outcomes[i];
       auto& stats = eval.s1 ? s1 : s2;
       stats.snapshots += 1;
       combinations.insert(
           dfx::zreplicator::combination_key(eval.spec.intended_errors));
-      auto replication = dfx::zreplicator::replicate(eval.spec, ++seed);
-      if (!replication.generated.empty()) stats.ge_nonempty += 1;
-      if (!replication.complete) {
-        if (replication.generated.empty()) {
-          stats.nothing += 1;
-        } else {
+      if (outcome.generated) stats.ge_nonempty += 1;
+      if (!outcome.complete) {
+        if (outcome.generated) {
           stats.partial += 1;
+        } else {
+          stats.nothing += 1;
         }
         continue;
       }
       stats.replicated += 1;
-      const auto report = dfx::dfixer::auto_fix(*replication.sandbox);
-      if (report.success) stats.fixed += 1;
+      if (outcome.fixed) stats.fixed += 1;
     }
   });
 

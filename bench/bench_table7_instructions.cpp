@@ -23,14 +23,25 @@ int main(int argc, char** argv) {
       counts;
   std::array<std::int64_t, kMaxIterations> totals{};
   int max_seen = 0;
-  std::uint64_t seed = args.seed;
   run.stage("pipeline", [&] {
+    // Table 7 covers the S2 subset; its j-th spec runs on seed
+    // args.seed + j + 1. Specs run in parallel, and the fold below walks
+    // their fix iterations in spec order.
+    std::vector<const dfx::zreplicator::EvalSpec*> s2;
     for (const auto& eval : specs) {
-      if (eval.s1) continue;  // Table 7 covers the S2 subset
-      auto replication = dfx::zreplicator::replicate(eval.spec, ++seed);
-      if (!replication.complete) continue;
-      const auto report = dfx::dfixer::auto_fix(*replication.sandbox);
-      for (const auto& iteration : report.iterations) {
+      if (!eval.s1) s2.push_back(&eval);
+    }
+    // One log per fix iteration, none when replication failed.
+    const auto logs = dfx::parallel_map(
+        dfx::ThreadPool::global(), s2.size(), 1,
+        [&](std::size_t j) -> std::vector<dfx::dfixer::IterationLog> {
+          const auto replication =
+              dfx::zreplicator::replicate(s2[j]->spec, args.seed + j + 1);
+          if (!replication.complete) return {};
+          return dfx::dfixer::auto_fix(*replication.sandbox).iterations;
+        });
+    for (const auto& iterations : logs) {
+      for (const auto& iteration : iterations) {
         const int idx = iteration.iteration - 1;
         if (idx < 0 || idx >= kMaxIterations) continue;
         max_seen = std::max(max_seen, iteration.iteration);

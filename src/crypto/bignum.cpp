@@ -1,19 +1,299 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "util/check.hpp"
 
 namespace dfx::crypto {
+
+/// Limb-level access for the fixed-width path below: packs a BigNum's
+/// 32-bit limbs into 64-bit ones and back.
+struct LimbAccess {
+  static const std::vector<std::uint32_t>& limbs(const BigNum& v) {
+    return v.limbs_;
+  }
+
+  template <std::size_t N>
+  static std::array<std::uint64_t, N> pack(const BigNum& v) {
+    DFX_DCHECK(v.limbs_.size() <= 2 * N);
+    std::array<std::uint64_t, N> out{};
+    for (std::size_t i = 0; i < v.limbs_.size(); ++i) {
+      out[i / 2] |= static_cast<std::uint64_t>(v.limbs_[i]) << (32 * (i % 2));
+    }
+    return out;
+  }
+
+  template <std::size_t N>
+  static BigNum unpack(const std::array<std::uint64_t, N>& limbs) {
+    BigNum out;
+    out.limbs_.reserve(2 * N);
+    for (const std::uint64_t limb : limbs) {
+      out.limbs_.push_back(static_cast<std::uint32_t>(limb));
+      out.limbs_.push_back(static_cast<std::uint32_t>(limb >> 32));
+    }
+    out.trim();
+    return out;
+  }
+};
+
 namespace {
 
 constexpr std::uint64_t kBase = 1ULL << 32;
 
-// Small primes for fast trial division before Miller-Rabin.
+// Small primes for fast trial division before Miller-Rabin. Extending the
+// table would change which candidates reach Miller-Rabin's random_below,
+// and with it every key generated after the first such candidate.
 constexpr std::uint32_t kSmallPrimes[] = {
     3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43,  47,  53,  59,
     61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137};
+
+// Widest modulus the fixed-width path takes: 4 64-bit limbs.
+constexpr std::size_t kMontgomeryMaxBits = 256;
+
+__extension__ typedef unsigned __int128 u128;
+
+/// Residues modulo an odd m of N 64-bit limbs in Montgomery form
+/// (x·R mod m, R = 2^(64N)), as little-endian limb arrays below m.
+/// `mul` is CIOS (coarsely integrated operand scanning, Koç et al. 1996);
+/// `sqr` forms the double-width square from the N(N+1)/2 distinct limb
+/// products and reduces it word by word. Both end with one conditional
+/// subtraction. R² mod m and -m⁻¹ mod 2⁶⁴ are computed once, in the
+/// constructor, with no division.
+template <std::size_t N>
+class Montgomery {
+ public:
+  using Value = std::array<std::uint64_t, N>;
+
+  explicit Montgomery(const BigNum& m) : m_(LimbAccess::pack<N>(m)) {
+    DFX_DCHECK(m.is_odd() && m.bit_length() > 64 * (N - 1) &&
+               m.bit_length() <= 64 * N && m.bit_length() >= 2);
+    // m⁻¹ mod 2⁶⁴ by Newton's iteration: m·m ≡ 1 mod 8 for odd m, and each
+    // step doubles the number of correct low bits (3 → 96).
+    std::uint64_t inv = m_[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - m_[0] * inv;
+    m_neg_inv_ = ~inv + 1;
+    // R mod m: start from the top bit of m (below m, since m is odd and
+    // wider than one bit) and double up to 2^(64N).
+    const std::size_t bits = m.bit_length();
+    one_[(bits - 1) / 64] = std::uint64_t{1} << ((bits - 1) % 64);
+    for (std::size_t k = bits - 1; k < 64 * N; ++k) double_in_place(one_);
+    // R² mod m is the Montgomery form of 2^(64N). Climb the exponent's
+    // bits from 2¹·R: squaring doubles the exponent, doubling adds one.
+    constexpr std::size_t kRBits = 64 * N;
+    std::size_t top = 0;
+    while ((kRBits >> (top + 1)) != 0) ++top;
+    r2_ = one_;
+    double_in_place(r2_);
+    for (std::size_t k = top; k-- > 0;) {
+      r2_ = sqr(r2_);
+      if (((kRBits >> k) & 1U) != 0) double_in_place(r2_);
+    }
+    minus_one_ = m_;
+    sub_in_place(minus_one_, one_);
+  }
+
+  /// Montgomery form of v; requires v < m.
+  Value from_bignum(const BigNum& v) const {
+    return mul(LimbAccess::pack<N>(v), r2_);
+  }
+  BigNum to_bignum(const Value& v) const {
+    Value unit{};
+    unit[0] = 1;
+    return LimbAccess::unpack<N>(mul(v, unit));
+  }
+
+  bool is_one(const Value& v) const { return v == one_; }
+  bool is_minus_one(const Value& v) const { return v == minus_one_; }
+
+  Value mul(const Value& a, const Value& b) const {
+    std::array<std::uint64_t, N + 2> t{};
+    for (std::size_t i = 0; i < N; ++i) {
+      std::uint64_t carry = 0;
+      for (std::size_t j = 0; j < N; ++j) {
+        const u128 s = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
+        t[j] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+      u128 s = static_cast<u128>(t[N]) + carry;
+      t[N] = static_cast<std::uint64_t>(s);
+      t[N + 1] = static_cast<std::uint64_t>(s >> 64);
+      // Add q·m with q chosen so the low limb cancels, then shift one limb.
+      const std::uint64_t q = t[0] * m_neg_inv_;
+      s = static_cast<u128>(q) * m_[0] + t[0];
+      carry = static_cast<std::uint64_t>(s >> 64);
+      for (std::size_t j = 1; j < N; ++j) {
+        s = static_cast<u128>(q) * m_[j] + t[j] + carry;
+        t[j - 1] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+      s = static_cast<u128>(t[N]) + carry;
+      t[N - 1] = static_cast<std::uint64_t>(s);
+      t[N] = t[N + 1] + static_cast<std::uint64_t>(s >> 64);
+    }
+    Value out;
+    std::copy_n(t.begin(), N, out.begin());
+    if (t[N] != 0 || !less(out, m_)) sub_in_place(out, m_);
+    return out;
+  }
+
+  Value sqr(const Value& a) const {
+    // t = a², from each cross product a[i]·a[j] (i < j) once, doubled, plus
+    // the diagonal; one spare limb absorbs the reduction's carry.
+    std::array<std::uint64_t, 2 * N + 1> t{};
+    for (std::size_t i = 0; i < N; ++i) {
+      std::uint64_t carry = 0;
+      for (std::size_t j = i + 1; j < N; ++j) {
+        const u128 s = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
+        t[i + j] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+      t[i + N] = carry;
+    }
+    for (std::size_t k = 2 * N; k-- > 1;) t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+    t[0] <<= 1;
+    std::uint64_t carry = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      u128 s = static_cast<u128>(a[i]) * a[i] + t[2 * i] + carry;
+      t[2 * i] = static_cast<std::uint64_t>(s);
+      s = static_cast<u128>(t[2 * i + 1]) + static_cast<std::uint64_t>(s >> 64);
+      t[2 * i + 1] = static_cast<std::uint64_t>(s);
+      carry = static_cast<std::uint64_t>(s >> 64);
+    }
+    // Montgomery reduction: N times, cancel the lowest live limb with q·m.
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::uint64_t q = t[i] * m_neg_inv_;
+      carry = 0;
+      for (std::size_t j = 0; j < N; ++j) {
+        const u128 s = static_cast<u128>(q) * m_[j] + t[i + j] + carry;
+        t[i + j] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+      for (std::size_t k = i + N; carry != 0 && k <= 2 * N; ++k) {
+        const u128 s = static_cast<u128>(t[k]) + carry;
+        t[k] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+    }
+    Value out;
+    std::copy_n(t.begin() + N, N, out.begin());
+    if (t[2 * N] != 0 || !less(out, m_)) sub_in_place(out, m_);
+    return out;
+  }
+
+  /// a^exp, a and the result in Montgomery form; left-to-right binary.
+  Value pow(const Value& a, const BigNum& exp) const {
+    const std::size_t bits = exp.bit_length();
+    if (bits == 0) return one_;
+    const std::vector<std::uint32_t>& e = LimbAccess::limbs(exp);
+    Value x = a;
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      x = sqr(x);
+      if (((e[i / 32] >> (i % 32)) & 1U) != 0) x = mul(x, a);
+    }
+    return x;
+  }
+
+ private:
+  static bool less(const Value& a, const Value& b) {
+    for (std::size_t i = N; i-- > 0;) {
+      if (a[i] != b[i]) return a[i] < b[i];
+    }
+    return false;
+  }
+
+  /// a -= b modulo 2^(64N).
+  static void sub_in_place(Value& a, const Value& b) {
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+      a[i] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1U;
+    }
+  }
+
+  /// v = 2v mod m, for v < m.
+  void double_in_place(Value& v) const {
+    const std::uint64_t carry = v[N - 1] >> 63;
+    for (std::size_t i = N; i-- > 1;) v[i] = (v[i] << 1) | (v[i - 1] >> 63);
+    v[0] <<= 1;
+    if (carry != 0 || !less(v, m_)) sub_in_place(v, m_);
+  }
+
+  Value m_;
+  std::uint64_t m_neg_inv_ = 0;  // -m⁻¹ mod 2⁶⁴
+  Value one_{};                  // R mod m: 1 in Montgomery form
+  Value minus_one_{};            // m - 1 in Montgomery form
+  Value r2_{};                   // R² mod m
+};
+
+/// Residues as plain BigNums with one division per product: Miller-Rabin's
+/// context for candidates wider than kMontgomeryMaxBits.
+class DivisionRing {
+ public:
+  using Value = BigNum;
+
+  explicit DivisionRing(const BigNum& m) : m_(m), minus_one_(m - BigNum(1)) {}
+
+  /// Requires v < m, as Montgomery<N>::from_bignum does.
+  Value from_bignum(const BigNum& v) const { return v; }
+  bool is_one(const Value& v) const { return v == BigNum(1); }
+  bool is_minus_one(const Value& v) const { return v == minus_one_; }
+  Value sqr(const Value& a) const { return (a * a) % m_; }
+  Value pow(const Value& a, const BigNum& exp) const {
+    return BigNum::modexp(a, exp, m_);
+  }
+
+ private:
+  BigNum m_;
+  BigNum minus_one_;
+};
+
+/// Whether m takes the Montgomery path.
+bool fixed_width(const BigNum& m) {
+  const std::size_t bits = m.bit_length();
+  return m.is_odd() && bits >= 2 && bits <= kMontgomeryMaxBits;
+}
+
+/// Call fn(Montgomery<N>) with N = the 64-bit limb count of m, which
+/// `fixed_width(m)` must accept.
+template <typename Fn>
+auto with_montgomery(const BigNum& m, Fn&& fn) {
+  switch ((m.bit_length() + 63) / 64) {
+    case 1:
+      return fn(Montgomery<1>(m));
+    case 2:
+      return fn(Montgomery<2>(m));
+    case 3:
+      return fn(Montgomery<3>(m));
+    default:
+      return fn(Montgomery<4>(m));
+  }
+}
+
+/// Miller-Rabin rounds for odd n > 137 with n - 1 = d·2^r, in one
+/// arithmetic context for n.
+template <typename Ring>
+bool miller_rabin(const Ring& ring, const BigNum& n, const BigNum& d,
+                  std::size_t r, Rng& rng, int rounds) {
+  const BigNum bound = n - BigNum(4);
+  for (int round = 0; round < rounds; ++round) {
+    const BigNum a = BigNum(2) + BigNum::random_below(rng, bound);
+    auto x = ring.pow(ring.from_bignum(a), d);
+    if (ring.is_one(x) || ring.is_minus_one(x)) continue;
+    bool witness = true;
+    for (std::size_t i = 1; i < r; ++i) {
+      x = ring.sqr(x);
+      if (ring.is_minus_one(x)) {
+        witness = false;
+        break;
+      }
+    }
+    if (witness) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -325,6 +605,14 @@ BigNum BigNum::operator/(const BigNum& o) const {
 
 BigNum BigNum::modexp(const BigNum& base, const BigNum& exp, const BigNum& m) {
   if (m.is_zero()) throw std::domain_error("modexp: zero modulus");
+  if (fixed_width(m)) {
+    return with_montgomery(m, [&](const auto& ring) {
+      const auto b = base < m ? ring.from_bignum(base)
+                              : ring.from_bignum(base % m);
+      return ring.to_bignum(ring.pow(b, exp));
+    });
+  }
+  // Square-and-multiply with a division per product.
   BigNum result(1);
   BigNum b = base % m;
   const std::size_t bits = exp.bit_length();
@@ -414,37 +702,30 @@ BigNum BigNum::random_bits(Rng& rng, std::size_t bits) {
 }
 
 bool BigNum::is_probable_prime(const BigNum& n, Rng& rng, int rounds) {
-  if (n < BigNum(2)) return false;
-  if (n == BigNum(2)) return true;
-  if (!n.is_odd()) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    const BigNum bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+  if (!n.is_odd()) return n.limbs_.size() == 1 && n.limbs_[0] == 2;
+  if (n.limbs_.size() == 1 && n.limbs_[0] == 1) return false;
+  // Trial division straight from the limbs; n is prime if it is the small
+  // prime that divides it.
+  for (const std::uint32_t p : kSmallPrimes) {
+    std::uint64_t rem = 0;
+    for (std::size_t i = n.limbs_.size(); i-- > 0;) {
+      rem = ((rem << 32) | n.limbs_[i]) % p;
+    }
+    if (rem == 0) return n.limbs_.size() == 1 && n.limbs_[0] == p;
   }
   // Write n-1 = d * 2^r.
-  const BigNum n_minus_1 = n - BigNum(1);
-  BigNum d = n_minus_1;
+  BigNum d = n - BigNum(1);
   std::size_t r = 0;
   while (!d.is_odd()) {
     d = d >> 1;
     ++r;
   }
-  for (int round = 0; round < rounds; ++round) {
-    const BigNum a = BigNum(2) + random_below(rng, n - BigNum(4));
-    BigNum x = modexp(a, d, n);
-    if (x == BigNum(1) || x == n_minus_1) continue;
-    bool witness = true;
-    for (std::size_t i = 1; i < r; ++i) {
-      x = (x * x) % n;
-      if (x == n_minus_1) {
-        witness = false;
-        break;
-      }
-    }
-    if (witness) return false;
+  if (fixed_width(n)) {
+    return with_montgomery(n, [&](const auto& ring) {
+      return miller_rabin(ring, n, d, r, rng, rounds);
+    });
   }
-  return true;
+  return miller_rabin(DivisionRing(n), n, d, r, rng, rounds);
 }
 
 BigNum BigNum::generate_prime(Rng& rng, std::size_t bits) {

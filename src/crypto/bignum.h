@@ -1,8 +1,18 @@
 // Arbitrary-precision unsigned integers, from scratch.
 //
 // Just enough number theory for a genuine (if deliberately small-modulus)
-// RSA: add/sub/mul, division with remainder, modular exponentiation via
-// square-and-multiply, gcd / modular inverse, and Miller-Rabin primality.
+// RSA: add/sub/mul, division with remainder, modular exponentiation, gcd /
+// modular inverse, and Miller-Rabin primality.
+//
+// Modular exponentiation has two paths behind the one `modexp` entry point.
+// Odd moduli of 2..256 bits (every modulus the signer generates, and the
+// primes behind them) run in a fixed-width Montgomery context: 1..4 64-bit
+// limbs on the stack, CIOS multiply and a dedicated square with 128-bit
+// products, no heap traffic inside the exponent loop. Even moduli and
+// moduli wider than 256 bits, which only DNSKEY bytes off the wire and
+// tests produce, take the plain square-and-multiply loop with one division
+// per product. Miller-Rabin runs every round of a candidate in one context
+// of the same kind. Both paths compute the same values.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +64,7 @@ class BigNum {
   static void divmod(const BigNum& num, const BigNum& den, BigNum& quot,
                      BigNum& rem);
 
-  /// (base ^ exp) mod m, m > 0.
+  /// (base ^ exp) mod m, m > 0. `modexp(b, 0, 1)` is 1, not 0.
   static BigNum modexp(const BigNum& base, const BigNum& exp, const BigNum& m);
 
   /// Modular inverse of a mod m; returns zero BigNum when gcd(a, m) != 1.
@@ -68,7 +78,9 @@ class BigNum {
   /// Random integer with exactly `bits` bits (top bit set).
   static BigNum random_bits(Rng& rng, std::size_t bits);
 
-  /// Miller-Rabin with `rounds` random bases.
+  /// Trial division by the small primes, then Miller-Rabin with `rounds`
+  /// random bases. The RNG draws (one `random_below(n - 4)` per round run)
+  /// are part of the contract: key generation replays them bit for bit.
   static bool is_probable_prime(const BigNum& n, Rng& rng, int rounds = 20);
 
   /// Generate a random prime with exactly `bits` bits.
@@ -78,6 +90,9 @@ class BigNum {
 
  private:
   void trim();
+
+  // The Montgomery path in bignum.cpp packs and unpacks limbs directly.
+  friend struct LimbAccess;
 
   std::vector<std::uint32_t> limbs_;  // little-endian, no trailing zeros
 };

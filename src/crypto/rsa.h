@@ -2,10 +2,12 @@
 // algorithm numbers (5, 7, 8, 10).
 //
 // Signing is s = pad(hash(m))^d mod n, verification recomputes and compares.
-// Moduli default to 512 bits for speed (the evaluation pipeline generates
-// thousands of keys); the *nominal* key size a zone claims is tracked
-// separately in the DNSKEY metadata so "Bad Key Length" scenarios can be
-// modelled without paying for 4096-bit arithmetic.
+// The DNSSEC layer generates 256-bit moduli for speed (`kRsaActualBits` in
+// algorithm.cpp; the evaluation pipeline generates thousands of keys), which
+// keeps every modexp on BigNum's fixed-width Montgomery path. The *nominal*
+// key size a zone claims is tracked separately in the DNSKEY metadata so
+// "Bad Key Length" scenarios can be modelled without paying for 4096-bit
+// arithmetic.
 #pragma once
 
 #include <cstdint>

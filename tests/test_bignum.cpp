@@ -1,12 +1,31 @@
 // Bignum arithmetic tests: identities, division invariants, modular
-// arithmetic against independently computed values, primality.
+// arithmetic against independently computed values, primality, and a
+// differential of the fixed-width Montgomery path against the plain
+// square-and-multiply reference in bignum_reference.h.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bignum_reference.h"
 #include "crypto/bignum.h"
 #include "util/rng.h"
 
 namespace dfx::crypto {
 namespace {
+
+BigNum odd_modulus(Rng& rng, std::size_t bits) {
+  const BigNum m = BigNum::random_bits(rng, bits);
+  return m.is_odd() ? m : m + BigNum(1);
+}
+
+void expect_modexp_matches(const BigNum& base, const BigNum& exp,
+                           const BigNum& m) {
+  EXPECT_EQ(BigNum::modexp(base, exp, m), reference_modexp(base, exp, m))
+      << "base=" << base.to_hex() << " exp=" << exp.to_hex()
+      << " m=" << m.to_hex();
+}
 
 TEST(BigNum, ConstructionAndHex) {
   EXPECT_TRUE(BigNum().is_zero());
@@ -109,6 +128,108 @@ TEST(BigNum, ModExpKnownValues) {
                            BigNum::from_hex("fedcba987654321fff1"))
                 .to_hex(),
             "347c0c053c45833422e");
+}
+
+// 10,000 random triples at each 64-bit limb width of the fixed-width path:
+// odd moduli filling the width, exponents up to 128 bits, bases below and
+// (one in eight) above the modulus. Long exponents are covered by the edge
+// cases and the prime-search sweeps below.
+class ModExpWidth : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ModExpWidth, MatchesReference) {
+  const std::size_t limbs = GetParam();
+  Rng rng(110 + limbs);
+  const std::size_t lo = limbs == 1 ? 2 : 64 * (limbs - 1) + 1;
+  for (int i = 0; i < 10000; ++i) {
+    const BigNum m = odd_modulus(rng, lo + rng.uniform(64 * limbs - lo + 1));
+    const BigNum base =
+        rng.uniform(8) == 0
+            ? BigNum::random_bits(rng, 1 + rng.uniform(m.bit_length() + 64))
+            : BigNum::random_below(rng, m);
+    const BigNum exp = BigNum::random_bits(rng, rng.uniform(129));
+    expect_modexp_matches(base, exp, m);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Limbs, ModExpWidth, ::testing::Values(1, 2, 3, 4));
+
+TEST(BigNum, ModExpEdgeCasesMatchReference) {
+  Rng rng(111);
+  std::vector<BigNum> moduli = {
+      BigNum(1),  // falls back; modexp(b, 0, 1) stays 1
+      BigNum(3),
+      BigNum(0xFFFFFFFFFFFFFFFFULL),
+      BigNum::from_hex("10000000000000001"),
+      BigNum::from_hex(std::string(64, 'f')),  // 2^256 - 1
+      // Even moduli and moduli wider than 256 bits take the fallback.
+      BigNum(2),
+      BigNum(1000),
+      BigNum::from_hex("1" + std::string(64, '0')),  // 2^256
+      BigNum::from_hex("1" + std::string(63, '0') + "1"),  // 2^256 + 1
+  };
+  for (const std::size_t bits : {2u, 63u, 64u, 65u, 128u, 129u, 192u, 193u,
+                                 255u, 256u, 257u, 512u, 1024u}) {
+    moduli.push_back(odd_modulus(rng, bits));
+    moduli.push_back(odd_modulus(rng, bits) + BigNum(1));  // even
+  }
+  for (const BigNum& m : moduli) {
+    const BigNum m_minus_1 = m - BigNum(1);
+    const std::vector<BigNum> bases = {
+        BigNum(), BigNum(1), m_minus_1, m, m + BigNum(1),
+        m * m + BigNum(5), BigNum::random_below(rng, m)};
+    const std::vector<BigNum> exps = {
+        BigNum(), BigNum(1), BigNum(2), BigNum(65537), m_minus_1,
+        BigNum::random_bits(rng, 300)};
+    for (const BigNum& base : bases) {
+      for (const BigNum& exp : exps) expect_modexp_matches(base, exp, m);
+    }
+  }
+  EXPECT_EQ(BigNum::modexp(BigNum(7), BigNum(), BigNum(1)), BigNum(1));
+  EXPECT_EQ(BigNum::modexp(BigNum(7), BigNum(3), BigNum(1)), BigNum());
+  EXPECT_THROW(BigNum::modexp(BigNum(7), BigNum(3), BigNum()),
+               std::domain_error);
+}
+
+// Prime search must consume the RNG exactly as the reference does: same
+// accepted prime, and the generator left in the same state.
+TEST(BigNum, PrimeSearchMatchesReferenceAndRngStream) {
+  const std::pair<std::size_t, int> sweeps[] = {
+      {8, 32}, {40, 32}, {64, 32}, {65, 16}, {96, 16}, {128, 64},
+      {129, 16}, {192, 8}, {256, 8}, {300, 4}};
+  for (const auto& [bits, seeds] : sweeps) {
+    for (int s = 0; s < seeds; ++s) {
+      Rng fast(1000 * bits + static_cast<std::uint64_t>(s));
+      Rng ref(1000 * bits + static_cast<std::uint64_t>(s));
+      EXPECT_EQ(BigNum::generate_prime(fast, bits),
+                reference_generate_prime(ref, bits))
+          << bits << " bits, seed " << s;
+      EXPECT_EQ(fast.next_u64(), ref.next_u64()) << bits << " bits, seed " << s;
+    }
+  }
+}
+
+TEST(BigNum, ProbablePrimeMatchesReferenceAndRngStream) {
+  Rng pick(112);
+  std::vector<BigNum> candidates;
+  for (std::uint64_t v = 0; v < 3000; ++v) candidates.emplace_back(v);
+  // Strong pseudoprimes to the first few prime bases whose factors all
+  // exceed 137, so that they get past trial division to Miller-Rabin.
+  for (const std::uint64_t v :
+       {3215031751ULL, 2152302898747ULL, 3474749660383ULL,
+        341550071728321ULL, 3825123056546413051ULL}) {
+    candidates.emplace_back(v);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    candidates.push_back(BigNum::random_bits(pick, 2 + pick.uniform(300)));
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    Rng fast(i);
+    Rng ref(i);
+    EXPECT_EQ(BigNum::is_probable_prime(candidates[i], fast, 8),
+              reference_is_probable_prime(candidates[i], ref, 8))
+        << candidates[i].to_hex();
+    EXPECT_EQ(fast.next_u64(), ref.next_u64()) << candidates[i].to_hex();
+  }
 }
 
 TEST(BigNum, ModInvIsInverse) {

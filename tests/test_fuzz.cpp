@@ -3,10 +3,15 @@
 // re-encode round-trip. No crashes, no exceptions, no hangs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
 
+#include "bignum_reference.h"
+#include "crypto/algorithm.h"
+#include "crypto/rsa.h"
+#include "crypto/sha1.h"
 #include "dnscore/masterfile.h"
 #include "dnscore/message.h"
 #include "dnscore/wire.h"
@@ -406,6 +411,110 @@ TEST(WireCorpus, AdversarialPacketsServeTotally) {
   // The error handling must not have poisoned the serving path: a valid
   // query still gets a well-formed NoError answer afterwards.
   fuzz.drive(fuzz.valid_query());
+}
+
+/// RSA verification over the reference `modexp` (bignum_reference.h): the
+/// oracle for RsaVerifyIsTotalAndMatchesReference. Hashing and padding
+/// restate crypto/algorithm.cpp and crypto/rsa.cpp.
+bool reference_rsa_verify(crypto::DnssecAlgorithm alg, ByteView public_key,
+                          ByteView message, ByteView signature) {
+  crypto::RsaPublicKey pub;
+  if (!crypto::RsaPublicKey::decode(public_key, pub)) return false;
+  const std::size_t k = (pub.n.bit_length() + 7) / 8;
+  if (signature.size() != k) return false;
+  const auto s = crypto::BigNum::from_bytes(signature);
+  if (s >= pub.n) return false;
+  Bytes input = {static_cast<std::uint8_t>(alg)};
+  append(input, message);
+  const Bytes digest = crypto::Sha1::digest(input);
+  if (digest.size() + 11 > k) return false;
+  Bytes em(k, 0xFF);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  em[k - digest.size() - 1] = 0x00;
+  std::copy(digest.begin(), digest.end(),
+            em.end() - static_cast<std::ptrdiff_t>(digest.size()));
+  return crypto::reference_modexp(s, pub.e, pub.n) ==
+         crypto::BigNum::from_bytes(em);
+}
+
+/// RFC 3110 DNSKEY public-key bytes: exponent length, exponent, modulus.
+Bytes rsa_key_bytes(ByteView exponent, ByteView modulus) {
+  Bytes out = {static_cast<std::uint8_t>(exponent.size())};
+  append(out, exponent);
+  append(out, modulus);
+  return out;
+}
+
+/// verify_message for the RSA algorithm numbers must be total over any
+/// DNSKEY and signature bytes (even, 1-byte and 257..2048-bit moduli, an
+/// exponent length past the end, signatures >= n or of the wrong length)
+/// and agree with the reference path, as must modexp itself on each key.
+TEST_P(FuzzSeeds, RsaVerifyIsTotalAndMatchesReference) {
+  Rng rng(GetParam() + 7);
+  const auto key =
+      crypto::generate_key(rng, crypto::DnssecAlgorithm::kRsaSha256);
+  const Bytes message = random_buffer(rng, 64);
+  const Bytes good = crypto::sign_message(key, message);
+  ASSERT_TRUE(crypto::verify_message(key.algorithm, key.public_key, message,
+                                     good));
+  const Bytes f4 = {0x01, 0x00, 0x01};  // e = 65537
+  const auto modulus = [&](std::size_t bits, bool odd) {
+    auto n = crypto::BigNum::random_bits(rng, bits);
+    if (n.is_odd() != odd) n = n + crypto::BigNum(1);
+    return n.to_bytes();
+  };
+
+  std::vector<Bytes> keys = {key.public_key};
+  for (int i = 0; i < 20; ++i) keys.push_back(mutate(rng, key.public_key));
+  for (int i = 0; i < 10; ++i) keys.push_back(random_buffer(rng, 80));
+  for (int i = 0; i < 6; ++i) {
+    keys.push_back(rsa_key_bytes(f4, modulus(8 + rng.uniform(2041), false)));
+    keys.push_back(rsa_key_bytes(f4, modulus(257 + rng.uniform(1792), true)));
+  }
+  keys.push_back(rsa_key_bytes(f4, modulus(2048, true)));
+  for (const std::uint8_t n : {0x01, 0x02, 0x03, 0x0F, 0x80, 0xFF}) {
+    keys.push_back(rsa_key_bytes(f4, Bytes{n}));
+  }
+  // Exponent lengths that run past the end of the key bytes.
+  keys.push_back(Bytes{0xFF, 0x01, 0x00, 0x01});
+  Bytes overlong = key.public_key;
+  overlong[0] = static_cast<std::uint8_t>(overlong.size());
+  keys.push_back(overlong);
+  overlong[0] = static_cast<std::uint8_t>(overlong.size() - 1);
+  keys.push_back(overlong);
+
+  const crypto::DnssecAlgorithm algorithms[] = {
+      crypto::DnssecAlgorithm::kRsaSha1,
+      crypto::DnssecAlgorithm::kRsaSha1Nsec3Sha1,
+      crypto::DnssecAlgorithm::kRsaSha256, crypto::DnssecAlgorithm::kRsaSha512};
+  for (const Bytes& public_key : keys) {
+    crypto::RsaPublicKey pub;
+    const bool decoded = crypto::RsaPublicKey::decode(public_key, pub);
+    const std::size_t k = decoded ? (pub.n.bit_length() + 7) / 8 : 32;
+    std::vector<Bytes> signatures = {good, mutate(rng, good), Bytes{},
+                                     Bytes(k, 0xFF)};
+    for (const std::size_t size : {k - 1, k, k, k + 1}) {
+      Bytes sig(size);
+      rng.fill(sig);
+      signatures.push_back(sig);
+    }
+    if (decoded) {
+      signatures.push_back(pub.n.to_bytes_padded(k));  // s == n
+      const auto s = crypto::BigNum::random_below(rng, pub.n);
+      EXPECT_EQ(crypto::BigNum::modexp(s, pub.e, pub.n),
+                crypto::reference_modexp(s, pub.e, pub.n))
+          << "n=" << pub.n.to_hex() << " e=" << pub.e.to_hex();
+    }
+    for (const auto alg : algorithms) {
+      for (const Bytes& sig : signatures) {
+        EXPECT_EQ(crypto::verify_message(alg, public_key, message, sig),
+                  reference_rsa_verify(alg, public_key, message, sig))
+            << "alg " << static_cast<int>(alg) << ", key bytes "
+            << public_key.size() << ", signature bytes " << sig.size();
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

@@ -2,6 +2,8 @@
 // cross-domain rejection.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "crypto/rsa.h"
 #include "crypto/schnorr.h"
 #include "crypto/sha2.h"
@@ -77,6 +79,30 @@ TEST(Rsa, SignatureIsModulusSized) {
   const auto key = rsa_generate(rng, 256);
   const Bytes sig = rsa_sign(key, Bytes(20, 1));
   EXPECT_EQ(sig.size(), (key.pub.n.bit_length() + 7) / 8);
+}
+
+// Known answer: the public key, private exponent and signatures over fixed
+// digests of `rsa_generate(Rng(s), 256)` for s = 1..64, folded into one
+// SHA-256. The value was computed with the plain square-and-multiply
+// `modexp`, so it pins the RNG stream through prime search as well as the
+// arithmetic: every key, key tag and RRSIG downstream depends on both.
+TEST(Rsa, KnownAnswerKeysAndSignatures) {
+  Bytes transcript;
+  for (std::uint64_t s = 1; s <= 64; ++s) {
+    Rng rng(s);
+    const auto key = rsa_generate(rng, 256);
+    append(transcript, key.pub.encode());
+    append(transcript, key.d.to_bytes());
+    for (const std::uint8_t fill : {0x00, 0x5A, 0xFF}) {
+      append(transcript, rsa_sign(key, Bytes(20, fill)));
+    }
+  }
+  const Bytes digest = sha256(transcript);
+  char hex[17];
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::snprintf(hex + 2 * i, 3, "%02x", digest[i]);
+  }
+  EXPECT_STREQ(hex, "ad19a61741fb4e36");
 }
 
 TEST(Schnorr, SignVerifyRoundTrip) {
