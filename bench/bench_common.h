@@ -103,9 +103,8 @@ class BenchRun {
       : name_(std::move(name)),
         args_(args),
         start_(std::chrono::steady_clock::now()) {
-    // Each binary is one run: start from a clean registry so the snapshot
-    // in the JSON covers exactly this execution.
-    metrics::Registry::global().reset();
+    // A process is one run: the global registry starts empty, so the
+    // snapshot in the JSON covers exactly this execution.
     if (args_.threads != 0) {
       ThreadPool::set_global_thread_count(args_.threads);
     }

@@ -1,5 +1,6 @@
-// The serving fixture of bench_qps and its byte-identity check, shared with
-// the tier-1 test that pins the check's digest (tests/test_qps_fixture.cpp).
+// The serving fixture and its byte-identity check, used by the tier-1 tests
+// that pin the check's digest and serve it concurrently
+// (tests/test_qps_fixture.cpp).
 //
 // The fixture hosts an NSEC zone, an NSEC3 zone and their parent in one
 // ZoneStore, with a cache-on and a cache-off WireFrontend over it, and a
@@ -96,9 +97,8 @@ inline Bytes encode_qps_query(std::uint16_t id, const dns::Name& qname,
   return dns::encode_message(msg);
 }
 
-/// The zones hosted in a store of their own. Construct it after any
-/// metrics registry reset: the AnswerCache resolves its metric handles at
-/// construction.
+/// The zones hosted in a store of their own, with a cache-on and a
+/// cache-off frontend over them.
 struct QpsFixture {
   static constexpr UnixTime kNow = kDatasetStart;
 
@@ -167,10 +167,25 @@ struct QpsFixture {
   std::vector<Bytes> queries;
 };
 
+/// 40 never-asked A queries (DO set) per signed zone: the packet tier
+/// cannot hold them before their first answer, so a cache hit on one is
+/// aggressive NSEC/NSEC3 synthesis.
+inline std::vector<Bytes> synthesis_probes(const QpsFixture& f) {
+  std::vector<Bytes> probes;
+  for (const dns::Name& apex : {f.nsec_apex, f.nsec3_apex}) {
+    for (int i = 0; i < 40; ++i) {
+      probes.push_back(encode_qps_query(static_cast<std::uint16_t>(i),
+                                        apex.child("probe" + std::to_string(i)),
+                                        dns::RRType::kA, /*do_bit=*/true));
+    }
+  }
+  return probes;
+}
+
 /// Outcome of the byte-identity check.
 struct IdentityCheck {
   /// XOR of the FNV-1a digests of every cache-off response (the two
-  /// passes, then the probes): pinned by bench_qps's `responses` checksum.
+  /// passes, then the probes): pinned by the QpsFixture ctest.
   std::uint64_t digest = 0;
   /// Responses where cache-on and cache-off differ, and the first one.
   int mismatches = 0;
@@ -179,9 +194,9 @@ struct IdentityCheck {
   std::int64_t synthesized = 0;
 };
 
-/// Serve every query cache-off and cache-on, twice, then 40 never-asked
-/// names per signed zone; compare the bytes. Runs once per fixture: the
-/// second pass and the probes rely on what the first pass cached.
+/// Serve every query cache-off and cache-on, twice, then the synthesis
+/// probes; compare the bytes. Runs once per fixture: the second pass and
+/// the probes rely on what the first pass cached.
 inline IdentityCheck check_cache_identity(const QpsFixture& f) {
   IdentityCheck out;
   const auto digest_of = [](const Bytes& bytes) {
@@ -200,18 +215,12 @@ inline IdentityCheck check_cache_identity(const QpsFixture& f) {
                                 std::to_string(i));
     }
   }
-  // Probe names never queried before: the packet tier cannot have them,
-  // so a cache hit here is aggressive NSEC/NSEC3 synthesis.
   auto& synth_hits =
       metrics::Registry::global().counter("server.cache.synth_hits");
   const std::int64_t synth_before = synth_hits.value();
-  for (const dns::Name& apex : {f.nsec_apex, f.nsec3_apex}) {
-    for (int i = 0; i < 40; ++i) {
-      const dns::Name qname = apex.child("probe" + std::to_string(i));
-      compare(encode_qps_query(static_cast<std::uint16_t>(i), qname,
-                               dns::RRType::kA, /*do_bit=*/true),
-              "probe " + qname.to_string());
-    }
+  const std::vector<Bytes> probes = synthesis_probes(f);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    compare(probes[i], "probe " + std::to_string(i));
   }
   out.synthesized = synth_hits.value() - synth_before;
   return out;

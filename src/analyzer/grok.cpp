@@ -937,10 +937,7 @@ ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
 }  // namespace
 
 Snapshot grok(const ProbeData& data, const GrokConfig& config) {
-  static auto& grok_hist =
-      metrics::Registry::global().histogram("stage.analyze.grok");
   static auto& grok_count = metrics::Registry::global().counter("analyze.groks");
-  metrics::ScopedTimer timer(grok_hist);
   grok_count.add(1);
   Snapshot snapshot;
   snapshot.query_domain = data.query_domain;

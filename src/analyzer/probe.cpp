@@ -44,10 +44,7 @@ ProbeData probe(const authserver::ServerFarm& farm,
                 const dns::Name& query_domain, UnixTime now) {
   // Cached references: probe() is called per snapshot in tight loops, so
   // the registry lookup happens once (thread-safe magic statics).
-  static auto& probe_hist =
-      metrics::Registry::global().histogram("stage.analyze.probe");
   static auto& probe_count = metrics::Registry::global().counter("analyze.probes");
-  metrics::ScopedTimer timer(probe_hist);
   probe_count.add(1);
   ProbeData data;
   data.query_domain = query_domain;

@@ -386,8 +386,6 @@ int sample_multi_count(Rng& rng) {
 }  // namespace
 
 Corpus generate_corpus(const GeneratorOptions& options) {
-  metrics::ScopedTimer stage_timer(
-      metrics::Registry::global().histogram("stage.generate"));
   const auto& cal = default_calibration();
   const ErrorMix mix = build_error_mix();
   Corpus corpus;

@@ -10,8 +10,6 @@ FixReport auto_fix(CommandHost& host, int max_iterations) {
 
 FixReport auto_fix_with(CommandHost& host, ResolverFn resolver,
                         int max_iterations) {
-  static auto& iter_hist =
-      metrics::Registry::global().histogram("stage.dfixer.iterate");
   static auto& iter_count =
       metrics::Registry::global().counter("dfixer.iterations");
   static auto& run_count = metrics::Registry::global().counter("dfixer.runs");
@@ -20,7 +18,6 @@ FixReport auto_fix_with(CommandHost& host, ResolverFn resolver,
   analyzer::Snapshot snapshot = host.analyze();
   for (int iter = 1; iter <= max_iterations; ++iter) {
     if (snapshot.errors.empty()) break;
-    metrics::ScopedTimer iter_timer(iter_hist);
     iter_count.add(1);
     RemediationPlan plan = resolver(snapshot);
     if (plan.empty()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace dfx::measure {
@@ -75,7 +74,6 @@ double percentile(std::vector<double> values, double p) {
 }
 
 Table1 compute_table1(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.table1");
   return reduce_domains<Table1>(
       corpus,
       [](Table1& acc, const DomainTimeline& d) {
@@ -104,7 +102,6 @@ Table1 compute_table1(const Corpus& corpus) {
 }
 
 std::vector<Fig1Bin> compute_fig1(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.fig1");
   constexpr int kBins = 100;
   const std::uint64_t bin_size =
       std::max<std::uint64_t>(1, corpus.universe_size / kBins);
@@ -174,7 +171,6 @@ std::vector<Fig1Bin> compute_fig1(const Corpus& corpus) {
 }
 
 Fig2Flows compute_fig2(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.fig2");
   return reduce_domains<Fig2Flows>(
       corpus,
       [](Fig2Flows& acc, const DomainTimeline& d) {
@@ -213,7 +209,6 @@ Fig2Flows compute_fig2(const Corpus& corpus) {
 }
 
 Table2 compute_table2(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.table2");
   return reduce_domains<Table2>(
       corpus,
       [](Table2& acc, const DomainTimeline& d) {
@@ -254,7 +249,6 @@ Table2 compute_table2(const Corpus& corpus) {
 }
 
 Table3 compute_table3(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.table3");
   struct Acc {
     std::map<ErrorCode, std::int64_t> snapshot_counts;
     std::map<ErrorCode, std::int64_t> domain_counts;
@@ -335,7 +329,6 @@ std::vector<Fig3Category> compute_fig3(const Table3& table3) {
 }
 
 Table4 compute_table4(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.table4");
   using Durations =
       std::map<SnapshotStatus, std::map<SnapshotStatus, std::vector<double>>>;
   Durations durations = reduce_domains<Durations>(
@@ -373,7 +366,6 @@ Table4 compute_table4(const Corpus& corpus) {
 }
 
 RoundTripStats compute_roundtrip(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.roundtrip");
   struct Acc {
     std::vector<double> down;
     std::vector<double> up;
@@ -416,7 +408,6 @@ RoundTripStats compute_roundtrip(const Corpus& corpus) {
 }
 
 std::vector<Fig4Row> compute_fig4(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.fig4");
   // t1: first snapshot where the error is present (critical when the
   // snapshot is sb); t2: first subsequent snapshot that is sv and free of
   // the error.
@@ -464,7 +455,6 @@ std::vector<Fig4Row> compute_fig4(const Corpus& corpus) {
 }
 
 DeployTime compute_deploy_time(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.deploy");
   std::vector<double> durations = reduce_domains<std::vector<double>>(
       corpus,
       [](std::vector<double>& acc, const DomainTimeline& d) {
@@ -490,7 +480,6 @@ DeployTime compute_deploy_time(const Corpus& corpus) {
 }
 
 Fig5 compute_fig5(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.fig5");
   std::vector<double> medians_days = reduce_domains<std::vector<double>>(
       corpus,
       [](std::vector<double>& acc, const DomainTimeline& d) {
@@ -527,7 +516,6 @@ Fig5 compute_fig5(const Corpus& corpus) {
 }
 
 std::vector<Table5Row> compute_table5(const Corpus& corpus) {
-  metrics::ScopedTimer timer("stage.measure.table5");
   using Rows = std::map<SnapshotStatus, Table5Row>;
   Rows rows = reduce_domains<Rows>(
       corpus,

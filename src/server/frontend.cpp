@@ -67,11 +67,9 @@ bool skip_name(ByteView query, std::size_t& pos) {
 
 }  // namespace
 
-WireFrontend::WireFrontend(const ZoneStore& store, AnswerCache* cache,
-                           Options options)
+WireFrontend::WireFrontend(const ZoneStore& store, AnswerCache* cache)
     : store_(store),
       cache_(cache),
-      options_(options),
       queries_(metrics::Registry::global().counter("server.queries")),
       dropped_(metrics::Registry::global().counter("server.dropped")),
       errors_(metrics::Registry::global().counter("server.errors")),
@@ -168,7 +166,7 @@ Bytes WireFrontend::assemble(std::uint16_t id, bool rd, bool cd,
   if (has_opt) {
     out.push_back(0);  // root owner
     append_u16(out, dns::kOptType);
-    append_u16(out, options_.udp_size);
+    append_u16(out, kResponseUdpSize);
     const std::uint32_t ttl = (static_cast<std::uint32_t>(ext_rcode) << 24) |
                               (request_edns->do_bit ? 0x8000u : 0u);
     append_u32(out, ttl);
@@ -354,7 +352,7 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
   AnswerBody body = rcode_only_body(dns::RCode::kRefused);
   if (const auto view = store_.find(question.qname, question.qtype)) {
     std::optional<authserver::QueryResult> result;
-    if (cache_ != nullptr && options_.aggressive) {
+    if (cache_ != nullptr) {
       result = cache_->synthesize(*view->apex, question.qname, question.qtype,
                                   epoch);
     }

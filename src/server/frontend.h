@@ -13,7 +13,7 @@
 // the question region, whose *length* is spelling-independent. Both the
 // cache hit and miss paths funnel through the same assembly and the same
 // DO-bit section filter, which is what makes cache-on and cache-off
-// responses bit-identical (bench_qps digest-asserts this).
+// responses bit-identical (the QpsFixture ctest digest-asserts this).
 //
 // Error handling (satellite of PR 6): malformed packets get FORMERR,
 // unknown opcodes NOTIMP, EDNS version > 0 BADVERS — never an assert;
@@ -43,32 +43,24 @@ namespace dfx::server {
 /// large OPT RDATA would let one datagram pin server memory.
 constexpr std::size_t kMaxEdnsOptionBytes = 4096;
 
-struct FrontendOptions {
-  /// Payload size advertised in our response OPT (the common
-  /// fragmentation-safe default, RFC 9715).
-  std::uint16_t udp_size = 1232;
-  /// Synthesize negatives from harvested NSEC/NSEC3 (RFC 8198). Only
-  /// meaningful when a cache is attached.
-  bool aggressive = true;
-};
+/// Payload size advertised in our response OPT (the common
+/// fragmentation-safe default, RFC 9715).
+constexpr std::uint16_t kResponseUdpSize = 1232;
 
 class WireFrontend {
  public:
-  using Options = FrontendOptions;
-
   /// `cache` may be null: every query then takes the full zone walk
   /// (the cache-off reference the digest tests compare against).
-  /// The frontend borrows both — they must outlive it.
-  explicit WireFrontend(const ZoneStore& store, AnswerCache* cache = nullptr,
-                        Options options = Options());
+  /// The frontend borrows both — they must outlive it. With a cache
+  /// attached, negatives are synthesized from harvested NSEC/NSEC3
+  /// (RFC 8198) before the zone walk.
+  explicit WireFrontend(const ZoneStore& store, AnswerCache* cache = nullptr);
 
   /// Serve one datagram. Empty result = drop (short packet or QR set).
   /// The buffer is a raw attacker-controlled datagram; every length and
   /// count read out of it must be bounds-checked before use.
   DFX_HOT_PATH
   Bytes serve(DFX_TAINTED ByteView query) const;
-
-  const Options& options() const { return options_; }
 
  private:
   /// Encoded record sections of a full answer, DO-filtered.
@@ -93,7 +85,6 @@ class WireFrontend {
 
   const ZoneStore& store_;
   AnswerCache* cache_;
-  Options options_;
 
   metrics::Counter& queries_;
   metrics::Counter& dropped_;

@@ -1,158 +1,6 @@
 #include "util/metrics.h"
 
-#include <cmath>
-
 namespace dfx::metrics {
-namespace {
-
-int bucket_of(double value) {
-  if (!(value > 0.0)) return 0;
-  const int exp = static_cast<int>(std::floor(std::log2(value))) +
-                  Histogram::kBucketBias;
-  if (exp < 0) return 0;
-  if (exp >= Histogram::kBuckets) return Histogram::kBuckets - 1;
-  return exp;
-}
-
-}  // namespace
-
-void Histogram::record(double value) {
-  const MutexLock lock(mu_);
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    if (value < min_) min_ = value;
-    if (value > max_) max_ = value;
-  }
-  count_ += 1;
-  sum_ += value;
-  buckets_[static_cast<std::size_t>(bucket_of(value))] += 1;
-}
-
-void Histogram::merge(const Histogram& other) {
-  // Copy the source under its own lock first; the two-step avoids holding
-  // both locks at once (no ordering, no deadlock).
-  std::int64_t o_count = 0;
-  double o_sum = 0.0;
-  double o_min = 0.0;
-  double o_max = 0.0;
-  std::array<std::int64_t, kBuckets> o_buckets{};
-  {
-    const MutexLock lock(other.mu_);
-    o_count = other.count_;
-    o_sum = other.sum_;
-    o_min = other.min_;
-    o_max = other.max_;
-    o_buckets = other.buckets_;
-  }
-  if (o_count == 0) return;
-  const MutexLock lock(mu_);
-  if (count_ == 0) {
-    min_ = o_min;
-    max_ = o_max;
-  } else {
-    if (o_min < min_) min_ = o_min;
-    if (o_max > max_) max_ = o_max;
-  }
-  count_ += o_count;
-  sum_ += o_sum;
-  for (int b = 0; b < kBuckets; ++b) {
-    buckets_[static_cast<std::size_t>(b)] +=
-        o_buckets[static_cast<std::size_t>(b)];
-  }
-}
-
-std::int64_t Histogram::count() const {
-  const MutexLock lock(mu_);
-  return count_;
-}
-
-double Histogram::sum() const {
-  const MutexLock lock(mu_);
-  return sum_;
-}
-
-double Histogram::min() const {
-  const MutexLock lock(mu_);
-  return min_;
-}
-
-double Histogram::max() const {
-  const MutexLock lock(mu_);
-  return max_;
-}
-
-double Histogram::mean() const {
-  const MutexLock lock(mu_);
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double Histogram::percentile(double p) const {
-  const MutexLock lock(mu_);
-  if (count_ == 0) return 0.0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const double target = p * static_cast<double>(count_);
-  std::int64_t cumulative = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    cumulative += buckets_[static_cast<std::size_t>(b)];
-    if (static_cast<double>(cumulative) >= target) {
-      // Upper edge of bucket b is 2^(b + 1 - kBucketBias).
-      const double edge = std::ldexp(1.0, b + 1 - kBucketBias);
-      if (edge < min_) return min_;
-      if (edge > max_) return max_;
-      return edge;
-    }
-  }
-  return max_;
-}
-
-json::Value Histogram::to_json() const {
-  const MutexLock lock(mu_);
-  json::Object obj;
-  obj["count"] = json::Value(count_);
-  obj["sum"] = json::Value(sum_);
-  obj["min"] = json::Value(min_);
-  obj["max"] = json::Value(max_);
-  obj["mean"] =
-      json::Value(count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_));
-  // Sparse bucket encoding: [[bucket, count], ...] for non-empty buckets.
-  json::Array buckets;
-  for (int b = 0; b < kBuckets; ++b) {
-    const std::int64_t n = buckets_[static_cast<std::size_t>(b)];
-    if (n == 0) continue;
-    json::Array pair;
-    pair.push_back(json::Value(static_cast<std::int64_t>(b)));
-    pair.push_back(json::Value(n));
-    buckets.push_back(json::Value(std::move(pair)));
-  }
-  obj["buckets"] = json::Value(std::move(buckets));
-  return json::Value(std::move(obj));
-}
-
-bool Histogram::from_json(const json::Value& value, Histogram& out) {
-  if (!value.is_object()) return false;
-  const MutexLock lock(out.mu_);
-  out.buckets_.fill(0);
-  out.count_ = value.get_int("count", -1);
-  if (out.count_ < 0) return false;
-  out.sum_ = value.get_double("sum", 0.0);
-  out.min_ = value.get_double("min", 0.0);
-  out.max_ = value.get_double("max", 0.0);
-  const json::Value* buckets = value.find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) return false;
-  for (const auto& entry : buckets->as_array()) {
-    if (!entry.is_array() || entry.as_array().size() != 2) {
-      return false;
-    }
-    const auto& pair = entry.as_array();
-    const std::int64_t b = pair[0].is_int() ? pair[0].as_int() : -1;
-    if (b < 0 || b >= kBuckets || !pair[1].is_int()) return false;
-    out.buckets_[static_cast<std::size_t>(b)] = pair[1].as_int();
-  }
-  return true;
-}
 
 Counter& Registry::counter(std::string_view name) {
   const MutexLock lock(mu_);
@@ -164,51 +12,15 @@ Counter& Registry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const MutexLock lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& Registry::histogram(std::string_view name) {
-  const MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
 json::Value Registry::snapshot() const {
   const MutexLock lock(mu_);
   json::Object counters;
   for (const auto& [name, counter] : counters_) {
     counters[name] = json::Value(counter->value());
   }
-  json::Object gauges;
-  for (const auto& [name, gauge] : gauges_) {
-    gauges[name] = json::Value(gauge->value());
-  }
-  json::Object histograms;
-  for (const auto& [name, histogram] : histograms_) {
-    histograms[name] = histogram->to_json();
-  }
   json::Object root;
   root["counters"] = json::Value(std::move(counters));
-  root["gauges"] = json::Value(std::move(gauges));
-  root["histograms"] = json::Value(std::move(histograms));
   return json::Value(std::move(root));
-}
-
-void Registry::reset() {
-  const MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 Registry& Registry::global() {

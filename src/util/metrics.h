@@ -1,30 +1,28 @@
-// Process-wide observability: named counters, gauges and histogram timers
-// with JSON export through src/json.
+// Process-wide observability: named event counters with JSON export
+// through src/json.
 //
-// Every pipeline stage (corpus generation, probe/grok analysis, the §3
-// measurement analyses, DFixer iterations, ZReplicator replication) records
-// into the global registry; the bench harness snapshots it into each
-// `BENCH_<name>.json` so per-stage timings ride along with every run.
+// Pipeline stages (corpus generation, probe/grok analysis, DFixer
+// iterations, ZReplicator replication) and the serving path count their
+// events into the global registry; the bench harness snapshots it into
+// each `BENCH_<name>.json`. Timing is not done here: `BenchRun::stage`
+// times the bench binaries' stages and perfbench's traced spans time the
+// end-to-end workloads.
 //
-// Thread-safety: all types here are safe for concurrent use. `Counter` and
-// `Gauge` are single atomics; `Histogram` serializes recording behind an
-// annotated Mutex; `Registry` guards its name maps with a Mutex and hands
+// Thread-safety: all types here are safe for concurrent use. `Counter` is
+// a single atomic; `Registry` guards its name map with a Mutex and hands
 // out references that stay valid for the registry's lifetime. Guarded
 // fields carry DFX_GUARDED_BY, so a clang `-Wthread-safety` build rejects
 // any lock-free access path at compile time. Hot paths should look a
 // metric up once and cache the reference:
 //
-//   static auto& h = metrics::Registry::global().histogram("stage.grok");
-//   metrics::ScopedTimer timer(h);
+//   static auto& groks = metrics::Registry::global().counter("analyze.groks");
+//   groks.add(1);
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,77 +45,18 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Count/sum/min/max plus power-of-two buckets over value magnitudes.
-/// Bucket b counts values in [2^(b-kBucketBias), 2^(b+1-kBucketBias)), so
-/// the range spans ~1e-9 (sub-nanosecond timings) to ~1e10. Values are
-/// unit-agnostic; timers record seconds.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-  static constexpr int kBucketBias = 30;  // bucket 0 ≈ 2^-30 ≈ 1e-9
-
-  void record(double value) DFX_EXCLUDES(mu_);
-  /// Locks other.mu_ then mu_ strictly in sequence (copy-out, then fold
-  /// in), so no two Histogram locks are ever held at once.
-  void merge(const Histogram& other) DFX_EXCLUDES(mu_);
-
-  std::int64_t count() const DFX_EXCLUDES(mu_);
-  double sum() const DFX_EXCLUDES(mu_);
-  double min() const DFX_EXCLUDES(mu_);  // 0 when empty
-  double max() const DFX_EXCLUDES(mu_);  // 0 when empty
-  double mean() const DFX_EXCLUDES(mu_);
-
-  /// Approximate quantile from the power-of-two buckets: the upper edge of
-  /// the bucket where the cumulative count first reaches `p * count`,
-  /// clamped to [min, max]. `p` in [0, 1]; 0 when empty. Within a factor
-  /// of 2 of the exact value — good enough for p50/p99 latency reporting.
-  double percentile(double p) const DFX_EXCLUDES(mu_);
-
-  json::Value to_json() const DFX_EXCLUDES(mu_);
-  /// Parse a to_json() document into `out` (replacing its contents).
-  /// Returns false — leaving `out` unspecified — on malformed input.
-  /// Out-parameter because Histogram owns a mutex and cannot move.
-  [[nodiscard]] static bool from_json(const json::Value& value,
-                                      Histogram& out);
-
- private:
-  mutable Mutex mu_;
-  std::int64_t count_ DFX_GUARDED_BY(mu_) = 0;
-  double sum_ DFX_GUARDED_BY(mu_) = 0.0;
-  double min_ DFX_GUARDED_BY(mu_) = 0.0;
-  double max_ DFX_GUARDED_BY(mu_) = 0.0;
-  std::array<std::int64_t, kBuckets> buckets_ DFX_GUARDED_BY(mu_) = {};
-};
-
-/// Name → metric registry. Metric objects are created on first lookup and
-/// live as long as the registry; lookups of the same name return the same
+/// Name → counter registry. Counters are created on first lookup and live
+/// as long as the registry; lookups of the same name return the same
 /// object from any thread.
 class Registry {
  public:
   Registry() = default;
 
   Counter& counter(std::string_view name) DFX_EXCLUDES(mu_);
-  Gauge& gauge(std::string_view name) DFX_EXCLUDES(mu_);
-  Histogram& histogram(std::string_view name) DFX_EXCLUDES(mu_);
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} with keys in
-  /// lexicographic order (std::map), so serialized snapshots are
-  /// byte-stable across runs.
+  /// {"counters":{...}} with keys in lexicographic order (std::map), so
+  /// serialized snapshots are byte-stable across runs.
   json::Value snapshot() const DFX_EXCLUDES(mu_);
-
-  /// Drop every metric. References handed out earlier dangle; only call
-  /// between pipeline runs (the bench harness does, once, at startup).
-  void reset() DFX_EXCLUDES(mu_);
 
   /// The process-wide registry the pipeline stages record into.
   static Registry& global();
@@ -126,34 +65,6 @@ class Registry {
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       DFX_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      DFX_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      DFX_GUARDED_BY(mu_);
-};
-
-/// RAII wall-clock timer recording elapsed *seconds* into a histogram on
-/// destruction. Timers nest freely — each records its own inclusive span.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram)
-      : histogram_(&histogram), start_(std::chrono::steady_clock::now()) {}
-  /// Convenience: resolves `name` in the global registry.
-  explicit ScopedTimer(std::string_view name)
-      : ScopedTimer(Registry::global().histogram(name)) {}
-  ~ScopedTimer() { histogram_->record(elapsed_seconds()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  double elapsed_seconds() const {
-    const auto now = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(now - start_).count();
-  }
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace dfx::metrics

@@ -34,11 +34,8 @@ std::optional<crypto::DnssecAlgorithm> substitute_algorithm(
 
 ReplicationResult replicate(const SnapshotSpec& spec, std::uint64_t seed,
                             UnixTime now) {
-  static auto& replicate_hist =
-      metrics::Registry::global().histogram("stage.zreplicator.replicate");
   static auto& replicate_count =
       metrics::Registry::global().counter("zreplicator.replications");
-  metrics::ScopedTimer timer(replicate_hist);
   replicate_count.add(1);
   ReplicationResult result;
   if (spec.buggy_artifact) {

@@ -1,6 +1,5 @@
-// Metrics-layer tests: counter/gauge semantics under concurrency, histogram
-// recording and merging, JSON round-trips, ScopedTimer nesting, and the
-// registry's snapshot/reset lifecycle.
+// Metrics-layer tests: counter semantics under concurrency and the
+// registry's name lookup and snapshot.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -35,116 +34,6 @@ TEST(Counter, ConcurrentAddsAllLand) {
   EXPECT_EQ(c.value(), static_cast<std::int64_t>(kThreads) * kAdds);
 }
 
-TEST(Gauge, LastWriteWins) {
-  Gauge g;
-  g.set(1.5);
-  g.set(-2.25);
-  EXPECT_EQ(g.value(), -2.25);
-}
-
-TEST(Histogram, RecordsSummaryStatistics) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.min(), 0.0);
-  h.record(2.0);
-  h.record(8.0);
-  h.record(0.5);
-  EXPECT_EQ(h.count(), 3);
-  EXPECT_EQ(h.sum(), 10.5);
-  EXPECT_EQ(h.min(), 0.5);
-  EXPECT_EQ(h.max(), 8.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 10.5 / 3.0);
-}
-
-TEST(Histogram, MergeAddsCountsAndWidensRange) {
-  Histogram a;
-  Histogram b;
-  a.record(1.0);
-  a.record(4.0);
-  b.record(0.125);
-  b.record(1024.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_EQ(a.sum(), 1.0 + 4.0 + 0.125 + 1024.0);
-  EXPECT_EQ(a.min(), 0.125);
-  EXPECT_EQ(a.max(), 1024.0);
-  // b is untouched.
-  EXPECT_EQ(b.count(), 2);
-}
-
-TEST(Histogram, PercentileTracksDistributionWithinBucketError) {
-  Histogram h;
-  EXPECT_EQ(h.percentile(0.5), 0.0);  // empty histogram
-  for (int i = 1; i <= 1000; ++i) {
-    h.record(static_cast<double>(i));
-  }
-  // Log-bucketed: answers are within a factor of 2 of the exact rank value.
-  const double p50 = h.percentile(0.50);
-  const double p99 = h.percentile(0.99);
-  EXPECT_GE(p50, 250.0);
-  EXPECT_LE(p50, 1000.0);
-  EXPECT_GE(p99, 495.0);
-  EXPECT_LE(p99, 1000.0);
-  EXPECT_LE(p50, p99);
-  // Extremes clamp to the observed range.
-  EXPECT_EQ(h.percentile(0.0), h.min());
-  EXPECT_LE(h.percentile(1.0), h.max());
-}
-
-TEST(Histogram, PercentileSurvivesMerge) {
-  Histogram fast;
-  Histogram slow;
-  for (int i = 0; i < 90; ++i) fast.record(1.0);
-  for (int i = 0; i < 10; ++i) slow.record(1000.0);
-  fast.merge(slow);
-  // p50 lands in the fast mode, p99 in the slow tail (factor-of-2 buckets).
-  EXPECT_LE(fast.percentile(0.50), 2.0);
-  EXPECT_GE(fast.percentile(0.99), 500.0);
-}
-
-TEST(Histogram, MergeWithSelfDoublesWithoutDeadlock) {
-  Histogram h;
-  h.record(3.0);
-  h.merge(h);
-  EXPECT_EQ(h.count(), 2);
-  EXPECT_EQ(h.sum(), 6.0);
-}
-
-TEST(Histogram, JsonRoundTrip) {
-  Histogram h;
-  h.record(1e-6);
-  h.record(0.25);
-  h.record(0.25);
-  h.record(7.5e4);
-  const json::Value encoded = h.to_json();
-  Histogram back;
-  ASSERT_TRUE(Histogram::from_json(encoded, back));
-  EXPECT_EQ(back.count(), h.count());
-  EXPECT_EQ(back.sum(), h.sum());
-  EXPECT_EQ(back.min(), h.min());
-  EXPECT_EQ(back.max(), h.max());
-  // Bucket-exact: serializing the parsed histogram reproduces the document.
-  EXPECT_EQ(json::serialize(back.to_json()), json::serialize(encoded));
-}
-
-TEST(Histogram, FromJsonRejectsMalformedInput) {
-  Histogram out;
-  EXPECT_FALSE(Histogram::from_json(json::Value(std::int64_t{3}), out));
-  json::Object missing_buckets;
-  missing_buckets["count"] = json::Value(std::int64_t{1});
-  EXPECT_FALSE(
-      Histogram::from_json(json::Value(std::move(missing_buckets)), out));
-  json::Object bad_bucket;
-  bad_bucket["count"] = json::Value(std::int64_t{1});
-  json::Array buckets;
-  json::Array pair;
-  pair.push_back(json::Value(std::int64_t{Histogram::kBuckets}));  // range
-  pair.push_back(json::Value(std::int64_t{1}));
-  buckets.push_back(json::Value(std::move(pair)));
-  bad_bucket["buckets"] = json::Value(std::move(buckets));
-  EXPECT_FALSE(Histogram::from_json(json::Value(std::move(bad_bucket)), out));
-}
-
 TEST(Registry, SameNameSameObject) {
   Registry registry;
   Counter& a = registry.counter("x");
@@ -159,67 +48,16 @@ TEST(Registry, SnapshotIsStableAndComplete) {
   Registry registry;
   registry.counter("b.count").add(2);
   registry.counter("a.count").add(1);
-  registry.gauge("g").set(0.5);
-  registry.histogram("h").record(1.0);
   const json::Value snap = registry.snapshot();
   ASSERT_TRUE(snap.is_object());
   const json::Value* counters = snap.find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->get_int("a.count", -1), 1);
   EXPECT_EQ(counters->get_int("b.count", -1), 2);
-  const json::Value* gauges = snap.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  EXPECT_EQ(gauges->get_double("g", 0.0), 0.5);
-  const json::Value* histograms = snap.find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  ASSERT_NE(histograms->find("h"), nullptr);
-  EXPECT_EQ(histograms->find("h")->get_int("count", -1), 1);
+  // Counters are the only metric kind.
+  EXPECT_EQ(snap.as_object().size(), 1u);
   // Serialization is deterministic (std::map ordering).
   EXPECT_EQ(json::serialize(snap), json::serialize(registry.snapshot()));
-}
-
-TEST(Registry, ResetDropsEverything) {
-  Registry registry;
-  registry.counter("c").add(5);
-  registry.reset();
-  EXPECT_EQ(registry.counter("c").value(), 0);
-}
-
-TEST(ScopedTimer, RecordsIntoHistogram) {
-  Histogram h;
-  {
-    ScopedTimer timer(h);
-    EXPECT_GE(timer.elapsed_seconds(), 0.0);
-  }
-  EXPECT_EQ(h.count(), 1);
-  EXPECT_GE(h.sum(), 0.0);
-}
-
-TEST(ScopedTimer, NestedTimersEachRecordInclusiveSpans) {
-  Histogram outer;
-  Histogram inner;
-  {
-    ScopedTimer a(outer);
-    {
-      ScopedTimer b(inner);
-    }
-    {
-      ScopedTimer c(inner);
-    }
-  }
-  EXPECT_EQ(outer.count(), 1);
-  EXPECT_EQ(inner.count(), 2);
-  // The outer span encloses both inner spans.
-  EXPECT_GE(outer.max(), inner.max());
-}
-
-TEST(ScopedTimer, NameConstructorUsesGlobalRegistry) {
-  Registry::global().reset();
-  {
-    ScopedTimer timer("test.scoped_timer");
-  }
-  EXPECT_EQ(Registry::global().histogram("test.scoped_timer").count(), 1);
-  Registry::global().reset();
 }
 
 }  // namespace
