@@ -1,11 +1,15 @@
-// Micro-benchmarks for the substrate: hashing, signing, zone signing, and
-// the probe+grok analysis path (google-benchmark).
+// Micro-benchmarks for the substrate: hashing, signing, zone signing, the
+// probe+grok analysis path, and the wire and master-file codecs
+// (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <variant>
+#include <vector>
 
 #include "analyzer/grok.h"
 #include "json/json.h"
@@ -13,6 +17,7 @@
 #include "crypto/algorithm.h"
 #include "crypto/sha1.h"
 #include "crypto/sha2.h"
+#include "dnscore/masterfile.h"
 #include "dnscore/message.h"
 #include "util/rng.h"
 #include "zone/nsec3.h"
@@ -184,6 +189,48 @@ void BM_MessageRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MessageRoundTrip);
+
+// The master-file tokenizer and RDATA text parsers over a few hundred
+// printed records (the parser's one timer).
+void BM_MasterFileParse(benchmark::State& state) {
+  Rng rng(13);
+  std::vector<dns::ResourceRecord> records;
+  for (int i = 0; i < 80; ++i) {
+    const auto owner =
+        dns::Name::of("host" + std::to_string(i) + ".example.com.");
+    dns::ARdata a;
+    rng.fill(a.address);
+    records.push_back(
+        {owner, dns::RRType::kA, dns::RRClass::kIN, 300, dns::Rdata(a)});
+    records.push_back({owner, dns::RRType::kMX, dns::RRClass::kIN, 300,
+                       dns::Rdata(dns::MxRdata{
+                           10, dns::Name::of("mail.example.com.")})});
+    dns::TxtRdata txt;
+    txt.strings = {"v=spf1 -all", "id=" + std::to_string(i)};
+    records.push_back(
+        {owner, dns::RRType::kTXT, dns::RRClass::kIN, 300, dns::Rdata(txt)});
+    dns::DsRdata ds;
+    ds.key_tag = static_cast<std::uint16_t>(i);
+    ds.algorithm = 13;
+    ds.digest_type = 2;
+    ds.digest.resize(32);
+    rng.fill(ds.digest);
+    records.push_back(
+        {owner, dns::RRType::kDS, dns::RRClass::kIN, 300, dns::Rdata(ds)});
+  }
+  const std::string text = dns::print_master_file(records);
+  for (auto _ : state) {
+    const auto parsed = dns::parse_master_file(text, dns::Name::root());
+    if (!std::holds_alternative<std::vector<dns::ResourceRecord>>(parsed)) {
+      state.SkipWithError("parse_master_file rejected its own output");
+      break;
+    }
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_MasterFileParse);
 
 }  // namespace
 

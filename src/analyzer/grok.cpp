@@ -60,26 +60,6 @@ std::vector<RRsetView> extract_proofs(const authserver::QueryResult& result,
   return out;
 }
 
-/// Expected signature length plausibility by algorithm family.
-bool plausible_signature_length(std::uint8_t algorithm, std::size_t size) {
-  const auto info = crypto::algorithm_info(algorithm);
-  if (!info) return size > 0;
-  if (info->rsa_family) return size >= 24;  // smallest real modulus we emit
-  return size == 16;                        // Schnorr-64 signatures
-}
-
-/// Plausibility of DNSKEY public key material by algorithm family.
-bool plausible_key_length(std::uint8_t algorithm, ByteView public_key) {
-  const auto info = crypto::algorithm_info(algorithm);
-  if (!info) return !public_key.empty();
-  if (info->rsa_family) {
-    crypto::RsaPublicKey pub;
-    if (!crypto::RsaPublicKey::decode(public_key, pub)) return false;
-    return pub.n.bit_length() >= 128;
-  }
-  return public_key.size() == 8;
-}
-
 std::size_t observed_key_bits(const dns::DnskeyRdata& key) {
   const auto info = crypto::algorithm_info(key.algorithm);
   if (info && info->rsa_family) {
@@ -211,7 +191,7 @@ struct ZoneChecker {
     }
     // Key-level checks.
     for (const auto& key : dnskeys) {
-      if (!plausible_key_length(key.algorithm, key.public_key)) {
+      if (!crypto::plausible_key_length(key.algorithm, key.public_key)) {
         sink.add(ErrorCode::kBadKeyLength, apex(),
                  "DNSKEY key_tag=" + std::to_string(key.key_tag()) +
                      " has an invalid key length for algorithm " +
@@ -422,8 +402,8 @@ struct ZoneChecker {
         while (closest.label_count() > sig.labels) closest = closest.parent();
         signing_owner = closest.child("*");
       }
-      if (!plausible_signature_length(sig.algorithm,
-                                      sig.signature.size())) {
+      if (!crypto::plausible_signature_length(sig.algorithm,
+                                              sig.signature.size())) {
         sink.add(ErrorCode::kBadSignatureLength, apex(),
                  sig_id + " has an implausible signature length " +
                      std::to_string(sig.signature.size()));
@@ -893,7 +873,8 @@ ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
     km.algorithm = key.algorithm;
     km.key_tag = key.key_tag();
     km.key_bits = observed_key_bits(key);
-    km.length_plausible = plausible_key_length(key.algorithm, key.public_key);
+    km.length_plausible =
+        crypto::plausible_key_length(key.algorithm, key.public_key);
     meta.keys.push_back(km);
   }
   for (std::size_t di = 0; di < checker.ds_set.size(); ++di) {

@@ -62,6 +62,24 @@ std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number) {
   return algorithm_info(static_cast<DnssecAlgorithm>(number));
 }
 
+bool plausible_signature_length(std::uint8_t algorithm, std::size_t size) {
+  const auto info = algorithm_info(algorithm);
+  if (!info) return size > 0;
+  if (info->rsa_family) return size >= 24;  // smallest real modulus we emit
+  return size == 16;                        // Schnorr-64 signatures
+}
+
+bool plausible_key_length(std::uint8_t algorithm, ByteView public_key) {
+  const auto info = algorithm_info(algorithm);
+  if (!info) return !public_key.empty();
+  if (info->rsa_family) {
+    RsaPublicKey pub;
+    if (!RsaPublicKey::decode(public_key, pub)) return false;
+    return pub.n.bit_length() >= 128;
+  }
+  return public_key.size() == 8;
+}
+
 std::vector<DnssecAlgorithm> bind_supported_algorithms() {
   std::vector<DnssecAlgorithm> out;
   for (const auto& info : kAlgorithms) {

@@ -58,6 +58,17 @@ const std::vector<AlgorithmInfo>& all_algorithms();
 std::optional<AlgorithmInfo> algorithm_info(DnssecAlgorithm alg);
 std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number);
 
+/// Whether `size` octets is a plausible signature length for `algorithm`'s
+/// family. The one judgement grok applies to probed RRSIGs and zonelint to
+/// a zone file's own.
+[[nodiscard]] bool plausible_signature_length(std::uint8_t algorithm,
+                                              std::size_t size);
+
+/// Whether `public_key` is plausible DNSKEY key material for `algorithm`'s
+/// family (an RSA key must decode to a modulus of at least 128 bits).
+[[nodiscard]] bool plausible_key_length(std::uint8_t algorithm,
+                                        ByteView public_key);
+
 /// Algorithms a modelled BIND can sign with, ascending by number.
 std::vector<DnssecAlgorithm> bind_supported_algorithms();
 

@@ -1,9 +1,9 @@
-// WireArena: a chunked bump allocator backing the zero-copy wire and
-// master-file parse paths.
+// WireArena: a chunked bump allocator backing the master-file tokenizer
+// (dnscore/tokenizer.h).
 //
-// Per-record parsing must not pay one heap allocation per field (label
-// arrays, unescaped tokens, scratch rdata). The arena turns all of those
-// into pointer bumps: allocation is `cur += n`, deallocation is `reset()`.
+// Per-line parsing must not pay one heap allocation per field (field
+// arrays, unescaped tokens). The arena turns those into pointer bumps:
+// allocation is `cur += n`, deallocation is `reset()`.
 //
 // Ownership and lifetime rules (see docs/PERFORMANCE.md, "Arena lifetime
 // rules"):
@@ -12,9 +12,9 @@
 //    arena. Callers receive non-owning views (spans / string_views); they
 //    must NOT free them and must NOT use them after reset() or after the
 //    arena is destroyed.
-//  - reset() invalidates every outstanding view at once. The intended
-//    pattern is one reset() per parsed message (or per logical line), so a
-//    view's lifetime is "until the current record batch is done".
+//  - reset() invalidates every outstanding view at once. parse_master_file
+//    uses one arena per file and never resets it, so its views live until
+//    the parse returns.
 //  - Growth never moves existing chunks: views handed out earlier stay
 //    valid across later alloc() calls (only reset()/destruction kill them).
 //  - A WireArena is single-threaded by design: confine each instance to

@@ -1,7 +1,8 @@
 #include "dnscore/message.h"
 
 #include <cctype>
-#include <memory>
+#include <span>
+#include <string>
 
 #include "dnscore/wire.h"
 #include "util/check.hpp"
@@ -40,22 +41,9 @@ std::uint64_t label_hash(std::string_view label) {
 /// (pinned by a regression test).
 class NameCompressor {
  public:
-  /// `base` is the index in the output buffer where the DNS message starts;
-  /// compression offsets are relative to it (encode_message writes into an
-  /// empty buffer, so base 0; reencode_message appends to a caller buffer).
-  explicit NameCompressor(std::size_t base = 0) : base_(base) {}
-
   void write_name(Bytes& out, const Name& name) {
-    const auto& labels = name.labels();
-    DFX_CHECK(labels.size() <= kMaxNamePieces, "name of %zu labels",
-              labels.size());
-    std::string_view pieces[kMaxNamePieces];
-    for (std::size_t i = 0; i < labels.size(); ++i) pieces[i] = labels[i];
-    write_name(out, pieces, labels.size());
-  }
-
-  /// Piece-level entry point, shared with the zero-copy re-encoder.
-  void write_name(Bytes& out, const std::string_view* labels, std::size_t n) {
+    const std::span<const std::string> labels = name.labels();
+    const std::size_t n = labels.size();
     DFX_CHECK(n <= kMaxNamePieces, "name of %zu labels", n);
     std::uint64_t suffix_hash[kMaxNamePieces + 1];
     suffix_hash[n] = kFnvBasis;
@@ -69,7 +57,7 @@ class NameCompressor {
     bool found = false;
     for (; skip < n; ++skip) {
       if (const auto off =
-              lookup(out, suffix_hash[skip], labels + skip, n - skip)) {
+              lookup(out, suffix_hash[skip], labels.subspan(skip))) {
         pointer = *off;
         found = true;
         break;
@@ -79,9 +67,9 @@ class NameCompressor {
     // each emitted label's suffix for later names. First occurrence wins,
     // and only offsets representable in a 14-bit pointer are remembered.
     for (std::size_t i = 0; i < skip; ++i) {
-      const std::size_t offset = out.size() - base_;
+      const std::size_t offset = out.size();
       if (offset < 0x3FFF) {
-        insert_if_absent(out, suffix_hash[i], labels + i, n - i,
+        insert_if_absent(out, suffix_hash[i], labels.subspan(i),
                          static_cast<std::uint32_t>(offset));
       }
       DFX_DCHECK(labels[i].size() <= 63);
@@ -108,22 +96,21 @@ class NameCompressor {
   /// walked bytes were all written by this compressor, so the chain is
   /// well-formed by construction.
   bool suffix_at(const Bytes& out, std::uint32_t offset,
-                 const std::string_view* labels, std::size_t n) const {
-    std::size_t pos = base_ + offset;
+                 std::span<const std::string> labels) const {
+    std::size_t pos = offset;
     std::size_t idx = 0;
     DFX_BOUNDED_LOOP(guard, out.size() + 2);
     while (true) {
       guard.tick();
       DFX_DCHECK(pos < out.size());
       const std::uint8_t len = out[pos];
-      if (len == 0) return idx == n;
+      if (len == 0) return idx == labels.size();
       if ((len & 0xC0) == 0xC0) {
         DFX_DCHECK(pos + 1 < out.size());
-        pos = base_ +
-              (((static_cast<std::size_t>(len) & 0x3F) << 8) | out[pos + 1]);
+        pos = ((static_cast<std::size_t>(len) & 0x3F) << 8) | out[pos + 1];
         continue;
       }
-      if (idx >= n || labels[idx].size() != len) return false;
+      if (idx >= labels.size() || labels[idx].size() != len) return false;
       DFX_DCHECK(pos + 1 + len <= out.size());
       for (std::size_t i = 0; i < len; ++i) {
         if (fold(static_cast<char>(out[pos + 1 + i])) != fold(labels[idx][i])) {
@@ -135,15 +122,15 @@ class NameCompressor {
     }
   }
 
-  std::optional<std::uint32_t> lookup(const Bytes& out, std::uint64_t hash,
-                                      const std::string_view* labels,
-                                      std::size_t n) const {
+  std::optional<std::uint32_t> lookup(
+      const Bytes& out, std::uint64_t hash,
+      std::span<const std::string> labels) const {
     if (count_ == 0) return std::nullopt;
     std::size_t i = hash & mask_;
     DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
     while (slots_[i].offset != kEmptySlot) {
       guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels, n)) {
+      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels)) {
         return slots_[i].offset;
       }
       i = (i + 1) & mask_;
@@ -152,14 +139,14 @@ class NameCompressor {
   }
 
   void insert_if_absent(const Bytes& out, std::uint64_t hash,
-                        const std::string_view* labels, std::size_t n,
+                        std::span<const std::string> labels,
                         std::uint32_t offset) {
     if ((count_ + 1) * 4 >= slots_.size() * 3) grow();
     std::size_t i = hash & mask_;
     DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
     while (slots_[i].offset != kEmptySlot) {
       guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels, n)) {
+      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels)) {
         return;  // first occurrence wins, like the old map's emplace
       }
       i = (i + 1) & mask_;
@@ -184,7 +171,6 @@ class NameCompressor {
     }
   }
 
-  std::size_t base_;
   std::vector<Slot> slots_ = std::vector<Slot>(64);
   std::size_t mask_ = 63;
   std::size_t count_ = 0;
@@ -222,22 +208,21 @@ std::optional<ResourceRecord> read_record_body(WireReader& r, Name owner,
 }
 
 /// Decode an OPT record body (owner and type already read; root owner
-/// already checked per RFC 6891 §6.1.2). Shared by the owned and the view
-/// parse path — `options` aliases the packet buffer.
-std::optional<EdnsView> read_opt_body(WireReader& r) {
-  EdnsView edns;
+/// already checked per RFC 6891 §6.1.2).
+std::optional<EdnsInfo> read_opt_body(WireReader& r) {
+  EdnsInfo edns;
   edns.udp_size = r.read_u16();  // the CLASS field
   const std::uint32_t ttl = r.read_u32();
   edns.ext_rcode = static_cast<std::uint8_t>((ttl >> 24) & 0xFF);
   edns.version = static_cast<std::uint8_t>((ttl >> 16) & 0xFF);
   edns.do_bit = (ttl & 0x8000) != 0;
   const std::uint16_t rdlength = r.read_u16();
-  edns.options = r.read_view(rdlength);
+  const ByteView options = r.read_view(rdlength);
   if (!r.ok()) return std::nullopt;
   // Options are TLVs: walk them so a truncated TLV is rejected here
   // rather than surviving to confuse a consumer.
-  WireReader opts(edns.options);
-  DFX_BOUNDED_LOOP(guard, edns.options.size() + 1);
+  WireReader opts(options);
+  DFX_BOUNDED_LOOP(guard, options.size() + 1);
   while (opts.ok() && opts.remaining() > 0) {
     guard.tick();     // each round consumes >= 4 octets
     opts.read_u16();  // OPTION-CODE
@@ -245,11 +230,11 @@ std::optional<EdnsView> read_opt_body(WireReader& r) {
     opts.read_view(olen);
   }
   if (!opts.ok()) return std::nullopt;
+  edns.options = Bytes(options.begin(), options.end());
   return edns;
 }
 
-template <typename Edns>  // EdnsInfo or EdnsView (same field names)
-void write_opt(Bytes& out, const Edns& edns) {
+void write_opt(Bytes& out, const EdnsInfo& edns) {
   out.push_back(0);  // root owner
   append_u16(out, kOptType);
   append_u16(out, edns.udp_size);
@@ -350,15 +335,8 @@ std::optional<Message> decode_message(ByteView wire) {
       if (allow_opt && type == kOptType) {
         if (msg.edns.has_value()) return false;   // RFC 6891 §6.1.1
         if (!owner->is_root()) return false;      // RFC 6891 §6.1.2
-        auto edns = read_opt_body(r);
-        if (!edns) return false;
-        EdnsInfo info;
-        info.udp_size = edns->udp_size;
-        info.ext_rcode = edns->ext_rcode;
-        info.version = edns->version;
-        info.do_bit = edns->do_bit;
-        info.options = Bytes(edns->options.begin(), edns->options.end());
-        msg.edns = std::move(info);
+        msg.edns = read_opt_body(r);
+        if (!msg.edns) return false;
         continue;
       }
       auto rr = read_record_body(r, *std::move(owner),
@@ -376,123 +354,6 @@ std::optional<Message> decode_message(ByteView wire) {
   // let decode(encode(decode(x))) disagree with decode(x).
   if (r.remaining() != 0) return std::nullopt;
   return msg;
-}
-
-std::optional<MessageView> parse_message_view(ByteView wire,
-                                              WireArena& arena) {
-  WireReader r(wire);
-  MessageView mv;
-  mv.id = r.read_u16();
-  mv.flags = r.read_u16();
-  const std::uint16_t qd = r.read_u16();
-  const std::uint16_t an = r.read_u16();
-  const std::uint16_t ns = r.read_u16();
-  const std::uint16_t ar = r.read_u16();
-  if (!r.ok()) return std::nullopt;
-  // Same KeyTrap count precheck as decode_message.
-  if (5u * qd + 11u * (static_cast<std::size_t>(an) + ns + ar) >
-      r.remaining()) {
-    return std::nullopt;
-  }
-  const auto questions = arena.alloc_array<QuestionView>(qd);
-  for (std::size_t i = 0; i < qd; ++i) {
-    const auto qname = r.read_name_views(arena);
-    if (!qname) return std::nullopt;
-    const std::uint16_t qtype = r.read_u16();
-    const std::uint16_t qclass = r.read_u16();
-    if (!r.ok()) return std::nullopt;
-    std::construct_at(&questions[i], QuestionView{*qname, qtype, qclass});
-  }
-  mv.questions = {questions.data(), questions.size()};
-  const auto read_section =
-      [&](std::uint16_t count, bool allow_opt,
-          std::span<const RecordView>& section) -> bool {
-    const auto records = arena.alloc_array<RecordView>(count);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto owner = r.read_name_views(arena);
-      if (!owner) return false;
-      const std::uint16_t type = r.read_u16();
-      if (!r.ok()) return false;
-      if (allow_opt && type == kOptType) {
-        if (mv.edns.has_value()) return false;  // RFC 6891 §6.1.1
-        if (!owner->empty()) return false;      // RFC 6891 §6.1.2
-        auto edns = read_opt_body(r);
-        if (!edns) return false;
-        mv.edns = *edns;
-        continue;
-      }
-      RecordView rr;
-      rr.owner = *owner;
-      rr.type = type;
-      rr.rrclass = r.read_u16();
-      rr.ttl = r.read_u32();
-      const std::uint16_t rdlength = r.read_u16();
-      rr.rdata = r.read_view(rdlength);
-      if (!r.ok()) return false;
-      std::construct_at(&records[n++], rr);
-    }
-    section = {records.data(), n};
-    return true;
-  };
-  if (!read_section(an, false, mv.answers)) return std::nullopt;
-  if (!read_section(ns, false, mv.authorities)) return std::nullopt;
-  if (!read_section(ar, true, mv.additionals)) return std::nullopt;
-  if (r.remaining() != 0) return std::nullopt;  // trailing bytes
-  return mv;
-}
-
-// The appended bytes ARE the product; `out` is caller-reused across
-// packets, so growth amortizes to zero in the bench loop.
-// dfx-lint: allow(hot-path-cost): unavoidable output-buffer growth.
-bool reencode_message(ByteView wire, WireArena& arena, Bytes& out) {
-  const std::size_t mark = out.size();
-  const auto mv = parse_message_view(wire, arena);
-  if (!mv) return false;
-  append_u16(out, mv->id);
-  // The Z bit (0x0040) is the only flag decode_message drops; everything
-  // else round-trips bit-for-bit through the Header booleans.
-  append_u16(out, mv->flags & 0xFFBF);
-  const std::size_t arcount =
-      mv->additionals.size() + (mv->edns.has_value() ? 1 : 0);
-  // Section sizes are bounded by the header counts (u16) the parser read.
-  DFX_DCHECK(mv->questions.size() <= 0xFFFF && mv->answers.size() <= 0xFFFF &&
-             mv->authorities.size() <= 0xFFFF && arcount <= 0xFFFF);
-  append_u16(out, static_cast<std::uint16_t>(mv->questions.size()));
-  append_u16(out, static_cast<std::uint16_t>(mv->answers.size()));
-  append_u16(out, static_cast<std::uint16_t>(mv->authorities.size()));
-  append_u16(out, static_cast<std::uint16_t>(arcount));
-  NameCompressor comp(mark);
-  for (const auto& q : mv->questions) {
-    comp.write_name(out, q.qname.data(), q.qname.size());
-    append_u16(out, q.qtype);
-    append_u16(out, q.qclass);
-  }
-  const auto write_rr = [&](const RecordView& rr) -> bool {
-    comp.write_name(out, rr.owner.data(), rr.owner.size());
-    append_u16(out, rr.type);
-    append_u16(out, rr.rrclass);
-    append_u32(out, rr.ttl);
-    const std::size_t len_pos = out.size();
-    append_u16(out, 0);  // RDLENGTH, patched below
-    if (!reencode_rdata(rr.type, rr.rdata, out)) return false;
-    const std::size_t rdlen = out.size() - len_pos - 2;
-    DFX_DCHECK(rdlen <= 0xFFFF);
-    out[len_pos] = static_cast<std::uint8_t>(rdlen >> 8);
-    out[len_pos + 1] = static_cast<std::uint8_t>(rdlen & 0xFF);
-    return true;
-  };
-  for (const auto section : {mv->answers, mv->authorities, mv->additionals}) {
-    for (const auto& rr : section) {
-      if (!write_rr(rr)) {
-        DFX_DCHECK(mark <= out.size());
-        out.resize(mark);  // leave `out` untouched on failure
-        return false;
-      }
-    }
-  }
-  if (mv->edns) write_opt(out, *mv->edns);
-  return true;
 }
 
 }  // namespace dfx::dns

@@ -1,18 +1,17 @@
-// DNS message format (RFC 1035 §4) with name compression.
+// DNS message format (RFC 1035 §4) with name compression: the one wire
+// codec.
 //
-// The in-process authoritative servers exchange typed structures for speed,
-// but the full wire codec is implemented (and tested) so the substrate is a
-// complete DNS library; the probe engine round-trips responses through it
-// in wire-check mode.
+// `decode_message` materializes owned `Name`/`Rdata` values (names through
+// wire.h's `scan_name_pieces`) and is total on arbitrary bytes;
+// `encode_message` is its inverse and writes every packet
+// `server::WireFrontend` serves. The in-process authoritative servers the
+// replay probes exchange typed structures and never touch wire bytes.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string_view>
 #include <vector>
 
-#include "dnscore/arena.h"
 #include "dnscore/name.h"
 #include "dnscore/rr.h"
 #include "dnscore/rrset.h"
@@ -83,82 +82,5 @@ Bytes encode_message(const Message& msg);
 /// last record, or more than one OPT record — RFC 6891 §6.1.1). An OPT
 /// record in the additional section decodes into `edns`, not `additionals`.
 [[nodiscard]] std::optional<Message> decode_message(ByteView wire);
-
-// ---------------------------------------------------------------------------
-// Zero-copy view layer.
-//
-// `parse_message_view` walks a packet without materializing Name/Rdata
-// values: owner names become spans of label pieces aliasing the packet,
-// RDATA stays a raw slice of it, and all bookkeeping (the piece and record
-// arrays) lives in a caller-provided WireArena. Every view below is valid
-// only while BOTH the packet buffer and the arena are alive and the arena
-// has not been reset — see docs/PERFORMANCE.md for the ownership rules.
-
-/// A question with its QNAME as zero-copy label pieces.
-struct QuestionView {
-  std::span<const std::string_view> qname;  // pieces alias the packet
-  std::uint16_t qtype = 0;
-  std::uint16_t qclass = 0;
-};
-
-/// A resource record header plus its raw RDATA slice. `rdata` is the wire
-/// bytes exactly as received (names still compressed, case preserved); it
-/// has NOT been validated per-type — feed it to `reencode_rdata` or
-/// `rdata_from_wire` for that.
-struct RecordView {
-  std::span<const std::string_view> owner;  // pieces alias the packet
-  DFX_TAINTED std::uint16_t type = 0;
-  DFX_TAINTED std::uint16_t rrclass = 0;
-  DFX_TAINTED std::uint32_t ttl = 0;
-  DFX_TAINTED ByteView rdata;  // aliases the packet
-};
-
-/// OPT pseudo-record state, zero-copy counterpart of EdnsInfo.
-struct EdnsView {
-  DFX_TAINTED std::uint16_t udp_size = kClassicUdpSize;
-  DFX_TAINTED std::uint8_t ext_rcode = 0;
-  DFX_TAINTED std::uint8_t version = 0;
-  bool do_bit = false;
-  DFX_TAINTED ByteView options;  // aliases the packet (TLVs, walked-valid)
-};
-
-/// A parsed message whose every span points into the packet buffer or the
-/// arena it was parsed with.
-struct MessageView {
-  std::uint16_t id = 0;
-  /// Raw header flags word, Z bit included (decode_message drops it; the
-  /// re-encode path masks it with 0xFFBF to match encode_message).
-  std::uint16_t flags = 0;
-  std::span<const QuestionView> questions;
-  std::span<const RecordView> answers;
-  std::span<const RecordView> authorities;
-  std::span<const RecordView> additionals;
-  std::optional<EdnsView> edns;
-};
-
-/// Structurally parse a message without copying: section geometry, name
-/// wire rules, the KeyTrap count precheck, OPT placement/uniqueness/TLV
-/// rules and the trailing-bytes check are all enforced exactly as in
-/// `decode_message`, but RDATA content is NOT validated per-type (that is
-/// the one acceptance difference — a message with, say, a 3-octet A record
-/// parses here and only fails at re-encode). No per-record heap
-/// allocation: all arrays come from `arena`.
-DFX_HOT_PATH
-[[nodiscard]] std::optional<MessageView> parse_message_view(ByteView wire,
-                                                            WireArena& arena);
-
-/// One-pass re-encode: appends to `out` exactly the bytes
-/// `encode_message(*decode_message(wire))` would produce, without
-/// materializing a Message — names are recompressed through the same
-/// compression table the owned encoder uses, RDATA is re-canonicalized via
-/// `reencode_rdata`, and a present OPT record is re-emitted last. Returns
-/// false, leaving `out` untouched, exactly when `decode_message` returns
-/// nullopt. `arena` backs the intermediate views and is not reset here;
-/// callers reusing one arena across packets should reset it between them.
-/// Equivalence with the owned path is pinned by differential tests over
-/// the fuzz corpus; this is the path `bench_wire_throughput` measures.
-DFX_HOT_PATH
-[[nodiscard]] bool reencode_message(ByteView wire, WireArena& arena,
-                                    Bytes& out);
 
 }  // namespace dfx::dns

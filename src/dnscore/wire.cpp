@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
-#include <memory>
 
 #include "util/check.hpp"
 
@@ -23,65 +21,6 @@ constexpr std::size_t kMaxNameTextLength = 253;
 /// characters; everything else is legal in DNS.
 inline bool label_char_ok(std::uint8_t c) {
   return std::isspace(c) == 0 && c >= 0x21;
-}
-
-inline std::uint8_t fold(std::uint8_t c) {
-  return static_cast<std::uint8_t>(
-      std::tolower(static_cast<unsigned char>(c)) & 0xFF);
-}
-
-/// Append the canonical (lower-case, uncompressed) wire form of a name
-/// given as label pieces — the piece-level equivalent of
-/// Name::to_canonical_wire.
-void emit_canonical_name(Bytes& out, const std::string_view* pieces,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    DFX_DCHECK(pieces[i].size() <= 63);
-    out.push_back(static_cast<std::uint8_t>(pieces[i].size()));
-    for (const char c : pieces[i]) {
-      out.push_back(fold(static_cast<std::uint8_t>(c)));
-    }
-  }
-  out.push_back(0);
-}
-
-/// Canonical re-encode of an NSEC/NSEC3 type bitmap: mirrors
-/// decode_type_bitmap's tolerances (malformed window blocks and trailing
-/// bytes are silently dropped), merges duplicate windows, and emits
-/// windows in ascending order with minimal octet counts — exactly what
-/// encode_type_bitmap(decode_type_bitmap(data)) produces.
-void reencode_type_bitmap(ByteView data, Bytes& out) {
-  std::uint8_t bits[256][32];
-  bool present[256] = {};
-  std::size_t pos = 0;
-  DFX_BOUNDED_LOOP(guard, data.size() / 3 + 1);
-  while (pos + 2 <= data.size()) {
-    guard.tick();
-    const std::uint8_t window = data[pos];
-    const std::size_t len = data[pos + 1];
-    pos += 2;
-    if (len == 0 || len > 32 || pos + len > data.size()) break;
-    if (!present[window]) {
-      std::memset(bits[window], 0, sizeof bits[window]);
-      present[window] = true;
-    }
-    for (std::size_t i = 0; i < len; ++i) bits[window][i] |= data[pos + i];
-    pos += len;
-  }
-  for (int w = 0; w < 256; ++w) {
-    if (!present[w]) continue;
-    int max_octet = -1;
-    for (int i = 31; i >= 0; --i) {
-      if (bits[w][i] != 0) {
-        max_octet = i;
-        break;
-      }
-    }
-    if (max_octet < 0) continue;  // all-zero block decodes to no types
-    out.push_back(static_cast<std::uint8_t>(w));
-    out.push_back(static_cast<std::uint8_t>(max_octet + 1));
-    for (int i = 0; i <= max_octet; ++i) out.push_back(bits[w][i]);
-  }
 }
 
 }  // namespace
@@ -241,21 +180,6 @@ std::optional<Name> WireReader::read_name() {
   return Name::from_validated_pieces({pieces, n});
 }
 
-std::optional<std::span<const std::string_view>> WireReader::read_name_views(
-    WireArena& arena) {
-  std::string_view pieces[kMaxNamePieces];
-  std::size_t n = 0;
-  if (!scan_name_pieces(data_, pos_, pieces, &n)) {
-    ok_ = false;
-    return std::nullopt;
-  }
-  const auto stored = arena.alloc_array<std::string_view>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::construct_at(&stored[i], pieces[i]);  // arena memory is raw
-  }
-  return std::span<const std::string_view>(stored.data(), stored.size());
-}
-
 std::optional<Rdata> rdata_from_wire(RRType type, ByteView wire) {
   WireReader r(wire);
   const auto finish = [&](Rdata value) -> std::optional<Rdata> {
@@ -399,117 +323,6 @@ std::optional<Rdata> rdata_from_wire(RRType type, ByteView wire) {
     }
   }
   return std::nullopt;
-}
-
-bool reencode_rdata(std::uint16_t type, ByteView wire, Bytes& out) {
-  const std::size_t mark = out.size();
-  // Scratch for embedded names; reused across the fields of one RDATA.
-  std::string_view pieces[kMaxNamePieces];
-  std::size_t n = 0;
-  std::size_t pos = 0;
-  const auto verbatim = [&](std::size_t from, std::size_t upto) {
-    append(out, wire.subspan(from, upto - from));
-  };
-  const auto fail = [&]() {
-    DFX_DCHECK(mark <= out.size());  // we only ever append past mark
-    out.resize(mark);
-    return false;
-  };
-  switch (static_cast<RRType>(type)) {
-    case RRType::kA:
-      if (wire.size() != 4) return fail();
-      verbatim(0, 4);
-      return true;
-    case RRType::kAAAA:
-      if (wire.size() != 16) return fail();
-      verbatim(0, 16);
-      return true;
-    case RRType::kNS:
-    case RRType::kCNAME: {
-      if (!scan_name_pieces(wire, pos, pieces, &n) || pos != wire.size()) {
-        return fail();
-      }
-      emit_canonical_name(out, pieces, n);
-      return true;
-    }
-    case RRType::kSOA: {
-      if (!scan_name_pieces(wire, pos, pieces, &n)) return fail();
-      emit_canonical_name(out, pieces, n);
-      if (!scan_name_pieces(wire, pos, pieces, &n)) return fail();
-      emit_canonical_name(out, pieces, n);
-      if (wire.size() - pos != 20) return fail();  // the five u32 fields
-      verbatim(pos, wire.size());
-      return true;
-    }
-    case RRType::kMX: {
-      if (wire.size() < 2) return fail();
-      pos = 2;
-      if (!scan_name_pieces(wire, pos, pieces, &n) || pos != wire.size()) {
-        return fail();
-      }
-      verbatim(0, 2);
-      emit_canonical_name(out, pieces, n);
-      return true;
-    }
-    case RRType::kTXT: {
-      if (wire.empty()) return fail();  // at least one character-string
-      DFX_BOUNDED_LOOP(guard, wire.size() + 1);
-      while (pos < wire.size()) {
-        guard.tick();  // each round consumes >= 1 octet
-        const std::uint8_t len = wire[pos];
-        if (pos + 1 + len > wire.size()) return fail();
-        pos += 1 + len;
-      }
-      verbatim(0, wire.size());  // length-prefixed strings are canonical
-      return true;
-    }
-    case RRType::kDNSKEY:
-    case RRType::kCDNSKEY:
-      if (wire.size() < 4) return fail();  // flags + protocol + algorithm
-      verbatim(0, wire.size());            // key blob is opaque
-      return true;
-    case RRType::kDS:
-    case RRType::kCDS:
-      if (wire.size() < 5) return fail();  // fixed fields + nonempty digest
-      verbatim(0, wire.size());            // digest blob is opaque
-      return true;
-    case RRType::kRRSIG: {
-      if (wire.size() < 18) return fail();  // fixed fields through key tag
-      pos = 18;
-      if (!scan_name_pieces(wire, pos, pieces, &n)) return fail();
-      verbatim(0, 18);
-      emit_canonical_name(out, pieces, n);
-      verbatim(pos, wire.size());  // signature blob is opaque
-      return true;
-    }
-    case RRType::kNSEC: {
-      if (!scan_name_pieces(wire, pos, pieces, &n)) return fail();
-      emit_canonical_name(out, pieces, n);
-      reencode_type_bitmap(wire.subspan(pos), out);
-      return true;
-    }
-    case RRType::kNSEC3: {
-      if (wire.size() < 5) return fail();  // fixed fields + salt length
-      pos = 4;
-      const std::uint8_t salt_len = wire[pos++];
-      if (pos + salt_len >= wire.size()) return fail();  // need hash length
-      pos += salt_len;
-      const std::uint8_t hash_len = wire[pos++];
-      if (hash_len == 0 || pos + hash_len > wire.size()) return fail();
-      pos += hash_len;
-      verbatim(0, pos);  // fixed fields, salt and hash are canonical as-is
-      reencode_type_bitmap(wire.subspan(pos), out);
-      return true;
-    }
-    case RRType::kNSEC3PARAM: {
-      if (wire.size() < 5) return fail();  // fixed fields + salt length
-      const std::uint8_t salt_len = wire[4];
-      if (5u + salt_len != wire.size()) return fail();  // no trailing bytes
-      verbatim(0, wire.size());
-      return true;
-    }
-  }
-  return fail();  // unknown TYPE
 }
 
 }  // namespace dfx::dns

@@ -1,24 +1,14 @@
 // Wire-format reader/writer and RDATA wire decoding.
 //
 // rdata_to_wire (canonical encode) lives with the Rdata types; this header
-// adds the inverse direction plus a bounds-checked cursor both the message
-// codec and tests use.
-//
-// Two parse paths share one name scanner (`scan_name_pieces`):
-//
-//  - the owned path (`read_name`, `rdata_from_wire`, `decode_message`)
-//    materializes `Name`/`Rdata` values — use it when the records outlive
-//    the packet buffer;
-//  - the zero-copy path (`read_name_views`, `reencode_rdata`,
-//    `parse_message_view`/`reencode_message` in message.h) hands out views
-//    into the packet buffer and allocates bookkeeping in a WireArena — use
-//    it on the hot serving/measurement paths where per-record heap
-//    allocations dominate (see docs/PERFORMANCE.md).
+// adds the inverse direction plus a bounds-checked cursor the message codec
+// and tests use. Every wire name goes through one scanner,
+// `scan_name_pieces`; `WireReader::read_name` builds the owned `Name` from
+// its pieces.
 #pragma once
 
 #include <optional>
 
-#include "dnscore/arena.h"
 #include "dnscore/name.h"
 #include "dnscore/rdata.h"
 #include "dnscore/rr.h"
@@ -71,13 +61,6 @@ class WireReader {
   DFX_COLD("owned Name construction is the cache-miss path; hits key on raw wire bytes")
   std::optional<Name> read_name();
 
-  /// Zero-copy variant of read_name: label pieces alias the reader's
-  /// buffer, and the span itself lives in `arena` (valid until the arena
-  /// is reset). No per-label heap allocation is performed. Returns
-  /// nullopt (and poisons ok()) exactly when read_name would.
-  [[nodiscard]] std::optional<std::span<const std::string_view>>
-  read_name_views(WireArena& arena);
-
   void seek(std::size_t pos);
 
  private:
@@ -90,17 +73,5 @@ class WireReader {
 /// malformed data or unknown types.
 [[nodiscard]] std::optional<Rdata> rdata_from_wire(RRType type,
                                                    ByteView wire);
-
-/// One-pass canonical re-encode of an RDATA wire image: appends to `out`
-/// exactly the bytes `rdata_to_wire(*rdata_from_wire(type, wire))` would
-/// produce (embedded names decompressed and lower-cased, NSEC bitmaps
-/// re-canonicalized), without materializing an Rdata — fixed fields and
-/// opaque blobs are block-copied from `wire`. Returns false, leaving `out`
-/// untouched, exactly when rdata_from_wire returns nullopt. `type` is the
-/// raw wire TYPE: unknown values fail. This is the zero-allocation hot
-/// path the throughput bench drives; its equivalence with the owned path
-/// is pinned by differential tests over the fuzz corpus.
-[[nodiscard]] bool reencode_rdata(std::uint16_t type, ByteView wire,
-                                  Bytes& out);
 
 }  // namespace dfx::dns

@@ -21,7 +21,7 @@ std::size_t ZoneStore::shard_of(const dns::Name& apex) {
 }
 
 // The ancestor walk copies one Name per candidate label (parent() rebuilds
-// the label vector); a non-owning NameView walk is tracked in ROADMAP.md.
+// the label vector); a name has at most 127 labels, so the copies are bounded.
 // dfx-lint: allow(hot-path-cost): bounded ancestor-walk Name copies (above).
 std::optional<ZoneStore::ZoneView> ZoneStore::find(const dns::Name& qname,
                                                    dns::RRType qtype) const {

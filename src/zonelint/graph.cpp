@@ -4,27 +4,9 @@
 #include <string>
 
 #include "crypto/algorithm.h"
-#include "crypto/rsa.h"
 #include "util/codec.h"
 
 namespace dfx::zonelint {
-namespace {
-
-/// Plausibility of DNSKEY public key material by algorithm family — the
-/// same judgement grok applies to probed keys (analyzer/grok.cpp), applied
-/// here to the zone file's own records.
-bool plausible_key_length(std::uint8_t algorithm, ByteView public_key) {
-  const auto info = crypto::algorithm_info(algorithm);
-  if (!info) return !public_key.empty();
-  if (info->rsa_family) {
-    crypto::RsaPublicKey pub;
-    if (!crypto::RsaPublicKey::decode(public_key, pub)) return false;
-    return pub.n.bit_length() >= 128;
-  }
-  return public_key.size() == 8;
-}
-
-}  // namespace
 
 std::vector<std::size_t> TrustGraph::keys_matching(
     std::uint16_t tag, std::uint8_t algorithm) const {
@@ -54,7 +36,7 @@ TrustGraph build_trust_graph(const zone::Zone& zone,
       node.revoked = key->is_revoked();
       node.sep = (key->flags & 0x0001) != 0;
       node.plausible_length =
-          plausible_key_length(key->algorithm, key->public_key);
+          crypto::plausible_key_length(key->algorithm, key->public_key);
       g.keys.push_back(std::move(node));
     }
   }

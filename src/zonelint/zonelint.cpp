@@ -18,15 +18,6 @@ namespace {
 using analyzer::ErrorCategory;
 using analyzer::ErrorCode;
 
-/// Expected signature length plausibility by algorithm family (the same
-/// judgement grok applies to probed RRSIGs).
-bool plausible_signature_length(std::uint8_t algorithm, std::size_t size) {
-  const auto info = crypto::algorithm_info(algorithm);
-  if (!info) return size > 0;
-  if (info->rsa_family) return size >= 24;
-  return size == 16;
-}
-
 // ---- Fix-spec builders ----------------------------------------------------
 
 /// Re-sign the zone with its current denial parameters (optionally forcing
@@ -356,7 +347,8 @@ class Linter {
                       std::to_string(expected_labels),
                   fix_resign(g_, apex_));
       }
-      if (!plausible_signature_length(sig.algorithm, sig.signature.size())) {
+      if (!crypto::plausible_signature_length(sig.algorithm,
+                                              sig.signature.size())) {
         sink_.add(ErrorCode::kBadSignatureLength, apex_,
                   sig_id + " has an implausible signature length " +
                       std::to_string(sig.signature.size()),

@@ -92,7 +92,8 @@ TEST_P(FuzzSeeds, MessageDecoderIsTotal) {
 
 /// Hand-built wire messages that target the hard corners of wire.cpp name
 /// decompression and record decoding: pointer loops, pointers past the end,
-/// truncated headers and rdata, oversized labels, and count/body mismatches.
+/// truncated headers and rdata, oversized labels, count/body mismatches, and
+/// the Z bit and OPT-record rules.
 /// Every entry must decode (or fail) without crashing or hanging — the
 /// DFX_BOUNDED_LOOP guards in read_name keep the pointer cases finite.
 std::vector<Bytes> wire_corpus() {
@@ -163,15 +164,74 @@ std::vector<Bytes> wire_corpus() {
     b.push_back(0x0c);
     corpus.push_back(std::move(b));
   }
+  // Z bit set on an otherwise valid query: decode drops it, so re-encoding
+  // clears it.
+  {
+    Bytes b = append(header(1, 0), {0x01, 'a', 0x00, 0x00, 0x01, 0x00, 0x01});
+    b[3] |= 0x40;
+    corpus.push_back(std::move(b));
+  }
+  // An OPT pseudo-record (RFC 6891) with wire owner `owner` and RDATA
+  // `rdata`; `ar1` is a header with ARCOUNT 1 and no other records.
+  const auto opt = [](std::initializer_list<int> owner,
+                      std::initializer_list<int> rdata) {
+    Bytes b;
+    for (const int o : owner) b.push_back(static_cast<std::uint8_t>(o));
+    b.push_back(0x00);  // TYPE 41
+    b.push_back(static_cast<std::uint8_t>(dns::kOptType));
+    b.push_back(0x04);  // CLASS: UDP payload size 1232
+    b.push_back(0xd0);
+    b.insert(b.end(), 4, 0x00);  // TTL: ext-rcode, version, flags
+    b.push_back(0x00);
+    b.push_back(static_cast<std::uint8_t>(rdata.size()));
+    for (const int r : rdata) b.push_back(static_cast<std::uint8_t>(r));
+    return b;
+  };
+  const Bytes ar1 = {0x12, 0x34, 0x01, 0x00, 0x00, 0x00,
+                     0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
+  // OPT with a non-root owner "x." (RFC 6891 §6.1.2).
+  {
+    Bytes b = ar1;
+    const Bytes rr = opt({0x01, 'x', 0x00}, {});
+    b.insert(b.end(), rr.begin(), rr.end());
+    corpus.push_back(std::move(b));
+  }
+  // Two OPT records (RFC 6891 §6.1.1 allows one).
+  {
+    Bytes b = ar1;
+    b[11] = 0x02;
+    for (int i = 0; i < 2; ++i) {
+      const Bytes rr = opt({0x00}, {});
+      b.insert(b.end(), rr.begin(), rr.end());
+    }
+    corpus.push_back(std::move(b));
+  }
+  // OPT whose option TLV is truncated: three octets, half a TLV header.
+  {
+    Bytes b = ar1;
+    const Bytes rr = opt({0x00}, {0x00, 0x0a, 0x00});
+    b.insert(b.end(), rr.begin(), rr.end());
+    corpus.push_back(std::move(b));
+  }
   return corpus;
+}
+
+/// Whatever decodes re-encodes to a fixed point: the first round trip may
+/// canonicalize (embedded names lower-cased, the Z bit dropped, compressed
+/// owners respelled), but a second one changes nothing —
+/// encode(decode(encode(decode(x)))) == encode(decode(x)).
+void expect_reencode_fixed_point(ByteView wire) {
+  const auto decoded = dns::decode_message(wire);
+  if (!decoded) return;
+  const Bytes once = dns::encode_message(*decoded);
+  const auto again = dns::decode_message(once);
+  ASSERT_TRUE(again.has_value()) << hex_encode(wire);
+  EXPECT_EQ(dns::encode_message(*again), once) << hex_encode(wire);
 }
 
 TEST(WireCorpus, AdversarialMessagesDecodeTotally) {
   for (const Bytes& buffer : wire_corpus()) {
-    const auto decoded = dns::decode_message(buffer);
-    if (decoded) {
-      (void)dns::encode_message(*decoded);  // round-trip must not crash
-    }
+    expect_reencode_fixed_point(buffer);
   }
 }
 
@@ -180,10 +240,7 @@ TEST_P(FuzzSeeds, WireCorpusSurvivesMutation) {
   const auto corpus = wire_corpus();
   for (int i = 0; i < 100; ++i) {
     for (const Bytes& entry : corpus) {
-      const auto decoded = dns::decode_message(mutate(rng, entry));
-      if (decoded) {
-        (void)dns::encode_message(*decoded);
-      }
+      expect_reencode_fixed_point(mutate(rng, entry));
     }
   }
 }

@@ -1,16 +1,8 @@
-// Zero-copy wire layer tests: WireArena lifetime rules, scan_name_pieces /
-// read_name_views vs the owned read_name, and — the load-bearing part —
-// differential equivalence of the one-pass re-encode paths against the
-// owned decode→encode composition:
-//
-//   reencode_rdata(type, wire, out)  ==  rdata_to_wire(*rdata_from_wire(...))
-//   reencode_message(wire, arena, out) == encode_message(*decode_message(...))
-//
-// with acceptance parity (fails exactly when the owned path does, leaving
-// `out` untouched) over constructed packets, an adversarial corpus, and
-// random/mutated buffers. The compression regression suite replicates the
-// retired std::map suffix-table compressor in-test and pins byte-identical
-// output from the hash-table replacement.
+// Wire-layer tests for the pieces beneath the one DNS codec: WireArena
+// lifetime rules (the master-file tokenizer's allocator), scan_name_pieces
+// against the owned read_name it backs, and the compression regression
+// suite, which replicates the retired std::map suffix-table compressor
+// in-test and pins byte-identical output from the hash-table replacement.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,34 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "dnscore/arena.h"
 #include "dnscore/message.h"
 #include "dnscore/wire.h"
-#include "util/codec.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
 namespace dfx::dns {
 namespace {
-
-Bytes random_buffer(Rng& rng, std::size_t max_size) {
-  Bytes out(rng.uniform(max_size + 1));
-  rng.fill(out);
-  return out;
-}
-
-Bytes mutate(Rng& rng, Bytes input) {
-  if (input.empty()) return input;
-  const std::size_t flips = 1 + rng.uniform(4);
-  for (std::size_t i = 0; i < flips; ++i) {
-    const std::size_t at = rng.uniform(input.size());
-    input[at] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
-  }
-  return input;
-}
-
-std::vector<std::string> to_labels(std::span<const std::string_view> views) {
-  return {views.begin(), views.end()};
-}
 
 ResourceRecord rr(const Name& owner, RRType type, Rdata rdata,
                   std::uint32_t ttl = 3600) {
@@ -58,7 +30,7 @@ ResourceRecord rr(const Name& owner, RRType type, Rdata rdata,
 }
 
 // A response exercising every supported RR type, shared-suffix compression
-// and EDNS — the packet shape the serving path re-encodes all day.
+// and EDNS — the packet shape the serving path encodes all day.
 Message make_rich_response(std::uint64_t seed) {
   Rng rng(seed);
   const Name apex = Name::of("zone" + std::to_string(seed % 7) + ".Example.");
@@ -257,291 +229,6 @@ TEST(ScanName, RejectsExactlyWhatReadNameRejects) {
   ASSERT_TRUE(scan_name_pieces(root, pos, pieces, &n));
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(pos, 1u);
-}
-
-TEST(ScanName, ReadNameViewsAgreesWithReadNameOnPackets) {
-  Rng rng(0xDECAF);
-  for (int i = 0; i < 50; ++i) {
-    const Bytes wire = encode_message(make_rich_response(i));
-    // Walk every question/record owner via both paths.
-    WireReader owned(wire);
-    owned.seek(12);
-    WireReader viewed(wire);
-    viewed.seek(12);
-    WireArena arena;
-    for (int names = 0; names < 3; ++names) {  // qname + first two owners
-      const auto name = owned.read_name();
-      ASSERT_TRUE(name.has_value());
-      const auto views = viewed.read_name_views(arena);
-      ASSERT_TRUE(views.has_value());
-      EXPECT_EQ(to_labels(*views), name->labels());
-      EXPECT_EQ(owned.position(), viewed.position());
-      // Skip type/class (+ttl/rdata for records) identically.
-      const std::size_t skip = names == 0 ? 4 : 8;
-      owned.seek(owned.position() + skip);
-      viewed.seek(viewed.position() + skip);
-      if (names > 0) {
-        const std::uint16_t len = owned.read_u16();
-        owned.seek(owned.position() + len);
-        const std::uint16_t vlen = viewed.read_u16();
-        viewed.seek(viewed.position() + vlen);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// reencode_rdata differential
-
-const std::uint16_t kAllTypes[] = {
-    1,  2,  5,  6,  15, 16, 28, 43, 46, 47,
-    48, 50, 51, 59, 60,                       // supported set
-    0,  3,  12, 41, 99, 255, 999,             // unknown / OPT: must reject
-};
-
-void expect_rdata_parity(std::uint16_t type, ByteView wire) {
-  Bytes out = {0xEE, 0xFF};  // sentinel prefix: failure must not disturb it
-  const bool fast_ok = reencode_rdata(type, wire, out);
-  const auto owned = rdata_from_wire(static_cast<RRType>(type), wire);
-  ASSERT_EQ(fast_ok, owned.has_value())
-      << "type=" << type << " wire=" << hex_encode(wire);
-  if (!fast_ok) {
-    EXPECT_EQ(out, (Bytes{0xEE, 0xFF}));
-    return;
-  }
-  Bytes expected = {0xEE, 0xFF};
-  append(expected, rdata_to_wire(*owned));
-  EXPECT_EQ(out, expected) << "type=" << type << " wire=" << hex_encode(wire);
-}
-
-TEST(ReencodeRdata, MatchesOwnedPathOnValidRdata) {
-  for (int i = 0; i < 40; ++i) {
-    const Message msg = make_rich_response(i);
-    const auto check = [](const std::vector<ResourceRecord>& records) {
-      for (const auto& record : records) {
-        expect_rdata_parity(static_cast<std::uint16_t>(record.type),
-                            rdata_to_wire(record.rdata));
-      }
-    };
-    check(msg.answers);
-    check(msg.authorities);
-    check(msg.additionals);
-  }
-}
-
-TEST(ReencodeRdata, MatchesOwnedPathOnRandomBuffers) {
-  Rng rng(0xBEEF);
-  for (const std::uint16_t type : kAllTypes) {
-    for (int i = 0; i < 300; ++i) {
-      expect_rdata_parity(type, random_buffer(rng, 80));
-    }
-  }
-}
-
-TEST(ReencodeRdata, MatchesOwnedPathOnMutatedValidRdata) {
-  Rng rng(0xF00D);
-  const Message msg = make_rich_response(1);
-  for (const auto& record : msg.authorities) {
-    const Bytes valid = rdata_to_wire(record.rdata);
-    for (int i = 0; i < 200; ++i) {
-      expect_rdata_parity(static_cast<std::uint16_t>(record.type),
-                          mutate(rng, valid));
-    }
-  }
-}
-
-TEST(ReencodeRdata, DecompressesAndLowercasesEmbeddedNames) {
-  // An NS rdata whose wire image is "NS1.Example." written with mixed case:
-  // the re-encode must emit the canonical (lower-cased, uncompressed) form,
-  // i.e. what rdata_to_wire produces after a parse.
-  Bytes wire;
-  for (const char* l : {"NS1", "Example"}) {
-    wire.push_back(static_cast<std::uint8_t>(std::strlen(l)));
-    append(wire, as_bytes(std::string_view(l)));
-  }
-  wire.push_back(0);
-  Bytes out;
-  ASSERT_TRUE(reencode_rdata(2, wire, out));
-  Bytes expected;
-  for (const char* l : {"ns1", "example"}) {
-    expected.push_back(static_cast<std::uint8_t>(std::strlen(l)));
-    append(expected, as_bytes(std::string_view(l)));
-  }
-  expected.push_back(0);
-  EXPECT_EQ(out, expected);
-}
-
-// ---------------------------------------------------------------------------
-// parse_message_view structure
-
-TEST(ParseMessageView, ExposesThePacketZeroCopy) {
-  Message msg = make_rich_response(3);
-  msg.edns->udp_size = 4096;
-  const Bytes wire = encode_message(msg);
-  WireArena arena;
-  const auto mv = parse_message_view(wire, arena);
-  ASSERT_TRUE(mv.has_value());
-  EXPECT_EQ(mv->id, msg.header.id);
-  ASSERT_EQ(mv->questions.size(), 1u);
-  EXPECT_EQ(to_labels(mv->questions[0].qname), msg.questions[0].qname.labels());
-  EXPECT_EQ(mv->questions[0].qtype, static_cast<std::uint16_t>(RRType::kA));
-  ASSERT_EQ(mv->answers.size(), msg.answers.size());
-  ASSERT_EQ(mv->authorities.size(), msg.authorities.size());
-  ASSERT_EQ(mv->additionals.size(), msg.additionals.size());
-  for (std::size_t i = 0; i < mv->answers.size(); ++i) {
-    const RecordView& v = mv->answers[i];
-    EXPECT_EQ(v.type, static_cast<std::uint16_t>(msg.answers[i].type));
-    EXPECT_EQ(v.ttl, msg.answers[i].ttl);
-    EXPECT_EQ(to_labels(v.owner), msg.answers[i].owner.labels());
-    // The rdata view aliases the packet, not a copy.
-    EXPECT_GE(v.rdata.data(), wire.data());
-    EXPECT_LE(v.rdata.data() + v.rdata.size(), wire.data() + wire.size());
-  }
-  ASSERT_TRUE(mv->edns.has_value());
-  EXPECT_EQ(mv->edns->udp_size, 4096);
-  EXPECT_TRUE(mv->edns->do_bit);
-}
-
-TEST(ParseMessageView, RejectsStructuralGarbage) {
-  WireArena arena;
-  // Truncated header.
-  EXPECT_FALSE(parse_message_view(Bytes{0, 1, 2}, arena).has_value());
-  // Count inflation (KeyTrap-style): qd=0xFFFF over an empty body.
-  Bytes lie = encode_message(make_rich_response(0));
-  lie.resize(12);
-  lie[4] = 0xFF;
-  lie[5] = 0xFF;
-  EXPECT_FALSE(parse_message_view(lie, arena).has_value());
-  // Trailing bytes after the last section.
-  Bytes trailing = encode_message(make_rich_response(0));
-  trailing.push_back(0);
-  EXPECT_FALSE(parse_message_view(trailing, arena).has_value());
-}
-
-// ---------------------------------------------------------------------------
-// reencode_message differential
-
-void expect_message_parity(ByteView wire, WireArena& arena) {
-  arena.reset();
-  Bytes out = {0xAB};  // sentinel: rejection must leave it untouched
-  const bool fast_ok = reencode_message(wire, arena, out);
-  const auto owned = decode_message(wire);
-  ASSERT_EQ(fast_ok, owned.has_value()) << "wire=" << hex_encode(wire);
-  if (!fast_ok) {
-    EXPECT_EQ(out, Bytes{0xAB});
-    return;
-  }
-  Bytes expected = {0xAB};
-  append(expected, encode_message(*owned));
-  EXPECT_EQ(out, expected) << "wire=" << hex_encode(wire);
-}
-
-TEST(ReencodeMessage, MatchesOwnedRoundTripOnValidPackets) {
-  WireArena arena;
-  for (int i = 0; i < 60; ++i) {
-    expect_message_parity(encode_message(make_rich_response(i)), arena);
-  }
-}
-
-TEST(ReencodeMessage, MatchesOwnedRoundTripOnAdversarialPackets) {
-  // Hand-built nasties in the spirit of test_fuzz's wire_corpus: header
-  // lies, pointer games, malformed OPT placement.
-  std::vector<Bytes> corpus;
-  const Bytes valid = encode_message(make_rich_response(5));
-
-  corpus.push_back({});                      // empty
-  corpus.push_back({0x12, 0x34});            // truncated header
-  Bytes counts = valid;
-  counts[6] = 0xFF;                          // ancount lie
-  corpus.push_back(counts);
-  Bytes z_flag = valid;
-  z_flag[3] |= 0x40;                         // Z bit set: dropped by decode
-  corpus.push_back(z_flag);
-  Bytes truncated = valid;
-  truncated.resize(valid.size() / 2);
-  corpus.push_back(truncated);
-  Bytes trailing = valid;
-  trailing.push_back(0xAA);
-  corpus.push_back(trailing);
-
-  // qname is a forward pointer (illegal: pointers are backward-only).
-  Bytes forward = {0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
-                   0xC0, 0x10, 0, 1, 0, 1};
-  corpus.push_back(forward);
-  // qname is a self-loop pointer.
-  Bytes loop = {0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
-                0xC0, 0x0C, 0, 1, 0, 1};
-  corpus.push_back(loop);
-  // OPT with a non-root owner (RFC 6891 violation).
-  {
-    Bytes opt = {0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1};
-    opt.push_back(1);
-    opt.push_back('x');
-    opt.push_back(0);             // owner "x."
-    append_u16(opt, kOptType);
-    append_u16(opt, 1232);        // class = udp size
-    append_u32(opt, 0);
-    append_u16(opt, 0);           // rdlength
-    corpus.push_back(opt);
-  }
-  // Two OPT records (must be unique per RFC 6891 §6.1.1).
-  {
-    Bytes two = {0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2};
-    for (int i = 0; i < 2; ++i) {
-      two.push_back(0);
-      append_u16(two, kOptType);
-      append_u16(two, 1232);
-      append_u32(two, 0);
-      append_u16(two, 0);
-    }
-    corpus.push_back(two);
-  }
-  // OPT whose options blob holds a truncated TLV.
-  {
-    Bytes tlv = {0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1};
-    tlv.push_back(0);
-    append_u16(tlv, kOptType);
-    append_u16(tlv, 1232);
-    append_u32(tlv, 0);
-    append_u16(tlv, 3);           // rdlength: half a TLV header
-    tlv.push_back(0);
-    tlv.push_back(10);
-    tlv.push_back(0);
-    corpus.push_back(tlv);
-  }
-
-  WireArena arena;
-  for (const auto& wire : corpus) expect_message_parity(wire, arena);
-}
-
-TEST(ReencodeMessage, MatchesOwnedRoundTripOnMutatedPackets) {
-  Rng rng(0xC0FFEE);
-  WireArena arena;
-  for (int seed = 0; seed < 8; ++seed) {
-    const Bytes valid = encode_message(make_rich_response(seed));
-    for (int i = 0; i < 250; ++i) {
-      expect_message_parity(mutate(rng, valid), arena);
-    }
-  }
-}
-
-TEST(ReencodeMessage, MatchesOwnedRoundTripOnRandomBuffers) {
-  Rng rng(0x5EED);
-  WireArena arena;
-  for (int i = 0; i < 2000; ++i) {
-    expect_message_parity(random_buffer(rng, 200), arena);
-  }
-}
-
-TEST(ReencodeMessage, AppendsAfterExistingOutputBytes) {
-  // The compressor must compute pointer offsets relative to the message
-  // start, not the buffer start, when out is non-empty (base_ handling).
-  const Bytes wire = encode_message(make_rich_response(9));
-  WireArena arena;
-  Bytes batched(37, 0x77);  // pretend 37 bytes of a TCP stream already out
-  ASSERT_TRUE(reencode_message(wire, arena, batched));
-  EXPECT_EQ(Bytes(batched.begin() + 37, batched.end()), wire);
-  EXPECT_EQ(Bytes(batched.begin(), batched.begin() + 37), Bytes(37, 0x77));
 }
 
 // ---------------------------------------------------------------------------
