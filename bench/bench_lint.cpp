@@ -29,7 +29,7 @@
 
 namespace {
 
-std::optional<std::string> read_file(const std::string& path) {
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return std::nullopt;
   std::ostringstream ss;

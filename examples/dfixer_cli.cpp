@@ -22,7 +22,7 @@ using namespace dfx;
 
 namespace {
 
-std::optional<analyzer::Snapshot> demo_snapshot() {
+[[nodiscard]] std::optional<analyzer::Snapshot> demo_snapshot() {
   // A zone whose only KSK is revoked while the parent DS still points at
   // it — the paper's Figure 8 scenario, replicated in the sandbox.
   zreplicator::SnapshotSpec spec;

@@ -124,7 +124,7 @@ std::string error_category_name(ErrorCategory category) {
   return "?";
 }
 
-std::optional<int> paper_marker(ErrorCode code) {
+[[nodiscard]] std::optional<int> paper_marker(ErrorCode code) {
   const int m = info(code).marker;
   if (m == 0) return std::nullopt;
   return m;

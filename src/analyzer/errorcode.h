@@ -83,7 +83,7 @@ std::string error_code_name(ErrorCode code);
 std::string error_category_name(ErrorCategory category);
 
 /// The ①-⑨ marker index from Table 3 / Figure 4, when the code has one.
-std::optional<int> paper_marker(ErrorCode code);
+[[nodiscard]] std::optional<int> paper_marker(ErrorCode code);
 
 /// Codes whose presence breaks validation for at least one validator path
 /// (drives sb), vs. violations most validators tolerate (svm).

@@ -14,7 +14,8 @@ json::Value error_to_json(const ErrorInstance& e) {
   return json::Value(std::move(obj));
 }
 
-std::optional<ErrorInstance> error_from_json(const json::Value& v) {
+[[nodiscard]] std::optional<ErrorInstance> error_from_json(
+    const json::Value& v) {
   if (!v.is_object()) return std::nullopt;
   ErrorInstance e;
   e.code = static_cast<ErrorCode>(v.get_int("code", 0));
@@ -45,7 +46,8 @@ std::string status_name(SnapshotStatus status) {
   return "?";
 }
 
-std::optional<SnapshotStatus> status_from_name(std::string_view name) {
+[[nodiscard]] std::optional<SnapshotStatus> status_from_name(
+    std::string_view name) {
   if (name == "sv") return SnapshotStatus::kSignedValid;
   if (name == "svm") return SnapshotStatus::kSignedValidMisconfig;
   if (name == "sb") return SnapshotStatus::kSignedBogus;
@@ -130,7 +132,8 @@ json::Value snapshot_to_json(const Snapshot& snapshot) {
   return json::Value(std::move(obj));
 }
 
-std::optional<Snapshot> snapshot_from_json(const json::Value& value) {
+[[nodiscard]] std::optional<Snapshot> snapshot_from_json(
+    const json::Value& value) {
   if (!value.is_object()) return std::nullopt;
   Snapshot out;
   auto qd = dns::Name::parse(value.get_string("query_domain", ""));

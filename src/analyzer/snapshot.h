@@ -28,7 +28,8 @@ enum class SnapshotStatus : std::uint8_t {
 };
 
 std::string status_name(SnapshotStatus status);       // "sv", "svm", ...
-std::optional<SnapshotStatus> status_from_name(std::string_view name);
+[[nodiscard]] std::optional<SnapshotStatus> status_from_name(
+    std::string_view name);
 
 /// One DNSKEY as observed (meta-parameters ZReplicator needs).
 struct KeyMeta {
@@ -94,6 +95,7 @@ struct Snapshot {
 };
 
 json::Value snapshot_to_json(const Snapshot& snapshot);
-std::optional<Snapshot> snapshot_from_json(const json::Value& value);
+[[nodiscard]] std::optional<Snapshot> snapshot_from_json(
+    const json::Value& value);
 
 }  // namespace dfx::analyzer

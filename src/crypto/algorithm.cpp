@@ -51,14 +51,14 @@ std::uint8_t domain_tag(DnssecAlgorithm alg) {
 
 const std::vector<AlgorithmInfo>& all_algorithms() { return kAlgorithms; }
 
-std::optional<AlgorithmInfo> algorithm_info(DnssecAlgorithm alg) {
+[[nodiscard]] std::optional<AlgorithmInfo> algorithm_info(DnssecAlgorithm alg) {
   for (const auto& info : kAlgorithms) {
     if (info.number == alg) return info;
   }
   return std::nullopt;
 }
 
-std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number) {
+[[nodiscard]] std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number) {
   return algorithm_info(static_cast<DnssecAlgorithm>(number));
 }
 
@@ -127,8 +127,8 @@ Bytes sign_message(const KeyPair& key, ByteView message) {
   throw std::logic_error("sign_message: key has no private material");
 }
 
-bool verify_message(DnssecAlgorithm alg, ByteView public_key, ByteView message,
-                    ByteView signature) {
+[[nodiscard]] bool verify_message(DnssecAlgorithm alg, ByteView public_key,
+                                  ByteView message, ByteView signature) {
   const auto info = algorithm_info(alg);
   if (!info) return false;
   if (info->rsa_family) {

@@ -55,8 +55,8 @@ struct AlgorithmInfo {
 const std::vector<AlgorithmInfo>& all_algorithms();
 
 /// Lookup; nullopt for unknown numbers.
-std::optional<AlgorithmInfo> algorithm_info(DnssecAlgorithm alg);
-std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number);
+[[nodiscard]] std::optional<AlgorithmInfo> algorithm_info(DnssecAlgorithm alg);
+[[nodiscard]] std::optional<AlgorithmInfo> algorithm_info(std::uint8_t number);
 
 /// Whether `size` octets is a plausible signature length for `algorithm`'s
 /// family. The one judgement grok applies to probed RRSIGs and zonelint to

@@ -36,7 +36,7 @@ Bytes RsaPublicKey::encode() const {
   return out;
 }
 
-bool RsaPublicKey::decode(ByteView data, RsaPublicKey& out) {
+[[nodiscard]] bool RsaPublicKey::decode(ByteView data, RsaPublicKey& out) {
   if (data.size() < 3) return false;
   const std::size_t explen = data[0];
   if (explen == 0 || data.size() < 1 + explen + 1) return false;
@@ -75,7 +75,8 @@ Bytes rsa_sign(const RsaPrivateKey& key, ByteView digest) {
   return s.to_bytes_padded(k);
 }
 
-bool rsa_verify(const RsaPublicKey& key, ByteView digest, ByteView signature) {
+[[nodiscard]] bool rsa_verify(const RsaPublicKey& key, ByteView digest,
+                              ByteView signature) {
   const std::size_t k = (key.n.bit_length() + 7) / 8;
   if (signature.size() != k) return false;
   const BigNum s = BigNum::from_bytes(signature);

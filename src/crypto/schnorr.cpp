@@ -82,8 +82,8 @@ Bytes schnorr_sign(const SchnorrKeyPair& key, ByteView message,
   return sig;  // 16 bytes: (e, s)
 }
 
-bool schnorr_verify(std::uint64_t pub, ByteView message, ByteView signature,
-                    std::uint8_t domain_tag) {
+[[nodiscard]] bool schnorr_verify(std::uint64_t pub, ByteView message,
+                                  ByteView signature, std::uint8_t domain_tag) {
   if (signature.size() != 16) return false;
   if (pub == 0 || pub >= kP) return false;
   const std::uint64_t e = bytes_u64(signature.subspan(0, 8)) % kQ;
@@ -102,7 +102,7 @@ bool schnorr_verify(std::uint64_t pub, ByteView message, ByteView signature,
 
 Bytes schnorr_encode_pub(std::uint64_t pub) { return u64_bytes(pub); }
 
-bool schnorr_decode_pub(ByteView data, std::uint64_t& out) {
+[[nodiscard]] bool schnorr_decode_pub(ByteView data, std::uint64_t& out) {
   if (data.size() != 8) return false;
   out = bytes_u64(data);
   return true;

@@ -113,7 +113,7 @@ json::Value corpus_to_json(const Corpus& corpus) {
   return json::Value(std::move(root));
 }
 
-std::optional<Corpus> corpus_from_json(const json::Value& value) {
+[[nodiscard]] std::optional<Corpus> corpus_from_json(const json::Value& value) {
   if (!value.is_object()) return std::nullopt;
   Corpus corpus;
   corpus.universe_size =

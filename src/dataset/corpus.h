@@ -63,7 +63,7 @@ struct Corpus {
 
 /// JSON round-trip (one document per corpus; domains as an array).
 json::Value corpus_to_json(const Corpus& corpus);
-std::optional<Corpus> corpus_from_json(const json::Value& value);
+[[nodiscard]] std::optional<Corpus> corpus_from_json(const json::Value& value);
 
 /// FNV-1a 64-bit digest over every field of every domain, in domain order.
 /// Two corpora digest equal iff they are field-for-field identical — the

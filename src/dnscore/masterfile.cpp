@@ -12,7 +12,7 @@
 namespace dfx::dns {
 namespace {
 
-bool parse_u32(std::string_view text, std::uint32_t& out) {
+[[nodiscard]] bool parse_u32(std::string_view text, std::uint32_t& out) {
   std::uint64_t v = 0;
   if (text.empty()) return false;
   for (char c : text) {
@@ -26,7 +26,7 @@ bool parse_u32(std::string_view text, std::uint32_t& out) {
 
 /// TTL with optional BIND-style unit suffixes: 30, 30s, 5m, 2h, 1d, 1w,
 /// and concatenations like "1h30m".
-bool parse_ttl_value(std::string_view text, std::uint32_t& out) {
+[[nodiscard]] bool parse_ttl_value(std::string_view text, std::uint32_t& out) {
   if (text.empty()) return false;
   std::uint64_t total = 0;
   std::uint64_t current = 0;
@@ -64,21 +64,22 @@ bool parse_ttl_value(std::string_view text, std::uint32_t& out) {
   return true;
 }
 
-bool parse_u16(std::string_view text, std::uint16_t& out) {
+[[nodiscard]] bool parse_u16(std::string_view text, std::uint16_t& out) {
   std::uint32_t v = 0;
   if (!parse_u32(text, v) || v > 0xFFFF) return false;
   out = static_cast<std::uint16_t>(v);
   return true;
 }
 
-bool parse_u8(std::string_view text, std::uint8_t& out) {
+[[nodiscard]] bool parse_u8(std::string_view text, std::uint8_t& out) {
   std::uint32_t v = 0;
   if (!parse_u32(text, v) || v > 0xFF) return false;
   out = static_cast<std::uint8_t>(v);
   return true;
 }
 
-std::optional<Name> parse_name_rel(std::string_view text, const Name& origin) {
+[[nodiscard]] std::optional<Name> parse_name_rel(std::string_view text,
+                                                 const Name& origin) {
   if (text == "@") return origin;
   if (!text.empty() && text.back() == '.') return Name::parse(text);
   // Relative name: append origin.
@@ -86,7 +87,8 @@ std::optional<Name> parse_name_rel(std::string_view text, const Name& origin) {
   return rel;
 }
 
-bool parse_ipv4(std::string_view text, std::array<std::uint8_t, 4>& out) {
+[[nodiscard]] bool parse_ipv4(std::string_view text,
+                              std::array<std::uint8_t, 4>& out) {
   const auto parts = split(text, '.');
   if (parts.size() != 4) return false;
   for (int i = 0; i < 4; ++i) {
@@ -99,7 +101,8 @@ bool parse_ipv4(std::string_view text, std::array<std::uint8_t, 4>& out) {
   return true;
 }
 
-bool parse_ipv6(std::string_view text, std::array<std::uint8_t, 16>& out) {
+[[nodiscard]] bool parse_ipv6(std::string_view text,
+                              std::array<std::uint8_t, 16>& out) {
   // Supports full and '::'-compressed forms, no embedded IPv4.
   std::vector<std::uint16_t> head;
   std::vector<std::uint16_t> tail;
@@ -153,7 +156,7 @@ bool parse_ipv6(std::string_view text, std::array<std::uint8_t, 16>& out) {
 
 }  // namespace
 
-std::variant<Rdata, std::string> parse_rdata_text(
+[[nodiscard]] std::variant<Rdata, std::string> parse_rdata_text(
     RRType type, std::span<const std::string_view> fields,
     const Name& origin) {
   const auto err = [](std::string msg) -> std::variant<Rdata, std::string> {
@@ -347,7 +350,7 @@ std::variant<Rdata, std::string> parse_rdata_text(
   return err("unsupported type " + rrtype_to_string(type));
 }
 
-std::variant<Rdata, std::string> parse_rdata_text(
+[[nodiscard]] std::variant<Rdata, std::string> parse_rdata_text(
     RRType type, const std::vector<std::string>& fields, const Name& origin) {
   std::vector<std::string_view> views(fields.begin(), fields.end());
   return parse_rdata_text(
@@ -355,9 +358,9 @@ std::variant<Rdata, std::string> parse_rdata_text(
       origin);
 }
 
-std::variant<std::vector<ResourceRecord>, MasterFileError> parse_master_file(
-    std::string_view text, const Name& default_origin,
-    std::uint32_t default_ttl) {
+[[nodiscard]] std::variant<std::vector<ResourceRecord>, MasterFileError>
+parse_master_file(std::string_view text, const Name& default_origin,
+                  std::uint32_t default_ttl) {
   std::vector<ResourceRecord> records;
   Name origin = default_origin;
   Name last_owner = default_origin;

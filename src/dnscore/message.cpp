@@ -122,7 +122,7 @@ class NameCompressor {
     }
   }
 
-  std::optional<std::uint32_t> lookup(
+  [[nodiscard]] std::optional<std::uint32_t> lookup(
       const Bytes& out, std::uint64_t hash,
       std::span<const std::string> labels) const {
     if (count_ == 0) return std::nullopt;
@@ -191,8 +191,8 @@ void write_record(Bytes& out, NameCompressor& comp,
 }
 
 /// Read the record body (class/ttl/rdata) once owner and type are known.
-std::optional<ResourceRecord> read_record_body(WireReader& r, Name owner,
-                                               RRType type) {
+[[nodiscard]] std::optional<ResourceRecord> read_record_body(
+    WireReader& r, Name owner, RRType type) {
   ResourceRecord rr;
   rr.owner = std::move(owner);
   rr.type = type;
@@ -209,7 +209,7 @@ std::optional<ResourceRecord> read_record_body(WireReader& r, Name owner,
 
 /// Decode an OPT record body (owner and type already read; root owner
 /// already checked per RFC 6891 §6.1.2).
-std::optional<EdnsInfo> read_opt_body(WireReader& r) {
+[[nodiscard]] std::optional<EdnsInfo> read_opt_body(WireReader& r) {
   EdnsInfo edns;
   edns.udp_size = r.read_u16();  // the CLASS field
   const std::uint32_t ttl = r.read_u32();
@@ -285,7 +285,7 @@ Bytes encode_message(const Message& msg) {
   return out;
 }
 
-std::optional<Message> decode_message(ByteView wire) {
+[[nodiscard]] std::optional<Message> decode_message(ByteView wire) {
   WireReader r(wire);
   Message msg;
   msg.header.id = r.read_u16();

@@ -30,7 +30,7 @@ int compare_labels_folded(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-std::optional<Name> Name::parse(std::string_view text) {
+[[nodiscard]] std::optional<Name> Name::parse(std::string_view text) {
   Name out;
   if (text.empty()) return std::nullopt;
   if (text == ".") return out;

@@ -30,7 +30,7 @@ std::string rrtype_to_string(RRType type) {
   return "TYPE" + std::to_string(static_cast<std::uint16_t>(type));
 }
 
-std::optional<RRType> rrtype_from_string(std::string_view text) {
+[[nodiscard]] std::optional<RRType> rrtype_from_string(std::string_view text) {
   for (const auto& tn : kTypeNames) {
     if (iequals(text, tn.name)) return tn.type;
   }

@@ -35,7 +35,7 @@ enum class RRClass : std::uint16_t {
 std::string rrtype_to_string(RRType type);
 
 /// Parse a mnemonic or "TYPEnnn" form.
-std::optional<RRType> rrtype_from_string(std::string_view text);
+[[nodiscard]] std::optional<RRType> rrtype_from_string(std::string_view text);
 
 /// DNSKEY flag bits (RFC 4034 §2.1.1, RFC 5011).
 constexpr std::uint16_t kDnskeyFlagZone = 0x0100;    // bit 7: Zone Key

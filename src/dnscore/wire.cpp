@@ -169,7 +169,7 @@ void WireReader::seek(std::size_t pos) {
   pos_ = pos;
 }
 
-std::optional<Name> WireReader::read_name() {
+[[nodiscard]] std::optional<Name> WireReader::read_name() {
   std::string_view pieces[kMaxNamePieces];
   std::size_t n = 0;
   if (!scan_name_pieces(data_, pos_, pieces, &n)) {
@@ -180,7 +180,7 @@ std::optional<Name> WireReader::read_name() {
   return Name::from_validated_pieces({pieces, n});
 }
 
-std::optional<Rdata> rdata_from_wire(RRType type, ByteView wire) {
+[[nodiscard]] std::optional<Rdata> rdata_from_wire(RRType type, ByteView wire) {
   WireReader r(wire);
   const auto finish = [&](Rdata value) -> std::optional<Rdata> {
     if (!r.ok() || r.remaining() != 0) return std::nullopt;

@@ -59,7 +59,7 @@ class WireReader {
   /// Read a (possibly compressed) domain name; compression pointers may
   /// reference earlier message offsets only.
   DFX_COLD("owned Name construction is the cache-miss path; hits key on raw wire bytes")
-  std::optional<Name> read_name();
+  [[nodiscard]] std::optional<Name> read_name();
 
   void seek(std::size_t pos);
 

@@ -55,7 +55,7 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  std::variant<Value, ParseError> run() {
+  [[nodiscard]] std::variant<Value, ParseError> run() {
     skip_ws();
     Value v;
     if (!parse_value(v)) return error_;
@@ -100,7 +100,7 @@ class Parser {
     return true;
   }
 
-  bool parse_value(Value& out) {
+  [[nodiscard]] bool parse_value(Value& out) {
     if (at_end()) {
       fail("unexpected end of input");
       return false;
@@ -133,7 +133,7 @@ class Parser {
     }
   }
 
-  bool parse_object(Value& out) {
+  [[nodiscard]] bool parse_object(Value& out) {
     ++pos_;  // '{'
     Object obj;
     skip_ws();
@@ -164,7 +164,7 @@ class Parser {
     return true;
   }
 
-  bool parse_array(Value& out) {
+  [[nodiscard]] bool parse_array(Value& out) {
     ++pos_;  // '['
     Array arr;
     skip_ws();
@@ -187,7 +187,7 @@ class Parser {
     return true;
   }
 
-  bool parse_string(std::string& out) {
+  [[nodiscard]] bool parse_string(std::string& out) {
     if (at_end() || peek() != '"') {
       fail("expected string");
       return false;
@@ -260,7 +260,7 @@ class Parser {
     }
   }
 
-  bool parse_number(Value& out) {
+  [[nodiscard]] bool parse_number(Value& out) {
     const std::size_t start = pos_;
     if (!at_end() && peek() == '-') ++pos_;
     bool is_float = false;
@@ -392,7 +392,7 @@ void serialize_to(const Value& v, std::string& out, int indent, int depth) {
 
 }  // namespace
 
-std::variant<Value, ParseError> parse(std::string_view text) {
+[[nodiscard]] std::variant<Value, ParseError> parse(std::string_view text) {
   return Parser(text).run();
 }
 

@@ -232,7 +232,7 @@ void AnswerCache::observe(const dns::Name& apex,
   }
 }
 
-std::optional<authserver::QueryResult> AnswerCache::synthesize(
+[[nodiscard]] std::optional<authserver::QueryResult> AnswerCache::synthesize(
     const dns::Name& apex, const dns::Name& qname, dns::RRType qtype,
     std::uint64_t epoch) const {
   const MutexLock lock(neg_mu_);
@@ -275,9 +275,9 @@ const AnswerCache::NsecEntry* AnswerCache::nsec_cover(const NegZone& neg,
   return &cand->second;
 }
 
-std::optional<authserver::QueryResult> AnswerCache::synthesize_nsec(
-    const NegZone& neg, const dns::Name& apex, const dns::Name& qname,
-    dns::RRType qtype) const {
+[[nodiscard]] std::optional<authserver::QueryResult>
+AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
+                             const dns::Name& qname, dns::RRType qtype) const {
   // Exact match: the NSEC at qname decides NODATA vs slow path.
   const auto match = neg.nsec.find(qname);
   if (match != neg.nsec.end()) {
@@ -363,9 +363,9 @@ const AnswerCache::Nsec3Entry* AnswerCache::nsec3_cover(
   return &cand->second;
 }
 
-std::optional<authserver::QueryResult> AnswerCache::synthesize_nsec3(
-    const NegZone& neg, const dns::Name& apex, const dns::Name& qname,
-    dns::RRType qtype) const {
+[[nodiscard]] std::optional<authserver::QueryResult>
+AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
+                              const dns::Name& qname, dns::RRType qtype) const {
   const auto hash = [&neg](const dns::Name& name) {
     return zone::nsec3_hash(name, neg.nsec3_salt, neg.nsec3_iterations);
   };

@@ -118,7 +118,7 @@ class AnswerCache {
   /// harvested proofs. Returns an answer *identical* to what the zone walk
   /// would produce, or nullopt when that cannot be guaranteed.
   DFX_COLD("aggressive synthesis only runs after a packet-tier miss")
-  std::optional<authserver::QueryResult> synthesize(
+  [[nodiscard]] std::optional<authserver::QueryResult> synthesize(
       const dns::Name& apex, const dns::Name& qname, dns::RRType qtype,
       std::uint64_t epoch) const DFX_EXCLUDES(neg_mu_);
 
@@ -188,10 +188,10 @@ class AnswerCache {
   const Nsec3Entry* nsec3_cover(const NegZone& neg, const Bytes& hash) const
       DFX_REQUIRES(neg_mu_);
 
-  std::optional<authserver::QueryResult> synthesize_nsec(
+  [[nodiscard]] std::optional<authserver::QueryResult> synthesize_nsec(
       const NegZone& neg, const dns::Name& apex, const dns::Name& qname,
       dns::RRType qtype) const DFX_REQUIRES(neg_mu_);
-  std::optional<authserver::QueryResult> synthesize_nsec3(
+  [[nodiscard]] std::optional<authserver::QueryResult> synthesize_nsec3(
       const NegZone& neg, const dns::Name& apex, const dns::Name& qname,
       dns::RRType qtype) const DFX_REQUIRES(neg_mu_);
 

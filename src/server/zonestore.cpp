@@ -23,8 +23,8 @@ std::size_t ZoneStore::shard_of(const dns::Name& apex) {
 // The ancestor walk copies one Name per candidate label (parent() rebuilds
 // the label vector); a name has at most 127 labels, so the copies are bounded.
 // dfx-lint: allow(hot-path-cost): bounded ancestor-walk Name copies (above).
-std::optional<ZoneStore::ZoneView> ZoneStore::find(const dns::Name& qname,
-                                                   dns::RRType qtype) const {
+[[nodiscard]] std::optional<ZoneStore::ZoneView> ZoneStore::find(
+    const dns::Name& qname, dns::RRType qtype) const {
   // Walk the ancestor chain deepest-first. Each candidate costs one atomic
   // snapshot load plus one map lookup in its shard; a name has at most 127
   // labels, so the walk is strictly bounded.
@@ -71,8 +71,8 @@ std::optional<ZoneStore::ZoneView> ZoneStore::find(const dns::Name& qname,
   return best;
 }
 
-std::optional<std::pair<dns::Name, authserver::QueryResult>> ZoneStore::query(
-    const dns::Name& qname, dns::RRType qtype) const {
+[[nodiscard]] std::optional<std::pair<dns::Name, authserver::QueryResult>>
+ZoneStore::query(const dns::Name& qname, dns::RRType qtype) const {
   auto view = find(qname, qtype);
   if (!view) return std::nullopt;
   return std::make_pair(*view->apex,

@@ -104,14 +104,14 @@ class ZoneStore {
   /// apex is served by the enclosing zone when that zone is hosted too).
   /// nullopt when no hosted zone covers `qname` (the caller REFUSEs).
   DFX_HOT_PATH
-  std::optional<ZoneView> find(const dns::Name& qname,
-                               dns::RRType qtype) const;
+  [[nodiscard]] std::optional<ZoneView> find(const dns::Name& qname,
+                                             dns::RRType qtype) const;
 
   /// Full authoritative answer: find() + authserver::answer on that zone
   /// and its denial index.
   DFX_HOT_PATH
-  std::optional<std::pair<dns::Name, authserver::QueryResult>> query(
-      const dns::Name& qname, dns::RRType qtype) const;
+  [[nodiscard]] std::optional<std::pair<dns::Name, authserver::QueryResult>>
+  query(const dns::Name& qname, dns::RRType qtype) const;
 
   /// Monotonic commit counter; bumped by every successful upsert/remove
   /// *after* the snapshot swap is visible.

@@ -82,7 +82,7 @@ std::string hex_encode(ByteView data) {
   return out;
 }
 
-std::optional<Bytes> hex_decode(std::string_view text) {
+[[nodiscard]] std::optional<Bytes> hex_decode(std::string_view text) {
   if (text == "-") return Bytes{};
   if (text.size() % 2 != 0) return std::nullopt;
   Bytes out(text.size() / 2);
@@ -117,7 +117,7 @@ std::string base32hex_encode(ByteView data) {
 }
 
 // dfx-lint: allow(hot-path-cost): the output buffer is the product.
-std::optional<Bytes> base32hex_decode(std::string_view text) {
+[[nodiscard]] std::optional<Bytes> base32hex_decode(std::string_view text) {
   Bytes out;
   out.reserve(text.size() * 5 / 8);
   std::uint32_t buffer = 0;
@@ -172,7 +172,7 @@ std::string base64_encode(ByteView data) {
 }
 
 // dfx-lint: allow(hot-path-cost): the output buffer is the product.
-std::optional<Bytes> base64_decode(std::string_view text) {
+[[nodiscard]] std::optional<Bytes> base64_decode(std::string_view text) {
   Bytes out;
   out.reserve(text.size() * 3 / 4);
   std::uint32_t buffer = 0;

@@ -90,8 +90,9 @@ dns::RrsigRdata make_rrsig(const dns::RRset& rrset, const ZoneKey& key,
   return sig;
 }
 
-bool verify_rrsig(const dns::RRset& rrset, const dns::RrsigRdata& sig,
-                  const dns::DnskeyRdata& key) {
+[[nodiscard]] bool verify_rrsig(const dns::RRset& rrset,
+                                const dns::RrsigRdata& sig,
+                                const dns::DnskeyRdata& key) {
   dns::RrsigRdata fields = sig;
   fields.signature.clear();
   // Reconstruct the exact buffer the signer hashed. The RRset TTL may have

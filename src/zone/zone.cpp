@@ -105,7 +105,7 @@ bool Zone::is_delegation(const dns::Name& name) const {
   return find(name, dns::RRType::kNS) != nullptr;
 }
 
-std::optional<dns::Name> Zone::covering_delegation(
+[[nodiscard]] std::optional<dns::Name> Zone::covering_delegation(
     const dns::Name& name) const {
   dns::Name cur = name;
   while (cur != apex_ && cur.label_count() > apex_.label_count()) {

@@ -71,7 +71,8 @@ class Zone {
 
   /// The deepest delegation point above-or-at `name`, if any (zone cuts
   /// hide everything below them).
-  std::optional<dns::Name> covering_delegation(const dns::Name& name) const;
+  [[nodiscard]] std::optional<dns::Name> covering_delegation(
+      const dns::Name& name) const;
 
   /// Flatten to records (zone-file order: apex first, then canonical).
   std::vector<dns::ResourceRecord> to_records() const;

@@ -47,7 +47,8 @@ void resign_rrset(Sandbox& sb, zone::Zone& z, const dns::Name& owner,
 }
 
 /// The child's NSEC3 parameters as signed (for hash computations).
-std::optional<dns::Nsec3ParamRdata> nsec3_params(const zone::Zone& z) {
+[[nodiscard]] std::optional<dns::Nsec3ParamRdata> nsec3_params(
+    const zone::Zone& z) {
   const auto* set = z.find(z.apex(), dns::RRType::kNSEC3PARAM);
   if (set == nullptr || set->empty()) return std::nullopt;
   const auto* p = std::get_if<dns::Nsec3ParamRdata>(&set->rdatas().front());
@@ -68,8 +69,8 @@ struct Nsec3Ref {
   dns::Name owner;
   dns::Nsec3Rdata rdata;
 };
-std::optional<Nsec3Ref> find_covering_nsec3(const zone::Zone& z,
-                                            const dns::Name& name) {
+[[nodiscard]] std::optional<Nsec3Ref> find_covering_nsec3(
+    const zone::Zone& z, const dns::Name& name) {
   const auto params = nsec3_params(z);
   if (!params) return std::nullopt;
   const Bytes h = zone::nsec3_hash(name, params->salt, params->iterations);
@@ -95,8 +96,8 @@ std::optional<Nsec3Ref> find_covering_nsec3(const zone::Zone& z,
   return best ? best : last;
 }
 
-std::optional<Nsec3Ref> find_matching_nsec3(const zone::Zone& z,
-                                            const dns::Name& name) {
+[[nodiscard]] std::optional<Nsec3Ref> find_matching_nsec3(
+    const zone::Zone& z, const dns::Name& name) {
   const auto params = nsec3_params(z);
   if (!params) return std::nullopt;
   const Bytes h = zone::nsec3_hash(name, params->salt, params->iterations);
@@ -605,8 +606,8 @@ bool inject_unsupported_nsec3_algorithm(Sandbox& sb) {
 /// the forgeability KeyTrap exploits. The crafted keys are published but
 /// never activate, so they appear in the DNSKEY RRset without signing.
 /// Returns the shared tag, or nullopt on (unlikely) failure.
-std::optional<std::uint16_t> adopt_colliding_keys(Sandbox& sb,
-                                                  std::size_t count) {
+[[nodiscard]] std::optional<std::uint16_t> adopt_colliding_keys(
+    Sandbox& sb, std::size_t count) {
   const dns::Name child = sb.child_apex();
   auto& mz = sb.managed(child);
   const UnixTime now = sb.clock().now();

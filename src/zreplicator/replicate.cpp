@@ -13,7 +13,7 @@ using analyzer::ErrorCode;
 
 /// Map a key's observed algorithm to one the modelled BIND can generate,
 /// substituting retired algorithms with unused supported ones (§5.5.1).
-std::optional<crypto::DnssecAlgorithm> substitute_algorithm(
+[[nodiscard]] std::optional<crypto::DnssecAlgorithm> substitute_algorithm(
     std::uint8_t observed, std::set<std::uint8_t>& in_use) {
   const auto info = crypto::algorithm_info(observed);
   if (info && info->supported_by_bind) {

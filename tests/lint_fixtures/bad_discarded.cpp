@@ -1,15 +1,15 @@
-// Fixture: discarded-error-return. The symbol index (built from
-// symbols/status_decls.h) says apply_fix/parse_record/decode_blob/
-// tagged_token are must-use; bare calls drop the error path.
+// Fixture: discarded-error-return (dead stores of must-use results, per the
+// symbol index built from symbols/status_decls.h). Bare calls are rejected by
+// the compiler (negative_compile/unused_result_must_fail.cpp), not the lint.
 
 namespace fixture {
 
 void exercise(int v) {
-  apply_fix(v);        // line 8: discarded-error-return (ErrorCode dropped)
-  parse_record("a");   // line 9: discarded-error-return (bool status)
-  decode_blob("b");    // line 10: discarded-error-return (optional)
-  tagged_token();      // line 11: discarded-error-return ([[nodiscard]])
-  if (v > 0) decode_blob("c");  // line 12: controlled stmt still discards
+  apply_fix(v);        // compiler: ErrorCode dropped
+  parse_record("a");   // compiler: bool status dropped
+  decode_blob("b");    // compiler: optional dropped
+  tagged_token();      // compiler: [[nodiscard]] dropped
+  if (v > 0) decode_blob("c");  // compiler: controlled stmt still discards
 }
 
 void consumed(int v) {
@@ -22,7 +22,7 @@ void consumed(int v) {
   plain_sum(1, 2);  // plain int return: not a status, ok
   looks_ready(v);   // bool but not status-named: ok
   // dfx-lint: allow(discarded-error-return): fire-and-forget by design
-  apply_fix(v);
+  const auto fired = apply_fix(v);
 }
 
 void stored_but_dead(int v) {

@@ -1,5 +1,5 @@
-// Fixture: status-returning parse/validate/verify/decode declarations
-// without [[nodiscard]].
+// Fixture: must-use declarations (ErrorCode, std::optional, std::variant or
+// status-named bool returns, per the symbol index) without [[nodiscard]].
 #pragma once
 
 #include <optional>
@@ -19,5 +19,10 @@ std::variant<int, std::string> decode_flags(const std::string& text);  // 15
 std::string render_name(int level);  // ok: not a status return
 
 bool ready();  // ok: not a parse/validate/verify/decode name
+
+std::optional<int> cached_level();  // line 23: missing (optional, any name)
+
+#define DFX_HOT_PATH
+DFX_HOT_PATH [[nodiscard]] std::optional<int> hot_level();  // ok: annotated
 
 }  // namespace fixture

@@ -46,6 +46,9 @@ int pad_between_guard_and_suppressed_five();
 int pad_between_guard_and_suppressed_six();
 int pad_between_guard_and_suppressed_seven();
 
+// Namespace scope: no DFX_CHECK can run before this initializer.
+const uint8_t kFolded = static_cast<uint8_t>(sizeof(Alg) * 300);  // line 50
+
 uint16_t suppressed(const std::vector<int>& v) {
   // dfx-lint: allow(unguarded-narrowing-cast): caller caps the size
   return static_cast<uint16_t>(v.size());

@@ -1,10 +1,11 @@
-// POSITIVE TWIN of sign_compare_must_fail.cpp and switch_enum_must_fail.cpp:
-// the shapes the project's warning flags (DFX_WARNING_FLAGS in the
-// top-level CMakeLists.txt) must accept. ctest compiles it with the same
-// command line as the two negative probes and expects success, so those
-// probes can only pass by tripping their -Werror flag, never by a broken
-// include or an unknown option.
+// POSITIVE TWIN of sign_compare_must_fail.cpp, switch_enum_must_fail.cpp
+// and unused_result_must_fail.cpp: the shapes the project's warning flags
+// (DFX_WARNING_FLAGS in the top-level CMakeLists.txt) must accept. ctest
+// compiles it with the same command line as the three negative probes and
+// expects success, so those probes can only pass by tripping their -Werror
+// flag, never by a broken include or an unknown option.
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 namespace probe {
@@ -59,11 +60,26 @@ int rank_plain_int(int v) {
   return -1;
 }
 
+[[nodiscard]] bool parse_record(const char* wire) { return wire != nullptr; }
+[[nodiscard]] std::optional<int> decode_blob(const char* wire) {
+  if (wire == nullptr) return std::nullopt;
+  return 1;
+}
+
+int consume_statuses() {
+  (void)decode_blob("a");  // deliberate discard, spelled out
+  int total = 0;
+  if (parse_record("b")) ++total;  // consumed by the condition
+  const auto blob = decode_blob("c");  // stored and read
+  return total + blob.value_or(0);
+}
+
 }  // namespace probe
 
 int main() {
   const std::vector<int> v{1, 2};
   return probe::sum_size_t_index(v) + probe::count_to_fixed_bound(2) +
          probe::sum_cast_bound(v) + probe::rank_defaulted(probe::FixKind::kRoll) +
-         probe::rank_complete(probe::Phase::kRun) + probe::rank_plain_int(1);
+         probe::rank_complete(probe::Phase::kRun) + probe::rank_plain_int(1) +
+         probe::consume_statuses();
 }

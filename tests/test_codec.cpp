@@ -144,7 +144,7 @@ int base64_value(char c) {
   return -1;
 }
 
-std::optional<Bytes> base32hex_decode(std::string_view text) {
+[[nodiscard]] std::optional<Bytes> base32hex_decode(std::string_view text) {
   Bytes out;
   std::uint32_t buffer = 0;
   int bits = 0;
@@ -162,7 +162,7 @@ std::optional<Bytes> base32hex_decode(std::string_view text) {
   return out;
 }
 
-std::optional<Bytes> base64_decode(std::string_view text) {
+[[nodiscard]] std::optional<Bytes> base64_decode(std::string_view text) {
   Bytes out;
   std::uint32_t buffer = 0;
   int bits = 0;

@@ -473,8 +473,9 @@ TEST(WireCorpus, AdversarialPacketsServeTotally) {
 /// RSA verification over the reference `modexp` (bignum_reference.h): the
 /// oracle for RsaVerifyIsTotalAndMatchesReference. Hashing and padding
 /// restate crypto/algorithm.cpp and crypto/rsa.cpp.
-bool reference_rsa_verify(crypto::DnssecAlgorithm alg, ByteView public_key,
-                          ByteView message, ByteView signature) {
+[[nodiscard]] bool reference_rsa_verify(crypto::DnssecAlgorithm alg,
+                                        ByteView public_key, ByteView message,
+                                        ByteView signature) {
   crypto::RsaPublicKey pub;
   if (!crypto::RsaPublicKey::decode(public_key, pub)) return false;
   const std::size_t k = (pub.n.bit_length() + 7) / 8;

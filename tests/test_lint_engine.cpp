@@ -212,6 +212,19 @@ TEST(SymbolIndex, ClassifiesReturnTypesFromDeclarations) {
   EXPECT_EQ(class_of(idx, "plain_sum"), ReturnClass::kOther);
   EXPECT_EQ(class_of(idx, "log_note"), ReturnClass::kVoid);
   EXPECT_EQ(class_of(idx, "looks_ready"), ReturnClass::kBool);
+  // The outermost type decides: containers of, and pointers or references
+  // to, a status are not statuses.
+  for (const char* name :
+       {"code_set", "table3_codes", "rank_plan", "find_code"}) {
+    EXPECT_EQ(class_of(idx, name), ReturnClass::kOther) << name;
+    EXPECT_FALSE(idx.must_use(name)) << name;
+  }
+  EXPECT_EQ(class_of(idx, "decode_list"), ReturnClass::kOptional);
+  EXPECT_EQ(class_of(idx, "qualified_fix"), ReturnClass::kErrorCode);
+  // Access labels and trailing thread annotations do not hide a member.
+  EXPECT_EQ(class_of(idx, "first_member"), ReturnClass::kOptional);
+  EXPECT_EQ(class_of(idx, "locked"), ReturnClass::kOptional);
+  EXPECT_EQ(class_of(idx, "nested_member"), ReturnClass::kOptional);
 }
 
 TEST(SymbolIndex, NodiscardAttributeMakesAnyReturnMustUse) {
@@ -220,6 +233,12 @@ TEST(SymbolIndex, NodiscardAttributeMakesAnyReturnMustUse) {
   ASSERT_EQ(decls.size(), 1u);
   EXPECT_TRUE(decls.front()->nodiscard);
   EXPECT_TRUE(idx.must_use("tagged_token"));
+  // A leading annotation macro (`DFX_HOT_PATH [[nodiscard]] ...`, as in
+  // util/codec.h) must not swallow the attribute into the return type.
+  const auto hot = idx.find_functions("hot_decode");
+  ASSERT_EQ(hot.size(), 1u);
+  EXPECT_TRUE(hot.front()->nodiscard);
+  EXPECT_EQ(hot.front()->return_type, "std :: optional < int >");
 }
 
 TEST(SymbolIndex, MustUseCoversStatusShapesAndNothingElse) {
@@ -264,17 +283,25 @@ TEST(SymbolIndex, ConflictingDeclarationsDisableMustUse) {
 }
 
 TEST(SymbolIndex, LocalVariableInitializersDoNotPoisonTheIndex) {
-  // `std::string s(3, 'x');` parses declaration-shaped; it must index (if
-  // at all) as a non-must-use entry so call-site rules stay quiet.
+  // `std::string s(3, 'x');` parses declaration-shaped, but a function body
+  // holds statements, not declarations: nothing in it is indexed, while a
+  // declaration after the body closes is.
   SymbolIndex idx;
   const std::string src =
-      "void f() {\n"
+      "void f(const std::set<ErrorCode>& codes) {\n"
       "  std::string s(3, 'x');\n"
       "  int t(0);\n"
-      "}\n";
+      "  std::vector<ErrorCode> out(codes.begin(), codes.end());\n"
+      "  std::optional<int> o(3);\n"
+      "}\n"
+      "ErrorCode after_body(int v);\n";
   idx.index_source("locals.cpp", dfx::lint::lex(src));
   EXPECT_FALSE(idx.must_use("s"));
   EXPECT_FALSE(idx.must_use("t"));
+  for (const char* local : {"s", "t", "out", "o"}) {
+    EXPECT_TRUE(idx.find_functions(local).empty()) << local;
+  }
+  EXPECT_TRUE(idx.must_use("after_body"));
 }
 
 // ---------------------------------------------------------------------------

@@ -79,10 +79,6 @@ bool path_contains(const std::string& path, std::string_view dir) {
   return path.find(dir) != std::string::npos;
 }
 
-bool is_header(const std::string& path) {
-  return path.ends_with(".h") || path.ends_with(".hpp");
-}
-
 std::string trimmed(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -117,22 +113,21 @@ class Linter {
   Linter(const FileAnalysis& fa, const Options& options)
       : path_(fa.path),
         options_(options),
-        stripped_(fa.stripped),
         lines_(fa.lines),
         tokens_(fa.tokens),
         suppressions_{fa.raw_lines},
-        cfgs_(build_cfgs(tokens_)) {}
+        cfgs_(build_cfgs(tokens_)) {
+    local_symbols_.index_source(path_, tokens_);
+  }
 
   std::vector<Violation> run() {
     check_banned_tokens();
     check_front_back();
-    check_length_contracts();
-    if (is_header(path_)) check_nodiscard();
+    check_missing_nodiscard();
     check_raw_mutex();
     check_unguarded_mutable();
     check_lock_across_wait();
     check_layering();
-    check_discarded_error_return();
     check_dead_status_stores();
     check_narrowing_cast();
     check_view_into_temporary();
@@ -247,26 +242,6 @@ class Linter {
     return false;
   }
 
-  /// Abort-semantics guard walk for DFX_CHECK-style contracts: a check that
-  /// ran earlier in this block (or any enclosing block) dominates the rest
-  /// of it, because a failed check never returns. Walk backward; skip over
-  /// closed sibling blocks, count guard calls at the current nesting level.
-  bool dominating_guard_before(std::size_t idx,
-                               const std::set<std::string_view>& names) const {
-    int depth = 0;
-    for (std::size_t p = idx; p-- > 0;) {
-      const std::string_view t = tokens_[p].text;
-      if (t == "}") {
-        ++depth;
-      } else if (t == "{") {
-        if (depth > 0) --depth;
-      } else if (depth == 0 && is_guard_call(p, names)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Does any of stripped lines [i-window, i] contain one of the tokens?
   bool guarded_nearby(std::size_t i, std::size_t window,
                       const std::vector<std::string_view>& tokens) const {
@@ -327,97 +302,18 @@ class Linter {
     return false;
   }
 
-  void check_length_contracts() {
-    if (!path_contains(path_, "dnscore/") && !path_contains(path_, "crypto/")) {
-      return;
+  /// Every declaration the symbol index classifies as must-use (ErrorCode,
+  /// std::optional, std::variant or status-named bool returns) carries
+  /// [[nodiscard]], so the compiler's -Werror=unused-result rejects each
+  /// call that drops the status. Definitions included: a .cpp-local helper
+  /// has no other declaration to carry the attribute.
+  void check_missing_nodiscard() {
+    for (const FunctionDecl& decl : local_symbols_.functions()) {
+      if (decl.nodiscard || !is_must_use_decl(decl)) continue;
+      report(decl.line - 1, "missing-nodiscard",
+             "'" + decl.name + "' returns " + decl.return_type +
+                 ", a status callers must consume: declare it [[nodiscard]]");
     }
-    static const std::vector<std::string_view> kGuards = {"DFX_CHECK",
-                                                         "DFX_DCHECK"};
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      const auto& line = lines_[i];
-      const bool risky = contains_word(line, "memcpy") ||
-                         line.find(".resize(") != std::string::npos;
-      if (!risky) continue;
-      if (guarded_nearby(i, 6, kGuards)) continue;
-      report(i, "missing-length-check",
-             "memcpy/resize on a length derived from input needs a "
-             "DFX_CHECK/DFX_DCHECK contract nearby");
-    }
-  }
-
-  void check_nodiscard() {
-    // Walk declaration chunks (text between ; { }) and flag status-returning
-    // parse/validate/verify/decode declarations without [[nodiscard]].
-    std::size_t chunk_start = 0;
-    std::size_t line_no = 0;          // line of chunk_start
-    std::size_t current_line = 0;
-    for (std::size_t i = 0; i <= stripped_.size(); ++i) {
-      const char c = i < stripped_.size() ? stripped_[i] : ';';
-      if (c == '\n') ++current_line;
-      if (c != ';' && c != '{' && c != '}') continue;
-      check_nodiscard_chunk(stripped_.substr(chunk_start, i - chunk_start),
-                            line_no);
-      chunk_start = i + 1;
-      line_no = current_line;
-    }
-  }
-
-  void check_nodiscard_chunk(std::string chunk, std::size_t start_line) {
-    // Line number of the first non-blank character in the chunk.
-    std::size_t line = start_line;
-    std::size_t begin = 0;
-    while (begin < chunk.size() &&
-           std::isspace(static_cast<unsigned char>(chunk[begin])) != 0) {
-      if (chunk[begin] == '\n') ++line;
-      ++begin;
-    }
-    chunk = chunk.substr(begin);
-    if (chunk.empty()) return;
-    const bool has_nodiscard =
-        chunk.find("[[nodiscard]]") != std::string::npos;
-    // Strip leading specifiers so the return type leads the chunk.
-    for (bool again = true; again;) {
-      again = false;
-      for (const std::string_view spec :
-           {"[[nodiscard]]", "static", "inline", "constexpr", "friend",
-            "virtual", "explicit"}) {
-        if (chunk.starts_with(spec)) {
-          chunk = chunk.substr(spec.size());
-          while (!chunk.empty() && (chunk[0] == ' ' || chunk[0] == '\n')) {
-            if (chunk[0] == '\n') ++line;
-            chunk = chunk.substr(1);
-          }
-          again = true;
-        }
-      }
-    }
-    const bool status_return = chunk.starts_with("bool ") ||
-                               chunk.starts_with("std::optional<") ||
-                               chunk.starts_with("std::variant<");
-    if (!status_return) return;
-    // First identifier followed by '(' is the declared name; an '=' before
-    // it means this is a statement, not a declaration.
-    const std::size_t paren = chunk.find('(');
-    if (paren == std::string::npos) return;
-    std::size_t name_end = paren;
-    while (name_end > 0 && std::isspace(static_cast<unsigned char>(
-                               chunk[name_end - 1])) != 0) {
-      --name_end;
-    }
-    std::size_t name_start = name_end;
-    while (name_start > 0 && is_ident_char(chunk[name_start - 1])) {
-      --name_start;
-    }
-    if (name_start == name_end) return;
-    const std::string_view head(chunk.data(), name_start);
-    if (head.find('=') != std::string_view::npos) return;
-    const std::string_view name(chunk.data() + name_start,
-                                name_end - name_start);
-    if (!is_status_function_name(name)) return;
-    if (has_nodiscard) return;
-    report(line, "missing-nodiscard",
-           "status-returning " + std::string(name) +
-               "() must be [[nodiscard]]");
   }
 
   /// A class that owns a Mutex locks in const methods, so its mutable
@@ -620,72 +516,11 @@ class Linter {
     }
   }
 
-  /// A call to a must-use function (ErrorCode / optional / variant /
-  /// status-named bool return, per the cross-TU symbol index) used as a
-  /// bare expression statement silently drops the error path.
-  void check_discarded_error_return() {
-    if (options_.symbols == nullptr) return;
-    static const std::set<std::string_view> kStmtStarters = {
-        ";", "{", "}", ":", "else", "do"};
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      if (!tok_ident(i) || !tok_is(i + 1, "(")) continue;
-      const std::string_view name = tokens_[i].text;
-      if (!options_.symbols->must_use(name)) continue;
-      const std::size_t close = match_paren(i + 1);
-      if (close == kNpos || !tok_is(close + 1, ";")) continue;
-      // Walk the qualifier/member chain back: `obj.parse_x()` and
-      // `ns::parse_x()` are still bare statements if the chain leads one.
-      std::size_t k = i;
-      while (k >= 2 &&
-             (tok(k - 1) == "::" || tok(k - 1) == "." || tok(k - 1) == "->") &&
-             tok_ident(k - 2)) {
-        k -= 2;
-      }
-      bool flag = false;
-      if (k == 0) {
-        flag = true;  // first token of the file
-      } else {
-        const std::string_view prev = tok(k - 1);
-        if (kStmtStarters.contains(prev)) {
-          flag = true;
-        } else if (prev == ")") {
-          // Either a (void) cast — fine — or the close of an if/while
-          // condition, making the call the entire controlled statement.
-          std::size_t open = kNpos;
-          int depth = 0;
-          for (std::size_t p = k - 1; p != kNpos; --p) {
-            if (tok(p) == ")") ++depth;
-            if (tok(p) == "(" && --depth == 0) {
-              open = p;
-              break;
-            }
-            if (p == 0) break;
-          }
-          if (open != kNpos) {
-            const bool void_cast = open + 2 == k - 1 && tok_is(open + 1, "void");
-            if (!void_cast && open > 0) {
-              const std::string_view head = tok(open - 1);
-              if (head == "if" || head == "while" || head == "for" ||
-                  head == "switch") {
-                flag = true;
-              }
-            }
-          }
-        }
-      }
-      if (!flag) continue;
-      std::string ret = "a status";
-      const auto decls = options_.symbols->find_functions(name);
-      if (!decls.empty()) ret = decls.front()->return_type;
-      report(tok_line_index(i), "discarded-error-return",
-             "result of '" + std::string(name) + "' (returns " + ret +
-                 ") is silently discarded — consume it or cast to void");
-    }
-  }
-
-  /// Flow-aware companion to discarded-error-return: a must-use call whose
-  /// result is bound to a fresh local that no reachable statement ever
-  /// reads discards the status just as surely as a bare call. A plain
+  /// discarded-error-return: a must-use call whose result is bound to a
+  /// fresh local that no reachable statement ever reads discards the
+  /// status just as surely as a bare call (which the compiler rejects, see
+  /// check_missing_nodiscard); gcc's -Wunused-variable misses the store
+  /// when the local has a non-trivial type such as std::optional. A plain
   /// reassignment (`st = next();`) is a write, not a read; reads inside
   /// DFX_CHECK/DFX_DCHECK count (that is the intended consumption).
   void check_dead_status_stores() {
@@ -815,8 +650,6 @@ class Linter {
     }
     // Marker declarations in the file itself always count, so fixtures and
     // headers are self-contained; the cross-TU index layers on top.
-    SymbolIndex local;
-    local.index_source(path_, tokens_);
     TaintConfig config;
     const auto merge = [&config](const SymbolIndex& idx) {
       config.source_calls.insert(idx.taint_source_calls().begin(),
@@ -826,7 +659,7 @@ class Linter {
       config.passthrough_calls.insert(idx.taint_passthrough_calls().begin(),
                                       idx.taint_passthrough_calls().end());
     };
-    merge(local);
+    merge(local_symbols_);
     if (options_.symbols != nullptr) merge(*options_.symbols);
     std::set<std::size_t> reported_lines;
     for (const Cfg& cfg : cfgs_) {
@@ -874,10 +707,6 @@ class Linter {
     static const std::set<std::string> kNarrow = {
         "uint8_t",  "int8_t",       "uint16_t",  "int16_t",
         "short",    "unsigned short", "short int", "signed short"};
-    static const std::set<std::string_view> kGuardCalls = {"DFX_CHECK",
-                                                           "DFX_DCHECK"};
-    static const std::vector<std::string_view> kGuardLines = {"DFX_CHECK",
-                                                              "DFX_DCHECK"};
     for (std::size_t i = 0; i < tokens_.size(); ++i) {
       if (!tok_is(i, "static_cast") || !tok_is(i + 1, "<")) continue;
       // Collect the target type up to the matching '>'.
@@ -912,13 +741,13 @@ class Linter {
       // `x >> 8` / `x & 0xFF` deliberately select bits; a bare variable or
       // member chain is a width-safe conversion the types already prove.
       if (masked || simple) continue;
-      const std::size_t li = tok_line_index(i);
+      // The guard must dominate the cast — a check in one branch only, or
+      // textually after the cast on the same line, does not vouch for it
+      // (tests/lint_fixtures/dnscore/bad_multipath.cpp pins both). Outside
+      // any function body (a namespace-scope initializer) no DFX_CHECK can
+      // run first, so such a cast is always reported.
       const Cfg* cfg = enclosing_cfg(cfgs_, i);
       if (cfg != nullptr) {
-        // Flow-aware path: the guard must dominate the cast — a check in
-        // one branch only, or textually after the cast on the same line,
-        // no longer vouches for it (both slipped past the old 6-line
-        // window; tests/lint_fixtures/dnscore/bad_multipath.cpp pins them).
         GuardSpec spec;
         for (std::size_t p = j + 2; p < close; ++p) {
           if (tokens_[p].kind == Tok::kIdent) {
@@ -926,13 +755,8 @@ class Linter {
           }
         }
         if (has_dominating_guard(*cfg, tokens_, i, spec)) continue;
-      } else {
-        // No enclosing function body (a namespace-scope initializer, say):
-        // no CFG to ask, so fall back to the token walk.
-        if (guarded_nearby(li, 6, kGuardLines)) continue;
-        if (dominating_guard_before(i, kGuardCalls)) continue;
       }
-      report(li, "unguarded-narrowing-cast",
+      report(tok_line_index(i), "unguarded-narrowing-cast",
              "static_cast<" + type +
                  "> of a computed value without a DFX_CHECK/DFX_DCHECK "
                  "bound — truncation here corrupts wire data");
@@ -1043,11 +867,11 @@ class Linter {
 
   const std::string& path_;
   const Options& options_;
-  const std::string& stripped_;
   const std::vector<std::string>& lines_;
   const std::vector<Token>& tokens_;
   Suppressions suppressions_;
   const std::vector<Cfg> cfgs_;  // built once per file
+  SymbolIndex local_symbols_;    // this file's own declarations
   std::vector<Violation> violations_;
 };
 
@@ -1191,8 +1015,7 @@ FileAnalysis analyze_file(std::string path, std::string content) {
   FileAnalysis fa;
   fa.path = std::move(path);
   fa.content = std::make_unique<const std::string>(std::move(content));
-  fa.stripped = strip_comments_and_strings(*fa.content);
-  fa.lines = split_lines(fa.stripped);
+  fa.lines = split_lines(strip_comments_and_strings(*fa.content));
   fa.raw_lines = split_lines(*fa.content);
   fa.tokens = lex(*fa.content);
   return fa;

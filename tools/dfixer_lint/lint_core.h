@@ -36,7 +36,9 @@ struct Violation {
 
 struct Options {
   /// Cross-TU symbol index over src/ (see symbols.h). Null disables the
-  /// rule that needs it: discarded-error-return.
+  /// rule that needs it: discarded-error-return's dead-store check, which
+  /// asks whether a callee declared in another file is must-use.
+  /// missing-nodiscard reads only the linted file's own declarations.
   const SymbolIndex* symbols = nullptr;
 };
 
@@ -46,8 +48,7 @@ struct Options {
 struct FileAnalysis {
   std::string path;
   std::unique_ptr<const std::string> content;  // original source, stable
-  std::string stripped;                  // comments/strings blanked
-  std::vector<std::string> lines;        // stripped, split at '\n'
+  std::vector<std::string> lines;        // comments/strings blanked, split
   std::vector<std::string> raw_lines;    // original, split at '\n'
   std::vector<Token> tokens;             // views into *content
 };

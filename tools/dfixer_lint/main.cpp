@@ -13,9 +13,6 @@
 //   --update-baseline      rewrite the baseline file with current findings
 //   --callgraph-dump       print the resolved call graph (with the external
 //                          inventory) and exit
-//   --no-interprocedural   skip the callgraph/summaries pass and its three
-//                          rules (hot-path-cost, interprocedural-taint-flow,
-//                          static-lock-cycle)
 //
 // Unknown dash-prefixed arguments are an error (exit 2), not file names —
 // a typo'd flag must not be silently linted as a path.
@@ -25,11 +22,14 @@
 //
 // Every file is read and lexed exactly once into a FileAnalysis shared by
 // all rule packs; the cross-TU symbol index is built from src/ before any
-// rule runs, so discarded-error-return sees declarations from other
-// translation units. The interprocedural pass runs over the src/ analyses
-// (product code only — test scaffolding such as the TSan lock-order probe
-// inverts lock orders on purpose) plus any explicitly listed files, so
-// fixture runs exercise the same program analysis a full sweep does.
+// rule runs, so discarded-error-return's dead-store check sees must-use
+// declarations from other translation units. Bare discarded calls are the
+// compiler's job (-Werror=unused-result on the [[nodiscard]] declarations
+// that missing-nodiscard enforces). The interprocedural pass always runs,
+// over the src/ analyses (product code only — test scaffolding such as the
+// TSan lock-order probe inverts lock orders on purpose) plus any explicitly
+// listed files, so fixture runs exercise the same program analysis a full
+// sweep does.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   bool emit_json = false;
   bool update_baseline = false;
   bool dump_callgraph = false;
-  bool interprocedural = true;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -95,12 +94,10 @@ int main(int argc, char** argv) {
       update_baseline = true;
     } else if (arg == "--callgraph-dump") {
       dump_callgraph = true;
-    } else if (arg == "--no-interprocedural") {
-      interprocedural = false;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: dfixer_lint [--root DIR] [--json] "
                    "[--baseline FILE] [--update-baseline] "
-                   "[--callgraph-dump] [--no-interprocedural] [files...]\n";
+                   "[--callgraph-dump] [files...]\n";
       return 0;
     } else if (arg.starts_with("-")) {
       std::cerr << "dfixer_lint: unknown flag " << arg
@@ -172,30 +169,24 @@ int main(int argc, char** argv) {
   dfx::lint::Options options;
   options.symbols = &index;
 
-  std::vector<dfx::lint::Violation> findings;
-
   // Interprocedural pass: call graph + summaries over the product code
   // (src/ analyses) plus any explicitly listed files, then the three
   // whole-program rules.
-  if (interprocedural || dump_callgraph) {
-    std::vector<const dfx::lint::FileAnalysis*> program;
-    for (const auto& fa : analyses) {
-      if (explicit_files || fa.path.find("src/") != std::string::npos) {
-        program.push_back(&fa);
-      }
+  std::vector<const dfx::lint::FileAnalysis*> program;
+  for (const auto& fa : analyses) {
+    if (explicit_files || fa.path.find("src/") != std::string::npos) {
+      program.push_back(&fa);
     }
-    for (const auto& fa : extra_src) program.push_back(&fa);
-    const dfx::lint::ProgramAnalysis pa =
-        dfx::lint::analyze_program(std::move(program), &index);
-    if (dump_callgraph) {
-      std::cout << pa.graph.dump();
-      return 0;
-    }
-    auto violations = dfx::lint::lint_interprocedural(pa);
-    findings.insert(findings.end(),
-                    std::make_move_iterator(violations.begin()),
-                    std::make_move_iterator(violations.end()));
   }
+  for (const auto& fa : extra_src) program.push_back(&fa);
+  const dfx::lint::ProgramAnalysis pa =
+      dfx::lint::analyze_program(std::move(program), &index);
+  if (dump_callgraph) {
+    std::cout << pa.graph.dump();
+    return 0;
+  }
+  std::vector<dfx::lint::Violation> findings =
+      dfx::lint::lint_interprocedural(pa);
 
   for (const auto& fa : analyses) {
     auto violations = dfx::lint::lint_file(fa, options);

@@ -36,8 +36,8 @@ std::string findings_to_json(const std::vector<Violation>& findings,
   return json::serialize_pretty(json::Value(std::move(doc))) + "\n";
 }
 
-std::optional<std::vector<Violation>> findings_from_json(std::string_view text,
-                                                         std::string* error) {
+[[nodiscard]] std::optional<std::vector<Violation>> findings_from_json(
+    std::string_view text, std::string* error) {
   const auto set_error = [&](std::string msg) {
     if (error != nullptr) *error = std::move(msg);
   };

@@ -24,7 +24,7 @@ std::string findings_to_json(const std::vector<Violation>& findings,
 
 /// Parse a ratchet JSON document. Returns nullopt (and sets *error when
 /// non-null) on malformed JSON or a schema mismatch.
-std::optional<std::vector<Violation>> findings_from_json(
+[[nodiscard]] std::optional<std::vector<Violation>> findings_from_json(
     std::string_view text, std::string* error = nullptr);
 
 struct RatchetDiff {

@@ -44,6 +44,88 @@ bool is_decl_trailer(std::string_view word) {
   return kTrailers.contains(word);
 }
 
+/// End of the parenthesized group opening at `open` (one past its ')'), or
+/// `end` when it does not close before `end`.
+std::size_t skip_parens(const std::vector<Token>& t, std::size_t open,
+                        std::size_t end) {
+  int depth = 0;
+  for (std::size_t j = open; j < end; ++j) {
+    if (t[j].text == "(") ++depth;
+    if (t[j].text == ")" && --depth == 0) return j + 1;
+  }
+  return end;
+}
+
+/// One past a `public:`/`private:`/`protected:` label at `b`, or `b`.
+std::size_t skip_access_label(const std::vector<Token>& t, std::size_t b) {
+  const bool label = is_ident(t, b) && tok_is(t, b + 1, ":") &&
+                     (t[b].text == "public" || t[b].text == "private" ||
+                      t[b].text == "protected");
+  return label ? b + 2 : b;
+}
+
+/// A project annotation macro (DFX_HOT_PATH, DFX_COLD("why"),
+/// DFX_EXCLUDES(mu), ...) at `i`: index one past it and its argument list,
+/// or `i` itself when the token is no such macro.
+std::size_t skip_annotation(const std::vector<Token>& t, std::size_t i,
+                            std::size_t end) {
+  if (!is_ident(t, i) || !t[i].text.starts_with("DFX_")) return i;
+  return tok_is(t, i + 1, "(") ? skip_parens(t, i + 1, end) : i + 1;
+}
+
+/// Does the chunk [b, end) before a '{' open a scope that holds
+/// declarations (namespace, class, struct, union, enum, extern "C")? Any
+/// other brace is a function body, initializer or block, whose statements
+/// are not declarations the index wants.
+bool opens_declaration_scope(const std::vector<Token>& t, std::size_t b,
+                             std::size_t end) {
+  b = skip_access_label(t, b);
+  if (tok_is(t, b, "template") && tok_is(t, b + 1, "<")) {
+    int angle = 0;
+    for (; b < end; ++b) {
+      if (t[b].text == "<") ++angle;
+      if (t[b].text == ">" && --angle == 0) break;
+    }
+    ++b;
+  }
+  while (b < end && (t[b].text == "inline" || t[b].text == "export")) ++b;
+  if (b >= end) return false;
+  static const std::set<std::string_view> kScopes = {
+      "namespace", "class", "struct", "union", "enum"};
+  return kScopes.contains(t[b].text) ||
+         (t[b].text == "extern" && b + 1 < end &&
+          t[b + 1].kind == Tok::kString);
+}
+
+/// Status class of a return type spelled by tokens [b, e): decided by the
+/// outermost type alone, so `std::set<ErrorCode>` or
+/// `std::vector<std::optional<T>>` are containers, not statuses. A pointer
+/// or reference at the outer level is never a status.
+ReturnClass classify_return(const std::vector<Token>& t, std::size_t b,
+                            std::size_t e, std::string_view name) {
+  std::string_view outer;
+  bool indirect = false;
+  int angle = 0;
+  for (std::size_t j = b; j < e; ++j) {
+    const std::string_view s = t[j].text;
+    if (s == "<") ++angle;
+    if (s == ">") --angle;
+    if (angle != 0) continue;
+    if (s == "*" || s == "&" || s == "&&") indirect = true;
+    if (t[j].kind == Tok::kIdent && s != "const" && s != "volatile") outer = s;
+  }
+  if (indirect) return ReturnClass::kOther;
+  if (outer == "optional") return ReturnClass::kOptional;
+  if (outer == "variant") return ReturnClass::kVariant;
+  if (outer == "ErrorCode") return ReturnClass::kErrorCode;
+  if (outer == "void") return ReturnClass::kVoid;
+  if (outer == "bool") {
+    return is_status_function_name(name) ? ReturnClass::kBoolStatus
+                                         : ReturnClass::kBool;
+  }
+  return ReturnClass::kOther;
+}
+
 }  // namespace
 
 bool is_status_function_name(std::string_view name) {
@@ -77,89 +159,38 @@ void SymbolIndex::index_source(const std::string& path,
                                const std::vector<Token>& tokens) {
   ++file_count_;
   index_functions(path, tokens);
-  index_taints(tokens);
-  index_hot_cold(tokens);
+  index_annotations(tokens);
 }
 
-/// Classify DFX_HOT_PATH / DFX_COLD(reason) markers the same way
-/// index_taints() does: scan forward to the nearest declaration boundary
-/// and record the `name(` the annotation sits on. DFX_COLD's argument list
-/// is consumed first; the reason must be a string literal.
-void SymbolIndex::index_hot_cold(const std::vector<Token>& tokens) {
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t n = tokens.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tokens[i].kind != Tok::kIdent) continue;
-    const std::string_view w = tokens[i].text;
-    const bool cold = w == "DFX_COLD";
-    if (w != "DFX_HOT_PATH" && !cold) continue;
-    std::size_t scan_from = i + 1;
-    bool has_reason = false;
-    if (cold) {
-      if (i + 1 >= n || tokens[i + 1].text != "(") continue;
-      int depth = 0;
-      std::size_t j = i + 1;
-      for (; j < n; ++j) {
-        if (tokens[j].text == "(") ++depth;
-        if (tokens[j].kind == Tok::kString) has_reason = true;
-        if (tokens[j].text == ")" && --depth == 0) break;
-      }
-      scan_from = j + 1;
-    }
-    std::size_t last_ident = npos;
-    std::size_t fn_ident = npos;
-    for (std::size_t j = scan_from; j < n; ++j) {
-      const std::string_view s = tokens[j].text;
-      if (tokens[j].kind == Tok::kIdent) {
-        last_ident = j;
-        continue;
-      }
-      if (s == "<") {  // template arguments in the return type
-        int angle = 1;
-        while (++j < n && angle > 0) {
-          if (tokens[j].text == "<") ++angle;
-          if (tokens[j].text == ">") --angle;
-          if (tokens[j].text == ";" || tokens[j].text == "{") break;
-        }
-        --j;
-        continue;
-      }
-      if (s == "(") {
-        if (last_ident == j - 1) fn_ident = last_ident;
-        break;
-      }
-      if (s == ";" || s == "=" || s == "{" || s == ")" || s == ",") break;
-      // "::", "&", "*", ":" — part of the declared type, keep going.
-    }
-    if (fn_ident == npos) continue;
-    std::string name(tokens[fn_ident].text);
-    if (cold) {
-      const auto [it, inserted] = cold_fns_.try_emplace(name, has_reason);
-      // Several declarations of one function: the reason requirement is
-      // satisfied as soon as any of them carries it.
-      if (!inserted && has_reason) it->second = true;
-    } else {
-      hot_fns_.insert(std::move(name));
-    }
-  }
-}
-
-/// Classify every DFX_TAINTED / DFX_TAINT_PASSTHROUGH marker by scanning to
-/// the nearest declaration boundary: `name(` before a boundary is a function
+/// Classify every annotation marker by scanning forward to the nearest
+/// declaration boundary: `name(` before a boundary is a function
 /// annotation, `;`/`=`/`{` closes a field, and `)`/`,` means the marker sat
 /// on a parameter (seeded locally by the CFG builder, not indexed here).
-void SymbolIndex::index_taints(const std::vector<Token>& tokens) {
+/// DFX_COLD's argument list is consumed first; its reason must be a string
+/// literal.
+void SymbolIndex::index_annotations(const std::vector<Token>& tokens) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
   const std::size_t n = tokens.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (tokens[i].kind != Tok::kIdent) continue;
     const std::string_view w = tokens[i].text;
-    const bool passthrough = w == "DFX_TAINT_PASSTHROUGH";
-    if (w != "DFX_TAINTED" && !passthrough) continue;
+    if (w != "DFX_TAINTED" && w != "DFX_TAINT_PASSTHROUGH" &&
+        w != "DFX_HOT_PATH" && w != "DFX_COLD") {
+      continue;
+    }
+    std::size_t scan_from = i + 1;
+    bool has_reason = false;
+    if (w == "DFX_COLD") {
+      if (!tok_is(tokens, i + 1, "(")) continue;
+      scan_from = skip_parens(tokens, i + 1, n);
+      for (std::size_t j = i + 1; j < scan_from; ++j) {
+        if (tokens[j].kind == Tok::kString) has_reason = true;
+      }
+    }
     std::size_t last_ident = npos;
     std::size_t fn_ident = npos;
     bool field = false;
-    for (std::size_t j = i + 1; j < n; ++j) {
+    for (std::size_t j = scan_from; j < n; ++j) {
       const std::string_view s = tokens[j].text;
       if (tokens[j].kind == Tok::kIdent) {
         last_ident = j;
@@ -186,41 +217,68 @@ void SymbolIndex::index_taints(const std::vector<Token>& tokens) {
       if (s == ")" || s == ",") break;  // parameter annotation
       // "::", "&", "*", ":", ">" — part of the declared type, keep going.
     }
-    if (fn_ident != npos) {
-      (passthrough ? taint_passthrough_ : taint_sources_)
-          .insert(std::string(tokens[fn_ident].text));
-    } else if (field && last_ident != npos && !passthrough) {
-      taint_fields_.insert(std::string(tokens[last_ident].text));
+    if (fn_ident == npos) {
+      if (field && last_ident != npos && w == "DFX_TAINTED") {
+        taint_fields_.insert(std::string(tokens[last_ident].text));
+      }
+      continue;
+    }
+    std::string name(tokens[fn_ident].text);
+    if (w == "DFX_COLD") {
+      const auto [it, inserted] = cold_fns_.try_emplace(name, has_reason);
+      // Several declarations of one function: the reason requirement is
+      // satisfied as soon as any of them carries it.
+      if (!inserted && has_reason) it->second = true;
+    } else if (w == "DFX_HOT_PATH") {
+      hot_fns_.insert(std::move(name));
+    } else {
+      (w == "DFX_TAINTED" ? taint_sources_ : taint_passthrough_)
+          .insert(std::move(name));
     }
   }
 }
 
 void SymbolIndex::index_functions(const std::string& path,
                                   const std::vector<Token>& tokens) {
+  // One entry per open brace: does it hold declarations? The file scope
+  // does; a chunk is only analyzed while the innermost scope does, so
+  // statements in function bodies (`std::optional<int> o(3);`) never
+  // index as functions, while a class declared inside one still does.
+  std::vector<bool> decl_scope = {true};
   std::size_t chunk_begin = 0;
   for (std::size_t i = 0; i <= tokens.size(); ++i) {
-    const bool boundary =
-        i == tokens.size() || tokens[i].text == ";" ||
-        tokens[i].text == "{" || tokens[i].text == "}";
-    if (!boundary) continue;
-    analyze_chunk(path, tokens, chunk_begin, i);
+    const std::string_view t =
+        i == tokens.size() ? std::string_view(";") : tokens[i].text;
+    if (t != ";" && t != "{" && t != "}") continue;
+    if (decl_scope.back()) analyze_chunk(path, tokens, chunk_begin, i);
+    if (t == "{") {
+      decl_scope.push_back(opens_declaration_scope(tokens, chunk_begin, i));
+    } else if (t == "}" && decl_scope.size() > 1) {
+      decl_scope.pop_back();
+    }
     chunk_begin = i + 1;
   }
 }
 
-/// One declaration-shaped chunk: the tokens between two of ; { }. Records a
-/// FunctionDecl when the chunk parses as `ret-type [Qual::]name(params)`
-/// optionally followed by trailing qualifiers. Statements inside bodies fall
-/// through the same path; a local variable with a parenthesized initializer
-/// indexes as a kOther "function", which the must-use aggregation renders
-/// harmless (see the header comment).
+/// One declaration-shaped chunk: the tokens between two of ; { } in a
+/// declaration scope. Records a FunctionDecl when the chunk parses as
+/// `ret-type [Qual::]name(params)` optionally followed by trailing
+/// qualifiers and annotation macros.
 void SymbolIndex::analyze_chunk(const std::string& path,
                                 const std::vector<Token>& tokens,
                                 std::size_t begin, std::size_t end) {
   std::size_t b = begin;
   bool nodiscard = false;
-  // Leading attributes and specifiers.
+  // Leading access labels, attributes, annotation macros and specifiers.
   while (b < end) {
+    if (const std::size_t next = skip_annotation(tokens, b, end); next != b) {
+      b = next;
+      continue;
+    }
+    if (const std::size_t next = skip_access_label(tokens, b); next != b) {
+      b = next;
+      continue;
+    }
     if (tok_is(tokens, b, "[") && tok_is(tokens, b + 1, "[")) {
       std::size_t j = b + 2;
       while (j + 1 < end &&
@@ -278,53 +336,31 @@ void SymbolIndex::analyze_chunk(const std::string& path,
     if (tokens[r].text == ")" && --pdepth == 0) break;
   }
   if (r >= end) return;
-  for (std::size_t j = r + 1; j < end; ++j) {
+  for (std::size_t j = r + 1; j < end;) {
     if (tok_is(tokens, j, "noexcept") && tok_is(tokens, j + 1, "(")) {
-      int nd = 0;
+      j = skip_parens(tokens, j + 1, end);
+    } else if (const std::size_t next = skip_annotation(tokens, j, end);
+               next != j) {
+      j = next;  // DFX_REQUIRES(mu_) and the other thread annotations
+    } else if (is_decl_trailer(tokens[j].text)) {
       ++j;
-      for (; j < end; ++j) {
-        if (tokens[j].text == "(") ++nd;
-        if (tokens[j].text == ")" && --nd == 0) break;
-      }
-      continue;
+    } else {
+      return;  // trailing return type, initializer list, or not a decl
     }
-    if (tokens[j].text == "->") return;  // trailing return type: skip
-    if (!is_decl_trailer(tokens[j].text)) return;
   }
-  // Classify the return type tokens [b, name_start).
+  if (tokens[b].kind != Tok::kIdent && tokens[b].text != "::") return;
   FunctionDecl decl;
   decl.nodiscard = nodiscard;
   decl.name = std::string(tokens[candidate].text);
   decl.file = path;
   decl.line = tokens[candidate].line;
-  bool saw_optional = false, saw_variant = false, saw_errorcode = false;
-  bool saw_pointer = false;
   for (std::size_t j = b; j < name_start; ++j) {
     if (!decl.return_type.empty()) decl.return_type += ' ';
     decl.return_type += std::string(tokens[j].text.empty()
                                         ? std::string_view("<literal>")
                                         : tokens[j].text);
-    if (tokens[j].text == "optional") saw_optional = true;
-    if (tokens[j].text == "variant") saw_variant = true;
-    if (tokens[j].text == "ErrorCode") saw_errorcode = true;
-    if (tokens[j].text == "*") saw_pointer = true;
   }
-  const std::string_view first = tokens[b].text;
-  if (tokens[b].kind != Tok::kIdent && first != "::") return;
-  if (saw_optional) {
-    decl.cls = ReturnClass::kOptional;
-  } else if (saw_variant) {
-    decl.cls = ReturnClass::kVariant;
-  } else if (saw_errorcode && !saw_pointer) {
-    decl.cls = ReturnClass::kErrorCode;
-  } else if (decl.return_type == "bool") {
-    decl.cls = is_status_function_name(decl.name) ? ReturnClass::kBoolStatus
-                                                  : ReturnClass::kBool;
-  } else if (decl.return_type == "void") {
-    decl.cls = ReturnClass::kVoid;
-  } else {
-    decl.cls = ReturnClass::kOther;
-  }
+  decl.cls = classify_return(tokens, b, name_start, decl.name);
   fn_by_name_[decl.name].push_back(functions_.size());
   functions_.push_back(std::move(decl));
 }

@@ -1,13 +1,16 @@
-// Cross-translation-unit symbol index for dfixer_lint. One sweep over all
-// of src/ records function declarations with a coarse classification of
-// their return type, plus the taint and hot-path annotations. The
-// flow-aware rules consume it: discarded-error-return asks whether a
-// called name returns a status the caller must consume.
+// Symbol index for dfixer_lint: function declarations (in namespace and
+// class scopes, never statements in function bodies) with the status class
+// of their outermost return type, plus the taint and hot-path annotations.
+// is_must_use_decl() is the project's one definition of "must-use":
+// missing-nodiscard demands [[nodiscard]] on every such declaration of the
+// linted file (the compiler then rejects bare discarded calls), and
+// discarded-error-return's dead-store check asks the src/-wide index
+// whether a called name is must-use.
 //
-// The index is name-based (unqualified), deliberately: it has no overload
-// resolution and no type checker. A name is only treated as must-use when
-// *every* indexed declaration of that name is must-use, so a collision with
-// an unrelated void function makes the rule go quiet rather than wrong.
+// Cross-file lookups are name-based (unqualified), deliberately: there is
+// no overload resolution. A name is only treated as must-use when *every*
+// indexed declaration of it is must-use, so a collision with an unrelated
+// void function makes the rule go quiet rather than wrong.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +30,9 @@ enum class ReturnClass : std::uint8_t {
   kVoid,
   kBool,        // plain bool (not status-named)
   kBoolStatus,  // bool + parse/validate/verify/decode-style name
-  kErrorCode,   // any return type mentioning ErrorCode
-  kOptional,    // std::optional<...>
-  kVariant,     // std::variant<...>
+  kErrorCode,   // ErrorCode by value
+  kOptional,    // std::optional<...> by value
+  kVariant,     // std::variant<...> by value
 };
 
 struct FunctionDecl {
@@ -45,7 +48,9 @@ struct FunctionDecl {
 /// validate_*, *_decode, from_wire, ...).
 bool is_status_function_name(std::string_view name);
 
-/// Must the result of a declaration with this shape be consumed?
+/// Must the result of a declaration with this shape be consumed? True for
+/// [[nodiscard]] and for the status classes (ErrorCode, optional, variant,
+/// status-named bool).
 bool is_must_use_decl(const FunctionDecl& decl);
 
 class SymbolIndex {
@@ -93,8 +98,7 @@ class SymbolIndex {
  private:
   void index_functions(const std::string& path,
                        const std::vector<Token>& tokens);
-  void index_taints(const std::vector<Token>& tokens);
-  void index_hot_cold(const std::vector<Token>& tokens);
+  void index_annotations(const std::vector<Token>& tokens);
   void analyze_chunk(const std::string& path, const std::vector<Token>& tokens,
                      std::size_t begin, std::size_t end);
 

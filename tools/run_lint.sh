@@ -9,9 +9,6 @@
 #                                     # accept the current findings
 #   tools/run_lint.sh --callgraph-dump file.cpp
 #                                     # inspect call resolution + externals
-#   tools/run_lint.sh --no-interprocedural
-#                                     # skip callgraph/summaries and the
-#                                     # three interprocedural rules
 #
 # Extra arguments are passed through to dfixer_lint verbatim (the binary
 # rejects unknown flags rather than treating them as file paths).
