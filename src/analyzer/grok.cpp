@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <tuple>
 
 #include "authserver/authserver.h"
 #include "util/codec.h"
@@ -119,6 +121,13 @@ struct ZoneChecker {
   std::size_t hash_cost_spent = 0;
   bool budget_exhausted = false;
 
+  /// One crypto verdict per (signed data, signature, algorithm, public
+  /// key) in this zone: every server serves the same RRsets, and the
+  /// negative probes share proof records. The memo only skips repeated
+  /// crypto; each attempt is still charged (charge_sig_validation).
+  using VerdictKey = std::tuple<Bytes, Bytes, std::uint8_t, Bytes>;
+  std::map<VerdictKey, bool> verdicts{};
+
   const dns::Name& apex() const { return zp.apex; }
 
   void note_failure() { any_validation_failure = true; }
@@ -142,6 +151,22 @@ struct ZoneChecker {
     }
     ++sig_validations_spent;
     return true;
+  }
+
+  /// Does `sig` verify over `signed_data` with `key`? Runs the crypto the
+  /// first time this zone asks, and answers from `verdicts` afterwards.
+  [[nodiscard]] bool verify(const Bytes& signed_data,
+                            const dns::RrsigRdata& sig,
+                            const dns::DnskeyRdata& key) {
+    auto [it, fresh] = verdicts.try_emplace(
+        VerdictKey{signed_data, sig.signature, key.algorithm, key.public_key},
+        false);
+    if (fresh) {
+      it->second = crypto::verify_message(
+          static_cast<crypto::DnssecAlgorithm>(key.algorithm),
+          key.public_key, signed_data, sig.signature);
+    }
+    return it->second;
   }
 
   /// Charge `cost` SHA-1 applications of NSEC3 hashing; false once the
@@ -448,9 +473,13 @@ struct ZoneChecker {
       if (sig_ok) {
         // For wildcard expansions the signed owner differs from the served
         // owner; verify against the reconstructed source of synthesis.
-        dns::RRset canonical(signing_owner, view.rrset.type(),
-                             view.rrset.ttl());
-        for (const auto& rdata : view.rrset.rdatas()) canonical.add(rdata);
+        std::optional<dns::RRset> source;
+        if (signing_owner != view.rrset.owner()) {
+          source.emplace(signing_owner, view.rrset.type(), view.rrset.ttl());
+          for (const auto& rdata : view.rrset.rdatas()) source->add(rdata);
+        }
+        const Bytes signed_data =
+            zone::rrsig_signed_data(source ? *source : view.rrset, sig);
         bool verified = false;
         bool abandoned = false;
         for (const auto* signer : candidates) {
@@ -458,7 +487,7 @@ struct ZoneChecker {
             abandoned = true;
             break;
           }
-          if (zone::verify_rrsig(canonical, sig, *signer)) {
+          if (verify(signed_data, sig, *signer)) {
             verified = true;
             break;
           }
@@ -919,6 +948,10 @@ ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
 
 Snapshot grok(const ProbeData& data, const GrokConfig& config) {
   static auto& grok_count = metrics::Registry::global().counter("analyze.groks");
+  static auto& sig_attempts = metrics::Registry::global().counter(
+      "analyzer.sig_validation_attempts");
+  static auto& sig_verifications =
+      metrics::Registry::global().counter("analyzer.sig_verifications");
   grok_count.add(1);
   Snapshot snapshot;
   snapshot.query_domain = data.query_domain;
@@ -1077,6 +1110,10 @@ Snapshot grok(const ProbeData& data, const GrokConfig& config) {
         zone_state = TrustState::kBogus;
       }
     }
+
+    // Attempts charged vs crypto actually run (one per memo entry).
+    sig_attempts.add(static_cast<std::int64_t>(checker.sig_validations_spent));
+    sig_verifications.add(static_cast<std::int64_t>(checker.verdicts.size()));
 
     if (is_target) {
       snapshot.target_meta = extract_meta(zp, checker);

@@ -26,6 +26,11 @@ struct GrokConfig {
   /// Maximum signature-verification attempts per zone. Colliding key tags
   /// multiply attempts: every candidate key matching an RRSIG's
   /// (key tag, algorithm) pair must be tried before the RRSIG fails.
+  /// The budget counts attempts, not crypto runs: grok keeps one verdict
+  /// per (signed data, signature, algorithm, public key) per zone, so an
+  /// RRSIG served by several servers or in several probes is verified
+  /// once, but every attempt is charged. The memo only skips repeated
+  /// crypto; it never changes an error code.
   std::size_t max_sig_validations = 200;
 
   /// Candidate (RRSIG, DNSKEY) pairings tolerated for a single RRset

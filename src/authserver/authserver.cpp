@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 
 #include "zone/nsec3.h"
 #include "util/check.hpp"
@@ -182,16 +181,13 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
 }
 
 /// NSEC3 proofs when the apex advertises NSEC3PARAM, NSEC proofs otherwise.
-/// A null `denial` builds the index for this one answer.
-void add_denial_proofs(const zone::Zone& zone, const DenialIndex* denial,
+void add_denial_proofs(const zone::Zone& zone, const DenialIndex& denial,
                        const dns::Name& qname, bool nxdomain,
                        QueryResult& result) {
-  std::optional<DenialIndex> built;
-  if (denial == nullptr) denial = &built.emplace(zone);
-  if (denial->nsec3()) {
-    add_nsec3_proofs(zone, *denial, qname, nxdomain, result);
+  if (denial.nsec3()) {
+    add_nsec3_proofs(zone, denial, qname, nxdomain, result);
   } else {
-    add_nsec_proofs(zone, *denial, qname, nxdomain, result);
+    add_nsec_proofs(zone, denial, qname, nxdomain, result);
   }
 }
 
@@ -203,7 +199,7 @@ void answer_positive(const zone::Zone& zone, const dns::Name& qname,
 
 /// NODATA (the name exists, possibly as an empty non-terminal) or NXDOMAIN:
 /// the apex SOA plus the denial proofs.
-void answer_negative(const zone::Zone& zone, const DenialIndex* denial,
+void answer_negative(const zone::Zone& zone, const DenialIndex& denial,
                      const dns::Name& qname, bool nxdomain,
                      QueryResult& result) {
   result.rcode = nxdomain ? dns::RCode::kNXDomain : dns::RCode::kNoError;
@@ -212,7 +208,7 @@ void answer_negative(const zone::Zone& zone, const DenialIndex* denial,
   add_denial_proofs(zone, denial, qname, nxdomain, result);
 }
 
-void answer_wildcard(const zone::Zone& zone, const DenialIndex* denial,
+void answer_wildcard(const zone::Zone& zone, const DenialIndex& denial,
                      const dns::Name& qname, const dns::Name& wildcard,
                      dns::RRType qtype, QueryResult& result) {
   result.rcode = dns::RCode::kNoError;
@@ -239,7 +235,7 @@ void answer_wildcard(const zone::Zone& zone, const DenialIndex* denial,
   add_denial_proofs(zone, denial, qname, /*nxdomain=*/true, result);
 }
 
-void answer_referral(const zone::Zone& zone, const DenialIndex* denial,
+void answer_referral(const zone::Zone& zone, const DenialIndex& denial,
                      const dns::Name& cut, QueryResult& result) {
   result.rcode = dns::RCode::kNoError;
   result.authoritative = false;
@@ -271,9 +267,10 @@ void answer_referral(const zone::Zone& zone, const DenialIndex* denial,
   }
 }
 
-/// answer() with the caller's index, or with none (built on demand).
-QueryResult answer_with(const zone::Zone& zone, const DenialIndex* denial,
-                        const dns::Name& qname, dns::RRType qtype) {
+}  // namespace
+
+QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
+                   const dns::Name& qname, dns::RRType qtype) {
   QueryResult result;
   result.authoritative = true;
 
@@ -316,18 +313,6 @@ QueryResult answer_with(const zone::Zone& zone, const DenialIndex* denial,
   return result;
 }
 
-}  // namespace
-
-QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
-                   const dns::Name& qname, dns::RRType qtype) {
-  return answer_with(zone, &denial, qname, qtype);
-}
-
-QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
-                   dns::RRType qtype) {
-  return answer_with(zone, nullptr, qname, qtype);
-}
-
 std::vector<dns::ResourceRecord> QueryResult::negative_proofs() const {
   std::vector<dns::ResourceRecord> out;
   for (const auto& rr : authorities) {
@@ -354,11 +339,21 @@ dns::Message QueryResult::to_message(const dns::Question& question,
   return msg;
 }
 
-void AuthServer::load_zone(zone::Zone zone) {
-  zones_.insert_or_assign(zone.apex(), std::move(zone));
+void AuthServer::set_lame(bool lame) {
+  lame_ = lame;
+  ++version_;
 }
 
-void AuthServer::unload_zone(const dns::Name& apex) { zones_.erase(apex); }
+void AuthServer::load_zone(zone::Zone zone) {
+  dns::Name apex = zone.apex();
+  zones_.insert_or_assign(std::move(apex), HostedZone(std::move(zone)));
+  ++version_;
+}
+
+void AuthServer::unload_zone(const dns::Name& apex) {
+  zones_.erase(apex);
+  ++version_;
+}
 
 bool AuthServer::serves(const dns::Name& apex) const {
   return zones_.find(apex) != zones_.end();
@@ -366,21 +361,16 @@ bool AuthServer::serves(const dns::Name& apex) const {
 
 const zone::Zone* AuthServer::zone_data(const dns::Name& apex) const {
   const auto it = zones_.find(apex);
-  return it == zones_.end() ? nullptr : &it->second;
+  return it == zones_.end() ? nullptr : &it->second.zone;
 }
 
-zone::Zone* AuthServer::mutable_zone_data(const dns::Name& apex) {
-  auto it = zones_.find(apex);
-  return it == zones_.end() ? nullptr : &it->second;
-}
-
-const zone::Zone* AuthServer::best_zone_for(const dns::Name& qname,
+const HostedZone* AuthServer::best_zone_for(const dns::Name& qname,
                                             dns::RRType qtype) const {
   // Deepest apex that is an ancestor of (or equal to) qname. For DS the
   // *parent* side of the cut is authoritative, so a query for the apex DS
   // must fall through to the enclosing zone.
-  const zone::Zone* best = nullptr;
-  for (const auto& [apex, zone] : zones_) {
+  const HostedZone* best = nullptr;
+  for (const auto& [apex, hosted] : zones_) {
     if (!qname.is_subdomain_of(apex)) continue;
     if (qtype == dns::RRType::kDS && qname == apex) {
       // Serve from the parent zone when we also host it.
@@ -394,8 +384,8 @@ const zone::Zone* AuthServer::best_zone_for(const dns::Name& qname,
       if (parent_hosted) continue;
     }
     if (best == nullptr ||
-        apex.label_count() > best->apex().label_count()) {
-      best = &zone;
+        apex.label_count() > best->zone.apex().label_count()) {
+      best = &hosted;
     }
   }
   return best;
@@ -411,12 +401,12 @@ QueryResult AuthServer::query(const dns::Name& qname,
     result.reachable = false;
     return result;
   }
-  const zone::Zone* zone = best_zone_for(qname, qtype);
-  if (zone == nullptr) {
+  const HostedZone* hosted = best_zone_for(qname, qtype);
+  if (hosted == nullptr) {
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(*zone, qname, qtype);
+  return answer(hosted->zone, hosted->denial, qname, qtype);
 }
 
 QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
@@ -427,12 +417,12 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
     result.reachable = false;
     return result;
   }
-  const zone::Zone* zone = zone_data(zone_apex);
-  if (zone == nullptr || !qname.is_subdomain_of(zone_apex)) {
+  const auto it = zones_.find(zone_apex);
+  if (it == zones_.end() || !qname.is_subdomain_of(zone_apex)) {
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(*zone, qname, qtype);
+  return answer(it->second.zone, it->second.denial, qname, qtype);
 }
 
 }  // namespace dfx::authserver

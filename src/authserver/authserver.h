@@ -3,9 +3,12 @@
 // Serves one or more zones with full positive/negative/referral answer
 // logic, including NSEC and NSEC3 proof selection. Each server holds its
 // own *copy* of zone data, so multi-server inconsistencies (a key error
-// class in the paper) arise naturally when only one copy is updated.
+// class in the paper) arise naturally when only one copy is updated. Each
+// hosted copy carries the DenialIndex built when it was loaded; a new
+// version replaces both together.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -111,6 +114,18 @@ class DenialIndex {
   std::optional<dns::Nsec3ParamRdata> nsec3_param_;
 };
 
+/// One hosted zone version and the denial index built from it. Built
+/// once when the version is loaded and never changed afterwards, so the
+/// index always describes the zone beside it. AuthServer keeps one per
+/// hosted apex; the serving layer's ZoneStore shares them between shard
+/// snapshots.
+struct HostedZone {
+  explicit HostedZone(zone::Zone z) : zone(std::move(z)), denial(zone) {}
+
+  zone::Zone zone;
+  DenialIndex denial;
+};
+
 /// Answer a question from one zone with standard authoritative-server
 /// semantics: referral below a cut, positive (or CNAME) answer, NODATA,
 /// wildcard synthesis, NXDOMAIN. NSEC/NSEC3 proofs are picked the way real
@@ -124,13 +139,6 @@ DFX_COLD("runs on answer-cache misses only; its results are cached")
 QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
                    const dns::Name& qname, dns::RRType qtype);
 
-/// Same, for zones that have no index of their own (AuthServer, zonelint,
-/// the replay's sandbox zones, which change between queries): builds a
-/// DenialIndex when the answer needs a denial proof, and only then.
-DFX_COLD("the full zone walk only runs on answer-cache misses; its results are cached")
-QueryResult answer(const zone::Zone& zone, const dns::Name& qname,
-                   dns::RRType qtype);
-
 class AuthServer {
  public:
   explicit AuthServer(std::string name) : name_(std::move(name)) {}
@@ -138,18 +146,25 @@ class AuthServer {
   const std::string& name() const { return name_; }
 
   /// Unresponsive mode: every query times out (lame delegation modelling).
-  void set_lame(bool lame) { lame_ = lame; }
+  void set_lame(bool lame);
   bool lame() const { return lame_; }
 
-  /// Install (or replace) a zone copy on this server.
+  /// Install (or replace) a zone copy on this server, and build its
+  /// DenialIndex: one index per hosted zone version, which every negative
+  /// answer from that version reuses.
   void load_zone(zone::Zone zone);
 
   /// Drop a zone.
   void unload_zone(const dns::Name& apex);
 
+  /// Bumped by every change to what this server answers: load_zone,
+  /// unload_zone and set_lame. Hosted zones are read-only otherwise, so
+  /// an unchanged version means unchanged answers (ServerFarm::generation
+  /// sums these).
+  std::uint64_t version() const { return version_; }
+
   bool serves(const dns::Name& apex) const;
   const zone::Zone* zone_data(const dns::Name& apex) const;
-  zone::Zone* mutable_zone_data(const dns::Name& apex);
 
   /// Answer from the deepest hosted zone covering `qname` (answer()).
   QueryResult query(const dns::Name& qname, dns::RRType qtype) const;
@@ -160,12 +175,13 @@ class AuthServer {
                             dns::RRType qtype) const;
 
  private:
-  const zone::Zone* best_zone_for(const dns::Name& qname,
+  const HostedZone* best_zone_for(const dns::Name& qname,
                                   dns::RRType qtype) const;
 
   std::string name_;
   bool lame_ = false;
-  std::map<dns::Name, zone::Zone, dns::Name::Less> zones_;
+  std::uint64_t version_ = 0;
+  std::map<dns::Name, HostedZone, dns::Name::Less> zones_;
 };
 
 }  // namespace dfx::authserver

@@ -9,6 +9,7 @@ AuthServer& ServerFarm::server_locked(const std::string& name) {
   auto it = servers_.find(name);
   if (it == servers_.end()) {
     it = servers_.emplace(name, std::make_unique<AuthServer>(name)).first;
+    ++hosting_version_;
   }
   return *it->second;
 }
@@ -31,6 +32,7 @@ void ServerFarm::host_zone(const std::string& server_name, zone::Zone zone) {
   auto& hosts = hosting_[apex];
   if (std::find(hosts.begin(), hosts.end(), server_name) == hosts.end()) {
     hosts.push_back(server_name);
+    ++hosting_version_;
   }
 }
 
@@ -79,6 +81,13 @@ std::vector<const AuthServer*> ServerFarm::servers_for(
     if (srv != servers_.end()) out.push_back(srv->second.get());
   }
   return out;
+}
+
+std::uint64_t ServerFarm::generation() const {
+  const MutexLock lock(*mu_);
+  std::uint64_t generation = hosting_version_;
+  for (const auto& [_, server] : servers_) generation += server->version();
+  return generation;
 }
 
 std::vector<std::string> ServerFarm::server_names() const {

@@ -10,6 +10,7 @@
 // bug — shard domains, don't share servers.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,6 +50,13 @@ class ServerFarm {
 
   std::vector<std::string> server_names() const DFX_EXCLUDES(*mu_);
 
+  /// A stamp of everything a probe of this farm can observe: the farm's
+  /// own hosting counter (bumped when a server is created or a server
+  /// starts hosting a zone) plus every server's AuthServer::version().
+  /// All parts only grow, so any change to what the farm serves changes
+  /// the sum — including changes made through server() references.
+  std::uint64_t generation() const DFX_EXCLUDES(*mu_);
+
  private:
   /// Lookup-or-create for callers already holding mu_.
   AuthServer& server_locked(const std::string& name) DFX_REQUIRES(*mu_);
@@ -60,6 +68,7 @@ class ServerFarm {
       DFX_GUARDED_BY(*mu_);
   std::map<dns::Name, std::vector<std::string>, dns::Name::Less> hosting_
       DFX_GUARDED_BY(*mu_);
+  std::uint64_t hosting_version_ DFX_GUARDED_BY(*mu_) = 0;
 };
 
 }  // namespace dfx::authserver

@@ -73,20 +73,15 @@ void Sha1::update(ByteView data) {
 }
 
 std::array<std::uint8_t, Sha1::kDigestSize> Sha1::finish() {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  total_bits_ -= 8;  // padding does not count toward the length field
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update({&zero, 1});
-    total_bits_ -= 8;
-  }
-  std::uint8_t len[8];
+  // 0x80, zeros up to 56 mod 64, then the 64-bit message length: one
+  // update of 9 to 72 bytes.
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t zeros = (buffered_ < 56 ? 55 : 119) - buffered_;
   for (int i = 0; i < 8; ++i) {
-    len[i] = static_cast<std::uint8_t>(bits >> (56 - i * 8));
+    pad[1 + zeros + i] =
+        static_cast<std::uint8_t>(total_bits_ >> (56 - i * 8));
   }
-  update({len, 8});
+  update({pad, 1 + zeros + 8});
 
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 5; ++i) {

@@ -112,16 +112,15 @@ void Sha256Core::update(ByteView data) {
 }
 
 Bytes Sha256Core::finish() {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update({&zero, 1});
-  std::uint8_t len[8];
+  // 0x80, zeros up to 56 mod 64, then the 64-bit message length: one
+  // update of 9 to 72 bytes.
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t zeros = (buffered_ < 56 ? 55 : 119) - buffered_;
   for (int i = 0; i < 8; ++i) {
-    len[i] = static_cast<std::uint8_t>(bits >> (56 - i * 8));
+    pad[1 + zeros + i] =
+        static_cast<std::uint8_t>(total_bits_ >> (56 - i * 8));
   }
-  update({len, 8});
+  update({pad, 1 + zeros + 8});
   const std::size_t words = variant224_ ? 7 : 8;
   Bytes out;
   out.reserve(words * 4);
@@ -202,17 +201,16 @@ void Sha512Core::update(ByteView data) {
 }
 
 Bytes Sha512Core::finish() {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 112) update({&zero, 1});
-  // The length field is 128 bits; the high 64 bits are zero for our inputs.
-  std::uint8_t len[16] = {};
+  // 0x80, zeros up to 112 mod 128, then the 128-bit message length: one
+  // update of 17 to 144 bytes. The length's high 64 bits are zero for our
+  // inputs.
+  std::uint8_t pad[144] = {0x80};
+  const std::size_t zeros = (buffered_ < 112 ? 111 : 239) - buffered_;
   for (int i = 0; i < 8; ++i) {
-    len[8 + i] = static_cast<std::uint8_t>(bits >> (56 - i * 8));
+    pad[1 + zeros + 8 + i] =
+        static_cast<std::uint8_t>(total_bits_ >> (56 - i * 8));
   }
-  update({len, 16});
+  update({pad, 1 + zeros + 16});
   const std::size_t words = variant384_ ? 6 : 8;
   Bytes out;
   out.reserve(words * 8);

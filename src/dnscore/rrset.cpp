@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace dfx::dns {
 
 std::string ResourceRecord::to_text() const {
@@ -36,21 +34,6 @@ std::vector<Bytes> RRset::canonical_rdata_wires() const {
   for (const auto& r : rdatas_) wires.push_back(rdata_to_wire(r));
   std::sort(wires.begin(), wires.end());
   return wires;
-}
-
-Bytes RRset::signing_buffer(const RrsigRdata& sig_fields) const {
-  Bytes out = sig_fields.to_wire_unsigned();
-  const Bytes owner_wire = owner_.to_canonical_wire();
-  for (const auto& wire : canonical_rdata_wires()) {
-    append(out, owner_wire);
-    append_u16(out, static_cast<std::uint16_t>(type_));
-    append_u16(out, static_cast<std::uint16_t>(RRClass::kIN));
-    append_u32(out, sig_fields.original_ttl);
-    DFX_DCHECK(wire.size() <= 0xFFFF);
-    append_u16(out, static_cast<std::uint16_t>(wire.size()));
-    append(out, wire);
-  }
-  return out;
 }
 
 std::vector<ResourceRecord> RRset::to_records() const {

@@ -46,12 +46,6 @@ class RRset {
   /// something was removed.
   bool remove(const Rdata& rdata);
 
-  /// The canonical signing buffer for this RRset given RRSIG fields:
-  /// RRSIG_RDATA(unsigned) || for each RR in canonical order:
-  ///   name | type | class | original_ttl | rdlength | rdata
-  /// (RFC 4034 §3.1.8.1).
-  Bytes signing_buffer(const RrsigRdata& sig_fields) const;
-
   /// Rdatas sorted by canonical wire form (RFC 4034 §6.3).
   std::vector<Bytes> canonical_rdata_wires() const;
 

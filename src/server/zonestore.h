@@ -44,15 +44,9 @@
 
 namespace dfx::server {
 
-/// One hosted zone version and the denial index built from it. Compiled
-/// once per upsert and immutable afterwards; the master map and every
-/// snapshot share it.
-struct HostedZone {
-  explicit HostedZone(zone::Zone z) : zone(std::move(z)), denial(zone) {}
-
-  zone::Zone zone;
-  authserver::DenialIndex denial;
-};
+/// Compiled once per upsert and immutable afterwards; the master map and
+/// every snapshot share it.
+using authserver::HostedZone;
 
 /// One shard's hosted zones by apex. Snapshots are built by writers,
 /// published with an atomic pointer swap, and never mutated after

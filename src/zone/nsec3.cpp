@@ -7,17 +7,17 @@ namespace dfx::zone {
 
 Bytes nsec3_hash(const dns::Name& name, ByteView salt,
                  std::uint16_t iterations) {
-  Bytes input = name.to_canonical_wire();
-  Bytes digest;
-  for (std::uint32_t i = 0; i <= iterations; ++i) {
+  crypto::Sha1 first;
+  first.update(name.to_canonical_wire());
+  first.update(salt);
+  auto digest = first.finish();
+  for (std::uint16_t i = 0; i < iterations; ++i) {
     crypto::Sha1 h;
-    h.update(input);
+    h.update(digest);
     h.update(salt);
-    const auto d = h.finish();
-    digest.assign(d.begin(), d.end());
-    input = digest;
+    digest = h.finish();
   }
-  return digest;
+  return Bytes(digest.begin(), digest.end());
 }
 
 std::string nsec3_hash_label(const dns::Name& name, ByteView salt,

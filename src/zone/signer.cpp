@@ -86,23 +86,33 @@ dns::RrsigRdata make_rrsig(const dns::RRset& rrset, const ZoneKey& key,
   sig.inception = inception;
   sig.key_tag = key.tag();
   sig.signer = apex;
-  sig.signature = key.sign(rrset.signing_buffer(sig));
+  sig.signature = key.sign(rrsig_signed_data(rrset, sig));
   return sig;
+}
+
+Bytes rrsig_signed_data(const dns::RRset& rrset, const dns::RrsigRdata& sig) {
+  Bytes out = sig.to_wire_unsigned();
+  const Bytes owner_wire = rrset.owner().to_canonical_wire();
+  const dns::RRType type = rrset.type();
+  for (const auto& wire : rrset.canonical_rdata_wires()) {
+    append(out, owner_wire);
+    append_u16(out, static_cast<std::uint16_t>(type));
+    append_u16(out, static_cast<std::uint16_t>(dns::RRClass::kIN));
+    // The TTL may have been changed in flight; the signer used this one.
+    append_u32(out, sig.original_ttl);
+    DFX_DCHECK(wire.size() <= 0xFFFF);
+    append_u16(out, static_cast<std::uint16_t>(wire.size()));
+    append(out, wire);
+  }
+  return out;
 }
 
 [[nodiscard]] bool verify_rrsig(const dns::RRset& rrset,
                                 const dns::RrsigRdata& sig,
                                 const dns::DnskeyRdata& key) {
-  dns::RrsigRdata fields = sig;
-  fields.signature.clear();
-  // Reconstruct the exact buffer the signer hashed. The RRset TTL may have
-  // been modified in flight; the canonical buffer uses original_ttl.
-  dns::RRset canonical(rrset.owner(), rrset.type(), sig.original_ttl);
-  for (const auto& rdata : rrset.rdatas()) canonical.add(rdata);
-  const Bytes buffer = canonical.signing_buffer(fields);
   return crypto::verify_message(
       static_cast<crypto::DnssecAlgorithm>(key.algorithm), key.public_key,
-      buffer, sig.signature);
+      rrsig_signed_data(rrset, sig), sig.signature);
 }
 
 dns::DsRdata make_ds(const ZoneKey& key, crypto::DigestType type) {

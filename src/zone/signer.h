@@ -46,11 +46,19 @@ dns::RrsigRdata make_rrsig(const dns::RRset& rrset, const ZoneKey& key,
                            std::optional<std::uint8_t> labels_override =
                                std::nullopt);
 
+/// The data an RRSIG signs (RFC 4034 §3.1.8.1): the RRSIG RDATA without
+/// its signature, then every RR of `rrset` in canonical order as
+///   owner | type | class | sig.original_ttl | rdlength | rdata.
+/// `rrset`'s own TTL is ignored; its owner is used as given, so a
+/// validator checking a wildcard expansion passes the source of synthesis.
+/// The one builder: make_rrsig signs it, verify_rrsig and grok verify it.
+Bytes rrsig_signed_data(const dns::RRset& rrset, const dns::RrsigRdata& sig);
+
 /// Verify one RRSIG against a DNSKEY (crypto only; validity windows and key
 /// matching are the analyzer's concern).
 [[nodiscard]] bool verify_rrsig(const dns::RRset& rrset,
                                 const dns::RrsigRdata& sig,
-                  const dns::DnskeyRdata& key);
+                                const dns::DnskeyRdata& key);
 
 /// Sign `unsigned_zone`: returns a new zone with DNSKEY/RRSIG/NSEC(3)
 /// records added. Pre-existing DNSSEC records in the input are discarded

@@ -139,9 +139,10 @@ struct ProbeResponse {
   bool wildcard = false;  // wildcard-synthesized positive answer
 };
 
-ProbeResponse ask(const zone::Zone& zone, const dns::Name& qname,
-                  dns::RRType qtype) {
-  const auto result = authserver::answer(zone, qname, qtype);
+ProbeResponse ask(const zone::Zone& zone,
+                  const authserver::DenialIndex& denial,
+                  const dns::Name& qname, dns::RRType qtype) {
+  const auto result = authserver::answer(zone, denial, qname, qtype);
   ProbeResponse out;
   out.rcode = result.rcode;
   out.positive = !result.answers.empty();
@@ -462,14 +463,15 @@ class Linter {
       }
     }
 
-    // The server picks the proof mechanism off the apex NSEC3PARAM RRset.
-    const bool nsec3_path =
-        zone_.find(apex_, dns::RRType::kNSEC3PARAM) != nullptr;
+    // One index serves all three probes. The server picks the proof
+    // mechanism off the apex NSEC3PARAM RRset.
+    const authserver::DenialIndex denial(zone_);
+    const bool nsec3_path = denial.nsec3();
     const dns::Name nx_name = analyzer::nx_probe_name(apex_);
     const dns::Name last_name = analyzer::last_probe_name(apex_);
-    const ProbeResponse nx = ask(zone_, nx_name, dns::RRType::kA);
-    const ProbeResponse last = ask(zone_, last_name, dns::RRType::kA);
-    const ProbeResponse nodata = ask(zone_, apex_, dns::RRType::kMX);
+    const ProbeResponse nx = ask(zone_, denial, nx_name, dns::RRType::kA);
+    const ProbeResponse last = ask(zone_, denial, last_name, dns::RRType::kA);
+    const ProbeResponse nodata = ask(zone_, denial, apex_, dns::RRType::kMX);
     const dns::RRType proof_type =
         nsec3_path ? dns::RRType::kNSEC3 : dns::RRType::kNSEC;
 

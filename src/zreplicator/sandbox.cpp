@@ -5,7 +5,10 @@
 #include <stdexcept>
 
 #include "dnscore/masterfile.h"
+#include "json/json.h"
+#include "util/check.hpp"
 #include "util/codec.h"
+#include "util/metrics.h"
 
 namespace dfx::zreplicator {
 namespace {
@@ -374,8 +377,22 @@ std::vector<dns::Name> Sandbox::chain() const {
 }
 
 analyzer::Snapshot Sandbox::analyze() {
-  const auto data = analyzer::probe(farm_, chain(), child_apex_, clock_.now());
-  return analyzer::grok(data);
+  static auto& memo_hits = metrics::Registry::global().counter(
+      "zreplicator.analysis_memo_hits");
+  AnalysisStamp stamp{farm_.generation(), clock_.now(), chain(), child_apex_};
+  if (analyzed_stamp_ == stamp) {
+    memo_hits.add(1);
+    DFX_DCHECK(json::serialize(analyzer::snapshot_to_json(analyzed_)) ==
+                   json::serialize(analyzer::snapshot_to_json(analyzer::grok(
+                       analyzer::probe(farm_, stamp.chain, child_apex_,
+                                       stamp.now)))),
+               "Sandbox::analyze() memo hit differs from a fresh analysis");
+    return analyzed_;
+  }
+  analyzed_ = analyzer::grok(
+      analyzer::probe(farm_, stamp.chain, child_apex_, stamp.now));
+  analyzed_stamp_ = std::move(stamp);
+  return analyzed_;
 }
 
 bool Sandbox::apply(const zone::BindCommand& command) {

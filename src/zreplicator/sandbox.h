@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analyzer/grok.h"
 #include "analyzer/probe.h"
@@ -107,9 +108,27 @@ class Sandbox : public dfixer::CommandHost {
 
   // --- dfixer::CommandHost -------------------------------------------------
   bool apply(const zone::BindCommand& command) override;
+
+  /// grok(probe(farm(), chain(), child_apex(), clock().now())), memoized:
+  /// while the state stamp (farm generation, clock, chain, child apex) is
+  /// unchanged, returns the last Snapshot again. The stamp covers every
+  /// input probe() reads, so mutations made through the public farm() and
+  /// clock() references invalidate the memo too. Each hit counts into
+  /// `zreplicator.analysis_memo_hits`; Debug builds check every hit
+  /// against a fresh analysis.
   analyzer::Snapshot analyze() override;
 
  private:
+  /// Everything probe() reads, in the form analyze() compares.
+  struct AnalysisStamp {
+    std::uint64_t farm_generation = 0;
+    UnixTime now = 0;
+    std::vector<dns::Name> chain;
+    dns::Name child_apex;
+
+    bool operator==(const AnalysisStamp&) const = default;
+  };
+
   void host_everywhere(const zone::Zone& signed_zone);
 
   Rng rng_;
@@ -121,6 +140,9 @@ class Sandbox : public dfixer::CommandHost {
   std::map<dns::Name, ManagedZone, dns::Name::Less> zones_;
   /// Last keys created via apply(kDnssecKeygen), for "NEW" DS resolution.
   std::optional<std::uint16_t> last_generated_ksk_;
+  /// analyze()'s memo: the last Snapshot and the stamp it was taken at.
+  std::optional<AnalysisStamp> analyzed_stamp_;
+  analyzer::Snapshot analyzed_;
 };
 
 }  // namespace dfx::zreplicator

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/grok.h"
+#include "analyzer/probe.h"
+#include "util/metrics.h"
 #include "zreplicator/injector.h"
 #include "zreplicator/replicate.h"
 
@@ -32,6 +34,27 @@ TEST(Grok, CleanZoneIsSv) {
   EXPECT_TRUE(snapshot.errors.empty());
   EXPECT_TRUE(snapshot.companions.empty());
   EXPECT_EQ(snapshot.query_zone, r.sandbox->child_apex());
+}
+
+TEST(Grok, RepeatedSignaturesRunTheCryptoOncePerZone) {
+  // Both servers serve the same signed RRsets, so at most half of the
+  // charged attempts may reach the crypto; the rest come from the memo.
+  auto r = zreplicator::replicate(clean_spec(), 1);
+  auto& sandbox = *r.sandbox;
+  auto& attempts =
+      metrics::Registry::global().counter("analyzer.sig_validation_attempts");
+  auto& verifications =
+      metrics::Registry::global().counter("analyzer.sig_verifications");
+  const std::int64_t attempts_before = attempts.value();
+  const std::int64_t verifications_before = verifications.value();
+  const auto snapshot =
+      grok(probe(sandbox.farm(), sandbox.chain(), sandbox.child_apex(),
+                 sandbox.clock().now()));
+  EXPECT_EQ(snapshot.status, SnapshotStatus::kSignedValid);
+  const std::int64_t charged = attempts.value() - attempts_before;
+  const std::int64_t ran = verifications.value() - verifications_before;
+  EXPECT_GT(ran, 0);
+  EXPECT_LE(2 * ran, charged);
 }
 
 TEST(Grok, UnsignedDelegationIsInsecure) {

@@ -620,8 +620,6 @@ TEST(DenialIndex, MatchesLinearReferenceOnRandomZones) {
         ASSERT_EQ(render(got), want)
             << shape.label << " round " << round << " " << qname.to_string()
             << " " << static_cast<int>(qtype);
-        ASSERT_EQ(render(answer(z, qname, qtype)), want)
-            << "on-demand index, " << shape.label;
         negative += got.answers.empty() && got.authoritative ? 1 : 0;
         ++compared;
       }

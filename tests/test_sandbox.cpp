@@ -1,8 +1,20 @@
-// Sandbox (CommandHost) tests: each BIND command's effect on the zones.
+// Sandbox (CommandHost) tests: each BIND command's effect on the zones,
+// and the analyze() memo: it must agree with a fresh probe + grok, and
+// every kind of state change must invalidate it.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "analyzer/grok.h"
+#include "analyzer/probe.h"
+#include "dfixer/autofix.h"
+#include "json/json.h"
 #include "util/codec.h"
+#include "util/metrics.h"
+#include "zreplicator/replicate.h"
 #include "zreplicator/sandbox.h"
+#include "zreplicator/spec_corpus.h"
 
 namespace dfx::zreplicator {
 namespace {
@@ -180,6 +192,149 @@ TEST(Sandbox, DeterministicGivenSeed) {
     EXPECT_EQ(sa.target_meta.keys[i].key_tag,
               sb.target_meta.keys[i].key_tag);
   }
+}
+
+// ---- analyze() memo -------------------------------------------------------
+
+std::int64_t memo_hits() {
+  return metrics::Registry::global()
+      .counter("zreplicator.analysis_memo_hits")
+      .value();
+}
+
+std::string render(const analyzer::Snapshot& snapshot) {
+  return json::serialize(analyzer::snapshot_to_json(snapshot));
+}
+
+/// What analyze() stands for, computed without the memo.
+std::string fresh_analysis(Sandbox& sandbox) {
+  return render(analyzer::grok(analyzer::probe(sandbox.farm(),
+                                               sandbox.chain(),
+                                               sandbox.child_apex(),
+                                               sandbox.clock().now())));
+}
+
+/// Stands between auto_fix and the sandbox and checks every analysis the
+/// fixer asks for against a fresh one.
+class CheckingHost : public dfixer::CommandHost {
+ public:
+  explicit CheckingHost(Sandbox& sandbox) : sandbox_(sandbox) {}
+
+  bool apply(const zone::BindCommand& command) override {
+    return sandbox_.apply(command);
+  }
+
+  analyzer::Snapshot analyze() override {
+    analyzer::Snapshot snapshot = sandbox_.analyze();
+    EXPECT_EQ(render(snapshot), fresh_analysis(sandbox_));
+    ++analyses;
+    return snapshot;
+  }
+
+  int analyses = 0;
+
+ private:
+  Sandbox& sandbox_;
+};
+
+TEST(SandboxMemo, MatchesFreshAnalysisThroughoutAutoFix) {
+  SpecCorpusOptions options;
+  options.count = 200;
+  const auto specs = generate_eval_specs(options);
+  const std::int64_t hits_before = memo_hits();
+  int fixed = 0;
+  int analyses = 0;
+  std::uint64_t seed = 0;
+  for (const auto& eval : specs) {
+    auto replication = replicate(eval.spec, ++seed);
+    if (!replication.complete) continue;
+    CheckingHost host(*replication.sandbox);
+    fixed += dfixer::auto_fix(host).success ? 1 : 0;
+    analyses += host.analyses;
+  }
+  EXPECT_GT(fixed, 100);
+  // Every auto_fix starts on the state replicate() just analysed.
+  EXPECT_GE(memo_hits() - hits_before, fixed);
+  EXPECT_GT(analyses, fixed);
+}
+
+TEST(SandboxMemo, CleanReplicateThenAutoFixHitsOnce) {
+  SnapshotSpec spec;
+  analyzer::KeyMeta ksk;
+  ksk.flags = 0x0101;
+  ksk.algorithm = 13;
+  analyzer::KeyMeta zsk;
+  zsk.flags = 0x0100;
+  zsk.algorithm = 13;
+  spec.meta.keys = {ksk, zsk};
+  const std::int64_t before = memo_hits();
+  auto replication = replicate(spec, 5);
+  ASSERT_TRUE(replication.complete);
+  const auto report = dfixer::auto_fix(*replication.sandbox);
+  EXPECT_TRUE(report.success);
+  EXPECT_TRUE(report.iterations.empty());
+  EXPECT_EQ(memo_hits() - before, 1);
+}
+
+/// analyze() twice (the second is a memo hit), then `mutate`: the next
+/// analyze() must be computed afresh, and must equal a fresh analysis.
+void expect_recomputed_after(Sandbox& sandbox,
+                             const std::function<void()>& mutate) {
+  const std::string first = render(sandbox.analyze());
+  const std::int64_t hits = memo_hits();
+  EXPECT_EQ(render(sandbox.analyze()), first);
+  ASSERT_EQ(memo_hits(), hits + 1);
+  mutate();
+  const std::string after = render(sandbox.analyze());
+  EXPECT_EQ(memo_hits(), hits + 1) << "stale memo served after the change";
+  EXPECT_EQ(after, fresh_analysis(sandbox));
+}
+
+TEST(SandboxMemo, LameServerInvalidates) {
+  auto sandbox = make_sandbox();
+  expect_recomputed_after(sandbox, [&] {
+    sandbox.farm().server(Sandbox::kNs1).set_lame(true);
+  });
+}
+
+TEST(SandboxMemo, ClockAdvanceInvalidates) {
+  auto sandbox = make_sandbox();
+  expect_recomputed_after(sandbox,
+                          [&] { sandbox.clock().advance(40 * kDay); });
+  EXPECT_FALSE(sandbox.analyze().errors.empty());  // signatures expired
+}
+
+TEST(SandboxMemo, PushToOneServerInvalidates) {
+  auto sandbox = make_sandbox();
+  expect_recomputed_after(sandbox, [&] {
+    zone::Zone stale = sandbox.managed(sandbox.child_apex()).signed_zone;
+    stale.remove(sandbox.child_apex(), RRType::kDNSKEY);
+    sandbox.push_signed_to(Sandbox::kNs2, sandbox.child_apex(), stale);
+  });
+  EXPECT_TRUE(sandbox.analyze().has_error(
+      analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
+}
+
+TEST(SandboxMemo, PollCdsInvalidates) {
+  auto sandbox = make_sandbox();
+  const Name child = sandbox.child_apex();
+  auto& mz = sandbox.managed(child);
+  // A second KSK, published as CDS: accepting it rewrites the parent's DS.
+  Rng rng(3);
+  mz.keys.generate(rng, zone::KeyRole::kKsk,
+                   crypto::DnssecAlgorithm::kEcdsaP256Sha256,
+                   sandbox.clock().now());
+  mz.config.publish_cds = true;
+  sandbox.resign_and_sync(child);
+  expect_recomputed_after(sandbox,
+                          [&] { EXPECT_TRUE(sandbox.poll_cds(child)); });
+}
+
+TEST(SandboxMemo, WaitTtlCommandInvalidates) {
+  auto sandbox = make_sandbox();
+  expect_recomputed_after(sandbox, [&] {
+    EXPECT_TRUE(sandbox.apply(zone::cmd_wait_ttl(7200)));
+  });
 }
 
 }  // namespace
