@@ -6,7 +6,7 @@
 #include <set>
 #include <tuple>
 
-#include "authserver/authserver.h"
+#include "analyzer/denial.h"
 #include "util/codec.h"
 #include "util/metrics.h"
 #include "zone/nsec3.h"
@@ -16,51 +16,6 @@ namespace dfx::analyzer {
 namespace {
 
 enum class TrustState { kSecure, kInsecure, kBogus };
-
-/// An RRset plus the RRSIGs covering it, pulled out of a response section.
-struct RRsetView {
-  dns::RRset rrset;
-  std::vector<dns::RrsigRdata> sigs;
-  bool present = false;
-};
-
-RRsetView extract(const std::vector<dns::ResourceRecord>& section,
-                  const dns::Name& owner, dns::RRType type) {
-  RRsetView view;
-  view.rrset = dns::RRset(owner, type, 0);
-  bool ttl_set = false;
-  for (const auto& rr : section) {
-    if (rr.owner != owner) continue;
-    if (rr.type == type) {
-      if (!ttl_set) {
-        view.rrset.set_ttl(rr.ttl);
-        ttl_set = true;
-      }
-      view.rrset.add(rr.rdata);
-      view.present = true;
-    } else if (rr.type == dns::RRType::kRRSIG) {
-      const auto* sig = std::get_if<dns::RrsigRdata>(&rr.rdata);
-      if (sig != nullptr && sig->type_covered == type) {
-        view.sigs.push_back(*sig);
-      }
-    }
-  }
-  return view;
-}
-
-/// All NSEC or NSEC3 views (any owner) in a response's authority section.
-std::vector<RRsetView> extract_proofs(const authserver::QueryResult& result,
-                                      dns::RRType type) {
-  std::vector<RRsetView> out;
-  std::set<std::string> seen;
-  for (const auto& rr : result.authorities) {
-    if (rr.type != type) continue;
-    const std::string key = rr.owner.to_string();
-    if (!seen.insert(key).second) continue;
-    out.push_back(extract(result.authorities, rr.owner, type));
-  }
-  return out;
-}
 
 std::size_t observed_key_bits(const dns::DnskeyRdata& key) {
   const auto info = crypto::algorithm_info(key.algorithm);
@@ -556,341 +511,6 @@ struct ZoneChecker {
   }
 };
 
-/// Validate the negative responses (NXDOMAIN and NODATA probes) from one
-/// server of a signed zone. Emits NSEC/NSEC3 error codes and downgrades
-/// `zone_state` for critical failures.
-void validate_negative(ZoneChecker& checker, const ServerProbe& sp,
-                       const dns::Name& apex,
-                       const std::vector<const dns::DnskeyRdata*>& all_keys,
-                       TrustState& zone_state, const GrokConfig& config) {
-  ErrorSink& sink = checker.sink;
-  const auto fail = [&](ErrorCode code, std::string detail) {
-    sink.add(code, apex, std::move(detail));
-    if (code != ErrorCode::kNonzeroIterationCount || config.nzic_is_fatal) {
-      zone_state = TrustState::kBogus;
-    }
-  };
-  const auto warn = [&](ErrorCode code, std::string detail) {
-    sink.add(code, apex, std::move(detail));
-  };
-
-  // Which denial mechanism does the zone use?
-  const auto nsec3_nx = extract_proofs(sp.nxdomain, dns::RRType::kNSEC3);
-  const auto nsec_nx = extract_proofs(sp.nxdomain, dns::RRType::kNSEC);
-  const bool uses_nsec3 = !nsec3_nx.empty();
-
-  // The NSEC3PARAM record advertises the chain parameters: a nonzero
-  // iteration count is a violation even when negative proofs are absent.
-  {
-    const auto param_view =
-        extract(sp.nsec3param.answers, apex, dns::RRType::kNSEC3PARAM);
-    for (const auto& rdata : param_view.rrset.rdatas()) {
-      const auto* param = std::get_if<dns::Nsec3ParamRdata>(&rdata);
-      if (param != nullptr && param->iterations > 0) {
-        warn(ErrorCode::kNonzeroIterationCount,
-             "NSEC3PARAM iterations=" + std::to_string(param->iterations) +
-                 " (RFC 9276 requires 0)");
-        if (config.nzic_is_fatal) zone_state = TrustState::kBogus;
-      }
-      if (param != nullptr &&
-          param->iterations > config.max_nsec3_iterations) {
-        fail(ErrorCode::kExcessiveNsec3Iterations,
-             "NSEC3PARAM iterations=" + std::to_string(param->iterations) +
-                 " exceeds the validator cap of " +
-                 std::to_string(config.max_nsec3_iterations));
-      }
-    }
-  }
-
-  // Validate proof signatures (tampered-but-unsigned proofs surface as
-  // ordinary signature failures).
-  for (const auto* group : {&nsec3_nx, &nsec_nx}) {
-    for (const auto& view : *group) {
-      if (!checker.check_rrset(view, all_keys, true)) {
-        zone_state = TrustState::kBogus;
-      }
-    }
-  }
-
-  if (sp.nxdomain.rcode == dns::RCode::kNXDomain && nsec3_nx.empty() &&
-      nsec_nx.empty()) {
-    fail(ErrorCode::kMissingNonexistenceProof,
-         "NXDOMAIN response carries no NSEC or NSEC3 records");
-    return;
-  }
-
-  const dns::Name nx_name = nx_probe_name(apex);
-
-  if (uses_nsec3) {
-    // --- NSEC3 record sanity ---------------------------------------------
-    struct Entry {
-      Bytes owner_hash;
-      const dns::Nsec3Rdata* rdata;
-      dns::Name owner;
-    };
-    std::vector<Entry> entries;
-    bool params_ok = true;
-    std::optional<bool> opt_out_seen;
-    // Sanity checks run over every NSEC3 seen in any negative response of
-    // this server (the NXDOMAIN probes and the NODATA probe): chain-level
-    // inconsistencies like mixed opt-out flags are visible only across the
-    // union.
-    std::vector<RRsetView> sanity_views = nsec3_nx;
-    for (const auto& view :
-         extract_proofs(sp.nxdomain_last, dns::RRType::kNSEC3)) {
-      sanity_views.push_back(view);
-    }
-    for (const auto& view : extract_proofs(sp.nodata, dns::RRType::kNSEC3)) {
-      sanity_views.push_back(view);
-    }
-    std::set<std::string> seen_owner;
-    for (const auto& view : sanity_views) {
-      if (!seen_owner.insert(view.rrset.owner().to_string()).second) {
-        continue;
-      }
-      const bool in_nxdomain = std::any_of(
-          nsec3_nx.begin(), nsec3_nx.end(), [&](const RRsetView& v) {
-            return v.rrset.owner() == view.rrset.owner();
-          });
-      for (const auto& rdata : view.rrset.rdatas()) {
-        const auto* n3 = std::get_if<dns::Nsec3Rdata>(&rdata);
-        if (n3 == nullptr) continue;
-        if (n3->hash_algorithm != 1) {
-          fail(ErrorCode::kUnsupportedNsec3Algorithm,
-               "NSEC3 hash algorithm " +
-                   std::to_string(n3->hash_algorithm) + " is not defined");
-          params_ok = false;
-        }
-        if (n3->iterations > 0) {
-          warn(ErrorCode::kNonzeroIterationCount,
-               "NSEC3 iterations=" + std::to_string(n3->iterations) +
-                   " (RFC 9276 requires 0)");
-          if (config.nzic_is_fatal) zone_state = TrustState::kBogus;
-        }
-        if (n3->iterations > config.max_nsec3_iterations) {
-          // KeyTrap hash variant: refuse oversized iteration counts before
-          // hashing anything (patched validators treat the zone as bogus
-          // rather than paying the per-lookup SHA-1 bill).
-          fail(ErrorCode::kExcessiveNsec3Iterations,
-               "NSEC3 iterations=" + std::to_string(n3->iterations) +
-                   " exceeds the validator cap of " +
-                   std::to_string(config.max_nsec3_iterations));
-          params_ok = false;
-        }
-        if (n3->next_hashed.size() != 20) {
-          fail(ErrorCode::kInvalidNsec3Hash,
-               "NSEC3 next-hashed field has length " +
-                   std::to_string(n3->next_hashed.size()) +
-                   ", expected 20 (SHA-1)");
-          params_ok = false;
-        }
-        auto decoded = base32hex_decode(view.rrset.owner().leftmost_label());
-        if (!decoded || decoded->size() != 20) {
-          fail(ErrorCode::kInvalidNsec3OwnerName,
-               "NSEC3 owner label " + view.rrset.owner().leftmost_label() +
-                   " is not a valid SHA-1 base32hex hash");
-          params_ok = false;
-          continue;
-        }
-        if (opt_out_seen.has_value() && *opt_out_seen != n3->opt_out()) {
-          fail(ErrorCode::kIncorrectOptOutFlag,
-               "NSEC3 records disagree on the opt-out flag");
-        }
-        opt_out_seen = n3->opt_out();
-        if (in_nxdomain) {
-          entries.push_back({*std::move(decoded), n3, view.rrset.owner()});
-        }
-      }
-    }
-    if (!params_ok || entries.empty()) return;
-    const Bytes& salt = entries.front().rdata->salt;
-    const std::uint16_t iterations = entries.front().rdata->iterations;
-    // Every hash costs iterations+1 SHA-1 applications, charged against
-    // the zone's hashing budget; once exhausted, hash_of yields empty and
-    // the walk below bails out instead of emitting bogus proof errors.
-    const auto hash_of = [&](const dns::Name& name) -> Bytes {
-      if (!checker.charge_hash_cost(static_cast<std::size_t>(iterations) +
-                                    1)) {
-        return {};
-      }
-      return zone::nsec3_hash(name, salt, iterations);
-    };
-    const auto find_match = [&](const dns::Name& name) -> const Entry* {
-      const Bytes h = hash_of(name);
-      if (h.empty()) return nullptr;
-      for (const auto& e : entries) {
-        if (e.owner_hash == h) return &e;
-      }
-      return nullptr;
-    };
-    const auto find_cover = [&](const dns::Name& name) -> const Entry* {
-      const Bytes h = hash_of(name);
-      if (h.empty()) return nullptr;
-      for (const auto& e : entries) {
-        if (authserver::nsec3_hash_covers(e.owner_hash, e.rdata->next_hashed,
-                                          h)) {
-          return &e;
-        }
-      }
-      return nullptr;
-    };
-
-    if (sp.nxdomain.rcode == dns::RCode::kNXDomain) {
-      // Closest-encloser proof (RFC 5155 §8.4). For the probe name the
-      // closest encloser is the apex and the next closer is the probe name.
-      const Entry* ce = nullptr;
-      dns::Name ce_name = nx_name;
-      while (ce_name.label_count() >= apex.label_count()) {
-        if (ce_name.label_count() < nx_name.label_count()) {
-          ce = find_match(ce_name);
-          if (ce != nullptr) break;
-        }
-        if (ce_name.is_root()) break;
-        ce_name = ce_name.parent();
-      }
-      if (checker.budget_exhausted) {
-        zone_state = TrustState::kBogus;
-        return;
-      }
-      if (ce == nullptr) {
-        if (find_cover(nx_name) != nullptr) {
-          fail(ErrorCode::kInconsistentAncestorForNxdomain,
-               "no NSEC3 record matches any ancestor of the denied name");
-        } else {
-          fail(ErrorCode::kBadNonexistenceProof,
-               "NSEC3 records neither match nor cover the denied name");
-        }
-        return;
-      }
-      dns::Name next_closer = nx_name;
-      while (next_closer.label_count() > ce_name.label_count() + 1) {
-        next_closer = next_closer.parent();
-      }
-      const Entry* nc_cover = find_cover(next_closer);
-      if (checker.budget_exhausted) {
-        zone_state = TrustState::kBogus;
-        return;
-      }
-      if (nc_cover == nullptr) {
-        fail(ErrorCode::kIncorrectClosestEncloserProof,
-             "no NSEC3 record covers the next-closer name " +
-                 next_closer.to_string());
-        return;
-      }
-      const dns::Name wildcard = ce_name.child("*");
-      if (find_cover(wildcard) == nullptr &&
-          find_match(wildcard) == nullptr && !nc_cover->rdata->opt_out() &&
-          !checker.budget_exhausted) {
-        fail(ErrorCode::kBadNonexistenceProof,
-             "no NSEC3 record denies the wildcard " + wildcard.to_string());
-      }
-      if (checker.budget_exhausted) {
-        zone_state = TrustState::kBogus;
-        return;
-      }
-    }
-
-    // NODATA probe (apex MX): the matching NSEC3's bitmap is authoritative.
-    const auto nodata_proofs = extract_proofs(sp.nodata, dns::RRType::kNSEC3);
-    for (const auto& view : nodata_proofs) {
-      if (!checker.check_rrset(view, all_keys, true)) {
-        zone_state = TrustState::kBogus;
-      }
-      for (const auto& rdata : view.rrset.rdatas()) {
-        const auto* n3 = std::get_if<dns::Nsec3Rdata>(&rdata);
-        if (n3 == nullptr) continue;
-        auto decoded = base32hex_decode(view.rrset.owner().leftmost_label());
-        if (!decoded || *decoded != hash_of(apex)) continue;
-        if (n3->types.contains(dns::RRType::kMX)) {
-          fail(ErrorCode::kIncorrectTypeBitmap,
-               "NSEC3 bitmap asserts MX exists at the apex, but the server "
-               "answered NODATA");
-        }
-        if (!n3->types.contains(dns::RRType::kSOA) ||
-            !n3->types.contains(dns::RRType::kNS)) {
-          fail(ErrorCode::kIncorrectTypeBitmap,
-               "NSEC3 bitmap at the apex omits SOA/NS");
-        }
-      }
-    }
-    if (sp.nodata.rcode == dns::RCode::kNoError &&
-        nodata_proofs.empty() &&
-        extract_proofs(sp.nodata, dns::RRType::kNSEC).empty()) {
-      fail(ErrorCode::kMissingNonexistenceProof,
-           "NODATA response carries no NSEC or NSEC3 records");
-    }
-    return;
-  }
-
-  // --- NSEC ----------------------------------------------------------------
-  if (sp.nxdomain.rcode == dns::RCode::kNXDomain) {
-    bool covered = false;
-    for (const auto& view : nsec_nx) {
-      for (const auto& rdata : view.rrset.rdatas()) {
-        const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
-        if (nsec == nullptr) continue;
-        if (authserver::nsec_covers(view.rrset.owner(), nsec->next,
-                                    nx_name)) {
-          covered = true;
-        }
-      }
-    }
-    if (!covered) {
-      fail(ErrorCode::kBadNonexistenceProof,
-           "no NSEC record covers the denied name " + nx_name.to_string());
-    }
-    // Wrap-around sanity via the sorts-last probe: the covering NSEC there
-    // must be the final chain record pointing back to the apex.
-    const auto last_proofs =
-        extract_proofs(sp.nxdomain_last, dns::RRType::kNSEC);
-    const dns::Name last_name = last_probe_name(apex);
-    for (const auto& view : last_proofs) {
-      if (!checker.check_rrset(view, all_keys, true)) {
-        zone_state = TrustState::kBogus;
-      }
-      for (const auto& rdata : view.rrset.rdatas()) {
-        const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
-        if (nsec == nullptr) continue;
-        if (authserver::nsec_covers(view.rrset.owner(), nsec->next,
-                                    last_name) &&
-            view.rrset.owner() > nsec->next && nsec->next != apex) {
-          fail(ErrorCode::kIncorrectLastNsec,
-               "the final NSEC record points to " + nsec->next.to_string() +
-                   " instead of the zone apex");
-        }
-      }
-    }
-  }
-
-  // NODATA bitmap check.
-  const auto nodata_proofs = extract_proofs(sp.nodata, dns::RRType::kNSEC);
-  for (const auto& view : nodata_proofs) {
-    if (!checker.check_rrset(view, all_keys, true)) {
-      zone_state = TrustState::kBogus;
-    }
-    if (view.rrset.owner() != apex) continue;
-    for (const auto& rdata : view.rrset.rdatas()) {
-      const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
-      if (nsec == nullptr) continue;
-      if (nsec->types.contains(dns::RRType::kMX)) {
-        fail(ErrorCode::kIncorrectTypeBitmap,
-             "NSEC bitmap asserts MX exists at the apex, but the server "
-             "answered NODATA");
-      }
-      if (!nsec->types.contains(dns::RRType::kSOA) ||
-          !nsec->types.contains(dns::RRType::kNS)) {
-        fail(ErrorCode::kIncorrectTypeBitmap,
-             "NSEC bitmap at the apex omits SOA/NS");
-      }
-    }
-  }
-  if (sp.nodata.rcode == dns::RCode::kNoError && nodata_proofs.empty() &&
-      extract_proofs(sp.nodata, dns::RRType::kNSEC3).empty()) {
-    fail(ErrorCode::kMissingNonexistenceProof,
-         "NODATA response carries no NSEC or NSEC3 records");
-  }
-}
-
 /// Extract the zone meta-parameters ZReplicator mirrors (Fig. 7 step 2).
 ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
   ZoneMeta meta;
@@ -1053,6 +673,26 @@ Snapshot grok(const ProbeData& data, const GrokConfig& config) {
       std::vector<const dns::DnskeyRdata*> all_keys;
       for (const auto& key : checker.dnskeys) all_keys.push_back(&key);
 
+      // Every NSEC3 hash costs iterations + 1 SHA-1 applications, charged
+      // against the zone's hashing budget.
+      DenialHooks denial_hooks{
+          .report =
+              [&](ErrorCode code, std::string detail) {
+                sink.add(code, zp.apex, std::move(detail));
+              },
+          .check_proof =
+              [&](const RRsetView& view) {
+                return checker.check_rrset(view, all_keys, true);
+              },
+          .hash = [&](const dns::Name& name, const Bytes& salt,
+                      std::uint16_t iterations) -> std::optional<Bytes> {
+            if (!checker.charge_hash_cost(
+                    static_cast<std::size_t>(iterations) + 1)) {
+              return std::nullopt;
+            }
+            return zone::nsec3_hash(name, salt, iterations);
+          }};
+
       std::vector<RRsetView> views_storage;
       // data_views keeps pointers into views_storage: size it once so the
       // buffer never reallocates.
@@ -1101,8 +741,9 @@ Snapshot grok(const ProbeData& data, const GrokConfig& config) {
         }
 
         // Negative responses.
-        validate_negative(checker, sp, zp.apex, all_keys, zone_state,
-                          config);
+        if (!judge_denial(sp, zp.apex, config, denial_hooks)) {
+          zone_state = TrustState::kBogus;
+        }
       }
       checker.check_algorithm_completeness(data_views);
       if (checker.any_validation_failure &&

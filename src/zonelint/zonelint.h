@@ -3,8 +3,11 @@
 // Runs rule-based checks over the chain-of-trust graph (graph.h) and the
 // validator cost model (costmodel.h) to predict the DNSViz-style error
 // codes grok would emit for the zone — without a single signature
-// verification or probe. The prediction is exact for every code whose
-// evidence is visible in zone data; two codes are inherently out of reach:
+// verification or probe. The denial rules are not a copy: the answers
+// `authserver::answer` gives the zone to grok's four probes go through
+// grok's own analyzer::judge_denial (analyzer/denial.h). The prediction is
+// exact for every code whose evidence is visible in zone data; two codes
+// are inherently out of reach:
 //
 //  - kInvalidSignature from a *corrupted* signature: indistinguishable from
 //    a valid one without doing the crypto (an RRSIG by a key absent from

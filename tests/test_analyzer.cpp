@@ -127,6 +127,45 @@ TEST(Grok, NzicFatalConfigMakesItSb) {
   EXPECT_EQ(snapshot.status, SnapshotStatus::kSignedBogus);
 }
 
+TEST(Grok, ApexMxZoneIsSignedValid) {
+  // The NODATA probe asks for apex MX. A zone that holds one answers it
+  // positively, which needs no denial proof.
+  for (bool nsec3 : {false, true}) {
+    auto r = zreplicator::replicate(clean_spec(nsec3), 8 + nsec3);
+    auto& sandbox = *r.sandbox;
+    const dns::Name apex = sandbox.child_apex();
+    sandbox.managed(apex).unsigned_zone.add(
+        apex, dns::RRType::kMX, 3600,
+        dns::MxRdata{.preference = 10, .exchange = apex.child("mail")});
+    sandbox.resign_and_sync(apex);
+    const auto snapshot = sandbox.analyze();
+    EXPECT_EQ(snapshot.status, SnapshotStatus::kSignedValid)
+        << (nsec3 ? "NSEC3" : "NSEC");
+    EXPECT_TRUE(snapshot.errors.empty()) << (nsec3 ? "NSEC3" : "NSEC");
+  }
+}
+
+TEST(Grok, Nsec3HashBudgetAbandonsTheProofWalk) {
+  // A spent hashing budget abandons the closest-encloser walk: the zone
+  // is bogus for the budget alone, with no proof error for the hashes it
+  // never computed.
+  auto r = zreplicator::replicate(clean_spec(true), 5);
+  auto& sandbox = *r.sandbox;
+  const auto data = probe(sandbox.farm(), sandbox.chain(),
+                          sandbox.child_apex(), sandbox.clock().now());
+  GrokConfig config;
+  config.max_hash_cost = 1;
+  const auto starved = grok(data, config);
+  EXPECT_EQ(starved.status, SnapshotStatus::kSignedBogus);
+  ASSERT_EQ(starved.errors.size(), 1u);
+  EXPECT_EQ(starved.errors.front().code,
+            ErrorCode::kValidatorWorkBudgetExceeded);
+  EXPECT_EQ(starved.errors.front().zone, sandbox.child_apex());
+
+  config.max_hash_cost = 8;
+  EXPECT_EQ(grok(data, config).status, SnapshotStatus::kSignedValid);
+}
+
 TEST(Grok, RevokedKeyEmitsCompanionNoSep) {
   auto spec = clean_spec();
   spec.intended_errors = {ErrorCode::kRevokedKey};

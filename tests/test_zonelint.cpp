@@ -259,25 +259,37 @@ TEST(CostModel, Nsec3HashCostScalesWithIterations) {
 TEST(Prediction, CleanZonesPredictNoErrors) {
   // The wildcard dimension covers the one response field zonelint derives
   // rather than copies: whether the nx probe was answered by synthesis.
-  for (bool has_wildcard : {false, true}) {
-    for (bool nsec3 : {false, true}) {
-      SnapshotSpec spec = base_spec(nsec3);
-      spec.meta.has_wildcard = has_wildcard;
-      auto result =
-          zreplicator::replicate(spec, 106 + nsec3 + 2 * has_wildcard);
-      ASSERT_NE(result.sandbox, nullptr);
-      auto& sb = *result.sandbox;
-      const auto report = lint_child(sb);
-      const std::string shape = std::string(nsec3 ? "NSEC3" : "NSEC") +
-                                (has_wildcard ? " wildcard" : "");
-      EXPECT_TRUE(report.zone_signed);
-      EXPECT_TRUE(report.findings.empty())
-          << "unexpected prediction on a clean " << shape
-          << " zone: " << code_list(lint_codes(report));
-      const auto observed = grok_child_codes(sb.analyze(), sb.child_apex());
-      EXPECT_EQ(lint_codes(report), observed)
-          << "clean " << shape << " zone: grok observed ["
-          << code_list(observed) << "]";
+  // The apex-MX dimension answers the NODATA probe (apex MX) positively.
+  for (bool apex_mx : {false, true}) {
+    for (bool has_wildcard : {false, true}) {
+      for (bool nsec3 : {false, true}) {
+        SnapshotSpec spec = base_spec(nsec3);
+        spec.meta.has_wildcard = has_wildcard;
+        auto result =
+            zreplicator::replicate(spec, 106 + nsec3 + 2 * has_wildcard);
+        ASSERT_NE(result.sandbox, nullptr);
+        auto& sb = *result.sandbox;
+        if (apex_mx) {
+          const dns::Name apex = sb.child_apex();
+          sb.managed(apex).unsigned_zone.add(
+              apex, dns::RRType::kMX, 3600,
+              dns::MxRdata{.preference = 10, .exchange = apex.child("mail")});
+          sb.resign_and_sync(apex);
+        }
+        const auto report = lint_child(sb);
+        const std::string shape = std::string(nsec3 ? "NSEC3" : "NSEC") +
+                                  (has_wildcard ? " wildcard" : "") +
+                                  (apex_mx ? " apex-MX" : "");
+        EXPECT_TRUE(report.zone_signed);
+        EXPECT_TRUE(report.findings.empty())
+            << "unexpected prediction on a clean " << shape
+            << " zone: " << code_list(lint_codes(report));
+        const auto observed =
+            grok_child_codes(sb.analyze(), sb.child_apex());
+        EXPECT_EQ(lint_codes(report), observed)
+            << "clean " << shape << " zone: grok observed ["
+            << code_list(observed) << "]";
+      }
     }
   }
 }
@@ -332,6 +344,7 @@ INSTANTIATE_TEST_SUITE_P(
         PredictionCase{ErrorCode::kMissingNonexistenceProof, false},
         PredictionCase{ErrorCode::kBadNonexistenceProof, false},
         PredictionCase{ErrorCode::kIncorrectLastNsec, false},
+        PredictionCase{ErrorCode::kIncorrectTypeBitmap, false},
         // NSEC3 denial chain.
         PredictionCase{ErrorCode::kMissingNonexistenceProof, true},
         PredictionCase{ErrorCode::kBadNonexistenceProof, true},
