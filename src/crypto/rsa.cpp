@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace dfx::crypto {
 namespace {
 
@@ -60,10 +62,17 @@ RsaPrivateKey rsa_generate(Rng& rng, std::size_t modulus_bits) {
     if (BigNum::gcd(e, phi) != BigNum(1)) continue;
     const BigNum d = BigNum::modinv(e, phi);
     if (d.is_zero()) continue;
+    // The CRT quintuple is pure arithmetic on p, q and d: no RNG draw, so
+    // the key stream is the same as without it.
     RsaPrivateKey key;
     key.pub.n = n;
     key.pub.e = e;
     key.d = d;
+    key.dp = d % (p - BigNum(1));
+    key.dq = d % (q - BigNum(1));
+    key.qinv = BigNum::modinv(q, p);
+    key.p = p;
+    key.q = q;
     return key;
   }
 }
@@ -71,7 +80,16 @@ RsaPrivateKey rsa_generate(Rng& rng, std::size_t modulus_bits) {
 Bytes rsa_sign(const RsaPrivateKey& key, ByteView digest) {
   const std::size_t k = (key.pub.n.bit_length() + 7) / 8;
   const BigNum m = pad_digest(digest, k);
-  const BigNum s = BigNum::modexp(m, key.d, key.pub.n);
+  // RFC 8017 §5.1.2 step 2.b: m1 = m^dp mod p, m2 = m^dq mod q,
+  // h = qinv (m1 - m2) mod p, s = m2 + q h. BigNum is unsigned, so m1 - m2
+  // is taken mod p as m1 + (p - m2 mod p).
+  const BigNum m1 = BigNum::modexp(m, key.dp, key.p);
+  const BigNum m2 = BigNum::modexp(m, key.dq, key.q);
+  const BigNum m2_mod_p = m2 % key.p;
+  const BigNum diff = m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
+  const BigNum s = m2 + key.q * ((key.qinv * diff) % key.p);
+  DFX_DCHECK(BigNum::modexp(s, key.pub.e, key.pub.n) == m,
+             "rsa_sign: CRT signature does not verify");
   return s.to_bytes_padded(k);
 }
 

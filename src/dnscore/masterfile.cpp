@@ -1,6 +1,5 @@
 #include "dnscore/masterfile.h"
 
-#include <cctype>
 #include <charconv>
 
 #include "dnscore/tokenizer.h"
@@ -41,7 +40,7 @@ namespace {
     }
     if (!have_digits) return false;
     std::uint64_t unit = 0;
-    switch (std::tolower(static_cast<unsigned char>(c))) {
+    switch (ascii_lower(c)) {
       case 's': unit = 1; break;
       case 'm': unit = 60; break;
       case 'h': unit = 3600; break;

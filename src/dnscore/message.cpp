@@ -1,19 +1,14 @@
 #include "dnscore/message.h"
 
-#include <cctype>
 #include <span>
 #include <string>
 
 #include "dnscore/wire.h"
 #include "util/check.hpp"
+#include "util/strings.h"
 
 namespace dfx::dns {
 namespace {
-
-inline std::uint8_t fold(char c) {
-  return static_cast<std::uint8_t>(
-      std::tolower(static_cast<unsigned char>(c)) & 0xFF);
-}
 
 constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
@@ -21,7 +16,7 @@ constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 std::uint64_t label_hash(std::string_view label) {
   std::uint64_t h = kFnvBasis;
   for (const char c : label) {
-    h ^= fold(c);
+    h ^= static_cast<unsigned char>(ascii_lower(c));
     h *= kFnvPrime;
   }
   return h;
@@ -113,7 +108,8 @@ class NameCompressor {
       if (idx >= labels.size() || labels[idx].size() != len) return false;
       DFX_DCHECK(pos + 1 + len <= out.size());
       for (std::size_t i = 0; i < len; ++i) {
-        if (fold(static_cast<char>(out[pos + 1 + i])) != fold(labels[idx][i])) {
+        if (ascii_lower(static_cast<char>(out[pos + 1 + i])) !=
+            ascii_lower(labels[idx][i])) {
           return false;
         }
       }

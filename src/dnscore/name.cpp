@@ -6,22 +6,18 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/strings.h"
 
 namespace dfx::dns {
 namespace {
 
-std::uint8_t fold(char c) {
-  // tolower returns the folded byte as an int; the mask keeps the
-  // narrowing cast visibly value-preserving.
-  return static_cast<std::uint8_t>(
-      std::tolower(static_cast<unsigned char>(c)) & 0xFF);
-}
-
+/// Labels as case-folded octet strings (RFC 4034 §6.1): folded bytes
+/// compare unsigned, and a proper prefix sorts first.
 int compare_labels_folded(const std::string& a, const std::string& b) {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t ca = fold(a[i]);
-    const std::uint8_t cb = fold(b[i]);
+    const auto ca = static_cast<unsigned char>(ascii_lower(a[i]));
+    const auto cb = static_cast<unsigned char>(ascii_lower(b[i]));
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
@@ -162,7 +158,9 @@ Bytes Name::to_canonical_wire() const {
   for (const auto& label : labels_) {
     DFX_DCHECK(label.size() <= 63);
     out.push_back(static_cast<std::uint8_t>(label.size()));
-    for (char c : label) out.push_back(fold(c));
+    for (char c : label) {
+      out.push_back(static_cast<unsigned char>(ascii_lower(c)));
+    }
   }
   out.push_back(0);
   return out;
@@ -212,8 +210,7 @@ std::size_t NameHash::operator()(const Name& n) const {
   std::size_t h = 0xCBF29CE484222325ULL;
   for (const auto& label : n.labels()) {
     for (char c : label) {
-      h ^= static_cast<std::size_t>(
-          std::tolower(static_cast<unsigned char>(c)));
+      h ^= static_cast<unsigned char>(ascii_lower(c));
       h *= 0x100000001B3ULL;
     }
     h ^= 0xFF;  // label boundary

@@ -16,7 +16,10 @@ namespace dfx::dns {
 
 /// An absolute DNS name. Stored as a sequence of labels, root == no labels.
 /// Label case is preserved for display, but all comparisons, hashing and
-/// wire canonicalisation are case-insensitive per RFC 1035 / 4034.
+/// wire canonicalisation are case-insensitive per RFC 1035 / 4034. The fold
+/// is ASCII-only (RFC 4343 §3): 'A'..'Z' compare as 'a'..'z' through the
+/// one table behind `dfx::ascii_lower` (util/strings.h), and every other
+/// octet, bytes >= 0x80 included, compares as itself.
 class Name {
  public:
   /// The root name ".".
@@ -63,7 +66,7 @@ class Name {
   /// Uncompressed wire form, original case.
   Bytes to_wire() const;
 
-  /// Canonical wire form: lower-case, uncompressed (RFC 4034 §6.2).
+  /// Canonical wire form: ASCII lower-case, uncompressed (RFC 4034 §6.2).
   Bytes to_canonical_wire() const;
 
   /// Presentation form with trailing dot; root renders as ".".
@@ -77,7 +80,8 @@ class Name {
   bool operator!=(const Name& other) const { return !(*this == other); }
 
   /// Canonical DNSSEC ordering (RFC 4034 §6.1): names sorted by reversed
-  /// label sequence, labels compared as case-folded octet strings.
+  /// label sequence, labels compared as ASCII-folded unsigned octet
+  /// strings.
   std::strong_ordering operator<=>(const Name& other) const;
 
   /// Strict weak order usable as a std::map comparator.
@@ -89,7 +93,7 @@ class Name {
   std::vector<std::string> labels_;  // most-specific first
 };
 
-/// Case-folded FNV hash, consistent with Name equality.
+/// FNV hash over the ASCII-folded labels, consistent with Name equality.
 struct NameHash {
   std::size_t operator()(const Name& n) const;
 };

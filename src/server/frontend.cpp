@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "dnscore/wire.h"
 #include "util/check.hpp"
+#include "util/strings.h"
 
 namespace dfx::server {
 namespace {
@@ -26,10 +26,6 @@ std::uint32_t read_be32(ByteView data, std::size_t offset) {
          (static_cast<std::uint32_t>(data[offset + 1]) << 16) |
          (static_cast<std::uint32_t>(data[offset + 2]) << 8) |
          static_cast<std::uint32_t>(data[offset + 3]);
-}
-
-char fold(std::uint8_t c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
 AnswerBody rcode_only_body(dns::RCode rcode) {
@@ -241,7 +237,7 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
       DFX_DCHECK(klen + 1 + len < kbuf.size());
       kbuf[klen++] = static_cast<char>(len);
       for (std::size_t i = pos + 1; i <= pos + len; ++i) {
-        kbuf[klen++] = fold(query[i]);
+        kbuf[klen++] = ascii_lower(static_cast<char>(query[i]));
       }
       pos += 1 + static_cast<std::size_t>(len);
     }

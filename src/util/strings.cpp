@@ -49,19 +49,14 @@ std::string_view trim(std::string_view text) {
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   }
   return true;
 }

@@ -3,11 +3,36 @@
 // Thread-safety: pure functions, no shared state; safe to call concurrently.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace dfx {
+
+namespace strings_detail {
+
+/// Byte b -> its ASCII lower case: 'A'..'Z' fold, every other byte
+/// (bytes >= 0x80 included) maps to itself.
+inline constexpr std::array<char, 256> kAsciiLower = [] {
+  std::array<char, 256> table{};
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    const bool upper = b >= 'A' && b <= 'Z';
+    table[b] = static_cast<char>(upper ? b + ('a' - 'A') : b);
+  }
+  return table;
+}();
+
+}  // namespace strings_detail
+
+/// ASCII lower case of one byte by table lookup. This is the only case fold
+/// DNS has (RFC 4343 §3). It equals the C library's `tolower` in the "C"
+/// locale, the only locale this program runs in, with no call per byte.
+constexpr char ascii_lower(char c) {
+  return strings_detail::kAsciiLower[static_cast<unsigned char>(c)];
+}
 
 /// Split on a single delimiter; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char delim);

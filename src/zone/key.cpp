@@ -1,8 +1,37 @@
 #include "zone/key.h"
 
 #include <cstdio>
+#include <map>
+
+#include "util/check.hpp"
+#include "util/metrics.h"
+#include "util/thread_annotations.h"
 
 namespace dfx::zone {
+
+/// One key's signatures by the exact bytes they sign, bounded by
+/// kSignatureMemoEntries. Two threads that miss on the same message both
+/// sign it and store the same signature; the first store is kept.
+class ZoneKey::SignatureMemo {
+ public:
+  [[nodiscard]] std::optional<Bytes> find(const Bytes& message) const
+      DFX_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    const auto it = entries_.find(message);
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void store(Bytes message, Bytes signature) DFX_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (entries_.size() >= kSignatureMemoEntries) entries_.clear();
+    entries_.emplace(std::move(message), std::move(signature));
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::map<Bytes, Bytes> entries_ DFX_GUARDED_BY(mu_);
+};
 
 ZoneKey::ZoneKey(dns::Name zone, KeyRole role, crypto::KeyPair material,
                  UnixTime created)
@@ -10,7 +39,8 @@ ZoneKey::ZoneKey(dns::Name zone, KeyRole role, crypto::KeyPair material,
       role_(role),
       material_(std::move(material)),
       publish_(created),
-      activate_(created) {}
+      activate_(created),
+      signatures_(std::make_shared<SignatureMemo>()) {}
 
 bool ZoneKey::is_published(UnixTime now) const {
   if (publish_ == kUnsetTime || now < publish_) return false;
@@ -54,7 +84,21 @@ std::string ZoneKey::file_base() const {
 }
 
 Bytes ZoneKey::sign(ByteView message) const {
-  return crypto::sign_message(material_, message);
+  static auto& computed =
+      metrics::Registry::global().counter("zone.signatures");
+  static auto& memo_hits =
+      metrics::Registry::global().counter("zone.signature_memo_hits");
+  Bytes signed_data(message.begin(), message.end());
+  if (auto hit = signatures_->find(signed_data)) {
+    memo_hits.add(1);
+    DFX_DCHECK(*hit == crypto::sign_message(material_, message),
+               "ZoneKey::sign memo hit differs from a fresh signature");
+    return *std::move(hit);
+  }
+  computed.add(1);
+  Bytes signature = crypto::sign_message(material_, message);
+  signatures_->store(std::move(signed_data), signature);
+  return signature;
 }
 
 ZoneKey& KeyStore::generate(Rng& rng, KeyRole role,

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +27,10 @@ enum class KeyRole : std::uint8_t {
 
 /// Timing metadata à la dnssec-settime; kUnset means "not scheduled".
 constexpr UnixTime kUnsetTime = INT64_MIN;
+
+/// Signatures one key remembers (see ZoneKey::sign). A full memo is
+/// cleared before the next one is stored, so a key holds at most this many.
+constexpr std::size_t kSignatureMemoEntries = 256;
 
 /// A signing key: crypto material + DNSKEY metadata + life-cycle times.
 class ZoneKey {
@@ -67,10 +72,17 @@ class ZoneKey {
   /// BIND-style key file base name "K<zone>.+NNN+TTTTT".
   std::string file_base() const;
 
-  /// Sign a message with this key's private material.
+  /// Sign a message with this key's private material. Both signers are
+  /// deterministic, so the signature is remembered in a memo that copies
+  /// of this key share (they carry the same private material) and returned
+  /// again for the same bytes while the memo holds them. Thread-safe.
+  /// Counts `zone.signatures` per signature computed and
+  /// `zone.signature_memo_hits` per signature returned from the memo.
   Bytes sign(ByteView message) const;
 
  private:
+  class SignatureMemo;
+
   dns::Name zone_;
   KeyRole role_;
   crypto::KeyPair material_;
@@ -78,6 +90,7 @@ class ZoneKey {
   UnixTime publish_;
   UnixTime activate_;
   UnixTime delete_ = kUnsetTime;
+  std::shared_ptr<SignatureMemo> signatures_;
 };
 
 /// All keys for one zone (the key directory).

@@ -2,8 +2,10 @@
 // cross-domain rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
+#include "bignum_reference.h"
 #include "crypto/rsa.h"
 #include "crypto/schnorr.h"
 #include "crypto/sha2.h"
@@ -103,6 +105,32 @@ TEST(Rsa, KnownAnswerKeysAndSignatures) {
     std::snprintf(hex + 2 * i, 3, "%02x", digest[i]);
   }
   EXPECT_STREQ(hex, "ad19a61741fb4e36");
+}
+
+// CRT signing (RFC 8017 §5.1.2, RSASP1 step 2.b) is an identity: for the
+// known-answer keys and random digests it equals pad(digest)^d mod n by
+// the plain reference modexp, padded to the modulus size.
+TEST(Rsa, CrtSignMatchesPlainModexp) {
+  Rng digests(99);
+  for (std::uint64_t s = 1; s <= 64; ++s) {
+    Rng rng(s);
+    const auto key = rsa_generate(rng, 256);
+    const std::size_t k = (key.pub.n.bit_length() + 7) / 8;
+    for (int i = 0; i < 16; ++i) {
+      Bytes digest(20);
+      digests.fill(digest);
+      // 0x00 0x01 FF..FF 0x00 digest, as rsa.cpp pads.
+      Bytes em(k, 0xFF);
+      em[0] = 0x00;
+      em[1] = 0x01;
+      em[k - digest.size() - 1] = 0x00;
+      std::copy(digest.begin(), digest.end(), em.end() - 20);
+      const BigNum plain =
+          reference_modexp(BigNum::from_bytes(em), key.d, key.pub.n);
+      EXPECT_EQ(rsa_sign(key, digest), plain.to_bytes_padded(k))
+          << "key seed " << s << ", digest " << i;
+    }
+  }
 }
 
 TEST(Schnorr, SignVerifyRoundTrip) {

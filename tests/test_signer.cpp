@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "dnscore/masterfile.h"
 #include "util/codec.h"
+#include "util/metrics.h"
 #include "zone/nsec3.h"
 #include "zone/signer.h"
 
@@ -306,6 +311,102 @@ TEST(Signer, VerifyRejectsTamperedRRset) {
   evil.address = {6, 6, 6, 6};
   tampered.add(evil);
   EXPECT_FALSE(verify_rrsig(tampered, *sigs[0], *signer_key));
+}
+
+std::int64_t counter_value(const char* name) {
+  return metrics::Registry::global().counter(name).value();
+}
+
+Bytes memo_message(std::size_t i) {
+  return to_bytes("signed data #" + std::to_string(i));
+}
+
+TEST(SignatureMemo, HitReturnsTheFreshSignature) {
+  Rng rng(5);
+  KeyStore keys(Name::of("example.com."));
+  for (const auto alg : {crypto::DnssecAlgorithm::kRsaSha256,
+                         crypto::DnssecAlgorithm::kEcdsaP256Sha256}) {
+    const ZoneKey& key = keys.generate(rng, KeyRole::kZsk, alg, kNow);
+    const Bytes message = memo_message(0);
+    const Bytes fresh = crypto::sign_message(key.material(), message);
+    const std::int64_t computed = counter_value("zone.signatures");
+    const std::int64_t hits = counter_value("zone.signature_memo_hits");
+    EXPECT_EQ(key.sign(message), fresh);
+    EXPECT_EQ(key.sign(message), fresh);
+    // A copy carries the same private material and shares the memo.
+    const ZoneKey copy = key;
+    EXPECT_EQ(copy.sign(message), fresh);
+    EXPECT_EQ(counter_value("zone.signatures") - computed, 1);
+    EXPECT_EQ(counter_value("zone.signature_memo_hits") - hits, 2);
+  }
+}
+
+TEST(SignatureMemo, ResignAtTheSameTimeComputesNothing) {
+  Fixture f;
+  const Zone first = sign_zone(f.unsigned_zone, f.keys, {}, kNow);
+  const std::int64_t computed = counter_value("zone.signatures");
+  const Zone again = sign_zone(f.unsigned_zone, f.keys, {}, kNow);
+  EXPECT_EQ(counter_value("zone.signatures") - computed, 0);
+  EXPECT_EQ(dns::print_master_file(again.to_records()),
+            dns::print_master_file(first.to_records()));
+  // A new signing time changes every signed-data buffer: all fresh work.
+  const Zone later = sign_zone(f.unsigned_zone, f.keys, {}, kNow + 1);
+  EXPECT_GT(counter_value("zone.signatures") - computed, 0);
+  EXPECT_NE(dns::print_master_file(later.to_records()),
+            dns::print_master_file(first.to_records()));
+}
+
+TEST(SignatureMemo, StaysWithinItsBound) {
+  Rng rng(6);
+  KeyStore keys(Name::of("example.com."));
+  const ZoneKey& key = keys.generate(
+      rng, KeyRole::kZsk, crypto::DnssecAlgorithm::kEcdsaP256Sha256, kNow);
+  const std::int64_t base = counter_value("zone.signatures");
+  const auto computed = [&] { return counter_value("zone.signatures") - base; };
+  const auto full = static_cast<std::int64_t>(kSignatureMemoEntries);
+  for (std::size_t i = 0; i < kSignatureMemoEntries; ++i) {
+    key.sign(memo_message(i));  // fills the memo
+  }
+  for (std::size_t i = 0; i < kSignatureMemoEntries; ++i) {
+    key.sign(memo_message(i));  // every one a hit
+  }
+  EXPECT_EQ(computed(), full);
+  // One message more than the bound: the full memo starts over.
+  key.sign(memo_message(kSignatureMemoEntries));
+  EXPECT_EQ(computed(), full + 1);
+  key.sign(memo_message(kSignatureMemoEntries));
+  EXPECT_EQ(computed(), full + 1);
+  key.sign(memo_message(0));
+  EXPECT_EQ(computed(), full + 2);
+}
+
+TEST(SignatureMemo, ConcurrentSignersSharingOneKey) {
+  Rng rng(7);
+  KeyStore keys(Name::of("example.com."));
+  const ZoneKey& key = keys.generate(
+      rng, KeyRole::kZsk, crypto::DnssecAlgorithm::kRsaSha256, kNow);
+  constexpr std::size_t kMessages = 64;
+  constexpr std::size_t kThreads = 4;
+  std::vector<Bytes> fresh;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    fresh.push_back(crypto::sign_message(key.material(), memo_message(i)));
+  }
+  const std::vector<ZoneKey> copies(kThreads, key);
+  std::vector<std::vector<Bytes>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the messages from its own starting point, so
+      // hits, misses and stores interleave across threads.
+      got[t].resize(kMessages);
+      for (std::size_t n = 0; n < 2 * kMessages; ++n) {
+        const std::size_t i = (n + t * kMessages / kThreads) % kMessages;
+        got[t][i] = copies[t].sign(memo_message(i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], fresh);
 }
 
 }  // namespace
