@@ -1,6 +1,6 @@
-// Micro-benchmarks for the substrate: hashing, signing, zone signing, the
-// probe+grok analysis path, and the wire and master-file codecs
-// (google-benchmark).
+// Micro-benchmarks for the substrate: hashing, signing, zone signing, zone
+// copies and re-publishes, the probe+grok analysis path, and the wire and
+// master-file codecs (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +21,7 @@
 #include "crypto/sha2.h"
 #include "dnscore/masterfile.h"
 #include "dnscore/message.h"
+#include "server/zonestore.h"
 #include "util/rng.h"
 #include "zone/nsec3.h"
 #include "zone/signer.h"
@@ -214,6 +215,70 @@ void BM_NameCompare(benchmark::State& state) {
                           static_cast<std::int64_t>(names.size()));
 }
 BENCHMARK(BM_NameCompare);
+
+// A signed NSEC3 zone of 2,000 hosts (A records under random labels, one
+// KSK and one ZSK), the shape serve-miss re-publishes. Built once.
+const zone::Zone& signed_nsec3_zone() {
+  static const zone::Zone kZone = [] {
+    Rng rng(15);
+    const auto apex = dns::Name::of("copy.example.");
+    zone::Zone unsigned_zone(apex);
+    dns::SoaRdata soa;
+    soa.mname = apex.child("ns1");
+    soa.rname = apex.child("hostmaster");
+    unsigned_zone.add(apex, dns::RRType::kSOA, 3600, soa);
+    unsigned_zone.add(apex, dns::RRType::kNS, 3600,
+                      dns::NsRdata{apex.child("ns1")});
+    std::set<std::string> labels;
+    while (labels.size() < 2000) {
+      std::string label;
+      for (int i = 0; i < 8; ++i) {
+        label.push_back(static_cast<char>('a' + rng.uniform(26)));
+      }
+      labels.insert(label);
+    }
+    dns::ARdata a;
+    std::uint32_t host = 0;
+    for (const auto& label : labels) {
+      a.address = {198, 51, static_cast<std::uint8_t>(host >> 8),
+                   static_cast<std::uint8_t>(host & 0xFF)};
+      unsigned_zone.add(apex.child(label), dns::RRType::kA, 3600, a);
+      ++host;
+    }
+    zone::KeyStore keys(apex);
+    keys.generate(rng, zone::KeyRole::kKsk,
+                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
+    keys.generate(rng, zone::KeyRole::kZsk,
+                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
+    zone::SigningConfig config;
+    config.denial = zone::DenialMode::kNsec3;
+    return zone::sign_zone(unsigned_zone, keys, config, kDatasetStart);
+  }();
+  return kZone;
+}
+
+// Copy a signed zone, then write to the copy once: the copy shares the
+// records and the first write clones them. The copy's teardown is timed too.
+void BM_ZoneCopy(benchmark::State& state) {
+  const zone::Zone& source = signed_nsec3_zone();
+  for (auto _ : state) {
+    zone::Zone copy = source;
+    copy.bump_serial();
+    benchmark::DoNotOptimize(copy.soa());
+  }
+}
+BENCHMARK(BM_ZoneCopy)->Unit(benchmark::kMillisecond);
+
+// Re-publish a zone the caller keeps (no admission policy): the by-value
+// argument, the HostedZone build and the displaced version's teardown.
+void BM_ZoneStoreUpsert(benchmark::State& state) {
+  const zone::Zone& source = signed_nsec3_zone();
+  server::ZoneStore store;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.upsert(source));
+  }
+}
+BENCHMARK(BM_ZoneStoreUpsert)->Unit(benchmark::kMillisecond);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   dns::Message msg;

@@ -1,7 +1,9 @@
 // Zone data model: all RRsets of one zone, in canonical name order.
 #pragma once
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -13,13 +15,29 @@ namespace dfx::zone {
 /// One zone's records, keyed by (owner, type). Owners are kept in canonical
 /// DNSSEC order, which the NSEC chain builder and the negative-answer logic
 /// both rely on.
+///
+/// Copies share their records: copying a Zone costs one reference count and
+/// the apex name. The first mutation of a zone that was ever copied (or
+/// copied from) clones the record map once; later mutations happen in
+/// place. A copy and its original therefore never see each other's
+/// changes. A moved-from zone is valid and empty.
+///
+/// Pointer rule: a `const RRset*` from find(), at() or all_rrsets() stays
+/// valid while some Zone still holds the version it was taken from. A
+/// mutation of a shared zone moves that zone to a fresh version, so a
+/// pointer kept across it is safe only while another copy keeps the old
+/// version alive; otherwise copy what you need before mutating.
 class Zone {
  public:
   explicit Zone(dns::Name apex) : apex_(std::move(apex)) {}
+  Zone(const Zone& other);
+  Zone& operator=(const Zone& other);
+  Zone(Zone&& other) noexcept;
+  Zone& operator=(Zone&& other) noexcept;
 
   const dns::Name& apex() const { return apex_; }
 
-  bool empty() const { return records_.empty(); }
+  bool empty() const { return records().empty(); }
 
   /// Add one record (merged into its RRset; the RRset TTL is the TTL of the
   /// first record added).
@@ -41,7 +59,8 @@ class Zone {
   void remove_name(const dns::Name& owner);
 
   const dns::RRset* find(const dns::Name& owner, dns::RRType type) const;
-  dns::RRset* find(const dns::Name& owner, dns::RRType type);
+  /// Mutable lookup: a write, so it clones shared records first.
+  dns::RRset* find_mutable(const dns::Name& owner, dns::RRType type);
 
   /// All RRsets at one owner.
   std::vector<const dns::RRset*> at(const dns::Name& owner) const;
@@ -58,7 +77,7 @@ class Zone {
   /// once (e.g. the zonelint admission scan on every ZoneStore upsert).
   template <typename Fn>
   void for_each_rrset(Fn&& fn) const {
-    for (const auto& [name, by_type] : records_) {
+    for (const auto& [name, by_type] : records()) {
       for (const auto& [type, rrset] : by_type) fn(rrset);
     }
   }
@@ -82,9 +101,25 @@ class Zone {
   void bump_serial();
 
  private:
+  using Records =
+      std::map<dns::Name, std::map<dns::RRType, dns::RRset>, dns::Name::Less>;
+
+  /// The records for reading; an empty map when none were ever added.
+  const Records& records() const {
+    return records_ != nullptr ? *records_ : no_records();
+  }
+  static const Records& no_records();
+  /// The records for writing: cloned first when they may be shared. The
+  /// removers and find_mutable look up first, so a miss never clones.
+  Records& writable_records();
+
   dns::Name apex_;
-  std::map<dns::Name, std::map<dns::RRType, dns::RRset>, dns::Name::Less>
-      records_;
+  std::shared_ptr<Records> records_;
+  /// Set on both sides by a copy, cleared only by a clone. A zone whose
+  /// flag is clear is the sole owner of `records_` and may write in place.
+  /// (`use_count() == 1` would not do: it is a relaxed load, so it does not
+  /// order another thread's last read of the shared map before our write.)
+  mutable std::atomic<bool> shared_{false};
 };
 
 }  // namespace dfx::zone

@@ -31,8 +31,10 @@ void strip_sigs(zone::Zone& z, const dns::Name& owner, dns::RRType type) {
 void resign_rrset(Sandbox& sb, zone::Zone& z, const dns::Name& owner,
                   dns::RRType type) {
   auto& mz = sb.managed(z.apex());
-  const auto* rrset = z.find(owner, type);
-  if (rrset == nullptr) return;
+  const auto* found = z.find(owner, type);
+  if (found == nullptr) return;
+  // A copy: the writes below may move `z` off the version `found` points into.
+  const dns::RRset rrset = *found;
   strip_sigs(z, owner, type);
   const UnixTime now = sb.clock().now();
   const auto signers =
@@ -40,9 +42,9 @@ void resign_rrset(Sandbox& sb, zone::Zone& z, const dns::Name& owner,
           ? mz.keys.active_with_role(now, zone::KeyRole::kKsk)
           : mz.keys.active_with_role(now, zone::KeyRole::kZsk);
   for (const auto* key : signers) {
-    const auto sig = zone::make_rrsig(*rrset, *key, z.apex(), now - kHour,
+    const auto sig = zone::make_rrsig(rrset, *key, z.apex(), now - kHour,
                                       now + 30 * kDay);
-    z.add(owner, dns::RRType::kRRSIG, rrset->ttl(), sig);
+    z.add(owner, dns::RRType::kRRSIG, rrset.ttl(), sig);
   }
 }
 
@@ -288,8 +290,10 @@ bool inject_sig_tamper(Sandbox& sb, ErrorCode code) {
   const dns::Name child = sb.child_apex();
   auto& mz = sb.managed(child);
   zone::Zone z = mz.signed_zone;
-  const auto* soa = z.find(child, dns::RRType::kSOA);
-  if (soa == nullptr) return false;
+  const auto* found = z.find(child, dns::RRType::kSOA);
+  if (found == nullptr) return false;
+  // A copy: strip_sigs may move `z` off the version `found` points into.
+  const dns::RRset soa = *found;
   const auto zsks =
       mz.keys.active_with_role(sb.clock().now(), zone::KeyRole::kZsk);
   if (zsks.empty()) return false;
@@ -299,26 +303,26 @@ bool inject_sig_tamper(Sandbox& sb, ErrorCode code) {
   dns::RrsigRdata sig;
   switch (code) {
     case ErrorCode::kInvalidSignature:
-      sig = zone::make_rrsig(*soa, *key, child, now - kHour, now + 30 * kDay);
+      sig = zone::make_rrsig(soa, *key, child, now - kHour, now + 30 * kDay);
       sig.signature[sig.signature.size() / 2] ^= 0x55;
       break;
     case ErrorCode::kIncorrectSigner:
-      sig = zone::make_rrsig(*soa, *key, sb.parent_apex(), now - kHour,
+      sig = zone::make_rrsig(soa, *key, sb.parent_apex(), now - kHour,
                              now + 30 * kDay);
       break;
     case ErrorCode::kIncorrectSignatureLabels:
       sig = zone::make_rrsig(
-          *soa, *key, child, now - kHour, now + 30 * kDay,
+          soa, *key, child, now - kHour, now + 30 * kDay,
           static_cast<std::uint8_t>(child.label_count() + 1));
       break;
     case ErrorCode::kBadSignatureLength:
-      sig = zone::make_rrsig(*soa, *key, child, now - kHour, now + 30 * kDay);
+      sig = zone::make_rrsig(soa, *key, child, now - kHour, now + 30 * kDay);
       sig.signature.resize(5);
       break;
     default:
       return false;
   }
-  z.add(child, dns::RRType::kRRSIG, soa->ttl(), sig);
+  z.add(child, dns::RRType::kRRSIG, soa.ttl(), sig);
   sb.push_signed(child, std::move(z));
   return true;
 }
@@ -327,7 +331,7 @@ bool inject_original_ttl(Sandbox& sb) {
   const dns::Name child = sb.child_apex();
   auto& mz = sb.managed(child);
   zone::Zone z = mz.signed_zone;
-  auto* soa = z.find(child, dns::RRType::kSOA);
+  auto* soa = z.find_mutable(child, dns::RRType::kSOA);
   if (soa == nullptr) return false;
   soa->set_ttl(soa->ttl() + 7200);  // served TTL now exceeds original TTL
   sb.push_signed(child, std::move(z));

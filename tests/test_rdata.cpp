@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "dnscore/rdata.h"
+#include "dnscore/rrset.h"
 #include "dnscore/wire.h"
 #include "util/codec.h"
 #include "util/rng.h"
@@ -198,4 +199,195 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, RdataWireRoundTrip,
                          ::testing::ValuesIn(wire_cases()));
 
 }  // namespace
+// ---- RRset duplicate rule: identical canonical wire form ------------------
+
+/// The duplicate rule as written before RRset stopped encoding its members:
+/// a record is a duplicate when some member has the same canonical wire.
+struct WireRuleModel {
+  std::vector<Rdata> rdatas;
+
+  void add(const Rdata& rdata) {
+    const Bytes wire = rdata_to_wire(rdata);
+    for (const auto& existing : rdatas) {
+      if (rdata_to_wire(existing) == wire) return;
+    }
+    rdatas.push_back(rdata);
+  }
+
+  bool remove(const Rdata& rdata) {
+    const Bytes wire = rdata_to_wire(rdata);
+    for (auto it = rdatas.begin(); it != rdatas.end(); ++it) {
+      if (rdata_to_wire(*it) == wire) {
+        rdatas.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// A random rdata drawn from tiny field domains, so that wire collisions are
+/// common: names that differ only in case, RRSIG times 2^32 apart, and
+/// alternatives with one wire layout (NS/CNAME, DS/CDS, DNSKEY/CDNSKEY).
+/// `kind` picks the alternative (its index in Rdata); 15 picks one at random.
+Rdata collision_prone_rdata(Rng& rng, std::uint64_t kind) {
+  const auto pick = [&](std::uint64_t n) { return rng.uniform(n); };
+  const auto name = [&] {
+    static const char* const kNames[] = {"a.x.", "A.x.", "a.X.", "b.x.",
+                                         "B.X.", "x."};
+    return Name::of(kNames[pick(6)]);
+  };
+  const auto bytes = [&] {
+    static const Bytes kBytes[] = {{}, {1}, {1, 2}, {2}};
+    return kBytes[pick(4)];
+  };
+  const auto types = [&] {
+    static const std::set<RRType> kTypes[] = {
+        {}, {RRType::kA}, {RRType::kA, RRType::kNS}};
+    return kTypes[pick(3)];
+  };
+  const auto time = [&] {
+    static const UnixTime kTimes[] = {1700000000, 1700000000 + (1LL << 32),
+                                      1690000000};
+    return kTimes[pick(3)];
+  };
+  const auto u8 = [&] { return static_cast<std::uint8_t>(pick(2)); };
+  DsRdata ds;
+  ds.key_tag = u8();
+  ds.algorithm = 8;
+  ds.digest_type = u8();
+  ds.digest = bytes();
+  DnskeyRdata key;
+  key.flags = static_cast<std::uint16_t>(256 + pick(2));
+  key.algorithm = 13;
+  key.public_key = bytes();
+  switch (kind < 15 ? kind : pick(15)) {
+    case 0: {
+      ARdata a;
+      a.address = {10, 0, 0, u8()};
+      return a;
+    }
+    case 1: {
+      AaaaRdata aaaa;
+      aaaa.address[15] = u8();
+      return aaaa;
+    }
+    case 2:
+      return NsRdata{name()};
+    case 3:
+      return CnameRdata{name()};
+    case 4: {
+      SoaRdata soa;
+      soa.mname = name();
+      soa.rname = name();
+      soa.serial = u8();
+      return soa;
+    }
+    case 5:
+      return MxRdata{u8(), name()};
+    case 6: {
+      static const std::vector<std::string> kStrings[] = {
+          {}, {""}, {"a"}, {"a", "b"}, {"ab"}};
+      return TxtRdata{kStrings[pick(5)]};
+    }
+    case 7:
+      return key;
+    case 8:
+      return ds;
+    case 9: {
+      RrsigRdata sig;
+      sig.type_covered = pick(2) == 0 ? RRType::kA : RRType::kSOA;
+      sig.algorithm = 13;
+      sig.labels = u8();
+      sig.original_ttl = 300;
+      sig.expiration = time();
+      sig.inception = time();
+      sig.key_tag = u8();
+      sig.signer = name();
+      sig.signature = bytes();
+      return sig;
+    }
+    case 10: {
+      NsecRdata nsec;
+      nsec.next = name();
+      nsec.types = types();
+      return nsec;
+    }
+    case 11: {
+      Nsec3Rdata nsec3;
+      nsec3.flags = u8();
+      nsec3.salt = bytes();
+      nsec3.next_hashed = bytes();
+      nsec3.types = types();
+      return nsec3;
+    }
+    case 12: {
+      Nsec3ParamRdata param;
+      param.iterations = u8();
+      param.salt = bytes();
+      return param;
+    }
+    case 13:
+      return CdsRdata{ds};
+    default:
+      return CdnskeyRdata{key};
+  }
+}
+
+TEST(RRsetDuplicates, NamesThatDifferOnlyInCaseAreOneRecord) {
+  RRset set(Name::of("x."), RRType::kNS, 300);
+  set.add(NsRdata{Name::of("NS1.Example.")});
+  set.add(NsRdata{Name::of("ns1.example.")});
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(std::get<NsRdata>(set.rdatas()[0]).nsdname.to_string(),
+            "NS1.Example.");  // the first spelling stays
+  EXPECT_TRUE(set.remove(NsRdata{Name::of("ns1.EXAMPLE.")}));
+  EXPECT_TRUE(set.empty());
+}
+
+TEST(RRsetDuplicates, RrsigTimesThatCollideModTwoToThe32AreOneRecord) {
+  RrsigRdata sig;
+  sig.signer = Name::of("x.");
+  sig.expiration = 1700000000;
+  sig.inception = 1690000000;
+  RrsigRdata later = sig;
+  later.expiration += 1LL << 32;
+  ASSERT_EQ(rdata_to_wire(sig), rdata_to_wire(later));
+  ASSERT_FALSE(Rdata(sig) == Rdata(later));
+  RRset set(Name::of("x."), RRType::kRRSIG, 300);
+  set.add(sig);
+  set.add(later);
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.remove(later));
+}
+
+TEST(RRsetDuplicates, AddAndRemoveMatchTheWireFormRuleOnRandomSequences) {
+  Rng rng{0x5e7d0u};
+  for (int round = 0; round < 480; ++round) {
+    // Rounds of one alternative collide often; mixed rounds mix layouts.
+    const auto kind = static_cast<std::uint64_t>(round % 16);
+    RRset set(Name::of("x."), RRType::kA, 300);
+    WireRuleModel model;
+    for (int op = 0; op < 32; ++op) {
+      const Rdata rdata = collision_prone_rdata(rng, kind);
+      if (rng.uniform(3) == 0) {
+        ASSERT_EQ(set.remove(rdata), model.remove(rdata))
+            << "round " << round << " op " << op;
+      } else {
+        set.add(rdata);
+        model.add(rdata);
+      }
+      ASSERT_EQ(set.size(), model.rdatas.size())
+          << "round " << round << " op " << op;
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        const Rdata& got = set.rdatas()[i];
+        const Rdata& want = model.rdatas[i];
+        ASSERT_EQ(got.index(), want.index());
+        ASSERT_EQ(rdata_to_wire(got), rdata_to_wire(want));
+        ASSERT_EQ(rdata_to_text(got), rdata_to_text(want));  // same spelling
+      }
+    }
+  }
+}
+
 }  // namespace dfx::dns

@@ -1,6 +1,14 @@
-// Zone container tests: RRset management, delegations, occlusion.
+// Zone container tests: RRset management, delegations, occlusion, and the
+// copy-on-write sharing of records between copies.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "authserver/farm.h"
 #include "zone/zone.h"
 
 namespace dfx::zone {
@@ -124,6 +132,245 @@ TEST(Zone, PutReplacesRRset) {
   ASSERT_NE(ns, nullptr);
   EXPECT_EQ(ns->ttl(), 60u);
   EXPECT_EQ(ns->size(), 1u);
+}
+
+// ---- Copies share records until one of them writes ------------------------
+
+/// Every record of `zone` as presentation text, in to_records() order.
+std::vector<std::string> zone_text(const Zone& zone) {
+  std::vector<std::string> out;
+  for (const auto& record : zone.to_records()) out.push_back(record.to_text());
+  return out;
+}
+
+/// Each mutator, applied to a zone built by make_zone(), changes it.
+std::vector<std::pair<std::string, std::function<void(Zone&)>>> mutators() {
+  const Name www = Name::of("www.example.com.");
+  dns::ARdata other;
+  other.address = {192, 0, 2, 99};
+  dns::ARdata first;
+  first.address = {192, 0, 2, 1};
+  return {
+      {"add", [=](Zone& z) { z.add(www, RRType::kA, 3600, other); }},
+      {"add_record",
+       [=](Zone& z) {
+         z.add(dns::ResourceRecord{Name::of("new.example.com."), RRType::kA,
+                                   dns::RRClass::kIN, 60, other});
+       }},
+      {"put",
+       [=](Zone& z) {
+         dns::RRset fresh(www, RRType::kA, 60);
+         fresh.add(other);
+         z.put(std::move(fresh));
+       }},
+      {"remove", [=](Zone& z) { EXPECT_TRUE(z.remove(www, RRType::kA)); }},
+      {"remove_rdata",
+       [=](Zone& z) { EXPECT_TRUE(z.remove_rdata(www, RRType::kA, first)); }},
+      {"remove_name", [=](Zone& z) { z.remove_name(www); }},
+      {"find_mutable",
+       [=](Zone& z) {
+         auto* rrset = z.find_mutable(www, RRType::kA);
+         ASSERT_NE(rrset, nullptr);
+         rrset->set_ttl(5);
+       }},
+      {"bump_serial", [](Zone& z) { z.bump_serial(); }},
+  };
+}
+
+TEST(ZoneCopy, CopyAndOriginalStayIndependentUnderEveryMutator) {
+  const std::vector<std::string> pristine = zone_text(make_zone());
+  for (const auto& [name, mutate] : mutators()) {
+    SCOPED_TRACE(name);
+    {  // the copy writes
+      const Zone original = make_zone();
+      Zone copy = original;
+      mutate(copy);
+      EXPECT_NE(zone_text(copy), pristine);
+      EXPECT_EQ(zone_text(original), pristine);
+    }
+    {  // the original writes
+      Zone original = make_zone();
+      const Zone copy = original;
+      mutate(original);
+      EXPECT_NE(zone_text(original), pristine);
+      EXPECT_EQ(zone_text(copy), pristine);
+    }
+    {  // copy-assignment shares as the copy constructor does
+      Zone original = make_zone();
+      Zone assigned(Name::of("other."));
+      assigned = original;
+      EXPECT_EQ(assigned.apex(), original.apex());
+      mutate(assigned);
+      EXPECT_EQ(zone_text(original), pristine);
+      mutate(original);
+      EXPECT_EQ(zone_text(original), zone_text(assigned));
+    }
+  }
+}
+
+TEST(ZoneCopy, MutatingAnUnsharedZoneLeavesLaterCopiesAlone) {
+  Zone zone = make_zone();
+  const Zone before = zone;
+  zone.bump_serial();  // clones once
+  const Zone middle = zone;
+  zone.bump_serial();  // shared again: clones again
+  zone.bump_serial();  // unshared: in place
+  EXPECT_EQ(before.soa()->serial, 100u);
+  EXPECT_EQ(middle.soa()->serial, 101u);
+  EXPECT_EQ(zone.soa()->serial, 103u);
+}
+
+TEST(ZoneCopy, PointerTakenBeforeACopyWritesReadsTheOldVersion) {
+  const Name www = Name::of("www.example.com.");
+  const Zone original = make_zone();
+  const dns::RRset* before = original.find(www, RRType::kA);
+  ASSERT_NE(before, nullptr);
+  const auto all_before = original.all_rrsets();
+  const auto at_www = original.at(www);
+
+  Zone copy = original;
+  const dns::RRset* from_copy = copy.find(www, RRType::kA);
+  EXPECT_EQ(from_copy, before);  // one version, shared
+  copy.find_mutable(www, RRType::kA)->set_ttl(5);
+  dns::ARdata extra;
+  extra.address = {192, 0, 2, 50};
+  copy.add(www, RRType::kA, 3600, extra);
+  copy.remove_name(Name::of("ns1.example.com."));
+
+  // `original` still holds the old version, so every pointer into it —
+  // including the one taken through `copy` — reads the old records.
+  for (const dns::RRset* rrset : {before, from_copy}) {
+    EXPECT_EQ(rrset->ttl(), 3600u);
+    EXPECT_EQ(rrset->size(), 1u);
+  }
+  ASSERT_EQ(at_www.size(), 1u);
+  EXPECT_EQ(at_www.front(), before);
+  EXPECT_EQ(all_before.size(), original.all_rrsets().size());
+  EXPECT_EQ(copy.find(www, RRType::kA)->ttl(), 5u);
+  EXPECT_EQ(copy.find(www, RRType::kA)->size(), 2u);
+}
+
+TEST(ZoneCopy, MovedFromZoneIsEmptyAndUsable) {
+  Zone source = make_zone();
+  const std::vector<std::string> pristine = zone_text(source);
+  Zone moved = std::move(source);
+  EXPECT_EQ(zone_text(moved), pristine);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the subject
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.find(Name::of("www.example.com."), RRType::kA), nullptr);
+  EXPECT_TRUE(source.all_rrsets().empty());
+  EXPECT_TRUE(source.owner_names().empty());
+  EXPECT_TRUE(source.to_records().empty());
+  EXPECT_EQ(source.soa(), nullptr);
+  source.bump_serial();  // no SOA: nothing to bump
+  EXPECT_FALSE(source.remove(Name::of("www.example.com."), RRType::kA));
+
+  source = make_zone();  // assignable again
+  EXPECT_EQ(zone_text(source), pristine);
+  Zone assigned(Name::of("other."));
+  assigned = std::move(source);
+  EXPECT_EQ(zone_text(assigned), pristine);
+  EXPECT_TRUE(source.empty());
+  dns::ARdata a;
+  a.address = {192, 0, 2, 7};
+  source.add(Name::of("fresh.example.com."), RRType::kA, 60, a);
+  EXPECT_EQ(source.all_rrsets().size(), 1u);
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(zone_text(moved), pristine);
+  EXPECT_EQ(zone_text(assigned), pristine);
+}
+
+/// The answer records a server gives for (qname, qtype), as text.
+std::vector<std::string> answer_text(const authserver::ServerFarm& farm,
+                                     const std::string& server,
+                                     const Name& qname, RRType qtype) {
+  const auto* auth = farm.find_server(server);
+  EXPECT_NE(auth, nullptr);
+  std::vector<std::string> out;
+  if (auth == nullptr) return out;
+  for (const auto& rr : auth->query(qname, qtype).answers) {
+    out.push_back(rr.to_text());
+  }
+  return out;
+}
+
+TEST(ZoneCopy, ServerKeepsItsVersionWhenAnotherServerIsUpdated) {
+  const Name www = Name::of("www.example.com.");
+  authserver::ServerFarm farm;
+  Zone zone = make_zone();
+  farm.host_zone("ns1", zone);
+  farm.host_zone("ns2", zone);
+  const auto served = answer_text(farm, "ns2", www, RRType::kA);
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_EQ(answer_text(farm, "ns1", www, RRType::kA), served);
+
+  dns::ARdata moved;
+  moved.address = {198, 51, 100, 1};
+  zone.remove(www, RRType::kA);
+  zone.add(www, RRType::kA, 3600, moved);
+  zone.bump_serial();
+  farm.push_to_one("ns1", zone);
+
+  const auto updated = answer_text(farm, "ns1", www, RRType::kA);
+  ASSERT_EQ(updated.size(), 1u);
+  EXPECT_NE(updated, served);
+  EXPECT_EQ(answer_text(farm, "ns2", www, RRType::kA), served);
+  EXPECT_EQ(farm.find_server("ns2")->zone_data(zone.apex())->soa()->serial,
+            100u);
+  EXPECT_EQ(farm.find_server("ns1")->zone_data(zone.apex())->soa()->serial,
+            101u);
+}
+
+TEST(ZoneCopy, ThreadsCopyOneConstZoneAndEachMutateTheirOwn) {
+  Zone built = make_zone();
+  dns::ARdata a;
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    a.address = {10, 0, 0, i};
+    built.add(Name::of("h" + std::to_string(i) + ".example.com."),
+              RRType::kA, 3600, a);
+  }
+  const Zone shared = std::move(built);
+  const std::vector<std::string> pristine = zone_text(shared);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &results, t] {
+      for (int round = 0; round < 20; ++round) {
+        Zone mine = shared;
+        dns::ARdata own;
+        own.address = {172, 16, static_cast<std::uint8_t>(t),
+                       static_cast<std::uint8_t>(round)};
+        mine.add(Name::of("t" + std::to_string(t) + ".example.com."),
+                 RRType::kA, 60, own);
+        mine.remove_name(Name::of("h" + std::to_string(t) + ".example.com."));
+        mine.bump_serial();
+        // Readers of the shared version run alongside the writers.
+        EXPECT_NE(shared.find(Name::of("www.example.com."), RRType::kA),
+                  nullptr);
+        if (round == 19) results[static_cast<std::size_t>(t)] = zone_text(mine);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(zone_text(shared), pristine);
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& got = results[static_cast<std::size_t>(t)];
+    ASSERT_EQ(got.size(), pristine.size()) << "thread " << t;
+    const std::string own = "t" + std::to_string(t) + ".example.com.";
+    const std::string gone = "h" + std::to_string(t) + ".example.com.";
+    int owned = 0;
+    for (const auto& line : got) {
+      if (line.rfind(own, 0) == 0) ++owned;
+      EXPECT_NE(line.rfind(gone, 0), 0u) << line;
+    }
+    EXPECT_EQ(owned, 1) << "thread " << t;
+    ASSERT_FALSE(got.empty());
+    EXPECT_NE(got.front().find(" 101 "), std::string::npos) << got.front();
+  }
 }
 
 }  // namespace
