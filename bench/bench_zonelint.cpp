@@ -1,8 +1,9 @@
 // Benchmark: zonelint's static analysis and the ZoneStore admission check.
 //
-// The admission contract (zonelint/admission.h) is that the fast path —
-// a single cost scan over the zone's RRsets, no graph allocation, no
-// denial-chain walks — is cheap enough to run on every ZoneStore upsert.
+// The admission contract (zonelint/admission.h) is that the policy — one
+// read of the apex plus the signature bound the zone keeps, with the
+// one-walk cost scan only where that bound cannot settle the verdict — is
+// cheap enough to run on every ZoneStore upsert.
 //
 // Two measurements of that overhead:
 //

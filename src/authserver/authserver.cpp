@@ -1,7 +1,10 @@
 #include "authserver/authserver.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
+#include <numeric>
+#include <string_view>
 
 #include "zone/nsec3.h"
 #include "util/check.hpp"
@@ -24,8 +27,24 @@ bool nsec3_hash_covers(const Bytes& owner_hash, const Bytes& next_hash,
   return target > owner_hash || target < next_hash;
 }
 
+namespace {
+
+/// Orders decoded hashes as Bytes' operator< does: bytewise, and a hash
+/// that is a prefix of another sorts first.
+bool hash_less(ByteView a, ByteView b) {
+  const std::size_t common = std::min(a.size(), b.size());
+  const int c = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
+  return c != 0 ? c < 0 : a.size() < b.size();
+}
+
+}  // namespace
+
 DenialIndex::DenialIndex(const zone::Zone& zone) {
   const dns::Name& apex = zone.apex();
+  const auto first_label = [](const dns::Name& owner) -> std::string_view {
+    const auto& labels = owner.labels();
+    return labels.empty() ? std::string_view() : labels.front();
+  };
   zone.for_each_rrset([&](const dns::RRset& rrset) {
     const auto& rdatas = rrset.rdatas();
     if (rrset.type() == dns::RRType::kNSEC3PARAM) {
@@ -40,51 +59,102 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
     if (rdatas.empty()) return;
     if (rrset.type() == dns::RRType::kNSEC &&
         std::holds_alternative<dns::NsecRdata>(rdatas.front())) {
-      nsec_owners_.push_back(rrset.owner());  // already canonical
+      nsec_owners_.push_back(&rrset.owner());  // already canonical
     } else if (rrset.type() == dns::RRType::kNSEC3 &&
                std::holds_alternative<dns::Nsec3Rdata>(rdatas.front())) {
-      auto decoded = base32hex_decode(rrset.owner().leftmost_label());
-      if (decoded) {
-        nsec3_chain_.push_back({*std::move(decoded), rrset.owner()});
-      } else {
-        nsec3_undecodable_.push_back(rrset.owner());
-      }
+      nsec3_owners_.push_back(&rrset.owner());
+      nsec3_width_ =
+          std::max(nsec3_width_, first_label(rrset.owner()).size() * 5 / 8);
     }
   });
-  // Stable: owners sharing a hash keep their canonical order.
-  std::stable_sort(nsec3_chain_.begin(), nsec3_chain_.end(),
-                   [](const Nsec3Entry& a, const Nsec3Entry& b) {
-                     return a.hash < b.hash;
+
+  // Decode each first label straight into its slot; owners that do not
+  // decode leave the chain for the undecodable list.
+  nsec3_hashes_.resize(nsec3_owners_.size() * nsec3_width_);
+  nsec3_lengths_.reserve(nsec3_owners_.size());
+  std::size_t kept = 0;
+  for (const dns::Name* owner : nsec3_owners_) {
+    const auto length = base32hex_decode_to(
+        first_label(*owner), nsec3_hashes_.data() + kept * nsec3_width_);
+    if (!length) {
+      nsec3_undecodable_.push_back(owner);
+      continue;
+    }
+    nsec3_owners_[kept++] = owner;
+    nsec3_lengths_.push_back(static_cast<std::uint32_t>(*length));
+  }
+  nsec3_owners_.resize(kept);
+  nsec3_hashes_.resize(kept * nsec3_width_);
+
+  // Base32hex preserves order, so a well-formed chain walked in canonical
+  // order is already in hash order. Otherwise sort stably: owners sharing
+  // a hash keep their canonical order.
+  std::size_t i = 1;
+  while (i < kept && !hash_less(nsec3_hash(i), nsec3_hash(i - 1))) ++i;
+  if (i >= kept) return;
+  std::vector<std::size_t> order(kept);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return hash_less(nsec3_hash(a), nsec3_hash(b));
                    });
+  std::vector<const dns::Name*> owners(kept);
+  std::vector<std::uint8_t> hashes(nsec3_hashes_.size());
+  std::vector<std::uint32_t> lengths(kept);
+  for (std::size_t to = 0; to < kept; ++to) {
+    const std::size_t from = order[to];
+    owners[to] = nsec3_owners_[from];
+    lengths[to] = nsec3_lengths_[from];
+    std::copy_n(nsec3_hashes_.data() + from * nsec3_width_, nsec3_width_,
+                hashes.data() + to * nsec3_width_);
+  }
+  nsec3_owners_ = std::move(owners);
+  nsec3_hashes_ = std::move(hashes);
+  nsec3_lengths_ = std::move(lengths);
 }
 
 const dns::Name* DenialIndex::nsec_match(const dns::Name& name) const {
-  const auto it =
-      std::lower_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
-  return it != nsec_owners_.end() && *it == name ? &*it : nullptr;
+  const auto it = std::lower_bound(
+      nsec_owners_.begin(), nsec_owners_.end(), name,
+      [](const dns::Name* owner, const dns::Name& n) { return *owner < n; });
+  return it != nsec_owners_.end() && **it == name ? *it : nullptr;
 }
 
 const dns::Name* DenialIndex::nsec_predecessor(const dns::Name& name) const {
   if (nsec_owners_.empty()) return nullptr;
-  const auto it =
-      std::upper_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
-  return it == nsec_owners_.begin() ? &nsec_owners_.back() : &*std::prev(it);
+  const auto it = std::upper_bound(
+      nsec_owners_.begin(), nsec_owners_.end(), name,
+      [](const dns::Name& n, const dns::Name* owner) { return n < *owner; });
+  return it == nsec_owners_.begin() ? nsec_owners_.back() : *std::prev(it);
+}
+
+std::size_t DenialIndex::nsec3_bound(ByteView hash, bool or_equal) const {
+  std::size_t lo = 0;
+  std::size_t hi = nsec3_owners_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const bool before = or_equal ? hash_less(nsec3_hash(mid), hash)
+                                 : !hash_less(hash, nsec3_hash(mid));
+    if (before) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 const dns::Name* DenialIndex::nsec3_match(const Bytes& hash) const {
-  const auto it = std::lower_bound(
-      nsec3_chain_.begin(), nsec3_chain_.end(), hash,
-      [](const Nsec3Entry& e, const Bytes& h) { return e.hash < h; });
-  return it != nsec3_chain_.end() && it->hash == hash ? &it->owner : nullptr;
+  const std::size_t i = nsec3_bound(hash, /*or_equal=*/true);
+  return i < nsec3_owners_.size() && !hash_less(hash, nsec3_hash(i))
+             ? nsec3_owners_[i]
+             : nullptr;
 }
 
 const dns::Name* DenialIndex::nsec3_predecessor(const Bytes& hash) const {
-  if (nsec3_chain_.empty()) return nullptr;
-  const auto it = std::upper_bound(
-      nsec3_chain_.begin(), nsec3_chain_.end(), hash,
-      [](const Bytes& h, const Nsec3Entry& e) { return h < e.hash; });
-  return it == nsec3_chain_.begin() ? &nsec3_chain_.back().owner
-                                    : &std::prev(it)->owner;
+  if (nsec3_owners_.empty()) return nullptr;
+  const std::size_t i = nsec3_bound(hash, /*or_equal=*/false);
+  return nsec3_owners_[i == 0 ? nsec3_owners_.size() - 1 : i - 1];
 }
 
 namespace {
@@ -149,7 +219,7 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
   // The server cannot place these in the hash order, but it still serves
   // them alongside every negative answer — validation is the resolver's
   // job, not the server's.
-  for (const auto& owner : denial.nsec3_undecodable()) emit(&owner);
+  for (const dns::Name* owner : denial.nsec3_undecodable()) emit(owner);
 
   if (!nxdomain) {
     // NODATA: NSEC3 matching qname.
@@ -346,7 +416,8 @@ void AuthServer::set_lame(bool lame) {
 
 void AuthServer::load_zone(zone::Zone zone) {
   dns::Name apex = zone.apex();
-  zones_.insert_or_assign(std::move(apex), HostedZone(std::move(zone)));
+  zones_.erase(apex);
+  zones_.try_emplace(std::move(apex), std::move(zone));
   ++version_;
 }
 

@@ -65,8 +65,13 @@ struct QueryResult {
 ///  - the NSEC3 owners whose first label does not decode (only a broken
 ///    signer makes them), in canonical order;
 ///  - whether the apex has an NSEC3PARAM RRset, and its first rdata.
-/// The index holds owner names, not pointers into the zone, so it stays
-/// valid for as long as the zone version it was built from is unchanged.
+/// The layout is flat: owners are pointers to the owner names inside the
+/// zone's RRsets, and the decoded hashes share one array of fixed-width
+/// slots (the widest hash's length; shorter ones compare as the prefix
+/// they are). So the index is valid only while the zone version it was
+/// built from is alive and unwritten (zone::Zone's pointer rule): hold it
+/// beside a zone that nothing writes, as HostedZone does, or for the
+/// length of one call, as zonelint does.
 class DenialIndex {
  public:
   explicit DenialIndex(const zone::Zone& zone);
@@ -97,33 +102,41 @@ class DenialIndex {
 
   /// NSEC3 owners with undecodable first labels; served with every NSEC3
   /// negative answer, since the server cannot place them in hash order.
-  const std::vector<dns::Name>& nsec3_undecodable() const {
+  const std::vector<const dns::Name*>& nsec3_undecodable() const {
     return nsec3_undecodable_;
   }
 
  private:
-  struct Nsec3Entry {
-    Bytes hash;  // decoded from the owner's first label
-    dns::Name owner;
-  };
+  /// The decoded hash of NSEC3 entry `i`.
+  ByteView nsec3_hash(std::size_t i) const {
+    return {nsec3_hashes_.data() + i * nsec3_width_, nsec3_lengths_[i]};
+  }
+  /// The first NSEC3 entry whose hash is above `hash` (`or_equal`: at or
+  /// above it).
+  std::size_t nsec3_bound(ByteView hash, bool or_equal) const;
 
-  std::vector<dns::Name> nsec_owners_;
-  std::vector<Nsec3Entry> nsec3_chain_;
-  std::vector<dns::Name> nsec3_undecodable_;
+  std::vector<const dns::Name*> nsec_owners_;
+  /// NSEC3 entry i: owner, and its hash in slot i of `nsec3_hashes_`.
+  std::vector<const dns::Name*> nsec3_owners_;
+  std::vector<std::uint8_t> nsec3_hashes_;
+  std::vector<std::uint32_t> nsec3_lengths_;
+  std::size_t nsec3_width_ = 0;
+  std::vector<const dns::Name*> nsec3_undecodable_;
   bool nsec3_ = false;
   std::optional<dns::Nsec3ParamRdata> nsec3_param_;
 };
 
 /// One hosted zone version and the denial index built from it. Built
-/// once when the version is loaded and never changed afterwards, so the
-/// index always describes the zone beside it. AuthServer keeps one per
+/// once when the version is loaded and never changed afterwards (both
+/// members are const), so the index always describes the zone beside it
+/// and its pointers into that zone stay valid. AuthServer keeps one per
 /// hosted apex; the serving layer's ZoneStore shares them between shard
 /// snapshots.
 struct HostedZone {
   explicit HostedZone(zone::Zone z) : zone(std::move(z)), denial(zone) {}
 
-  zone::Zone zone;
-  DenialIndex denial;
+  const zone::Zone zone;
+  const DenialIndex denial;
 };
 
 /// Answer a question from one zone with standard authoritative-server

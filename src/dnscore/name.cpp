@@ -185,7 +185,12 @@ std::size_t Name::wire_length() const {
 bool Name::operator==(const Name& other) const {
   if (labels_.size() != other.labels_.size()) return false;
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (compare_labels_folded(labels_[i], other.labels_[i]) != 0) return false;
+    // Same spelling is the common case: a plain compare settles it, and
+    // only labels that differ in bytes are compared folded.
+    const std::string& a = labels_[i];
+    const std::string& b = other.labels_[i];
+    if (a.size() != b.size()) return false;
+    if (a != b && compare_labels_folded(a, b) != 0) return false;
   }
   return true;
 }

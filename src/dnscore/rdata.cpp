@@ -33,12 +33,19 @@ std::uint16_t DnskeyRdata::key_tag() const {
   // RFC 4034 Appendix B over the wire form, summed field by field instead
   // of over a copy: octets at even offsets count as high bytes. The key
   // starts at offset 4, so its octets keep their own index parity.
+  // The sum is modulo 2^32 either way, so the high and low bytes are
+  // summed apart (no branch per octet) and combined once.
+  std::uint32_t high = 0;
+  std::uint32_t low = 0;
+  const std::size_t n = public_key.size();
+  for (std::size_t i = 0; i + 1 < n; i += 2) {
+    high += public_key[i];
+    low += public_key[i + 1];
+  }
+  if (n % 2 != 0) high += public_key[n - 1];
   std::uint32_t ac = flags;
   ac += static_cast<std::uint32_t>(protocol) << 8 | algorithm;
-  for (std::size_t i = 0; i < public_key.size(); ++i) {
-    ac += (i & 1) != 0 ? public_key[i]
-                       : static_cast<std::uint32_t>(public_key[i]) << 8;
-  }
+  ac += (high << 8) + low;
   ac += (ac >> 16) & 0xFFFF;
   return static_cast<std::uint16_t>(ac & 0xFFFF);
 }

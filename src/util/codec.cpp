@@ -118,8 +118,16 @@ std::string base32hex_encode(ByteView data) {
 
 // dfx-lint: allow(hot-path-cost): the output buffer is the product.
 [[nodiscard]] std::optional<Bytes> base32hex_decode(std::string_view text) {
-  Bytes out;
-  out.reserve(text.size() * 5 / 8);
+  Bytes out(text.size() * 5 / 8);
+  const auto length = base32hex_decode_to(text, out.data());
+  if (!length) return std::nullopt;
+  out.resize(*length);
+  return out;
+}
+
+[[nodiscard]] std::optional<std::size_t> base32hex_decode_to(
+    std::string_view text, std::uint8_t* out) {
+  std::size_t length = 0;
   std::uint32_t buffer = 0;
   int bits = 0;
   for (char c : text) {
@@ -132,10 +140,10 @@ std::string base32hex_encode(ByteView data) {
     bits += 5;
     if (bits >= 8) {
       bits -= 8;
-      out.push_back(static_cast<std::uint8_t>((buffer >> bits) & 0xFF));
+      out[length++] = static_cast<std::uint8_t>((buffer >> bits) & 0xFF);
     }
   }
-  return out;
+  return length;
 }
 
 // dfx-lint: allow(hot-path-cost): the output buffer is the product.

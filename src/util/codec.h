@@ -40,6 +40,13 @@ std::string base32hex_encode(ByteView data);
 DFX_HOT_PATH
 [[nodiscard]] std::optional<Bytes> base32hex_decode(std::string_view text);
 
+/// base32hex_decode into `out`, which must hold `text.size() * 5 / 8`
+/// bytes; returns the decoded length. The allocation-free form, for
+/// callers that decode many labels into one buffer.
+DFX_HOT_PATH
+[[nodiscard]] std::optional<std::size_t> base32hex_decode_to(
+    std::string_view text, std::uint8_t* out);
+
 /// Standard base64 with padding.
 DFX_HOT_PATH
 std::string base64_encode(ByteView data);

@@ -1,18 +1,20 @@
 #include "zone/zone.h"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace dfx::zone {
 
 Zone::Zone(const Zone& other)
-    : apex_(other.apex_), records_(other.records_), shared_(true) {
+    : apex_(other.apex_), version_(other.version_), shared_(true) {
   other.shared_.store(true, std::memory_order_relaxed);
 }
 
 Zone& Zone::operator=(const Zone& other) {
   if (this == &other) return *this;
   apex_ = other.apex_;
-  records_ = other.records_;
+  version_ = other.version_;
   shared_.store(true, std::memory_order_relaxed);
   other.shared_.store(true, std::memory_order_relaxed);
   return *this;
@@ -20,13 +22,13 @@ Zone& Zone::operator=(const Zone& other) {
 
 Zone::Zone(Zone&& other) noexcept
     : apex_(std::move(other.apex_)),
-      records_(std::move(other.records_)),
+      version_(std::move(other.version_)),
       shared_(other.shared_.exchange(false, std::memory_order_relaxed)) {}
 
 Zone& Zone::operator=(Zone&& other) noexcept {
   if (this == &other) return *this;
   apex_ = std::move(other.apex_);
-  records_ = std::move(other.records_);
+  version_ = std::move(other.version_);
   shared_.store(other.shared_.exchange(false, std::memory_order_relaxed),
                 std::memory_order_relaxed);
   return *this;
@@ -37,14 +39,62 @@ const Zone::Records& Zone::no_records() {
   return kNone;
 }
 
-Zone::Records& Zone::writable_records() {
-  if (records_ == nullptr) {
-    records_ = std::make_shared<Records>();
+void Zone::Tally::add(std::uint32_t value) {
+  const auto it = std::lower_bound(
+      counts_.begin(), counts_.end(), value,
+      [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+  if (it != counts_.end() && it->first == value) {
+    ++it->second;
+  } else {
+    counts_.insert(it, {value, 1});
+  }
+  ++total_;
+}
+
+void Zone::Tally::remove(std::uint32_t value) {
+  const auto it = std::lower_bound(
+      counts_.begin(), counts_.end(), value,
+      [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+  DFX_CHECK(it != counts_.end() && it->first == value,
+            "signature bound removes a value it never counted");
+  if (--it->second == 0) counts_.erase(it);
+  --total_;
+}
+
+void Zone::Version::count(const dns::RRset& rrset) {
+  if (!bound_known) return;  // find_mutable's writes went uncounted
+  if (rrset.type() == dns::RRType::kRRSIG) {
+    rrsig_set_sizes.add(static_cast<std::uint32_t>(rrset.size()));
+  } else if (rrset.type() == dns::RRType::kNSEC3) {
+    for (const auto& rdata : rrset.rdatas()) {
+      if (const auto* n = std::get_if<dns::Nsec3Rdata>(&rdata)) {
+        nsec3_iterations.add(n->iterations);
+      }
+    }
+  }
+}
+
+void Zone::Version::uncount(const dns::RRset& rrset) {
+  if (!bound_known) return;
+  if (rrset.type() == dns::RRType::kRRSIG) {
+    rrsig_set_sizes.remove(static_cast<std::uint32_t>(rrset.size()));
+  } else if (rrset.type() == dns::RRType::kNSEC3) {
+    for (const auto& rdata : rrset.rdatas()) {
+      if (const auto* n = std::get_if<dns::Nsec3Rdata>(&rdata)) {
+        nsec3_iterations.remove(n->iterations);
+      }
+    }
+  }
+}
+
+Zone::Version& Zone::writable() {
+  if (version_ == nullptr) {
+    version_ = std::make_shared<Version>();
   } else if (shared_.load(std::memory_order_relaxed)) {
-    records_ = std::make_shared<Records>(*records_);
+    version_ = std::make_shared<Version>(*version_);
   }
   shared_.store(false, std::memory_order_relaxed);
-  return *records_;
+  return *version_;
 }
 
 void Zone::add(const dns::ResourceRecord& record) {
@@ -57,68 +107,112 @@ void Zone::add(const dns::Name& owner, dns::RRType type, std::uint32_t ttl,
   // the RFC 1035 name bound at the mutation boundary so an oversized owner
   // cannot enter the store.
   DFX_DCHECK(owner.wire_length() <= 255);
-  auto& by_type = writable_records()[owner];
+  Version& version = writable();
+  auto& by_type = version.records[owner];
   auto it = by_type.find(type);
   if (it == by_type.end()) {
     dns::RRset rrset(owner, type, ttl);
     rrset.add(std::move(rdata));
-    by_type.emplace(type, std::move(rrset));
+    it = by_type.emplace(type, std::move(rrset)).first;
   } else {
+    version.uncount(it->second);
     it->second.add(std::move(rdata));
   }
+  version.count(it->second);
 }
 
 void Zone::put(dns::RRset rrset) {
-  auto& by_type = writable_records()[rrset.owner()];
-  by_type.insert_or_assign(rrset.type(), std::move(rrset));
+  Version& version = writable();
+  auto& by_type = version.records[rrset.owner()];
+  const dns::RRType type = rrset.type();
+  auto it = by_type.find(type);
+  if (it == by_type.end()) {
+    it = by_type.emplace(type, std::move(rrset)).first;
+  } else {
+    version.uncount(it->second);
+    it->second = std::move(rrset);
+  }
+  version.count(it->second);
 }
 
 bool Zone::remove(const dns::Name& owner, dns::RRType type) {
   if (find(owner, type) == nullptr) return false;
-  auto& records = writable_records();
-  const auto it = records.find(owner);
-  it->second.erase(type);
-  if (it->second.empty()) records.erase(it);
+  Version& version = writable();
+  const auto it = version.records.find(owner);
+  const auto tit = it->second.find(type);
+  version.uncount(tit->second);
+  it->second.erase(tit);
+  if (it->second.empty()) version.records.erase(it);
   return true;
 }
 
 bool Zone::remove_rdata(const dns::Name& owner, dns::RRType type,
                         const dns::Rdata& rdata) {
   if (find(owner, type) == nullptr) return false;
-  auto& records = writable_records();
-  const auto it = records.find(owner);
+  Version& version = writable();
+  const auto it = version.records.find(owner);
   const auto tit = it->second.find(type);
+  version.uncount(tit->second);
   const bool removed = tit->second.remove(rdata);
-  if (tit->second.empty()) it->second.erase(tit);
-  if (it->second.empty()) records.erase(it);
+  if (tit->second.empty()) {
+    it->second.erase(tit);
+  } else {
+    version.count(tit->second);
+  }
+  if (it->second.empty()) version.records.erase(it);
   return removed;
 }
 
 void Zone::remove_name(const dns::Name& owner) {
   if (!name_exists(owner)) return;
-  writable_records().erase(owner);
+  Version& version = writable();
+  const auto it = version.records.find(owner);
+  for (const auto& [type, rrset] : it->second) version.uncount(rrset);
+  version.records.erase(it);
+}
+
+Zone::Records::const_iterator Zone::locate(const dns::Name& owner) const {
+  const auto& records = this->records();
+  // The apex leads the canonical order unless out-of-zone names sort
+  // before it: a lookup of the zone's own apex name tries the first owner
+  // before it searches (the admission policy and every SOA lookup).
+  if (&owner == &apex_ && !records.empty() &&
+      records.begin()->first == apex_) {
+    return records.begin();
+  }
+  return records.find(owner);
 }
 
 const dns::RRset* Zone::find(const dns::Name& owner, dns::RRType type) const {
-  const auto& records = this->records();
-  const auto it = records.find(owner);
-  if (it == records.end()) return nullptr;
+  const auto it = locate(owner);
+  if (it == records().end()) return nullptr;
   const auto tit = it->second.find(type);
   return tit == it->second.end() ? nullptr : &tit->second;
 }
 
 dns::RRset* Zone::find_mutable(const dns::Name& owner, dns::RRType type) {
   if (find(owner, type) == nullptr) return nullptr;
-  return &writable_records().find(owner)->second.find(type)->second;
+  Version& version = writable();
+  if (type == dns::RRType::kRRSIG || type == dns::RRType::kNSEC3) {
+    version.bound_known = false;
+  }
+  return &version.records.find(owner)->second.find(type)->second;
+}
+
+[[nodiscard]] std::optional<Zone::SignatureBound> Zone::signature_bound()
+    const {
+  if (version_ == nullptr) return SignatureBound{};
+  if (!version_->bound_known) return std::nullopt;
+  return SignatureBound{
+      .rrsig_sets = version_->rrsig_set_sizes.total(),
+      .largest_rrsig_set = version_->rrsig_set_sizes.max(),
+      .max_nsec3_iterations =
+          static_cast<std::uint16_t>(version_->nsec3_iterations.max())};
 }
 
 std::vector<const dns::RRset*> Zone::at(const dns::Name& owner) const {
   std::vector<const dns::RRset*> out;
-  const auto& records = this->records();
-  const auto it = records.find(owner);
-  if (it == records.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [type, rrset] : it->second) out.push_back(&rrset);
+  for_each_at(owner, [&](const dns::RRset& rrset) { out.push_back(&rrset); });
   return out;
 }
 

@@ -1,4 +1,5 @@
-// Worst-case validator work for one zone, computed from the trust graph.
+// Worst-case validator work for one zone. One function computes it:
+// admission_cost_scan (admission.h), in one walk over the zone's RRsets.
 //
 // The model prices exactly the two resources the KeyTrap attack class
 // (CVE-2023-50387/50868) exhausts:
@@ -19,8 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "zonelint/graph.h"
 
 namespace dfx::zonelint {
 
@@ -43,7 +42,5 @@ struct ValidationCost {
   /// SHA-1 applications one negative lookup costs at that iteration count.
   std::size_t negative_proof_hash_cost = 0;
 };
-
-ValidationCost estimate_cost(const TrustGraph& graph);
 
 }  // namespace dfx::zonelint

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "crypto/algorithm.h"
-#include "util/codec.h"
 
 namespace dfx::zonelint {
 
@@ -123,21 +122,10 @@ TrustGraph build_trust_graph(const zone::Zone& zone,
     }
   }
   for (const auto* rrset : zone.all_rrsets()) {
-    if (rrset->type() == dns::RRType::kNSEC) {
-      for (const auto& rdata : rrset->rdatas()) {
-        const auto* nsec = std::get_if<dns::NsecRdata>(&rdata);
-        if (nsec != nullptr) g.denial.nsec.push_back({rrset->owner(), *nsec});
-      }
-    } else if (rrset->type() == dns::RRType::kNSEC3) {
-      for (const auto& rdata : rrset->rdatas()) {
-        const auto* n3 = std::get_if<dns::Nsec3Rdata>(&rdata);
-        if (n3 == nullptr) continue;
-        Nsec3Span span{rrset->owner(), *n3, std::nullopt};
-        auto decoded = base32hex_decode(rrset->owner().leftmost_label());
-        if (decoded && decoded->size() == 20) {
-          span.owner_hash = *std::move(decoded);
-        }
-        g.denial.nsec3.push_back(std::move(span));
+    if (rrset->type() != dns::RRType::kNSEC3) continue;
+    for (const auto& rdata : rrset->rdatas()) {
+      if (const auto* n3 = std::get_if<dns::Nsec3Rdata>(&rdata)) {
+        g.denial.nsec3.push_back(*n3);
       }
     }
   }

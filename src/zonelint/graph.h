@@ -3,12 +3,11 @@
 // Where the analyzer's grok stage reconstructs trust from *probe responses*
 // (what servers actually answered), this graph is built statically from the
 // zone data itself: DS → DNSKEY links, RRSIG → candidate-DNSKEY edges per
-// RRset, and the NSEC/NSEC3 denial spans. Rules over the graph predict the
-// grok error codes a validator would emit — without performing a single
-// signature verification — and the cost model (costmodel.h) reads the same
-// edges to bound the validator's worst-case work. The graph is also the
-// substrate for whole-chain reasoning across delegations (ROADMAP item 4):
-// every cut below the apex is recorded as a delegation edge.
+// RRset, and the NSEC3 parameters. Rules over the graph predict the grok
+// error codes a validator would emit — without performing a single
+// signature verification. The graph is also the substrate for whole-chain
+// reasoning across delegations (ROADMAP item 4): every cut below the apex
+// is recorded as a delegation edge.
 #pragma once
 
 #include <cstdint>
@@ -62,25 +61,12 @@ struct DsLink {
   bool digest_ok = false;  // digest recomputed over the matched key agrees
 };
 
-/// One span of the NSEC chain.
-struct NsecSpan {
-  dns::Name owner;
-  dns::NsecRdata rdata;
-};
-
-/// One span of the NSEC3 ring, with the owner hash decoded from the label
-/// when it is well-formed (nullopt marks a broken owner name).
-struct Nsec3Span {
-  dns::Name owner;
-  dns::Nsec3Rdata rdata;
-  std::optional<Bytes> owner_hash;
-};
-
-/// The zone's negative-proof machinery.
+/// What the fix builders need of the zone's NSEC3 setup: the apex
+/// parameters and every NSEC3 rdata (the chain itself is judged by
+/// analyzer::judge_denial over served answers, not from the graph).
 struct DenialChain {
   std::optional<dns::Nsec3ParamRdata> params;  // apex NSEC3PARAM, if any
-  std::vector<NsecSpan> nsec;
-  std::vector<Nsec3Span> nsec3;
+  std::vector<dns::Nsec3Rdata> nsec3;
 
   bool uses_nsec3() const { return !nsec3.empty() || params.has_value(); }
 };

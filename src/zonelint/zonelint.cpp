@@ -11,6 +11,7 @@
 #include "dnscore/rr.h"
 #include "util/codec.h"
 #include "zone/nsec3.h"
+#include "zonelint/admission.h"
 
 namespace dfx::zonelint {
 namespace {
@@ -38,8 +39,8 @@ zone::Instruction fix_resign(const TrustGraph& g, const dns::Name& apex,
       }
     }
     p.nsec3_iterations = iterations.value_or(current);
-    for (const auto& span : g.denial.nsec3) {
-      if (span.rdata.opt_out()) {
+    for (const auto& rdata : g.denial.nsec3) {
+      if (rdata.opt_out()) {
         p.opt_out = true;
         break;
       }
@@ -510,7 +511,7 @@ Report lint_zone(const zone::Zone& zone,
   report.apex = zone.apex();
   const TrustGraph graph = build_trust_graph(zone, parent_ds);
   report.zone_signed = graph.is_signed();
-  report.cost = estimate_cost(graph);
+  report.cost = admission_cost_scan(zone);
   Linter linter(zone, graph, options, report);
   linter.set_cost(report.cost);
   linter.run();

@@ -540,6 +540,17 @@ zone::Zone random_zone(Rng& rng, const Name& apex, zone::KeyStore& keys,
       signed_zone.add(apex.child("zz" + random_label(rng)), RRType::kNSEC3,
                       3600, rdata);
     }
+    // Decodable first labels that are not SHA-1's 32 characters: a
+    // prefix of a real owner's label (equal up to the shorter hash; one
+    // character decodes to the empty hash) and an extension of one (a
+    // longer hash that starts the same).
+    if (rng.chance(0.5)) {
+      const std::string label =
+          chain_owners[rng.uniform(chain_owners.size())].leftmost_label();
+      signed_zone.add(apex.child(label.substr(0, 1 + rng.uniform(29))),
+                      RRType::kNSEC3, 3600, rdata);
+      signed_zone.add(apex.child(label + "0v"), RRType::kNSEC3, 3600, rdata);
+    }
     // Hash ties: the same first label under another parent.
     if (rng.chance(0.5)) {
       const Name& owner = chain_owners[rng.uniform(chain_owners.size())];

@@ -2,6 +2,7 @@
 // copy-on-write sharing of records between copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <thread>
@@ -206,6 +207,179 @@ TEST(ZoneCopy, CopyAndOriginalStayIndependentUnderEveryMutator) {
       EXPECT_EQ(zone_text(original), zone_text(assigned));
     }
   }
+}
+
+// ---- The signature bound each version keeps ----------------------------
+
+/// The signature bound recounted from scratch, by a walk over the zone.
+Zone::SignatureBound recount(const Zone& zone) {
+  Zone::SignatureBound bound;
+  for (const dns::RRset* rrset : zone.all_rrsets()) {
+    if (rrset->type() == RRType::kRRSIG) {
+      ++bound.rrsig_sets;
+      bound.largest_rrsig_set =
+          std::max(bound.largest_rrsig_set, rrset->size());
+    } else if (rrset->type() == RRType::kNSEC3) {
+      for (const auto& rdata : rrset->rdatas()) {
+        if (const auto* n = std::get_if<dns::Nsec3Rdata>(&rdata)) {
+          bound.max_nsec3_iterations =
+              std::max(bound.max_nsec3_iterations, n->iterations);
+        }
+      }
+    }
+  }
+  return bound;
+}
+
+void expect_bound(const Zone& zone, const Zone::SignatureBound& want) {
+  const auto got = zone.signature_bound();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->rrsig_sets, want.rrsig_sets);
+  EXPECT_EQ(got->largest_rrsig_set, want.largest_rrsig_set);
+  EXPECT_EQ(got->max_nsec3_iterations, want.max_nsec3_iterations);
+}
+
+dns::RrsigRdata sig_over(RRType covered, std::uint16_t key_tag) {
+  dns::RrsigRdata sig;
+  sig.type_covered = covered;
+  sig.algorithm = 13;
+  sig.key_tag = key_tag;
+  sig.signer = Name::of("example.com.");
+  return sig;
+}
+
+dns::Nsec3Rdata nsec3_with(std::uint16_t iterations) {
+  dns::Nsec3Rdata n;
+  n.iterations = iterations;
+  n.next_hashed.assign(20, static_cast<std::uint8_t>(iterations));
+  return n;
+}
+
+/// make_zone() plus RRSIG sets of three and one rdatas and two NSEC3
+/// records, so every mutator below moves the bound.
+Zone make_signed_zone() {
+  Zone zone = make_zone();
+  const Name apex = zone.apex();
+  const Name www = Name::of("www.example.com.");
+  for (const std::uint16_t tag : {1, 2, 3}) {
+    zone.add(apex, RRType::kRRSIG, 3600, sig_over(RRType::kSOA, tag));
+  }
+  zone.add(www, RRType::kRRSIG, 3600, sig_over(RRType::kA, 1));
+  zone.add(Name::of("0p9mhaveqvm6t7vbl5lop2u3t2rp3tom.example.com."),
+           RRType::kNSEC3, 3600, nsec3_with(10));
+  zone.add(Name::of("2t7b4g4vsa5smi47k61mv5bv1a22bojr.example.com."),
+           RRType::kNSEC3, 3600, nsec3_with(25));
+  return zone;
+}
+
+/// Each mutator changes make_signed_zone()'s bound, or (find_mutable on an
+/// RRSIG set) makes it unknown.
+std::vector<std::pair<std::string, std::function<void(Zone&)>>>
+bound_mutators() {
+  const Name apex = Name::of("example.com.");
+  const Name www = Name::of("www.example.com.");
+  const Name high = Name::of("2t7b4g4vsa5smi47k61mv5bv1a22bojr.example.com.");
+  return {
+      {"add grows the largest set",
+       [=](Zone& z) {
+         z.add(apex, RRType::kRRSIG, 3600, sig_over(RRType::kNS, 4));
+       }},
+      {"add a new set and higher iterations",
+       [=](Zone& z) {
+         z.add(Name::of("new.example.com."), RRType::kRRSIG, 3600,
+               sig_over(RRType::kA, 1));
+         z.add(Name::of("vvvv.example.com."), RRType::kNSEC3, 3600,
+               nsec3_with(40));
+       }},
+      {"put shrinks the largest set",
+       [=](Zone& z) {
+         dns::RRset fresh(apex, RRType::kRRSIG, 3600);
+         fresh.add(sig_over(RRType::kSOA, 9));
+         z.put(std::move(fresh));
+       }},
+      {"put lowers iterations",
+       [=](Zone& z) {
+         dns::RRset fresh(high, RRType::kNSEC3, 3600);
+         fresh.add(nsec3_with(1));
+         z.put(std::move(fresh));
+       }},
+      {"remove the largest set",
+       [=](Zone& z) { EXPECT_TRUE(z.remove(apex, RRType::kRRSIG)); }},
+      {"remove the highest iterations",
+       [=](Zone& z) { EXPECT_TRUE(z.remove(high, RRType::kNSEC3)); }},
+      {"remove_rdata from the largest set",
+       [=](Zone& z) {
+         EXPECT_TRUE(z.remove_rdata(apex, RRType::kRRSIG,
+                                    sig_over(RRType::kSOA, 2)));
+       }},
+      {"remove_rdata empties a set",
+       [=](Zone& z) {
+         EXPECT_TRUE(
+             z.remove_rdata(www, RRType::kRRSIG, sig_over(RRType::kA, 1)));
+         EXPECT_TRUE(z.remove_rdata(high, RRType::kNSEC3, nsec3_with(25)));
+       }},
+      {"remove_name",
+       [=](Zone& z) {
+         z.remove_name(apex);
+         z.remove_name(high);
+       }},
+      {"find_mutable on an RRSIG set",
+       [=](Zone& z) {
+         auto* rrset = z.find_mutable(www, RRType::kRRSIG);
+         ASSERT_NE(rrset, nullptr);
+         rrset->add(sig_over(RRType::kA, 7));
+       }},
+  };
+}
+
+TEST(ZoneCopy, SignatureBoundsOfCopyAndOriginalStayIndependent) {
+  const Zone::SignatureBound pristine = recount(make_signed_zone());
+  expect_bound(make_signed_zone(), pristine);
+  EXPECT_EQ(pristine.rrsig_sets, 2u);
+  EXPECT_EQ(pristine.largest_rrsig_set, 3u);
+  EXPECT_EQ(pristine.max_nsec3_iterations, 25u);
+  for (const auto& [name, mutate] : bound_mutators()) {
+    SCOPED_TRACE(name);
+    const bool makes_unknown = name.starts_with("find_mutable");
+    const auto check_written = [&](const Zone& written) {
+      if (makes_unknown) {
+        EXPECT_FALSE(written.signature_bound().has_value());
+        return;
+      }
+      const Zone::SignatureBound now = recount(written);
+      expect_bound(written, now);
+      EXPECT_TRUE(now.rrsig_sets != pristine.rrsig_sets ||
+                  now.largest_rrsig_set != pristine.largest_rrsig_set ||
+                  now.max_nsec3_iterations != pristine.max_nsec3_iterations)
+          << "the mutator should move the bound";
+    };
+    {  // the copy writes
+      const Zone original = make_signed_zone();
+      Zone copy = original;
+      mutate(copy);
+      check_written(copy);
+      expect_bound(original, pristine);
+    }
+    {  // the original writes
+      Zone original = make_signed_zone();
+      const Zone copy = original;
+      mutate(original);
+      check_written(original);
+      expect_bound(copy, pristine);
+    }
+    {  // an unshared zone writes in place
+      Zone zone = make_signed_zone();
+      mutate(zone);
+      check_written(zone);
+    }
+  }
+}
+
+TEST(ZoneCopy, FindMutableKeepsTheBoundForOtherTypes) {
+  Zone zone = make_signed_zone();
+  zone.find_mutable(Name::of("www.example.com."), RRType::kA)->set_ttl(5);
+  expect_bound(zone, recount(make_signed_zone()));
+  EXPECT_EQ(Zone(Name::of("empty.")).signature_bound()->rrsig_sets, 0u);
 }
 
 TEST(ZoneCopy, MutatingAnUnsharedZoneLeavesLaterCopiesAlone) {

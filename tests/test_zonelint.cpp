@@ -153,9 +153,10 @@ TEST(TrustGraph, CollidingTagsMultiplySigCandidates) {
   ASSERT_NE(result.sandbox, nullptr);
   ASSERT_TRUE(result.complete) << result.failure_reason;
   auto& sb = *result.sandbox;
-  const auto graph = zonelint::build_trust_graph(
-      sb.managed(sb.child_apex()).signed_zone, parent_ds_for_child(sb));
-  const auto cost = zonelint::estimate_cost(graph);
+  const auto& zone = sb.managed(sb.child_apex()).signed_zone;
+  const auto graph =
+      zonelint::build_trust_graph(zone, parent_ds_for_child(sb));
+  const auto cost = zonelint::admission_cost_scan(zone);
   EXPECT_GE(cost.colliding_tag_groups, 1u);
   EXPECT_GE(cost.surplus_colliding_keys, 1u);
   bool multiplied = false;
@@ -214,9 +215,7 @@ TEST(CostModel, SignatureAttemptsMatchBruteForce) {
     ASSERT_NE(result.sandbox, nullptr);
     auto& sb = *result.sandbox;
     const auto& zone = sb.managed(sb.child_apex()).signed_zone;
-    const auto graph =
-        zonelint::build_trust_graph(zone, parent_ds_for_child(sb));
-    const auto cost = zonelint::estimate_cost(graph);
+    const auto cost = zonelint::admission_cost_scan(zone);
     EXPECT_EQ(cost.signature_attempts, brute_force_attempts(zone))
         << "cost model diverged from brute force for "
         << analyzer::error_code_name(code);
@@ -228,8 +227,7 @@ TEST(CostModel, CleanZoneCostsOneAttemptPerSignature) {
   ASSERT_NE(result.sandbox, nullptr);
   auto& sb = *result.sandbox;
   const auto& zone = sb.managed(sb.child_apex()).signed_zone;
-  const auto cost = zonelint::estimate_cost(
-      zonelint::build_trust_graph(zone, parent_ds_for_child(sb)));
+  const auto cost = zonelint::admission_cost_scan(zone);
   EXPECT_EQ(cost.signature_attempts, brute_force_attempts(zone));
   EXPECT_EQ(cost.colliding_tag_groups, 0u);
   EXPECT_EQ(cost.max_rrset_pairings,
@@ -245,8 +243,8 @@ TEST(CostModel, Nsec3HashCostScalesWithIterations) {
   auto result = zreplicator::replicate(spec, 105);
   ASSERT_NE(result.sandbox, nullptr);
   auto& sb = *result.sandbox;
-  const auto cost = zonelint::estimate_cost(zonelint::build_trust_graph(
-      sb.managed(sb.child_apex()).signed_zone, parent_ds_for_child(sb)));
+  const auto cost =
+      zonelint::admission_cost_scan(sb.managed(sb.child_apex()).signed_zone);
   EXPECT_EQ(cost.nsec3_iterations, 10u);
   EXPECT_EQ(cost.negative_proof_hash_cost,
             zonelint::kHashProbesPerNegativeLookup * (10u + 1u));
@@ -592,39 +590,195 @@ TEST(Admission, DefaultPolicyAdmitsLargeBenignZones) {
   }
 }
 
-// The admission fast path skips trust-graph construction; this pins the
-// contract from admission.h that its cost figures agree with the full
-// model on clean and KeyTrap-shaped zones (no signed occluded glue here).
-TEST(Admission, FastScanAgreesWithFullCostModel) {
-  const auto check = [](const zone::Zone& z, const char* label) {
-    const auto full =
-        zonelint::estimate_cost(zonelint::build_trust_graph(z));
-    bool zone_signed = false;
-    const auto fast = zonelint::admission_cost_scan(z, &zone_signed);
-    EXPECT_TRUE(zone_signed) << label;
-    EXPECT_EQ(fast.signature_attempts, full.signature_attempts) << label;
-    EXPECT_EQ(fast.max_rrset_pairings, full.max_rrset_pairings) << label;
-    EXPECT_EQ(fast.colliding_tag_groups, full.colliding_tag_groups) << label;
-    EXPECT_EQ(fast.surplus_colliding_keys, full.surplus_colliding_keys)
-        << label;
-    EXPECT_EQ(fast.nsec3_iterations, full.nsec3_iterations) << label;
-    EXPECT_EQ(fast.negative_proof_hash_cost, full.negative_proof_hash_cost)
-        << label;
-  };
+// The admission policy decides from the zone's signature bound when the
+// bound allows and runs the exact scan otherwise; either way its verdict,
+// reason included, must be the scan's. Random edits move the bound up and
+// down, move the apex key groups, make the bound unknown (find_mutable),
+// and write to one side of a fresh copy while the other is checked too.
+TEST(Admission, PolicyVerdictEqualsExactScanUnderRandomEdits) {
+  std::vector<std::pair<std::string, zone::Zone>> bases;
   for (const bool nsec3 : {false, true}) {
     auto clean = zreplicator::replicate(base_spec(nsec3), 115);
     ASSERT_NE(clean.sandbox, nullptr);
     auto& sb = *clean.sandbox;
-    check(sb.managed(sb.child_apex()).signed_zone,
-          nsec3 ? "clean nsec3" : "clean nsec");
+    bases.emplace_back(nsec3 ? "clean nsec3" : "clean nsec",
+                       sb.managed(sb.child_apex()).signed_zone);
   }
-  check(child_zone_with(ErrorCode::kCollidingKeyTags, 116),
-        "colliding tags");
-  check(child_zone_with(ErrorCode::kExcessiveSignatureValidations, 117),
-        "pairing blowup");
-  check(child_zone_with(ErrorCode::kExcessiveNsec3Iterations, 118,
-                        /*nsec3=*/true),
-        "oversized iterations");
+  bases.emplace_back("colliding tags",
+                     child_zone_with(ErrorCode::kCollidingKeyTags, 116));
+  bases.emplace_back(
+      "pairing blowup",
+      child_zone_with(ErrorCode::kExcessiveSignatureValidations, 117));
+  bases.emplace_back("oversized iterations",
+                     child_zone_with(ErrorCode::kExcessiveNsec3Iterations,
+                                     118, /*nsec3=*/true));
+
+  // Every RRSIG and DNSKEY of every base, so KeyTrap tags and colliding
+  // keys can wander into the clean zones.
+  std::vector<dns::Rdata> sigs;
+  std::vector<dns::Rdata> keys;
+  for (const auto& [label, z] : bases) {
+    for (const auto* rrset : z.all_rrsets()) {
+      if (rrset->type() == dns::RRType::kRRSIG) {
+        sigs.insert(sigs.end(), rrset->rdatas().begin(),
+                    rrset->rdatas().end());
+      } else if (rrset->type() == dns::RRType::kDNSKEY) {
+        keys.insert(keys.end(), rrset->rdatas().begin(),
+                    rrset->rdatas().end());
+      }
+    }
+  }
+  ASSERT_FALSE(sigs.empty());
+  ASSERT_FALSE(keys.empty());
+
+  // The default budget, one where the pairing threshold binds first and
+  // one where the per-response total does.
+  analyzer::GrokConfig tight;
+  tight.sig_pairing_threshold = 3;
+  tight.max_sig_validations = 30;
+  tight.max_nsec3_iterations = 12;
+  analyzer::GrokConfig per_response;
+  per_response.max_sig_validations = 20;
+  const analyzer::GrokConfig budgets[] = {analyzer::GrokConfig{}, tight,
+                                          per_response};
+
+  Rng rng{120};
+  const auto pick = [&](const auto& items) -> const auto& {
+    return items[rng.uniform(items.size())];
+  };
+  // Half the added RRSIGs name one of the zone's own keys, over a few
+  // types, so that pairings per covered type grow.
+  const std::vector<dns::RRType> covered = {
+      dns::RRType::kA, dns::RRType::kNS, dns::RRType::kSOA,
+      dns::RRType::kDNSKEY};
+  const auto sig_for = [&](const zone::Zone& z,
+                           dns::RRType type) -> dns::Rdata {
+    const auto* keyset = z.find(z.apex(), dns::RRType::kDNSKEY);
+    if (keyset == nullptr || keyset->empty() || rng.chance(0.5)) {
+      return pick(sigs);
+    }
+    dns::RrsigRdata sig = std::get<dns::RrsigRdata>(pick(sigs));
+    const auto& key = std::get<dns::DnskeyRdata>(pick(keyset->rdatas()));
+    sig.key_tag = key.key_tag();
+    sig.algorithm = key.algorithm;
+    sig.type_covered = type;
+    sig.expiration += static_cast<UnixTime>(rng.uniform(1000));
+    return sig;
+  };
+  const auto nsec3_rdata = [&] {
+    dns::Nsec3Rdata n;
+    n.iterations = static_cast<std::uint16_t>(rng.uniform(200));
+    n.next_hashed.assign(20, static_cast<std::uint8_t>(rng.uniform(256)));
+    return n;
+  };
+  const auto edit = [&](zone::Zone& z) {
+    // One existing RRset, copied: the edits below may free it.
+    const dns::RRset some = *pick(z.all_rrsets());
+    const dns::Name owner =
+        rng.chance(0.8) ? some.owner()
+                        : z.apex().child("e" + std::to_string(rng.uniform(9)));
+    switch (rng.uniform(7)) {
+      case 0:
+        if (rng.chance(0.7)) {
+          z.add(owner, dns::RRType::kRRSIG, 3600,
+                sig_for(z, pick(covered)));
+        } else {
+          z.add(owner, dns::RRType::kNSEC3, 3600, nsec3_rdata());
+        }
+        break;
+      case 1: {
+        const bool rrsig = rng.chance(0.7);
+        const dns::RRType type = pick(covered);  // one type per set
+        dns::RRset fresh(owner, rrsig ? dns::RRType::kRRSIG
+                                      : dns::RRType::kNSEC3, 3600);
+        for (std::uint64_t n = rng.uniform(8); n > 0; --n) {
+          if (rrsig) {
+            fresh.add(sig_for(z, type));
+          } else {
+            fresh.add(nsec3_rdata());
+          }
+        }
+        z.put(std::move(fresh));  // possibly empty
+        break;
+      }
+      case 2:
+        (void)z.remove(some.owner(), some.type());  // present: true
+        break;
+      case 3:
+        if (!some.empty()) {
+          (void)z.remove_rdata(some.owner(), some.type(),
+                               pick(some.rdatas()));  // present: true
+        }
+        break;
+      case 4:
+        if (some.owner() != z.apex() || rng.chance(0.1)) {
+          z.remove_name(some.owner());
+        }
+        break;
+      case 5:
+        if (auto* rrset = z.find_mutable(some.owner(), dns::RRType::kRRSIG)) {
+          rrset->add(sig_for(z, pick(covered)));
+        }
+        break;
+      default:
+        if (rng.chance(0.5)) {
+          z.add(z.apex(), dns::RRType::kDNSKEY, 3600, pick(keys));
+        } else if (const auto* dnskeys =
+                       z.find(z.apex(), dns::RRType::kDNSKEY)) {
+          const dns::Rdata key = pick(dnskeys->rdatas());
+          (void)z.remove_rdata(z.apex(), dns::RRType::kDNSKEY, key);
+        }
+        break;
+    }
+  };
+
+  std::size_t checks = 0;
+  std::size_t unknown_bound = 0;
+  std::size_t rejected = 0;
+  std::size_t pairing_rejected = 0;
+  std::size_t flagged = 0;
+  const auto check = [&](const zone::Zone& z, const std::string& where) {
+    ++checks;
+    if (!z.signature_bound().has_value()) ++unknown_bound;
+    for (const auto& budget : budgets) {
+      bool zone_signed = false;
+      const auto cost = zonelint::admission_cost_scan(z, &zone_signed);
+      const auto want = zonelint::admission_verdict(cost, zone_signed, budget);
+      const auto got = zonelint::make_admission_policy(budget)(z);
+      ASSERT_EQ(got.action, want.action) << where;
+      ASSERT_EQ(got.reason, want.reason) << where;
+      rejected += want.action == server::AdmissionVerdict::Action::kReject;
+      pairing_rejected += want.reason.starts_with("worst-case");
+      flagged += want.action == server::AdmissionVerdict::Action::kFlag;
+    }
+  };
+
+  for (const auto& [label, base] : bases) {
+    for (int round = 0; round < 6; ++round) {
+      zone::Zone z = base;
+      check(z, label + " unedited");
+      for (int step = 0; step < 25 && !z.empty(); ++step) {
+        const std::string where =
+            label + " round " + std::to_string(round) + " step " +
+            std::to_string(step);
+        if (rng.chance(0.3)) {  // copy, then write one side
+          zone::Zone other = z;
+          if (rng.chance(0.5)) std::swap(z, other);
+          edit(z);
+          check(other, where + " (unwritten copy)");
+        } else {
+          edit(z);
+        }
+        check(z, where);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(checks, 500u);
+  EXPECT_GT(unknown_bound, 0u);
+  EXPECT_GT(rejected, checks / 10);
+  EXPECT_GT(pairing_rejected, checks / 10);
+  EXPECT_GT(flagged, 0u);
 }
 
 // ---------------------------------------------------------------------------
