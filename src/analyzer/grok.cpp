@@ -15,8 +15,6 @@
 namespace dfx::analyzer {
 namespace {
 
-enum class TrustState { kSecure, kInsecure, kBogus };
-
 std::size_t observed_key_bits(const dns::DnskeyRdata& key) {
   const auto info = crypto::algorithm_info(key.algorithm);
   if (info && info->rsa_family) {
@@ -30,30 +28,17 @@ std::size_t observed_key_bits(const dns::DnskeyRdata& key) {
   return key.public_key.size() * 8;
 }
 
-/// Collector with de-duplication on (code, zone).
+/// One zone's reports in the order they are made, each (code, zone) pair
+/// once (ErrorInstance's equality ignores the detail).
 class ErrorSink {
  public:
   void add(ErrorCode code, const dns::Name& zone, std::string detail) {
     ErrorInstance e{code, zone, std::move(detail)};
-    auto& dst = category_of(code) == ErrorCategory::kCompanion ? companions_
-                                                               : errors_;
-    for (const auto& existing : dst) {
-      if (existing == e) return;
-    }
-    dst.push_back(std::move(e));
+    if (std::find(events_.begin(), events_.end(), e) != events_.end()) return;
+    events_.push_back(std::move(e));
   }
 
-  bool has(ErrorCode code) const {
-    const auto& src = category_of(code) == ErrorCategory::kCompanion
-                          ? companions_
-                          : errors_;
-    return std::any_of(src.begin(), src.end(), [&](const ErrorInstance& e) {
-      return e.code == code;
-    });
-  }
-
-  std::vector<ErrorInstance> errors_;
-  std::vector<ErrorInstance> companions_;
+  std::vector<ErrorInstance> events_;
 };
 
 /// Validation context for one zone in the chain.
@@ -566,222 +551,242 @@ ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
 
 }  // namespace
 
-Snapshot grok(const ProbeData& data, const GrokConfig& config) {
-  static auto& grok_count = metrics::Registry::global().counter("analyze.groks");
+bool ZoneVerdict::same_as(const ZoneVerdict& other) const {
+  const auto same_event = [](const ErrorInstance& a, const ErrorInstance& b) {
+    return a == b && a.detail == b.detail;
+  };
+  return std::equal(events.begin(), events.end(), other.events.begin(),
+                    other.events.end(), same_event) &&
+         state == other.state && stop == other.stop &&
+         target_meta == other.target_meta &&
+         sig_validation_attempts == other.sig_validation_attempts &&
+         sig_verifications == other.sig_verifications;
+}
+
+ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
+                      const dns::Name* parent_apex, UnixTime now,
+                      const GrokConfig& config, bool is_target) {
+  ZoneVerdict verdict;
+  verdict.state = incoming;
+  ErrorSink sink;
+  const auto finish = [&] {
+    verdict.events = std::move(sink.events_);
+    return std::move(verdict);
+  };
+
+  // Lameness: every server unreachable.
+  const bool all_lame = std::all_of(
+      zp.servers.begin(), zp.servers.end(),
+      [](const ServerProbe& sp) { return !sp.reachable; });
+  if (zp.servers.empty() || all_lame) {
+    sink.add(ErrorCode::kLameDelegation, zp.apex,
+             "no authoritative server for the zone responds");
+    verdict.stop = ZoneVerdict::Stop::kLame;
+    return finish();
+  }
+
+  // Delegation completeness: the parent must publish NS for the child.
+  if (parent_apex != nullptr) {
+    bool parent_has_ns = false;
+    for (const auto& result : zp.parent_ns) {
+      const auto view = extract(result.authorities, zp.apex, dns::RRType::kNS);
+      const auto direct = extract(result.answers, zp.apex, dns::RRType::kNS);
+      if (view.present || direct.present) {
+        parent_has_ns = true;
+        break;
+      }
+    }
+    if (!parent_has_ns) {
+      sink.add(ErrorCode::kMissingNsInParent, zp.apex,
+               "the parent zone has no NS records for this delegation");
+      verdict.stop = ZoneVerdict::Stop::kIncomplete;
+      return finish();
+    }
+  }
+
+  ZoneChecker checker{zp, config, now, sink};
+  checker.gather_dnskeys();
+  if (parent_apex != nullptr) checker.gather_ds();
+
+  const bool zone_signed = !checker.dnskeys.empty();
+
+  // Trust-state transition at the delegation.
+  TrustState zone_state = incoming;
+  if (incoming == TrustState::kSecure && parent_apex != nullptr) {
+    if (checker.ds_set.empty()) {
+      // Insecure delegation; the proof of DS absence must be present.
+      // (Attribute a bad proof to the *parent* zone: its NSEC(3) chain.)
+      if (!checker.ds_absence_proven && zone_signed) {
+        sink.add(ErrorCode::kBadNonexistenceProof, *parent_apex,
+                 "the parent provides no valid proof of DS absence for " +
+                     zp.apex.to_string());
+        zone_state = TrustState::kBogus;
+
+      } else {
+        zone_state = TrustState::kInsecure;
+      }
+    } else {
+      checker.validate_ds(*parent_apex);
+      if (checker.sep_keys.empty()) {
+        zone_state = TrustState::kBogus;
+      }
+    }
+  } else if (parent_apex == nullptr && !zone_signed) {
+    zone_state = TrustState::kInsecure;
+  }
+
+  if (zone_signed) {
+    // Validate the DNSKEY RRset per server.
+    std::vector<const dns::DnskeyRdata*> dnskey_signers;
+    if (parent_apex == nullptr || checker.ds_set.empty() ||
+        incoming != TrustState::kSecure) {
+      // Trust-anchor zone, island of trust, or a signed zone below an
+      // insecure cut: there is no DS-anchored SEP, so internal
+      // consistency is checked against the zone's own key set.
+      for (const auto& key : checker.dnskeys) {
+        dnskey_signers.push_back(&key);
+      }
+    } else {
+      dnskey_signers = checker.sep_keys;
+    }
+    std::vector<const dns::DnskeyRdata*> all_keys;
+    for (const auto& key : checker.dnskeys) all_keys.push_back(&key);
+
+    // Every NSEC3 hash costs iterations + 1 SHA-1 applications, charged
+    // against the zone's hashing budget.
+    DenialHooks denial_hooks{
+        .report =
+            [&](ErrorCode code, std::string detail) {
+              sink.add(code, zp.apex, std::move(detail));
+            },
+        .check_proof =
+            [&](const RRsetView& view) {
+              return checker.check_rrset(view, all_keys, true);
+            },
+        .hash = [&](const dns::Name& name, const Bytes& salt,
+                    std::uint16_t iterations) -> std::optional<Bytes> {
+          if (!checker.charge_hash_cost(
+                  static_cast<std::size_t>(iterations) + 1)) {
+            return std::nullopt;
+          }
+          return zone::nsec3_hash(name, salt, iterations);
+        }};
+
+    std::vector<RRsetView> views_storage;
+    // data_views keeps pointers into views_storage: size it once so the
+    // buffer never reallocates.
+    views_storage.reserve(zp.servers.size() * 4);
+    std::vector<const RRsetView*> data_views;
+    for (const auto& sp : zp.servers) {
+      if (!sp.reachable) continue;
+      const auto dnskey_view =
+          extract(sp.dnskey.answers, zp.apex, dns::RRType::kDNSKEY);
+      const bool dnskey_ok =
+          checker.check_rrset(dnskey_view, dnskey_signers, true);
+      if (!dnskey_ok) zone_state = TrustState::kBogus;
+
+      for (auto [section, owner, type] :
+           {std::tuple{&sp.soa.answers, zp.apex, dns::RRType::kSOA},
+            std::tuple{&sp.ns.answers, zp.apex, dns::RRType::kNS},
+            std::tuple{&sp.apex_a.answers, zp.apex, dns::RRType::kA}}) {
+        views_storage.push_back(extract(*section, owner, type));
+        auto& view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
+        if (!view.present) continue;
+        const bool ok = checker.check_rrset(view, all_keys, true);
+        if (!ok) zone_state = TrustState::kBogus;
+        data_views.push_back(&view);
+      }
+
+      // A wildcard may turn the NXDOMAIN probe into a synthesized
+      // positive answer; validate it (the labels-field logic inside
+      // check_rrset reconstructs the source of synthesis) and require
+      // the accompanying next-closer proof (RFC 4035 §3.1.3.3).
+      views_storage.push_back(extract(sp.nxdomain.answers,
+                                      nx_probe_name(zp.apex),
+                                      dns::RRType::kA));
+      {
+        auto& wc_view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
+        if (wc_view.present) {
+          if (!checker.check_rrset(wc_view, all_keys, true)) {
+            zone_state = TrustState::kBogus;
+          }
+          if (sp.nxdomain.negative_proofs().empty()) {
+            sink.add(ErrorCode::kMissingNonexistenceProof, zp.apex,
+                     "wildcard-synthesized answer lacks the proof that "
+                     "the query name itself does not exist");
+            zone_state = TrustState::kBogus;
+          }
+        }
+      }
+
+      // Negative responses.
+      if (!judge_denial(sp, zp.apex, config, denial_hooks)) {
+        zone_state = TrustState::kBogus;
+      }
+    }
+    checker.check_algorithm_completeness(data_views);
+    if (checker.any_validation_failure && zone_state == TrustState::kSecure) {
+      zone_state = TrustState::kBogus;
+    }
+  }
+
+  // Attempts charged vs crypto actually run (one per memo entry).
+  verdict.sig_validation_attempts = checker.sig_validations_spent;
+  verdict.sig_verifications = checker.verdicts.size();
+
+  if (is_target) verdict.target_meta = extract_meta(zp, checker);
+  verdict.state = zone_state;
+  if (zone_state == TrustState::kBogus && !zone_signed &&
+      checker.ds_set.empty()) {
+    verdict.state = TrustState::kInsecure;
+  }
+  // Everything below an insecure cut is plain DNS for a validator,
+  // whatever its internal DNSSEC state looks like.
+  if (incoming == TrustState::kInsecure) verdict.state = TrustState::kInsecure;
+  return finish();
+}
+
+void count_grok_work(const ZoneVerdict& verdict) {
   static auto& sig_attempts = metrics::Registry::global().counter(
       "analyzer.sig_validation_attempts");
   static auto& sig_verifications =
       metrics::Registry::global().counter("analyzer.sig_verifications");
-  grok_count.add(1);
+  sig_attempts.add(static_cast<std::int64_t>(verdict.sig_validation_attempts));
+  sig_verifications.add(static_cast<std::int64_t>(verdict.sig_verifications));
+}
+
+Snapshot fold_verdicts(const dns::Name& query_domain,
+                       const dns::Name& query_zone, UnixTime time,
+                       const std::vector<const ZoneVerdict*>& verdicts) {
   Snapshot snapshot;
-  snapshot.query_domain = data.query_domain;
-  snapshot.time = data.time;
-  if (data.chain.empty()) {
+  snapshot.query_domain = query_domain;
+  snapshot.query_zone = query_zone;
+  snapshot.time = time;
+  if (verdicts.empty()) {
     snapshot.status = SnapshotStatus::kLame;
     return snapshot;
   }
-  snapshot.query_zone = data.chain.back().apex;
-
-  ErrorSink sink;
-  TrustState state = TrustState::kSecure;  // root anchors the chain
-  bool chain_lame = false;
-  bool chain_incomplete = false;
-
-  for (std::size_t zi = 0; zi < data.chain.size(); ++zi) {
-    const ZoneProbe& zp = data.chain[zi];
-    const bool is_target = zi + 1 == data.chain.size();
-
-    // Lameness: every server unreachable.
-    const bool all_lame = std::all_of(
-        zp.servers.begin(), zp.servers.end(),
-        [](const ServerProbe& sp) { return !sp.reachable; });
-    if (zp.servers.empty() || all_lame) {
-      sink.add(ErrorCode::kLameDelegation, zp.apex,
-               "no authoritative server for the zone responds");
-      chain_lame = true;
-      break;
-    }
-
-    // Delegation completeness: the parent must publish NS for the child.
-    if (zi > 0) {
-      bool parent_has_ns = false;
-      for (const auto& result : zp.parent_ns) {
-        const auto view = extract(result.authorities, zp.apex,
-                                  dns::RRType::kNS);
-        const auto direct =
-            extract(result.answers, zp.apex, dns::RRType::kNS);
-        if (view.present || direct.present) {
-          parent_has_ns = true;
-          break;
-        }
+  for (const ZoneVerdict* verdict : verdicts) {
+    for (const ErrorInstance& event : verdict->events) {
+      auto& dst = category_of(event.code) == ErrorCategory::kCompanion
+                      ? snapshot.companions
+                      : snapshot.errors;
+      if (std::find(dst.begin(), dst.end(), event) == dst.end()) {
+        dst.push_back(event);
       }
-      if (!parent_has_ns) {
-        sink.add(ErrorCode::kMissingNsInParent, zp.apex,
-                 "the parent zone has no NS records for this delegation");
-        chain_incomplete = true;
-        break;
-      }
-    }
-
-    ZoneChecker checker{zp, config, data.time, sink};
-    checker.gather_dnskeys();
-    if (zi > 0) checker.gather_ds();
-
-    const bool zone_signed = !checker.dnskeys.empty();
-
-    // Trust-state transition at the delegation.
-    const TrustState parent_state = state;
-    TrustState zone_state = state;
-    if (state == TrustState::kSecure && zi > 0) {
-      if (checker.ds_set.empty()) {
-        // Insecure delegation; the proof of DS absence must be present.
-        // (Attribute a bad proof to the *parent* zone: its NSEC(3) chain.)
-        if (!checker.ds_absence_proven && zone_signed) {
-          sink.add(ErrorCode::kBadNonexistenceProof,
-                   data.chain[zi - 1].apex,
-                   "the parent provides no valid proof of DS absence for " +
-                       zp.apex.to_string());
-          zone_state = TrustState::kBogus;
-
-        } else {
-          zone_state = TrustState::kInsecure;
-        }
-      } else {
-        checker.validate_ds(data.chain[zi - 1].apex);
-        if (checker.sep_keys.empty()) {
-          zone_state = TrustState::kBogus;
-        }
-      }
-    } else if (zi == 0 && !zone_signed) {
-      zone_state = TrustState::kInsecure;
-    }
-
-    if (zone_signed) {
-      // Validate the DNSKEY RRset per server.
-      std::vector<const dns::DnskeyRdata*> dnskey_signers;
-      if (zi == 0 || checker.ds_set.empty() ||
-          parent_state != TrustState::kSecure) {
-        // Trust-anchor zone, island of trust, or a signed zone below an
-        // insecure cut: there is no DS-anchored SEP, so internal
-        // consistency is checked against the zone's own key set.
-        for (const auto& key : checker.dnskeys) {
-          dnskey_signers.push_back(&key);
-        }
-      } else {
-        dnskey_signers = checker.sep_keys;
-      }
-      std::vector<const dns::DnskeyRdata*> all_keys;
-      for (const auto& key : checker.dnskeys) all_keys.push_back(&key);
-
-      // Every NSEC3 hash costs iterations + 1 SHA-1 applications, charged
-      // against the zone's hashing budget.
-      DenialHooks denial_hooks{
-          .report =
-              [&](ErrorCode code, std::string detail) {
-                sink.add(code, zp.apex, std::move(detail));
-              },
-          .check_proof =
-              [&](const RRsetView& view) {
-                return checker.check_rrset(view, all_keys, true);
-              },
-          .hash = [&](const dns::Name& name, const Bytes& salt,
-                      std::uint16_t iterations) -> std::optional<Bytes> {
-            if (!checker.charge_hash_cost(
-                    static_cast<std::size_t>(iterations) + 1)) {
-              return std::nullopt;
-            }
-            return zone::nsec3_hash(name, salt, iterations);
-          }};
-
-      std::vector<RRsetView> views_storage;
-      // data_views keeps pointers into views_storage: size it once so the
-      // buffer never reallocates.
-      views_storage.reserve(zp.servers.size() * 4);
-      std::vector<const RRsetView*> data_views;
-      for (const auto& sp : zp.servers) {
-        if (!sp.reachable) continue;
-        const auto dnskey_view =
-            extract(sp.dnskey.answers, zp.apex, dns::RRType::kDNSKEY);
-        const bool dnskey_ok =
-            checker.check_rrset(dnskey_view, dnskey_signers, true);
-        if (!dnskey_ok) zone_state = TrustState::kBogus;
-
-        for (auto [section, owner, type] :
-             {std::tuple{&sp.soa.answers, zp.apex, dns::RRType::kSOA},
-              std::tuple{&sp.ns.answers, zp.apex, dns::RRType::kNS},
-              std::tuple{&sp.apex_a.answers, zp.apex, dns::RRType::kA}}) {
-          views_storage.push_back(extract(*section, owner, type));
-          auto& view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
-          if (!view.present) continue;
-          const bool ok = checker.check_rrset(view, all_keys, true);
-          if (!ok) zone_state = TrustState::kBogus;
-          data_views.push_back(&view);
-        }
-
-        // A wildcard may turn the NXDOMAIN probe into a synthesized
-        // positive answer; validate it (the labels-field logic inside
-        // check_rrset reconstructs the source of synthesis) and require
-        // the accompanying next-closer proof (RFC 4035 §3.1.3.3).
-        views_storage.push_back(extract(sp.nxdomain.answers,
-                                        nx_probe_name(zp.apex),
-                                        dns::RRType::kA));
-        {
-          auto& wc_view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
-          if (wc_view.present) {
-            if (!checker.check_rrset(wc_view, all_keys, true)) {
-              zone_state = TrustState::kBogus;
-            }
-            if (sp.nxdomain.negative_proofs().empty()) {
-              sink.add(ErrorCode::kMissingNonexistenceProof, zp.apex,
-                       "wildcard-synthesized answer lacks the proof that "
-                       "the query name itself does not exist");
-              zone_state = TrustState::kBogus;
-            }
-          }
-        }
-
-        // Negative responses.
-        if (!judge_denial(sp, zp.apex, config, denial_hooks)) {
-          zone_state = TrustState::kBogus;
-        }
-      }
-      checker.check_algorithm_completeness(data_views);
-      if (checker.any_validation_failure &&
-          zone_state == TrustState::kSecure) {
-        zone_state = TrustState::kBogus;
-      }
-    }
-
-    // Attempts charged vs crypto actually run (one per memo entry).
-    sig_attempts.add(static_cast<std::int64_t>(checker.sig_validations_spent));
-    sig_verifications.add(static_cast<std::int64_t>(checker.verdicts.size()));
-
-    if (is_target) {
-      snapshot.target_meta = extract_meta(zp, checker);
-    }
-    state = zone_state;
-    if (state == TrustState::kBogus && !zone_signed &&
-        checker.ds_set.empty()) {
-      state = TrustState::kInsecure;
-    }
-    // Everything below an insecure cut is plain DNS for a validator,
-    // whatever its internal DNSSEC state looks like.
-    if (parent_state == TrustState::kInsecure) {
-      state = TrustState::kInsecure;
     }
   }
-
-  snapshot.errors = sink.errors_;
-  snapshot.companions = sink.companions_;
+  const ZoneVerdict& last = *verdicts.back();  // dfx-lint: allow(unchecked-front-back): empty chain returned above
+  if (last.target_meta) snapshot.target_meta = *last.target_meta;
 
   // Final categorisation (§3.2.1).
-  if (chain_lame) {
+  if (last.stop == ZoneVerdict::Stop::kLame) {
     snapshot.status = SnapshotStatus::kLame;
-  } else if (chain_incomplete) {
+  } else if (last.stop == ZoneVerdict::Stop::kIncomplete) {
     snapshot.status = SnapshotStatus::kIncomplete;
-  } else if (state == TrustState::kBogus) {
+  } else if (last.state == TrustState::kBogus) {
     snapshot.status = SnapshotStatus::kSignedBogus;
-  } else if (state == TrustState::kInsecure) {
+  } else if (last.state == TrustState::kInsecure) {
     snapshot.status = SnapshotStatus::kInsecure;
   } else if (!snapshot.errors.empty()) {
     snapshot.status = SnapshotStatus::kSignedValidMisconfig;
@@ -789,6 +794,30 @@ Snapshot grok(const ProbeData& data, const GrokConfig& config) {
     snapshot.status = SnapshotStatus::kSignedValid;
   }
   return snapshot;
+}
+
+Snapshot grok(const ProbeData& data, const GrokConfig& config) {
+  static auto& grok_count = metrics::Registry::global().counter("analyze.groks");
+  grok_count.add(1);
+  std::vector<ZoneVerdict> verdicts;
+  verdicts.reserve(data.chain.size());
+  TrustState state = TrustState::kSecure;  // root anchors the chain
+  for (std::size_t zi = 0; zi < data.chain.size(); ++zi) {
+    verdicts.push_back(grok_zone(data.chain[zi], state,
+                                 zi == 0 ? nullptr : &data.chain[zi - 1].apex,
+                                 data.time, config,
+                                 zi + 1 == data.chain.size()));
+    const ZoneVerdict& verdict = verdicts.back();  // dfx-lint: allow(unchecked-front-back): just pushed
+    count_grok_work(verdict);
+    if (verdict.stop != ZoneVerdict::Stop::kNone) break;
+    state = verdict.state;
+  }
+  std::vector<const ZoneVerdict*> folded;
+  folded.reserve(verdicts.size());
+  for (const auto& verdict : verdicts) folded.push_back(&verdict);
+  return fold_verdicts(data.query_domain,
+                       data.chain.empty() ? dns::Name() : data.chain.back().apex,
+                       data.time, folded);
 }
 
 }  // namespace dfx::analyzer

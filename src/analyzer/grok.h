@@ -3,6 +3,10 @@
 // validation fails — our equivalent of `dnsviz grok`.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "analyzer/probe.h"
 #include "analyzer/snapshot.h"
 
@@ -47,7 +51,56 @@ struct GrokConfig {
   std::size_t max_hash_cost = 5000;
 };
 
-/// Validate a probed chain and produce the diagnostic snapshot.
+/// Validate a probed chain and produce the diagnostic snapshot: the fold
+/// of grok_zone() down the chain, root first.
 Snapshot grok(const ProbeData& data, const GrokConfig& config = {});
+
+/// The trust state a validator holds on entering a zone of the chain.
+enum class TrustState : std::uint8_t { kSecure, kInsecure, kBogus };
+
+/// Everything grok learns from one zone of the chain.
+struct ZoneVerdict {
+  /// Why the fold stops at this zone, if it does.
+  enum class Stop : std::uint8_t { kNone, kLame, kIncomplete };
+
+  /// The zone's error reports in the order grok makes them, each
+  /// (code, zone) pair once. Later zones' reports de-duplicate against
+  /// earlier zones' when the fold replays them into one list.
+  std::vector<ErrorInstance> events;
+  /// The state the fold hands to the next zone (the incoming one when
+  /// the fold stops here).
+  TrustState state = TrustState::kSecure;
+  Stop stop = Stop::kNone;
+  /// The target zone's meta-parameters; only the last zone carries them.
+  std::optional<ZoneMeta> target_meta;
+  /// Signature-verification attempts charged, and crypto verifications
+  /// actually run (`analyzer.sig_validation_attempts` and
+  /// `analyzer.sig_verifications`).
+  std::size_t sig_validation_attempts = 0;
+  std::size_t sig_verifications = 0;
+
+  /// Equal verdicts, details of every event included.
+  bool same_as(const ZoneVerdict& other) const;
+};
+
+/// Validate one zone of a probed chain. `incoming` is the state the fold
+/// reached above it, `parent_apex` the zone above it (null for the trust
+/// anchor at the top), `is_target` whether it is the query zone. Depends
+/// on its arguments only, so a verdict may be kept for as long as they
+/// stay the same. Touches no counters: the caller charges the two work
+/// counters of a verdict it computed (count_grok_work).
+ZoneVerdict grok_zone(const ZoneProbe& zone, TrustState incoming,
+                      const dns::Name* parent_apex, UnixTime now,
+                      const GrokConfig& config, bool is_target);
+
+/// Add a freshly computed verdict's work to the registry counters.
+void count_grok_work(const ZoneVerdict& verdict);
+
+/// The snapshot of a chain whose zones (root first, up to the one the
+/// fold stopped at) have the given verdicts. `query_zone` is the last
+/// zone of the probed chain; an empty chain is lame.
+Snapshot fold_verdicts(const dns::Name& query_domain,
+                       const dns::Name& query_zone, UnixTime time,
+                       const std::vector<const ZoneVerdict*>& verdicts);
 
 }  // namespace dfx::analyzer

@@ -39,6 +39,32 @@ dns::Name last_probe_name(const dns::Name& apex) {
   return apex.child(kNxLastLabel);
 }
 
+ZoneProbe probe_zone(const authserver::ServerFarm& farm,
+                     const std::vector<dns::Name>& zone_chain,
+                     std::size_t index) {
+  ZoneProbe zp;
+  zp.apex = zone_chain[index];
+  for (const auto* server : farm.servers_for(zp.apex)) {
+    zp.servers.push_back(probe_server(*server, zp.apex));
+  }
+  if (index == 0) return zp;
+  const dns::Name& parent_apex = zone_chain[index - 1];
+  for (const auto* server : farm.servers_for(parent_apex)) {
+    ServerProbe pp;
+    pp.server = server->name();
+    pp.reachable = !server->lame();
+    zp.parent_servers.push_back(pp);
+    // Ask the parent-side view explicitly: a server may host both sides
+    // of the cut, but the prober needs the delegation as the parent
+    // publishes it.
+    zp.parent_ds.push_back(
+        server->query_in_zone(parent_apex, zp.apex, dns::RRType::kDS));
+    zp.parent_ns.push_back(
+        server->query_in_zone(parent_apex, zp.apex, dns::RRType::kNS));
+  }
+  return zp;
+}
+
 ProbeData probe(const authserver::ServerFarm& farm,
                 const std::vector<dns::Name>& zone_chain,
                 const dns::Name& query_domain, UnixTime now) {
@@ -49,29 +75,9 @@ ProbeData probe(const authserver::ServerFarm& farm,
   ProbeData data;
   data.query_domain = query_domain;
   data.time = now;
+  data.chain.reserve(zone_chain.size());
   for (std::size_t i = 0; i < zone_chain.size(); ++i) {
-    ZoneProbe zp;
-    zp.apex = zone_chain[i];
-    for (const auto* server : farm.servers_for(zp.apex)) {
-      zp.servers.push_back(probe_server(*server, zp.apex));
-    }
-    if (i > 0) {
-      const dns::Name& parent_apex = zone_chain[i - 1];
-      for (const auto* server : farm.servers_for(parent_apex)) {
-        ServerProbe pp;
-        pp.server = server->name();
-        pp.reachable = !server->lame();
-        zp.parent_servers.push_back(pp);
-        // Ask the parent-side view explicitly: a server may host both sides
-        // of the cut, but the prober needs the delegation as the parent
-        // publishes it.
-        zp.parent_ds.push_back(
-            server->query_in_zone(parent_apex, zp.apex, dns::RRType::kDS));
-        zp.parent_ns.push_back(
-            server->query_in_zone(parent_apex, zp.apex, dns::RRType::kNS));
-      }
-    }
-    data.chain.push_back(std::move(zp));
+    data.chain.push_back(probe_zone(farm, zone_chain, i));
   }
   return data;
 }

@@ -48,10 +48,19 @@ struct ProbeData {
 };
 
 /// Probe all servers for each zone in `zone_chain` (root first; each entry
-/// must be an ancestor of the next and of `query_domain`).
+/// must be an ancestor of the next and of `query_domain`): probe_zone()
+/// for every position.
 ProbeData probe(const authserver::ServerFarm& farm,
                 const std::vector<dns::Name>& zone_chain,
                 const dns::Name& query_domain, UnixTime now);
+
+/// Probe the zone at `zone_chain[index]`: every server hosting it, and
+/// the parent-side DS/NS view from every server hosting
+/// `zone_chain[index - 1]` (none for index 0). Reads the servers' lame
+/// flags and the hosted zones that answer the questions, nothing else.
+ZoneProbe probe_zone(const authserver::ServerFarm& farm,
+                     const std::vector<dns::Name>& zone_chain,
+                     std::size_t index);
 
 /// The fixed non-existent name the prober asks for under `apex` (grok needs
 /// it to interpret the NXDOMAIN probe — including the case where a wildcard

@@ -42,6 +42,8 @@ struct KeyMeta {
 
   bool is_ksk() const { return (flags & 0x0001) != 0; }
   bool is_revoked() const { return (flags & 0x0080) != 0; }
+
+  bool operator==(const KeyMeta&) const = default;
 };
 
 /// One DS as observed at the parent.
@@ -57,6 +59,8 @@ struct DsMeta {
   /// Whether the DS fully validated (matched a non-revoked DNSKEY and the
   /// digest verified) — i.e. it establishes a secure entry point.
   bool valid = false;
+
+  bool operator==(const DsMeta&) const = default;
 };
 
 /// Zone meta-parameters extracted from a snapshot (Fig. 7 step 2): exactly
@@ -74,6 +78,8 @@ struct ZoneMeta {
   /// The zone contains a catch-all wildcard (changes negative-answer
   /// behaviour: NXDOMAIN probes synthesize answers instead).
   bool has_wildcard = false;
+
+  bool operator==(const ZoneMeta&) const = default;
 };
 
 /// One diagnostic snapshot of one query domain.

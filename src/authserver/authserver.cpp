@@ -1,6 +1,7 @@
 #include "authserver/authserver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <iterator>
 #include <numeric>
@@ -409,22 +410,17 @@ dns::Message QueryResult::to_message(const dns::Question& question,
   return msg;
 }
 
-void AuthServer::set_lame(bool lame) {
-  lame_ = lame;
-  ++version_;
-}
+void AuthServer::set_lame(bool lame) { lame_ = lame; }
 
 void AuthServer::load_zone(zone::Zone zone) {
+  static std::atomic<std::uint64_t> next_serial{1};
   dns::Name apex = zone.apex();
   zones_.erase(apex);
-  zones_.try_emplace(std::move(apex), std::move(zone));
-  ++version_;
+  zones_.try_emplace(std::move(apex), std::move(zone),
+                     next_serial.fetch_add(1, std::memory_order_relaxed));
 }
 
-void AuthServer::unload_zone(const dns::Name& apex) {
-  zones_.erase(apex);
-  ++version_;
-}
+void AuthServer::unload_zone(const dns::Name& apex) { zones_.erase(apex); }
 
 bool AuthServer::serves(const dns::Name& apex) const {
   return zones_.find(apex) != zones_.end();
@@ -494,6 +490,17 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
     return result;
   }
   return answer(it->second.zone, it->second.denial, qname, qtype);
+}
+
+std::uint64_t AuthServer::answering_serial(const dns::Name& qname,
+                                           dns::RRType qtype) const {
+  const HostedZone* hosted = best_zone_for(qname, qtype);
+  return hosted == nullptr ? 0 : hosted->serial;
+}
+
+std::uint64_t AuthServer::zone_serial(const dns::Name& zone_apex) const {
+  const auto it = zones_.find(zone_apex);
+  return it == zones_.end() ? 0 : it->second.serial;
 }
 
 }  // namespace dfx::authserver

@@ -127,16 +127,21 @@ class DenialIndex {
 };
 
 /// One hosted zone version and the denial index built from it. Built
-/// once when the version is loaded and never changed afterwards (both
+/// once when the version is loaded and never changed afterwards (all
 /// members are const), so the index always describes the zone beside it
 /// and its pointers into that zone stay valid. AuthServer keeps one per
 /// hosted apex; the serving layer's ZoneStore shares them between shard
 /// snapshots.
 struct HostedZone {
-  explicit HostedZone(zone::Zone z) : zone(std::move(z)), denial(zone) {}
+  explicit HostedZone(zone::Zone z, std::uint64_t load_serial = 0)
+      : zone(std::move(z)), denial(zone), serial(load_serial) {}
 
   const zone::Zone zone;
   const DenialIndex denial;
+  /// AuthServer::load_zone draws it from one process-wide counter, so two
+  /// loaded versions never share a serial and an unchanged serial means
+  /// unchanged answers. 0 for versions built outside load_zone.
+  const std::uint64_t serial;
 };
 
 /// Answer a question from one zone with standard authoritative-server
@@ -164,17 +169,12 @@ class AuthServer {
 
   /// Install (or replace) a zone copy on this server, and build its
   /// DenialIndex: one index per hosted zone version, which every negative
-  /// answer from that version reuses.
+  /// answer from that version reuses. The version gets a fresh load
+  /// serial; the other hosted zones keep theirs.
   void load_zone(zone::Zone zone);
 
   /// Drop a zone.
   void unload_zone(const dns::Name& apex);
-
-  /// Bumped by every change to what this server answers: load_zone,
-  /// unload_zone and set_lame. Hosted zones are read-only otherwise, so
-  /// an unchanged version means unchanged answers (ServerFarm::generation
-  /// sums these).
-  std::uint64_t version() const { return version_; }
 
   bool serves(const dns::Name& apex) const;
   const zone::Zone* zone_data(const dns::Name& apex) const;
@@ -187,13 +187,22 @@ class AuthServer {
   QueryResult query_in_zone(const dns::Name& zone_apex, const dns::Name& qname,
                             dns::RRType qtype) const;
 
+  /// The load serial of the hosted zone query(qname, qtype) answers from,
+  /// or 0 when none does. Hosted zones are read-only, so while this and
+  /// lame() are unchanged, so is that answer.
+  std::uint64_t answering_serial(const dns::Name& qname,
+                                 dns::RRType qtype) const;
+
+  /// The load serial of the zone query_in_zone(zone_apex, ...) answers
+  /// from, or 0 when it is not hosted.
+  std::uint64_t zone_serial(const dns::Name& zone_apex) const;
+
  private:
   const HostedZone* best_zone_for(const dns::Name& qname,
                                   dns::RRType qtype) const;
 
   std::string name_;
   bool lame_ = false;
-  std::uint64_t version_ = 0;
   std::map<dns::Name, HostedZone, dns::Name::Less> zones_;
 };
 

@@ -83,11 +83,9 @@ std::vector<const AuthServer*> ServerFarm::servers_for(
   return out;
 }
 
-std::uint64_t ServerFarm::generation() const {
+std::uint64_t ServerFarm::hosting_version() const {
   const MutexLock lock(*mu_);
-  std::uint64_t generation = hosting_version_;
-  for (const auto& [_, server] : servers_) generation += server->version();
-  return generation;
+  return hosting_version_;
 }
 
 std::vector<std::string> ServerFarm::server_names() const {

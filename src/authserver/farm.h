@@ -50,12 +50,11 @@ class ServerFarm {
 
   std::vector<std::string> server_names() const DFX_EXCLUDES(*mu_);
 
-  /// A stamp of everything a probe of this farm can observe: the farm's
-  /// own hosting counter (bumped when a server is created or a server
-  /// starts hosting a zone) plus every server's AuthServer::version().
-  /// All parts only grow, so any change to what the farm serves changes
-  /// the sum — including changes made through server() references.
-  std::uint64_t generation() const DFX_EXCLUDES(*mu_);
+  /// Bumped when a server is created or a server starts hosting a zone:
+  /// an unchanged counter means servers_for() returns the same servers.
+  /// What each server answers is stamped apart, by its lame flag and the
+  /// load serials of its hosted zones (AuthServer::answering_serial).
+  std::uint64_t hosting_version() const DFX_EXCLUDES(*mu_);
 
  private:
   /// Lookup-or-create for callers already holding mu_.

@@ -2,10 +2,12 @@
 // hex (base16), base32hex (RFC 4648 §7, used by NSEC3 owner names) and
 // base64 (used by DNSKEY/RRSIG presentation).
 //
-// base32hex and base64 are table-driven and branchless per character: a
-// 256-entry inverse table maps each input byte to its value (or an
-// invalid sentinel), validity is OR-accumulated and checked once per
-// block. Decode quirks are deliberate and pinned by differential tests
+// Decoding is table-driven: a 256-entry inverse table maps each input
+// byte to its value or a negative sentinel (invalid, '=' padding,
+// skippable whitespace), so each character costs one lookup and one sign
+// test. base32hex and base64 branch on a negative entry and return at
+// the first invalid character; hex tests each pair of digits with one
+// OR. Decode quirks are deliberate and pinned by differential tests
 // against the previous branch-per-char implementation
 // (tests/test_codec.cpp): '=' truncates decoding mid-string, base64
 // skips ASCII whitespace, base32hex rejects it. See

@@ -1,6 +1,7 @@
 // NSEC3 hashing (RFC 5155 §5).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -11,8 +12,25 @@ namespace dfx::zone {
 
 /// Iterated SHA-1 hash of a name: H(x) = SHA1(x || salt), applied
 /// `iterations + 1` times over the canonical wire form of `name`.
+///
+/// Fronted by a memo of kNsec3MemoSlots slots per thread, direct-mapped
+/// on the exact question (canonical wire form, salt, iterations): a
+/// repeated question returns the stored digest without running SHA-1.
+/// It takes no lock and never grows. Hits count into
+/// `zone.nsec3_hash_memo_hits`, in per-thread batches of 1,024 (a
+/// thread's last partial batch is not counted). Callers that budget
+/// hashing work (grok's NSEC3 hash budget) charge it before each call,
+/// hit or miss.
 Bytes nsec3_hash(const dns::Name& name, ByteView salt,
                  std::uint16_t iterations);
+
+inline constexpr std::size_t kNsec3MemoSlots = 256;
+
+/// The memo slot nsec3_hash uses for a question, or kNsec3MemoSlots when
+/// the question is too long to be memoized (tests use it to force
+/// collisions).
+std::size_t nsec3_memo_slot(const dns::Name& name, ByteView salt,
+                            std::uint16_t iterations);
 
 /// The base32hex label form used as the NSEC3 owner name.
 std::string nsec3_hash_label(const dns::Name& name, ByteView salt,

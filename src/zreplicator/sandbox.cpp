@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dnscore/masterfile.h"
-#include "json/json.h"
 #include "util/check.hpp"
 #include "util/codec.h"
 #include "util/metrics.h"
@@ -376,23 +375,81 @@ std::vector<dns::Name> Sandbox::chain() const {
   return out;
 }
 
+Sandbox::ZoneKey Sandbox::zone_key(const std::vector<dns::Name>& zones,
+                                   std::size_t position,
+                                   analyzer::TrustState incoming,
+                                   UnixTime now,
+                                   std::uint64_t hosting_version) const {
+  ZoneKey key;
+  key.hosting_version = hosting_version;
+  key.incoming = incoming;
+  key.apex = zones[position];
+  key.now = now;
+  key.position = position;
+  key.is_target = position + 1 == zones.size();
+  const dns::Name nx = analyzer::nx_probe_name(key.apex);
+  const dns::Name last = analyzer::last_probe_name(key.apex);
+  for (const auto* server : farm_.servers_for(key.apex)) {
+    key.servers.push_back(
+        {server->name(),
+         server->lame(),
+         {server->answering_serial(key.apex, dns::RRType::kA),
+          server->answering_serial(nx, dns::RRType::kA),
+          server->answering_serial(last, dns::RRType::kA)}});
+  }
+  if (position > 0) {
+    key.parent_apex = zones[position - 1];
+    for (const auto* server : farm_.servers_for(*key.parent_apex)) {
+      key.parent_servers.push_back({server->name(),
+                                    server->lame(),
+                                    {server->zone_serial(*key.parent_apex)}});
+    }
+  }
+  return key;
+}
+
 analyzer::Snapshot Sandbox::analyze() {
   static auto& memo_hits = metrics::Registry::global().counter(
       "zreplicator.analysis_memo_hits");
-  AnalysisStamp stamp{farm_.generation(), clock_.now(), chain(), child_apex_};
-  if (analyzed_stamp_ == stamp) {
-    memo_hits.add(1);
-    DFX_DCHECK(json::serialize(analyzer::snapshot_to_json(analyzed_)) ==
-                   json::serialize(analyzer::snapshot_to_json(analyzer::grok(
-                       analyzer::probe(farm_, stamp.chain, child_apex_,
-                                       stamp.now)))),
-               "Sandbox::analyze() memo hit differs from a fresh analysis");
-    return analyzed_;
+  static auto& zone_hits =
+      metrics::Registry::global().counter("zreplicator.zone_memo_hits");
+  static auto& zone_misses =
+      metrics::Registry::global().counter("zreplicator.zone_memo_misses");
+  const std::vector<dns::Name> zones = chain();
+  const UnixTime now = clock_.now();
+  const std::uint64_t hosting_version = farm_.hosting_version();
+  const analyzer::GrokConfig config;
+  zone_memo_.resize(zones.size());
+  std::vector<const analyzer::ZoneVerdict*> verdicts;
+  analyzer::TrustState state = analyzer::TrustState::kSecure;
+  bool all_hit = true;
+  for (std::size_t i = 0; i < zones.size(); ++i) {
+    const auto fresh = [&] {
+      return analyzer::grok_zone(analyzer::probe_zone(farm_, zones, i), state,
+                                 i == 0 ? nullptr : &zones[i - 1], now,
+                                 config, i + 1 == zones.size());
+    };
+    ZoneKey key = zone_key(zones, i, state, now, hosting_version);
+    ZoneMemo& memo = zone_memo_[i];
+    if (memo.key == key) {
+      zone_hits.add(1);
+      DFX_DCHECK(memo.verdict.same_as(fresh()),
+                 "Sandbox::analyze() zone memo hit differs from a fresh "
+                 "verdict");
+    } else {
+      zone_misses.add(1);
+      all_hit = false;
+      memo.verdict = fresh();
+      memo.key = std::move(key);
+      analyzer::count_grok_work(memo.verdict);
+    }
+    verdicts.push_back(&memo.verdict);
+    if (memo.verdict.stop != analyzer::ZoneVerdict::Stop::kNone) break;
+    state = memo.verdict.state;
   }
-  analyzed_ = analyzer::grok(
-      analyzer::probe(farm_, stamp.chain, child_apex_, stamp.now));
-  analyzed_stamp_ = std::move(stamp);
-  return analyzed_;
+  if (all_hit) memo_hits.add(1);
+  // dfx-lint: allow(unchecked-front-back): chain() always holds the base and parent.
+  return analyzer::fold_verdicts(child_apex_, zones.back(), now, verdicts);
 }
 
 bool Sandbox::apply(const zone::BindCommand& command) {

@@ -4,6 +4,7 @@
 // so auto-apply mode executes against it directly.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -109,25 +110,58 @@ class Sandbox : public dfixer::CommandHost {
   // --- dfixer::CommandHost -------------------------------------------------
   bool apply(const zone::BindCommand& command) override;
 
-  /// grok(probe(farm(), chain(), child_apex(), clock().now())), memoized:
-  /// while the state stamp (farm generation, clock, chain, child apex) is
-  /// unchanged, returns the last Snapshot again. The stamp covers every
-  /// input probe() reads, so mutations made through the public farm() and
-  /// clock() references invalidate the memo too. Each hit counts into
-  /// `zreplicator.analysis_memo_hits`; Debug builds check every hit
-  /// against a fresh analysis.
+  /// grok(probe(farm(), chain(), child_apex(), clock().now())), memoized
+  /// per chain zone. grok is a fold down the chain (analyzer::grok_zone),
+  /// so zone i's verdict depends only on what zone i's probe reads and
+  /// the state the fold brings to it. Entry i keeps the verdict under a
+  /// key of exactly those inputs: the farm's hosting counter; the name,
+  /// lame flag and answering load serials of every server of the zone
+  /// and of its parent; the incoming trust state, the parent apex, the
+  /// clock and the chain position. Only the zones whose key changed are
+  /// probed and grokked again, so a child-only fix re-analyses only the
+  /// child. Mutations made through the public farm() and clock()
+  /// references change the key too. `zreplicator.zone_memo_hits` /
+  /// `zone_memo_misses` count each zone the fold reaches;
+  /// `zreplicator.analysis_memo_hits` counts the calls in which every
+  /// zone hit. Debug builds check every hit against a fresh verdict.
   analyzer::Snapshot analyze() override;
 
  private:
-  /// Everything probe() reads, in the form analyze() compares.
-  struct AnalysisStamp {
-    std::uint64_t farm_generation = 0;
-    UnixTime now = 0;
-    std::vector<dns::Name> chain;
-    dns::Name child_apex;
+  /// What one server contributes to a zone's probe.
+  struct ServerStamp {
+    std::string name;
+    bool lame = false;
+    /// Zone side: the serial answering each of the probe's three names
+    /// (the apex and the two negative probes). Parent side: the parent
+    /// zone's serial in [0].
+    std::array<std::uint64_t, 3> serials{};
 
-    bool operator==(const AnalysisStamp&) const = default;
+    bool operator==(const ServerStamp&) const = default;
   };
+
+  /// Everything probe_zone() and grok_zone() read for one chain zone.
+  struct ZoneKey {
+    std::uint64_t hosting_version = 0;
+    std::vector<ServerStamp> servers;
+    std::vector<ServerStamp> parent_servers;
+    analyzer::TrustState incoming = analyzer::TrustState::kSecure;
+    dns::Name apex;
+    std::optional<dns::Name> parent_apex;
+    UnixTime now = 0;
+    std::size_t position = 0;
+    bool is_target = false;
+
+    bool operator==(const ZoneKey&) const = default;
+  };
+
+  struct ZoneMemo {
+    std::optional<ZoneKey> key;  // empty until the position is analysed
+    analyzer::ZoneVerdict verdict;
+  };
+
+  ZoneKey zone_key(const std::vector<dns::Name>& zones, std::size_t position,
+                   analyzer::TrustState incoming, UnixTime now,
+                   std::uint64_t hosting_version) const;
 
   void host_everywhere(const zone::Zone& signed_zone);
 
@@ -140,9 +174,8 @@ class Sandbox : public dfixer::CommandHost {
   std::map<dns::Name, ManagedZone, dns::Name::Less> zones_;
   /// Last keys created via apply(kDnssecKeygen), for "NEW" DS resolution.
   std::optional<std::uint16_t> last_generated_ksk_;
-  /// analyze()'s memo: the last Snapshot and the stamp it was taken at.
-  std::optional<AnalysisStamp> analyzed_stamp_;
-  analyzer::Snapshot analyzed_;
+  /// analyze()'s memo: one entry per chain position.
+  std::vector<ZoneMemo> zone_memo_;
 };
 
 }  // namespace dfx::zreplicator

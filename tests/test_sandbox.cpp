@@ -214,6 +214,10 @@ std::string fresh_analysis(Sandbox& sandbox) {
                                                sandbox.clock().now())));
 }
 
+std::int64_t counter(const char* name) {
+  return metrics::Registry::global().counter(name).value();
+}
+
 /// Stands between auto_fix and the sandbox and checks every analysis the
 /// fixer asks for against a fresh one.
 class CheckingHost : public dfixer::CommandHost {
@@ -225,13 +229,20 @@ class CheckingHost : public dfixer::CommandHost {
   }
 
   analyzer::Snapshot analyze() override {
+    const std::int64_t full_hits = memo_hits();
+    const std::int64_t zone_hits = counter("zreplicator.zone_memo_hits");
     analyzer::Snapshot snapshot = sandbox_.analyze();
+    if (memo_hits() == full_hits) {
+      // A re-analysis: the zones it kept are the upper-zone hits.
+      partial_zone_hits += counter("zreplicator.zone_memo_hits") - zone_hits;
+    }
     EXPECT_EQ(render(snapshot), fresh_analysis(sandbox_));
     ++analyses;
     return snapshot;
   }
 
   int analyses = 0;
+  std::int64_t partial_zone_hits = 0;
 
  private:
   Sandbox& sandbox_;
@@ -245,17 +256,28 @@ TEST(SandboxMemo, MatchesFreshAnalysisThroughoutAutoFix) {
   int fixed = 0;
   int analyses = 0;
   std::uint64_t seed = 0;
+  int fixed_after_changes = 0;
+  int without_upper_hits = 0;
   for (const auto& eval : specs) {
     auto replication = replicate(eval.spec, ++seed);
     if (!replication.complete) continue;
     CheckingHost host(*replication.sandbox);
-    fixed += dfixer::auto_fix(host).success ? 1 : 0;
+    const auto report = dfixer::auto_fix(host);
+    fixed += report.success ? 1 : 0;
     analyses += host.analyses;
+    // A fix changes the child, or the parent's DS: each re-analysis
+    // after one keeps at least the base zone's verdict.
+    if (report.success && !report.iterations.empty()) {
+      ++fixed_after_changes;
+      if (host.partial_zone_hits == 0) ++without_upper_hits;
+    }
   }
   EXPECT_GT(fixed, 100);
   // Every auto_fix starts on the state replicate() just analysed.
   EXPECT_GE(memo_hits() - hits_before, fixed);
   EXPECT_GT(analyses, fixed);
+  EXPECT_GT(fixed_after_changes, 0);
+  EXPECT_EQ(without_upper_hits, 0);
 }
 
 TEST(SandboxMemo, CleanReplicateThenAutoFixHitsOnce) {
@@ -335,6 +357,62 @@ TEST(SandboxMemo, WaitTtlCommandInvalidates) {
   expect_recomputed_after(sandbox, [&] {
     EXPECT_TRUE(sandbox.apply(zone::cmd_wait_ttl(7200)));
   });
+}
+
+// ---- per-zone memo ----------------------------------------------------------
+
+/// After `mutate`, analyze() must recompute exactly `misses` of the
+/// chain's three zones, keep the others, and equal a fresh analysis.
+void expect_zone_misses(Sandbox& sandbox, std::int64_t misses,
+                        const std::function<void()>& mutate) {
+  (void)sandbox.analyze();  // settle the memo on the current state
+  const std::int64_t hits = counter("zreplicator.zone_memo_hits");
+  const std::int64_t missed = counter("zreplicator.zone_memo_misses");
+  mutate();
+  const std::string after = render(sandbox.analyze());
+  EXPECT_EQ(counter("zreplicator.zone_memo_misses") - missed, misses);
+  EXPECT_EQ(counter("zreplicator.zone_memo_hits") - hits, 3 - misses);
+  EXPECT_EQ(after, fresh_analysis(sandbox));
+}
+
+TEST(SandboxMemo, PerZoneInvalidationMatrix) {
+  auto sandbox = make_sandbox();
+  const Name child = sandbox.child_apex();
+  ASSERT_EQ(sandbox.chain().size(), 3u);
+  {
+    SCOPED_TRACE("child-only re-sign: base and parent hit, child misses");
+    expect_zone_misses(sandbox, 1, [&] { sandbox.resign_and_sync(child); });
+  }
+  {
+    SCOPED_TRACE("parent DS change: base hits, parent and child miss");
+    expect_zone_misses(sandbox, 2, [&] {
+      const auto ksks = sandbox.managed(child).keys.active_with_role(
+          sandbox.clock().now(), zone::KeyRole::kKsk);
+      ASSERT_FALSE(ksks.empty());
+      sandbox.add_parent_ds(
+          child, zone::make_ds(*ksks.front(), crypto::DigestType::kSha1));
+    });
+  }
+  {
+    SCOPED_TRACE("clock advance: every zone misses");
+    expect_zone_misses(sandbox, 3, [&] { sandbox.clock().advance(kHour); });
+  }
+  {
+    SCOPED_TRACE("child pushed to one server: only the child misses");
+    expect_zone_misses(sandbox, 1, [&] {
+      zone::Zone stale = sandbox.managed(child).signed_zone;
+      stale.remove(child, RRType::kDNSKEY);
+      sandbox.push_signed_to(Sandbox::kNs2, child, stale);
+    });
+    EXPECT_TRUE(sandbox.analyze().has_error(
+        analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
+  }
+  {
+    SCOPED_TRACE("ns1 lame: every zone it serves misses");
+    expect_zone_misses(sandbox, 3, [&] {
+      sandbox.farm().server(Sandbox::kNs1).set_lame(true);
+    });
+  }
 }
 
 }  // namespace
