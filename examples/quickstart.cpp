@@ -81,9 +81,8 @@ mail    IN MX  10 www
       zone::sign_zone(parent_unsigned, parent_keys, {}, kDatasetStart);
 
   authserver::ServerFarm farm;
-  farm.host_zone("ns1.example.test", signed_zone);
-  farm.host_zone("ns2.example.test", signed_zone);
-  farm.host_zone("ns1.example.test", parent);
+  farm.host_zone({"ns1.example.test", "ns2.example.test"}, signed_zone);
+  farm.host_zone({"ns1.example.test"}, parent);
 
   // 4. Resolve a name through the delegation chain.
   authserver::StubResolver resolver(farm, parent_apex);

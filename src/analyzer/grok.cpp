@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "analyzer/denial.h"
 #include "util/codec.h"
@@ -123,25 +124,32 @@ struct ZoneChecker {
     return true;
   }
 
+  /// Would `sigs` more signature-validation attempts and `hash_cost`
+  /// more SHA-1 applications all be charged without exhausting a budget?
+  bool charges_fit(std::size_t sigs, std::size_t hash_cost) const {
+    return !budget_exhausted &&
+           sig_validations_spent + sigs <= config.max_sig_validations &&
+           hash_cost_spent + hash_cost <= config.max_hash_cost;
+  }
+
   // ---- DNSKEY gathering & key-level checks -----------------------------
 
   void gather_dnskeys() {
+    std::set<Bytes> key_wires;  // of `dnskeys`, which keeps first-seen order
     std::vector<std::set<Bytes>> per_server;
     for (const auto& sp : zp.servers) {
-      if (!sp.reachable) continue;
+      // A mirror's set is its original's, already gathered.
+      if (!sp.reachable || sp.mirror_of) continue;
       std::set<Bytes> wires;
       const auto view =
           extract(sp.dnskey.answers, apex(), dns::RRType::kDNSKEY);
       for (const auto& rdata : view.rrset.rdatas()) {
-        wires.insert(dns::rdata_to_wire(rdata));
+        Bytes wire = dns::rdata_to_wire(rdata);
         const auto* key = std::get_if<dns::DnskeyRdata>(&rdata);
-        if (key == nullptr) continue;
-        const bool known = std::any_of(
-            dnskeys.begin(), dnskeys.end(), [&](const dns::DnskeyRdata& k) {
-              return dns::rdata_to_wire(dns::Rdata(k)) ==
-                     dns::rdata_to_wire(dns::Rdata(*key));
-            });
-        if (!known) dnskeys.push_back(*key);
+        if (key != nullptr && key_wires.insert(wire).second) {
+          dnskeys.push_back(*key);
+        }
+        wires.insert(std::move(wire));
       }
       per_server.push_back(std::move(wires));
     }
@@ -203,8 +211,7 @@ struct ZoneChecker {
 
   // ---- DS ↔ DNSKEY linkage ---------------------------------------------
 
-  void validate_ds(const dns::Name& parent_apex) {
-    (void)parent_apex;
+  void validate_ds() {
     ds_valid.assign(ds_set.size(), false);
     for (std::size_t di = 0; di < ds_set.size(); ++di) {
       const auto& ds = ds_set[di];
@@ -457,10 +464,6 @@ struct ZoneChecker {
       if (key.is_revoked()) continue;
       dnskey_algorithms.insert(key.algorithm);
     }
-    if (dnskey_algorithms.size() < 2 && ds_set.empty()) {
-      // Single-algorithm zones cannot have an incomplete setup unless the
-      // DS side disagrees (handled below).
-    }
     for (const auto* view : signed_sets) {
       if (!view->present || view->sigs.empty()) continue;
       std::set<std::uint8_t> sig_algorithms;
@@ -626,7 +629,7 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
         zone_state = TrustState::kInsecure;
       }
     } else {
-      checker.validate_ds(*parent_apex);
+      checker.validate_ds();
       if (checker.sep_keys.empty()) {
         zone_state = TrustState::kBogus;
       }
@@ -677,8 +680,28 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
     // buffer never reallocates.
     views_storage.reserve(zp.servers.size() * 4);
     std::vector<const RRsetView*> data_views;
-    for (const auto& sp : zp.servers) {
+    // What each server's pass below charged, once it ran in full. A
+    // mirror's answers are a copy of an earlier server's, so its pass
+    // could only repeat that pass: events are kept once per (code, zone),
+    // no detail names a server, and the crypto verdicts are memoized. It
+    // is skipped when the repeated charges would all be granted; they are
+    // charged as the pass would have charged them.
+    std::vector<std::optional<std::pair<std::size_t, std::size_t>>> charged(
+        zp.servers.size());
+    for (std::size_t si = 0; si < zp.servers.size(); ++si) {
+      const ServerProbe& sp = zp.servers[si];
       if (!sp.reachable) continue;
+      if (sp.mirror_of && charged[*sp.mirror_of]) {
+        const auto [sigs, hash_cost] = *charged[*sp.mirror_of];
+        if (checker.charges_fit(sigs, hash_cost)) {
+          checker.sig_validations_spent += sigs;
+          checker.hash_cost_spent += hash_cost;
+          ++verdict.mirrored_servers;
+          continue;
+        }
+      }
+      const std::size_t sigs_before = checker.sig_validations_spent;
+      const std::size_t hash_before = checker.hash_cost_spent;
       const auto dnskey_view =
           extract(sp.dnskey.answers, zp.apex, dns::RRType::kDNSKEY);
       const bool dnskey_ok =
@@ -723,6 +746,8 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
       if (!judge_denial(sp, zp.apex, config, denial_hooks)) {
         zone_state = TrustState::kBogus;
       }
+      charged[si] = {checker.sig_validations_spent - sigs_before,
+                     checker.hash_cost_spent - hash_before};
     }
     checker.check_algorithm_completeness(data_views);
     if (checker.any_validation_failure && zone_state == TrustState::kSecure) {
@@ -751,8 +776,11 @@ void count_grok_work(const ZoneVerdict& verdict) {
       "analyzer.sig_validation_attempts");
   static auto& sig_verifications =
       metrics::Registry::global().counter("analyzer.sig_verifications");
+  static auto& mirrored_servers =
+      metrics::Registry::global().counter("analyzer.mirrored_servers");
   sig_attempts.add(static_cast<std::int64_t>(verdict.sig_validation_attempts));
   sig_verifications.add(static_cast<std::int64_t>(verdict.sig_verifications));
+  mirrored_servers.add(static_cast<std::int64_t>(verdict.mirrored_servers));
 }
 
 Snapshot fold_verdicts(const dns::Name& query_domain,

@@ -78,8 +78,14 @@ struct ZoneVerdict {
   /// `analyzer.sig_verifications`).
   std::size_t sig_validation_attempts = 0;
   std::size_t sig_verifications = 0;
+  /// Mirrored servers (ServerProbe::mirror_of) whose per-server checks
+  /// were skipped as a repeat of their original's
+  /// (`analyzer.mirrored_servers`). It tells how the verdict was reached,
+  /// not what it says, so same_as() ignores it.
+  std::size_t mirrored_servers = 0;
 
-  /// Equal verdicts, details of every event included.
+  /// Equal verdicts, details of every event and the two signature work
+  /// counts included.
   bool same_as(const ZoneVerdict& other) const;
 };
 
@@ -87,8 +93,11 @@ struct ZoneVerdict {
 /// reached above it, `parent_apex` the zone above it (null for the trust
 /// anchor at the top), `is_target` whether it is the query zone. Depends
 /// on its arguments only, so a verdict may be kept for as long as they
-/// stay the same. Touches no counters: the caller charges the two work
-/// counters of a verdict it computed (count_grok_work).
+/// stay the same. A mirrored server's checks are skipped when the
+/// budget charges of its original's checks still fit, and the verdict is
+/// then the same as with `mirror_of` cleared. Touches no counters: the
+/// caller charges the work counters of a verdict it computed
+/// (count_grok_work).
 ZoneVerdict grok_zone(const ZoneProbe& zone, TrustState incoming,
                       const dns::Name* parent_apex, UnixTime now,
                       const GrokConfig& config, bool is_target);

@@ -1,5 +1,7 @@
 #include "analyzer/probe.h"
 
+#include <algorithm>
+
 #include "util/metrics.h"
 
 namespace dfx::analyzer {
@@ -29,6 +31,14 @@ ServerProbe probe_server(const authserver::AuthServer& server,
   return out;
 }
 
+/// The index of the first of `stamps` equal to `stamp` (the server whose
+/// answers a server with `stamp` would repeat), or stamps.size().
+std::size_t first_equal(const std::vector<ProbeStamp>& stamps,
+                        const ProbeStamp& stamp) {
+  return static_cast<std::size_t>(
+      std::find(stamps.begin(), stamps.end(), stamp) - stamps.begin());
+}
+
 }  // namespace
 
 dns::Name nx_probe_name(const dns::Name& apex) {
@@ -39,21 +49,54 @@ dns::Name last_probe_name(const dns::Name& apex) {
   return apex.child(kNxLastLabel);
 }
 
+ProbeStamp probe_stamp(const authserver::AuthServer& server,
+                       const dns::Name& apex) {
+  return {server.lame(),
+          {server.answering_serial(apex, dns::RRType::kA),
+           server.answering_serial(nx_probe_name(apex), dns::RRType::kA),
+           server.answering_serial(last_probe_name(apex), dns::RRType::kA)}};
+}
+
+ProbeStamp parent_probe_stamp(const authserver::AuthServer& server,
+                              const dns::Name& parent_apex) {
+  return {server.lame(), {server.zone_serial(parent_apex)}};
+}
+
 ZoneProbe probe_zone(const authserver::ServerFarm& farm,
                      const std::vector<dns::Name>& zone_chain,
                      std::size_t index) {
   ZoneProbe zp;
   zp.apex = zone_chain[index];
+  std::vector<ProbeStamp> stamps;
   for (const auto* server : farm.servers_for(zp.apex)) {
-    zp.servers.push_back(probe_server(*server, zp.apex));
+    const ProbeStamp stamp = probe_stamp(*server, zp.apex);
+    const std::size_t first = first_equal(stamps, stamp);
+    stamps.push_back(stamp);
+    if (first == zp.servers.size() || stamp.lame) {
+      zp.servers.push_back(probe_server(*server, zp.apex));
+      continue;
+    }
+    ServerProbe mirror = zp.servers[first];
+    mirror.server = server->name();
+    mirror.mirror_of = first;
+    zp.servers.push_back(std::move(mirror));
   }
   if (index == 0) return zp;
   const dns::Name& parent_apex = zone_chain[index - 1];
+  stamps.clear();
   for (const auto* server : farm.servers_for(parent_apex)) {
     ServerProbe pp;
     pp.server = server->name();
     pp.reachable = !server->lame();
     zp.parent_servers.push_back(pp);
+    const ProbeStamp stamp = parent_probe_stamp(*server, parent_apex);
+    const std::size_t first = first_equal(stamps, stamp);
+    stamps.push_back(stamp);
+    if (first < zp.parent_ds.size()) {
+      zp.parent_ds.push_back(zp.parent_ds[first]);
+      zp.parent_ns.push_back(zp.parent_ns[first]);
+      continue;
+    }
     // Ask the parent-side view explicitly: a server may host both sides
     // of the cut, but the prober needs the delegation as the parent
     // publishes it.

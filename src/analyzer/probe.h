@@ -3,7 +3,10 @@
 // `dnsviz probe` does, and collect the raw responses for grok.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,12 @@ namespace dfx::analyzer {
 struct ServerProbe {
   std::string server;
   bool reachable = true;
+  /// Set when this server's stamp (probe_stamp()) equals that of the
+  /// earlier server at this index in ZoneProbe::servers, which was probed
+  /// in full and is no mirror itself: the answers below are a copy of
+  /// its answers, not asked again. Grok may skip a mirror's per-server
+  /// checks, which could only repeat what the first server's found.
+  std::optional<std::size_t> mirror_of;
   authserver::QueryResult dnskey;      // <apex> DNSKEY
   authserver::QueryResult soa;         // <apex> SOA
   authserver::QueryResult ns;          // <apex> NS
@@ -47,6 +56,29 @@ struct ProbeData {
   std::vector<ZoneProbe> chain;
 };
 
+/// What a server's answers to probe_zone()'s questions about one zone
+/// depend on. Zone side: the lame flag and the load serials of the hosted
+/// zones answering the apex, the NX probe name and the sorts-last probe
+/// name. Parent side: the lame flag and the parent zone's serial in [0].
+/// Hosted versions are read-only and two versions never share a serial,
+/// so two servers with equal stamps give equal answers, and a server
+/// whose stamp has not changed answers as it did.
+struct ProbeStamp {
+  bool lame = false;
+  std::array<std::uint64_t, 3> serials{};
+
+  bool operator==(const ProbeStamp&) const = default;
+};
+
+/// `server`'s zone-side stamp for the zone at `apex`.
+ProbeStamp probe_stamp(const authserver::AuthServer& server,
+                       const dns::Name& apex);
+
+/// `server`'s parent-side stamp (the DS/NS view of a child) for the
+/// parent zone at `parent_apex`.
+ProbeStamp parent_probe_stamp(const authserver::AuthServer& server,
+                              const dns::Name& parent_apex);
+
 /// Probe all servers for each zone in `zone_chain` (root first; each entry
 /// must be an ancestor of the next and of `query_domain`): probe_zone()
 /// for every position.
@@ -58,6 +90,10 @@ ProbeData probe(const authserver::ServerFarm& farm,
 /// the parent-side DS/NS view from every server hosting
 /// `zone_chain[index - 1]` (none for index 0). Reads the servers' lame
 /// flags and the hosted zones that answer the questions, nothing else.
+/// Each distinct stamp is asked once: a reachable server whose stamp
+/// equals an earlier one's gets a copy of that server's answers with
+/// `mirror_of` set, and the parent-side DS/NS pair is copied the same way
+/// between servers with equal parent-side stamps.
 ZoneProbe probe_zone(const authserver::ServerFarm& farm,
                      const std::vector<dns::Name>& zone_chain,
                      std::size_t index);

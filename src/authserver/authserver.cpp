@@ -412,12 +412,16 @@ dns::Message QueryResult::to_message(const dns::Question& question,
 
 void AuthServer::set_lame(bool lame) { lame_ = lame; }
 
-void AuthServer::load_zone(zone::Zone zone) {
+std::shared_ptr<const HostedZone> load_version(zone::Zone zone) {
   static std::atomic<std::uint64_t> next_serial{1};
-  dns::Name apex = zone.apex();
-  zones_.erase(apex);
-  zones_.try_emplace(std::move(apex), std::move(zone),
-                     next_serial.fetch_add(1, std::memory_order_relaxed));
+  return std::make_shared<const HostedZone>(
+      std::move(zone), next_serial.fetch_add(1, std::memory_order_relaxed));
+}
+
+void AuthServer::load_zone(std::shared_ptr<const HostedZone> version) {
+  DFX_CHECK(version != nullptr && version->serial != 0);
+  dns::Name apex = version->zone.apex();
+  zones_.insert_or_assign(std::move(apex), std::move(version));
 }
 
 void AuthServer::unload_zone(const dns::Name& apex) { zones_.erase(apex); }
@@ -428,7 +432,7 @@ bool AuthServer::serves(const dns::Name& apex) const {
 
 const zone::Zone* AuthServer::zone_data(const dns::Name& apex) const {
   const auto it = zones_.find(apex);
-  return it == zones_.end() ? nullptr : &it->second.zone;
+  return it == zones_.end() ? nullptr : &it->second->zone;
 }
 
 const HostedZone* AuthServer::best_zone_for(const dns::Name& qname,
@@ -452,7 +456,7 @@ const HostedZone* AuthServer::best_zone_for(const dns::Name& qname,
     }
     if (best == nullptr ||
         apex.label_count() > best->zone.apex().label_count()) {
-      best = &hosted;
+      best = hosted.get();
     }
   }
   return best;
@@ -489,7 +493,7 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(it->second.zone, it->second.denial, qname, qtype);
+  return answer(it->second->zone, it->second->denial, qname, qtype);
 }
 
 std::uint64_t AuthServer::answering_serial(const dns::Name& qname,
@@ -500,7 +504,7 @@ std::uint64_t AuthServer::answering_serial(const dns::Name& qname,
 
 std::uint64_t AuthServer::zone_serial(const dns::Name& zone_apex) const {
   const auto it = zones_.find(zone_apex);
-  return it == zones_.end() ? 0 : it->second.serial;
+  return it == zones_.end() ? 0 : it->second->serial;
 }
 
 }  // namespace dfx::authserver

@@ -1,11 +1,12 @@
 // In-memory authoritative nameserver.
 //
 // Serves one or more zones with full positive/negative/referral answer
-// logic, including NSEC and NSEC3 proof selection. Each server holds its
-// own *copy* of zone data, so multi-server inconsistencies (a key error
-// class in the paper) arise naturally when only one copy is updated. Each
-// hosted copy carries the DenialIndex built when it was loaded; a new
-// version replaces both together.
+// logic, including NSEC and NSEC3 proof selection. A server holds each
+// zone as a shared, read-only version (HostedZone: the zone, its
+// DenialIndex and a load serial). A push to every server of a zone gives
+// them one version, so they share it; a push to one server gives it a
+// version of its own, so multi-server inconsistencies (a key error class
+// in the paper) arise naturally when only one server is updated.
 #pragma once
 
 #include <cstdint>
@@ -130,19 +131,24 @@ class DenialIndex {
 /// once when the version is loaded and never changed afterwards (all
 /// members are const), so the index always describes the zone beside it
 /// and its pointers into that zone stay valid. AuthServer keeps one per
-/// hosted apex; the serving layer's ZoneStore shares them between shard
-/// snapshots.
+/// hosted apex, shared by every server the version was pushed to; the
+/// serving layer's ZoneStore shares them between shard snapshots.
 struct HostedZone {
   explicit HostedZone(zone::Zone z, std::uint64_t load_serial = 0)
       : zone(std::move(z)), denial(zone), serial(load_serial) {}
 
   const zone::Zone zone;
   const DenialIndex denial;
-  /// AuthServer::load_zone draws it from one process-wide counter, so two
-  /// loaded versions never share a serial and an unchanged serial means
-  /// unchanged answers. 0 for versions built outside load_zone.
+  /// load_version() draws it from one process-wide counter, so two loaded
+  /// versions never share a serial and an unchanged serial means
+  /// unchanged answers. 0 for versions built outside load_version().
   const std::uint64_t serial;
 };
+
+/// A new hosted version of `zone` with a fresh load serial. ServerFarm
+/// builds one per push and gives it to every server the push reaches, so
+/// servers holding the same serial hold the same version.
+std::shared_ptr<const HostedZone> load_version(zone::Zone zone);
 
 /// Answer a question from one zone with standard authoritative-server
 /// semantics: referral below a cut, positive (or CNAME) answer, NODATA,
@@ -167,11 +173,11 @@ class AuthServer {
   void set_lame(bool lame);
   bool lame() const { return lame_; }
 
-  /// Install (or replace) a zone copy on this server, and build its
-  /// DenialIndex: one index per hosted zone version, which every negative
-  /// answer from that version reuses. The version gets a fresh load
-  /// serial; the other hosted zones keep theirs.
-  void load_zone(zone::Zone zone);
+  /// Install (or replace) a hosted version (from load_version()) under
+  /// its apex. Its DenialIndex serves every negative answer from it; other
+  /// servers given the same version share it. The other hosted zones keep
+  /// their versions.
+  void load_zone(std::shared_ptr<const HostedZone> version);
 
   /// Drop a zone.
   void unload_zone(const dns::Name& apex);
@@ -203,7 +209,8 @@ class AuthServer {
 
   std::string name_;
   bool lame_ = false;
-  std::map<dns::Name, HostedZone, dns::Name::Less> zones_;
+  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
+      zones_;
 };
 
 }  // namespace dfx::authserver

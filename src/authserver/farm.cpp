@@ -25,31 +25,35 @@ const AuthServer* ServerFarm::find_server(const std::string& name) const {
   return it == servers_.end() ? nullptr : it->second.get();
 }
 
-void ServerFarm::host_zone(const std::string& server_name, zone::Zone zone) {
-  const dns::Name apex = zone.apex();
+void ServerFarm::host_zone(const std::vector<std::string>& server_names,
+                           zone::Zone zone) {
+  const auto version = load_version(std::move(zone));
+  const dns::Name& apex = version->zone.apex();
   const MutexLock lock(*mu_);
-  server_locked(server_name).load_zone(std::move(zone));
   auto& hosts = hosting_[apex];
-  if (std::find(hosts.begin(), hosts.end(), server_name) == hosts.end()) {
-    hosts.push_back(server_name);
-    ++hosting_version_;
+  for (const auto& name : server_names) {
+    server_locked(name).load_zone(version);
+    if (std::find(hosts.begin(), hosts.end(), name) == hosts.end()) {
+      hosts.push_back(name);
+      ++hosting_version_;
+    }
   }
 }
 
 void ServerFarm::sync_zone(const zone::Zone& zone) {
+  const auto version = load_version(zone);
   const MutexLock lock(*mu_);
   const auto it = hosting_.find(zone.apex());
   if (it == hosting_.end()) {
     throw std::invalid_argument("sync_zone: zone not hosted anywhere: " +
                                 zone.apex().to_string());
   }
-  for (const auto& name : it->second) {
-    server_locked(name).load_zone(zone);
-  }
+  for (const auto& name : it->second) server_locked(name).load_zone(version);
 }
 
 void ServerFarm::push_to_one(const std::string& server_name,
                              const zone::Zone& zone) {
+  auto version = load_version(zone);
   const MutexLock lock(*mu_);
   const auto it = hosting_.find(zone.apex());
   if (it == hosting_.end() ||
@@ -58,7 +62,7 @@ void ServerFarm::push_to_one(const std::string& server_name,
     throw std::invalid_argument("push_to_one: " + server_name +
                                 " does not host " + zone.apex().to_string());
   }
-  server_locked(server_name).load_zone(zone);
+  server_locked(server_name).load_zone(std::move(version));
 }
 
 std::vector<AuthServer*> ServerFarm::servers_for(const dns::Name& apex) {

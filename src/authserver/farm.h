@@ -5,7 +5,8 @@
 // concurrent probes may look servers up while another thread registers or
 // syncs zones. AuthServer objects are heap-allocated and never removed, so
 // references handed out stay valid for the farm's lifetime; zone pushes
-// (host_zone/sync_zone/push_to_one) serialize through the farm lock.
+// (host_zone/sync_zone/push_to_one) serialize through the farm lock. A
+// pushed version is read-only and shared by the servers it reaches.
 // Mutating one AuthServer from two threads at once is still the caller's
 // bug — shard domains, don't share servers.
 #pragma once
@@ -30,14 +31,21 @@ class ServerFarm {
   const AuthServer* find_server(const std::string& name) const
       DFX_EXCLUDES(*mu_);
 
-  /// Register that `server_name` hosts `apex` (and load the data onto it).
-  void host_zone(const std::string& server_name, zone::Zone zone)
-      DFX_EXCLUDES(*mu_);
+  /// Register every server in `server_names` as hosting `zone.apex()`
+  /// (creating servers as needed) and load one version of `zone` onto
+  /// them: one copy, one DenialIndex, one load serial, shared by all of
+  /// them. Servers already hosting the apex but not named keep their
+  /// version.
+  void host_zone(const std::vector<std::string>& server_names,
+                 zone::Zone zone) DFX_EXCLUDES(*mu_);
 
-  /// Push a fresh zone copy to *all* servers hosting it (zone transfer).
+  /// Push a new version to *all* servers hosting the zone (zone transfer).
+  /// They share it, so they report the same load serial and the same
+  /// zone_data() again, whatever push_to_one() did before.
   void sync_zone(const zone::Zone& zone) DFX_EXCLUDES(*mu_);
 
-  /// Push to a single server only — the other copies go stale, which is how
+  /// Push a version to a single server only. It gets a load serial of its
+  /// own and the other servers keep the version they had, which is how
   /// inter-server inconsistencies are injected.
   void push_to_one(const std::string& server_name, const zone::Zone& zone)
       DFX_EXCLUDES(*mu_);

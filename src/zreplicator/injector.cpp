@@ -184,7 +184,7 @@ bool inject_inconsistent_dnskey(Sandbox& sb) {
   zone::Zone fresh = zone::sign_zone(mz.unsigned_zone, mz.keys, mz.config,
                                      sb.clock().now());
   mz.signed_zone = fresh;
-  sb.push_signed_to(Sandbox::kNs1, child, fresh);  // ns2 keeps the old copy
+  sb.push_signed_to(Sandbox::kNs1, fresh);  // ns2 keeps the old copy
   return true;
 }
 

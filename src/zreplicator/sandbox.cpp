@@ -51,8 +51,7 @@ const ManagedZone* Sandbox::find_managed(const dns::Name& apex) const {
 }
 
 void Sandbox::host_everywhere(const zone::Zone& signed_zone) {
-  farm_.host_zone(kNs1, signed_zone);
-  farm_.host_zone(kNs2, signed_zone);
+  farm_.host_zone({kNs1, kNs2}, signed_zone);
 }
 
 void Sandbox::build_base(bool parent_bogus) {
@@ -202,9 +201,8 @@ void Sandbox::push_signed(const dns::Name& apex, zone::Zone signed_zone) {
   farm_.sync_zone(mz.signed_zone);
 }
 
-void Sandbox::push_signed_to(const std::string& server, const dns::Name& apex,
+void Sandbox::push_signed_to(const std::string& server,
                              const zone::Zone& signed_zone) {
-  (void)apex;
   farm_.push_to_one(server, signed_zone);
 }
 
@@ -387,22 +385,16 @@ Sandbox::ZoneKey Sandbox::zone_key(const std::vector<dns::Name>& zones,
   key.now = now;
   key.position = position;
   key.is_target = position + 1 == zones.size();
-  const dns::Name nx = analyzer::nx_probe_name(key.apex);
-  const dns::Name last = analyzer::last_probe_name(key.apex);
   for (const auto* server : farm_.servers_for(key.apex)) {
     key.servers.push_back(
-        {server->name(),
-         server->lame(),
-         {server->answering_serial(key.apex, dns::RRType::kA),
-          server->answering_serial(nx, dns::RRType::kA),
-          server->answering_serial(last, dns::RRType::kA)}});
+        {server->name(), analyzer::probe_stamp(*server, key.apex)});
   }
   if (position > 0) {
     key.parent_apex = zones[position - 1];
     for (const auto* server : farm_.servers_for(*key.parent_apex)) {
-      key.parent_servers.push_back({server->name(),
-                                    server->lame(),
-                                    {server->zone_serial(*key.parent_apex)}});
+      key.parent_servers.push_back(
+          {server->name(),
+           analyzer::parent_probe_stamp(*server, *key.parent_apex)});
     }
   }
   return key;

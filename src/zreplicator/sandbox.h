@@ -4,7 +4,6 @@
 // so auto-apply mode executes against it directly.
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -79,7 +78,7 @@ class Sandbox : public dfixer::CommandHost {
   void push_signed(const dns::Name& apex, zone::Zone signed_zone);
 
   /// Push a signed copy to only one server (multi-server inconsistencies).
-  void push_signed_to(const std::string& server, const dns::Name& apex,
+  void push_signed_to(const std::string& server,
                       const zone::Zone& signed_zone);
 
   /// Add/remove a DS RRset entry for `child` in the parent zone and
@@ -114,8 +113,8 @@ class Sandbox : public dfixer::CommandHost {
   /// per chain zone. grok is a fold down the chain (analyzer::grok_zone),
   /// so zone i's verdict depends only on what zone i's probe reads and
   /// the state the fold brings to it. Entry i keeps the verdict under a
-  /// key of exactly those inputs: the farm's hosting counter; the name,
-  /// lame flag and answering load serials of every server of the zone
+  /// key of exactly those inputs: the farm's hosting counter; the name
+  /// and probe stamp (analyzer::probe_stamp()) of every server of the zone
   /// and of its parent; the incoming trust state, the parent apex, the
   /// clock and the chain position. Only the zones whose key changed are
   /// probed and grokked again, so a child-only fix re-analyses only the
@@ -127,14 +126,11 @@ class Sandbox : public dfixer::CommandHost {
   analyzer::Snapshot analyze() override;
 
  private:
-  /// What one server contributes to a zone's probe.
+  /// What one server contributes to a zone's probe: its name and its
+  /// stamp (analyzer::probe_stamp() or parent_probe_stamp()).
   struct ServerStamp {
     std::string name;
-    bool lame = false;
-    /// Zone side: the serial answering each of the probe's three names
-    /// (the apex and the two negative probes). Parent side: the parent
-    /// zone's serial in [0].
-    std::array<std::uint64_t, 3> serials{};
+    analyzer::ProbeStamp stamp;
 
     bool operator==(const ServerStamp&) const = default;
   };

@@ -65,8 +65,8 @@ struct Fixture {
     parent.add(apex, RRType::kDS, 3600,
                zone::make_ds(*ksk, crypto::DigestType::kSha256));
 
-    farm.host_zone("ns1", signed_zone);
-    farm.host_zone("ns1", parent);
+    farm.host_zone({"ns1"}, signed_zone);
+    farm.host_zone({"ns1"}, parent);
   }
 
   AuthServer& server() { return farm.server("ns1"); }
@@ -195,7 +195,7 @@ TEST(AuthServer, ReferralIncludesDsAndGlue) {
 
 TEST(ServerFarm, SyncAndDivergence) {
   Fixture f;
-  f.farm.host_zone("ns2", f.signed_zone);
+  f.farm.host_zone({"ns2"}, f.signed_zone);
   // Mutate a copy and push to one server only.
   zone::Zone altered = f.signed_zone;
   altered.remove(f.apex, RRType::kDNSKEY);
@@ -215,7 +215,7 @@ TEST(ServerFarm, SyncAndDivergence) {
 
 TEST(ServerFarm, ServersForListsHosts) {
   Fixture f;
-  f.farm.host_zone("ns2", f.signed_zone);
+  f.farm.host_zone({"ns2"}, f.signed_zone);
   EXPECT_EQ(f.farm.servers_for(f.apex).size(), 2u);
   EXPECT_EQ(f.farm.servers_for(dns::Name::of("nope.")).size(), 0u);
 }

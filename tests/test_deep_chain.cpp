@@ -82,7 +82,7 @@ struct DeepChain {
               ? level.unsigned_zone
               : zone::sign_zone(level.unsigned_zone, level.keys,
                                 level.config, kNow);
-      farm.host_zone("ns1", signed_zone);
+      farm.host_zone({"ns1"}, signed_zone);
     }
   }
 

@@ -1,10 +1,16 @@
 // Sandbox (CommandHost) tests: each BIND command's effect on the zones,
-// and the analyze() memo: it must agree with a fresh probe + grok, and
-// every kind of state change must invalidate it.
+// the analyze() memo (it must agree with a fresh probe + grok, and every
+// kind of state change must invalidate it), and the hosted version the
+// sandbox's two servers share: probe asks it once and grok checks it once,
+// with verdicts unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analyzer/grok.h"
 #include "analyzer/probe.h"
@@ -331,7 +337,7 @@ TEST(SandboxMemo, PushToOneServerInvalidates) {
   expect_recomputed_after(sandbox, [&] {
     zone::Zone stale = sandbox.managed(sandbox.child_apex()).signed_zone;
     stale.remove(sandbox.child_apex(), RRType::kDNSKEY);
-    sandbox.push_signed_to(Sandbox::kNs2, sandbox.child_apex(), stale);
+    sandbox.push_signed_to(Sandbox::kNs2, stale);
   });
   EXPECT_TRUE(sandbox.analyze().has_error(
       analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
@@ -402,7 +408,7 @@ TEST(SandboxMemo, PerZoneInvalidationMatrix) {
     expect_zone_misses(sandbox, 1, [&] {
       zone::Zone stale = sandbox.managed(child).signed_zone;
       stale.remove(child, RRType::kDNSKEY);
-      sandbox.push_signed_to(Sandbox::kNs2, child, stale);
+      sandbox.push_signed_to(Sandbox::kNs2, stale);
     });
     EXPECT_TRUE(sandbox.analyze().has_error(
         analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
@@ -413,6 +419,285 @@ TEST(SandboxMemo, PerZoneInvalidationMatrix) {
       sandbox.farm().server(Sandbox::kNs1).set_lame(true);
     });
   }
+}
+
+
+// ---- one hosted version per push ------------------------------------------
+
+std::uint64_t child_serial(Sandbox& sandbox, const char* server) {
+  return sandbox.farm().server(server).zone_serial(sandbox.child_apex());
+}
+
+const zone::Zone* child_data(Sandbox& sandbox, const char* server) {
+  return sandbox.farm().server(server).zone_data(sandbox.child_apex());
+}
+
+/// Push a copy of the child without its DNSKEY RRset to ns2 alone.
+void diverge_ns2(Sandbox& sandbox) {
+  zone::Zone stale = sandbox.managed(sandbox.child_apex()).signed_zone;
+  stale.remove(sandbox.child_apex(), RRType::kDNSKEY);
+  sandbox.push_signed_to(Sandbox::kNs2, stale);
+}
+
+TEST(SharedVersion, SyncZoneGivesEveryServerOneVersion) {
+  auto sandbox = make_sandbox();
+  const std::uint64_t hosted = child_serial(sandbox, Sandbox::kNs1);
+  EXPECT_NE(hosted, 0u);
+  EXPECT_EQ(child_serial(sandbox, Sandbox::kNs2), hosted);
+  EXPECT_EQ(child_data(sandbox, Sandbox::kNs1),
+            child_data(sandbox, Sandbox::kNs2));
+
+  sandbox.resign_and_sync(sandbox.child_apex());
+  const std::uint64_t synced = child_serial(sandbox, Sandbox::kNs1);
+  EXPECT_NE(synced, hosted);
+  EXPECT_EQ(child_serial(sandbox, Sandbox::kNs2), synced);
+  EXPECT_EQ(child_data(sandbox, Sandbox::kNs1),
+            child_data(sandbox, Sandbox::kNs2));
+}
+
+TEST(SharedVersion, PushToOneDivergesAndSyncConverges) {
+  auto sandbox = make_sandbox();
+  const std::uint64_t shared = child_serial(sandbox, Sandbox::kNs1);
+  diverge_ns2(sandbox);
+  EXPECT_EQ(child_serial(sandbox, Sandbox::kNs1), shared);
+  EXPECT_NE(child_serial(sandbox, Sandbox::kNs2), shared);
+  EXPECT_NE(child_data(sandbox, Sandbox::kNs1),
+            child_data(sandbox, Sandbox::kNs2));
+  const auto diverged = sandbox.analyze();
+  EXPECT_TRUE(diverged.has_error(
+      analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
+  EXPECT_EQ(render(diverged), fresh_analysis(sandbox));
+
+  sandbox.resign_and_sync(sandbox.child_apex());
+  EXPECT_EQ(child_serial(sandbox, Sandbox::kNs1),
+            child_serial(sandbox, Sandbox::kNs2));
+  EXPECT_EQ(child_data(sandbox, Sandbox::kNs1),
+            child_data(sandbox, Sandbox::kNs2));
+  const auto converged = sandbox.analyze();
+  EXPECT_FALSE(converged.has_error(
+      analyzer::ErrorCode::kInconsistentDnskeyBetweenServers));
+  EXPECT_EQ(render(converged), fresh_analysis(sandbox));
+}
+
+TEST(SharedVersion, ProbeMirrorsTheSecondServerAndGrokSkipsIt) {
+  auto sandbox = make_sandbox();
+  const auto probe_now = [&] {
+    return analyzer::probe(sandbox.farm(), sandbox.chain(),
+                           sandbox.child_apex(), sandbox.clock().now());
+  };
+  const auto data = probe_now();
+  ASSERT_EQ(data.chain.size(), 3u);
+  for (const auto& zp : data.chain) {
+    ASSERT_EQ(zp.servers.size(), 2u);
+    EXPECT_FALSE(zp.servers[0].mirror_of);
+    EXPECT_EQ(zp.servers[1].mirror_of, std::optional<std::size_t>{0});
+    EXPECT_EQ(zp.servers[1].server, Sandbox::kNs2);
+  }
+  const std::int64_t before = counter("analyzer.mirrored_servers");
+  EXPECT_EQ(analyzer::grok(data).status,
+            analyzer::SnapshotStatus::kSignedValid);
+  EXPECT_EQ(counter("analyzer.mirrored_servers") - before, 3);
+
+  // A server holding a version of its own is asked in full.
+  diverge_ns2(sandbox);
+  const auto diverged = probe_now();
+  EXPECT_EQ(diverged.chain[1].servers[1].mirror_of,
+            std::optional<std::size_t>{0});
+  EXPECT_FALSE(diverged.chain[2].servers[1].mirror_of);
+}
+
+TEST(SharedVersion, TwoThreadsProbeOneFarm) {
+  auto sandbox = make_sandbox();
+  const std::string expected = fresh_analysis(sandbox);
+  std::array<std::vector<std::string>, 2> seen;
+  std::vector<std::thread> threads;
+  for (auto& out : seen) {
+    threads.emplace_back([&sandbox, &out] {
+      for (int i = 0; i < 4; ++i) out.push_back(fresh_analysis(sandbox));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& out : seen) {
+    ASSERT_EQ(out.size(), 4u);
+    for (const auto& analysis : out) EXPECT_EQ(analysis, expected);
+  }
+}
+
+// ---- grok on mirrors: same verdicts as without them -------------------------
+
+analyzer::ZoneProbe without_mirrors(analyzer::ZoneProbe zp) {
+  for (auto& sp : zp.servers) sp.mirror_of.reset();
+  return zp;
+}
+
+/// Stands between auto_fix and the sandbox and, at every analysis, groks
+/// each probed zone twice: as probed, and with every mirror_of cleared.
+class MirrorCheckingHost : public dfixer::CommandHost {
+ public:
+  explicit MirrorCheckingHost(Sandbox& sandbox) : sandbox_(sandbox) {}
+
+  bool apply(const zone::BindCommand& command) override {
+    return sandbox_.apply(command);
+  }
+
+  analyzer::Snapshot analyze() override {
+    const std::vector<Name> zones = sandbox_.chain();
+    const UnixTime now = sandbox_.clock().now();
+    const analyzer::GrokConfig config;
+    analyzer::TrustState state = analyzer::TrustState::kSecure;
+    for (std::size_t i = 0; i < zones.size(); ++i) {
+      const Name* parent = i == 0 ? nullptr : &zones[i - 1];
+      const bool is_target = i + 1 == zones.size();
+      const auto zp = analyzer::probe_zone(sandbox_.farm(), zones, i);
+      const auto mirrored =
+          analyzer::grok_zone(zp, state, parent, now, config, is_target);
+      const auto plain = analyzer::grok_zone(without_mirrors(zp), state,
+                                             parent, now, config, is_target);
+      EXPECT_TRUE(mirrored.same_as(plain))
+          << zones[i].to_string() << " after " << analyses << " analyses";
+      skipped += mirrored.mirrored_servers;
+      if (mirrored.stop != analyzer::ZoneVerdict::Stop::kNone) break;
+      state = mirrored.state;
+    }
+    ++analyses;
+    return sandbox_.analyze();
+  }
+
+  int analyses = 0;
+  std::size_t skipped = 0;
+
+ private:
+  Sandbox& sandbox_;
+};
+
+TEST(Mirror, GrokMatchesUnmirroredThroughoutAutoFix) {
+  SpecCorpusOptions options;
+  options.count = 200;
+  const auto specs = generate_eval_specs(options);
+  int analyses = 0;
+  std::size_t skipped = 0;
+  std::uint64_t seed = 0;
+  for (const auto& eval : specs) {
+    auto replication = replicate(eval.spec, ++seed);
+    if (!replication.complete) continue;
+    MirrorCheckingHost host(*replication.sandbox);
+    (void)dfixer::auto_fix(host);  // the checks are the host's
+    analyses += host.analyses;
+    skipped += host.skipped;
+  }
+  EXPECT_GT(analyses, 200);
+  EXPECT_GT(skipped, static_cast<std::size_t>(analyses));
+}
+
+/// The child's probe in a replicated sandbox whose servers share one
+/// version, and grok_zone over it as analyze() calls it.
+struct ChildProbe {
+  explicit ChildProbe(const SnapshotSpec& spec, std::uint64_t seed)
+      : replication(replicate(spec, seed)) {
+    EXPECT_TRUE(replication.complete) << replication.failure_reason;
+    Sandbox& sandbox = *replication.sandbox;
+    zp = analyzer::probe_zone(sandbox.farm(), sandbox.chain(), 2);
+  }
+
+  analyzer::ZoneVerdict grok(const analyzer::ZoneProbe& probe,
+                             const analyzer::GrokConfig& config) const {
+    Sandbox& sandbox = *replication.sandbox;
+    return analyzer::grok_zone(probe, analyzer::TrustState::kSecure,
+                               &sandbox.parent_apex(), sandbox.clock().now(),
+                               config, /*is_target=*/true);
+  }
+
+  /// Grok with only the first server: one per-server pass.
+  analyzer::ZoneVerdict grok_one_server(
+      const analyzer::GrokConfig& config) const {
+    analyzer::ZoneProbe one = zp;
+    one.servers.resize(1);
+    return grok(one, config);
+  }
+
+  ReplicationResult replication;
+  analyzer::ZoneProbe zp;
+};
+
+bool budget_exceeded(const analyzer::ZoneVerdict& verdict) {
+  return std::any_of(verdict.events.begin(), verdict.events.end(),
+                     [](const analyzer::ErrorInstance& e) {
+                       return e.code ==
+                              analyzer::ErrorCode::kValidatorWorkBudgetExceeded;
+                     });
+}
+
+/// With the budget `set` to `one_pass` (what one server's checks cost)
+/// times two, minus one, the mirror's checks do not fit: grok must run
+/// them, and report the exhausted budget exactly as without mirrors. At
+/// twice `one_pass` they fit and are skipped.
+void expect_budget_boundary(
+    const ChildProbe& child, std::size_t one_pass,
+    const std::function<void(analyzer::GrokConfig&, std::size_t)>& set) {
+  ASSERT_EQ(child.zp.servers.size(), 2u);
+  ASSERT_EQ(child.zp.servers[1].mirror_of, std::optional<std::size_t>{0});
+  ASSERT_GE(one_pass, 2u);
+  analyzer::GrokConfig config;
+  set(config, 2 * one_pass - 1);
+  const auto starved = child.grok(child.zp, config);
+  EXPECT_TRUE(starved.same_as(child.grok(without_mirrors(child.zp), config)));
+  EXPECT_TRUE(budget_exceeded(starved));
+  EXPECT_EQ(starved.mirrored_servers, 0u);
+
+  set(config, 2 * one_pass);
+  const auto fed = child.grok(child.zp, config);
+  EXPECT_TRUE(fed.same_as(child.grok(without_mirrors(child.zp), config)));
+  EXPECT_FALSE(budget_exceeded(fed));
+  EXPECT_EQ(fed.mirrored_servers, 1u);
+}
+
+/// A spec for a child with one ECDSA KSK and one ECDSA ZSK.
+SnapshotSpec two_ecdsa_keys() {
+  SnapshotSpec spec;
+  analyzer::KeyMeta ksk;
+  ksk.flags = 0x0101;
+  ksk.algorithm = 13;
+  analyzer::KeyMeta zsk;
+  zsk.flags = 0x0100;
+  zsk.algorithm = 13;
+  spec.meta.keys = {ksk, zsk};
+  return spec;
+}
+
+TEST(Mirror, SignatureBudgetBetweenOneAndTwoPasses) {
+  SnapshotSpec spec = two_ecdsa_keys();
+  spec.intended_errors = {analyzer::ErrorCode::kCollidingKeyTags};
+  const ChildProbe child(spec, 112);
+  const auto one = child.grok_one_server({});
+  ASSERT_FALSE(budget_exceeded(one));
+  ASSERT_TRUE(std::any_of(one.events.begin(), one.events.end(),
+                          [](const analyzer::ErrorInstance& e) {
+                            return e.code ==
+                                   analyzer::ErrorCode::kCollidingKeyTags;
+                          }));
+  expect_budget_boundary(child, one.sig_validation_attempts,
+                         [](analyzer::GrokConfig& config, std::size_t n) {
+                           config.max_sig_validations = n;
+                         });
+}
+
+TEST(Mirror, HashBudgetBetweenOneAndTwoPasses) {
+  SnapshotSpec spec = two_ecdsa_keys();
+  spec.meta.uses_nsec3 = true;
+  spec.meta.nsec3_iterations = 5;
+  const ChildProbe child(spec, 5);
+  // One pass's hash cost: the least budget one server's checks fit in.
+  analyzer::GrokConfig config;
+  std::size_t one_pass = 1;
+  for (; one_pass < 1000; ++one_pass) {
+    config.max_hash_cost = one_pass;
+    if (!budget_exceeded(child.grok_one_server(config))) break;
+  }
+  ASSERT_LT(one_pass, 1000u);
+  expect_budget_boundary(child, one_pass,
+                         [](analyzer::GrokConfig& c, std::size_t n) {
+                           c.max_hash_cost = n;
+                         });
 }
 
 }  // namespace

@@ -472,8 +472,7 @@ TEST(ZoneCopy, ServerKeepsItsVersionWhenAnotherServerIsUpdated) {
   const Name www = Name::of("www.example.com.");
   authserver::ServerFarm farm;
   Zone zone = make_zone();
-  farm.host_zone("ns1", zone);
-  farm.host_zone("ns2", zone);
+  farm.host_zone({"ns1", "ns2"}, zone);
   const auto served = answer_text(farm, "ns2", www, RRType::kA);
   ASSERT_EQ(served.size(), 1u);
   ASSERT_EQ(answer_text(farm, "ns1", www, RRType::kA), served);
