@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -22,7 +23,9 @@
 #include "crypto/sha2.h"
 #include "dnscore/masterfile.h"
 #include "dnscore/message.h"
+#include "server/answercache.h"
 #include "server/zonestore.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "zone/nsec3.h"
 #include "zone/signer.h"
@@ -322,6 +325,55 @@ void BM_ZoneStoreUpsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZoneStoreUpsert)->Unit(benchmark::kMillisecond);
+
+// The packet tier's hit path: a lookup that finds its key and reads the
+// body. Arg 0: each thread cycles through 64 keys of its own; Arg 1: every
+// thread looks up the one shared key (all hits land on one shard).
+void BM_AnswerCacheHit(benchmark::State& state) {
+  constexpr std::size_t kKeysPerThread = 64;
+  static server::AnswerCache cache;
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> out;
+    server::AnswerBody body;
+    body.ancount = 1;
+    body.bytes = Bytes(96, 0x5A);
+    for (std::size_t i = 0; i < 16 * kKeysPerThread; ++i) {
+      std::string key = server::AnswerCache::key_of(
+          dns::Name::of("k" + std::to_string(i) + ".example."),
+          dns::RRType::kA, true);
+      cache.insert(key, body, cache.epoch());
+      out.push_back(std::move(key));
+    }
+    return out;
+  }();
+  const bool shared_key = state.range(0) == 1;
+  const std::size_t base =
+      static_cast<std::size_t>(state.thread_index()) * kKeysPerThread;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto hit = cache.lookup(keys[shared_key ? 0 : base + next]);
+    if (!hit) {
+      state.SkipWithError("cache miss");
+      break;
+    }
+    benchmark::DoNotOptimize((*hit).bytes.size());
+    next = next + 1 == kKeysPerThread ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_AnswerCacheHit)
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
+
+// One event counted from every thread into the same counter.
+void BM_CounterAdd(benchmark::State& state) {
+  static metrics::Counter counter;
+  for (auto _ : state) counter.add();
+  benchmark::DoNotOptimize(counter.value());
+}
+BENCHMARK(BM_CounterAdd)->Threads(1)->Threads(4)->UseRealTime();
 
 // Build the denial index of the same zone: one walk, NSEC3 owner pointers
 // and hashes decoded into one flat array (what every re-publish pays).

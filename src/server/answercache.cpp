@@ -85,18 +85,17 @@ std::size_t shard_index(std::string_view key) {
 }
 }  // namespace
 
-std::shared_ptr<const AnswerBody> AnswerCache::lookup(
-    std::string_view key) const {
+AnswerCache::Hit AnswerCache::lookup(std::string_view key) const {
   const std::uint64_t now = epoch();
   const Shard& shard = shards_[shard_index(key)];
-  const MutexLock lock(shard.mu);
+  ReaderLock lock(shard.mu);
   const auto it = shard.map.find(key);
   if (it == shard.map.end() || it->second.epoch != now) {
     misses_.add();
-    return nullptr;
+    return Hit{};  // `lock` releases the read side here
   }
   hits_.add();
-  return it->second.body;  // refcount bump only, no body copy
+  return Hit{std::move(lock), it->second.body};
 }
 
 void AnswerCache::insert(std::string_view key, AnswerBody body,
@@ -104,19 +103,18 @@ void AnswerCache::insert(std::string_view key, AnswerBody body,
   // A producer that read the store before a swap must not poison the cache
   // with pre-swap data stamped fresh.
   if (epoch != this->epoch()) return;
-  auto owned = std::make_shared<const AnswerBody>(std::move(body));
   Shard& shard = shards_[shard_index(key)];
-  const MutexLock lock(shard.mu);
+  const WriterLock lock(shard.mu);
   const auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    it->second = Entry{epoch, std::move(owned)};
+    it->second = Entry{epoch, std::move(body)};
   } else {
     if (shard.map.size() >= max_entries_per_shard_) {
       // O(1) pseudo-random victim: whatever the bucket order puts first.
       shard.map.erase(shard.map.begin());
       evictions_.add();
     }
-    shard.map.emplace(std::string(key), Entry{epoch, std::move(owned)});
+    shard.map.emplace(std::string(key), Entry{epoch, std::move(body)});
   }
   inserts_.add();
 }
@@ -124,7 +122,7 @@ void AnswerCache::insert(std::string_view key, AnswerBody body,
 std::size_t AnswerCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    const MutexLock lock(shard.mu);
+    const WriterLock lock(shard.mu);
     total += shard.map.size();
   }
   return total;

@@ -24,20 +24,27 @@
 // query having arrived just before the reload.
 //
 // Thread-safety: all public methods are safe from any thread. The packet
-// tier is sharded (one annotated Mutex per shard, tiny critical
-// sections); the negative tier serializes on one Mutex but sits on the
-// miss path only. TSan and the static-lock-cycle lint rule audit both.
+// tier is sharded, one ReadMostlyMutex per cache-line-aligned shard:
+// `lookup` takes the read side, which writes only the calling thread's
+// reader slot, and a hit keeps it for as long as the returned `Hit`
+// lives, so the resident body is read in place and no reference count is
+// touched; `insert` and `size` take the write side, which waits for every
+// reader of the shard to leave. A `Hit` must therefore be dropped before
+// the same thread inserts (or looks up again) — holding it across either
+// deadlocks against the next writer. The negative tier serializes on one
+// Mutex but sits on the miss path only. TSan and the static-lock-cycle
+// lint rule audit both.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "authserver/authserver.h"
@@ -94,11 +101,36 @@ class AnswerCache {
   static std::string key_of(const dns::Name& qname, dns::RRType qtype,
                             bool do_bit);
 
-  /// Shared ownership of the resident body: a hit hands back a pointer
-  /// into the cache (no body copy); the entry stays alive even if it is
-  /// evicted while the caller assembles the response.
+  /// The outcome of a packet-tier lookup. A hit holds its shard's read
+  /// side, so the resident body it points to cannot be replaced or
+  /// evicted until the Hit is dropped; a miss holds nothing. Tests as a
+  /// bool; `*hit` is the body.
+  class Hit {
+   public:
+    Hit(const Hit&) = delete;
+    Hit& operator=(const Hit&) = delete;
+
+    explicit operator bool() const { return body_ != nullptr; }
+    const AnswerBody& operator*() const {
+      DFX_DCHECK(body_ != nullptr);
+      return *body_;
+    }
+
+   private:
+    friend class AnswerCache;
+    Hit() = default;
+    Hit(ReaderLock lock, const AnswerBody& body)
+        : lock_(std::move(lock)), body_(&body) {}
+
+    std::optional<ReaderLock> lock_;
+    const AnswerBody* body_ = nullptr;
+  };
+
+  /// The resident body for `key`, read in place under the shard's read
+  /// side (no body copy, no reference count). The caller must drop the
+  /// Hit before it calls insert(), size() or lookup() on this cache.
   DFX_HOT_PATH
-  std::shared_ptr<const AnswerBody> lookup(std::string_view key) const;
+  Hit lookup(std::string_view key) const;
 
   /// Insert an entry computed under `epoch` (captured before the producer
   /// read the zone store). Dropped when the epoch has moved on. The owned
@@ -129,7 +161,7 @@ class AnswerCache {
  private:
   struct Entry {
     std::uint64_t epoch = 0;
-    std::shared_ptr<const AnswerBody> body;
+    AnswerBody body;
   };
 
   /// Transparent hash so the frontend's stack-built key (a string_view)
@@ -141,8 +173,10 @@ class AnswerCache {
     }
   };
 
-  struct Shard {
-    mutable Mutex mu;
+  /// Cache-line aligned, so one shard's reader slots and map header never
+  /// share a line with its neighbour's.
+  struct alignas(64) Shard {
+    mutable ReadMostlyMutex mu;
     std::unordered_map<std::string, Entry, KeyHash, std::equal_to<>> map
         DFX_GUARDED_BY(mu);
   };

@@ -325,8 +325,11 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
 
   const std::uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
   if (cache_ != nullptr) {
-    if (const auto body = cache_->lookup(key)) {
-      return assemble(id, rd, cd, question_wire, *body, edns);
+    // The response is assembled while the Hit holds its shard's read side,
+    // straight from the resident body; a miss holds nothing, so the
+    // inserts below cannot wait on this thread.
+    if (const auto hit = cache_->lookup(key)) {
+      return assemble(id, rd, cd, question_wire, *hit, edns);
     }
   }
 

@@ -20,8 +20,11 @@
 // test_fuzz drives random and adversarial bytes through serve().
 //
 // Thread-safety: WireFrontend is immutable after construction; serve()
-// is safe from any number of threads (ZoneStore's query path is
-// lock-free; AnswerCache shards its locks).
+// is safe from any number of threads. A cache hit writes only memory of
+// the serving thread: its stripe of each metrics::Counter and its reader
+// slot in the AnswerCache shard, whose read side it holds while it
+// assembles the response. ZoneStore lookups on the miss path take a
+// shard's read side the same way.
 #pragma once
 
 #include <cstdint>

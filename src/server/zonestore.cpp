@@ -10,8 +10,9 @@ ZoneStore::ZoneStore() {
   // Publish an empty snapshot into every shard so the query path never
   // sees a null pointer.
   const auto empty = std::make_shared<const ShardSnapshot>();
-  for (auto& slot : shards_) {
-    slot.store(empty, std::memory_order_release);
+  for (Shard& shard : shards_) {
+    const WriterLock lock(shard.mu);
+    shard.snapshot = empty;
   }
 }
 
@@ -25,19 +26,20 @@ std::size_t ZoneStore::shard_of(const dns::Name& apex) {
 // dfx-lint: allow(hot-path-cost): bounded ancestor-walk Name copies (above).
 [[nodiscard]] std::optional<ZoneStore::ZoneView> ZoneStore::find(
     const dns::Name& qname, dns::RRType qtype) const {
-  // Walk the ancestor chain deepest-first. Each candidate costs one atomic
-  // snapshot load plus one map lookup in its shard; a name has at most 127
-  // labels, so the walk is strictly bounded.
+  // Walk the ancestor chain deepest-first. Each candidate costs one map
+  // lookup in its shard's snapshot, under the shard's read side; only the
+  // hit copies the snapshot pointer. A name has at most 127 labels, so the
+  // walk is strictly bounded.
   const auto shard_probe =
       [&](const dns::Name& apex) -> std::optional<ZoneView> {
-    auto snapshot =
-        shards_[shard_of(apex)].load(std::memory_order_acquire);
-    const auto it = snapshot->zones.find(apex);
-    if (it == snapshot->zones.end()) return std::nullopt;
+    const Shard& shard = shards_[shard_of(apex)];
+    const ReaderLock lock(shard.mu);
+    const auto it = shard.snapshot->zones.find(apex);
+    if (it == shard.snapshot->zones.end()) return std::nullopt;
     // The view aliases the snapshot's HostedZone — the shared_ptr in the
     // view keeps it alive, so nothing is copied per query.
     const HostedZone& hosted = *it->second;
-    return ZoneView{std::move(snapshot), &hosted.zone, &hosted.denial,
+    return ZoneView{shard.snapshot, &hosted.zone, &hosted.denial,
                     &hosted.zone.apex()};
   };
 
@@ -85,8 +87,14 @@ void ZoneStore::publish_shard(std::size_t shard) {
   for (const auto& [apex, hosted] : master_) {
     if (shard_of(apex) == shard) next->zones.emplace(apex, hosted);
   }
-  shards_[shard].store(std::shared_ptr<const ShardSnapshot>(std::move(next)),
-                       std::memory_order_release);
+  std::shared_ptr<const ShardSnapshot> published(std::move(next));
+  Shard& target = shards_[shard];
+  {
+    const WriterLock lock(target.mu);
+    target.snapshot.swap(published);
+  }
+  // `published` now holds the old snapshot; it is released here, outside
+  // the write side, once no view still shares it.
 }
 
 void ZoneStore::commit() {

@@ -5,17 +5,19 @@
 // map apexes to shared pointers to these, so publishing a shard copies
 // pointers, never zones: a zone that did not change is the same object in
 // the writer's master map and in every snapshot that includes it. The
-// query path performs a single atomic shared_ptr load per shard it
-// touches and never takes a lock; writers are serialized behind
-// `writer_mu_` and swap whole snapshots, so readers either see the old
-// snapshot or the new one, never a half-built zone.
+// query path looks an apex up in a shard's snapshot under that shard's
+// ReadMostlyMutex read side, which writes only the reading thread's slot,
+// and copies the snapshot pointer for the zone it finds; a writer builds
+// the new snapshot outside the lock and swaps the pointer under the write
+// side. Writers are serialized behind `writer_mu_`, so readers
+// either see the old snapshot or the new one, never a half-built zone.
 //
 // Thread-safety: `find`/`query`/`generation` are safe from any number of
 // threads concurrently with one writer. `upsert`/`remove`/`subscribe`
 // serialize on `writer_mu_` (annotated; TSan and the static-lock-cycle
-// lint rule audit the acquisition order). Swap listeners run on the
-// writer thread with `writer_mu_` held — they must not call back into the
-// store's writer API.
+// lint rule audit the acquisition order: `writer_mu_`, then a shard's
+// write side). Swap listeners run on the writer thread with `writer_mu_`
+// held — they must not call back into the store's writer API.
 //
 // Invalidation contract: every committed write bumps `generation()` and
 // then notifies subscribers (the AnswerCache hooks its epoch bump here).
@@ -49,8 +51,8 @@ namespace dfx::server {
 using authserver::HostedZone;
 
 /// One shard's hosted zones by apex. Snapshots are built by writers,
-/// published with an atomic pointer swap, and never mutated after
-/// publication.
+/// published by a pointer swap under the shard's write side, and never
+/// mutated after publication.
 struct ShardSnapshot {
   std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
       zones;
@@ -80,7 +82,7 @@ class ZoneStore {
 
   ZoneStore();
 
-  // ---- Query path (lock-free) ----
+  // ---- Query path (read side only) ----
 
   /// A zone resolved for one query. `snapshot` keeps the shard, and so
   /// the HostedZone, alive for as long as the caller holds the view;
@@ -153,9 +155,13 @@ class ZoneStore {
   void publish_shard(std::size_t shard) DFX_REQUIRES(writer_mu_);
   void commit() DFX_REQUIRES(writer_mu_);
 
-  /// The published snapshots, one atomic slot per shard. Never null.
-  std::array<std::atomic<std::shared_ptr<const ShardSnapshot>>, kShards>
-      shards_;
+  /// One shard's published snapshot. Never null. Cache-line aligned so
+  /// neighbouring shards' reader slots never share a line.
+  struct alignas(64) Shard {
+    mutable ReadMostlyMutex mu;
+    std::shared_ptr<const ShardSnapshot> snapshot DFX_GUARDED_BY(mu);
+  };
+  std::array<Shard, kShards> shards_;
 
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> flagged_{0};

@@ -8,17 +8,22 @@
 // times the bench binaries' stages and perfbench's traced spans time the
 // end-to-end workloads.
 //
-// Thread-safety: all types here are safe for concurrent use. `Counter` is
-// a single atomic; `Registry` guards its name map with a Mutex and hands
-// out references that stay valid for the registry's lifetime. Guarded
-// fields carry DFX_GUARDED_BY, so a clang `-Wthread-safety` build rejects
-// any lock-free access path at compile time. Hot paths should look a
-// metric up once and cache the reference:
+// Thread-safety: all types here are safe for concurrent use. `Counter`
+// keeps one atomic stripe per thread slot (`dfx::thread_slot()`), each on
+// its own cache line: `add()` writes only the calling thread's stripe, so
+// threads counting the same event share no written line, and `value()`
+// sums the stripes (exact once the adding threads are done). `Registry`
+// guards its name map with a Mutex and hands out references that stay
+// valid for the registry's lifetime. Guarded fields carry DFX_GUARDED_BY,
+// so a clang `-Wthread-safety` build rejects any lock-free access path at
+// compile time. Hot paths should look a metric up once and cache the
+// reference:
 //
 //   static auto& groks = metrics::Registry::global().counter("analyze.groks");
 //   groks.add(1);
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -31,18 +36,25 @@
 
 namespace dfx::metrics {
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, striped per thread.
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    stripes_[thread_slot()].value.fetch_add(delta, std::memory_order_relaxed);
   }
   std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::int64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<std::int64_t> value{0};
+  };
+  std::array<Stripe, kThreadSlots> stripes_;
 };
 
 /// Name → counter registry. Counters are created on first lookup and live

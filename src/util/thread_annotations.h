@@ -1,5 +1,7 @@
-// Thread-safety capability annotations and the annotated Mutex/MutexLock
-// pair every module outside util/ must use for shared state.
+// Thread-safety capability annotations, the annotated Mutex/MutexLock
+// pair every module outside util/ must use for shared state, and the
+// read-mostly lock (ReadMostlyMutex with its ReaderLock/WriterLock guards)
+// for state that nearly every access only reads.
 //
 // Under clang the DFX_* macros expand to the thread-safety-analysis
 // attributes, making "data guarded by lock" a property of the type system:
@@ -24,7 +26,12 @@
 // static-lock-cycle rule over the source.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <mutex>
+#include <thread>
+#include <utility>
 
 // Clang's analysis attributes; no-ops elsewhere. Attribute reference:
 // https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
@@ -59,6 +66,14 @@
 /// Function releases the capability (empty argument list = `this`).
 #define DFX_RELEASE(...) \
   DFX_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
+
+/// Function acquires the shared (reader) side of the capability.
+#define DFX_ACQUIRE_SHARED(...) \
+  DFX_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
+
+/// Function releases the shared (reader) side of the capability.
+#define DFX_RELEASE_SHARED(...) \
+  DFX_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability when it returns the given value.
 #define DFX_TRY_ACQUIRE(...) \
@@ -108,6 +123,120 @@ class DFX_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
+};
+
+/// Stripe count of the per-thread primitives below: `thread_slot()`
+/// returns an index in [0, kThreadSlots).
+inline constexpr std::size_t kThreadSlots = 16;
+
+/// This thread's stripe index, handed out round-robin on the thread's
+/// first call and fixed for its lifetime. Threads past the first
+/// kThreadSlots share stripes, which stays correct but contends again.
+inline std::size_t thread_slot() {
+  static std::atomic<std::size_t> next{0};
+  thread_local std::size_t slot = kThreadSlots;  // constant init: no guard
+  if (slot == kThreadSlots) [[unlikely]] {
+    slot = next.fetch_add(1, std::memory_order_relaxed) % kThreadSlots;
+  }
+  return slot;
+}
+
+/// Reader-writer lock for read-mostly state whose read side writes only
+/// memory of the reading thread's stripe: a reader increments its own
+/// cache-line-sized slot, so concurrent readers share no written line.
+///
+/// Readers and the writer meet Dekker-style, every step seq_cst: a reader
+/// increments its slot and then checks the writer flag; the writer raises
+/// the flag and then waits for every slot to read zero. At least one side
+/// sees the other, so a reader that finds the flag clear is never
+/// overlapped by a writer. A reader that finds it raised takes its
+/// increment back and waits for the writer to finish. Writers serialize on
+/// an inner mutex and wait for readers, so nothing is reclaimed late.
+///
+/// Rules: a thread must not take the read side of a lock it already
+/// holds (a writer arriving in between would wait for the first hold
+/// while the second waits for the writer), must not take the write side
+/// while it holds the read side of the same lock, and releases the read
+/// side on the thread that took it (the slot is the thread's).
+class DFX_CAPABILITY("mutex") ReadMostlyMutex {
+ public:
+  ReadMostlyMutex() = default;
+  ReadMostlyMutex(const ReadMostlyMutex&) = delete;
+  ReadMostlyMutex& operator=(const ReadMostlyMutex&) = delete;
+
+  void lock_shared() DFX_ACQUIRE_SHARED() {
+    std::atomic<int>& readers = slots_[thread_slot()].readers;
+    while (true) {
+      readers.fetch_add(1, std::memory_order_seq_cst);
+      if (!writer_.load(std::memory_order_seq_cst)) return;
+      readers.fetch_sub(1, std::memory_order_seq_cst);
+      while (writer_.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  void unlock_shared() DFX_RELEASE_SHARED() {
+    slots_[thread_slot()].readers.fetch_sub(1, std::memory_order_release);
+  }
+
+  void lock() DFX_ACQUIRE() {
+    writer_mu_.lock();
+    writer_.store(true, std::memory_order_seq_cst);
+    for (const Slot& slot : slots_) {
+      while (slot.readers.load(std::memory_order_seq_cst) != 0) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  void unlock() DFX_RELEASE() {
+    writer_.store(false, std::memory_order_release);
+    writer_mu_.unlock();
+  }
+
+ private:
+  struct alignas(64) Slot {
+    std::atomic<int> readers{0};
+  };
+  std::array<Slot, kThreadSlots> slots_;
+  alignas(64) std::atomic<bool> writer_{false};
+  std::mutex writer_mu_;
+};
+
+/// RAII read side of a ReadMostlyMutex. Movable, so a function can hand
+/// the held read side to its caller inside a result object; a moved-from
+/// guard releases nothing.
+class DFX_SCOPED_CAPABILITY ReaderLock {
+ public:
+  explicit ReaderLock(ReadMostlyMutex& mu) DFX_ACQUIRE_SHARED(mu) : mu_(&mu) {
+    mu_->lock_shared();
+  }
+  ~ReaderLock() DFX_RELEASE() {
+    if (mu_ != nullptr) mu_->unlock_shared();
+  }
+  ReaderLock(ReaderLock&& other) noexcept
+      : mu_(std::exchange(other.mu_, nullptr)) {}
+
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+  ReaderLock& operator=(ReaderLock&&) = delete;
+
+ private:
+  ReadMostlyMutex* mu_;
+};
+
+/// RAII write side of a ReadMostlyMutex: waits for every reader to leave.
+class DFX_SCOPED_CAPABILITY WriterLock {
+ public:
+  explicit WriterLock(ReadMostlyMutex& mu) DFX_ACQUIRE(mu) : mu_(mu) {
+    mu_.lock();
+  }
+  ~WriterLock() DFX_RELEASE() { mu_.unlock(); }
+
+  WriterLock(const WriterLock&) = delete;
+  WriterLock& operator=(const WriterLock&) = delete;
+
+ private:
+  ReadMostlyMutex& mu_;
 };
 
 }  // namespace dfx

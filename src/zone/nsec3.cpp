@@ -16,9 +16,6 @@ namespace {
 /// A question whose canonical name and salt together exceed this skips
 /// the memo and is hashed every time (real names and salts are shorter).
 constexpr std::size_t kMemoKeyBytes = 80;
-/// Hits are tallied per thread and added to the registry counter in
-/// batches of this many, so the hit path touches no shared cache line.
-constexpr std::uint32_t kHitFlushBatch = 1024;
 
 using MemoKey = std::array<std::uint8_t, kMemoKeyBytes>;
 
@@ -40,7 +37,6 @@ using Memo = std::array<MemoSlot, kNsec3MemoSlots>;
 // first hash, so threads that never hash (the serving hot path) carry
 // none of it.
 thread_local std::unique_ptr<Memo> memo;
-thread_local std::uint32_t unflushed_hits = 0;
 
 /// The canonical wire form of `name` followed by `salt`, in `key` (which
 /// must arrive zero-filled); returns the wire length, or 0 when the two
@@ -92,12 +88,12 @@ std::array<std::uint8_t, crypto::Sha1::kDigestSize> hash_chain(
   return digest;
 }
 
+/// The registry counter is striped per thread, so counting every hit
+/// touches no cache line another thread writes.
 void note_memo_hit() {
-  if (++unflushed_hits < kHitFlushBatch) return;
   static auto& hits =
       metrics::Registry::global().counter("zone.nsec3_hash_memo_hits");
-  hits.add(kHitFlushBatch);
-  unflushed_hits = 0;
+  hits.add();
 }
 
 }  // namespace

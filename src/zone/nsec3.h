@@ -16,11 +16,11 @@ namespace dfx::zone {
 /// Fronted by a memo of kNsec3MemoSlots slots per thread, direct-mapped
 /// on the exact question (canonical wire form, salt, iterations): a
 /// repeated question returns the stored digest without running SHA-1.
-/// It takes no lock and never grows. Hits count into
-/// `zone.nsec3_hash_memo_hits`, in per-thread batches of 1,024 (a
-/// thread's last partial batch is not counted). Callers that budget
-/// hashing work (grok's NSEC3 hash budget) charge it before each call,
-/// hit or miss.
+/// It takes no lock and never grows. Every hit counts into
+/// `zone.nsec3_hash_memo_hits` (a per-thread stripe of the registry
+/// counter, so the count is exact once the hashing threads are done).
+/// Callers that budget hashing work (grok's NSEC3 hash budget) charge it
+/// before each call, hit or miss.
 Bytes nsec3_hash(const dns::Name& name, ByteView salt,
                  std::uint16_t iterations);
 

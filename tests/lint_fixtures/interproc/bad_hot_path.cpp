@@ -52,6 +52,26 @@ void HotServer::hot_clean(int v) {  // ok
   table[0] = v * 2;
 }
 
+// Both sides of a ReadMostlyMutex are acquisitions; only the write side
+// excludes readers, so only it is a writer lock, whatever the lock's name.
+struct HotTable {
+  mutable ReadMostlyMutex mu_;
+  DFX_HOT_PATH
+  void hot_write_side(int v);
+  DFX_HOT_PATH
+  int hot_read_side() const;
+};
+
+void HotTable::hot_write_side(int v) {  // finding: may acquire a writer mutex
+  WriterLock lock(mu_);
+  table[0] = v;
+}
+
+int HotTable::hot_read_side() const {  // ok: the read side is not a writer
+  ReaderLock lock(mu_);
+  return table[0];
+}
+
 // DFX_COLD(reason) on the callee stops effect propagation: the slow branch
 // is audited, the hot caller stays clean.
 DFX_COLD("refill is the audited slow branch; steady state never reaches it")

@@ -294,11 +294,13 @@ TEST(InterprocRules, HotPathCostCatchesSeededFixtureAndSparesTwins) {
   EXPECT_TRUE(has(vs, "hot-path-cost", line_of("hot_direct_alloc")));
   EXPECT_TRUE(has(vs, "hot-path-cost", line_of("hot_throws")));
   EXPECT_TRUE(has(vs, "hot-path-cost", line_of("hot_writer_lock")));
+  EXPECT_TRUE(has(vs, "hot-path-cost", line_of("hot_write_side")));
   EXPECT_TRUE(has(vs, "hot-path-cost", line_of("cold_without_reason")));
   EXPECT_FALSE(has(vs, "hot-path-cost", line_of("hot_clean")));
+  EXPECT_FALSE(has(vs, "hot-path-cost", line_of("hot_read_side")));
   EXPECT_FALSE(has(vs, "hot-path-cost", line_of("hot_with_cold_callee")));
   EXPECT_FALSE(has(vs, "hot-path-cost", line_of("hot_allowed")));
-  EXPECT_EQ(count_rule(vs, "hot-path-cost"), 5u);
+  EXPECT_EQ(count_rule(vs, "hot-path-cost"), 6u);
 }
 
 TEST(InterprocRules, TaintFlowCatchesCrossCallFlowsAndSparesGuards) {
@@ -361,6 +363,40 @@ TEST(InterprocRules, StaticLockGraphRecordsEveryNestedPair) {
   EXPECT_EQ(p.pa.lock_edges.size(), 2u + 1u)
       << "a->b, b->c, and the transitive a->c nesting edge";
   EXPECT_TRUE(p.pa.lock_cycles.empty());
+}
+
+// Both sides of a ReadMostlyMutex are acquisitions of one lock id: a read
+// side held around a Mutex in one method and the write side taken inside
+// that Mutex in another close a cycle.
+TEST(InterprocRules, StaticLockGraphSeesBothSidesOfAReadMostlyMutex) {
+  const Program p = analyze({{"src/server/table.cpp",
+                              "struct Table {\n"
+                              "  ReadMostlyMutex rows_mu_;\n"
+                              "  Mutex index_mu_;\n"
+                              "  void read();\n"
+                              "  void write();\n"
+                              "};\n"
+                              "void Table::read() {\n"
+                              "  ReaderLock r(rows_mu_);\n"
+                              "  MutexLock i(index_mu_);\n"
+                              "}\n"
+                              "void Table::write() {\n"
+                              "  MutexLock i(index_mu_);\n"
+                              "  WriterLock w(rows_mu_);\n"
+                              "}\n"}});
+  bool read_edge = false;
+  bool write_edge = false;
+  for (const LockEdge& e : p.pa.lock_edges) {
+    if (e.from == "Table::rows_mu_" && e.to == "Table::index_mu_") {
+      read_edge = true;
+    }
+    if (e.from == "Table::index_mu_" && e.to == "Table::rows_mu_") {
+      write_edge = true;
+    }
+  }
+  EXPECT_TRUE(read_edge) << "the read side is an acquisition";
+  EXPECT_TRUE(write_edge) << "the write side is an acquisition";
+  EXPECT_EQ(p.pa.lock_cycles.size(), 1u);
 }
 
 }  // namespace

@@ -71,6 +71,22 @@ TEST(QpsFixture, ConcurrentReadersMatchCacheOffAnswers) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(synth_hits.value() - synth_before, 0);
+
+  // Hot key: every thread serves the same packet, so every hit lands on
+  // one shard's read side at once.
+  constexpr int kHotServes = 2000;
+  readers.clear();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kHotServes; ++i) {
+        if (fixture.cached.serve(queries[0]) != want[0]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <array>
 #include <atomic>
 #include <cctype>
+#include <chrono>
+#include <latch>
 #include <string>
 #include <thread>
 #include <variant>
@@ -335,9 +337,8 @@ TEST(WireFrontend, CacheKeyOfMatchesFrontendInlineKey) {
   // The frontend built its key inline from raw bytes; key_of builds it from
   // the parsed Name. Both must address the same entry.
   const std::string key = AnswerCache::key_of(qname, RRType::kA, true);
-  EXPECT_TRUE(f.cache.lookup(key) != nullptr);
-  EXPECT_FALSE(f.cache.lookup(AnswerCache::key_of(qname, RRType::kA,
-                                              false)) != nullptr);
+  EXPECT_TRUE(f.cache.lookup(key));
+  EXPECT_FALSE(f.cache.lookup(AnswerCache::key_of(qname, RRType::kA, false)));
 }
 
 // ---------------------------------------------------------------------------
@@ -616,9 +617,49 @@ TEST(AnswerCacheTest, StaleEpochInsertsAreDropped) {
   const std::uint64_t old_epoch = cache.epoch();
   cache.invalidate_all();
   cache.insert("key", body, old_epoch);  // producer raced a reload
-  EXPECT_FALSE(cache.lookup("key") != nullptr);
+  EXPECT_FALSE(cache.lookup("key"));
   cache.insert("key", body, cache.epoch());
-  EXPECT_TRUE(cache.lookup("key") != nullptr);
+  EXPECT_TRUE(cache.lookup("key"));
+}
+
+TEST(AnswerCacheTest, HitHeldAcrossInsertAndEvictionOfItsKeyReadsItsBody) {
+  // One entry per shard: the writer first replaces the held key's entry,
+  // then inserts keys until one lands in the same shard and evicts it.
+  AnswerCache cache(/*max_entries_per_shard=*/1);
+  const std::uint64_t epoch = cache.epoch();
+  AnswerBody first;
+  first.ancount = 1;
+  first.bytes = Bytes(64, 0xAB);
+  cache.insert("held", first, epoch);
+  std::atomic<bool> writer_started{false};
+  std::atomic<bool> writer_done{false};
+  std::thread writer;
+  {
+    const auto hit = cache.lookup("held");
+    ASSERT_TRUE(hit);
+    writer = std::thread([&] {
+      writer_started.store(true);
+      AnswerBody second = first;
+      second.bytes = Bytes(64, 0xCD);
+      cache.insert("held", second, epoch);
+      for (int i = 0; i < 256; ++i) {
+        cache.insert("other" + std::to_string(i), second, epoch);
+      }
+      writer_done.store(true);
+    });
+    while (!writer_started.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // The writer waits for the read side this Hit holds, so the body is
+    // still the one looked up, intact.
+    EXPECT_FALSE(writer_done.load());
+    EXPECT_EQ(*hit, first);
+  }
+  writer.join();
+  EXPECT_TRUE(writer_done.load());
+  EXPECT_LE(cache.size(), AnswerCache::kShards);
+  // 256 keys over 32 shards of one entry each: some later key shares the
+  // held key's shard and evicted it.
+  EXPECT_FALSE(cache.lookup("held"));
 }
 
 TEST(AnswerCacheTest, EvictsWhenShardIsFull) {
@@ -650,21 +691,30 @@ TEST(AnswerCacheTest, EvictionUnderSnapshotSwapIsRaceFree) {
     queries.push_back(
         f.query_bytes(f.apex.child("n" + std::to_string(i)), RRType::kA));
   }
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<int> served{0};
+  // The writer keeps swapping until every reader has served at least once,
+  // so the race below happens however the threads are scheduled.
+  std::latch every_reader_served(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       std::size_t k = static_cast<std::size_t>(t);
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         const Bytes response = frontend.serve(queries[k % queries.size()]);
+        if (!counted) {
+          every_reader_served.count_down();
+          counted = true;
+        }
         ASSERT_GE(response.size(), 12u);
         served.fetch_add(1, std::memory_order_relaxed);
         ++k;
       }
     });
   }
-  for (int i = 0; i < 25; ++i) {
+  for (int i = 0; i < 25 || !every_reader_served.try_wait(); ++i) {
     f.store.upsert(
         build_child_zone(f.apex, zone::DenialMode::kNsec, f.keys, f.rng,
                          {192, 0, 2, static_cast<std::uint8_t>(i + 1)}));
@@ -809,13 +859,21 @@ TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
 TEST(ZoneStoreTest, SnapshotSwapUnderConcurrentReaders) {
   Fixture f;
   const Bytes query = f.query_bytes(f.apex.child("www"), RRType::kA);
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<int> served{0};
+  // The writer keeps swapping until every reader has served at least once.
+  std::latch every_reader_served(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         const Bytes response = f.cached.serve(query);
+        if (!counted) {
+          every_reader_served.count_down();
+          counted = true;
+        }
         ASSERT_GE(response.size(), 12u);
         // Readers must always see a complete zone: NoError from either the
         // old or the new snapshot, never a half-built one.
@@ -825,7 +883,7 @@ TEST(ZoneStoreTest, SnapshotSwapUnderConcurrentReaders) {
     });
   }
   // Writer: keep swapping the zone while the readers hammer it.
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < 50 || !every_reader_served.try_wait(); ++i) {
     f.store.upsert(build_child_zone(
         f.apex, zone::DenialMode::kNsec, f.keys, f.rng,
         {192, 0, 2, static_cast<std::uint8_t>(i + 1)}));

@@ -106,6 +106,13 @@ bool is_alloc_type_name(std::string_view w) {
   return w == "string" || w == "vector" || w == "Bytes";
 }
 
+/// The RAII guards whose declaration acquires a lock: MutexLock over a
+/// Mutex, ReaderLock/WriterLock over the two sides of a ReadMostlyMutex.
+/// Both sides of one ReadMostlyMutex unify on the same lock id.
+bool is_lock_guard(std::string_view x) {
+  return x == "MutexLock" || x == "ReaderLock" || x == "WriterLock";
+}
+
 bool is_writer_lock_id(std::string_view id) {
   return id.find("write") != std::string_view::npos;
 }
@@ -272,7 +279,7 @@ void scan_body(const CallGraph& g, std::size_t ni, FnSummary& s,
       }
       continue;
     }
-    if (scan_locks && x == "MutexLock" && j + 2 < end &&
+    if (scan_locks && is_lock_guard(x) && j + 2 < end &&
         toks[j + 1].kind == Tok::kIdent &&
         (toks[j + 2].text == "(" || toks[j + 2].text == "{")) {
       const std::size_t close = match_paren_like(toks, j + 2, end);
@@ -302,11 +309,18 @@ void scan_body(const CallGraph& g, std::size_t ni, FnSummary& s,
         id = n.file + "#" + n.name + "#" + std::string(lock_ident);
       }
       sc.d_lock = true;
-      const bool writer = is_writer_lock_id(id);
-      if (writer) sc.d_lock_writer = true;
-      if (sc.d_lock_w.empty() || (writer && !is_writer_lock_id(sc.d_lock_w))) {
-        sc.d_lock_w = "acquires '" + id + "'" + at_loc(n.file, t.line);
+      // The read side of a ReadMostlyMutex never excludes readers, and its
+      // write side always does; a plain MutexLock is judged by its id.
+      const bool writer =
+          x == "WriterLock" || (x == "MutexLock" && is_writer_lock_id(id));
+      if (sc.d_lock_w.empty() || (writer && !sc.d_lock_writer)) {
+        const char* side = x == "WriterLock"   ? "the write side of "
+                           : x == "ReaderLock" ? "the read side of "
+                                               : "";
+        sc.d_lock_w = std::string("acquires ") + side + "'" + id + "'" +
+                      at_loc(n.file, t.line);
       }
+      if (writer) sc.d_lock_writer = true;
       for (const Held& h : held) {
         edges->push_back({h.id, id, n.file, t.line, false});
       }
@@ -547,14 +561,14 @@ ProgramAnalysis analyze_program(std::vector<const FileAnalysis*> files,
         }
         first_cand = false;
         if (!cs.locks) all_lock = false;
-        if (cs.locks_writer) {
-          if (writer_wit == npos) writer_wit = t;
-        } else {
-          all_writer = false;
-        }
         // Effects stop at hot callees (they report their own findings) and
         // at DFX_COLD callees (the audited escape hatch).
         const bool opaque = cs.hot || cs.cold;
+        if (opaque || !cs.locks_writer) {
+          all_writer = false;
+        } else if (writer_wit == npos) {
+          writer_wit = t;
+        }
         if (opaque || !cs.allocates) {
           all_alloc = false;
         } else if (alloc_wit == npos) {
