@@ -7,11 +7,10 @@
 #include <tuple>
 #include <utility>
 
-#include "analyzer/denial.h"
+#include "analyzer/judge.h"
 #include "util/codec.h"
 #include "util/metrics.h"
 #include "zone/nsec3.h"
-#include "zone/signer.h"
 
 namespace dfx::analyzer {
 namespace {
@@ -42,20 +41,50 @@ class ErrorSink {
   std::vector<ErrorInstance> events_;
 };
 
-/// Validation context for one zone in the chain.
+/// Validation context for one zone in the chain: the shared judge plus
+/// what only live validation has (several servers, the parent's DS
+/// answers, the work budget and the crypto verdict memo).
 struct ZoneChecker {
+  ZoneChecker(const ZoneProbe& zp, const GrokConfig& config, UnixTime now,
+              ErrorSink& sink)
+      : zp(zp),
+        config(config),
+        sink(sink),
+        judge{zp.apex, config, now,
+              JudgeHooks{
+                  .report =
+                      [this](ErrorCode code, std::string detail,
+                             const FindingSubject&) {
+                        this->sink.add(code, apex(), std::move(detail));
+                      },
+                  .verify = [this](const Bytes& signed_data,
+                                   const dns::RrsigRdata& sig,
+                                   const dns::DnskeyRdata& key)
+                      -> std::optional<bool> {
+                    if (!charge_sig_validation()) return std::nullopt;
+                    return verify(signed_data, sig, key);
+                  },
+                  // Every NSEC3 hash costs iterations + 1 SHA-1
+                  // applications, charged against the zone's hashing
+                  // budget.
+                  .hash = [this](const dns::Name& name, const Bytes& salt,
+                                 std::uint16_t iterations)
+                      -> std::optional<Bytes> {
+                    if (!charge_hash_cost(
+                            static_cast<std::size_t>(iterations) + 1)) {
+                      return std::nullopt;
+                    }
+                    return zone::nsec3_hash(name, salt, iterations);
+                  }}} {}
+  ZoneChecker(const ZoneChecker&) = delete;
+  ZoneChecker& operator=(const ZoneChecker&) = delete;
+
   const ZoneProbe& zp;
   const GrokConfig& config;
-  UnixTime now;
   ErrorSink& sink;
+  ZoneJudge judge;
 
-  // Filled during checking.
-  std::vector<dns::DnskeyRdata> dnskeys{};  // union across servers
-  std::vector<dns::DsRdata> ds_set{};       // union across parent servers
-  std::vector<bool> ds_valid{};             // parallel to ds_set
   bool ds_absence_proven = false;
-  std::vector<const dns::DnskeyRdata*> sep_keys{};  // DS-validated keys
-  bool any_validation_failure = false;
 
   // KeyTrap work accounting (per zone; see GrokConfig).
   std::size_t sig_validations_spent = 0;
@@ -71,12 +100,10 @@ struct ZoneChecker {
 
   const dns::Name& apex() const { return zp.apex; }
 
-  void note_failure() { any_validation_failure = true; }
-
   void note_budget_exhausted(const std::string& what) {
     budget_exhausted = true;
     sink.add(ErrorCode::kValidatorWorkBudgetExceeded, apex(), what);
-    note_failure();
+    judge.note_failure();
   }
 
   /// Charge one signature-verification attempt; false once the budget is
@@ -135,7 +162,7 @@ struct ZoneChecker {
   // ---- DNSKEY gathering & key-level checks -----------------------------
 
   void gather_dnskeys() {
-    std::set<Bytes> key_wires;  // of `dnskeys`, which keeps first-seen order
+    std::set<Bytes> key_wires;  // of `judge.dnskeys`, in first-seen order
     std::vector<std::set<Bytes>> per_server;
     for (const auto& sp : zp.servers) {
       // A mirror's set is its original's, already gathered.
@@ -147,7 +174,7 @@ struct ZoneChecker {
         Bytes wire = dns::rdata_to_wire(rdata);
         const auto* key = std::get_if<dns::DnskeyRdata>(&rdata);
         if (key != nullptr && key_wires.insert(wire).second) {
-          dnskeys.push_back(*key);
+          judge.dnskeys.push_back(*key);
         }
         wires.insert(std::move(wire));
       }
@@ -158,35 +185,11 @@ struct ZoneChecker {
       if (per_server[i] != per_server[0]) {
         sink.add(ErrorCode::kInconsistentDnskeyBetweenServers, apex(),
                  "DNSKEY RRset differs between authoritative servers");
-        note_failure();
+        judge.note_failure();
         break;
       }
     }
-    // Key-level checks.
-    for (const auto& key : dnskeys) {
-      if (!crypto::plausible_key_length(key.algorithm, key.public_key)) {
-        sink.add(ErrorCode::kBadKeyLength, apex(),
-                 "DNSKEY key_tag=" + std::to_string(key.key_tag()) +
-                     " has an invalid key length for algorithm " +
-                     std::to_string(key.algorithm));
-        note_failure();
-      }
-    }
-    // Colliding key tags (KeyTrap): tags are only hints, so collisions are
-    // legal — but every extra key sharing an RRSIG's (tag, algorithm) pair
-    // multiplies the validation attempts a resolver must make. Advisory on
-    // its own; the pairing blowup check in check_rrset is what bites.
-    std::map<std::pair<std::uint16_t, std::uint8_t>, std::size_t> tag_count;
-    for (const auto& key : dnskeys) {
-      ++tag_count[{key.key_tag(), key.algorithm}];
-    }
-    for (const auto& [tag_alg, count] : tag_count) {
-      if (count < 2) continue;
-      sink.add(ErrorCode::kCollidingKeyTags, apex(),
-               std::to_string(count) + " DNSKEYs share key_tag=" +
-                   std::to_string(tag_alg.first) + " algorithm=" +
-                   std::to_string(tag_alg.second));
-    }
+    judge.check_keys();
   }
 
   void gather_ds() {
@@ -196,7 +199,7 @@ struct ZoneChecker {
       for (const auto& rdata : view.rrset.rdatas()) {
         if (!seen.insert(dns::rdata_to_wire(rdata)).second) continue;
         const auto* ds = std::get_if<dns::DsRdata>(&rdata);
-        if (ds != nullptr) ds_set.push_back(*ds);
+        if (ds != nullptr) judge.ds_set.push_back(*ds);
       }
       if (!view.present &&
           (result.rcode == dns::RCode::kNoError ||
@@ -208,303 +211,14 @@ struct ZoneChecker {
       }
     }
   }
-
-  // ---- DS ↔ DNSKEY linkage ---------------------------------------------
-
-  void validate_ds() {
-    ds_valid.assign(ds_set.size(), false);
-    for (std::size_t di = 0; di < ds_set.size(); ++di) {
-      const auto& ds = ds_set[di];
-      const dns::DnskeyRdata* matched = nullptr;
-      bool algorithm_present = false;
-      bool revoked_link = false;
-      std::uint16_t revoked_tag = 0;
-      for (const auto& key : dnskeys) {
-        if (key.algorithm != ds.algorithm) continue;
-        algorithm_present = true;
-        if (key.key_tag() == ds.key_tag) {
-          matched = &key;
-          break;
-        }
-        // A DS created before the key was revoked references the
-        // pre-revocation tag; detect that linkage explicitly.
-        if (key.is_revoked()) {
-          dns::DnskeyRdata unrevoked = key;
-          unrevoked.flags &= static_cast<std::uint16_t>(~0x0080);
-          if (unrevoked.key_tag() == ds.key_tag) {
-            revoked_link = true;
-            revoked_tag = key.key_tag();
-          }
-        }
-      }
-      const std::string ds_id = "DS key_tag=" + std::to_string(ds.key_tag) +
-                                " algorithm=" + std::to_string(ds.algorithm);
-      if (matched == nullptr) {
-        if (revoked_link) {
-          sink.add(ErrorCode::kRevokedKey, apex(),
-                   ds_id + " is linked to a revoked DNSKEY (key_tag=" +
-                       std::to_string(revoked_tag) + ")");
-          sink.add(ErrorCode::kNoSecureEntryPoint, apex(),
-                   ds_id + " provides no secure entry point (key revoked)");
-        } else if (!algorithm_present) {
-          sink.add(ErrorCode::kMissingKskForAlgorithm, apex(),
-                   ds_id + " references an algorithm with no DNSKEY");
-        } else if (dnskeys.empty()) {
-          sink.add(ErrorCode::kMissingDnskeyForDs, apex(),
-                   ds_id + " has no DNSKEY RRset to match");
-        } else {
-          sink.add(ErrorCode::kMissingDnskeyForDs, apex(),
-                   ds_id + " matches no DNSKEY");
-        }
-        continue;
-      }
-      if (matched->is_revoked()) {
-        sink.add(ErrorCode::kRevokedKey, apex(),
-                 ds_id + " references a DNSKEY with the REVOKE flag set");
-        sink.add(ErrorCode::kNoSecureEntryPoint, apex(),
-                 ds_id + " provides no secure entry point (key revoked)");
-        continue;
-      }
-      const auto digest_type =
-          static_cast<crypto::DigestType>(ds.digest_type);
-      const Bytes expected = crypto::ds_digest(
-          digest_type, apex().to_canonical_wire(),
-          dns::rdata_to_wire(dns::Rdata(*matched)));
-      if (expected.empty()) continue;  // unsupported digest type: DS ignored
-      if (expected != ds.digest) {
-        sink.add(ErrorCode::kInvalidDigest, apex(),
-                 ds_id + " digest does not match the DNSKEY");
-        continue;
-      }
-      sep_keys.push_back(matched);
-      ds_valid[di] = true;
-    }
-    if (!ds_set.empty() && dnskeys.empty()) {
-      sink.add(ErrorCode::kMissingDnskeyForDs, apex(),
-               "DS present at the parent but the zone has no DNSKEY RRset");
-      note_failure();
-    }
-    if (!ds_set.empty() && sep_keys.empty()) {
-      sink.add(ErrorCode::kNoSecureEntryPoint, apex(),
-               "no DS record establishes a secure entry point");
-      note_failure();
-    }
-  }
-
-  // ---- RRSIG validation --------------------------------------------------
-
-  /// Validate the signatures over one RRset. `allowed_keys` is the key set
-  /// a valid path may use. Returns true if at least one signature fully
-  /// validates. Emits per-signature anomalies.
-  bool check_rrset(const RRsetView& view,
-                   const std::vector<const dns::DnskeyRdata*>& allowed_keys,
-                   bool require_signature) {
-    if (!view.present) return true;  // nothing to validate
-    if (view.sigs.empty()) {
-      if (require_signature) {
-        sink.add(ErrorCode::kMissingSignature, apex(),
-                 "no RRSIG covering " + view.rrset.owner().to_string() + "/" +
-                     dns::rrtype_to_string(view.rrset.type()));
-        note_failure();
-      }
-      return !require_signature;
-    }
-    // KeyTrap pairing blowup: the work a validator may have to perform on
-    // this RRset is the number of (RRSIG, candidate DNSKEY) pairings, not
-    // the number of RRSIGs — colliding key tags multiply candidates.
-    std::size_t pairings = 0;
-    for (const auto& sig : view.sigs) {
-      for (const auto* key : allowed_keys) {
-        if (key->key_tag() == sig.key_tag &&
-            key->algorithm == sig.algorithm) {
-          ++pairings;
-        }
-      }
-    }
-    if (pairings > config.sig_pairing_threshold) {
-      sink.add(ErrorCode::kExcessiveSignatureValidations, apex(),
-               "RRset " + view.rrset.owner().to_string() + "/" +
-                   dns::rrtype_to_string(view.rrset.type()) + " demands " +
-                   std::to_string(pairings) +
-                   " candidate signature validations (threshold " +
-                   std::to_string(config.sig_pairing_threshold) + ")");
-      note_failure();
-    }
-    bool any_valid = false;
-    for (const auto& sig : view.sigs) {
-      bool sig_ok = true;
-      const std::string sig_id =
-          "RRSIG " + view.rrset.owner().to_string() + "/" +
-          dns::rrtype_to_string(view.rrset.type()) +
-          " key_tag=" + std::to_string(sig.key_tag);
-      if (sig.expiration < now) {
-        sink.add(ErrorCode::kExpiredSignature, apex(),
-                 sig_id + " expired at " + format_dnssec_time(sig.expiration));
-        sig_ok = false;
-      }
-      if (sig.inception > now) {
-        sink.add(ErrorCode::kNotYetValidSignature, apex(),
-                 sig_id + " not valid before " +
-                     format_dnssec_time(sig.inception));
-        sig_ok = false;
-      }
-      if (sig.signer != apex()) {
-        sink.add(ErrorCode::kIncorrectSigner, apex(),
-                 sig_id + " signer " + sig.signer.to_string() +
-                     " is not the zone apex");
-        sig_ok = false;
-      }
-      // RFC 4034 §3.1.3: labels excludes a leading "*"; a count *below* the
-      // owner's marks a wildcard-synthesized answer, a count above it is
-      // plainly invalid.
-      const std::size_t expected_labels =
-          view.rrset.owner().label_count() -
-          (view.rrset.owner().leftmost_label() == "*" ? 1 : 0);
-      dns::Name signing_owner = view.rrset.owner();
-      if (sig.labels > expected_labels) {
-        sink.add(ErrorCode::kIncorrectSignatureLabels, apex(),
-                 sig_id + " labels field " + std::to_string(sig.labels) +
-                     " exceeds the owner's label count " +
-                     std::to_string(expected_labels));
-        sig_ok = false;
-      } else if (sig.labels < expected_labels) {
-        // Wildcard expansion: rebuild the source of synthesis and verify
-        // against it.
-        dns::Name closest = view.rrset.owner();
-        while (closest.label_count() > sig.labels) closest = closest.parent();
-        signing_owner = closest.child("*");
-      }
-      if (!crypto::plausible_signature_length(sig.algorithm,
-                                              sig.signature.size())) {
-        sink.add(ErrorCode::kBadSignatureLength, apex(),
-                 sig_id + " has an implausible signature length " +
-                     std::to_string(sig.signature.size()));
-        sig_ok = false;
-      }
-      if (sig.original_ttl < view.rrset.ttl()) {
-        sink.add(ErrorCode::kOriginalTtlExceedsRrsetTtl, apex(),
-                 sig_id + " original TTL " +
-                     std::to_string(sig.original_ttl) +
-                     " is below the served RRset TTL " +
-                     std::to_string(view.rrset.ttl()));
-        // warning-level: does not invalidate the signature
-      }
-      if (sig.expiration > now &&
-          static_cast<UnixTime>(view.rrset.ttl()) > sig.expiration - now) {
-        sink.add(ErrorCode::kTtlBeyondExpiration, apex(),
-                 sig_id + " allows caching beyond signature expiration");
-      }
-      // Find the candidate signing keys among the allowed keys. Key tags
-      // are not unique identifiers (RFC 4034 App. B), so a validator must
-      // try *every* key matching the RRSIG's (tag, algorithm) pair — the
-      // lever KeyTrap pulls. Each attempt is charged against the budget.
-      std::vector<const dns::DnskeyRdata*> candidates;
-      for (const auto* key : allowed_keys) {
-        if (key->key_tag() == sig.key_tag &&
-            key->algorithm == sig.algorithm) {
-          candidates.push_back(key);
-        }
-      }
-      if (candidates.empty()) {
-        bool known_elsewhere = std::any_of(
-            dnskeys.begin(), dnskeys.end(), [&](const dns::DnskeyRdata& k) {
-              return k.key_tag() == sig.key_tag &&
-                     k.algorithm == sig.algorithm;
-            });
-        if (!known_elsewhere) {
-          sink.add(ErrorCode::kInvalidSignature, apex(),
-                   sig_id + " was made by a key not in the DNSKEY RRset");
-        }
-        continue;
-      }
-      if (sig_ok) {
-        // For wildcard expansions the signed owner differs from the served
-        // owner; verify against the reconstructed source of synthesis.
-        std::optional<dns::RRset> source;
-        if (signing_owner != view.rrset.owner()) {
-          source.emplace(signing_owner, view.rrset.type(), view.rrset.ttl());
-          for (const auto& rdata : view.rrset.rdatas()) source->add(rdata);
-        }
-        const Bytes signed_data =
-            zone::rrsig_signed_data(source ? *source : view.rrset, sig);
-        bool verified = false;
-        bool abandoned = false;
-        for (const auto* signer : candidates) {
-          if (!charge_sig_validation()) {
-            abandoned = true;
-            break;
-          }
-          if (verify(signed_data, sig, *signer)) {
-            verified = true;
-            break;
-          }
-        }
-        if (!verified) {
-          // Only claim the signature is invalid when every candidate was
-          // actually tried; an abandoned check is a budget failure, not a
-          // crypto one.
-          if (!abandoned) {
-            sink.add(ErrorCode::kInvalidSignature, apex(),
-                     sig_id + " failed cryptographic verification");
-          }
-          sig_ok = false;
-        }
-      }
-      any_valid = any_valid || sig_ok;
-    }
-    if (!any_valid) note_failure();
-    return any_valid;
-  }
-
-  /// Per-zone RFC 4035 algorithm-completeness check over the data RRsets.
-  void check_algorithm_completeness(
-      const std::vector<const RRsetView*>& signed_sets) {
-    std::set<std::uint8_t> dnskey_algorithms;
-    for (const auto& key : dnskeys) {
-      if (key.is_revoked()) continue;
-      dnskey_algorithms.insert(key.algorithm);
-    }
-    for (const auto* view : signed_sets) {
-      if (!view->present || view->sigs.empty()) continue;
-      std::set<std::uint8_t> sig_algorithms;
-      for (const auto& sig : view->sigs) sig_algorithms.insert(sig.algorithm);
-      for (std::uint8_t alg : dnskey_algorithms) {
-        if (!sig_algorithms.contains(alg)) {
-          sink.add(ErrorCode::kIncompleteAlgorithmSetup, apex(),
-                   "RRset " + view->rrset.owner().to_string() + "/" +
-                       dns::rrtype_to_string(view->rrset.type()) +
-                       " lacks an RRSIG with algorithm " +
-                       std::to_string(alg));
-        }
-      }
-    }
-    // DS algorithms must sign the DNSKEY RRset.
-    std::set<std::uint8_t> ds_algorithms;
-    for (const auto& ds : ds_set) ds_algorithms.insert(ds.algorithm);
-    for (const auto& sp : zp.servers) {
-      if (!sp.reachable) continue;
-      const auto view =
-          extract(sp.dnskey.answers, apex(), dns::RRType::kDNSKEY);
-      std::set<std::uint8_t> sig_algorithms;
-      for (const auto& sig : view.sigs) sig_algorithms.insert(sig.algorithm);
-      for (std::uint8_t alg : ds_algorithms) {
-        if (!sig_algorithms.contains(alg) && view.present) {
-          sink.add(ErrorCode::kMissingSignatureForAlgorithm, apex(),
-                   "no RRSIG with DS algorithm " + std::to_string(alg) +
-                       " covers the DNSKEY RRset");
-        }
-      }
-      break;  // one representative server suffices for this zone-level check
-    }
-  }
 };
 
 /// Extract the zone meta-parameters ZReplicator mirrors (Fig. 7 step 2).
-ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
+ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneJudge& judge) {
   ZoneMeta meta;
   meta.apex = zp.apex;
   meta.server_count = static_cast<int>(zp.servers.size());
-  for (const auto& key : checker.dnskeys) {
+  for (const auto& key : judge.dnskeys) {
     KeyMeta km;
     km.flags = key.flags;
     km.algorithm = key.algorithm;
@@ -514,19 +228,19 @@ ZoneMeta extract_meta(const ZoneProbe& zp, const ZoneChecker& checker) {
         crypto::plausible_key_length(key.algorithm, key.public_key);
     meta.keys.push_back(km);
   }
-  for (std::size_t di = 0; di < checker.ds_set.size(); ++di) {
-    const auto& ds = checker.ds_set[di];
+  for (std::size_t di = 0; di < judge.ds_set.size(); ++di) {
+    const auto& ds = judge.ds_set[di];
     DsMeta dm;
     dm.key_tag = ds.key_tag;
     dm.algorithm = ds.algorithm;
     dm.digest_type = ds.digest_type;
     dm.digest_hex = hex_encode(ds.digest);
     dm.matches_dnskey = std::any_of(
-        checker.dnskeys.begin(), checker.dnskeys.end(),
+        judge.dnskeys.begin(), judge.dnskeys.end(),
         [&](const dns::DnskeyRdata& k) {
           return k.key_tag() == ds.key_tag && k.algorithm == ds.algorithm;
         });
-    dm.valid = di < checker.ds_valid.size() && checker.ds_valid[di];
+    dm.valid = di < judge.ds_valid.size() && judge.ds_valid[di];
     meta.ds_records.push_back(dm);
   }
   // Denial mechanism from the observed proofs.
@@ -611,12 +325,12 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
   checker.gather_dnskeys();
   if (parent_apex != nullptr) checker.gather_ds();
 
-  const bool zone_signed = !checker.dnskeys.empty();
+  const bool zone_signed = !checker.judge.dnskeys.empty();
 
   // Trust-state transition at the delegation.
   TrustState zone_state = incoming;
   if (incoming == TrustState::kSecure && parent_apex != nullptr) {
-    if (checker.ds_set.empty()) {
+    if (checker.judge.ds_set.empty()) {
       // Insecure delegation; the proof of DS absence must be present.
       // (Attribute a bad proof to the *parent* zone: its NSEC(3) chain.)
       if (!checker.ds_absence_proven && zone_signed) {
@@ -629,8 +343,8 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
         zone_state = TrustState::kInsecure;
       }
     } else {
-      checker.validate_ds();
-      if (checker.sep_keys.empty()) {
+      checker.judge.validate_ds();
+      if (checker.judge.sep_keys.empty()) {
         zone_state = TrustState::kBogus;
       }
     }
@@ -639,47 +353,17 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
   }
 
   if (zone_signed) {
-    // Validate the DNSKEY RRset per server.
-    std::vector<const dns::DnskeyRdata*> dnskey_signers;
-    if (parent_apex == nullptr || checker.ds_set.empty() ||
-        incoming != TrustState::kSecure) {
-      // Trust-anchor zone, island of trust, or a signed zone below an
-      // insecure cut: there is no DS-anchored SEP, so internal
-      // consistency is checked against the zone's own key set.
-      for (const auto& key : checker.dnskeys) {
-        dnskey_signers.push_back(&key);
-      }
-    } else {
-      dnskey_signers = checker.sep_keys;
-    }
-    std::vector<const dns::DnskeyRdata*> all_keys;
-    for (const auto& key : checker.dnskeys) all_keys.push_back(&key);
+    ZoneJudge& judge = checker.judge;
+    // Trust-anchor zone, island of trust, or a signed zone below an
+    // insecure cut: there is no DS-anchored SEP, so internal consistency
+    // is checked against the zone's own key set.
+    const KeyRefs dnskey_signers =
+        parent_apex == nullptr || judge.ds_set.empty() ||
+                incoming != TrustState::kSecure
+            ? judge.all_keys()
+            : judge.sep_keys;
 
-    // Every NSEC3 hash costs iterations + 1 SHA-1 applications, charged
-    // against the zone's hashing budget.
-    DenialHooks denial_hooks{
-        .report =
-            [&](ErrorCode code, std::string detail) {
-              sink.add(code, zp.apex, std::move(detail));
-            },
-        .check_proof =
-            [&](const RRsetView& view) {
-              return checker.check_rrset(view, all_keys, true);
-            },
-        .hash = [&](const dns::Name& name, const Bytes& salt,
-                    std::uint16_t iterations) -> std::optional<Bytes> {
-          if (!checker.charge_hash_cost(
-                  static_cast<std::size_t>(iterations) + 1)) {
-            return std::nullopt;
-          }
-          return zone::nsec3_hash(name, salt, iterations);
-        }};
-
-    std::vector<RRsetView> views_storage;
-    // data_views keeps pointers into views_storage: size it once so the
-    // buffer never reallocates.
-    views_storage.reserve(zp.servers.size() * 4);
-    std::vector<const RRsetView*> data_views;
+    std::vector<RRsetView> data_views;
     // What each server's pass below charged, once it ran in full. A
     // mirror's answers are a copy of an earlier server's, so its pass
     // could only repeat that pass: events are kept once per (code, zone),
@@ -702,55 +386,14 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
       }
       const std::size_t sigs_before = checker.sig_validations_spent;
       const std::size_t hash_before = checker.hash_cost_spent;
-      const auto dnskey_view =
-          extract(sp.dnskey.answers, zp.apex, dns::RRType::kDNSKEY);
-      const bool dnskey_ok =
-          checker.check_rrset(dnskey_view, dnskey_signers, true);
-      if (!dnskey_ok) zone_state = TrustState::kBogus;
-
-      for (auto [section, owner, type] :
-           {std::tuple{&sp.soa.answers, zp.apex, dns::RRType::kSOA},
-            std::tuple{&sp.ns.answers, zp.apex, dns::RRType::kNS},
-            std::tuple{&sp.apex_a.answers, zp.apex, dns::RRType::kA}}) {
-        views_storage.push_back(extract(*section, owner, type));
-        auto& view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
-        if (!view.present) continue;
-        const bool ok = checker.check_rrset(view, all_keys, true);
-        if (!ok) zone_state = TrustState::kBogus;
-        data_views.push_back(&view);
-      }
-
-      // A wildcard may turn the NXDOMAIN probe into a synthesized
-      // positive answer; validate it (the labels-field logic inside
-      // check_rrset reconstructs the source of synthesis) and require
-      // the accompanying next-closer proof (RFC 4035 §3.1.3.3).
-      views_storage.push_back(extract(sp.nxdomain.answers,
-                                      nx_probe_name(zp.apex),
-                                      dns::RRType::kA));
-      {
-        auto& wc_view = views_storage.back();  // dfx-lint: allow(unchecked-front-back): just pushed
-        if (wc_view.present) {
-          if (!checker.check_rrset(wc_view, all_keys, true)) {
-            zone_state = TrustState::kBogus;
-          }
-          if (sp.nxdomain.negative_proofs().empty()) {
-            sink.add(ErrorCode::kMissingNonexistenceProof, zp.apex,
-                     "wildcard-synthesized answer lacks the proof that "
-                     "the query name itself does not exist");
-            zone_state = TrustState::kBogus;
-          }
-        }
-      }
-
-      // Negative responses.
-      if (!judge_denial(sp, zp.apex, config, denial_hooks)) {
+      if (!judge.check_server(sp, dnskey_signers, data_views)) {
         zone_state = TrustState::kBogus;
       }
       charged[si] = {checker.sig_validations_spent - sigs_before,
                      checker.hash_cost_spent - hash_before};
     }
-    checker.check_algorithm_completeness(data_views);
-    if (checker.any_validation_failure && zone_state == TrustState::kSecure) {
+    judge.check_algorithm_completeness(zp.servers, data_views);
+    if (judge.any_validation_failure && zone_state == TrustState::kSecure) {
       zone_state = TrustState::kBogus;
     }
   }
@@ -759,10 +402,10 @@ ZoneVerdict grok_zone(const ZoneProbe& zp, TrustState incoming,
   verdict.sig_validation_attempts = checker.sig_validations_spent;
   verdict.sig_verifications = checker.verdicts.size();
 
-  if (is_target) verdict.target_meta = extract_meta(zp, checker);
+  if (is_target) verdict.target_meta = extract_meta(zp, checker.judge);
   verdict.state = zone_state;
   if (zone_state == TrustState::kBogus && !zone_signed &&
-      checker.ds_set.empty()) {
+      checker.judge.ds_set.empty()) {
     verdict.state = TrustState::kInsecure;
   }
   // Everything below an insecure cut is plain DNS for a validator,

@@ -1,13 +1,11 @@
 #include "zonelint/zonelint.h"
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <utility>
 
-#include "analyzer/denial.h"
+#include "analyzer/judge.h"
 #include "authserver/authserver.h"
-#include "crypto/algorithm.h"
 #include "dnscore/rr.h"
 #include "util/codec.h"
 #include "zone/nsec3.h"
@@ -21,59 +19,73 @@ using analyzer::ErrorCode;
 
 // ---- Fix-spec builders ----------------------------------------------------
 
-/// Re-sign the zone with its current denial parameters (optionally forcing
-/// the NSEC3 iteration count down) and push to every server.
-zone::Instruction fix_resign(const TrustGraph& g, const dns::Name& apex,
-                             std::optional<std::uint16_t> iterations = {}) {
-  zone::Instruction ins;
-  ins.kind = zone::InstructionKind::kSignZone;
+/// How the zone is signed now: NSEC3 when it has an apex NSEC3PARAM or
+/// NSEC3 records, with the NSEC3PARAM's salt and iterations and the
+/// records' opt-out flag.
+zone::SignZoneParams current_signing(const zone::Zone& zone) {
   zone::SignZoneParams p;
-  p.zone = apex;
-  if (g.denial.uses_nsec3()) {
-    p.nsec3 = true;
-    std::uint16_t current = 0;
-    if (g.denial.params.has_value()) {
-      current = g.denial.params->iterations;
-      if (!g.denial.params->salt.empty()) {
-        p.nsec3_salt_hex = hex_encode(g.denial.params->salt);
-      }
+  p.zone = zone.apex();
+  if (const auto* params = zone.find(zone.apex(), dns::RRType::kNSEC3PARAM);
+      params != nullptr && !params->empty()) {
+    if (const auto* param =
+            std::get_if<dns::Nsec3ParamRdata>(&params->rdatas().front())) {
+      p.nsec3 = true;
+      p.nsec3_iterations = param->iterations;
+      if (!param->salt.empty()) p.nsec3_salt_hex = hex_encode(param->salt);
     }
-    p.nsec3_iterations = iterations.value_or(current);
-    for (const auto& rdata : g.denial.nsec3) {
-      if (rdata.opt_out()) {
-        p.opt_out = true;
-        break;
+  }
+  for (const auto* rrset : zone.all_rrsets()) {
+    if (rrset->type() != dns::RRType::kNSEC3) continue;
+    for (const auto& rdata : rrset->rdatas()) {
+      if (const auto* n3 = std::get_if<dns::Nsec3Rdata>(&rdata)) {
+        p.nsec3 = true;
+        p.opt_out = p.opt_out || n3->opt_out();
       }
     }
   }
+  return p;
+}
+
+/// Re-sign the zone as it is signed now (optionally forcing the NSEC3
+/// iteration count down) and push to every server.
+zone::Instruction fix_resign(const zone::Zone& zone,
+                             std::optional<std::uint16_t> iterations = {}) {
+  zone::SignZoneParams p = current_signing(zone);
+  if (p.nsec3 && iterations.has_value()) p.nsec3_iterations = *iterations;
+  zone::Instruction ins;
+  ins.kind = zone::InstructionKind::kSignZone;
   ins.description = iterations.has_value()
                         ? "re-sign the zone with NSEC3 iterations=" +
                               std::to_string(*iterations) +
                               " and synchronize all servers"
                         : "re-sign the zone and synchronize all servers";
   ins.commands.push_back(zone::cmd_signzone(p));
-  ins.commands.push_back(zone::cmd_sync_servers(apex));
+  ins.commands.push_back(zone::cmd_sync_servers(zone.apex()));
   return ins;
 }
 
 /// Remove every surplus key of each colliding (key tag, algorithm) group,
 /// then re-sign. This is the DFixer repair for the KeyTrap pairing shapes.
-zone::Instruction fix_prune_colliding(const TrustGraph& g,
-                                      const dns::Name& apex) {
+zone::Instruction fix_prune_colliding(const zone::Zone& zone) {
   zone::Instruction ins;
   ins.kind = zone::InstructionKind::kRemoveRevokedKey;
   ins.description =
       "remove the surplus DNSKEYs sharing a (key tag, algorithm) pair, "
       "then re-sign";
   std::map<std::pair<std::uint16_t, std::uint8_t>, std::size_t> tag_count;
-  for (const auto& key : g.keys) {
-    ++tag_count[{key.tag, key.rdata.algorithm}];
+  if (const auto* dnskeys = zone.find(zone.apex(), dns::RRType::kDNSKEY)) {
+    for (const auto& rdata : dnskeys->rdatas()) {
+      if (const auto* key = std::get_if<dns::DnskeyRdata>(&rdata)) {
+        ++tag_count[{key->key_tag(), key->algorithm}];
+      }
+    }
   }
   for (const auto& [tag_alg, count] : tag_count) {
     if (count < 2) continue;
-    ins.commands.push_back(zone::cmd_remove_key_file(apex, tag_alg.first));
+    ins.commands.push_back(
+        zone::cmd_remove_key_file(zone.apex(), tag_alg.first));
   }
-  const auto resign = fix_resign(g, apex);
+  const auto resign = fix_resign(zone);
   for (const auto& cmd : resign.commands) ins.commands.push_back(cmd);
   return ins;
 }
@@ -100,407 +112,86 @@ zone::Instruction fix_remove_ds(const dns::Name& apex,
   return ins;
 }
 
+/// The repair for one finding: remove the key or DS record it names,
+/// prune colliding keys, or re-sign.
+zone::Instruction fix_for(const zone::Zone& zone, ErrorCode code,
+                          const analyzer::FindingSubject& subject) {
+  switch (code) {
+    case ErrorCode::kBadKeyLength:
+    case ErrorCode::kRevokedKey:
+      if (subject.key_tag) return fix_remove_key(zone.apex(), *subject.key_tag);
+      return {};
+    case ErrorCode::kCollidingKeyTags:
+    case ErrorCode::kExcessiveSignatureValidations:
+      return fix_prune_colliding(zone);
+    case ErrorCode::kMissingKskForAlgorithm:
+    case ErrorCode::kMissingDnskeyForDs:
+    case ErrorCode::kInvalidDigest:
+      if (subject.ds != nullptr) return fix_remove_ds(zone.apex(), *subject.ds);
+      return {};
+    case ErrorCode::kNoSecureEntryPoint:
+    case ErrorCode::kMissingSignatureForAlgorithm:
+      return {};
+    case ErrorCode::kNonzeroIterationCount:
+    case ErrorCode::kExcessiveNsec3Iterations:
+      return fix_resign(zone, std::uint16_t{0});
+    default:
+      return fix_resign(zone);
+  }
+}
+
 // ---- Finding sink ---------------------------------------------------------
 
 /// Mirrors grok's ErrorSink: de-duplicate by code (one zone here), route
-/// companion-category codes to the companion list.
+/// companion-category codes to the companion list. A finding's fix is
+/// built only when the finding is kept.
 class Sink {
  public:
   explicit Sink(Report& report) : report_(report) {}
 
+  template <typename MakeFix>
   void add(ErrorCode code, const dns::Name& zone, std::string detail,
-           zone::Instruction fix = {}) {
+           const MakeFix& make_fix) {
     auto& dst = analyzer::category_of(code) == ErrorCategory::kCompanion
                     ? report_.companions
                     : report_.findings;
     for (const auto& f : dst) {
       if (f.code == code) return;
     }
-    dst.push_back(Finding{code, zone, std::move(detail), std::move(fix)});
+    dst.push_back(Finding{code, zone, std::move(detail), make_fix()});
   }
 
  private:
   Report& report_;
 };
 
-// ---- The rules engine -----------------------------------------------------
-
-class Linter {
- public:
-  Linter(const zone::Zone& zone, const TrustGraph& g,
-         const LintOptions& options, Report& report)
-      : zone_(zone),
-        g_(g),
-        options_(options),
-        apex_(zone.apex()),
-        sink_(report) {
-    for (std::size_t i = 0; i < g_.keys.size(); ++i) all_keys_.push_back(i);
+// Rule F — the validator work budget. The cost model prices the whole
+// zone's worst case; a validator enforcing the same budgets would abandon
+// the zone with kValidatorWorkBudgetExceeded (EDE 49). The hashing side
+// only applies when the iteration count is *under* the refusal cap — at
+// or above the cap a validator refuses before hashing anything.
+void check_budget(const zone::Zone& zone, const ValidationCost& cost,
+                  const analyzer::GrokConfig& budget, Sink& sink) {
+  if (cost.signature_attempts > budget.max_sig_validations) {
+    sink.add(ErrorCode::kValidatorWorkBudgetExceeded, zone.apex(),
+             "worst-case signature validations " +
+                 std::to_string(cost.signature_attempts) +
+                 " exceed the budget of " +
+                 std::to_string(budget.max_sig_validations),
+             [&] { return fix_prune_colliding(zone); });
+    return;
   }
-
-  void run() {
-    check_keys();
-    check_ds();
-    if (!g_.is_signed()) return;
-    check_visible_rrsets();
-    check_algorithm_completeness();
-    check_denial();
-    check_budget();
+  if (cost.nsec3_iterations <= budget.max_nsec3_iterations &&
+      cost.negative_proof_hash_cost > budget.max_hash_cost &&
+      current_signing(zone).nsec3) {
+    sink.add(ErrorCode::kValidatorWorkBudgetExceeded, zone.apex(),
+             "worst-case NSEC3 hashing cost " +
+                 std::to_string(cost.negative_proof_hash_cost) +
+                 " exceeds the budget of " +
+                 std::to_string(budget.max_hash_cost),
+             [&] { return fix_resign(zone, std::uint16_t{0}); });
   }
-
- private:
-  const RRsetNode* find_node(const dns::Name& owner, dns::RRType type) const {
-    for (const auto& node : g_.rrsets) {
-      if (node.rrset->owner() == owner && node.rrset->type() == type) {
-        return &node;
-      }
-    }
-    return nullptr;
-  }
-
-  // Rule A — key-level checks (grok's gather_dnskeys).
-  void check_keys() {
-    if (!g_.is_signed()) return;
-    for (const auto& key : g_.keys) {
-      if (!key.plausible_length) {
-        sink_.add(ErrorCode::kBadKeyLength, apex_,
-                  "DNSKEY key_tag=" + std::to_string(key.tag) +
-                      " has an invalid key length for algorithm " +
-                      std::to_string(key.rdata.algorithm),
-                  fix_remove_key(apex_, key.tag));
-      }
-    }
-    std::map<std::pair<std::uint16_t, std::uint8_t>, std::size_t> tag_count;
-    for (const auto& key : g_.keys) {
-      ++tag_count[{key.tag, key.rdata.algorithm}];
-    }
-    for (const auto& [tag_alg, count] : tag_count) {
-      if (count < 2) continue;
-      sink_.add(ErrorCode::kCollidingKeyTags, apex_,
-                std::to_string(count) + " DNSKEYs share key_tag=" +
-                    std::to_string(tag_alg.first) + " algorithm=" +
-                    std::to_string(tag_alg.second),
-                fix_prune_colliding(g_, apex_));
-    }
-  }
-
-  // Rule B — DS ↔ DNSKEY linkage (grok's validate_ds), per parent DS link.
-  void check_ds() {
-    if (g_.ds_links.empty()) return;
-    for (const auto& link : g_.ds_links) {
-      const auto& ds = link.rdata;
-      const std::string ds_id = "DS key_tag=" + std::to_string(ds.key_tag) +
-                                " algorithm=" + std::to_string(ds.algorithm);
-      if (!link.matched_key.has_value()) {
-        if (link.revoked_link.has_value()) {
-          const auto& key = g_.keys[*link.revoked_link];
-          sink_.add(ErrorCode::kRevokedKey, apex_,
-                    ds_id + " is linked to a revoked DNSKEY (key_tag=" +
-                        std::to_string(key.tag) + ")",
-                    fix_remove_key(apex_, key.tag));
-          sink_.add(ErrorCode::kNoSecureEntryPoint, apex_,
-                    ds_id + " provides no secure entry point (key revoked)");
-        } else if (!link.algorithm_present) {
-          sink_.add(ErrorCode::kMissingKskForAlgorithm, apex_,
-                    ds_id + " references an algorithm with no DNSKEY",
-                    fix_remove_ds(apex_, ds));
-        } else {
-          sink_.add(ErrorCode::kMissingDnskeyForDs, apex_,
-                    g_.keys.empty() ? ds_id + " has no DNSKEY RRset to match"
-                                    : ds_id + " matches no DNSKEY",
-                    fix_remove_ds(apex_, ds));
-        }
-        continue;
-      }
-      const KeyNode& matched = g_.keys[*link.matched_key];
-      if (matched.revoked) {
-        sink_.add(ErrorCode::kRevokedKey, apex_,
-                  ds_id + " references a DNSKEY with the REVOKE flag set",
-                  fix_remove_key(apex_, matched.tag));
-        sink_.add(ErrorCode::kNoSecureEntryPoint, apex_,
-                  ds_id + " provides no secure entry point (key revoked)");
-        continue;
-      }
-      if (!link.digest_supported) continue;  // unsupported digest: DS ignored
-      if (!link.digest_ok) {
-        sink_.add(ErrorCode::kInvalidDigest, apex_,
-                  ds_id + " digest does not match the DNSKEY",
-                  fix_remove_ds(apex_, ds));
-        continue;
-      }
-      sep_keys_.push_back(*link.matched_key);
-    }
-    if (g_.keys.empty()) {
-      sink_.add(ErrorCode::kMissingDnskeyForDs, apex_,
-                "DS present at the parent but the zone has no DNSKEY RRset");
-    }
-    if (sep_keys_.empty()) {
-      sink_.add(ErrorCode::kNoSecureEntryPoint, apex_,
-                "no DS record establishes a secure entry point");
-    }
-  }
-
-  // Rule C — signature checks over the RRsets a validator actually
-  // inspects: the apex DNSKEY/SOA/NS/A sets, a wildcard-synthesized
-  // answer, and the proof records the server would select (Rule E calls
-  // back in for those). Mirrors grok's check_rrset.
-  void check_rrset_node(const RRsetNode* node,
-                        const std::vector<std::size_t>& allowed,
-                        bool require_signature) {
-    if (node == nullptr || node->rrset->empty()) return;
-    const auto& rrset = *node->rrset;
-    if (node->sigs.empty()) {
-      if (require_signature) {
-        sink_.add(ErrorCode::kMissingSignature, apex_,
-                  "no RRSIG covering " + rrset.owner().to_string() + "/" +
-                      dns::rrtype_to_string(rrset.type()),
-                  fix_resign(g_, apex_));
-      }
-      return;
-    }
-    const auto allowed_candidates = [&](const SigEdge& sig) {
-      std::vector<std::size_t> out;
-      for (std::size_t ki : sig.candidates) {
-        if (std::find(allowed.begin(), allowed.end(), ki) != allowed.end()) {
-          out.push_back(ki);
-        }
-      }
-      return out;
-    };
-    std::size_t pairings = 0;
-    for (const auto& sig : node->sigs) {
-      pairings += allowed_candidates(sig).size();
-    }
-    if (pairings > options_.budget.sig_pairing_threshold) {
-      sink_.add(ErrorCode::kExcessiveSignatureValidations, apex_,
-                "RRset " + rrset.owner().to_string() + "/" +
-                    dns::rrtype_to_string(rrset.type()) + " demands " +
-                    std::to_string(pairings) +
-                    " candidate signature validations (threshold " +
-                    std::to_string(options_.budget.sig_pairing_threshold) +
-                    ")",
-                fix_prune_colliding(g_, apex_));
-    }
-    for (const auto& edge : node->sigs) {
-      const auto& sig = edge.rdata;
-      const std::string sig_id =
-          "RRSIG " + rrset.owner().to_string() + "/" +
-          dns::rrtype_to_string(rrset.type()) +
-          " key_tag=" + std::to_string(sig.key_tag);
-      if (options_.now != 0) {
-        if (sig.expiration < options_.now) {
-          sink_.add(ErrorCode::kExpiredSignature, apex_, sig_id + " expired",
-                    fix_resign(g_, apex_));
-        }
-        if (sig.inception > options_.now) {
-          sink_.add(ErrorCode::kNotYetValidSignature, apex_,
-                    sig_id + " is not yet valid", fix_resign(g_, apex_));
-        }
-      }
-      if (sig.signer != apex_) {
-        sink_.add(ErrorCode::kIncorrectSigner, apex_,
-                  sig_id + " signer " + sig.signer.to_string() +
-                      " is not the zone apex",
-                  fix_resign(g_, apex_));
-      }
-      const std::size_t expected_labels =
-          rrset.owner().label_count() -
-          (rrset.owner().leftmost_label() == "*" ? 1 : 0);
-      if (sig.labels > expected_labels) {
-        sink_.add(ErrorCode::kIncorrectSignatureLabels, apex_,
-                  sig_id + " labels field " + std::to_string(sig.labels) +
-                      " exceeds the owner's label count " +
-                      std::to_string(expected_labels),
-                  fix_resign(g_, apex_));
-      }
-      if (!crypto::plausible_signature_length(sig.algorithm,
-                                              sig.signature.size())) {
-        sink_.add(ErrorCode::kBadSignatureLength, apex_,
-                  sig_id + " has an implausible signature length " +
-                      std::to_string(sig.signature.size()),
-                  fix_resign(g_, apex_));
-      }
-      if (sig.original_ttl < rrset.ttl()) {
-        sink_.add(ErrorCode::kOriginalTtlExceedsRrsetTtl, apex_,
-                  sig_id + " original TTL " +
-                      std::to_string(sig.original_ttl) +
-                      " is below the served RRset TTL " +
-                      std::to_string(rrset.ttl()),
-                  fix_resign(g_, apex_));
-      }
-      if (options_.now != 0 && sig.expiration > options_.now &&
-          static_cast<UnixTime>(rrset.ttl()) > sig.expiration - options_.now) {
-        sink_.add(ErrorCode::kTtlBeyondExpiration, apex_,
-                  sig_id + " allows caching beyond signature expiration",
-                  fix_resign(g_, apex_));
-      }
-      // A signature by a key entirely absent from the DNSKEY RRset is the
-      // one kInvalidSignature case visible without cryptography.
-      if (allowed_candidates(edge).empty() && edge.candidates.empty()) {
-        sink_.add(ErrorCode::kInvalidSignature, apex_,
-                  sig_id + " was made by a key not in the DNSKEY RRset",
-                  fix_resign(g_, apex_));
-      }
-    }
-  }
-
-  void check_visible_rrsets() {
-    // DNSKEY RRset: when DS-anchored, only SEP keys may sign it; islands
-    // of trust fall back to internal consistency against all keys.
-    const std::vector<std::size_t>& dnskey_signers =
-        g_.ds_links.empty() ? all_keys_ : sep_keys_;
-    check_rrset_node(find_node(apex_, dns::RRType::kDNSKEY), dnskey_signers,
-                     true);
-    for (dns::RRType type :
-         {dns::RRType::kSOA, dns::RRType::kNS, dns::RRType::kA}) {
-      check_rrset_node(find_node(apex_, type), all_keys_, true);
-    }
-  }
-
-  // Rule D — RFC 4035 algorithm completeness (grok's
-  // check_algorithm_completeness over the apex data RRsets).
-  void check_algorithm_completeness() {
-    std::set<std::uint8_t> dnskey_algorithms;
-    for (const auto& key : g_.keys) {
-      if (key.revoked) continue;
-      dnskey_algorithms.insert(key.rdata.algorithm);
-    }
-    for (dns::RRType type :
-         {dns::RRType::kSOA, dns::RRType::kNS, dns::RRType::kA}) {
-      const RRsetNode* node = find_node(apex_, type);
-      if (node == nullptr || node->rrset->empty() || node->sigs.empty()) {
-        continue;
-      }
-      std::set<std::uint8_t> sig_algorithms;
-      for (const auto& sig : node->sigs) {
-        sig_algorithms.insert(sig.rdata.algorithm);
-      }
-      for (std::uint8_t alg : dnskey_algorithms) {
-        if (!sig_algorithms.contains(alg)) {
-          sink_.add(ErrorCode::kIncompleteAlgorithmSetup, apex_,
-                    "RRset " + node->rrset->owner().to_string() + "/" +
-                        dns::rrtype_to_string(node->rrset->type()) +
-                        " lacks an RRSIG with algorithm " +
-                        std::to_string(alg),
-                    fix_resign(g_, apex_));
-        }
-      }
-    }
-    std::set<std::uint8_t> ds_algorithms;
-    for (const auto& link : g_.ds_links) {
-      ds_algorithms.insert(link.rdata.algorithm);
-    }
-    const RRsetNode* dnskey_node = find_node(apex_, dns::RRType::kDNSKEY);
-    if (dnskey_node != nullptr && !dnskey_node->rrset->empty()) {
-      std::set<std::uint8_t> sig_algorithms;
-      for (const auto& sig : dnskey_node->sigs) {
-        sig_algorithms.insert(sig.rdata.algorithm);
-      }
-      for (std::uint8_t alg : ds_algorithms) {
-        if (!sig_algorithms.contains(alg)) {
-          sink_.add(ErrorCode::kMissingSignatureForAlgorithm, apex_,
-                    "no RRSIG with DS algorithm " + std::to_string(alg) +
-                        " covers the DNSKEY RRset");
-        }
-      }
-    }
-  }
-
-  // Rule E — denial of existence. The four probes grok puts to one server
-  // (nx A, sorts-last A, apex MX, apex NSEC3PARAM) are put to
-  // `authserver::answer`, and grok's own judge_denial reads the answers.
-  // Judging the whole chain in the zone file would diverge: a
-  // salt-tampered NSEC3 ring always yields *some* cover zone-wide,
-  // flipping kBadNonexistenceProof into kInconsistentAncestorForNxdomain.
-  void check_denial() {
-    const authserver::DenialIndex denial(zone_);
-    const auto ask = [&](const dns::Name& qname, dns::RRType qtype) {
-      return authserver::answer(zone_, denial, qname, qtype);
-    };
-    analyzer::ServerProbe sp;
-    sp.nxdomain = ask(analyzer::nx_probe_name(apex_), dns::RRType::kA);
-    sp.nxdomain_last = ask(analyzer::last_probe_name(apex_), dns::RRType::kA);
-    sp.nodata = ask(apex_, dns::RRType::kMX);
-    sp.nsec3param = ask(apex_, dns::RRType::kNSEC3PARAM);
-
-    // A wildcard-synthesized positive answer must be signed and carry the
-    // next-closer proof (RFC 4035 §3.1.3.3).
-    if (!sp.nxdomain.answers.empty()) {
-      check_rrset_node(find_node(apex_.child("*"), dns::RRType::kA),
-                       all_keys_, true);
-      if (sp.nxdomain.negative_proofs().empty()) {
-        sink_.add(ErrorCode::kMissingNonexistenceProof, apex_,
-                  "wildcard-synthesized answer lacks the proof that the "
-                  "query name itself does not exist",
-                  fix_resign(g_, apex_));
-      }
-    }
-
-    analyzer::DenialHooks hooks{
-        .report =
-            [&](ErrorCode code, std::string detail) {
-              const bool iterations =
-                  code == ErrorCode::kNonzeroIterationCount ||
-                  code == ErrorCode::kExcessiveNsec3Iterations;
-              sink_.add(code, apex_, std::move(detail),
-                        iterations ? fix_resign(g_, apex_, std::uint16_t{0})
-                                   : fix_resign(g_, apex_));
-            },
-        // Rule C's structural checks over the served proof RRset.
-        .check_proof =
-            [&](const analyzer::RRsetView& view) {
-              check_rrset_node(
-                  find_node(view.rrset.owner(), view.rrset.type()),
-                  all_keys_, true);
-              return true;
-            },
-        .hash = [](const dns::Name& name, const Bytes& salt,
-                   std::uint16_t iterations) -> std::optional<Bytes> {
-          return zone::nsec3_hash(name, salt, iterations);
-        }};
-    // The verdict is a trust state, which the lint does not predict.
-    (void)analyzer::judge_denial(sp, apex_, options_.budget, hooks);
-  }
-
-  // Rule F — the validator work budget. The cost model prices the whole
-  // zone's worst case; a validator enforcing the same budgets would abandon
-  // the zone with kValidatorWorkBudgetExceeded (EDE 49). The hashing side
-  // only applies when the iteration count is *under* the refusal cap — at
-  // or above the cap a validator refuses before hashing anything.
-  void check_budget() {
-    if (cost_.signature_attempts > options_.budget.max_sig_validations) {
-      sink_.add(ErrorCode::kValidatorWorkBudgetExceeded, apex_,
-                "worst-case signature validations " +
-                    std::to_string(cost_.signature_attempts) +
-                    " exceed the budget of " +
-                    std::to_string(options_.budget.max_sig_validations),
-                fix_prune_colliding(g_, apex_));
-      return;
-    }
-    if (g_.denial.uses_nsec3() &&
-        cost_.nsec3_iterations <= options_.budget.max_nsec3_iterations &&
-        cost_.negative_proof_hash_cost > options_.budget.max_hash_cost) {
-      sink_.add(ErrorCode::kValidatorWorkBudgetExceeded, apex_,
-                "worst-case NSEC3 hashing cost " +
-                    std::to_string(cost_.negative_proof_hash_cost) +
-                    " exceeds the budget of " +
-                    std::to_string(options_.budget.max_hash_cost),
-                fix_resign(g_, apex_, std::uint16_t{0}));
-    }
-  }
-
- public:
-  void set_cost(const ValidationCost& cost) { cost_ = cost; }
-
- private:
-  const zone::Zone& zone_;
-  const TrustGraph& g_;
-  const LintOptions& options_;
-  dns::Name apex_;
-  Sink sink_;
-  std::vector<std::size_t> all_keys_;
-  std::vector<std::size_t> sep_keys_;
-  ValidationCost cost_;
-};
+}
 
 }  // namespace
 
@@ -508,13 +199,69 @@ Report lint_zone(const zone::Zone& zone,
                  std::span<const dns::DsRdata> parent_ds,
                  const LintOptions& options) {
   Report report;
-  report.apex = zone.apex();
-  const TrustGraph graph = build_trust_graph(zone, parent_ds);
-  report.zone_signed = graph.is_signed();
+  const dns::Name& apex = zone.apex();
+  report.apex = apex;
   report.cost = admission_cost_scan(zone);
-  Linter linter(zone, graph, options, report);
-  linter.set_cost(report.cost);
-  linter.run();
+  Sink sink(report);
+
+  // The questions grok's prober puts to one server, put to
+  // `authserver::answer`: the judge reads the same views grok reads.
+  const authserver::DenialIndex denial(zone);
+  const auto ask = [&](const dns::Name& qname, dns::RRType qtype) {
+    return authserver::answer(zone, denial, qname, qtype);
+  };
+  analyzer::ServerProbe sp;
+  sp.dnskey = ask(apex, dns::RRType::kDNSKEY);
+
+  analyzer::ZoneJudge judge{
+      apex, options.budget,
+      options.now == 0 ? std::nullopt : std::optional<UnixTime>(options.now),
+      analyzer::JudgeHooks{
+          .report =
+              [&](ErrorCode code, std::string detail,
+                  const analyzer::FindingSubject& subject) {
+                sink.add(code, apex, std::move(detail),
+                         [&] { return fix_for(zone, code, subject); });
+              },
+          // No crypto: a corrupted signature is out of reach (zonelint.h).
+          .verify = {},
+          .hash = [](const dns::Name& name, const Bytes& salt,
+                     std::uint16_t iterations) -> std::optional<Bytes> {
+            return zone::nsec3_hash(name, salt, iterations);
+          }}};
+  const analyzer::RRsetView dnskey_view =
+      analyzer::extract(sp.dnskey.answers, apex, dns::RRType::kDNSKEY);
+  for (const auto& rdata : dnskey_view.rrset.rdatas()) {
+    if (const auto* key = std::get_if<dns::DnskeyRdata>(&rdata)) {
+      judge.dnskeys.push_back(*key);
+    }
+  }
+  judge.ds_set.assign(parent_ds.begin(), parent_ds.end());
+  report.zone_signed = !judge.dnskeys.empty();
+
+  // Rules A and B — key-level checks and the DS linkage.
+  judge.check_keys();
+  if (!judge.ds_set.empty()) judge.validate_ds();
+  if (!report.zone_signed) return report;
+
+  // Rules C, D and E — one server's answers, then algorithm completeness.
+  sp.soa = ask(apex, dns::RRType::kSOA);
+  sp.ns = ask(apex, dns::RRType::kNS);
+  sp.apex_a = ask(apex, dns::RRType::kA);
+  sp.nsec3param = ask(apex, dns::RRType::kNSEC3PARAM);
+  sp.nxdomain = ask(analyzer::nx_probe_name(apex), dns::RRType::kA);
+  sp.nxdomain_last = ask(analyzer::last_probe_name(apex), dns::RRType::kA);
+  sp.nodata = ask(apex, dns::RRType::kMX);
+  // An island of trust has no DS-anchored entry point: its own keys may
+  // sign the DNSKEY RRset.
+  const analyzer::KeyRefs dnskey_signers =
+      judge.ds_set.empty() ? judge.all_keys() : judge.sep_keys;
+  std::vector<analyzer::RRsetView> data_views;
+  // The verdict is a trust state, which the lint does not predict.
+  (void)judge.check_server(sp, dnskey_signers, data_views);
+  judge.check_algorithm_completeness({&sp, 1}, data_views);
+
+  check_budget(zone, report.cost, options.budget, sink);
   return report;
 }
 

@@ -1,13 +1,16 @@
-// zonelint: static trust-chain analysis of zone data.
+// zonelint: static DNSSEC analysis of zone data.
 //
-// Runs rule-based checks over the chain-of-trust graph (graph.h) and the
-// validator cost model (costmodel.h) to predict the DNSViz-style error
-// codes grok would emit for the zone — without a single signature
-// verification or probe. The denial rules are not a copy: the answers
-// `authserver::answer` gives the zone to grok's four probes go through
-// grok's own analyzer::judge_denial (analyzer/denial.h). The prediction is
-// exact for every code whose evidence is visible in zone data; two codes
-// are inherently out of reach:
+// Predicts the DNSViz-style error codes grok would emit for a zone without
+// a single signature verification or probe. The checks are not a copy of
+// grok's: the questions grok's prober puts to one server (apex DNSKEY,
+// SOA, NS and A, and the four negative probes) are put to
+// `authserver::answer`, and grok's own judge (analyzer/judge.h) reads the
+// answers — the key-level checks, the DS linkage against the parent's DS
+// set, the RRSIG checks, the wildcard and denial judgement, and algorithm
+// completeness. Only the validator work budget is priced statically, by
+// the cost model (costmodel.h). The prediction is exact for every code
+// whose evidence is visible in zone data; two codes are inherently out of
+// reach:
 //
 //  - kInvalidSignature from a *corrupted* signature: indistinguishable from
 //    a valid one without doing the crypto (an RRSIG by a key absent from
@@ -27,10 +30,11 @@
 
 #include "analyzer/errorcode.h"
 #include "analyzer/grok.h"
+#include "dnscore/rdata.h"
 #include "util/simclock.h"
 #include "zone/bindcmd.h"
+#include "zone/zone.h"
 #include "zonelint/costmodel.h"
-#include "zonelint/graph.h"
 
 namespace dfx::zonelint {
 
@@ -39,8 +43,9 @@ struct LintOptions {
   /// defaults); the lint flags any zone whose static worst-case cost would
   /// trip them.
   analyzer::GrokConfig budget;
-  /// Reference time for the signature-window rules. 0 disables the
-  /// temporal checks (useful when linting archived zone files).
+  /// Reference time for the signature-window rules (expired, not yet
+  /// valid, TTL beyond expiration). 0 disables them (useful when linting
+  /// archived zone files).
   UnixTime now = 0;
 };
 

@@ -1,7 +1,8 @@
-// zonelint tests: trust-graph construction, the cost model against a brute
-// force count, per-rule prediction equality against grok on injected
-// errors, fix specs, the validator work budget (EDE 49), ZoneStore
-// admission, and DFixer repair of the KeyTrap shapes verified by re-grok.
+// zonelint tests: the cost model against a brute force count, per-rule
+// prediction equality against grok on injected errors, an RFC reference
+// for the RRSIG checks grok and zonelint share, fix specs, the validator
+// work budget (EDE 49), ZoneStore admission, and DFixer repair of the
+// KeyTrap shapes verified by re-grok.
 //
 // The equality tests compare zonelint's *static* prediction with what grok
 // observes over live probes. Two codes are excluded by design (see
@@ -11,18 +12,22 @@
 // the parent) are outside a single zone file's remit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analyzer/ede.h"
 #include "analyzer/errorcode.h"
+#include "analyzer/probe.h"
+#include "crypto/algorithm.h"
 #include "dfixer/autofix.h"
 #include "server/zonestore.h"
 #include "zone/signer.h"
 #include "zonelint/admission.h"
 #include "zonelint/costmodel.h"
-#include "zonelint/graph.h"
 #include "zonelint/zonelint.h"
 #include "zreplicator/injector.h"
 #include "zreplicator/replicate.h"
@@ -111,72 +116,11 @@ std::string code_list(const std::set<ErrorCode>& codes) {
 }
 
 // ---------------------------------------------------------------------------
-// Trust graph
-// ---------------------------------------------------------------------------
-
-TEST(TrustGraph, BuildsKeysSigEdgesDsLinksAndDenial) {
-  auto result = zreplicator::replicate(base_spec(/*nsec3=*/true), 101);
-  ASSERT_NE(result.sandbox, nullptr);
-  auto& sb = *result.sandbox;
-  const auto ds = parent_ds_for_child(sb);
-  ASSERT_FALSE(ds.empty());
-  const auto graph = zonelint::build_trust_graph(
-      sb.managed(sb.child_apex()).signed_zone, ds);
-
-  ASSERT_EQ(graph.keys.size(), 2u);  // KSK + ZSK
-  EXPECT_TRUE(graph.keys[0].plausible_length);
-  ASSERT_EQ(graph.ds_links.size(), ds.size());
-  for (const auto& link : graph.ds_links) {
-    EXPECT_TRUE(link.matched_key.has_value());
-    EXPECT_TRUE(link.digest_ok);
-  }
-  ASSERT_FALSE(graph.rrsets.empty());
-  bool saw_signed = false;
-  for (const auto& node : graph.rrsets) {
-    for (const auto& sig : node.sigs) {
-      saw_signed = true;
-      EXPECT_FALSE(sig.candidates.empty())
-          << "every RRSIG in a clean zone points at its signing key";
-    }
-  }
-  EXPECT_TRUE(saw_signed);
-  EXPECT_TRUE(graph.denial.uses_nsec3());
-}
-
-TEST(TrustGraph, CollidingTagsMultiplySigCandidates) {
-  // The pairing-blowup shape: colliding keys *and* RRSIGs naming the
-  // shared tag. (The plain kCollidingKeyTags shape publishes keys that
-  // never sign, so its RRSIGs keep a single candidate by design.)
-  SnapshotSpec spec = base_spec(false);
-  spec.intended_errors = {ErrorCode::kExcessiveSignatureValidations};
-  auto result = zreplicator::replicate(spec, 102);
-  ASSERT_NE(result.sandbox, nullptr);
-  ASSERT_TRUE(result.complete) << result.failure_reason;
-  auto& sb = *result.sandbox;
-  const auto& zone = sb.managed(sb.child_apex()).signed_zone;
-  const auto graph =
-      zonelint::build_trust_graph(zone, parent_ds_for_child(sb));
-  const auto cost = zonelint::admission_cost_scan(zone);
-  EXPECT_GE(cost.colliding_tag_groups, 1u);
-  EXPECT_GE(cost.surplus_colliding_keys, 1u);
-  bool multiplied = false;
-  for (const auto& node : graph.rrsets) {
-    for (const auto& sig : node.sigs) {
-      if (sig.candidates.size() > 1) multiplied = true;
-    }
-  }
-  EXPECT_TRUE(multiplied)
-      << "a colliding tag must fan one RRSIG out to several candidates";
-}
-
-// ---------------------------------------------------------------------------
 // Cost model
 // ---------------------------------------------------------------------------
 
-/// Brute-force worst-case verification count, straight from RFC 4035 §5.3.1
-/// semantics: for every RRSIG over every RRset, count the DNSKEYs whose
-/// (key tag, algorithm) pair matches — the validator may have to try all.
-std::size_t brute_force_attempts(const zone::Zone& zone) {
+/// The zone's apex DNSKEYs.
+std::vector<dns::DnskeyRdata> apex_keys(const zone::Zone& zone) {
   std::vector<dns::DnskeyRdata> keys;
   if (const auto* dnskeys = zone.find(zone.apex(), dns::RRType::kDNSKEY)) {
     for (const auto& rdata : dnskeys->rdatas()) {
@@ -185,23 +129,51 @@ std::size_t brute_force_attempts(const zone::Zone& zone) {
       }
     }
   }
-  std::size_t attempts = 0;
+  return keys;
+}
+
+/// Brute-force worst-case verification counts, straight from RFC 4035
+/// §5.3.1 semantics: for every RRSIG over every RRset, the DNSKEYs whose
+/// (key tag, algorithm) pair matches — the validator may have to try all.
+/// One entry per signed RRset: its (RRSIG, candidate DNSKEY) pairings.
+std::vector<std::size_t> brute_force_pairings(const zone::Zone& zone) {
+  const auto keys = apex_keys(zone);
+  std::vector<std::size_t> out;
   for (const auto* rrset : zone.all_rrsets()) {
     if (rrset->type() == dns::RRType::kRRSIG) continue;
     const auto* sigs = zone.find(rrset->owner(), dns::RRType::kRRSIG);
     if (sigs == nullptr) continue;
+    std::size_t pairings = 0;
     for (const auto& rdata : sigs->rdatas()) {
       const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
       if (sig == nullptr || sig->type_covered != rrset->type()) continue;
       for (const auto& key : keys) {
         if (key.key_tag() == sig->key_tag &&
             key.algorithm == sig->algorithm) {
-          ++attempts;
+          ++pairings;
         }
       }
     }
+    out.push_back(pairings);
+  }
+  return out;
+}
+
+std::size_t brute_force_attempts(const zone::Zone& zone) {
+  std::size_t attempts = 0;
+  for (const std::size_t pairings : brute_force_pairings(zone)) {
+    attempts += pairings;
   }
   return attempts;
+}
+
+/// The single worst RRset's pairings.
+std::size_t brute_force_max_pairings(const zone::Zone& zone) {
+  std::size_t worst = 0;
+  for (const std::size_t pairings : brute_force_pairings(zone)) {
+    worst = std::max(worst, pairings);
+  }
+  return worst;
 }
 
 TEST(CostModel, SignatureAttemptsMatchBruteForce) {
@@ -219,6 +191,9 @@ TEST(CostModel, SignatureAttemptsMatchBruteForce) {
     EXPECT_EQ(cost.signature_attempts, brute_force_attempts(zone))
         << "cost model diverged from brute force for "
         << analyzer::error_code_name(code);
+    EXPECT_EQ(cost.max_rrset_pairings, brute_force_max_pairings(zone))
+        << "worst RRset diverged from brute force for "
+        << analyzer::error_code_name(code);
   }
 }
 
@@ -230,10 +205,53 @@ TEST(CostModel, CleanZoneCostsOneAttemptPerSignature) {
   const auto cost = zonelint::admission_cost_scan(zone);
   EXPECT_EQ(cost.signature_attempts, brute_force_attempts(zone));
   EXPECT_EQ(cost.colliding_tag_groups, 0u);
-  EXPECT_EQ(cost.max_rrset_pairings,
-            cost.max_rrset_pairings == 0 ? 0 : cost.max_rrset_pairings);
+  EXPECT_EQ(cost.max_rrset_pairings, brute_force_max_pairings(zone));
+  EXPECT_GE(cost.max_rrset_pairings, 1u);
+  // Every RRSIG names exactly one key of the DNSKEY RRset.
+  std::size_t signatures = 0;
+  for (const auto* rrset : zone.all_rrsets()) {
+    if (rrset->type() == dns::RRType::kRRSIG) signatures += rrset->size();
+  }
+  EXPECT_EQ(cost.signature_attempts, signatures);
   EXPECT_EQ(cost.nsec3_iterations, 0u);  // NSEC zone: no hashing at all
   EXPECT_EQ(cost.negative_proof_hash_cost, 0u);
+}
+
+TEST(CostModel, CollidingTagsMultiplySigCandidates) {
+  // The pairing-blowup shape: colliding keys *and* RRSIGs naming the
+  // shared tag. (The plain kCollidingKeyTags shape publishes keys that
+  // never sign, so its RRSIGs keep a single candidate by design.)
+  SnapshotSpec spec = base_spec(false);
+  spec.intended_errors = {ErrorCode::kExcessiveSignatureValidations};
+  auto result = zreplicator::replicate(spec, 102);
+  ASSERT_NE(result.sandbox, nullptr);
+  ASSERT_TRUE(result.complete) << result.failure_reason;
+  auto& sb = *result.sandbox;
+  const auto& zone = sb.managed(sb.child_apex()).signed_zone;
+  const auto cost = zonelint::admission_cost_scan(zone);
+  EXPECT_GE(cost.colliding_tag_groups, 1u);
+  EXPECT_GE(cost.surplus_colliding_keys, 1u);
+  EXPECT_EQ(cost.max_rrset_pairings, brute_force_max_pairings(zone));
+
+  // A colliding tag fans one RRSIG out to several candidate keys.
+  const auto keys = apex_keys(zone);
+  bool multiplied = false;
+  for (const auto* rrset : zone.all_rrsets()) {
+    if (rrset->type() != dns::RRType::kRRSIG) continue;
+    for (const auto& rdata : rrset->rdatas()) {
+      const auto* sig_ptr = std::get_if<dns::RrsigRdata>(&rdata);
+      if (sig_ptr == nullptr) continue;
+      const auto& sig = *sig_ptr;
+      const auto candidates = std::count_if(
+          keys.begin(), keys.end(), [&](const dns::DnskeyRdata& key) {
+            return key.key_tag() == sig.key_tag &&
+                   key.algorithm == sig.algorithm;
+          });
+      if (candidates > 1) multiplied = true;
+    }
+  }
+  EXPECT_TRUE(multiplied)
+      << "a colliding tag must fan one RRSIG out to several candidates";
 }
 
 TEST(CostModel, Nsec3HashCostScalesWithIterations) {
@@ -289,6 +307,44 @@ TEST(Prediction, CleanZonesPredictNoErrors) {
             << code_list(observed) << "]";
       }
     }
+  }
+}
+
+// LintOptions::now = 0 turns off exactly the three signature-window rules;
+// at the sandbox's time the lint reports what grok reports.
+TEST(Prediction, ZeroNowSkipsOnlyTheWindowRules) {
+  const std::set<ErrorCode> window = {ErrorCode::kExpiredSignature,
+                                      ErrorCode::kNotYetValidSignature,
+                                      ErrorCode::kTtlBeyondExpiration};
+  for (const ErrorCode code : window) {
+    SnapshotSpec spec = base_spec(false);
+    spec.intended_errors = {code};
+    auto result = zreplicator::replicate(spec, 130 + static_cast<int>(code));
+    ASSERT_NE(result.sandbox, nullptr);
+    ASSERT_TRUE(result.complete) << result.failure_reason;
+    auto& sb = *result.sandbox;
+    const auto observed = grok_child_codes(sb.analyze(), sb.child_apex());
+    ASSERT_TRUE(observed.contains(code));
+
+    const auto& zone = sb.managed(sb.child_apex()).signed_zone;
+    const auto ds = parent_ds_for_child(sb);
+    zonelint::LintOptions timeless;  // now = 0
+    const auto without_now = lint_codes(zonelint::lint_zone(zone, ds, timeless));
+    std::set<ErrorCode> observed_outside_window;
+    for (const auto c : observed) {
+      if (!window.contains(c)) observed_outside_window.insert(c);
+    }
+    EXPECT_EQ(without_now, observed_outside_window)
+        << analyzer::error_code_name(code) << " replica, now = 0: ["
+        << code_list(without_now) << "]";
+
+    zonelint::LintOptions at_now;
+    at_now.now = sb.clock().now();
+    const auto with_now = lint_codes(zonelint::lint_zone(zone, ds, at_now));
+    EXPECT_EQ(with_now, observed)
+        << analyzer::error_code_name(code) << " replica at the clock: ["
+        << code_list(with_now) << "] vs grok [" << code_list(observed)
+        << "]";
   }
 }
 
@@ -418,6 +474,211 @@ TEST(Prediction, SpecCorpusKeytrapSweepMatchesGrok) {
 }
 
 // ---------------------------------------------------------------------------
+// A reference for the RRSIG checks that shares no code with the judge
+// ---------------------------------------------------------------------------
+
+/// `name` in lower case, without the trailing dot.
+std::string lowered(const dns::Name& name) {
+  std::string text = name.to_string();
+  for (char& c : text) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (!text.empty() && text.back() == '.') text.pop_back();
+  return text;
+}
+
+/// RFC 4034 §3.1.3: the owner's labels, not counting the root or a leading
+/// "*" label.
+std::size_t rrsig_label_count(const dns::Name& owner) {
+  const std::string text = lowered(owner);
+  if (text.empty()) return 0;
+  std::size_t labels = 1 + std::count(text.begin(), text.end(), '.');
+  if (text == "*" || text.starts_with("*.")) --labels;
+  return labels;
+}
+
+/// The codes RFC 4034 §3.1 and RFC 4035 §5.3 assign to one RRSIG over a
+/// served RRset at `now`, written from the RFCs.
+std::set<ErrorCode> reference_rrsig_codes(const dns::Name& served_owner,
+                                          std::uint32_t served_ttl,
+                                          const dns::RrsigRdata& sig,
+                                          const dns::Name& zone_apex,
+                                          UnixTime now) {
+  std::set<ErrorCode> out;
+  // §5.3.1: the current time lies within [Inception, Expiration].
+  if (now > sig.expiration) out.insert(ErrorCode::kExpiredSignature);
+  if (now < sig.inception) out.insert(ErrorCode::kNotYetValidSignature);
+  // §5.3.1: the Signer's Name is the zone that contains the RRset.
+  if (lowered(sig.signer) != lowered(zone_apex)) {
+    out.insert(ErrorCode::kIncorrectSigner);
+  }
+  // §5.3.1: the owner has at least Labels labels.
+  if (sig.labels > rrsig_label_count(served_owner)) {
+    out.insert(ErrorCode::kIncorrectSignatureLabels);
+  }
+  // Algorithm 13 stands on Schnorr over a 64-bit group here
+  // (crypto/schnorr.h): a signature is the pair (e, s) of 64-bit values,
+  // 16 octets, where RFC 6605 §4's r | s is 64.
+  if (sig.algorithm == 13 && sig.signature.size() != 16) {
+    out.insert(ErrorCode::kBadSignatureLength);
+  }
+  // §3.1.4 with RFC 4035 §5.3.3: the served TTL never exceeds the
+  // Original TTL.
+  if (served_ttl > sig.original_ttl) {
+    out.insert(ErrorCode::kOriginalTtlExceedsRrsetTtl);
+  }
+  // RFC 4035 §5.3.3: a signature still valid now that expires before a
+  // cache holding the RRset for its TTL would drop it.
+  if (now < sig.expiration &&
+      now + static_cast<UnixTime>(served_ttl) > sig.expiration) {
+    out.insert(ErrorCode::kTtlBeyondExpiration);
+  }
+  return out;
+}
+
+// One field of one RRSIG is changed (the zone is not re-signed, so the
+// crypto fails too — kInvalidSignature, which zonelint cannot see and
+// both sides drop) and pushed to every server; grok over the probes and
+// zonelint over the zone must both report exactly the reference's codes.
+// The targets are the apex SOA RRset and the wildcard's A RRset, which
+// the server serves as the synthesized answer to grok's NXDOMAIN probe.
+TEST(RrsigReference, OneFieldMutationsMatchTheRfcPredicates) {
+  SnapshotSpec spec = base_spec(false);
+  spec.meta.has_wildcard = true;
+  auto clean = zreplicator::replicate(spec, 124);
+  ASSERT_NE(clean.sandbox, nullptr);
+  ASSERT_TRUE(clean.complete) << clean.failure_reason;
+  auto& sb = *clean.sandbox;
+  const dns::Name apex = sb.child_apex();
+  const zone::Zone original = sb.managed(apex).signed_zone;
+  const auto ds = parent_ds_for_child(sb);
+  const UnixTime now = sb.clock().now();
+  ASSERT_TRUE(grok_child_codes(sb.analyze(), apex).empty());
+  std::string upper = apex.to_string();
+  for (char& c : upper) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  const dns::Name apex_upper = dns::Name::of(upper);
+
+  struct Target {
+    const char* label;
+    dns::Name owner;         // where the RRset lives in the zone
+    dns::RRType type;
+    dns::Name served_owner;  // the owner grok's probe is answered with
+  };
+  const Target targets[] = {
+      {"apex SOA", apex, dns::RRType::kSOA, apex},
+      {"wildcard A", apex.child("*"), dns::RRType::kA,
+       analyzer::nx_probe_name(apex)},
+  };
+  using Mutation = std::function<void(dns::RrsigRdata&)>;
+  struct Row {
+    std::string label;
+    Mutation mutate;
+  };
+
+  std::size_t rows = 0;
+  std::set<ErrorCode> seen;
+  for (const Target& target : targets) {
+    const auto* rrset = original.find(target.owner, target.type);
+    ASSERT_NE(rrset, nullptr) << target.label;
+    const std::uint32_t ttl = rrset->ttl();
+    const auto* sigs = original.find(target.owner, dns::RRType::kRRSIG);
+    ASSERT_NE(sigs, nullptr) << target.label;
+    const dns::RrsigRdata* found = nullptr;
+    for (const auto& rdata : sigs->rdatas()) {
+      const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
+      if (sig != nullptr && sig->type_covered == target.type) found = sig;
+    }
+    ASSERT_NE(found, nullptr) << target.label;
+    const dns::RrsigRdata sig = *found;
+    ASSERT_EQ(sig.algorithm, 13);
+    const std::uint8_t owner_labels =
+        static_cast<std::uint8_t>(rrsig_label_count(target.owner));
+    const std::uint8_t served_labels =
+        static_cast<std::uint8_t>(rrsig_label_count(target.served_owner));
+
+    const auto set = [](auto member, auto value) -> Mutation {
+      return [member, value](dns::RrsigRdata& r) { r.*member = value; };
+    };
+    const std::vector<Row> table = {
+        {"expiration now-1", set(&dns::RrsigRdata::expiration, now - 1)},
+        {"expiration now", set(&dns::RrsigRdata::expiration, now)},
+        {"expiration now+1", set(&dns::RrsigRdata::expiration, now + 1)},
+        {"expiration now+ttl-1",
+         set(&dns::RrsigRdata::expiration, now + ttl - 1)},
+        {"expiration now+ttl", set(&dns::RrsigRdata::expiration, now + ttl)},
+        {"inception now+1", set(&dns::RrsigRdata::inception, now + 1)},
+        {"inception now", set(&dns::RrsigRdata::inception, now)},
+        {"inception now-1", set(&dns::RrsigRdata::inception, now - 1)},
+        {"signer parent",
+         set(&dns::RrsigRdata::signer, sb.parent_apex())},
+        {"signer below apex",
+         set(&dns::RrsigRdata::signer, apex.child("www"))},
+        {"signer apex upper-cased",
+         set(&dns::RrsigRdata::signer, apex_upper)},
+        {"labels owner+1",
+         set(&dns::RrsigRdata::labels,
+             static_cast<std::uint8_t>(owner_labels + 1))},
+        {"labels counting a leading star",
+         set(&dns::RrsigRdata::labels,
+             static_cast<std::uint8_t>(
+                 owner_labels +
+                 (lowered(target.owner).starts_with("*.") ? 1 : 0)))},
+        {"labels served+1",
+         set(&dns::RrsigRdata::labels,
+             static_cast<std::uint8_t>(served_labels + 1))},
+        {"labels owner-1",
+         set(&dns::RrsigRdata::labels,
+             static_cast<std::uint8_t>(owner_labels - 1))},
+        {"signature 15 octets",
+         [](dns::RrsigRdata& r) { r.signature.resize(15); }},
+        {"signature 17 octets",
+         [](dns::RrsigRdata& r) { r.signature.resize(17); }},
+        {"signature 16 other octets",
+         [](dns::RrsigRdata& r) { r.signature[0] ^= 0xFF; }},
+        {"original TTL ttl-1", set(&dns::RrsigRdata::original_ttl, ttl - 1)},
+        {"original TTL ttl", set(&dns::RrsigRdata::original_ttl, ttl)},
+        {"original TTL ttl+1", set(&dns::RrsigRdata::original_ttl, ttl + 1)},
+    };
+
+    for (const Row& row : table) {
+      const std::string where = std::string(target.label) + ", " + row.label;
+      dns::RrsigRdata mutated = sig;
+      row.mutate(mutated);
+      zone::Zone z = original;
+      ASSERT_TRUE(z.remove_rdata(target.owner, dns::RRType::kRRSIG,
+                                 dns::Rdata(sig)))
+          << where;
+      z.add(target.owner, dns::RRType::kRRSIG, sigs->ttl(), mutated);
+
+      const auto expected = reference_rrsig_codes(target.served_owner, ttl,
+                                                  mutated, apex, now);
+      seen.insert(expected.begin(), expected.end());
+      zonelint::LintOptions options;
+      options.now = now;
+      EXPECT_EQ(lint_codes(zonelint::lint_zone(z, ds, options)), expected)
+          << "zonelint, " << where << ": want [" << code_list(expected) << "]";
+      sb.push_signed(apex, z);
+      EXPECT_EQ(grok_child_codes(sb.analyze(), apex), expected)
+          << "grok, " << where << ": want [" << code_list(expected) << "]";
+      ++rows;
+    }
+  }
+  sb.push_signed(apex, original);
+  EXPECT_GE(rows, 40u);
+  // Every code the table is about fires somewhere.
+  EXPECT_EQ(seen, (std::set<ErrorCode>{
+                      ErrorCode::kExpiredSignature,
+                      ErrorCode::kNotYetValidSignature,
+                      ErrorCode::kIncorrectSigner,
+                      ErrorCode::kIncorrectSignatureLabels,
+                      ErrorCode::kBadSignatureLength,
+                      ErrorCode::kOriginalTtlExceedsRrsetTtl,
+                      ErrorCode::kTtlBeyondExpiration}));
+}
+
+// ---------------------------------------------------------------------------
 // Fix specs
 // ---------------------------------------------------------------------------
 
@@ -456,12 +717,119 @@ TEST(FixSpec, OversizedIterationsFindingResignsAtZero) {
     for (const auto& cmd : finding.fix.commands) {
       if (cmd.kind != zone::CommandKind::kDnssecSignzone) continue;
       const auto it = cmd.args.find("iterations");
-      if (it != cmd.args.end() && it->second == "0") resigns_at_zero = true;
+      const auto nsec3 = cmd.args.find("nsec3");
+      if (it != cmd.args.end() && it->second == "0" &&
+          nsec3 != cmd.args.end() && nsec3->second == "1") {
+        resigns_at_zero = true;
+      }
     }
     EXPECT_TRUE(resigns_at_zero)
-        << "fix must re-sign with zero NSEC3 iterations";
+        << "fix must re-sign with NSEC3 at zero iterations";
   }
   EXPECT_TRUE(found);
+}
+
+/// The first error-level finding with `code`, or null.
+const zonelint::Finding* finding_with(const zonelint::Report& report,
+                                      ErrorCode code) {
+  for (const auto& finding : report.findings) {
+    if (finding.code == code) return &finding;
+  }
+  return nullptr;
+}
+
+/// The `key_tag` argument of every command of `kind` in `fix`.
+std::set<std::string> tags_in(const zone::Instruction& fix,
+                              zone::CommandKind kind) {
+  std::set<std::string> out;
+  for (const auto& cmd : fix.commands) {
+    if (cmd.kind != kind) continue;
+    const auto it = cmd.args.find("key_tag");
+    if (it != cmd.args.end()) out.insert(it->second);
+  }
+  return out;
+}
+
+TEST(FixSpec, RevokedKeyFindingRemovesTheRevokedKey) {
+  SnapshotSpec spec = base_spec(false);
+  spec.intended_errors = {ErrorCode::kRevokedKey};
+  auto result = zreplicator::replicate(spec, 121);
+  ASSERT_NE(result.sandbox, nullptr);
+  ASSERT_TRUE(result.complete) << result.failure_reason;
+  auto& sb = *result.sandbox;
+  const auto report = lint_child(sb);
+  const auto* finding = finding_with(report, ErrorCode::kRevokedKey);
+  ASSERT_NE(finding, nullptr);
+  EXPECT_EQ(finding->fix.kind, zone::InstructionKind::kRemoveRevokedKey);
+  std::set<std::string> revoked;
+  for (const auto& key : apex_keys(sb.managed(sb.child_apex()).signed_zone)) {
+    if (key.is_revoked()) revoked.insert(std::to_string(key.key_tag()));
+  }
+  ASSERT_EQ(revoked.size(), 1u);
+  EXPECT_EQ(tags_in(finding->fix, zone::CommandKind::kRemoveKeyFile), revoked)
+      << finding->fix.description;
+}
+
+TEST(FixSpec, BadKeyLengthFindingRemovesTheKey) {
+  SnapshotSpec spec = base_spec(false);
+  spec.intended_errors = {ErrorCode::kBadKeyLength};
+  auto result = zreplicator::replicate(spec, 122);
+  ASSERT_NE(result.sandbox, nullptr);
+  ASSERT_TRUE(result.complete) << result.failure_reason;
+  auto& sb = *result.sandbox;
+  const auto report = lint_child(sb);
+  const auto* finding = finding_with(report, ErrorCode::kBadKeyLength);
+  ASSERT_NE(finding, nullptr);
+  EXPECT_EQ(finding->fix.kind, zone::InstructionKind::kRemoveRevokedKey);
+  std::set<std::string> short_keys;
+  for (const auto& key : apex_keys(sb.managed(sb.child_apex()).signed_zone)) {
+    if (!crypto::plausible_key_length(key.algorithm, key.public_key)) {
+      short_keys.insert(std::to_string(key.key_tag()));
+    }
+  }
+  ASSERT_EQ(short_keys.size(), 1u);
+  EXPECT_EQ(tags_in(finding->fix, zone::CommandKind::kRemoveKeyFile),
+            short_keys)
+      << finding->fix.description;
+}
+
+// The DS findings remove the DS record they name at the parent: the one
+// whose algorithm no DNSKEY has, or whose digest matches no DNSKEY.
+TEST(FixSpec, DsFindingsRemoveTheNamedDs) {
+  for (const ErrorCode code : {ErrorCode::kInvalidDigest,
+                               ErrorCode::kMissingKskForAlgorithm}) {
+    SnapshotSpec spec = base_spec(false);
+    spec.intended_errors = {code};
+    auto result = zreplicator::replicate(spec, 123 + static_cast<int>(code));
+    ASSERT_NE(result.sandbox, nullptr);
+    ASSERT_TRUE(result.complete) << result.failure_reason;
+    auto& sb = *result.sandbox;
+    const auto report = lint_child(sb);
+    const auto* finding = finding_with(report, code);
+    ASSERT_NE(finding, nullptr) << analyzer::error_code_name(code);
+    EXPECT_EQ(finding->fix.kind, zone::InstructionKind::kRemoveIncorrectDs);
+
+    const dns::Name& apex = sb.child_apex();
+    const auto keys = apex_keys(sb.managed(apex).signed_zone);
+    std::set<std::string> stale;
+    for (const auto& ds : parent_ds_for_child(sb)) {
+      bool anchors = false;
+      for (const auto& key : keys) {
+        anchors = anchors ||
+                  (key.key_tag() == ds.key_tag &&
+                   key.algorithm == ds.algorithm &&
+                   crypto::ds_digest(
+                       static_cast<crypto::DigestType>(ds.digest_type),
+                       apex.to_canonical_wire(),
+                       dns::rdata_to_wire(dns::Rdata(key))) == ds.digest);
+      }
+      if (!anchors) stale.insert(std::to_string(ds.key_tag));
+    }
+    ASSERT_EQ(stale.size(), 1u) << analyzer::error_code_name(code);
+    EXPECT_EQ(tags_in(finding->fix, zone::CommandKind::kRemoveDsFromParent),
+              stale)
+        << analyzer::error_code_name(code) << ": " << finding->fix.description;
+  }
 }
 
 // ---------------------------------------------------------------------------

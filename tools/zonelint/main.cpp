@@ -7,19 +7,23 @@
 //                          findings fail, stale baseline entries fail
 //   --update-baseline      rewrite the baseline file with current findings
 //   --now UNIXTIME         enable the signature-window rules at this time
+//                          (decimal digits; anything else exits 2)
 //
 // The origin of each zone is derived from the file name: `par.a.com.zone`
 // is parsed with $ORIGIN par.a.com. Findings map onto the dfixer_lint
 // ratchet schema (rule = error-code name, severity from the analyzer's
 // criticality table) so CI diffs both tools' baselines with the same logic.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "analyzer/errorcode.h"
@@ -40,6 +44,20 @@ struct Args {
   bool as_json = false;
   dfx::UnixTime now = 0;
 };
+
+/// A --now value: decimal digits only (no sign, no trailing characters)
+/// within UnixTime's range; nullopt otherwise.
+[[nodiscard]] std::optional<dfx::UnixTime> parse_unix_time(
+    std::string_view text) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
+    return std::nullopt;
+  }
+  dfx::UnixTime value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
 
 std::string relative_to(const fs::path& path, const fs::path& root) {
   std::error_code ec;
@@ -138,7 +156,14 @@ int main(int argc, char** argv) {
         std::cerr << "zonelint: --now needs an argument\n";
         return 2;
       }
-      args.now = static_cast<dfx::UnixTime>(std::atoll(argv[i]));
+      const auto now = parse_unix_time(argv[i]);
+      if (!now.has_value()) {
+        std::cerr << "zonelint: --now needs a UNIXTIME of decimal digits "
+                     "within range, got '"
+                  << argv[i] << "'\n";
+        return 2;
+      }
+      args.now = *now;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: zonelint [--root DIR] [--json] [--now UNIXTIME] "
                    "[--baseline FILE] [--update-baseline] [FILES...]\n";
