@@ -23,6 +23,7 @@
 #include "crypto/sha2.h"
 #include "dnscore/masterfile.h"
 #include "dnscore/message.h"
+#include "dnscore/wire.h"
 #include "server/answercache.h"
 #include "server/zonestore.h"
 #include "util/metrics.h"
@@ -261,6 +262,55 @@ void BM_NameCompare(benchmark::State& state) {
                           static_cast<std::int64_t>(names.size()));
 }
 BENCHMARK(BM_NameCompare);
+
+// A full ancestor walk of a 4-label name through parent(), down to root:
+// the shape of every zone-cut and closest-encloser walk on the miss path.
+void BM_NameParent(benchmark::State& state) {
+  Rng rng(16);
+  std::vector<dns::Name> names;
+  for (int i = 0; i < 64; ++i) {
+    names.push_back(dns::Name::of(
+        "w" + std::to_string(rng.uniform(100000)) + ".Host.zone.example."));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    dns::Name cur = names[i++ % names.size()];
+    std::size_t steps = 0;
+    while (!cur.is_root()) {
+      cur = cur.parent();
+      ++steps;
+    }
+    benchmark::DoNotOptimize(steps);
+    benchmark::DoNotOptimize(cur);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NameParent);
+
+// WireReader::read_name on a question name compressed against an earlier
+// name: one label, then a pointer to "zone.example." at offset 12.
+void BM_NameFromWire(benchmark::State& state) {
+  Rng rng(17);
+  Bytes message(12, 0);
+  append(message, dns::Name::of("zone.Example.").to_wire());
+  std::vector<std::size_t> starts;
+  for (int i = 0; i < 64; ++i) {
+    starts.push_back(message.size());
+    const std::string label = "host" + std::to_string(rng.uniform(100000));
+    message.push_back(static_cast<std::uint8_t>(label.size()));
+    append(message, as_bytes(label));
+    append_u16(message, static_cast<std::uint16_t>(0xC000 | 12));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    dns::WireReader reader(message);
+    reader.seek(starts[i++ % starts.size()]);
+    auto name = reader.read_name();
+    benchmark::DoNotOptimize(name);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NameFromWire);
 
 // A signed NSEC3 zone of 2,000 hosts (A records under random labels, one
 // KSK and one ZSK), the shape serve-miss re-publishes. Built once.

@@ -43,8 +43,7 @@ bool hash_less(ByteView a, ByteView b) {
 DenialIndex::DenialIndex(const zone::Zone& zone) {
   const dns::Name& apex = zone.apex();
   const auto first_label = [](const dns::Name& owner) -> std::string_view {
-    const auto& labels = owner.labels();
-    return labels.empty() ? std::string_view() : labels.front();
+    return owner.is_root() ? std::string_view() : owner.label(0);
   };
   zone.for_each_rrset([&](const dns::RRset& rrset) {
     const auto& rdatas = rrset.rdatas();
@@ -160,13 +159,22 @@ const dns::Name* DenialIndex::nsec3_predecessor(const Bytes& hash) const {
 
 namespace {
 
+/// The RRset of `type` among `rrsets` (nullptr: the owner has none).
+const dns::RRset* rrset_of(const zone::Zone::RRsets* rrsets,
+                           dns::RRType type) {
+  if (rrsets == nullptr) return nullptr;
+  const auto it = rrsets->find(type);
+  return it == rrsets->end() ? nullptr : &it->second;
+}
+
 void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
                          dns::RRType type,
                          std::vector<dns::ResourceRecord>& section) {
-  const auto* rrset = zone.find(owner, type);
+  const zone::Zone::RRsets* rrsets = zone.rrsets_at(owner);
+  const auto* rrset = rrset_of(rrsets, type);
   if (rrset == nullptr) return;
   for (const auto& rr : rrset->to_records()) section.push_back(rr);
-  const auto* sigs = zone.find(owner, dns::RRType::kRRSIG);
+  const auto* sigs = rrset_of(rrsets, dns::RRType::kRRSIG);
   if (sigs == nullptr) return;
   for (const auto& rdata : sigs->rdatas()) {
     const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
@@ -214,7 +222,7 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
     add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC3,
                         result.authorities);
   };
-  const auto hash_of = [&](const dns::Name& name) {
+  const auto hash_of = [&](const dns::NameView& name) {
     return zone::nsec3_hash(name, param->salt, param->iterations);
   };
   // The server cannot place these in the hash order, but it still serves
@@ -231,7 +239,9 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
   //   1. matching NSEC3 for the closest encloser,
   //   2. covering NSEC3 for the next-closer name,
   //   3. covering NSEC3 for the wildcard at the closest encloser.
-  dns::Name closest = qname;
+  // Both walks step through suffix views of qname; only the wildcard
+  // below builds a name.
+  dns::NameView closest = qname;
   while (closest.label_count() > zone.apex().label_count()) {
     closest = closest.parent();
     if (zone.name_exists(closest) ||
@@ -242,11 +252,8 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
   }
   emit(denial.nsec3_match(hash_of(closest)));
   // Next-closer: one label below the closest encloser toward qname.
-  const std::size_t next_labels = closest.label_count() + 1;
-  dns::Name next_closer = qname;
-  while (next_closer.label_count() > next_labels) {
-    next_closer = next_closer.parent();
-  }
+  const dns::NameView next_closer =
+      dns::NameView(qname).suffix(closest.label_count() + 1);
   emit(denial.nsec3_predecessor(hash_of(next_closer)));
   emit(denial.nsec3_predecessor(hash_of(closest.child("*"))));
 }
@@ -345,32 +352,42 @@ QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
   QueryResult result;
   result.authoritative = true;
 
+  // One search of the owner map answers the cut, type, CNAME and existence
+  // questions about qname itself; the cut walk goes on from its parent.
+  const zone::Zone::RRsets* at_qname = zone.rrsets_at(qname);
+  const bool qname_is_cut =
+      qname.label_count() > zone.apex().label_count() &&
+      rrset_of(at_qname, dns::RRType::kNS) != nullptr;
   // Below a zone cut (or at one, for non-DS questions): referral.
-  const auto cut = zone.covering_delegation(qname);
-  if (cut && !(qname == *cut && qtype == dns::RRType::kDS)) {
+  if (qname_is_cut) {
+    if (qtype != dns::RRType::kDS) {
+      answer_referral(zone, denial, qname, result);
+      return result;
+    }
+  } else if (const auto cut =
+                 zone.covering_delegation(dns::NameView(qname).parent())) {
     answer_referral(zone, denial, *cut, result);
     return result;
   }
 
-  if (zone.find(qname, qtype) != nullptr) {
+  if (rrset_of(at_qname, qtype) != nullptr) {
     answer_positive(zone, qname, qtype, result);
     return result;
   }
   // CNAME at the owner answers any type.
   if (qtype != dns::RRType::kCNAME &&
-      zone.find(qname, dns::RRType::kCNAME) != nullptr) {
+      rrset_of(at_qname, dns::RRType::kCNAME) != nullptr) {
     answer_positive(zone, qname, dns::RRType::kCNAME, result);
     return result;
   }
-  if (zone.name_exists(qname) ||
-      zone.name_or_descendant_exists(qname)) {
+  if (at_qname != nullptr || zone.name_or_descendant_exists(qname)) {
     // Name exists (possibly as an empty non-terminal): NODATA.
     answer_negative(zone, denial, qname, /*nxdomain=*/false, result);
     return result;
   }
   // Wildcard synthesis (RFC 1034 §4.3.3): a "*" child of the closest
   // encloser answers for every non-existent name beneath it.
-  dns::Name closest = qname.parent();
+  dns::NameView closest = dns::NameView(qname).parent();
   while (closest.label_count() > zone.apex().label_count() &&
          !zone.name_or_descendant_exists(closest)) {
     closest = closest.parent();

@@ -13,10 +13,11 @@ namespace {
 constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 
-std::uint64_t label_hash(std::string_view label) {
+/// FNV over one label's canonical (already folded) bytes.
+std::uint64_t label_hash(ByteView label) {
   std::uint64_t h = kFnvBasis;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(ascii_lower(c));
+  for (const std::uint8_t c : label) {
+    h ^= c;
     h *= kFnvPrime;
   }
   return h;
@@ -26,24 +27,32 @@ std::uint64_t label_hash(std::string_view label) {
 /// prior occurrences of a (case-folded) suffix.
 ///
 /// The table is an open-addressed map of (suffix hash, message offset).
-/// Suffix hashes are computed right-to-left in one pass over the name, so a
-/// full write_name is O(name bytes) plus O(1) probes per label — the
-/// previous implementation joined every suffix into a fresh std::string key
-/// per lookup, which was quadratic per name and dominated encode profiles.
-/// Hash hits are verified by walking the already-emitted output bytes
-/// (following pointers), so collisions cannot corrupt the output; the
-/// emitted bytes are identical to the old map-based compressor's
-/// (pinned by a regression test).
+/// Suffix hashes are computed right-to-left in one pass over the name's
+/// canonical wire bytes, so a full write_name is O(name bytes) plus O(1)
+/// probes per label — the previous implementation joined every suffix into
+/// a fresh std::string key per lookup, which was quadratic per name and
+/// dominated encode profiles. Hash hits are verified by walking the
+/// already-emitted output bytes (following pointers), so collisions cannot
+/// corrupt the output; the emitted bytes are identical to the old
+/// map-based compressor's (pinned by a regression test).
 class NameCompressor {
  public:
   void write_name(Bytes& out, const Name& name) {
-    const std::span<const std::string> labels = name.labels();
-    const std::size_t n = labels.size();
+    const std::size_t n = name.label_count();
     DFX_CHECK(n <= kMaxNamePieces, "name of %zu labels", n);
+    const ByteView folded = name.canonical_wire();
+    const ByteView wire = name.wire();
+    // start[i]: where label i begins in both wire forms.
+    std::size_t start[kMaxNamePieces + 1];
+    start[0] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      start[i + 1] = start[i] + 1 + folded[start[i]];
+    }
     std::uint64_t suffix_hash[kMaxNamePieces + 1];
     suffix_hash[n] = kFnvBasis;
     for (std::size_t i = n; i-- > 0;) {
-      suffix_hash[i] = (suffix_hash[i + 1] ^ label_hash(labels[i])) * kFnvPrime;
+      const ByteView label = folded.subspan(start[i] + 1, folded[start[i]]);
+      suffix_hash[i] = (suffix_hash[i + 1] ^ label_hash(label)) * kFnvPrime;
     }
     // Longest known suffix wins: scan skip counts upward, stop at the
     // first (longest) registered suffix.
@@ -52,7 +61,7 @@ class NameCompressor {
     bool found = false;
     for (; skip < n; ++skip) {
       if (const auto off =
-              lookup(out, suffix_hash[skip], labels.subspan(skip))) {
+              lookup(out, suffix_hash[skip], folded.subspan(start[skip]))) {
         pointer = *off;
         found = true;
         break;
@@ -64,12 +73,10 @@ class NameCompressor {
     for (std::size_t i = 0; i < skip; ++i) {
       const std::size_t offset = out.size();
       if (offset < 0x3FFF) {
-        insert_if_absent(out, suffix_hash[i], labels.subspan(i),
+        insert_if_absent(out, suffix_hash[i], folded.subspan(start[i]),
                          static_cast<std::uint32_t>(offset));
       }
-      DFX_DCHECK(labels[i].size() <= 63);
-      out.push_back(static_cast<std::uint8_t>(labels[i].size()));
-      append(out, as_bytes(labels[i]));
+      append(out, wire.subspan(start[i], start[i + 1] - start[i]));
     }
     if (found) {
       append_u16(out, static_cast<std::uint16_t>(0xC000 | (pointer & 0x3FFF)));
@@ -87,46 +94,45 @@ class NameCompressor {
   };
 
   /// True if the name chain emitted at message offset `offset` spells the
-  /// given label sequence (case-folded). Follows compression pointers; the
-  /// walked bytes were all written by this compressor, so the chain is
-  /// well-formed by construction.
+  /// canonical wire suffix `folded` (case-folded). Follows compression
+  /// pointers; the walked bytes were all written by this compressor, so
+  /// the chain is well-formed by construction.
   bool suffix_at(const Bytes& out, std::uint32_t offset,
-                 std::span<const std::string> labels) const {
+                 ByteView folded) const {
     std::size_t pos = offset;
-    std::size_t idx = 0;
+    std::size_t at = 0;
     DFX_BOUNDED_LOOP(guard, out.size() + 2);
     while (true) {
       guard.tick();
-      DFX_DCHECK(pos < out.size());
+      DFX_DCHECK(pos < out.size() && at < folded.size());
       const std::uint8_t len = out[pos];
-      if (len == 0) return idx == labels.size();
+      if (len == 0) return folded[at] == 0;
       if ((len & 0xC0) == 0xC0) {
         DFX_DCHECK(pos + 1 < out.size());
         pos = ((static_cast<std::size_t>(len) & 0x3F) << 8) | out[pos + 1];
         continue;
       }
-      if (idx >= labels.size() || labels[idx].size() != len) return false;
+      if (folded[at] != len) return false;
       DFX_DCHECK(pos + 1 + len <= out.size());
-      for (std::size_t i = 0; i < len; ++i) {
-        if (ascii_lower(static_cast<char>(out[pos + 1 + i])) !=
-            ascii_lower(labels[idx][i])) {
+      for (std::size_t i = 1; i <= len; ++i) {
+        if (static_cast<std::uint8_t>(ascii_lower(
+                static_cast<char>(out[pos + i]))) != folded[at + i]) {
           return false;
         }
       }
-      ++idx;
+      at += 1 + static_cast<std::size_t>(len);
       pos += 1 + static_cast<std::size_t>(len);
     }
   }
 
   [[nodiscard]] std::optional<std::uint32_t> lookup(
-      const Bytes& out, std::uint64_t hash,
-      std::span<const std::string> labels) const {
+      const Bytes& out, std::uint64_t hash, ByteView folded) const {
     if (count_ == 0) return std::nullopt;
     std::size_t i = hash & mask_;
     DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
     while (slots_[i].offset != kEmptySlot) {
       guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels)) {
+      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
         return slots_[i].offset;
       }
       i = (i + 1) & mask_;
@@ -135,14 +141,13 @@ class NameCompressor {
   }
 
   void insert_if_absent(const Bytes& out, std::uint64_t hash,
-                        std::span<const std::string> labels,
-                        std::uint32_t offset) {
+                        ByteView folded, std::uint32_t offset) {
     if ((count_ + 1) * 4 >= slots_.size() * 3) grow();
     std::size_t i = hash & mask_;
     DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
     while (slots_[i].offset != kEmptySlot) {
       guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, labels)) {
+      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
         return;  // first occurrence wins, like the old map's emplace
       }
       i = (i + 1) & mask_;

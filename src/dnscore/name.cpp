@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -11,28 +10,223 @@
 namespace dfx::dns {
 namespace {
 
-/// Labels as case-folded octet strings (RFC 4034 §6.1): folded bytes
-/// compare unsigned, and a proper prefix sorts first.
-int compare_labels_folded(const std::string& a, const std::string& b) {
-  const std::size_t n = std::min(a.size(), b.size());
+// parse() splits a name into at most this many labels before it checks
+// the 255-octet bound (which allows 127).
+constexpr std::size_t kMaxParseLabels = 128;
+
+void put_offset(std::uint8_t* offsets, std::size_t i, std::size_t at) {
+  const auto value = static_cast<std::uint16_t>(at);
+  std::memcpy(offsets + 2 * i, &value, sizeof value);
+}
+
+/// The heap block of a name too long for the inline buffer. Name owns it
+/// through its heap flag and frees it in release(), like a small-buffer
+/// string; a smart pointer would not fit the 64-byte object beside the
+/// inline bytes it shares storage with.
+std::uint8_t* new_block(std::size_t size) {
+  // dfx-lint: allow(banned-raw-new): Name's owned heap block (see above).
+  return new std::uint8_t[size];
+}
+
+/// Fold `n` bytes of `from` into `to`; true if any byte changed.
+bool fold(const std::uint8_t* from, std::size_t n, std::uint8_t* to) {
+  bool changed = false;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto ca = static_cast<unsigned char>(ascii_lower(a[i]));
-    const auto cb = static_cast<unsigned char>(ascii_lower(b[i]));
-    if (ca != cb) return ca < cb ? -1 : 1;
+    to[i] = static_cast<std::uint8_t>(ascii_lower(static_cast<char>(from[i])));
+    changed |= to[i] != from[i];
   }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  return 0;
+  return changed;
 }
 
 }  // namespace
 
-[[nodiscard]] std::optional<Name> Name::parse(std::string_view text) {
+// ---- NameView --------------------------------------------------------------
+
+NameView NameView::parent() const {
+  if (count_ == 0) return *this;
+  const std::size_t step = 1 + static_cast<std::size_t>(folded_[0]);
+  DFX_DCHECK(step < length_);
+  return NameView(folded_ + step, wire_ + step, offsets_ + 2,
+                  static_cast<std::uint16_t>(base_ + step),
+                  static_cast<std::uint16_t>(length_ - step),
+                  static_cast<std::uint16_t>(count_ - 1));
+}
+
+NameView NameView::suffix(std::size_t labels) const {
+  if (labels >= count_) return *this;
+  const std::size_t skip = count_ - labels;
+  // Root has no label entry: its suffix is the terminal zero octet.
+  const std::size_t step = labels == 0 ? length_ - 1u : offset(skip);
+  DFX_DCHECK(step < length_);
+  return NameView(folded_ + step, wire_ + step, offsets_ + 2 * skip,
+                  static_cast<std::uint16_t>(base_ + step),
+                  static_cast<std::uint16_t>(length_ - step),
+                  static_cast<std::uint16_t>(labels));
+}
+
+bool NameView::is_subdomain_of(const NameView& ancestor) const {
+  return ancestor.count_ <= count_ && suffix(ancestor.count_) == ancestor;
+}
+
+Name NameView::child(std::string_view label) const {
+  // parse() enforces RFC 1035 label bounds; child() builds names directly,
+  // so an oversized label here would be silently truncated at wire time.
+  DFX_CHECK(!label.empty() && label.size() <= 63,
+            "child label of %zu octets", label.size());
+  const std::size_t head = 1 + label.size();
+  DFX_CHECK(length_ + head <= 0xFFFF && count_ < 0xFFFF,
+            "child of a %u-octet name", static_cast<unsigned>(length_));
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(label.data());
+  std::uint8_t folded_label[63];
+  const bool mixed = fold(bytes, label.size(), folded_label) ||
+                     (wire_ != folded_ &&
+                      std::memcmp(wire_, folded_, length_) != 0);
   Name out;
+  std::uint8_t* offsets = out.allocate(head + length_, count_ + 1u, mixed);
+  put_offset(offsets, 0, 0);
+  for (std::size_t i = 0; i < count_; ++i) {
+    put_offset(offsets, i + 1, head + offset(i));
+  }
+  std::uint8_t* folded = offsets + 2 * (count_ + 1u);
+  folded[0] = static_cast<std::uint8_t>(label.size());
+  std::memcpy(folded + 1, folded_label, label.size());
+  std::memcpy(folded + head, folded_, length_);
+  if (mixed) {
+    std::uint8_t* wire = folded + head + length_;
+    wire[0] = static_cast<std::uint8_t>(label.size());
+    std::memcpy(wire + 1, bytes, label.size());
+    std::memcpy(wire + head, wire_, length_);
+  }
+  return out;
+}
+
+std::size_t NameHash::operator()(const NameView& n) const {
+  const ByteView folded = n.canonical_wire();
+  std::size_t h = 0xCBF29CE484222325ULL;
+  std::size_t pos = 0;
+  for (std::size_t label = 0; label < n.label_count(); ++label) {
+    const std::size_t len = folded[pos++];
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= folded[pos++];
+      h *= 0x100000001B3ULL;
+    }
+    h ^= 0xFF;  // label boundary
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// ---- Name ------------------------------------------------------------------
+
+std::uint8_t* Name::allocate(std::size_t length, std::size_t count,
+                             bool mixed) {
+  DFX_DCHECK(is_root() && (flags_ & kHeap) == 0);
+  length_ = static_cast<std::uint16_t>(length);
+  count_ = static_cast<std::uint16_t>(count);
+  flags_ = mixed ? kMixed : 0;
+  const std::size_t size = storage_size();
+  if (size <= kInline) return buf_;
+  std::uint8_t* heap = new_block(size);
+  std::memcpy(buf_, &heap, sizeof heap);
+  flags_ |= kHeap;
+  return heap;
+}
+
+Name::Name(const NameView& view) {
+  const bool mixed = view.wire_ != view.folded_ &&
+                     std::memcmp(view.wire_, view.folded_, view.length_) != 0;
+  std::uint8_t* offsets = allocate(view.length_, view.count_, mixed);
+  for (std::size_t i = 0; i < view.count_; ++i) {
+    put_offset(offsets, i, view.offset(i));
+  }
+  std::uint8_t* folded = offsets + 2 * count_;
+  std::memcpy(folded, view.folded_, view.length_);
+  if (mixed) std::memcpy(folded + length_, view.wire_, view.length_);
+}
+
+Name::Name(std::span<const std::string_view> labels) {
+  // Fold into a scratch buffer first: whether a presentation copy is
+  // needed (and so the buffer's size) is known only after the fold.
+  std::uint8_t folded_bytes[255];
+  std::size_t length = 1;
+  bool mixed = false;
+  for (const std::string_view label : labels) {
+    DFX_DCHECK(!label.empty() && label.size() <= 63);
+    DFX_DCHECK(length + 1 + label.size() <= 255);
+    folded_bytes[length - 1] = static_cast<std::uint8_t>(label.size());
+    mixed |= fold(reinterpret_cast<const std::uint8_t*>(label.data()),
+                  label.size(), folded_bytes + length);
+    length += 1 + label.size();
+  }
+  folded_bytes[length - 1] = 0;
+  std::uint8_t* offsets = allocate(length, labels.size(), mixed);
+  std::uint8_t* folded = offsets + 2 * count_;
+  std::memcpy(folded, folded_bytes, length);
+  std::uint8_t* wire = mixed ? folded + length : nullptr;
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    put_offset(offsets, i, pos);
+    if (wire != nullptr) {
+      wire[pos] = folded_bytes[pos];
+      std::memcpy(wire + pos + 1, labels[i].data(), labels[i].size());
+    }
+    pos += 1 + labels[i].size();
+  }
+  if (wire != nullptr) wire[pos] = 0;
+}
+
+void Name::copy_from(const Name& other) {
+  std::memcpy(buf_, other.buf_, kInline);
+  flags_ = other.flags_;
+  length_ = other.length_;
+  count_ = other.count_;
+  if ((flags_ & kHeap) == 0) return;
+  const std::size_t size = storage_size();
+  std::uint8_t* heap = new_block(size);
+  std::memcpy(heap, other.data(), size);
+  std::memcpy(buf_, &heap, sizeof heap);
+}
+
+void Name::take(Name& other) noexcept {
+  std::memcpy(buf_, other.buf_, kInline);
+  flags_ = other.flags_;
+  length_ = other.length_;
+  count_ = other.count_;
+  // The source becomes root without freeing what it handed over.
+  other.flags_ = 0;
+  other.length_ = 1;
+  other.count_ = 0;
+  other.buf_[0] = 0;
+}
+
+void Name::release() noexcept {
+  if ((flags_ & kHeap) == 0) return;
+  delete[] data();
+  flags_ = 0;
+}
+
+Name& Name::operator=(const Name& other) {
+  if (this == &other) return *this;
+  release();
+  copy_from(other);
+  return *this;
+}
+
+Name& Name::operator=(Name&& other) noexcept {
+  if (this == &other) return *this;
+  release();
+  take(other);
+  return *this;
+}
+
+[[nodiscard]] std::optional<Name> Name::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
-  if (text == ".") return out;
+  if (text == ".") return Name();
   if (text.back() == '.') text.remove_suffix(1);
   if (text.empty()) return std::nullopt;
 
+  std::string_view labels[kMaxParseLabels];
+  std::size_t n = 0;
   std::size_t start = 0;
   std::size_t total = 1;  // terminal zero octet
   while (start <= text.size()) {
@@ -50,26 +244,12 @@ int compare_labels_folded(const std::string& a, const std::string& b) {
       }
     }
     total += label.size() + 1;
-    out.labels_.emplace_back(label);
+    if (total > 255) return std::nullopt;
+    labels[n++] = label;
     if (dot == std::string_view::npos) break;
     start = dot + 1;
   }
-  if (total > 255) return std::nullopt;
-  return out;
-}
-
-Name Name::from_validated_pieces(std::span<const std::string_view> pieces) {
-  Name out;
-  out.labels_.reserve(pieces.size());
-  std::size_t total = 1;
-  for (const std::string_view piece : pieces) {
-    DFX_DCHECK(!piece.empty() && piece.size() <= 63);
-    total += piece.size() + 1;
-    out.labels_.emplace_back(piece);
-  }
-  DFX_DCHECK(total <= 255);
-  (void)total;
-  return out;
+  return Name(std::span<const std::string_view>(labels, n));
 }
 
 Name Name::of(std::string_view text) {
@@ -82,146 +262,40 @@ Name Name::of(std::string_view text) {
 }
 
 std::string Name::leftmost_label() const {
-  return labels_.empty() ? std::string() : labels_.front();
+  return is_root() ? std::string() : std::string(label(0));
 }
 
-Name Name::parent() const {
-  Name out;
-  if (labels_.size() <= 1) return out;
-  out.labels_.assign(labels_.begin() + 1, labels_.end());
-  return out;
-}
-
-Name Name::child(std::string_view label) const {
-  // parse() enforces RFC 1035 label bounds; child() builds names directly,
-  // so an oversized label here would be silently truncated at wire time.
-  DFX_CHECK(!label.empty() && label.size() <= 63,
-            "child label of %zu octets", label.size());
-  Name out;
-  out.labels_.reserve(labels_.size() + 1);
-  out.labels_.emplace_back(label);
-  out.labels_.insert(out.labels_.end(), labels_.begin(), labels_.end());
-  return out;
-}
-
-bool Name::is_subdomain_of(const Name& ancestor) const {
-  if (ancestor.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - ancestor.labels_.size();
-  for (std::size_t i = 0; i < ancestor.labels_.size(); ++i) {
-    if (compare_labels_folded(labels_[offset + i], ancestor.labels_[i]) != 0) {
-      return false;
-    }
+Name Name::common_ancestor(const NameView& other) const {
+  const NameView self = view();
+  std::size_t shared = 0;
+  const std::size_t most = std::min(self.label_count(), other.label_count());
+  while (shared < most &&
+         self.suffix(shared + 1) == other.suffix(shared + 1)) {
+    ++shared;
   }
-  return true;
-}
-
-Name Name::common_ancestor(const Name& other) const {
-  // `other` may be an NSEC next name straight off the wire (negative-cache
-  // synthesis); parse() caps any name at 127 labels, re-asserted here since
-  // the label counts below drive the suffix walk.
-  DFX_DCHECK(other.label_count() <= 127);
-  Name out;
-  std::size_t i = labels_.size();
-  std::size_t j = other.labels_.size();
-  std::vector<std::string> shared;
-  // Both operands may carry wire-derived label counts (NSEC next names in
-  // the negative cache); RFC 1035 caps a name at 127 labels, so the walk is
-  // bounded independent of either input.
-  DFX_BOUNDED_LOOP(guard, 128);
-  while (i > 0 && j > 0 &&
-         compare_labels_folded(labels_[i - 1], other.labels_[j - 1]) == 0) {
-    guard.tick();
-    shared.push_back(labels_[i - 1]);
-    --i;
-    --j;
-  }
-  std::reverse(shared.begin(), shared.end());
-  out.labels_ = std::move(shared);
-  return out;
+  return Name(self.suffix(shared));
 }
 
 Bytes Name::to_wire() const {
-  Bytes out;
-  out.reserve(wire_length());
-  for (const auto& label : labels_) {
-    DFX_DCHECK(label.size() <= 63);
-    out.push_back(static_cast<std::uint8_t>(label.size()));
-    append(out, as_bytes(label));
-  }
-  out.push_back(0);
-  return out;
+  const ByteView w = wire();
+  return Bytes(w.begin(), w.end());
 }
 
 Bytes Name::to_canonical_wire() const {
-  Bytes out;
-  out.reserve(wire_length());
-  for (const auto& label : labels_) {
-    DFX_DCHECK(label.size() <= 63);
-    out.push_back(static_cast<std::uint8_t>(label.size()));
-    for (char c : label) {
-      out.push_back(static_cast<unsigned char>(ascii_lower(c)));
-    }
-  }
-  out.push_back(0);
-  return out;
+  const ByteView w = canonical_wire();
+  return Bytes(w.begin(), w.end());
 }
 
 std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
+  if (is_root()) return ".";
   std::string out;
-  for (const auto& label : labels_) {
-    out += label;
+  out.reserve(length_);
+  const std::uint8_t* wire = presentation();
+  for (std::size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos]) {
+    out.append(reinterpret_cast<const char*>(wire + pos + 1), wire[pos]);
     out.push_back('.');
   }
   return out;
-}
-
-std::size_t Name::wire_length() const {
-  std::size_t total = 1;
-  for (const auto& label : labels_) total += label.size() + 1;
-  return total;
-}
-
-bool Name::operator==(const Name& other) const {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    // Same spelling is the common case: a plain compare settles it, and
-    // only labels that differ in bytes are compared folded.
-    const std::string& a = labels_[i];
-    const std::string& b = other.labels_[i];
-    if (a.size() != b.size()) return false;
-    if (a != b && compare_labels_folded(a, b) != 0) return false;
-  }
-  return true;
-}
-
-std::strong_ordering Name::operator<=>(const Name& other) const {
-  // RFC 4034 §6.1: compare right-most labels first.
-  std::size_t i = labels_.size();
-  std::size_t j = other.labels_.size();
-  while (i > 0 && j > 0) {
-    const int c = compare_labels_folded(labels_[i - 1], other.labels_[j - 1]);
-    if (c != 0) {
-      return c < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
-    }
-    --i;
-    --j;
-  }
-  if (i == j) return std::strong_ordering::equal;
-  return i < j ? std::strong_ordering::less : std::strong_ordering::greater;
-}
-
-std::size_t NameHash::operator()(const Name& n) const {
-  std::size_t h = 0xCBF29CE484222325ULL;
-  for (const auto& label : n.labels()) {
-    for (char c : label) {
-      h ^= static_cast<unsigned char>(ascii_lower(c));
-      h *= 0x100000001B3ULL;
-    }
-    h ^= 0xFF;  // label boundary
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 }  // namespace dfx::dns

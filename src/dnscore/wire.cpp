@@ -177,7 +177,7 @@ void WireReader::seek(std::size_t pos) {
     return std::nullopt;
   }
   if (n == 0) return Name::root();
-  return Name::from_validated_pieces({pieces, n});
+  return Name(std::span<const std::string_view>(pieces, n));
 }
 
 [[nodiscard]] std::optional<Rdata> rdata_from_wire(RRType type, ByteView wire) {

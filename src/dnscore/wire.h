@@ -3,8 +3,8 @@
 // rdata_to_wire (canonical encode) lives with the Rdata types; this header
 // adds the inverse direction plus a bounds-checked cursor the message codec
 // and tests use. Every wire name goes through one scanner,
-// `scan_name_pieces`; `WireReader::read_name` builds the owned `Name` from
-// its pieces.
+// `scan_name_pieces`; `WireReader::read_name` writes the owned `Name`'s
+// flat buffer straight from its pieces.
 #pragma once
 
 #include <optional>

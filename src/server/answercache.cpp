@@ -364,7 +364,7 @@ const AnswerCache::Nsec3Entry* AnswerCache::nsec3_cover(
 [[nodiscard]] std::optional<authserver::QueryResult>
 AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
                               const dns::Name& qname, dns::RRType qtype) const {
-  const auto hash = [&neg](const dns::Name& name) {
+  const auto hash = [&neg](const dns::NameView& name) {
     return zone::nsec3_hash(name, neg.nsec3_salt, neg.nsec3_iterations);
   };
   const auto match = neg.nsec3.find(hash(qname));
@@ -383,7 +383,7 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
   // that ancestor exists (every name and empty non-terminal is hashed);
   // the *verified* cover of the next-closer name below it proves no deeper
   // ancestor exists, so the pair pins the slow path's encloser exactly.
-  dns::Name closest = qname.parent();
+  dns::NameView closest = dns::NameView(qname).parent();
   const Nsec3Entry* encloser = nullptr;
   DFX_BOUNDED_LOOP(guard, 128);
   while (true) {
@@ -401,12 +401,8 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
   if (encloser->rdata.types.count(dns::RRType::kNS) != 0 && closest != apex) {
     return std::nullopt;
   }
-  dns::Name next_closer = qname;
-  DFX_BOUNDED_LOOP(nc_guard, 128);
-  while (next_closer.label_count() > closest.label_count() + 1) {
-    nc_guard.tick();
-    next_closer = next_closer.parent();
-  }
+  const dns::NameView next_closer =
+      dns::NameView(qname).suffix(closest.label_count() + 1);
   const Nsec3Entry* nc_cover = nsec3_cover(neg, hash(next_closer));
   if (nc_cover == nullptr) return std::nullopt;
 

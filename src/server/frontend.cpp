@@ -333,10 +333,12 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
     }
   }
 
-  // Miss (or cache-off): now pay for the Name. The question scan only
-  // validated label *lengths*; the Name model is textual, so a label
-  // containing '.' (or anything else presentation form cannot express)
-  // still fails here. No zone can hold such a name — refuse it.
+  // Miss (or cache-off): now pay for the Name, one flat buffer copied out
+  // of the question. The question scan only validated label *lengths*;
+  // read_name also applies the rules of presentation form (a '.' inside a
+  // wire label splits it, a trailing '.' is dropped, whitespace and control
+  // octets are refused), so a name that breaks them fails here. No zone can
+  // hold such a name — refuse it.
   dns::WireReader reader(query);
   reader.seek(12);
   auto qname = reader.read_name();

@@ -16,22 +16,20 @@ ZoneStore::ZoneStore() {
   }
 }
 
-std::size_t ZoneStore::shard_of(const dns::Name& apex) {
+std::size_t ZoneStore::shard_of(const dns::NameView& apex) {
   static_assert((kShards & (kShards - 1)) == 0, "kShards must be 2^k");
   return dns::NameHash{}(apex) & (kShards - 1);
 }
 
-// The ancestor walk copies one Name per candidate label (parent() rebuilds
-// the label vector); a name has at most 127 labels, so the copies are bounded.
-// dfx-lint: allow(hot-path-cost): bounded ancestor-walk Name copies (above).
 [[nodiscard]] std::optional<ZoneStore::ZoneView> ZoneStore::find(
     const dns::Name& qname, dns::RRType qtype) const {
-  // Walk the ancestor chain deepest-first. Each candidate costs one map
-  // lookup in its shard's snapshot, under the shard's read side; only the
-  // hit copies the snapshot pointer. A name has at most 127 labels, so the
-  // walk is strictly bounded.
+  // Walk the ancestor chain deepest-first over suffix views of qname, so
+  // no candidate is copied. Each candidate costs one map lookup in its
+  // shard's snapshot, under the shard's read side; only the hit copies the
+  // snapshot pointer. A name has at most 127 labels, so the walk is
+  // strictly bounded.
   const auto shard_probe =
-      [&](const dns::Name& apex) -> std::optional<ZoneView> {
+      [&](const dns::NameView& apex) -> std::optional<ZoneView> {
     const Shard& shard = shards_[shard_of(apex)];
     const ReaderLock lock(shard.mu);
     const auto it = shard.snapshot->zones.find(apex);
@@ -43,7 +41,7 @@ std::size_t ZoneStore::shard_of(const dns::Name& apex) {
                     &hosted.zone.apex()};
   };
 
-  dns::Name candidate = qname;
+  dns::NameView candidate = qname;
   std::optional<ZoneView> best;
   DFX_BOUNDED_LOOP(guard, 128);
   while (true) {
@@ -61,7 +59,7 @@ std::size_t ZoneStore::shard_of(const dns::Name& apex) {
   // best_zone_for applies the same rule).
   if (qtype == dns::RRType::kDS && *best->apex == qname &&
       !qname.is_root()) {
-    dns::Name parent = qname.parent();
+    dns::NameView parent = dns::NameView(qname).parent();
     DFX_BOUNDED_LOOP(parent_guard, 128);
     while (true) {
       parent_guard.tick();

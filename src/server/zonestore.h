@@ -149,7 +149,7 @@ class ZoneStore {
   std::size_t zone_count() const DFX_EXCLUDES(writer_mu_);
 
  private:
-  static std::size_t shard_of(const dns::Name& apex);
+  static std::size_t shard_of(const dns::NameView& apex);
 
   /// Publish a new snapshot of `shard` sharing `master_`'s HostedZones.
   void publish_shard(std::size_t shard) DFX_REQUIRES(writer_mu_);

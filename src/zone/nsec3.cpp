@@ -8,7 +8,6 @@
 #include "util/check.hpp"
 #include "util/codec.h"
 #include "util/metrics.h"
-#include "util/strings.h"
 
 namespace dfx::zone {
 namespace {
@@ -41,20 +40,14 @@ thread_local std::unique_ptr<Memo> memo;
 /// The canonical wire form of `name` followed by `salt`, in `key` (which
 /// must arrive zero-filled); returns the wire length, or 0 when the two
 /// do not fit.
-std::size_t memo_key(const dns::Name& name, ByteView salt, MemoKey& key) {
-  const std::size_t wire_length = name.wire_length();
-  if (wire_length + salt.size() > key.size()) return 0;
-  std::uint8_t* out = key.data();
-  for (const auto& label : name.labels()) {
-    DFX_DCHECK(label.size() <= 63);
-    *out++ = static_cast<std::uint8_t>(label.size());
-    for (const char c : label) {
-      *out++ = static_cast<unsigned char>(ascii_lower(c));
-    }
+std::size_t memo_key(const dns::NameView& name, ByteView salt, MemoKey& key) {
+  const ByteView wire = name.canonical_wire();
+  if (wire.size() + salt.size() > key.size()) return 0;
+  std::memcpy(key.data(), wire.data(), wire.size());
+  if (!salt.empty()) {
+    std::memcpy(key.data() + wire.size(), salt.data(), salt.size());
   }
-  *out++ = 0;
-  if (!salt.empty()) std::memcpy(out, salt.data(), salt.size());
-  return wire_length;
+  return wire.size();
 }
 
 /// Mixes the first `length` bytes of `key` eight at a time, with the
@@ -98,7 +91,7 @@ void note_memo_hit() {
 
 }  // namespace
 
-std::size_t nsec3_memo_slot(const dns::Name& name, ByteView salt,
+std::size_t nsec3_memo_slot(const dns::NameView& name, ByteView salt,
                             std::uint16_t iterations) {
   MemoKey key{};
   const std::size_t wire_length = memo_key(name, salt, key);
@@ -106,12 +99,13 @@ std::size_t nsec3_memo_slot(const dns::Name& name, ByteView salt,
   return slot_of(key, wire_length + salt.size(), iterations);
 }
 
-Bytes nsec3_hash(const dns::Name& name, ByteView salt,
+Bytes nsec3_hash(const dns::NameView& name, ByteView salt,
                  std::uint16_t iterations) {
   MemoKey key{};
   const std::size_t wire_length = memo_key(name, salt, key);
   if (wire_length == 0) {
-    Bytes wire_and_salt = name.to_canonical_wire();
+    const ByteView wire = name.canonical_wire();
+    Bytes wire_and_salt(wire.begin(), wire.end());
     wire_and_salt.insert(wire_and_salt.end(), salt.begin(), salt.end());
     const auto digest = hash_chain(wire_and_salt, salt, iterations);
     return Bytes(digest.begin(), digest.end());
@@ -134,12 +128,12 @@ Bytes nsec3_hash(const dns::Name& name, ByteView salt,
   return Bytes(slot.digest.begin(), slot.digest.end());
 }
 
-std::string nsec3_hash_label(const dns::Name& name, ByteView salt,
+std::string nsec3_hash_label(const dns::NameView& name, ByteView salt,
                              std::uint16_t iterations) {
   return base32hex_encode(nsec3_hash(name, salt, iterations));
 }
 
-dns::Name nsec3_owner(const dns::Name& name, const dns::Name& apex,
+dns::Name nsec3_owner(const dns::NameView& name, const dns::Name& apex,
                       ByteView salt, std::uint16_t iterations) {
   return apex.child(nsec3_hash_label(name, salt, iterations));
 }

@@ -21,7 +21,7 @@ namespace dfx::zone {
 /// counter, so the count is exact once the hashing threads are done).
 /// Callers that budget hashing work (grok's NSEC3 hash budget) charge it
 /// before each call, hit or miss.
-Bytes nsec3_hash(const dns::Name& name, ByteView salt,
+Bytes nsec3_hash(const dns::NameView& name, ByteView salt,
                  std::uint16_t iterations);
 
 inline constexpr std::size_t kNsec3MemoSlots = 256;
@@ -29,15 +29,15 @@ inline constexpr std::size_t kNsec3MemoSlots = 256;
 /// The memo slot nsec3_hash uses for a question, or kNsec3MemoSlots when
 /// the question is too long to be memoized (tests use it to force
 /// collisions).
-std::size_t nsec3_memo_slot(const dns::Name& name, ByteView salt,
+std::size_t nsec3_memo_slot(const dns::NameView& name, ByteView salt,
                             std::uint16_t iterations);
 
 /// The base32hex label form used as the NSEC3 owner name.
-std::string nsec3_hash_label(const dns::Name& name, ByteView salt,
+std::string nsec3_hash_label(const dns::NameView& name, ByteView salt,
                              std::uint16_t iterations);
 
 /// Owner name of an NSEC3 record: hash-label prepended to the zone apex.
-dns::Name nsec3_owner(const dns::Name& name, const dns::Name& apex,
+dns::Name nsec3_owner(const dns::NameView& name, const dns::Name& apex,
                       ByteView salt, std::uint16_t iterations);
 
 }  // namespace dfx::zone

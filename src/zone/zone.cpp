@@ -171,23 +171,23 @@ void Zone::remove_name(const dns::Name& owner) {
   version.records.erase(it);
 }
 
-Zone::Records::const_iterator Zone::locate(const dns::Name& owner) const {
+Zone::Records::const_iterator Zone::locate(const dns::NameView& owner) const {
   const auto& records = this->records();
   // The apex leads the canonical order unless out-of-zone names sort
-  // before it: a lookup of the zone's own apex name tries the first owner
-  // before it searches (the admission policy and every SOA lookup).
-  if (&owner == &apex_ && !records.empty() &&
-      records.begin()->first == apex_) {
+  // before it: a lookup tries the first owner before it searches (the
+  // admission policy, every SOA lookup and most closest enclosers ask for
+  // the apex; for other names the length test settles it).
+  if (!records.empty() && records.begin()->first == owner) {
     return records.begin();
   }
   return records.find(owner);
 }
 
-const dns::RRset* Zone::find(const dns::Name& owner, dns::RRType type) const {
-  const auto it = locate(owner);
-  if (it == records().end()) return nullptr;
-  const auto tit = it->second.find(type);
-  return tit == it->second.end() ? nullptr : &tit->second;
+const dns::RRset* Zone::find(const dns::NameView& owner, dns::RRType type) const {
+  const RRsets* rrsets = rrsets_at(owner);
+  if (rrsets == nullptr) return nullptr;
+  const auto it = rrsets->find(type);
+  return it == rrsets->end() ? nullptr : &it->second;
 }
 
 dns::RRset* Zone::find_mutable(const dns::Name& owner, dns::RRType type) {
@@ -210,17 +210,17 @@ dns::RRset* Zone::find_mutable(const dns::Name& owner, dns::RRType type) {
           static_cast<std::uint16_t>(version_->nsec3_iterations.max())};
 }
 
-std::vector<const dns::RRset*> Zone::at(const dns::Name& owner) const {
+std::vector<const dns::RRset*> Zone::at(const dns::NameView& owner) const {
   std::vector<const dns::RRset*> out;
   for_each_at(owner, [&](const dns::RRset& rrset) { out.push_back(&rrset); });
   return out;
 }
 
-bool Zone::name_exists(const dns::Name& name) const {
-  return records().count(name) != 0;
+bool Zone::name_exists(const dns::NameView& name) const {
+  return rrsets_at(name) != nullptr;
 }
 
-bool Zone::name_or_descendant_exists(const dns::Name& name) const {
+bool Zone::name_or_descendant_exists(const dns::NameView& name) const {
   // Canonical order puts descendants of `name` immediately after it.
   const auto& records = this->records();
   auto it = records.lower_bound(name);
@@ -242,17 +242,17 @@ std::vector<const dns::RRset*> Zone::all_rrsets() const {
   return out;
 }
 
-bool Zone::is_delegation(const dns::Name& name) const {
+bool Zone::is_delegation(const dns::NameView& name) const {
   if (name == apex_) return false;
   return find(name, dns::RRType::kNS) != nullptr;
 }
 
 [[nodiscard]] std::optional<dns::Name> Zone::covering_delegation(
-    const dns::Name& name) const {
-  dns::Name cur = name;
-  while (cur != apex_ && cur.label_count() > apex_.label_count()) {
-    if (is_delegation(cur)) return cur;
-    cur = cur.parent();
+    const dns::NameView& name) const {
+  for (dns::NameView cur = name;
+       cur != apex_ && cur.label_count() > apex_.label_count();
+       cur = cur.parent()) {
+    if (is_delegation(cur)) return dns::Name(cur);
   }
   return std::nullopt;
 }

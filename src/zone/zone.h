@@ -75,7 +75,16 @@ class Zone {
   /// Remove every record at an owner name.
   void remove_name(const dns::Name& owner);
 
-  const dns::RRset* find(const dns::Name& owner, dns::RRType type) const;
+  /// The RRsets at one owner, by type.
+  using RRsets = std::map<dns::RRType, dns::RRset>;
+
+  const dns::RRset* find(const dns::NameView& owner, dns::RRType type) const;
+  /// All RRsets at `owner`, or nullptr when no record has that owner: one
+  /// search of the owner map for several type lookups.
+  const RRsets* rrsets_at(const dns::NameView& owner) const {
+    const auto it = locate(owner);
+    return it == records().end() ? nullptr : &it->second;
+  }
   /// Mutable lookup: a write, so it clones shared records first. The
   /// caller must keep the RRset's owner and type. An RRSIG or NSEC3 RRset
   /// handed out here makes signature_bound() unknown.
@@ -87,20 +96,20 @@ class Zone {
   [[nodiscard]] std::optional<SignatureBound> signature_bound() const;
 
   /// All RRsets at one owner.
-  std::vector<const dns::RRset*> at(const dns::Name& owner) const;
+  std::vector<const dns::RRset*> at(const dns::NameView& owner) const;
 
   /// Visit the RRsets at one owner without building at()'s vector (the
   /// admission policy reads the apex this way on every upsert).
   template <typename Fn>
-  void for_each_at(const dns::Name& owner, Fn&& fn) const {
-    const auto it = locate(owner);
-    if (it == records().end()) return;
-    for (const auto& [type, rrset] : it->second) fn(rrset);
+  void for_each_at(const dns::NameView& owner, Fn&& fn) const {
+    const RRsets* rrsets = rrsets_at(owner);
+    if (rrsets == nullptr) return;
+    for (const auto& [type, rrset] : *rrsets) fn(rrset);
   }
 
   /// Does any record exist at or below `name`?
-  bool name_exists(const dns::Name& name) const;
-  bool name_or_descendant_exists(const dns::Name& name) const;
+  bool name_exists(const dns::NameView& name) const;
+  bool name_or_descendant_exists(const dns::NameView& name) const;
 
   /// Owner names in canonical order.
   std::vector<dns::Name> owner_names() const;
@@ -119,12 +128,12 @@ class Zone {
   std::vector<const dns::RRset*> all_rrsets() const;
 
   /// Is `name` a delegation point (has NS but is not the apex)?
-  bool is_delegation(const dns::Name& name) const;
+  bool is_delegation(const dns::NameView& name) const;
 
   /// The deepest delegation point above-or-at `name`, if any (zone cuts
   /// hide everything below them).
   [[nodiscard]] std::optional<dns::Name> covering_delegation(
-      const dns::Name& name) const;
+      const dns::NameView& name) const;
 
   /// Flatten to records (zone-file order: apex first, then canonical).
   std::vector<dns::ResourceRecord> to_records() const;
@@ -134,8 +143,7 @@ class Zone {
   void bump_serial();
 
  private:
-  using Records =
-      std::map<dns::Name, std::map<dns::RRType, dns::RRset>, dns::Name::Less>;
+  using Records = std::map<dns::Name, RRsets, dns::Name::Less>;
 
   /// How often each value occurs, sorted by value, so that a removal can
   /// lower the maximum without a rescan. A zone holds few distinct RRSIG
@@ -173,7 +181,7 @@ class Zone {
   }
   static const Records& no_records();
   /// The owner's entry in records(), or its end.
-  Records::const_iterator locate(const dns::Name& owner) const;
+  Records::const_iterator locate(const dns::NameView& owner) const;
   /// The version for writing: cloned first when it may be shared. The
   /// removers and find_mutable look up first, so a miss never clones.
   Version& writable();

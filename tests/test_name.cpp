@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <clocale>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -131,9 +132,11 @@ int reference_label_compare(const std::string& a, const std::string& b) {
   return 0;
 }
 
-int reference_compare(const Name& a, const Name& b) {
-  const auto& la = a.labels();
-  const auto& lb = b.labels();
+// The reference side works on the generator's label vectors, so it shares
+// no comparison, fold or storage code with Name.
+using Labels = std::vector<std::string>;
+
+int reference_compare(const Labels& la, const Labels& lb) {
   std::size_t i = la.size();
   std::size_t j = lb.size();
   while (i > 0 && j > 0) {
@@ -146,9 +149,7 @@ int reference_compare(const Name& a, const Name& b) {
   return i < j ? -1 : 1;
 }
 
-bool reference_is_subdomain(const Name& name, const Name& ancestor) {
-  const auto& ln = name.labels();
-  const auto& la = ancestor.labels();
+bool reference_is_subdomain(const Labels& ln, const Labels& la) {
   if (la.size() > ln.size()) return false;
   const std::size_t offset = ln.size() - la.size();
   for (std::size_t i = 0; i < la.size(); ++i) {
@@ -157,9 +158,20 @@ bool reference_is_subdomain(const Name& name, const Name& ancestor) {
   return true;
 }
 
-std::size_t reference_hash(const Name& n) {
+/// The labels both names share, counted from the root, spelled as in `la`.
+Labels reference_common_ancestor(const Labels& la, const Labels& lb) {
+  std::size_t shared = 0;
+  while (shared < la.size() && shared < lb.size() &&
+         reference_label_compare(la[la.size() - 1 - shared],
+                                 lb[lb.size() - 1 - shared]) == 0) {
+    ++shared;
+  }
+  return Labels(la.end() - static_cast<std::ptrdiff_t>(shared), la.end());
+}
+
+std::size_t reference_hash(const Labels& labels) {
   std::size_t h = 0xCBF29CE484222325ULL;
-  for (const auto& label : n.labels()) {
+  for (const auto& label : labels) {
     for (char c : label) {
       h ^= static_cast<std::size_t>(
           std::tolower(static_cast<unsigned char>(c)));
@@ -171,16 +183,27 @@ std::size_t reference_hash(const Name& n) {
   return h;
 }
 
-Bytes reference_canonical_wire(const Name& n) {
+Bytes reference_wire(const Labels& labels, bool fold) {
   Bytes out;
-  for (const auto& label : n.labels()) {
+  for (const auto& label : labels) {
     out.push_back(static_cast<std::uint8_t>(label.size()));
     for (char c : label) {
-      out.push_back(static_cast<std::uint8_t>(
-          std::tolower(static_cast<unsigned char>(c))));
+      const auto byte = static_cast<unsigned char>(c);
+      out.push_back(static_cast<std::uint8_t>(fold ? std::tolower(byte) : byte));
     }
   }
   out.push_back(0);
+  return out;
+}
+
+Bytes reference_canonical_wire(const Labels& labels) {
+  return reference_wire(labels, /*fold=*/true);
+}
+
+std::string reference_text(const Labels& labels) {
+  if (labels.empty()) return ".";
+  std::string out;
+  for (const auto& label : labels) out += label + ".";
   return out;
 }
 
@@ -250,27 +273,126 @@ std::vector<std::string> related(Rng& rng, std::vector<std::string> base,
   }
 }
 
+/// Every accessor and derived name of `name` against the reference reading
+/// of `labels`, the label vector it was built from.
+void expect_matches_reference(const Name& name, const Labels& labels) {
+  ASSERT_EQ(name.label_count(), labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(name.label(i), labels[i]) << "label " << i;
+  }
+  EXPECT_EQ(name.leftmost_label(), labels.empty() ? "" : labels.front());
+  EXPECT_EQ(name.to_wire(), reference_wire(labels, /*fold=*/false));
+  EXPECT_EQ(name.wire_length(), name.to_wire().size());
+  EXPECT_EQ(name.to_canonical_wire(), reference_canonical_wire(labels));
+  EXPECT_EQ(NameHash{}(name), reference_hash(labels));
+  EXPECT_EQ(name.to_string(), reference_text(labels));
+  const auto reparsed = Name::parse(name.to_string());
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(reparsed->to_wire(), reference_wire(labels, /*fold=*/false));
+}
+
 TEST(Name, TableFoldMatchesTolowerComparison) {
   Rng rng(2024);
+  Rng child_rng(7);  // child labels; keeps `rng`'s sequence of names
   for (int round = 0; round < 20000; ++round) {
     // One round in eight uses 127 one-octet labels, the most a name holds.
     const bool long_names = round % 8 == 0;
-    std::vector<std::string> base(long_names ? 127 : rng.uniform(5));
+    Labels base(long_names ? 127 : rng.uniform(5));
     for (auto& label : base) label = random_label(rng, long_names ? 1 : 3);
+    const Labels other = related(rng, base, long_names);
     const Name a = name_of_labels(base);
-    const Name b = name_of_labels(related(rng, base, long_names));
+    const Name b = name_of_labels(other);
     SCOPED_TRACE(a.to_string() + " vs " + b.to_string());
 
-    const int want = reference_compare(a, b);
+    const int want = reference_compare(base, other);
     const auto got = a <=> b;
     EXPECT_EQ(got < 0, want < 0);
     EXPECT_EQ(got > 0, want > 0);
     EXPECT_EQ(a == b, want == 0);
-    EXPECT_EQ(a.is_subdomain_of(b), reference_is_subdomain(a, b));
-    EXPECT_EQ(b.is_subdomain_of(a), reference_is_subdomain(b, a));
-    EXPECT_EQ(NameHash{}(a), reference_hash(a));
-    EXPECT_EQ(NameHash{}(b), reference_hash(b));
-    EXPECT_EQ(a.to_canonical_wire(), reference_canonical_wire(a));
+    EXPECT_EQ(a.is_subdomain_of(b), reference_is_subdomain(base, other));
+    EXPECT_EQ(b.is_subdomain_of(a), reference_is_subdomain(other, base));
+    expect_matches_reference(a, base);
+    expect_matches_reference(b, other);
+    expect_matches_reference(a.common_ancestor(b),
+                             reference_common_ancestor(base, other));
+    expect_matches_reference(b.common_ancestor(a),
+                             reference_common_ancestor(other, base));
+
+    // parent() of every ancestor, and the same walk over suffix views
+    // (long names are compared in full every 16 levels).
+    Labels ancestor = base;
+    Name up = a;
+    NameView view = a;
+    while (!ancestor.empty()) {
+      ancestor.erase(ancestor.begin());
+      up = up.parent();
+      view = view.parent();
+      EXPECT_TRUE(view == up);
+      EXPECT_EQ(view.label_count(), ancestor.size());
+      EXPECT_EQ(view.is_subdomain_of(b),
+                reference_is_subdomain(ancestor, other));
+      if (long_names && ancestor.size() % 16 != 0) continue;
+      expect_matches_reference(up, ancestor);
+      expect_matches_reference(Name(view), ancestor);
+    }
+    EXPECT_EQ(up.parent(), Name::root());
+
+    if (!long_names) {
+      const std::string label = random_label(child_rng, 3);
+      Labels extended = base;
+      extended.insert(extended.begin(), label);
+      expect_matches_reference(a.child(label), extended);
+    }
+  }
+}
+
+TEST(Name, MapOrderMatchesReferenceSort) {
+  Rng rng(77);
+  std::vector<Labels> all;
+  std::map<Name, int, Name::Less> map;
+  for (int i = 0; i < 3000; ++i) {
+    Labels labels(rng.uniform(5));
+    for (auto& label : labels) label = random_label(rng, 3);
+    if (i % 3 != 0 && !all.empty()) {
+      labels = related(rng, all[rng.uniform(all.size())], false);
+    }
+    all.push_back(labels);
+    map.emplace(name_of_labels(labels), i);
+  }
+  std::stable_sort(all.begin(), all.end(), [](const Labels& x, const Labels& y) {
+    return reference_compare(x, y) < 0;
+  });
+  all.erase(std::unique(all.begin(), all.end(),
+                        [](const Labels& x, const Labels& y) {
+                          return reference_compare(x, y) == 0;
+                        }),
+            all.end());
+  ASSERT_EQ(map.size(), all.size());
+  std::size_t i = 0;
+  for (const auto& [name, _] : map) {
+    EXPECT_EQ(name.to_canonical_wire(), reference_canonical_wire(all[i]))
+        << "position " << i;
+    ++i;
+  }
+}
+
+TEST(Name, FlatNameStaysSmall) {
+  static_assert(sizeof(Name) <= 64);
+  // A heap-held name (long labels) and an inline one survive copies and
+  // moves with their bytes intact.
+  const Name long_name = Name::of(std::string(63, 'A') + "." +
+                                  std::string(63, 'b') + ".example.");
+  const Name short_name = Name::of("Www.Example.");
+  for (const Name& original : {long_name, short_name}) {
+    Name copy = original;
+    EXPECT_EQ(copy.to_wire(), original.to_wire());
+    Name moved = std::move(copy);
+    EXPECT_EQ(moved.to_wire(), original.to_wire());
+    EXPECT_EQ(copy, Name::root());  // NOLINT(bugprone-use-after-move)
+    copy = moved;
+    EXPECT_EQ(copy.to_string(), original.to_string());
+    moved = short_name;
+    EXPECT_EQ(moved.to_string(), "Www.Example.");
   }
 }
 

@@ -73,7 +73,8 @@ TEST(Nsec3Owner, PrependsHashLabelToApex) {
 Bytes reference_hash(const dns::Name& name, const Bytes& salt,
                      std::uint16_t iterations) {
   Bytes wire;
-  for (const auto& label : name.labels()) {
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string_view label = name.label(i);
     wire.push_back(static_cast<std::uint8_t>(label.size()));
     for (const char c : label) {
       wire.push_back(static_cast<std::uint8_t>(

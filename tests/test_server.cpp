@@ -253,6 +253,24 @@ TEST(WireFrontend, NonInternetClassIsRefused) {
   EXPECT_EQ(response[3] & 0x0F, 5);  // REFUSED
 }
 
+TEST(WireFrontend, QnameWithRefusedOctetIsRefusedByteForByte) {
+  Fixture f;
+  // "w w.example.test." (a space inside the first label) passes the
+  // question scan, which checks label lengths only, and fails read_name.
+  Bytes question = {3, 'w', ' ', 'w'};
+  append(question, f.apex.to_wire());
+  append(question, Bytes{0, 1, 0, 1});  // qtype A, class IN
+  Bytes query = {0x42, 0x42, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0};
+  append(query, question);
+  // Header: same id, QR + RD, RCODE 5 (REFUSED), one question, no records;
+  // then the question, verbatim.
+  Bytes expected = {0x42, 0x42, 0x81, 0x05, 0, 1, 0, 0, 0, 0, 0, 0};
+  append(expected, question);
+  EXPECT_EQ(f.uncached.serve(query), expected);
+  EXPECT_EQ(f.cached.serve(query), expected);
+  EXPECT_EQ(f.cached.serve(query), expected);  // the cached REFUSED body
+}
+
 // ---------------------------------------------------------------------------
 // Transport-level behavior: EDNS negotiation, truncation, 0x20 echo
 

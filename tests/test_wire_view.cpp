@@ -169,6 +169,28 @@ TEST(WireArena, OversizeRequestGetsDedicatedChunk) {
 // ---------------------------------------------------------------------------
 // Name scanning
 
+/// A Name's labels, leftmost first, through its label view.
+std::vector<std::string> labels_of(const Name& name) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    out.emplace_back(name.label(i));
+  }
+  return out;
+}
+
+/// One wire label of `n` copies of `c`.
+Bytes wire_label(std::size_t n, char c) {
+  Bytes out{static_cast<std::uint8_t>(n)};
+  out.insert(out.end(), n, static_cast<std::uint8_t>(c));
+  return out;
+}
+
+Bytes concat(std::initializer_list<Bytes> parts) {
+  Bytes out;
+  for (const Bytes& part : parts) append(out, part);
+  return out;
+}
+
 TEST(ScanName, PiecesMatchOwnedReadName) {
   // "www.Example.com" at offset 0, then a compressed reference to it.
   Bytes wire;
@@ -200,8 +222,71 @@ TEST(ScanName, PiecesMatchOwnedReadName) {
     r.seek(start);
     const auto owned = r.read_name();
     ASSERT_TRUE(owned.has_value());
-    EXPECT_EQ(owned->labels(),
+    EXPECT_EQ(labels_of(*owned),
               (std::vector<std::string>{"www", "Example", "com"}));
+    EXPECT_EQ(owned->to_wire(), Bytes(wire.begin(), wire.begin() + 17));
+  }
+
+  // The boundary cases read_name accepts: the pieces, and the flat Name's
+  // labels and wire form, for each.
+  struct Accepted {
+    const char* what;
+    Bytes wire;
+    std::vector<std::string> labels;
+  };
+  const std::string l63(63, 'x');
+  const std::string l61(61, 'y');
+  std::vector<Accepted> accepted = {
+      {"a '.' inside a wire label splits it",
+       {3, 'a', '.', 'b', 3, 'c', 'o', 'm', 0},
+       {"a", "b", "com"}},
+      {"a trailing '.' on the last label is dropped",
+       {3, 'c', 'o', 'm', 4, 'n', 'e', 't', '.', 0},
+       {"com", "net"}},
+      {"a lone '.' label is root", {1, '.', 0}, {}},
+      {"bytes >= 0x80 are kept, unfolded",
+       {3, 0x80, 0xC3, 0xFF, 1, 'Q', 0},
+       {"\x80\xC3\xFF", "Q"}},
+      {"0x7F is kept (only whitespace and octets below 0x21 are refused)",
+       {2, 0x7F, 'a', 0},
+       {"\x7F" "a"}},
+      {"a 63-octet label",
+       concat({wire_label(63, 'x'), {0}}),
+       {l63}},
+      {"a 255-octet name",
+       concat({wire_label(63, 'x'), wire_label(63, 'x'), wire_label(63, 'x'),
+               wire_label(61, 'y'), {0}}),
+       {l63, l63, l63, l61}},
+      {"127 one-octet labels", {}, std::vector<std::string>(127, "z")},
+  };
+  Bytes& most_labels = accepted[accepted.size() - 1].wire;
+  for (int i = 0; i < 127; ++i) append(most_labels, Bytes{1, 'z'});
+  most_labels.push_back(0);
+  for (const Accepted& c : accepted) {
+    SCOPED_TRACE(c.what);
+    std::size_t pos = 0;
+    std::string_view pieces[kMaxNamePieces];
+    std::size_t n = 0;
+    ASSERT_TRUE(scan_name_pieces(c.wire, pos, pieces, &n));
+    EXPECT_EQ(std::vector<std::string>(pieces, pieces + n), c.labels);
+    WireReader r(c.wire);
+    const auto owned = r.read_name();
+    ASSERT_TRUE(owned.has_value());
+    EXPECT_EQ(labels_of(*owned), c.labels);
+    Bytes expected_wire;
+    for (const auto& label : c.labels) {
+      expected_wire.push_back(static_cast<std::uint8_t>(label.size()));
+      append(expected_wire, as_bytes(label));
+    }
+    expected_wire.push_back(0);
+    EXPECT_EQ(owned->to_wire(), expected_wire);
+    Bytes folded = expected_wire;  // length octets are below 'A'
+    for (auto& byte : folded) {
+      if (byte >= 'A' && byte <= 'Z') byte = static_cast<std::uint8_t>(byte + 32);
+    }
+    EXPECT_EQ(owned->to_canonical_wire(), folded);
+    EXPECT_EQ(owned->wire_length(), expected_wire.size());
+    EXPECT_LE(owned->wire_length(), 255u);
   }
 }
 
@@ -212,8 +297,30 @@ TEST(ScanName, RejectsExactlyWhatReadNameRejects) {
       {3, 'a', 'b'},             // truncated label
       {0x80, 0x00},              // reserved label type bits
       {1, ' ', 0},               // forbidden character
+      {1, 0x00, 0},              // NUL inside a label
+      {1, 0x20, 0},              // space
+      {2, 'a', 0x1F, 0},         // control octet below 0x21
+      {3, 'a', 0x09, 'b', 0},    // tab
+      {2, 'a', '.', 1, 'b', 0},  // '.' ending an inner label: empty piece
+      {2, '.', '.', 0},          // ".." trimmed to ".": empty pieces
+      {1, '.', 1, 'a', 0},       // a '.' label before another
+      {0x40, 0x00},              // a 64-octet label length is reserved bits
   };
   for (const auto& wire : bad) {
+    std::size_t pos = 0;
+    std::string_view pieces[kMaxNamePieces];
+    std::size_t n = 0;
+    EXPECT_FALSE(scan_name_pieces(wire, pos, pieces, &n));
+    WireReader r(wire);
+    EXPECT_FALSE(r.read_name().has_value());
+  }
+  // A 256-octet name (one octet past the limit) and 128 one-octet labels.
+  Bytes too_long = concat({wire_label(63, 'x'), wire_label(63, 'x'),
+                           wire_label(63, 'x'), wire_label(62, 'y'), {0}});
+  Bytes too_many;
+  for (int i = 0; i < 128; ++i) append(too_many, Bytes{1, 'z'});
+  too_many.push_back(0);
+  for (const Bytes& wire : {too_long, too_many}) {
     std::size_t pos = 0;
     std::string_view pieces[kMaxNamePieces];
     std::size_t n = 0;
@@ -239,7 +346,7 @@ TEST(ScanName, RejectsExactlyWhatReadNameRejects) {
 class MapCompressorOracle {
  public:
   void write_name(Bytes& out, const Name& name) {
-    const auto& labels = name.labels();
+    const auto labels = labels_of(name);
     for (std::size_t skip = 0; skip < labels.size(); ++skip) {
       const std::string suffix = suffix_key(name, skip);
       const auto it = table_.find(suffix);
@@ -256,7 +363,7 @@ class MapCompressorOracle {
 
  private:
   static std::string suffix_key(const Name& name, std::size_t skip) {
-    const auto& labels = name.labels();
+    const auto labels = labels_of(name);
     std::vector<std::string> parts;
     for (std::size_t i = skip; i < labels.size(); ++i) {
       parts.push_back(to_lower(labels[i]));
@@ -265,7 +372,7 @@ class MapCompressorOracle {
   }
 
   void emit_labels(Bytes& out, const Name& name, std::size_t count) {
-    const auto& labels = name.labels();
+    const auto labels = labels_of(name);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t offset = out.size();
       if (offset < 0x3FFF) table_.emplace(suffix_key(name, i), offset);

@@ -10,7 +10,10 @@
 //                          (decimal digits; anything else exits 2)
 //
 // The origin of each zone is derived from the file name: `par.a.com.zone`
-// is parsed with $ORIGIN par.a.com. Findings map onto the dfixer_lint
+// is parsed with $ORIGIN par.a.com. When a `dsset-par.a.com.` file (the DS
+// set BIND's dnssec-signzone writes) sits beside the zone file, its DS
+// records for the origin are the parent's DS set and the DS linkage rules
+// run against them. Findings map onto the dfixer_lint
 // ratchet schema (rule = error-code name, severity from the analyzer's
 // criticality table) so CI diffs both tools' baselines with the same logic.
 #include <algorithm>
@@ -74,16 +77,20 @@ dfx::dns::Name origin_from_filename(const fs::path& path) {
   return parsed.value_or(dfx::dns::Name::root());
 }
 
-bool lint_file(const fs::path& path, const fs::path& root, dfx::UnixTime now,
-               std::vector<dfx::lint::Violation>& out) {
+/// Parse the master file at `path` with `origin`. On a parse error, adds
+/// an `unparsable-zone-file` finding and returns nullopt.
+[[nodiscard]] std::optional<std::vector<dfx::dns::ResourceRecord>>
+read_records(
+    const fs::path& path, const fs::path& root, const dfx::dns::Name& origin,
+    std::vector<dfx::lint::Violation>& out, bool& io_ok) {
   std::ifstream in(path);
-  if (!in) {
+  io_ok = static_cast<bool>(in);
+  if (!io_ok) {
     std::cerr << "zonelint: cannot read " << path << "\n";
-    return false;
+    return std::nullopt;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const dfx::dns::Name origin = origin_from_filename(path);
   auto parsed = dfx::dns::parse_master_file(buffer.str(), origin);
   if (const auto* err = std::get_if<dfx::dns::MasterFileError>(&parsed)) {
     dfx::lint::Violation v;
@@ -93,17 +100,34 @@ bool lint_file(const fs::path& path, const fs::path& root, dfx::UnixTime now,
     v.severity = "error";
     v.excerpt = err->message;
     out.push_back(std::move(v));
-    return true;
+    return std::nullopt;
   }
+  return std::get<std::vector<dfx::dns::ResourceRecord>>(std::move(parsed));
+}
+
+bool lint_file(const fs::path& path, const fs::path& root, dfx::UnixTime now,
+               std::vector<dfx::lint::Violation>& out) {
+  const dfx::dns::Name origin = origin_from_filename(path);
+  bool io_ok = false;
+  const auto records = read_records(path, root, origin, out, io_ok);
+  if (!records) return io_ok;
   dfx::zone::Zone zone(origin);
-  for (const auto& rr : std::get<std::vector<dfx::dns::ResourceRecord>>(
-           std::move(parsed))) {
-    zone.add(rr);
+  for (const auto& rr : *records) zone.add(rr);
+
+  std::vector<dfx::dns::DsRdata> parent_ds;
+  const fs::path dsset = path.parent_path() / ("dsset-" + origin.to_string());
+  if (fs::is_regular_file(dsset)) {
+    const auto ds_records = read_records(dsset, root, origin, out, io_ok);
+    if (!ds_records) return io_ok;
+    for (const auto& rr : *ds_records) {
+      const auto* ds = std::get_if<dfx::dns::DsRdata>(&rr.rdata);
+      if (ds != nullptr && rr.owner == origin) parent_ds.push_back(*ds);
+    }
   }
   dfx::zonelint::LintOptions options;
   options.now = now;
-  const dfx::zonelint::Report report = dfx::zonelint::lint_zone(zone, {},
-                                                                options);
+  const dfx::zonelint::Report report =
+      dfx::zonelint::lint_zone(zone, parent_ds, options);
   const std::string file = relative_to(path, root);
   const auto push = [&](const dfx::zonelint::Finding& f, bool companion) {
     dfx::lint::Violation v;
