@@ -1,6 +1,6 @@
 // Micro-benchmarks for the substrate: hashing, signing, zone signing, zone
-// copies and re-publishes, the probe+grok analysis path, and the wire and
-// master-file codecs (google-benchmark).
+// copies, re-publishes and store lookups, the probe+grok analysis path,
+// and the wire and master-file codecs (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -375,6 +375,31 @@ void BM_ZoneStoreUpsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZoneStoreUpsert)->Unit(benchmark::kMillisecond);
+
+// ZoneStore::find's ancestor walk. Arg 0: hosted zones ("example." and
+// z0.example. ... below it). Arg 1: 0 asks A at the 4-label
+// www.host.z0.example. (three candidates), 1 asks DS at the apex
+// z0.example. (the parent side, example., answers).
+void BM_ZoneStoreFind(benchmark::State& state) {
+  server::ZoneStore store;
+  store.upsert(zone::Zone(dns::Name::of("example.")));
+  for (std::int64_t i = 0; i + 1 < state.range(0); ++i) {
+    store.upsert(
+        zone::Zone(dns::Name::of("z" + std::to_string(i) + ".example.")));
+  }
+  const dns::Name apex = dns::Name::of("z0.example.");
+  const bool apex_ds = state.range(1) == 1;
+  const dns::Name qname = apex_ds ? apex : apex.child("host").child("www");
+  const dns::RRType qtype = apex_ds ? dns::RRType::kDS : dns::RRType::kA;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.find(qname, qtype));
+  }
+}
+BENCHMARK(BM_ZoneStoreFind)
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({64, 0})
+    ->Args({64, 1});
 
 // The packet tier's hit path: a lookup that finds its key and reads the
 // body. Arg 0: each thread cycles through 64 keys of its own; Arg 1: every

@@ -19,7 +19,7 @@
 //     recorded for the journal but never gates.
 //
 // Both timed fleets are benign on purpose: a rejected upsert skips the
-// shard rebuild and would flatter the admission path.
+// map copy and publish and would flatter the admission path.
 //
 // The full `lint_zone` pass (denial walks, probe answers, fix synthesis)
 // is timed separately for the record; it is the CI-time path, not the
@@ -208,11 +208,13 @@ int main(int argc, char** argv) {
       .add(static_cast<std::int64_t>(paired_overhead * 10000.0));
 
   std::printf(
-      "bench_zonelint: %zu zones, plain upsert min %.4fs, policy scan min "
-      "%.4fs (direct overhead %.2f%%, paired median %.2f%%), admitted min "
-      "%.4fs, lint findings %zu\n",
-      zones.size(), plain_seconds, policy_seconds, direct_overhead * 100.0,
-      paired_overhead * 100.0, admitted_seconds, total_findings);
+      "bench_zonelint: %zu zones, plain upsert min %.4fs (%.2f us/zone), "
+      "policy scan min %.4fs (direct overhead %.2f%%, paired median "
+      "%.2f%%), admitted min %.4fs, lint findings %zu\n",
+      zones.size(), plain_seconds,
+      plain_seconds * 1e6 / static_cast<double>(zones.size()),
+      policy_seconds, direct_overhead * 100.0, paired_overhead * 100.0,
+      admitted_seconds, total_findings);
   run.checksum_text("findings", std::to_string(total_findings));
 
   if (total_findings != 0) {

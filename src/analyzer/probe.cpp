@@ -21,13 +21,12 @@ ServerProbe probe_server(const authserver::AuthServer& server,
   out.dnskey = server.query(apex, dns::RRType::kDNSKEY);
   out.reachable = out.dnskey.reachable;
   if (!out.reachable) return out;
-  out.soa = server.query(apex, dns::RRType::kSOA);
-  out.ns = server.query(apex, dns::RRType::kNS);
-  out.apex_a = server.query(apex, dns::RRType::kA);
-  out.nsec3param = server.query(apex, dns::RRType::kNSEC3PARAM);
-  out.nxdomain = server.query(apex.child(kNxLabel), dns::RRType::kA);
-  out.nxdomain_last = server.query(apex.child(kNxLastLabel), dns::RRType::kA);
-  out.nodata = server.query(apex, dns::RRType::kMX);
+  ask_apex_questions(
+      apex,
+      [&server](const dns::Name& qname, dns::RRType qtype) {
+        return server.query(qname, qtype);
+      },
+      out);
   return out;
 }
 
@@ -47,6 +46,17 @@ dns::Name nx_probe_name(const dns::Name& apex) {
 
 dns::Name last_probe_name(const dns::Name& apex) {
   return apex.child(kNxLastLabel);
+}
+
+void ask_apex_questions(const dns::Name& apex, const AskFn& ask,
+                        ServerProbe& out) {
+  out.soa = ask(apex, dns::RRType::kSOA);
+  out.ns = ask(apex, dns::RRType::kNS);
+  out.apex_a = ask(apex, dns::RRType::kA);
+  out.nsec3param = ask(apex, dns::RRType::kNSEC3PARAM);
+  out.nxdomain = ask(nx_probe_name(apex), dns::RRType::kA);
+  out.nxdomain_last = ask(last_probe_name(apex), dns::RRType::kA);
+  out.nodata = ask(apex, dns::RRType::kMX);
 }
 
 ProbeStamp probe_stamp(const authserver::AuthServer& server,

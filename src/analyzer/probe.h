@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,6 +38,19 @@ struct ServerProbe {
   authserver::QueryResult nxdomain_last;
   authserver::QueryResult nodata;      // <apex> MX (type that never exists)
 };
+
+/// Puts one question about a zone to whatever answers it: a server, or
+/// one zone version's answer path.
+using AskFn = std::function<authserver::QueryResult(const dns::Name& qname,
+                                                    dns::RRType qtype)>;
+
+/// The questions a prober puts to a server after the apex DNSKEY, in
+/// order: apex SOA, NS, A and NSEC3PARAM, A at nx_probe_name() and at
+/// last_probe_name(), and apex MX (the NODATA probe). Each answer goes to
+/// its field of `out`. probe_zone() asks them of every server; zonelint
+/// asks them of `authserver::answer`, so both collect the same views.
+void ask_apex_questions(const dns::Name& apex, const AskFn& ask,
+                        ServerProbe& out);
 
 /// Everything collected about one zone, including the parent-side view.
 struct ZoneProbe {

@@ -435,6 +435,29 @@ std::shared_ptr<const HostedZone> load_version(zone::Zone zone) {
       std::move(zone), next_serial.fetch_add(1, std::memory_order_relaxed));
 }
 
+HostedZones::const_iterator find_hosted(const HostedZones& zones,
+                                        const dns::Name& qname,
+                                        dns::RRType qtype) {
+  // Deepest first over suffix views of qname, so no candidate is copied;
+  // a name has at most 127 labels, so each walk is strictly bounded.
+  const auto deepest_at_or_above = [&zones](dns::NameView candidate) {
+    DFX_BOUNDED_LOOP(guard, 128);
+    while (true) {
+      guard.tick();
+      const auto it = zones.find(candidate);
+      if (it != zones.end() || candidate.is_root()) return it;
+      candidate = candidate.parent();
+    }
+  };
+  const auto best = deepest_at_or_above(qname);
+  if (best == zones.end() || qtype != dns::RRType::kDS || qname.is_root() ||
+      best->first != qname) {
+    return best;
+  }
+  const auto parent_side = deepest_at_or_above(dns::NameView(qname).parent());
+  return parent_side == zones.end() ? best : parent_side;
+}
+
 void AuthServer::load_zone(std::shared_ptr<const HostedZone> version) {
   DFX_CHECK(version != nullptr && version->serial != 0);
   dns::Name apex = version->zone.apex();
@@ -452,33 +475,6 @@ const zone::Zone* AuthServer::zone_data(const dns::Name& apex) const {
   return it == zones_.end() ? nullptr : &it->second->zone;
 }
 
-const HostedZone* AuthServer::best_zone_for(const dns::Name& qname,
-                                            dns::RRType qtype) const {
-  // Deepest apex that is an ancestor of (or equal to) qname. For DS the
-  // *parent* side of the cut is authoritative, so a query for the apex DS
-  // must fall through to the enclosing zone.
-  const HostedZone* best = nullptr;
-  for (const auto& [apex, hosted] : zones_) {
-    if (!qname.is_subdomain_of(apex)) continue;
-    if (qtype == dns::RRType::kDS && qname == apex) {
-      // Serve from the parent zone when we also host it.
-      bool parent_hosted = false;
-      for (const auto& [other_apex, _] : zones_) {
-        if (other_apex != apex && qname.is_subdomain_of(other_apex)) {
-          parent_hosted = true;
-          break;
-        }
-      }
-      if (parent_hosted) continue;
-    }
-    if (best == nullptr ||
-        apex.label_count() > best->zone.apex().label_count()) {
-      best = hosted.get();
-    }
-  }
-  return best;
-}
-
 // Hot by name collision with ZoneStore::query; this is the reference
 // zone walk the answer cache fronts — it only runs on cache misses.
 // dfx-lint: allow(hot-path-cost): cache-miss reference path, results cached.
@@ -489,12 +485,12 @@ QueryResult AuthServer::query(const dns::Name& qname,
     result.reachable = false;
     return result;
   }
-  const HostedZone* hosted = best_zone_for(qname, qtype);
-  if (hosted == nullptr) {
+  const auto it = find_hosted(zones_, qname, qtype);
+  if (it == zones_.end()) {
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(hosted->zone, hosted->denial, qname, qtype);
+  return answer(it->second->zone, it->second->denial, qname, qtype);
 }
 
 QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
@@ -515,8 +511,8 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
 
 std::uint64_t AuthServer::answering_serial(const dns::Name& qname,
                                            dns::RRType qtype) const {
-  const HostedZone* hosted = best_zone_for(qname, qtype);
-  return hosted == nullptr ? 0 : hosted->serial;
+  const auto it = find_hosted(zones_, qname, qtype);
+  return it == zones_.end() ? 0 : it->second->serial;
 }
 
 std::uint64_t AuthServer::zone_serial(const dns::Name& zone_apex) const {

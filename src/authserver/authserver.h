@@ -132,7 +132,7 @@ class DenialIndex {
 /// members are const), so the index always describes the zone beside it
 /// and its pointers into that zone stay valid. AuthServer keeps one per
 /// hosted apex, shared by every server the version was pushed to; the
-/// serving layer's ZoneStore shares them between shard snapshots.
+/// serving layer's ZoneStore shares them between published maps.
 struct HostedZone {
   explicit HostedZone(zone::Zone z, std::uint64_t load_serial = 0)
       : zone(std::move(z)), denial(zone), serial(load_serial) {}
@@ -144,6 +144,21 @@ struct HostedZone {
   /// unchanged answers. 0 for versions built outside load_version().
   const std::uint64_t serial;
 };
+
+/// Hosted zone versions by apex: an AuthServer's zones and the serving
+/// layer's published ZoneStore map.
+using HostedZones =
+    std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>;
+
+/// The hosted zone that answers (qname, qtype): the deepest apex in
+/// `zones` at or above qname. An apex DS question belongs to the parent
+/// side of the cut, so it goes to the deepest hosted proper ancestor
+/// instead when one exists. `zones.end()` when no apex covers qname. The
+/// one rule for picking a zone: AuthServer::query and the serving layer's
+/// ZoneStore::find both call it.
+HostedZones::const_iterator find_hosted(const HostedZones& zones,
+                                        const dns::Name& qname,
+                                        dns::RRType qtype);
 
 /// A new hosted version of `zone` with a fresh load serial. ServerFarm
 /// builds one per push and gives it to every server the push reaches, so
@@ -204,13 +219,9 @@ class AuthServer {
   std::uint64_t zone_serial(const dns::Name& zone_apex) const;
 
  private:
-  const HostedZone* best_zone_for(const dns::Name& qname,
-                                  dns::RRType qtype) const;
-
   std::string name_;
   bool lame_ = false;
-  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
-      zones_;
+  HostedZones zones_;
 };
 
 }  // namespace dfx::authserver

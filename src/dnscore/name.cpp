@@ -1,7 +1,6 @@
 #include "dnscore/name.h"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -236,12 +235,7 @@ Name& Name::operator=(Name&& other) noexcept {
                                        : text.substr(start, dot - start);
     if (label.empty() || label.size() > 63) return std::nullopt;
     for (char c : label) {
-      // Reject whitespace and control characters; everything else is legal
-      // in DNS (hostnames are a stricter, separate notion).
-      if (std::isspace(static_cast<unsigned char>(c)) != 0 ||
-          static_cast<unsigned char>(c) < 0x21) {
-        return std::nullopt;
-      }
+      if (!label_octet_ok(static_cast<std::uint8_t>(c))) return std::nullopt;
     }
     total += label.size() + 1;
     if (total > 255) return std::nullopt;

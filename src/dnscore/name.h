@@ -17,6 +17,12 @@ namespace dfx::dns {
 class Name;
 class WireReader;
 
+/// The label octet rule of Name::parse and WireReader::read_name: octets
+/// above 0x20 (space). Whitespace and the C0 control octets are refused;
+/// DEL (0x7F) and octets >= 0x80 are kept: everything else is legal in
+/// DNS (hostnames are a stricter, separate notion).
+constexpr bool label_octet_ok(std::uint8_t c) { return c > 0x20; }
+
 /// A non-owning view of a whole Name or of one of its suffixes (the name
 /// with some leftmost labels dropped). It compares, hashes and walks to
 /// its parent exactly as the Name it stands for, without copying a byte,
@@ -145,7 +151,8 @@ class Name {
 
   /// Parse presentation form; a trailing dot is optional (names are always
   /// treated as absolute). Returns nullopt for malformed names (empty
-  /// labels, labels > 63 octets, total wire length > 255).
+  /// labels, labels > 63 octets, total wire length > 255, an octet
+  /// label_octet_ok refuses).
   [[nodiscard]] static std::optional<Name> parse(std::string_view text);
 
   /// Parse, throwing std::invalid_argument (for literals in tests/tools).

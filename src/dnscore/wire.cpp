@@ -1,7 +1,6 @@
 #include "dnscore/wire.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "util/check.hpp"
 
@@ -16,12 +15,6 @@ constexpr std::uint64_t kMaxNameLoopIterations = 128 + kMaxNameJumps;
 // Longest wire name is 255 octets: 253 text octets once separators are
 // counted as dots.
 constexpr std::size_t kMaxNameTextLength = 253;
-
-/// The label character rule of Name::parse: no whitespace, no control
-/// characters; everything else is legal in DNS.
-inline bool label_char_ok(std::uint8_t c) {
-  return std::isspace(c) == 0 && c >= 0x21;
-}
 
 }  // namespace
 
@@ -92,7 +85,7 @@ bool scan_name_pieces(ByteView data, std::size_t& pos_io,
         if (!flush()) return false;
         continue;
       }
-      if (!label_char_ok(static_cast<std::uint8_t>(c))) return false;
+      if (!label_octet_ok(static_cast<std::uint8_t>(c))) return false;
       if (cur_len == 0) cur = raw_ptr[k] + i;
       ++cur_len;
     }

@@ -28,7 +28,7 @@ constexpr std::size_t kMaxNamePieces = 127;
 /// true is returned; `pieces` must hold at least kMaxNamePieces entries.
 /// Returns false on malformed names with the exact acceptance rules of
 /// `WireReader::read_name` (bounds, <= 64 pointer jumps, backward-only
-/// pointers, <= 255 total octets, label character rules).
+/// pointers, <= 255 total octets, dns::label_octet_ok).
 [[nodiscard]] bool scan_name_pieces(ByteView data, std::size_t& pos,
                                     std::string_view* pieces,
                                     std::size_t* n_pieces);

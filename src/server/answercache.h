@@ -16,10 +16,10 @@
 // answers stay bit-identical (the bench digest-asserts this).
 //
 // Invalidation: the cache carries a monotonically increasing epoch.
-// `invalidate_all()` (hooked to ZoneStore snapshot swaps) bumps it;
+// `invalidate_all()` (hooked to ZoneStore map swaps) bumps it;
 // entries and harvested proofs are stamped with the epoch their producer
 // captured *before* reading the store, and are ignored once it goes
-// stale. Between a snapshot swap and its listener running, a freshly
+// stale. Between a map swap and its listener running, a freshly
 // inserted entry may briefly serve the pre-swap answer — equivalent to the
 // query having arrived just before the reload.
 //

@@ -351,16 +351,16 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
   const dns::Question question{*std::move(qname), qtype, dns::RRClass::kIN};
 
   AnswerBody body = rcode_only_body(dns::RCode::kRefused);
-  if (const auto view = store_.find(question.qname, question.qtype)) {
+  if (const auto hosted = store_.find(question.qname, question.qtype)) {
+    const dns::Name& apex = hosted->zone.apex();
     std::optional<authserver::QueryResult> result;
     if (cache_ != nullptr) {
-      result = cache_->synthesize(*view->apex, question.qname, question.qtype,
-                                  epoch);
+      result = cache_->synthesize(apex, question.qname, question.qtype, epoch);
     }
     if (!result) {
-      result = authserver::answer(*view->zone, *view->denial,
+      result = authserver::answer(hosted->zone, hosted->denial,
                                   question.qname, question.qtype);
-      if (cache_ != nullptr) cache_->observe(*view->apex, *result, epoch);
+      if (cache_ != nullptr) cache_->observe(apex, *result, epoch);
     }
     body = build_body(question, *result, do_bit);
   }

@@ -23,8 +23,8 @@
 // is safe from any number of threads. A cache hit writes only memory of
 // the serving thread: its stripe of each metrics::Counter and its reader
 // slot in the AnswerCache shard, whose read side it holds while it
-// assembles the response. ZoneStore lookups on the miss path take a
-// shard's read side the same way.
+// assembles the response. ZoneStore lookups on the miss path take the
+// store's read side the same way.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +95,7 @@ class WireFrontend {
   metrics::Counter& truncated_;
 };
 
-/// Hook the cache's epoch bump to the store's snapshot swaps so a zone
+/// Hook the cache's epoch bump to the store's map swaps so a zone
 /// reload invalidates every cached packet and harvested proof. The cache
 /// must outlive the store (the listener holds a reference).
 void connect_invalidation(ZoneStore& store, AnswerCache& cache);

@@ -1,37 +1,36 @@
-// Sharded, read-mostly zone store for the wire-level serving engine.
+// Read-mostly zone store for the wire-level serving engine.
 //
 // Each hosted zone version is compiled once, at upsert, into an immutable
-// HostedZone: the zone plus its authserver::DenialIndex. Shard snapshots
-// map apexes to shared pointers to these, so publishing a shard copies
-// pointers, never zones: a zone that did not change is the same object in
-// the writer's master map and in every snapshot that includes it. The
-// query path looks an apex up in a shard's snapshot under that shard's
+// HostedZone: the zone plus its authserver::DenialIndex. The store
+// publishes one map of apexes to shared pointers to these
+// (authserver::HostedZones), so publishing copies pointers, never zones:
+// a zone that did not change is the same object in every published map
+// that includes it. The query path picks the answering zone with
+// authserver::find_hosted — the rule AuthServer uses — under the
 // ReadMostlyMutex read side, which writes only the reading thread's slot,
-// and copies the snapshot pointer for the zone it finds; a writer builds
-// the new snapshot outside the lock and swaps the pointer under the write
-// side. Writers are serialized behind `writer_mu_`, so readers
-// either see the old snapshot or the new one, never a half-built zone.
+// and copies the pointer of the zone it finds. A writer copies the
+// published map, edits the copy and swaps the pointer under the write
+// side, so readers see the old map or the new one, never a half-built
+// zone. There is no other master map: the published one is the truth.
 //
-// Thread-safety: `find`/`query`/`generation` are safe from any number of
-// threads concurrently with one writer. `upsert`/`remove`/`subscribe`
-// serialize on `writer_mu_` (annotated; TSan and the static-lock-cycle
-// lint rule audit the acquisition order: `writer_mu_`, then a shard's
-// write side). Swap listeners run on the writer thread with `writer_mu_`
-// held — they must not call back into the store's writer API.
+// Thread-safety: `find`/`query`/`generation`/`zone_count` are safe from
+// any number of threads concurrently with one writer. `upsert`/`remove`/
+// `subscribe` serialize on `writer_mu_` (annotated; TSan and the
+// static-lock-cycle lint rule audit the acquisition order: `writer_mu_`,
+// then the write side of `mu_`). Swap listeners run on the writer thread
+// with `writer_mu_` held — they must not call back into the store's
+// writer API.
 //
 // Invalidation contract: every committed write bumps `generation()` and
 // then notifies subscribers (the AnswerCache hooks its epoch bump here).
-// A reader that captured a ZoneView before the swap may still answer from
-// the old version — the view's shared_ptr keeps its snapshot, and so the
-// old HostedZone, alive — which is equivalent to the query having arrived
-// just before the reload.
+// A reader that took a HostedZone pointer before the swap may still
+// answer from the old version — the pointer keeps it alive — which is
+// equivalent to the query having arrived just before the reload.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,17 +45,10 @@
 
 namespace dfx::server {
 
-/// Compiled once per upsert and immutable afterwards; the master map and
-/// every snapshot share it.
+/// Compiled once per upsert and immutable afterwards; every published
+/// map that holds it shares it.
 using authserver::HostedZone;
-
-/// One shard's hosted zones by apex. Snapshots are built by writers,
-/// published by a pointer swap under the shard's write side, and never
-/// mutated after publication.
-struct ShardSnapshot {
-  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
-      zones;
-};
+using authserver::HostedZones;
 
 /// Outcome of an admission check run against a zone before it is hosted.
 /// kFlag admits the zone but counts it as suspicious (operator telemetry);
@@ -75,33 +67,19 @@ using AdmissionPolicy = std::function<AdmissionVerdict(const zone::Zone&)>;
 
 class ZoneStore {
  public:
-  /// Shard count: a power of two so the hash → shard map is a mask. 16
-  /// shards keep each published pointer map small without bloating the
-  /// walk cost.
-  static constexpr std::size_t kShards = 16;
-
   ZoneStore();
 
   // ---- Query path (read side only) ----
 
-  /// A zone resolved for one query. `snapshot` keeps the shard, and so
-  /// the HostedZone, alive for as long as the caller holds the view;
-  /// `zone`, `denial` and `apex` point into that HostedZone (no per-query
-  /// copy) and share its lifetime.
-  struct ZoneView {
-    std::shared_ptr<const ShardSnapshot> snapshot;
-    const zone::Zone* zone = nullptr;
-    const authserver::DenialIndex* denial = nullptr;
-    const dns::Name* apex = nullptr;
-  };
-
-  /// Deepest hosted zone whose apex is an ancestor of `qname`, with the
-  /// parent-side override for apex DS queries (a DS question at a hosted
-  /// apex is served by the enclosing zone when that zone is hosted too).
-  /// nullopt when no hosted zone covers `qname` (the caller REFUSEs).
+  /// The hosted zone that answers (qname, qtype), by
+  /// authserver::find_hosted's rule: the deepest hosted apex at or above
+  /// `qname`, except that a DS question at a hosted apex goes to the
+  /// deepest hosted proper ancestor when one exists. Null when no hosted
+  /// zone covers `qname` (the caller REFUSEs). The pointer keeps that
+  /// version alive for as long as the caller holds it.
   DFX_HOT_PATH
-  [[nodiscard]] std::optional<ZoneView> find(const dns::Name& qname,
-                                             dns::RRType qtype) const;
+  [[nodiscard]] std::shared_ptr<const HostedZone> find(
+      const dns::Name& qname, dns::RRType qtype) const;
 
   /// Full authoritative answer: find() + authserver::answer on that zone
   /// and its denial index.
@@ -110,15 +88,15 @@ class ZoneStore {
   query(const dns::Name& qname, dns::RRType qtype) const;
 
   /// Monotonic commit counter; bumped by every successful upsert/remove
-  /// *after* the snapshot swap is visible.
+  /// *after* the map swap is visible.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
 
   // ---- Writer path (serialized) ----
 
-  /// Install or replace one zone and publish a new snapshot of its shard.
-  /// The zone is compiled into a HostedZone after admission. Returns false
+  /// Install or replace one zone and publish a new map. The zone is
+  /// compiled into a HostedZone after admission. Returns false
   /// (and publishes nothing) when the admission policy rejects the zone;
   /// flagged zones are admitted but counted.
   bool upsert(zone::Zone zone) DFX_EXCLUDES(writer_mu_);
@@ -146,22 +124,18 @@ class ZoneStore {
   using SwapListener = std::function<void(std::uint64_t generation)>;
   void subscribe(SwapListener listener) DFX_EXCLUDES(writer_mu_);
 
-  std::size_t zone_count() const DFX_EXCLUDES(writer_mu_);
+  std::size_t zone_count() const;
 
  private:
-  static std::size_t shard_of(const dns::NameView& apex);
+  /// The published map (never null).
+  std::shared_ptr<const HostedZones> published() const;
+  /// Swap `next` in as the published map, bump the generation and
+  /// notify the listeners.
+  void publish(std::shared_ptr<const HostedZones> next)
+      DFX_REQUIRES(writer_mu_);
 
-  /// Publish a new snapshot of `shard` sharing `master_`'s HostedZones.
-  void publish_shard(std::size_t shard) DFX_REQUIRES(writer_mu_);
-  void commit() DFX_REQUIRES(writer_mu_);
-
-  /// One shard's published snapshot. Never null. Cache-line aligned so
-  /// neighbouring shards' reader slots never share a line.
-  struct alignas(64) Shard {
-    mutable ReadMostlyMutex mu;
-    std::shared_ptr<const ShardSnapshot> snapshot DFX_GUARDED_BY(mu);
-  };
-  std::array<Shard, kShards> shards_;
+  mutable ReadMostlyMutex mu_;
+  std::shared_ptr<const HostedZones> zones_ DFX_GUARDED_BY(mu_);
 
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> flagged_{0};
@@ -169,9 +143,6 @@ class ZoneStore {
 
   mutable Mutex writer_mu_;
   AdmissionPolicy admission_ DFX_GUARDED_BY(writer_mu_);
-  /// Writer-side map of every hosted zone the snapshots are built from.
-  std::map<dns::Name, std::shared_ptr<const HostedZone>, dns::Name::Less>
-      master_ DFX_GUARDED_BY(writer_mu_);
   std::vector<SwapListener> listeners_ DFX_GUARDED_BY(writer_mu_);
 };
 

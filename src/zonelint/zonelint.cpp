@@ -245,13 +245,7 @@ Report lint_zone(const zone::Zone& zone,
   if (!report.zone_signed) return report;
 
   // Rules C, D and E — one server's answers, then algorithm completeness.
-  sp.soa = ask(apex, dns::RRType::kSOA);
-  sp.ns = ask(apex, dns::RRType::kNS);
-  sp.apex_a = ask(apex, dns::RRType::kA);
-  sp.nsec3param = ask(apex, dns::RRType::kNSEC3PARAM);
-  sp.nxdomain = ask(analyzer::nx_probe_name(apex), dns::RRType::kA);
-  sp.nxdomain_last = ask(analyzer::last_probe_name(apex), dns::RRType::kA);
-  sp.nodata = ask(apex, dns::RRType::kMX);
+  analyzer::ask_apex_questions(apex, ask, sp);
   // An island of trust has no DS-anchored entry point: its own keys may
   // sign the DNSKEY RRset.
   const analyzer::KeyRefs dnskey_signers =

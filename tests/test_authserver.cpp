@@ -1,7 +1,7 @@
 // Authoritative-server answer-logic tests: positive answers, referrals,
-// negative answers with proofs, lameness, the parent-side view, and a
-// randomized differential of the DenialIndex answer path against a linear
-// reference selection.
+// negative answers with proofs, lameness, the parent-side view, and
+// randomized differentials of the DenialIndex answer path and of
+// find_hosted's zone choice against linear reference selections.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -638,6 +638,109 @@ TEST(DenialIndex, MatchesLinearReferenceOnRandomZones) {
   }
   EXPECT_GT(compared, 2000);
   EXPECT_GT(negative, compared / 4);
+}
+
+// ---------------------------------------------------------------------------
+// find_hosted vs the linear scan it replaced
+
+/// AuthServer's zone choice as it was before find_hosted: scan every
+/// hosted apex for the deepest one at or above qname, skipping an apex
+/// DS question's own apex when some other hosted apex encloses it.
+const HostedZone* reference_best_zone(const HostedZones& zones,
+                                      const Name& qname, RRType qtype) {
+  const HostedZone* best = nullptr;
+  for (const auto& [apex, hosted] : zones) {
+    if (!qname.is_subdomain_of(apex)) continue;
+    if (qtype == RRType::kDS && qname == apex) {
+      bool parent_hosted = false;
+      for (const auto& [other_apex, _] : zones) {
+        if (other_apex != apex && qname.is_subdomain_of(other_apex)) {
+          parent_hosted = true;
+          break;
+        }
+      }
+      if (parent_hosted) continue;
+    }
+    if (best == nullptr ||
+        apex.label_count() > best->zone.apex().label_count()) {
+      best = hosted.get();
+    }
+  }
+  return best;
+}
+
+zone::Zone soa_only_zone(const Name& apex) {
+  zone::Zone z(apex);
+  dns::SoaRdata soa;
+  soa.mname = apex.child("ns1");
+  soa.rname = apex.child("hostmaster");
+  z.add(apex, RRType::kSOA, 3600, soa);
+  return z;
+}
+
+TEST(FindHosted, MatchesLinearScanOnGeneratedZoneSets) {
+  // The root, a parent/child/grandchild chain, two siblings under that
+  // parent and a lone deep zone with no hosted ancestor but the root.
+  const std::vector<Name> pool = {
+      Name(),
+      Name::of("test."),
+      Name::of("example.test."),
+      Name::of("sub.example.test."),
+      Name::of("a.test."),
+      Name::of("b.test."),
+      Name::of("x.y.z.lone.example."),
+  };
+  std::vector<std::shared_ptr<const HostedZone>> versions;
+  for (const Name& apex : pool) {
+    versions.push_back(load_version(soa_only_zone(apex)));
+  }
+  // Each apex, names below it, names outside every non-root zone, and
+  // the root.
+  std::vector<Name> qnames = {Name(), Name::of("unrelated.invalid."),
+                              Name::of("y.z.lone.example.")};
+  for (const Name& apex : pool) {
+    qnames.push_back(apex);
+    qnames.push_back(apex.child("www"));
+    qnames.push_back(apex.child("b").child("a"));
+  }
+  Rng rng{34};
+  int compared = 0;
+  int parent_side = 0;
+  int refused = 0;
+  for (int round = 0; round < 200; ++round) {
+    // Round 0 hosts nothing, round 1 everything, later rounds a random
+    // subset.
+    HostedZones zones;
+    AuthServer server("ns1");
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (round == 0 || (round > 1 && !rng.chance(0.5))) continue;
+      zones.emplace(pool[i], versions[i]);
+      server.load_zone(versions[i]);
+    }
+    for (const Name& name : qnames) {
+      const Name qname = rng.chance(0.3) ? random_spelling(rng, name) : name;
+      for (const RRType qtype : {RRType::kDS, RRType::kA, RRType::kSOA}) {
+        const HostedZone* want = reference_best_zone(zones, qname, qtype);
+        const auto it = find_hosted(zones, qname, qtype);
+        const HostedZone* got =
+            it == zones.end() ? nullptr : it->second.get();
+        ASSERT_EQ(got, want) << "round " << round << " "
+                             << qname.to_string() << " "
+                             << dns::rrtype_to_string(qtype);
+        EXPECT_EQ(server.answering_serial(qname, qtype),
+                  want == nullptr ? 0 : want->serial);
+        refused += want == nullptr ? 1 : 0;
+        parent_side += want != nullptr && zones.contains(qname) &&
+                               want->zone.apex() != qname
+                           ? 1
+                           : 0;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 200 * 3 * static_cast<int>(3 + 3 * pool.size()));
+  EXPECT_GT(refused, compared / 20);
+  EXPECT_GT(parent_side, 100);
 }
 
 }  // namespace

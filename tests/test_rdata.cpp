@@ -127,10 +127,21 @@ TEST(Rdata, PresentationFormats) {
   EXPECT_EQ(rdata_to_text(Rdata(param)), "1 0 12 -");
 }
 
-class RdataWireRoundTrip : public ::testing::TestWithParam<Rdata> {};
+/// One round-trip case. gtest prints the parameter into each ctest name,
+/// so it prints as the rdata's presentation text, not as the raw bytes
+/// (heap addresses included) of the struct.
+struct WireCase {
+  Rdata rdata;
+};
+
+void PrintTo(const WireCase& wire_case, std::ostream* os) {
+  *os << rdata_to_text(wire_case.rdata);
+}
+
+class RdataWireRoundTrip : public ::testing::TestWithParam<WireCase> {};
 
 TEST_P(RdataWireRoundTrip, DecodeInvertsEncode) {
-  const Rdata& original = GetParam();
+  const Rdata& original = GetParam().rdata;
   const RRType type = rdata_type(original);
   const Bytes wire = rdata_to_wire(original);
   const auto decoded = rdata_from_wire(type, wire);
@@ -138,8 +149,8 @@ TEST_P(RdataWireRoundTrip, DecodeInvertsEncode) {
   EXPECT_EQ(rdata_to_wire(*decoded), wire) << rrtype_to_string(type);
 }
 
-std::vector<Rdata> wire_cases() {
-  std::vector<Rdata> cases;
+std::vector<WireCase> wire_cases() {
+  std::vector<WireCase> cases;
   ARdata a;
   a.address = {10, 1, 2, 3};
   cases.emplace_back(a);
@@ -195,8 +206,13 @@ std::vector<Rdata> wire_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTypes, RdataWireRoundTrip,
-                         ::testing::ValuesIn(wire_cases()));
+// Each case is named by its type, so the names do not move with the
+// rdata structs' layout.
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, RdataWireRoundTrip, ::testing::ValuesIn(wire_cases()),
+    [](const ::testing::TestParamInfo<WireCase>& info) {
+      return rrtype_to_string(rdata_type(info.param.rdata));
+    });
 
 }  // namespace
 // ---- RRset duplicate rule: identical canonical wire form ------------------

@@ -754,28 +754,28 @@ TEST(AnswerCacheTest, EvictionUnderSnapshotSwapIsRaceFree) {
 TEST(ZoneStoreTest, FindPicksDeepestEnclosingZone) {
   Fixture f;
   const auto view = f.store.find(f.apex.child("www"), RRType::kA);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(*view->apex, f.apex);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->zone.apex(), f.apex);
   const auto parent_view = f.store.find(Name::of("other.test."), RRType::kA);
-  ASSERT_TRUE(parent_view.has_value());
-  EXPECT_EQ(*parent_view->apex, f.parent_apex);
-  EXPECT_FALSE(
-      f.store.find(Name::of("unrelated.example."), RRType::kA).has_value());
+  ASSERT_NE(parent_view, nullptr);
+  EXPECT_EQ(parent_view->zone.apex(), f.parent_apex);
+  EXPECT_EQ(f.store.find(Name::of("unrelated.example."), RRType::kA),
+            nullptr);
 }
 
 TEST(ZoneStoreTest, ApexDsRedirectsToParentOnlyWhenParentHosted) {
   Fixture f;
   const auto ds_view = f.store.find(f.apex, RRType::kDS);
-  ASSERT_TRUE(ds_view.has_value());
-  EXPECT_EQ(*ds_view->apex, f.parent_apex);
+  ASSERT_NE(ds_view, nullptr);
+  EXPECT_EQ(ds_view->zone.apex(), f.parent_apex);
   // Any other apex qtype stays with the child zone.
   const auto soa_view = f.store.find(f.apex, RRType::kSOA);
-  ASSERT_TRUE(soa_view.has_value());
-  EXPECT_EQ(*soa_view->apex, f.apex);
+  ASSERT_NE(soa_view, nullptr);
+  EXPECT_EQ(soa_view->zone.apex(), f.apex);
   // DS at the parent's own apex: no grandparent hosted, stays put.
   const auto top_view = f.store.find(f.parent_apex, RRType::kDS);
-  ASSERT_TRUE(top_view.has_value());
-  EXPECT_EQ(*top_view->apex, f.parent_apex);
+  ASSERT_NE(top_view, nullptr);
+  EXPECT_EQ(top_view->zone.apex(), f.parent_apex);
 }
 
 TEST(ZoneStoreTest, RemoveDropsZoneAndBumpsGeneration) {
@@ -787,8 +787,8 @@ TEST(ZoneStoreTest, RemoveDropsZoneAndBumpsGeneration) {
   EXPECT_GT(f.store.generation(), gen);
   // Queries below the removed apex now fall to the hosted parent.
   const auto view = f.store.find(f.apex.child("www"), RRType::kA);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(*view->apex, f.parent_apex);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->zone.apex(), f.parent_apex);
   const auto msg = f.serve_decoded(
       f.query_bytes(f.apex.child("www"), RRType::kA));
   EXPECT_FALSE(msg.header.aa);  // delegation from the parent, not REFUSED
@@ -808,42 +808,36 @@ TEST(ZoneStoreTest, SubscribersSeeEveryCommit) {
   EXPECT_EQ(seen[1], store.generation());
 }
 
-/// Two apexes whose zones land in the same shard.
-std::pair<Name, Name> same_shard_apexes() {
-  const auto shard = [](const Name& apex) {
-    return dns::NameHash{}(apex) & (ZoneStore::kShards - 1);
-  };
-  const Name first = Name::of("z0.example.");
-  int i = 1;
-  while (shard(Name::of("z" + std::to_string(i) + ".example.")) !=
-         shard(first)) {
-    ++i;  // 16 shards: a match within a few dozen names
-  }
-  return {first, Name::of("z" + std::to_string(i) + ".example.")};
-}
-
-TEST(ZoneStoreTest, ReupsertSharesTheShardsOtherZones) {
-  const auto [a, b] = same_shard_apexes();
-  zone::KeyStore a_keys{a}, b_keys{b};
+TEST(ZoneStoreTest, ReupsertLeavesOtherZonesVersionsUnchanged) {
+  const std::vector<Name> apexes = {Name::of("a.example."),
+                                    Name::of("b.example."),
+                                    Name::of("c.b.example.")};
+  std::vector<zone::KeyStore> keys(apexes.begin(), apexes.end());
   Rng rng{11};
   ZoneStore store;
-  ASSERT_TRUE(store.upsert(
-      build_child_zone(a, zone::DenialMode::kNsec, a_keys, rng)));
-  ASSERT_TRUE(store.upsert(
-      build_child_zone(b, zone::DenialMode::kNsec3, b_keys, rng)));
-  const auto before = store.find(b.child("www"), RRType::kA);
-  ASSERT_TRUE(before.has_value());
-  ASSERT_NE(before->denial, nullptr);
+  for (std::size_t i = 0; i < apexes.size(); ++i) {
+    ASSERT_TRUE(store.upsert(build_child_zone(
+        apexes[i], i == 1 ? zone::DenialMode::kNsec3 : zone::DenialMode::kNsec,
+        keys[i], rng)));
+  }
+  std::vector<std::shared_ptr<const HostedZone>> before;
+  for (const Name& apex : apexes) {
+    auto hosted = store.find(apex.child("www"), RRType::kA);
+    ASSERT_NE(hosted, nullptr);
+    ASSERT_EQ(hosted->zone.apex(), apex);
+    before.push_back(std::move(hosted));
+  }
 
   ASSERT_TRUE(store.upsert(build_child_zone(
-      a, zone::DenialMode::kNsec, a_keys, rng, {192, 0, 2, 99})));
-  const auto after = store.find(b.child("www"), RRType::kA);
-  ASSERT_TRUE(after.has_value());
-  // A new snapshot of the shard, holding the very same compiled zone.
-  EXPECT_NE(after->snapshot, before->snapshot);
-  EXPECT_EQ(after->zone, before->zone);
-  EXPECT_EQ(after->denial, before->denial);
-  EXPECT_EQ(after->apex, before->apex);
+      apexes[0], zone::DenialMode::kNsec, keys[0], rng, {192, 0, 2, 99})));
+  EXPECT_EQ(store.zone_count(), apexes.size());
+  // The re-upserted zone is a new version; every other zone is the very
+  // same compiled HostedZone.
+  EXPECT_NE(store.find(apexes[0].child("www"), RRType::kA), before[0]);
+  for (std::size_t i = 1; i < apexes.size(); ++i) {
+    EXPECT_EQ(store.find(apexes[i].child("www"), RRType::kA), before[i])
+        << apexes[i].to_string();
+  }
 }
 
 TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
@@ -851,7 +845,7 @@ TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
   const Name www = f.apex.child("www");
   const Name missing = f.apex.child("missing");
   const auto old_view = f.store.find(www, RRType::kA);
-  ASSERT_TRUE(old_view.has_value());
+  ASSERT_NE(old_view, nullptr);
   const auto old_positive = f.store.query(www, RRType::kA);
   const auto old_negative = f.store.query(missing, RRType::kA);
   ASSERT_TRUE(old_positive.has_value() && old_negative.has_value());
@@ -864,10 +858,10 @@ TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
             section_text(old_positive->second.answers));
 
   const auto positive =
-      authserver::answer(*old_view->zone, *old_view->denial, www, RRType::kA);
+      authserver::answer(old_view->zone, old_view->denial, www, RRType::kA);
   EXPECT_EQ(section_text(positive.answers),
             section_text(old_positive->second.answers));
-  const auto negative = authserver::answer(*old_view->zone, *old_view->denial,
+  const auto negative = authserver::answer(old_view->zone, old_view->denial,
                                            missing, RRType::kA);
   EXPECT_EQ(negative.rcode, dns::RCode::kNXDomain);
   EXPECT_EQ(section_text(negative.authorities),
@@ -926,9 +920,9 @@ TEST(QueryResultToMessage, RoundTripsThroughWireCodec) {
            {f.apex.child("sub").child("x"), RRType::kA},
        }) {
     const auto view = f.store.find(qname, qtype);
-    ASSERT_TRUE(view.has_value());
+    ASSERT_NE(view, nullptr);
     const auto result =
-        authserver::answer(*view->zone, *view->denial, qname, qtype);
+        authserver::answer(view->zone, view->denial, qname, qtype);
     const dns::Question question{qname, qtype, dns::RRClass::kIN};
     const dns::Message msg = result.to_message(question, 0xABCD);
     EXPECT_EQ(msg.header.id, 0xABCD);
