@@ -129,13 +129,15 @@ TEST(Rdata, PresentationFormats) {
 
 /// One round-trip case. gtest prints the parameter into each ctest name,
 /// so it prints as the rdata's presentation text, not as the raw bytes
-/// (heap addresses included) of the struct.
+/// (heap addresses included) of the struct. The text is parenthesised so
+/// no name ends in an absolute domain name's final '.', which would run
+/// into the dot padding of ctest's result lines.
 struct WireCase {
   Rdata rdata;
 };
 
 void PrintTo(const WireCase& wire_case, std::ostream* os) {
-  *os << rdata_to_text(wire_case.rdata);
+  *os << '(' << rdata_to_text(wire_case.rdata) << ')';
 }
 
 class RdataWireRoundTrip : public ::testing::TestWithParam<WireCase> {};
