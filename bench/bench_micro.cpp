@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -25,6 +26,7 @@
 #include "dnscore/message.h"
 #include "dnscore/wire.h"
 #include "server/answercache.h"
+#include "server/frontend.h"
 #include "server/zonestore.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -312,44 +314,49 @@ void BM_NameFromWire(benchmark::State& state) {
 }
 BENCHMARK(BM_NameFromWire);
 
-// A signed NSEC3 zone of 2,000 hosts (A records under random labels, one
-// KSK and one ZSK), the shape serve-miss re-publishes. Built once.
+// A signed zone of 2,000 hosts (A records under random 8-letter labels,
+// one KSK and one ZSK), the shape serve-miss re-publishes.
+zone::Zone host_zone(std::string_view apex_text, zone::DenialMode denial,
+                     std::uint64_t seed) {
+  Rng rng(seed);
+  const auto apex = dns::Name::of(apex_text);
+  zone::Zone unsigned_zone(apex);
+  dns::SoaRdata soa;
+  soa.mname = apex.child("ns1");
+  soa.rname = apex.child("hostmaster");
+  unsigned_zone.add(apex, dns::RRType::kSOA, 3600, soa);
+  unsigned_zone.add(apex, dns::RRType::kNS, 3600,
+                    dns::NsRdata{apex.child("ns1")});
+  std::set<std::string> labels;
+  while (labels.size() < 2000) {
+    std::string label;
+    for (int i = 0; i < 8; ++i) {
+      label.push_back(static_cast<char>('a' + rng.uniform(26)));
+    }
+    labels.insert(label);
+  }
+  dns::ARdata a;
+  std::uint32_t host = 0;
+  for (const auto& label : labels) {
+    a.address = {198, 51, static_cast<std::uint8_t>(host >> 8),
+                 static_cast<std::uint8_t>(host & 0xFF)};
+    unsigned_zone.add(apex.child(label), dns::RRType::kA, 3600, a);
+    ++host;
+  }
+  zone::KeyStore keys(apex);
+  keys.generate(rng, zone::KeyRole::kKsk,
+                crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
+  keys.generate(rng, zone::KeyRole::kZsk,
+                crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
+  zone::SigningConfig config;
+  config.denial = denial;
+  return zone::sign_zone(unsigned_zone, keys, config, kDatasetStart);
+}
+
+// The NSEC3 host zone. Built once.
 const zone::Zone& signed_nsec3_zone() {
-  static const zone::Zone kZone = [] {
-    Rng rng(15);
-    const auto apex = dns::Name::of("copy.example.");
-    zone::Zone unsigned_zone(apex);
-    dns::SoaRdata soa;
-    soa.mname = apex.child("ns1");
-    soa.rname = apex.child("hostmaster");
-    unsigned_zone.add(apex, dns::RRType::kSOA, 3600, soa);
-    unsigned_zone.add(apex, dns::RRType::kNS, 3600,
-                      dns::NsRdata{apex.child("ns1")});
-    std::set<std::string> labels;
-    while (labels.size() < 2000) {
-      std::string label;
-      for (int i = 0; i < 8; ++i) {
-        label.push_back(static_cast<char>('a' + rng.uniform(26)));
-      }
-      labels.insert(label);
-    }
-    dns::ARdata a;
-    std::uint32_t host = 0;
-    for (const auto& label : labels) {
-      a.address = {198, 51, static_cast<std::uint8_t>(host >> 8),
-                   static_cast<std::uint8_t>(host & 0xFF)};
-      unsigned_zone.add(apex.child(label), dns::RRType::kA, 3600, a);
-      ++host;
-    }
-    zone::KeyStore keys(apex);
-    keys.generate(rng, zone::KeyRole::kKsk,
-                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
-    keys.generate(rng, zone::KeyRole::kZsk,
-                  crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
-    zone::SigningConfig config;
-    config.denial = zone::DenialMode::kNsec3;
-    return zone::sign_zone(unsigned_zone, keys, config, kDatasetStart);
-  }();
+  static const zone::Zone kZone =
+      host_zone("copy.example.", zone::DenialMode::kNsec3, 15);
   return kZone;
 }
 
@@ -480,6 +487,92 @@ void BM_MessageRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MessageRoundTrip);
+
+// A cache-off miss through WireFrontend::serve (DO set), as serve-miss
+// sends it: a store hosting a 2,000-host NSEC zone and a 2,000-host NSEC3
+// zone. Arg: 0 NXDOMAIN in the NSEC zone, 1 NXDOMAIN in the NSEC3 zone,
+// 2 NODATA (MX at a host of the NSEC3 zone), 3 positive (A at a host of
+// the NSEC3 zone). The NXDOMAIN names cycle through 4,096 labels, more
+// than the NSEC3 hash memo holds.
+struct ServeMissFixture {
+  server::ZoneStore store;
+  server::WireFrontend frontend{store};
+  std::vector<dns::Name> hosts;
+
+  ServeMissFixture() {
+    store.upsert(host_zone("nsec.example.", zone::DenialMode::kNsec, 16));
+    const zone::Zone& nsec3 = signed_nsec3_zone();
+    store.upsert(nsec3);
+    for (const auto& owner : nsec3.owner_names()) {
+      if (nsec3.find(owner, dns::RRType::kA) != nullptr) hosts.push_back(owner);
+    }
+  }
+
+  static Bytes query(const dns::Name& qname, dns::RRType qtype) {
+    dns::Message msg;
+    msg.questions.push_back({qname, qtype, dns::RRClass::kIN});
+    dns::EdnsInfo edns;
+    edns.udp_size = 1232;
+    edns.do_bit = true;
+    msg.edns = edns;
+    return dns::encode_message(msg);
+  }
+
+  std::vector<Bytes> queries(std::int64_t kind) const {
+    std::vector<Bytes> out;
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const std::string label = "nx" + std::to_string(i);
+      switch (kind) {
+        case 0:
+          out.push_back(query(dns::Name::of("nsec.example.").child(label),
+                              dns::RRType::kA));
+          break;
+        case 1:
+          out.push_back(query(dns::Name::of("copy.example.").child(label),
+                              dns::RRType::kA));
+          break;
+        case 2:
+          out.push_back(query(hosts[i % hosts.size()], dns::RRType::kMX));
+          break;
+        default:
+          out.push_back(query(hosts[i % hosts.size()], dns::RRType::kA));
+          break;
+      }
+    }
+    return out;
+  }
+};
+
+const ServeMissFixture& serve_miss_fixture() {
+  static const ServeMissFixture kFixture;
+  return kFixture;
+}
+
+void BM_ServeMiss(benchmark::State& state) {
+  const ServeMissFixture& f = serve_miss_fixture();
+  const std::vector<Bytes> queries = f.queries(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.frontend.serve(queries[i]));
+    i = (i + 1) % queries.size();
+  }
+}
+BENCHMARK(BM_ServeMiss)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// The miss path's encoder alone: the body of one NSEC3 NXDOMAIN answer
+// (SOA, three NSEC3 records and their RRSIGs). Arg: the DO bit.
+void BM_EncodeBody(benchmark::State& state) {
+  const auto hosted = authserver::load_version(signed_nsec3_zone());
+  const dns::Name qname = hosted->zone.apex().child("nx-encode");
+  const dns::Question question{qname, dns::RRType::kA, dns::RRClass::kIN};
+  const auto result = authserver::answer(hosted, qname, dns::RRType::kA);
+  const bool do_bit = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        server::WireFrontend::build_body(question, result, do_bit));
+  }
+}
+BENCHMARK(BM_EncodeBody)->Arg(1)->Arg(0);
 
 // The master-file tokenizer and RDATA text parsers over a few hundred
 // printed records (the parser's one timer).

@@ -8,7 +8,7 @@
 
 namespace dfx::analyzer {
 
-RRsetView extract(const std::vector<dns::ResourceRecord>& section,
+RRsetView extract(const authserver::Section& section,
                   const dns::Name& owner, dns::RRType type) {
   RRsetView view;
   view.rrset = dns::RRset(owner, type, 0);

@@ -25,7 +25,7 @@ struct RRsetView {
 };
 
 /// The `owner`/`type` RRset of `section` and the RRSIGs covering it.
-RRsetView extract(const std::vector<dns::ResourceRecord>& section,
+RRsetView extract(const authserver::Section& section,
                   const dns::Name& owner, dns::RRType type);
 
 /// All NSEC or NSEC3 views (any owner) in a response's authority section.

@@ -167,22 +167,16 @@ const dns::RRset* rrset_of(const zone::Zone::RRsets* rrsets,
   return it == rrsets->end() ? nullptr : &it->second;
 }
 
+/// The `type` RRset at `owner` and, served under `owner`'s spelling, the
+/// RRSIGs covering it.
 void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
-                         dns::RRType type,
-                         std::vector<dns::ResourceRecord>& section) {
+                         dns::RRType type, Section& section) {
   const zone::Zone::RRsets* rrsets = zone.rrsets_at(owner);
   const auto* rrset = rrset_of(rrsets, type);
   if (rrset == nullptr) return;
-  for (const auto& rr : rrset->to_records()) section.push_back(rr);
-  const auto* sigs = rrset_of(rrsets, dns::RRType::kRRSIG);
-  if (sigs == nullptr) return;
-  for (const auto& rdata : sigs->rdatas()) {
-    const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
-    if (sig != nullptr && sig->type_covered == type) {
-      section.push_back(dns::ResourceRecord{owner, dns::RRType::kRRSIG,
-                                            dns::RRClass::kIN, sigs->ttl(),
-                                            rdata});
-    }
+  section.add_rrset(*rrset);
+  if (const auto* sigs = rrset_of(rrsets, dns::RRType::kRRSIG)) {
+    section.add_sigs(*sigs, type, owner);
   }
 }
 
@@ -294,19 +288,9 @@ void answer_wildcard(const zone::Zone& zone, const DenialIndex& denial,
   if (rrset == nullptr) return;
   // The answer is served at the query name; the RRSIG travels verbatim
   // from the wildcard owner (its labels field signals the expansion).
-  for (const auto& rdata : rrset->rdatas()) {
-    result.answers.push_back(dns::ResourceRecord{
-        qname, qtype, dns::RRClass::kIN, rrset->ttl(), rdata});
-  }
+  result.answers.add_rrset(*rrset, qname);
   if (const auto* sigs = zone.find(wildcard, dns::RRType::kRRSIG)) {
-    for (const auto& rdata : sigs->rdatas()) {
-      const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
-      if (sig != nullptr && sig->type_covered == qtype) {
-        result.answers.push_back(dns::ResourceRecord{
-            qname, dns::RRType::kRRSIG, dns::RRClass::kIN, sigs->ttl(),
-            rdata});
-      }
-    }
+    result.answers.add_sigs(*sigs, qtype, qname);
   }
   // RFC 4035 §3.1.3.3: the response must prove the query name itself does
   // not exist (the next-closer cover).
@@ -318,9 +302,7 @@ void answer_referral(const zone::Zone& zone, const DenialIndex& denial,
   result.rcode = dns::RCode::kNoError;
   result.authoritative = false;
   const auto* ns = zone.find(cut, dns::RRType::kNS);
-  if (ns != nullptr) {
-    for (const auto& rr : ns->to_records()) result.authorities.push_back(rr);
-  }
+  if (ns != nullptr) result.authorities.add_rrset(*ns);
   // DS (plus signature) travels with the referral; its absence is proven
   // with NSEC(3) like any other missing type.
   if (zone.find(cut, dns::RRType::kDS) != nullptr) {
@@ -335,11 +317,7 @@ void answer_referral(const zone::Zone& zone, const DenialIndex& denial,
       if (nsr == nullptr) continue;
       for (dns::RRType glue_type : {dns::RRType::kA, dns::RRType::kAAAA}) {
         const auto* glue = zone.find(nsr->nsdname, glue_type);
-        if (glue != nullptr) {
-          for (const auto& rr : glue->to_records()) {
-            result.additionals.push_back(rr);
-          }
-        }
+        if (glue != nullptr) result.additionals.add_rrset(*glue);
       }
     }
   }
@@ -401,12 +379,146 @@ QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
   return result;
 }
 
-std::vector<dns::ResourceRecord> QueryResult::negative_proofs() const {
+QueryResult answer(std::shared_ptr<const HostedZone> hosted,
+                   const dns::Name& qname, dns::RRType qtype) {
+  QueryResult result = answer(hosted->zone, hosted->denial, qname, qtype);
+  result.pin = std::move(hosted);
+  return result;
+}
+
+const dns::Name& Section::Part::owner(const Section& section) const {
+  if (rrset == nullptr) return section.owned_[owned].owner;
+  return spelled ? section.spelled_owner_ : rrset->owner();
+}
+
+bool Section::belongs(const Part& part, std::size_t i) {
+  if (!part.sigs) return true;
+  const auto* sig = std::get_if<dns::RrsigRdata>(&part.rrset->rdatas()[i]);
+  return sig != nullptr && sig->type_covered == part.covered;
+}
+
+void Section::const_iterator::settle() {
+  const auto& parts = section_->parts_;
+  while (part_ < parts.size()) {
+    const Part& part = parts[part_];
+    const std::size_t n = part.rrset != nullptr ? part.rrset->size() : 1;
+    if (rdata_ >= n) {
+      ++part_;
+      rdata_ = 0;
+      continue;
+    }
+    if (part.rrset == nullptr || belongs(part, rdata_)) return;
+    ++rdata_;
+  }
+  rdata_ = 0;
+}
+
+dns::RecordRef Section::at(std::size_t part_index, std::size_t rdata) const {
+  const Part& part = parts_[part_index];
+  if (part.rrset == nullptr) return owned_[part.owned];
+  return {part.owner(*this), part.rrset->type(), dns::RRClass::kIN,
+          part.rrset->ttl(), part.rrset->rdatas()[rdata]};
+}
+
+dns::RecordRef Section::front() const {
+  DFX_CHECK(!empty());
+  return *begin();
+}
+
+dns::RecordRef Section::back() const {
+  DFX_CHECK(!empty());
+  const std::size_t last = parts_.size() - 1;
+  const Part& part = parts_[last];
+  if (part.rrset == nullptr) return at(last, 0);
+  std::size_t i = part.rrset->size();
+  while (!belongs(part, i - 1)) --i;  // the part holds at least one record
+  return at(last, i - 1);
+}
+
+void Section::push_back(dns::ResourceRecord rr) {
+  Part part;
+  part.owned = static_cast<std::uint32_t>(owned_.size());
+  owned_.push_back(std::move(rr));
+  parts_.push_back(part);
+  ++size_;
+}
+
+bool Section::spell(Part& part, const dns::Name& owner) {
+  const auto same_spelling = [](const dns::Name& a, const dns::Name& b) {
+    return a == b && std::ranges::equal(a.wire(), b.wire());
+  };
+  if (same_spelling(owner, part.rrset->owner())) return true;
+  if (!has_spelled_owner_) {
+    spelled_owner_ = owner;
+    has_spelled_owner_ = true;
+  } else if (!same_spelling(owner, spelled_owner_)) {
+    return false;
+  }
+  part.spelled = true;
+  return true;
+}
+
+void Section::add_view(Part part, const dns::Name& owner) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < part.rrset->size(); ++i) {
+    count += belongs(part, i) ? 1 : 0;
+  }
+  if (count == 0) return;
+  if (!spell(part, owner)) {
+    // A second spelling in one section (never in answer()'s output, whose
+    // only spelled name is the query name or its cut): owned copies.
+    for (std::size_t i = 0; i < part.rrset->size(); ++i) {
+      if (!belongs(part, i)) continue;
+      push_back(dns::ResourceRecord{owner, part.rrset->type(),
+                                    dns::RRClass::kIN, part.rrset->ttl(),
+                                    part.rrset->rdatas()[i]});
+    }
+    return;
+  }
+  if (parts_.empty()) parts_.reserve(8);  // an NSEC3 denial's parts
+  size_ += count;
+  parts_.push_back(part);
+}
+
+void Section::add_rrset(const dns::RRset& rrset, const dns::Name& owner) {
+  Part part;
+  part.rrset = &rrset;
+  add_view(part, owner);
+}
+
+void Section::add_sigs(const dns::RRset& rrsigs, dns::RRType covered,
+                       const dns::Name& owner) {
+  Part part;
+  part.rrset = &rrsigs;
+  part.sigs = true;
+  part.covered = covered;
+  add_view(part, owner);
+}
+
+void Section::add_part(const Section& from, const Part& part) {
+  if (part.rrset == nullptr) {
+    push_back(from.owned_[part.owned]);
+    return;
+  }
+  Part copy = part;
+  copy.spelled = false;
+  add_view(copy, part.owner(from));
+}
+
+std::vector<dns::ResourceRecord> Section::to_records() const {
   std::vector<dns::ResourceRecord> out;
-  for (const auto& rr : authorities) {
-    if (rr.type == dns::RRType::kNSEC || rr.type == dns::RRType::kNSEC3 ||
-        rr.type == dns::RRType::kRRSIG) {
-      out.push_back(rr);
+  out.reserve(size_);
+  for (const dns::RecordRef rr : *this) out.push_back(rr.to_record());
+  return out;
+}
+
+Section QueryResult::negative_proofs() const {
+  Section out;
+  for (const Section::Part& part : authorities.parts()) {
+    const dns::RRType type = part.type(authorities);
+    if (type == dns::RRType::kNSEC || type == dns::RRType::kNSEC3 ||
+        type == dns::RRType::kRRSIG) {
+      out.add_part(authorities, part);
     }
   }
   return out;
@@ -421,9 +533,9 @@ dns::Message QueryResult::to_message(const dns::Question& question,
   msg.header.aa = authoritative;
   msg.header.rcode = rcode;
   msg.questions.push_back(question);
-  msg.answers = answers;
-  msg.authorities = authorities;
-  msg.additionals = additionals;
+  msg.answers = answers.to_records();
+  msg.authorities = authorities.to_records();
+  msg.additionals = additionals.to_records();
   return msg;
 }
 
@@ -490,7 +602,7 @@ QueryResult AuthServer::query(const dns::Name& qname,
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(it->second->zone, it->second->denial, qname, qtype);
+  return answer(it->second, qname, qtype);
 }
 
 QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
@@ -506,7 +618,7 @@ QueryResult AuthServer::query_in_zone(const dns::Name& zone_apex,
     result.rcode = dns::RCode::kRefused;
     return result;
   }
-  return answer(it->second->zone, it->second->denial, qname, qtype);
+  return answer(it->second, qname, qtype);
 }
 
 std::uint64_t AuthServer::answering_serial(const dns::Name& qname,

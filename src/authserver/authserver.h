@@ -3,13 +3,18 @@
 // Serves one or more zones with full positive/negative/referral answer
 // logic, including NSEC and NSEC3 proof selection. A server holds each
 // zone as a shared, read-only version (HostedZone: the zone, its
-// DenialIndex and a load serial). A push to every server of a zone gives
+// DenialIndex and a load serial). An answer copies no record: its
+// sections are views of the version's RRsets, and the QueryResult holds
+// the version (its pin) for as long as it lives, so a result stays valid
+// across a reload or unload of the zone it came from. A push to every server of a zone gives
 // them one version, so they share it; a push to one server gives it a
 // version of its own, so multi-server inconsistencies (a key error class
 // in the paper) arise naturally when only one server is updated.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,23 +41,142 @@ bool nsec_covers(const dns::Name& owner, const dns::Name& next,
 bool nsec3_hash_covers(const Bytes& owner_hash, const Bytes& next_hash,
                        const Bytes& target);
 
+struct HostedZone;
+
+/// One section of a served answer: its records in the order the server
+/// emits them. A section answer() fills holds no record of its own. Each
+/// of its parts is a view of one zone RRset: all of its records, or the
+/// RRSIGs of an RRSIG RRset that cover one type. A part is served under
+/// the RRset's owner, or under the one name the section keeps a copy of
+/// (the query name, when a wildcard expands or a proof is spelled the way
+/// the question spelled it). Records that are in no zone (hand-built
+/// results, test models) are owned. Iteration yields dns::RecordRef, and
+/// every reader (the encoder, grok's extract, the resolver, to_message)
+/// goes through it. Views are valid while the zone version they point
+/// into lives: QueryResult::pin keeps it alive.
+class Section {
+ public:
+  /// One run of records: a view of an RRset (`rrset`), or one owned
+  /// record (`rrset` null, `owned` its index).
+  struct Part {
+    const dns::RRset* rrset = nullptr;
+    std::uint32_t owned = 0;
+    /// An RRSIG RRset of which only the rdatas covering `covered` belong.
+    bool sigs = false;
+    dns::RRType covered = dns::RRType::kA;
+    /// Served under the section's spelled owner, not the RRset's.
+    bool spelled = false;
+
+    /// The records' type.
+    dns::RRType type(const Section& section) const {
+      return rrset != nullptr ? rrset->type()
+                              : section.owned_[owned].type;
+    }
+    /// The records' owner as served.
+    const dns::Name& owner(const Section& section) const;
+  };
+
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = dns::RecordRef;
+    using reference = dns::RecordRef;
+    using pointer = void;
+    using difference_type = std::ptrdiff_t;
+
+    const_iterator() = default;
+    dns::RecordRef operator*() const { return section_->at(part_, rdata_); }
+    const_iterator& operator++() {
+      ++rdata_;
+      settle();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const const_iterator& other) const {
+      return part_ == other.part_ && rdata_ == other.rdata_;
+    }
+
+   private:
+    friend class Section;
+    const_iterator(const Section* section, std::size_t part)
+        : section_(section), part_(part) {
+      settle();
+    }
+    /// Step to the next record that belongs to the section (or the end).
+    void settle();
+
+    const Section* section_ = nullptr;
+    std::size_t part_ = 0;
+    std::size_t rdata_ = 0;
+  };
+
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, parts_.size()}; }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  dns::RecordRef front() const;
+  dns::RecordRef back() const;
+  const std::vector<Part>& parts() const { return parts_; }
+
+  /// Append an owned record.
+  void push_back(dns::ResourceRecord rr);
+  /// Append every record of `rrset` (a view), served under `owner`.
+  void add_rrset(const dns::RRset& rrset, const dns::Name& owner);
+  void add_rrset(const dns::RRset& rrset) { add_rrset(rrset, rrset.owner()); }
+  /// Append the RRSIGs of `rrsigs` covering `covered` (a view), served
+  /// under `owner`. Nothing when none covers it.
+  void add_sigs(const dns::RRset& rrsigs, dns::RRType covered,
+                const dns::Name& owner);
+  /// Append the records of another section's part.
+  void add_part(const Section& from, const Part& part);
+
+  /// Owned copies of the records.
+  std::vector<dns::ResourceRecord> to_records() const;
+
+ private:
+  dns::RecordRef at(std::size_t part, std::size_t rdata) const;
+  /// Whether rdata `i` of view `part` is one of its records.
+  static bool belongs(const Part& part, std::size_t i);
+  /// Serve `part` under `owner`: the RRset's own owner when spelled the
+  /// same, else the section's spelled owner (set on first use). False
+  /// when the section already spells another name.
+  bool spell(Part& part, const dns::Name& owner);
+  void add_view(Part part, const dns::Name& owner);
+
+  std::vector<Part> parts_;
+  std::vector<dns::ResourceRecord> owned_;
+  dns::Name spelled_owner_;
+  bool has_spelled_owner_ = false;
+  std::size_t size_ = 0;
+};
+
 /// The server's reply to one question.
 struct QueryResult {
   bool reachable = true;  // false models a lame/unresponsive server
   dns::RCode rcode = dns::RCode::kNoError;
   bool authoritative = false;
-  std::vector<dns::ResourceRecord> answers;
-  std::vector<dns::ResourceRecord> authorities;
-  std::vector<dns::ResourceRecord> additionals;
+  /// The hosted version the sections' views point into, kept alive for
+  /// as long as this result (or a copy) lives. Null for answers from a
+  /// borrowed zone (valid only while it lives) and for owned records.
+  std::shared_ptr<const HostedZone> pin;
+  Section answers;
+  Section authorities;
+  Section additionals;
 
-  /// All NSEC/NSEC3 records (with RRSIGs) in the authority section.
-  std::vector<dns::ResourceRecord> negative_proofs() const;
+  /// All NSEC/NSEC3 records (with RRSIGs) in the authority section; its
+  /// views are valid while this result lives.
+  Section negative_proofs() const;
 
   /// Render as a wire-ready response to `question`: QR set, AA from
   /// `authoritative`, RCODE from `rcode`, sections copied. The caller owns
   /// everything transport-level — message ID, RD/CD echo, EDNS attachment
-  /// and truncation (src/server/frontend does all four). Must not be
-  /// called on an unreachable result: a lame server sends nothing.
+  /// and truncation (src/server/frontend does all four, and encodes the
+  /// sections in place without this copy). Must not be called on an
+  /// unreachable result: a lame server sends nothing.
   dns::Message to_message(const dns::Question& question,
                           std::uint16_t id = 0) const;
 };
@@ -173,9 +297,14 @@ std::shared_ptr<const HostedZone> load_version(zone::Zone zone);
 /// validator is the one that notices. The one answer path: AuthServer,
 /// the serving layer (ZoneStore, WireFrontend) and zonelint all call it.
 /// `denial` must have been built from `zone` as it is now. `qname` must
-/// lie within the zone.
+/// lie within the zone. The result's sections are views into `zone`,
+/// valid while it lives unchanged; the HostedZone overload pins the
+/// version instead, so its result may outlive every other holder.
 DFX_COLD("runs on answer-cache misses only; its results are cached")
 QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
+                   const dns::Name& qname, dns::RRType qtype);
+DFX_COLD("runs on answer-cache misses only; its results are cached")
+QueryResult answer(std::shared_ptr<const HostedZone> hosted,
                    const dns::Name& qname, dns::RRType qtype);
 
 class AuthServer {

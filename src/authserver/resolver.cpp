@@ -25,10 +25,10 @@ ResolveResult StubResolver::resolve(const dns::Name& qname, dns::RRType qtype,
     if (!reply.answers.empty() || reply.rcode == dns::RCode::kNXDomain ||
         reply.authoritative) {
       result.rcode = reply.rcode;
-      result.answers = reply.answers;
+      result.answers = reply.answers.to_records();
       // Chase in-zone CNAMEs.
       if (!reply.answers.empty() && qtype != dns::RRType::kCNAME) {
-        const auto& last = reply.answers.back();
+        const dns::RecordRef last = reply.answers.back();
         if (last.type == dns::RRType::kCNAME) {
           const auto* cname = std::get_if<dns::CnameRdata>(&last.rdata);
           if (cname != nullptr) {

@@ -18,6 +18,7 @@ namespace dfx::authserver {
 
 struct ResolveResult {
   dns::RCode rcode = dns::RCode::kServFail;
+  /// Owned: a CNAME chase joins answers from several zones.
   std::vector<dns::ResourceRecord> answers;
   /// Zones traversed apex-by-apex, root first.
   std::vector<dns::Name> chain;

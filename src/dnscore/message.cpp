@@ -23,173 +23,156 @@ std::uint64_t label_hash(ByteView label) {
   return h;
 }
 
-/// Writes names with RFC 1035 §4.1.4 compression. Pointers may only target
-/// prior occurrences of a (case-folded) suffix.
-///
-/// The table is an open-addressed map of (suffix hash, message offset).
-/// Suffix hashes are computed right-to-left in one pass over the name's
-/// canonical wire bytes, so a full write_name is O(name bytes) plus O(1)
-/// probes per label — the previous implementation joined every suffix into
-/// a fresh std::string key per lookup, which was quadratic per name and
-/// dominated encode profiles. Hash hits are verified by walking the
-/// already-emitted output bytes (following pointers), so collisions cannot
-/// corrupt the output; the emitted bytes are identical to the old
-/// map-based compressor's (pinned by a regression test).
-class NameCompressor {
- public:
-  void write_name(Bytes& out, const Name& name) {
-    const std::size_t n = name.label_count();
-    DFX_CHECK(n <= kMaxNamePieces, "name of %zu labels", n);
-    const ByteView folded = name.canonical_wire();
-    const ByteView wire = name.wire();
-    // start[i]: where label i begins in both wire forms.
-    std::size_t start[kMaxNamePieces + 1];
-    start[0] = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      start[i + 1] = start[i] + 1 + folded[start[i]];
-    }
-    std::uint64_t suffix_hash[kMaxNamePieces + 1];
-    suffix_hash[n] = kFnvBasis;
-    for (std::size_t i = n; i-- > 0;) {
-      const ByteView label = folded.subspan(start[i] + 1, folded[start[i]]);
-      suffix_hash[i] = (suffix_hash[i + 1] ^ label_hash(label)) * kFnvPrime;
-    }
-    // Longest known suffix wins: scan skip counts upward, stop at the
-    // first (longest) registered suffix.
-    std::size_t skip = 0;
-    std::uint32_t pointer = 0;
-    bool found = false;
-    for (; skip < n; ++skip) {
-      if (const auto off =
-              lookup(out, suffix_hash[skip], folded.subspan(start[skip]))) {
-        pointer = *off;
-        found = true;
-        break;
-      }
-    }
-    // Emit the labels before the pointer (or all of them), registering
-    // each emitted label's suffix for later names. First occurrence wins,
-    // and only offsets representable in a 14-bit pointer are remembered.
-    for (std::size_t i = 0; i < skip; ++i) {
-      const std::size_t offset = out.size();
-      if (offset < 0x3FFF) {
-        insert_if_absent(out, suffix_hash[i], folded.subspan(start[i]),
-                         static_cast<std::uint32_t>(offset));
-      }
-      append(out, wire.subspan(start[i], start[i + 1] - start[i]));
-    }
-    if (found) {
-      append_u16(out, static_cast<std::uint16_t>(0xC000 | (pointer & 0x3FFF)));
-    } else {
-      out.push_back(0);
+}  // namespace
+
+void NameCompressor::write_name(Bytes& out, const Name& name) {
+  const std::size_t n = name.label_count();
+  DFX_CHECK(n <= kMaxNamePieces, "name of %zu labels", n);
+  const ByteView folded = name.canonical_wire();
+  const ByteView wire = name.wire();
+  // start[i]: where label i begins in both wire forms.
+  std::size_t start[kMaxNamePieces + 1];
+  start[0] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    start[i + 1] = start[i] + 1 + folded[start[i]];
+  }
+  std::uint64_t suffix_hash[kMaxNamePieces + 1];
+  suffix_hash[n] = kFnvBasis;
+  for (std::size_t i = n; i-- > 0;) {
+    const ByteView label = folded.subspan(start[i] + 1, folded[start[i]]);
+    suffix_hash[i] = (suffix_hash[i + 1] ^ label_hash(label)) * kFnvPrime;
+  }
+  // Longest known suffix wins: scan skip counts upward, stop at the
+  // first (longest) registered suffix.
+  std::size_t skip = 0;
+  std::uint32_t pointer = 0;
+  bool found = false;
+  for (; skip < n; ++skip) {
+    if (const auto off =
+            lookup(out, suffix_hash[skip], folded.subspan(start[skip]))) {
+      pointer = *off;
+      found = true;
+      break;
     }
   }
-
- private:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t offset = kEmptySlot;
-  };
-
-  /// True if the name chain emitted at message offset `offset` spells the
-  /// canonical wire suffix `folded` (case-folded). Follows compression
-  /// pointers; the walked bytes were all written by this compressor, so
-  /// the chain is well-formed by construction.
-  bool suffix_at(const Bytes& out, std::uint32_t offset,
-                 ByteView folded) const {
-    std::size_t pos = offset;
-    std::size_t at = 0;
-    DFX_BOUNDED_LOOP(guard, out.size() + 2);
-    while (true) {
-      guard.tick();
-      DFX_DCHECK(pos < out.size() && at < folded.size());
-      const std::uint8_t len = out[pos];
-      if (len == 0) return folded[at] == 0;
-      if ((len & 0xC0) == 0xC0) {
-        DFX_DCHECK(pos + 1 < out.size());
-        pos = ((static_cast<std::size_t>(len) & 0x3F) << 8) | out[pos + 1];
-        continue;
-      }
-      if (folded[at] != len) return false;
-      DFX_DCHECK(pos + 1 + len <= out.size());
-      for (std::size_t i = 1; i <= len; ++i) {
-        if (static_cast<std::uint8_t>(ascii_lower(
-                static_cast<char>(out[pos + i]))) != folded[at + i]) {
-          return false;
-        }
-      }
-      at += 1 + static_cast<std::size_t>(len);
-      pos += 1 + static_cast<std::size_t>(len);
+  // Emit the labels before the pointer (or all of them), registering
+  // each emitted label's suffix for later names. First occurrence wins,
+  // and only offsets representable in a 14-bit pointer are remembered.
+  for (std::size_t i = 0; i < skip; ++i) {
+    const std::size_t offset = out.size();
+    if (offset < 0x3FFF) {
+      insert_if_absent(out, suffix_hash[i], folded.subspan(start[i]),
+                       static_cast<std::uint32_t>(offset));
     }
+    append(out, wire.subspan(start[i], start[i + 1] - start[i]));
   }
+  if (found) {
+    append_u16(out, static_cast<std::uint16_t>(0xC000 | (pointer & 0x3FFF)));
+  } else {
+    out.push_back(0);
+  }
+}
 
-  [[nodiscard]] std::optional<std::uint32_t> lookup(
-      const Bytes& out, std::uint64_t hash, ByteView folded) const {
-    if (count_ == 0) return std::nullopt;
-    std::size_t i = hash & mask_;
+bool NameCompressor::suffix_at(const Bytes& out, std::uint32_t offset,
+               ByteView folded) const {
+  std::size_t pos = offset;
+  std::size_t at = 0;
+  DFX_BOUNDED_LOOP(guard, out.size() + 2);
+  while (true) {
+    guard.tick();
+    DFX_DCHECK(pos < out.size() && at < folded.size());
+    const std::uint8_t len = out[pos];
+    if (len == 0) return folded[at] == 0;
+    if ((len & 0xC0) == 0xC0) {
+      DFX_DCHECK(pos + 1 < out.size());
+      pos = ((static_cast<std::size_t>(len) & 0x3F) << 8) | out[pos + 1];
+      continue;
+    }
+    if (folded[at] != len) return false;
+    DFX_DCHECK(pos + 1 + len <= out.size());
+    for (std::size_t i = 1; i <= len; ++i) {
+      if (static_cast<std::uint8_t>(ascii_lower(
+              static_cast<char>(out[pos + i]))) != folded[at + i]) {
+        return false;
+      }
+    }
+    at += 1 + static_cast<std::size_t>(len);
+    pos += 1 + static_cast<std::size_t>(len);
+  }
+}
+
+[[nodiscard]] std::optional<std::uint32_t> NameCompressor::lookup(
+    const Bytes& out, std::uint64_t hash, ByteView folded) const {
+  if (count_ == 0) return std::nullopt;
+  std::size_t i = hash & mask_;
+  DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
+  while (slots_[i].offset != kEmptySlot) {
+    guard.tick();
+    if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
+      return slots_[i].offset;
+    }
+    i = (i + 1) & mask_;
+  }
+  return std::nullopt;
+}
+
+void NameCompressor::insert_if_absent(const Bytes& out, std::uint64_t hash,
+                      ByteView folded, std::uint32_t offset) {
+  if ((count_ + 1) * 4 >= slots_.size() * 3) grow();
+  std::size_t i = hash & mask_;
+  DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
+  while (slots_[i].offset != kEmptySlot) {
+    guard.tick();
+    if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
+      return;  // first occurrence wins, like the old map's emplace
+    }
+    i = (i + 1) & mask_;
+  }
+  slots_[i] = Slot{hash, offset};
+  ++count_;
+}
+
+void NameCompressor::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() * 2, Slot{});
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.offset == kEmptySlot) continue;
+    std::size_t i = s.hash & mask_;
     DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
     while (slots_[i].offset != kEmptySlot) {
       guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
-        return slots_[i].offset;
-      }
       i = (i + 1) & mask_;
     }
-    return std::nullopt;
+    slots_[i] = s;
   }
+}
 
-  void insert_if_absent(const Bytes& out, std::uint64_t hash,
-                        ByteView folded, std::uint32_t offset) {
-    if ((count_ + 1) * 4 >= slots_.size() * 3) grow();
-    std::size_t i = hash & mask_;
-    DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
-    while (slots_[i].offset != kEmptySlot) {
-      guard.tick();
-      if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
-        return;  // first occurrence wins, like the old map's emplace
-      }
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = Slot{hash, offset};
-    ++count_;
-  }
+void write_question(Bytes& out, NameCompressor& comp,
+                    const Question& question) {
+  comp.write_name(out, question.qname);
+  append_u16(out, static_cast<std::uint16_t>(question.qtype));
+  append_u16(out, static_cast<std::uint16_t>(question.qclass));
+}
 
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.offset == kEmptySlot) continue;
-      std::size_t i = s.hash & mask_;
-      DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
-      while (slots_[i].offset != kEmptySlot) {
-        guard.tick();
-        i = (i + 1) & mask_;
-      }
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_ = std::vector<Slot>(64);
-  std::size_t mask_ = 63;
-  std::size_t count_ = 0;
-};
-
-void write_record(Bytes& out, NameCompressor& comp,
-                  const ResourceRecord& rr) {
+void write_record(Bytes& out, NameCompressor& comp, const RecordRef& rr) {
   comp.write_name(out, rr.owner);
   append_u16(out, static_cast<std::uint16_t>(rr.type));
   append_u16(out, static_cast<std::uint16_t>(rr.rrclass));
   append_u32(out, rr.ttl);
   // RDATA embedded names are written uncompressed (required for DNSSEC
-  // types, simplest-correct for the rest).
-  const Bytes rdata = rdata_to_wire(rr.rdata);
-  DFX_DCHECK(rdata.size() <= 0xFFFF);
-  append_u16(out, static_cast<std::uint16_t>(rdata.size()));
-  append(out, rdata);
+  // types, simplest-correct for the rest), straight into `out`; RDLENGTH
+  // is patched once the RDATA is written.
+  const std::size_t length_at = out.size();
+  append_u16(out, 0);
+  append_rdata_wire(out, rr.rdata);
+  const std::size_t length = out.size() - length_at - 2;
+  DFX_CHECK(length <= 0xFFFF, "RDATA of %zu octets", length);
+  out[length_at] = static_cast<std::uint8_t>(length >> 8);
+  out[length_at + 1] = static_cast<std::uint8_t>(length & 0xFF);
 }
+
+namespace {
 
 /// Read the record body (class/ttl/rdata) once owner and type are known.
 [[nodiscard]] std::optional<ResourceRecord> read_record_body(
@@ -274,11 +257,7 @@ Bytes encode_message(const Message& msg) {
   append_u16(out, static_cast<std::uint16_t>(arcount));
 
   NameCompressor comp;
-  for (const auto& q : msg.questions) {
-    comp.write_name(out, q.qname);
-    append_u16(out, static_cast<std::uint16_t>(q.qtype));
-    append_u16(out, static_cast<std::uint16_t>(q.qclass));
-  }
+  for (const auto& q : msg.questions) write_question(out, comp, q);
   for (const auto& rr : msg.answers) write_record(out, comp, rr);
   for (const auto& rr : msg.authorities) write_record(out, comp, rr);
   for (const auto& rr : msg.additionals) write_record(out, comp, rr);

@@ -73,6 +73,58 @@ struct Message {
   std::optional<EdnsInfo> edns;
 };
 
+/// Writes names with RFC 1035 §4.1.4 compression. Pointers may only target
+/// prior occurrences of a (case-folded) suffix, at offsets counted from
+/// the start of `out`, so one compressor serves one message buffer.
+///
+/// The table is an open-addressed map of (suffix hash, message offset).
+/// Suffix hashes are computed right-to-left in one pass over the name's
+/// canonical wire bytes, so a full write_name is O(name bytes) plus O(1)
+/// probes per label. Hash hits are verified by walking the
+/// already-emitted output bytes (following pointers), so collisions cannot
+/// corrupt the output; the emitted bytes are identical to the old
+/// map-based compressor's (pinned by a regression test).
+class NameCompressor {
+ public:
+  void write_name(Bytes& out, const Name& name);
+
+ private:
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t offset = kEmptySlot;
+  };
+
+  /// True if the name chain emitted at message offset `offset` spells the
+  /// canonical wire suffix `folded` (case-folded). Follows compression
+  /// pointers; the walked bytes were all written by this compressor, so
+  /// the chain is well-formed by construction.
+  bool suffix_at(const Bytes& out, std::uint32_t offset,
+                 ByteView folded) const;
+  [[nodiscard]] std::optional<std::uint32_t> lookup(const Bytes& out,
+                                                    std::uint64_t hash,
+                                                    ByteView folded) const;
+  void insert_if_absent(const Bytes& out, std::uint64_t hash,
+                        ByteView folded, std::uint32_t offset);
+  void grow();
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  std::size_t mask_ = 63;
+  std::size_t count_ = 0;
+};
+
+/// Append one question (name, QTYPE, QCLASS) to `out`.
+void write_question(Bytes& out, NameCompressor& comp,
+                    const Question& question);
+
+/// Append one record to `out`: the compressed owner, TYPE, CLASS, TTL,
+/// RDLENGTH and the RDATA, written in place (embedded names uncompressed
+/// and canonical) with RDLENGTH patched afterwards. encode_message writes
+/// every record with it, and so does the serving layer's response body
+/// encoder (src/server/frontend), which reads records where they live.
+void write_record(Bytes& out, NameCompressor& comp, const RecordRef& rr);
+
 /// Encode with owner-name compression across all sections. A present
 /// `edns` field emits the OPT pseudo-record at the end of the additional
 /// section.

@@ -81,6 +81,11 @@ RRType rdata_type(const Rdata& rdata) {
 
 Bytes encode_type_bitmap(const std::set<RRType>& types) {
   Bytes out;
+  append_type_bitmap(out, types);
+  return out;
+}
+
+void append_type_bitmap(Bytes& out, const std::set<RRType>& types) {
   // Window blocks of 256 types each (RFC 4034 §4.1.2).
   int current_window = -1;
   std::array<std::uint8_t, 32> bits{};
@@ -109,7 +114,6 @@ Bytes encode_type_bitmap(const std::set<RRType>& types) {
     if (octet > max_octet) max_octet = octet;
   }
   flush();
-  return out;
 }
 
 std::set<RRType> decode_type_bitmap(ByteView data) {
@@ -139,6 +143,11 @@ std::set<RRType> decode_type_bitmap(ByteView data) {
 
 Bytes rdata_to_wire(const Rdata& rdata) {
   Bytes out;
+  append_rdata_wire(out, rdata);
+  return out;
+}
+
+void append_rdata_wire(Bytes& out, const Rdata& rdata) {
   struct Visitor {
     Bytes& out;
 
@@ -149,14 +158,14 @@ Bytes rdata_to_wire(const Rdata& rdata) {
       append(out, ByteView(r.address));
     }
     void operator()(const NsRdata& r) const {
-      append(out, r.nsdname.to_canonical_wire());
+      append(out, r.nsdname.canonical_wire());
     }
     void operator()(const CnameRdata& r) const {
-      append(out, r.target.to_canonical_wire());
+      append(out, r.target.canonical_wire());
     }
     void operator()(const SoaRdata& r) const {
-      append(out, r.mname.to_canonical_wire());
-      append(out, r.rname.to_canonical_wire());
+      append(out, r.mname.canonical_wire());
+      append(out, r.rname.canonical_wire());
       append_u32(out, r.serial);
       append_u32(out, r.refresh);
       append_u32(out, r.retry);
@@ -165,7 +174,7 @@ Bytes rdata_to_wire(const Rdata& rdata) {
     }
     void operator()(const MxRdata& r) const {
       append_u16(out, r.preference);
-      append(out, r.exchange.to_canonical_wire());
+      append(out, r.exchange.canonical_wire());
     }
     void operator()(const TxtRdata& r) const {
       for (const auto& s : r.strings) {
@@ -195,12 +204,12 @@ Bytes rdata_to_wire(const Rdata& rdata) {
       append_u32(out, static_cast<std::uint32_t>(r.expiration));
       append_u32(out, static_cast<std::uint32_t>(r.inception));
       append_u16(out, r.key_tag);
-      append(out, r.signer.to_canonical_wire());
+      append(out, r.signer.canonical_wire());
       append(out, r.signature);
     }
     void operator()(const NsecRdata& r) const {
-      append(out, r.next.to_canonical_wire());
-      append(out, encode_type_bitmap(r.types));
+      append(out, r.next.canonical_wire());
+      append_type_bitmap(out, r.types);
     }
     void operator()(const Nsec3Rdata& r) const {
       DFX_CHECK(r.salt.size() <= 255, "NSEC3 salt of %zu octets",
@@ -214,7 +223,7 @@ Bytes rdata_to_wire(const Rdata& rdata) {
       append(out, r.salt);
       append_u8(out, static_cast<std::uint8_t>(r.next_hashed.size()));
       append(out, r.next_hashed);
-      append(out, encode_type_bitmap(r.types));
+      append_type_bitmap(out, r.types);
     }
     void operator()(const Nsec3ParamRdata& r) const {
       DFX_CHECK(r.salt.size() <= 255, "NSEC3PARAM salt of %zu octets",
@@ -229,7 +238,6 @@ Bytes rdata_to_wire(const Rdata& rdata) {
     void operator()(const CdnskeyRdata& r) const { (*this)(r.dnskey); }
   };
   std::visit(Visitor{out}, rdata);
-  return out;
 }
 
 std::string type_set_to_text(const std::set<RRType>& types) {

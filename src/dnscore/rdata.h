@@ -155,6 +155,10 @@ RRType rdata_type(const Rdata& rdata);
 /// Canonical RDATA wire form (embedded names lower-cased, RFC 4034 §6.2).
 Bytes rdata_to_wire(const Rdata& rdata);
 
+/// Append rdata_to_wire(rdata) to `out` in place, with no buffer of its
+/// own (the message encoder writes every record's RDATA this way).
+void append_rdata_wire(Bytes& out, const Rdata& rdata);
+
 /// Presentation (zone-file) form of the RDATA fields.
 std::string rdata_to_text(const Rdata& rdata);
 
@@ -163,6 +167,9 @@ std::string type_set_to_text(const std::set<RRType>& types);
 
 /// Encode a type set as the NSEC wire bitmap (RFC 4034 §4.1.2).
 Bytes encode_type_bitmap(const std::set<RRType>& types);
+
+/// Append encode_type_bitmap(types) to `out` in place.
+void append_type_bitmap(Bytes& out, const std::set<RRType>& types);
 
 /// Decode an NSEC wire bitmap.
 std::set<RRType> decode_type_bitmap(ByteView data);

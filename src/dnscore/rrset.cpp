@@ -4,9 +4,13 @@
 
 namespace dfx::dns {
 
-std::string ResourceRecord::to_text() const {
+std::string RecordRef::to_text() const {
   return owner.to_string() + " " + std::to_string(ttl) + " IN " +
          rrtype_to_string(type) + " " + rdata_to_text(rdata);
+}
+
+std::string ResourceRecord::to_text() const {
+  return RecordRef(*this).to_text();
 }
 
 namespace {

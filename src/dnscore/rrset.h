@@ -22,6 +22,38 @@ struct ResourceRecord {
   std::string to_text() const;
 };
 
+/// One record read in place: the owner, type, class and TTL it is served
+/// with, and a reference to its RDATA wherever that lives (an owned
+/// ResourceRecord, or an RRset inside a zone). The encoder and every
+/// reader of a served answer take records in this form, so an answer
+/// can hand out records it does not own. Valid while what it refers to
+/// lives.
+struct RecordRef {
+  RecordRef(const Name& owner_name, RRType record_type, RRClass record_class,
+            std::uint32_t record_ttl, const Rdata& record_rdata)
+      : owner(owner_name),
+        type(record_type),
+        rrclass(record_class),
+        ttl(record_ttl),
+        rdata(record_rdata) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): every record is one.
+  RecordRef(const ResourceRecord& rr)
+      : RecordRef(rr.owner, rr.type, rr.rrclass, rr.ttl, rr.rdata) {}
+
+  const Name& owner;
+  RRType type;
+  RRClass rrclass;
+  std::uint32_t ttl;
+  const Rdata& rdata;
+
+  /// An owned copy.
+  ResourceRecord to_record() const {
+    return ResourceRecord{owner, type, rrclass, ttl, rdata};
+  }
+  /// Presentation form, as ResourceRecord::to_text.
+  std::string to_text() const;
+};
+
 /// All records of one (owner, type) with a shared TTL.
 class RRset {
  public:

@@ -15,17 +15,25 @@ namespace {
 
 /// Assemble a purely negative QueryResult the way answer_nodata /
 /// answer_nxdomain do: authoritative, empty answer and additional
-/// sections, SOA block first in the authority section.
-authserver::QueryResult negative_result(dns::RCode rcode) {
+/// sections, SOA block first in the authority section. It pins the
+/// harvested version its views point into.
+authserver::QueryResult negative_result(
+    dns::RCode rcode, std::shared_ptr<const authserver::HostedZone> pin) {
   authserver::QueryResult result;
   result.authoritative = true;
   result.rcode = rcode;
+  result.pin = std::move(pin);
   return result;
 }
 
-void append_block(std::vector<dns::ResourceRecord>& section,
-                  const std::vector<dns::ResourceRecord>& block) {
-  section.insert(section.end(), block.begin(), block.end());
+/// Serves a harvested block the way add_rrset_with_sigs emits it.
+template <typename Block>
+void append_block(authserver::Section& section, const Block& block) {
+  section.add_rrset(*block.records);
+  if (block.sigs != nullptr) {
+    section.add_sigs(*block.sigs, block.records->type(),
+                     block.records->owner());
+  }
 }
 
 /// Shared NODATA-vs-refuse decision for an NSEC/NSEC3 record matching
@@ -134,75 +142,65 @@ void AnswerCache::observe(const dns::Name& apex,
   if (!result.reachable) return;
   if (epoch != this->epoch()) return;
 
-  // Cut the authority section into the contiguous blocks
-  // add_rrset_with_sigs emits: the records of one (owner, type) RRset
-  // followed by the RRSIGs covering that type at the same owner.
-  struct RawBlock {
-    dns::Name owner;
-    dns::RRType type;
-    ProofBlock block;
-  };
-  std::vector<RawBlock> blocks;
-  const auto& auth = result.authorities;
-  std::size_t i = 0;
-  DFX_BOUNDED_LOOP(guard, auth.size() + 1);
-  while (i < auth.size()) {
-    guard.tick();  // every round consumes at least one record
-    const dns::RRType type = auth[i].type;
+  // A result that pins no version has nothing a harvest may point into.
+  if (result.pin == nullptr) return;
+
+  // Cut the authority section into the blocks add_rrset_with_sigs emits:
+  // a view of one RRset, then the view of the RRSIGs covering its type at
+  // the same owner.
+  std::vector<ProofBlock> blocks;
+  const auto& parts = result.authorities.parts();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto& part = parts[i];
+    if (part.rrset == nullptr || part.sigs) continue;
+    const dns::RRType type = part.rrset->type();
     if (type != dns::RRType::kSOA && type != dns::RRType::kNSEC &&
         type != dns::RRType::kNSEC3) {
-      ++i;
       continue;
     }
-    RawBlock raw{auth[i].owner, type, {}};
-    while (i < auth.size() && auth[i].type == type &&
-           auth[i].owner == raw.owner) {
-      raw.block.records.push_back(auth[i]);
-      ++i;
+    // An owned part after it is its RRSIGs copied under a second spelling
+    // (Section's fallback): not a view a harvest may keep.
+    if (i + 1 < parts.size() && parts[i + 1].rrset == nullptr) continue;
+    ProofBlock block{part.rrset, nullptr};
+    if (i + 1 < parts.size() && parts[i + 1].sigs &&
+        parts[i + 1].covered == type &&
+        parts[i + 1].rrset->owner() == part.rrset->owner()) {
+      block.sigs = parts[++i].rrset;
     }
-    while (i < auth.size() && auth[i].type == dns::RRType::kRRSIG &&
-           auth[i].owner == raw.owner) {
-      const auto* sig = std::get_if<dns::RrsigRdata>(&auth[i].rdata);
-      if (sig == nullptr || sig->type_covered != type) break;
-      raw.block.records.push_back(auth[i]);
-      ++i;
-    }
-    blocks.push_back(std::move(raw));
+    blocks.push_back(block);
   }
   if (blocks.empty()) return;
 
   const MutexLock lock(neg_mu_);
   NegZone& neg = neg_zones_[apex];
   if (neg.epoch > epoch) return;  // a newer harvest already reset the zone
-  if (neg.epoch < epoch) {
+  if (neg.epoch < epoch || neg.pin != result.pin) {
     neg = NegZone{};
     neg.epoch = epoch;
+    neg.pin = result.pin;
   }
-  for (auto& raw : blocks) {
-    if (!raw.owner.is_subdomain_of(apex)) continue;
-    if (raw.block.records.empty()) continue;  // malformed harvest block
-    switch (raw.type) {
+  for (const ProofBlock& block : blocks) {
+    const dns::Name& owner = block.records->owner();
+    if (!owner.is_subdomain_of(apex)) continue;
+    // dfx-lint: allow(unchecked-front-back): Section adds no empty view
+    const dns::Rdata& first = block.records->rdatas().front();
+    switch (block.records->type()) {
       case dns::RRType::kSOA:
-        if (raw.owner == apex && !neg.have_soa) {
-          neg.soa = std::move(raw.block);
+        if (owner == apex && !neg.have_soa) {
+          neg.soa = block;
           neg.have_soa = true;
         }
         break;
       case dns::RRType::kNSEC: {
-        // dfx-lint: allow(unchecked-front-back): empty blocks skipped above
-        const auto& first = raw.block.records.front();
-        const auto* rdata = std::get_if<dns::NsecRdata>(&first.rdata);
+        const auto* rdata = std::get_if<dns::NsecRdata>(&first);
         if (rdata == nullptr) break;
-        neg.nsec.insert_or_assign(raw.owner,
-                                  NsecEntry{*rdata, std::move(raw.block)});
+        neg.nsec.insert_or_assign(owner, NsecEntry{rdata, block});
         break;
       }
       case dns::RRType::kNSEC3: {
-        // dfx-lint: allow(unchecked-front-back): empty blocks skipped above
-        const auto& first = raw.block.records.front();
-        const auto* rdata = std::get_if<dns::Nsec3Rdata>(&first.rdata);
+        const auto* rdata = std::get_if<dns::Nsec3Rdata>(&first);
         if (rdata == nullptr) break;
-        auto hash = base32hex_decode(raw.owner.leftmost_label());
+        auto hash = base32hex_decode(owner.leftmost_label());
         // An undecodable owner or a parameter mismatch means the
         // authserver's emission (undecodable-records-first, one hash
         // order) cannot be reproduced from a harvest — stop synthesizing
@@ -221,7 +219,7 @@ void AnswerCache::observe(const dns::Name& apex,
           break;
         }
         neg.nsec3.insert_or_assign(*std::move(hash),
-                                   Nsec3Entry{*rdata, std::move(raw.block)});
+                                   Nsec3Entry{rdata, block});
         break;
       }
       default:
@@ -266,7 +264,7 @@ const AnswerCache::NsecEntry* AnswerCache::nsec_cover(const NegZone& neg,
   // The covering check is what makes synthesis sound: it proves the
   // harvested candidate is the *full chain's* predecessor of `name`, not
   // just the predecessor among the records we happen to hold.
-  if (!authserver::nsec_covers(cand->first, cand->second.rdata.next, name)) {
+  if (!authserver::nsec_covers(cand->first, cand->second.rdata->next, name)) {
     return nullptr;
   }
   if (owner != nullptr) *owner = cand->first;
@@ -279,12 +277,12 @@ AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
   // Exact match: the NSEC at qname decides NODATA vs slow path.
   const auto match = neg.nsec.find(qname);
   if (match != neg.nsec.end()) {
-    if (match_needs_slow_path(match->second.rdata.types, qname, apex, qtype)) {
+    if (match_needs_slow_path(match->second.rdata->types, qname, apex, qtype)) {
       return std::nullopt;
     }
-    auto result = negative_result(dns::RCode::kNoError);
-    append_block(result.authorities, neg.soa.records);
-    append_block(result.authorities, match->second.block.records);
+    auto result = negative_result(dns::RCode::kNoError, neg.pin);
+    append_block(result.authorities, neg.soa);
+    append_block(result.authorities, match->second.block);
     return result;
   }
 
@@ -293,16 +291,16 @@ AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
   if (cover == nullptr) return std::nullopt;
   // qname under a delegation owner: the slow path answers with a referral
   // from the cut, which we do not cache at this tier.
-  if (cover->rdata.types.count(dns::RRType::kNS) != 0 &&
+  if (cover->rdata->types.count(dns::RRType::kNS) != 0 &&
       cover_owner != apex && qname.is_subdomain_of(cover_owner)) {
     return std::nullopt;
   }
   // Empty non-terminal: the next owner lies beneath qname, so qname has
   // descendants and the slow path answers NODATA from the same cover.
-  if (cover->rdata.next.is_subdomain_of(qname)) {
-    auto result = negative_result(dns::RCode::kNoError);
-    append_block(result.authorities, neg.soa.records);
-    append_block(result.authorities, cover->block.records);
+  if (cover->rdata->next.is_subdomain_of(qname)) {
+    auto result = negative_result(dns::RCode::kNoError, neg.pin);
+    append_block(result.authorities, neg.soa);
+    append_block(result.authorities, cover->block);
     return result;
   }
 
@@ -311,7 +309,7 @@ AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
   // existing ancestor of qname must enclose one of the two adjacent
   // existing names.
   const dns::Name ce_owner = qname.common_ancestor(cover_owner);
-  const dns::Name ce_next = qname.common_ancestor(cover->rdata.next);
+  const dns::Name ce_next = qname.common_ancestor(cover->rdata->next);
   const dns::Name& closest =
       ce_owner.label_count() >= ce_next.label_count() ? ce_owner : ce_next;
   const dns::Name source = closest.child("*");
@@ -319,7 +317,7 @@ AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
   if (source_match != neg.nsec.end()) {
     // The wildcard exists; it answers qtype only if the type is present
     // (the authserver does no wildcard CNAME chasing).
-    if (source_match->second.rdata.types.count(qtype) != 0) {
+    if (source_match->second.rdata->types.count(qtype) != 0) {
       return std::nullopt;
     }
   } else if (nsec_cover(neg, source, nullptr) == nullptr) {
@@ -338,10 +336,10 @@ AnswerCache::synthesize_nsec(const NegZone& neg, const dns::Name& apex,
   } else {
     return std::nullopt;
   }
-  auto result = negative_result(dns::RCode::kNXDomain);
-  append_block(result.authorities, neg.soa.records);
-  append_block(result.authorities, cover->block.records);
-  append_block(result.authorities, wildcard_block->records);
+  auto result = negative_result(dns::RCode::kNXDomain, neg.pin);
+  append_block(result.authorities, neg.soa);
+  append_block(result.authorities, cover->block);
+  append_block(result.authorities, *wildcard_block);
   return result;
 }
 
@@ -352,12 +350,12 @@ const AnswerCache::Nsec3Entry* AnswerCache::nsec3_cover(
   const auto cand =
       (it == neg.nsec3.begin()) ? std::prev(neg.nsec3.end()) : std::prev(it);
   if (!authserver::nsec3_hash_covers(cand->first,
-                                     cand->second.rdata.next_hashed, hash)) {
+                                     cand->second.rdata->next_hashed, hash)) {
     return nullptr;
   }
   // Opt-out intervals may skip insecure delegations, so covering a hash
   // proves nothing about the tree shape beneath it.
-  if (cand->second.rdata.opt_out()) return nullptr;
+  if (cand->second.rdata->opt_out()) return nullptr;
   return &cand->second;
 }
 
@@ -369,12 +367,12 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
   };
   const auto match = neg.nsec3.find(hash(qname));
   if (match != neg.nsec3.end()) {
-    if (match_needs_slow_path(match->second.rdata.types, qname, apex, qtype)) {
+    if (match_needs_slow_path(match->second.rdata->types, qname, apex, qtype)) {
       return std::nullopt;
     }
-    auto result = negative_result(dns::RCode::kNoError);
-    append_block(result.authorities, neg.soa.records);
-    append_block(result.authorities, match->second.block.records);
+    auto result = negative_result(dns::RCode::kNoError, neg.pin);
+    append_block(result.authorities, neg.soa);
+    append_block(result.authorities, match->second.block);
     return result;
   }
   if (qname == apex) return std::nullopt;  // apex must match; harvest gap
@@ -398,7 +396,7 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
   }
   // A delegation encloser means everything beneath it is referral
   // territory, not NXDOMAIN.
-  if (encloser->rdata.types.count(dns::RRType::kNS) != 0 && closest != apex) {
+  if (encloser->rdata->types.count(dns::RRType::kNS) != 0 && closest != apex) {
     return std::nullopt;
   }
   const dns::NameView next_closer =
@@ -413,7 +411,7 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
   const Nsec3Entry* wildcard = nullptr;
   const auto source_match = neg.nsec3.find(source_hash);
   if (source_match != neg.nsec3.end()) {
-    if (source_match->second.rdata.types.count(qtype) != 0) {
+    if (source_match->second.rdata->types.count(qtype) != 0) {
       return std::nullopt;  // wildcard answers this qtype
     }
     wildcard = &source_match->second;
@@ -421,11 +419,11 @@ AnswerCache::synthesize_nsec3(const NegZone& neg, const dns::Name& apex,
     wildcard = nsec3_cover(neg, source_hash);
     if (wildcard == nullptr) return std::nullopt;
   }
-  auto result = negative_result(dns::RCode::kNXDomain);
-  append_block(result.authorities, neg.soa.records);
-  append_block(result.authorities, encloser->block.records);
-  append_block(result.authorities, nc_cover->block.records);
-  append_block(result.authorities, wildcard->block.records);
+  auto result = negative_result(dns::RCode::kNXDomain, neg.pin);
+  append_block(result.authorities, neg.soa);
+  append_block(result.authorities, encloser->block);
+  append_block(result.authorities, nc_cover->block);
+  append_block(result.authorities, wildcard->block);
   return result;
 }
 

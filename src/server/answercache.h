@@ -10,7 +10,9 @@
 //
 // The aggressive tier harvests SOA/NSEC/NSEC3 proof blocks from answers
 // computed the slow way and replays the authserver's *exact* proof
-// selection over the harvested subset. Synthesis refuses whenever it
+// selection over the harvested subset. A harvest copies no record: the
+// blocks are views of the answer's zone version, which the harvested zone
+// state pins, and a synthesized answer is views of the same version. Synthesis refuses whenever it
 // cannot prove it would pick the same records the zone walk would — every
 // refusal just falls back to the slow path — so cached and uncached
 // answers stay bit-identical (the bench digest-asserts this).
@@ -40,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -141,7 +144,9 @@ class AnswerCache {
   // ---- Aggressive negative tier (RFC 8198) ----
 
   /// Harvest the SOA and NSEC/NSEC3 proof blocks from a slow-path answer
-  /// for a query under `apex`.
+  /// for a query under `apex`: views into the version `result` pins (a
+  /// result with no pin harvests nothing). A harvest from another version
+  /// than the zone's earlier harvests replaces them.
   DFX_COLD("proof harvesting follows a slow-path zone walk")
   void observe(const dns::Name& apex, const authserver::QueryResult& result,
                std::uint64_t epoch) DFX_EXCLUDES(neg_mu_);
@@ -182,24 +187,29 @@ class AnswerCache {
   };
 
   /// One harvested proof block: the authority-section records exactly as
-  /// the authserver emits them for this owner (records, then RRSIGs).
+  /// the authserver emits them for this owner (the RRset, then the RRSIGs
+  /// covering its type), as views into the harvested zone version.
   struct ProofBlock {
-    std::vector<dns::ResourceRecord> records;
+    const dns::RRset* records = nullptr;
+    const dns::RRset* sigs = nullptr;  // null: no RRSIG covers the type
   };
 
   struct NsecEntry {
-    dns::NsecRdata rdata;
+    const dns::NsecRdata* rdata = nullptr;
     ProofBlock block;
   };
 
   struct Nsec3Entry {
-    dns::Nsec3Rdata rdata;
+    const dns::Nsec3Rdata* rdata = nullptr;
     ProofBlock block;
   };
 
-  /// Harvested negative state of one zone.
+  /// Harvested negative state of one zone: views into one hosted version,
+  /// which `pin` keeps alive until the next harvest for the zone replaces
+  /// it (so a stale NegZone holds at most one old version).
   struct NegZone {
     std::uint64_t epoch = 0;
+    std::shared_ptr<const authserver::HostedZone> pin;
     bool have_soa = false;
     ProofBlock soa;
     std::map<dns::Name, NsecEntry, dns::Name::Less> nsec;

@@ -88,39 +88,44 @@ Bytes WireFrontend::header_only(std::uint16_t id, std::uint8_t opcode,
 
 AnswerBody WireFrontend::build_body(const dns::Question& question,
                                     const authserver::QueryResult& result,
-                                    bool do_bit) const {
-  dns::Message msg = result.to_message(question, /*id=*/0);
-  if (!do_bit) {
-    // Without DO the client gets no DNSSEC records (RFC 4035 §3.1): strip
-    // RRSIG and the denial records from every section. DS stays — it is
-    // ordinary answer data at the parent. Applied identically on the
-    // cached and uncached paths (DO is part of the cache key).
-    const auto strip = [](std::vector<dns::ResourceRecord>& section) {
-      std::erase_if(section, [](const dns::ResourceRecord& rr) {
-        return rr.type == dns::RRType::kRRSIG ||
-               rr.type == dns::RRType::kNSEC ||
-               rr.type == dns::RRType::kNSEC3;
-      });
-    };
-    strip(msg.answers);
-    strip(msg.authorities);
-    strip(msg.additionals);
-  }
-  const Bytes wire = encode_message(msg);
+                                    bool do_bit) {
   AnswerBody body;
   body.rcode = result.rcode;
   body.aa = result.authoritative;
-  body.ancount = static_cast<std::uint16_t>(msg.answers.size());
-  body.nscount = static_cast<std::uint16_t>(msg.authorities.size());
-  body.arcount = static_cast<std::uint16_t>(msg.additionals.size());
-  // Slice off the header and question: compression pointers in the record
-  // sections target the question region, whose length depends only on the
+  // The header and question go first so that compression offsets count
+  // them, then leave the buffer: pointers in the record sections target
+  // the question region, whose length depends only on the
   // (spelling-independent) label lengths — so the body can be re-prefixed
   // with any client's spelling of the same name.
-  const std::size_t prefix = 12 + question.qname.wire_length() + 4;
-  DFX_CHECK(wire.size() >= prefix);
-  body.bytes.assign(wire.begin() + static_cast<std::ptrdiff_t>(prefix),
-                    wire.end());
+  Bytes& out = body.bytes;
+  out.reserve(512);
+  out.resize(12);
+  dns::NameCompressor comp;
+  dns::write_question(out, comp, question);
+  const std::size_t prefix = out.size();
+  DFX_CHECK(prefix == 12 + question.qname.wire_length() + 4);
+  const auto write = [&](const authserver::Section& section) {
+    std::size_t count = 0;
+    for (const dns::RecordRef rr : section) {
+      // Without DO the client gets no DNSSEC records (RFC 4035 §3.1): no
+      // RRSIG and no denial records in any section. DS stays — it is
+      // ordinary answer data at the parent. Applied identically on the
+      // cached and uncached paths (DO is part of the cache key).
+      if (!do_bit && (rr.type == dns::RRType::kRRSIG ||
+                      rr.type == dns::RRType::kNSEC ||
+                      rr.type == dns::RRType::kNSEC3)) {
+        continue;
+      }
+      dns::write_record(out, comp, rr);
+      ++count;
+    }
+    DFX_CHECK(count <= 0xFFFF);
+    return static_cast<std::uint16_t>(count);
+  };
+  body.ancount = write(result.answers);
+  body.nscount = write(result.authorities);
+  body.arcount = write(result.additionals);
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(prefix));
   return body;
 }
 
@@ -351,15 +356,17 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
   const dns::Question question{*std::move(qname), qtype, dns::RRClass::kIN};
 
   AnswerBody body = rcode_only_body(dns::RCode::kRefused);
-  if (const auto hosted = store_.find(question.qname, question.qtype)) {
+  if (auto hosted = store_.find(question.qname, question.qtype)) {
     const dns::Name& apex = hosted->zone.apex();
     std::optional<authserver::QueryResult> result;
     if (cache_ != nullptr) {
       result = cache_->synthesize(apex, question.qname, question.qtype, epoch);
     }
     if (!result) {
-      result = authserver::answer(hosted->zone, hosted->denial,
-                                  question.qname, question.qtype);
+      // The result pins the version, so `hosted` (and `apex` with it)
+      // stays alive after the move.
+      result = authserver::answer(std::move(hosted), question.qname,
+                                  question.qtype);
       if (cache_ != nullptr) cache_->observe(apex, *result, epoch);
     }
     body = build_body(question, *result, do_bit);

@@ -10,7 +10,9 @@
 // Response assembly is split so one cached `AnswerBody` (the encoded
 // record sections, no header/question/OPT) serves every message ID,
 // name spelling and buffer size: compression pointers in the body target
-// the question region, whose *length* is spelling-independent. Both the
+// the question region, whose *length* is spelling-independent. A miss
+// builds no dns::Message: `build_body` writes the answer's record views
+// straight into the body buffer with dnscore's record writer. Both the
 // cache hit and miss paths funnel through the same assembly and the same
 // DO-bit section filter, which is what makes cache-on and cache-off
 // responses bit-identical (the QpsFixture ctest digest-asserts this).
@@ -65,13 +67,19 @@ class WireFrontend {
   DFX_HOT_PATH
   Bytes serve(DFX_TAINTED ByteView query) const;
 
- private:
-  /// Encoded record sections of a full answer, DO-filtered.
+  /// The encoded record sections of `result` as the answer to `question`,
+  /// DO-filtered: without DO no RRSIG, NSEC or NSEC3 record is written
+  /// or counted. Records are encoded where they live (zone RRsets, for a
+  /// result of authserver::answer), RDATA in place, so no message or
+  /// record is copied. The bytes equal the record sections of
+  /// encode_message(result.to_message(question)) with those records
+  /// removed.
   DFX_COLD("body construction follows a cache miss and a zone walk")
-  AnswerBody build_body(const dns::Question& question,
-                        const authserver::QueryResult& result,
-                        bool do_bit) const;
+  static AnswerBody build_body(const dns::Question& question,
+                               const authserver::QueryResult& result,
+                               bool do_bit);
 
+ private:
   /// Header + question echo + body + OPT, with TC truncation against the
   /// client's buffer size. `question_wire` is the raw 5+-byte question
   /// section from the query (original spelling, no compression).

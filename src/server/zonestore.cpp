@@ -19,11 +19,11 @@ ZoneStore::ZoneStore() : zones_(std::make_shared<const HostedZones>()) {}
 
 [[nodiscard]] std::optional<std::pair<dns::Name, authserver::QueryResult>>
 ZoneStore::query(const dns::Name& qname, dns::RRType qtype) const {
-  const auto hosted = find(qname, qtype);
+  auto hosted = find(qname, qtype);
   if (!hosted) return std::nullopt;
-  return std::make_pair(hosted->zone.apex(),
-                        authserver::answer(hosted->zone, hosted->denial,
-                                           qname, qtype));
+  dns::Name apex = hosted->zone.apex();
+  return std::make_pair(std::move(apex),
+                        authserver::answer(std::move(hosted), qname, qtype));
 }
 
 std::shared_ptr<const HostedZones> ZoneStore::published() const {

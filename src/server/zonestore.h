@@ -81,8 +81,8 @@ class ZoneStore {
   [[nodiscard]] std::shared_ptr<const HostedZone> find(
       const dns::Name& qname, dns::RRType qtype) const;
 
-  /// Full authoritative answer: find() + authserver::answer on that zone
-  /// and its denial index.
+  /// Full authoritative answer: find() + authserver::answer on that
+  /// version, which the answer pins.
   DFX_HOT_PATH
   [[nodiscard]] std::optional<std::pair<dns::Name, authserver::QueryResult>>
   query(const dns::Name& qname, dns::RRType qtype) const;

@@ -231,8 +231,7 @@ TEST(ServerFarm, ServersForListsHosts) {
 namespace reference {
 
 void add_rrset_with_sigs(const zone::Zone& zone, const Name& owner,
-                         RRType type,
-                         std::vector<dns::ResourceRecord>& section) {
+                         RRType type, Section& section) {
   const auto* rrset = zone.find(owner, type);
   if (rrset == nullptr) return;
   for (const auto& rr : rrset->to_records()) section.push_back(rr);

@@ -135,7 +135,9 @@ std::int64_t counter(const char* name) {
   return metrics::Registry::global().counter(name).value();
 }
 
-std::string section_text(const std::vector<dns::ResourceRecord>& records) {
+/// A message section or an answer's section, one record per line.
+template <typename Records>
+std::string section_text(const Records& records) {
   std::string text;
   for (const auto& rr : records) {
     text += rr.to_text();
