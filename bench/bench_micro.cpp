@@ -315,9 +315,14 @@ void BM_NameFromWire(benchmark::State& state) {
 BENCHMARK(BM_NameFromWire);
 
 // A signed zone of 2,000 hosts (A records under random 8-letter labels,
-// one KSK and one ZSK), the shape serve-miss re-publishes.
-zone::Zone host_zone(std::string_view apex_text, zone::DenialMode denial,
-                     std::uint64_t seed) {
+// one KSK and one ZSK), the shape serve-miss re-publishes, and its keys.
+struct HostZone {
+  zone::Zone zone;
+  zone::KeyStore keys;
+};
+
+HostZone host_zone_and_keys(std::string_view apex_text,
+                            zone::DenialMode denial, std::uint64_t seed) {
   Rng rng(seed);
   const auto apex = dns::Name::of(apex_text);
   zone::Zone unsigned_zone(apex);
@@ -350,7 +355,14 @@ zone::Zone host_zone(std::string_view apex_text, zone::DenialMode denial,
                 crypto::DnssecAlgorithm::kEcdsaP256Sha256, 0);
   zone::SigningConfig config;
   config.denial = denial;
-  return zone::sign_zone(unsigned_zone, keys, config, kDatasetStart);
+  zone::Zone signed_zone =
+      zone::sign_zone(unsigned_zone, keys, config, kDatasetStart);
+  return {std::move(signed_zone), std::move(keys)};
+}
+
+zone::Zone host_zone(std::string_view apex_text, zone::DenialMode denial,
+                     std::uint64_t seed) {
+  return host_zone_and_keys(apex_text, denial, seed).zone;
 }
 
 // The NSEC3 host zone. Built once.
@@ -373,7 +385,9 @@ void BM_ZoneCopy(benchmark::State& state) {
 BENCHMARK(BM_ZoneCopy)->Unit(benchmark::kMillisecond);
 
 // Re-publish a zone the caller keeps (no admission policy): the by-value
-// argument, the HostedZone build and the displaced version's teardown.
+// argument, the HostedZone build (it shares the hosted version's
+// DenialIndex: the same zone has the same chain stamp) and the displaced
+// version's teardown.
 void BM_ZoneStoreUpsert(benchmark::State& state) {
   const zone::Zone& source = signed_nsec3_zone();
   server::ZoneStore store;
@@ -381,7 +395,63 @@ void BM_ZoneStoreUpsert(benchmark::State& state) {
     benchmark::DoNotOptimize(store.upsert(source));
   }
 }
-BENCHMARK(BM_ZoneStoreUpsert)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ZoneStoreUpsert)->Unit(benchmark::kMicrosecond);
+
+// Load a new version of the NSEC3 host zone with no version hosted before
+// it: the zone copy plus a full DenialIndex build.
+void BM_LoadVersion(benchmark::State& state) {
+  const zone::Zone& source = signed_nsec3_zone();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(authserver::load_version(source));
+  }
+}
+BENCHMARK(BM_LoadVersion)->Unit(benchmark::kMicrosecond);
+
+// An incremental re-sign re-published: each iteration clones the hosted
+// version afresh, bumps its SOA serial and makes the SOA RRSIG again (all
+// untimed), then times ZoneStore::upsert alone, which shares the hosted
+// version's DenialIndex. The displaced version is released untimed, as
+// when its publisher still holds it.
+void BM_RepublishIncremental(benchmark::State& state) {
+  static const HostZone kHost =
+      host_zone_and_keys("copy.example.", zone::DenialMode::kNsec3, 15);
+  const dns::Name& apex = kHost.zone.apex();
+  const auto zsks = kHost.keys.active_with_role(kDatasetStart,
+                                                zone::KeyRole::kZsk);
+  server::ZoneStore store;
+  if (!store.upsert(kHost.zone)) state.SkipWithError("upsert refused");
+  UnixTime inception = kDatasetStart;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::shared_ptr<const server::HostedZone> displaced =
+        store.find(apex, dns::RRType::kSOA);
+    zone::Zone next = displaced->zone;
+    next.bump_serial();
+    const dns::RRset* old_sigs = next.find(apex, dns::RRType::kRRSIG);
+    dns::RRset sigs(apex, dns::RRType::kRRSIG, old_sigs->ttl());
+    for (const auto& rdata : old_sigs->rdatas()) {
+      if (std::get<dns::RrsigRdata>(rdata).type_covered !=
+          dns::RRType::kSOA) {
+        sigs.add(rdata);
+      }
+    }
+    const dns::RRset* soa = next.find(apex, dns::RRType::kSOA);
+    ++inception;  // new signed data, so the key's memo never answers
+    for (const auto* key : zsks) {
+      sigs.add(zone::make_rrsig(*soa, *key, apex, inception,
+                                inception + 30 * kDay));
+    }
+    next.put(std::move(sigs));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(store.upsert(std::move(next)));
+    state.PauseTiming();
+    displaced.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_RepublishIncremental)
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(200);
 
 // ZoneStore::find's ancestor walk. Arg 0: hosted zones ("example." and
 // z0.example. ... below it). Arg 1: 0 asks A at the 4-label
@@ -457,8 +527,9 @@ void BM_CounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterAdd)->Threads(1)->Threads(4)->UseRealTime();
 
-// Build the denial index of the same zone: one walk, NSEC3 owner pointers
-// and hashes decoded into one flat array (what every re-publish pays).
+// Build the denial index of the same zone: one walk, NSEC3 owner names
+// and hashes decoded into one flat array (what every re-publish that
+// changes the denial chain pays).
 void BM_DenialIndexBuild(benchmark::State& state) {
   const zone::Zone& source = signed_nsec3_zone();
   for (auto _ : state) {

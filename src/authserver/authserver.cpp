@@ -45,6 +45,7 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
   const auto first_label = [](const dns::Name& owner) -> std::string_view {
     return owner.is_root() ? std::string_view() : owner.label(0);
   };
+  // Owners are copied in canonical case (base32hex decodes either case).
   zone.for_each_rrset([&](const dns::RRset& rrset) {
     const auto& rdatas = rrset.rdatas();
     if (rrset.type() == dns::RRType::kNSEC3PARAM) {
@@ -59,10 +60,11 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
     if (rdatas.empty()) return;
     if (rrset.type() == dns::RRType::kNSEC &&
         std::holds_alternative<dns::NsecRdata>(rdatas.front())) {
-      nsec_owners_.push_back(&rrset.owner());  // already canonical
+      // The walk's order is already canonical.
+      nsec_owners_.push_back(rrset.owner().canonical());
     } else if (rrset.type() == dns::RRType::kNSEC3 &&
                std::holds_alternative<dns::Nsec3Rdata>(rdatas.front())) {
-      nsec3_owners_.push_back(&rrset.owner());
+      nsec3_owners_.push_back(rrset.owner().canonical());
       nsec3_width_ =
           std::max(nsec3_width_, first_label(rrset.owner()).size() * 5 / 8);
     }
@@ -73,14 +75,14 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
   nsec3_hashes_.resize(nsec3_owners_.size() * nsec3_width_);
   nsec3_lengths_.reserve(nsec3_owners_.size());
   std::size_t kept = 0;
-  for (const dns::Name* owner : nsec3_owners_) {
+  for (dns::Name& owner : nsec3_owners_) {
     const auto length = base32hex_decode_to(
-        first_label(*owner), nsec3_hashes_.data() + kept * nsec3_width_);
+        first_label(owner), nsec3_hashes_.data() + kept * nsec3_width_);
     if (!length) {
-      nsec3_undecodable_.push_back(owner);
+      nsec3_undecodable_.push_back(std::move(owner));
       continue;
     }
-    nsec3_owners_[kept++] = owner;
+    nsec3_owners_[kept++] = std::move(owner);  // a self-move is a no-op
     nsec3_lengths_.push_back(static_cast<std::uint32_t>(*length));
   }
   nsec3_owners_.resize(kept);
@@ -98,12 +100,12 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
                    [&](std::size_t a, std::size_t b) {
                      return hash_less(nsec3_hash(a), nsec3_hash(b));
                    });
-  std::vector<const dns::Name*> owners(kept);
+  std::vector<dns::Name> owners(kept);
   std::vector<std::uint8_t> hashes(nsec3_hashes_.size());
   std::vector<std::uint32_t> lengths(kept);
   for (std::size_t to = 0; to < kept; ++to) {
     const std::size_t from = order[to];
-    owners[to] = nsec3_owners_[from];
+    owners[to] = std::move(nsec3_owners_[from]);
     lengths[to] = nsec3_lengths_[from];
     std::copy_n(nsec3_hashes_.data() + from * nsec3_width_, nsec3_width_,
                 hashes.data() + to * nsec3_width_);
@@ -114,18 +116,16 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
 }
 
 const dns::Name* DenialIndex::nsec_match(const dns::Name& name) const {
-  const auto it = std::lower_bound(
-      nsec_owners_.begin(), nsec_owners_.end(), name,
-      [](const dns::Name* owner, const dns::Name& n) { return *owner < n; });
-  return it != nsec_owners_.end() && **it == name ? *it : nullptr;
+  const auto it =
+      std::lower_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
+  return it != nsec_owners_.end() && *it == name ? &*it : nullptr;
 }
 
 const dns::Name* DenialIndex::nsec_predecessor(const dns::Name& name) const {
   if (nsec_owners_.empty()) return nullptr;
-  const auto it = std::upper_bound(
-      nsec_owners_.begin(), nsec_owners_.end(), name,
-      [](const dns::Name& n, const dns::Name* owner) { return n < *owner; });
-  return it == nsec_owners_.begin() ? nsec_owners_.back() : *std::prev(it);
+  const auto it =
+      std::upper_bound(nsec_owners_.begin(), nsec_owners_.end(), name);
+  return it == nsec_owners_.begin() ? &nsec_owners_.back() : &*std::prev(it);
 }
 
 std::size_t DenialIndex::nsec3_bound(ByteView hash, bool or_equal) const {
@@ -147,14 +147,14 @@ std::size_t DenialIndex::nsec3_bound(ByteView hash, bool or_equal) const {
 const dns::Name* DenialIndex::nsec3_match(const Bytes& hash) const {
   const std::size_t i = nsec3_bound(hash, /*or_equal=*/true);
   return i < nsec3_owners_.size() && !hash_less(hash, nsec3_hash(i))
-             ? nsec3_owners_[i]
+             ? &nsec3_owners_[i]
              : nullptr;
 }
 
 const dns::Name* DenialIndex::nsec3_predecessor(const Bytes& hash) const {
   if (nsec3_owners_.empty()) return nullptr;
   const std::size_t i = nsec3_bound(hash, /*or_equal=*/false);
-  return nsec3_owners_[i == 0 ? nsec3_owners_.size() - 1 : i - 1];
+  return &nsec3_owners_[i == 0 ? nsec3_owners_.size() - 1 : i - 1];
 }
 
 namespace {
@@ -167,16 +167,18 @@ const dns::RRset* rrset_of(const zone::Zone::RRsets* rrsets,
   return it == rrsets->end() ? nullptr : &it->second;
 }
 
-/// The `type` RRset at `owner` and, served under `owner`'s spelling, the
-/// RRSIGs covering it.
-void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
-                         dns::RRType type, Section& section) {
+/// The `type` RRset at `owner` and the RRSIGs covering it, served under
+/// `spelling`, or under the RRset's own owner when it is null.
+void add_rrset_with_sigs(const zone::Zone& zone, const dns::NameView& owner,
+                         dns::RRType type, Section& section,
+                         const dns::Name* spelling) {
   const zone::Zone::RRsets* rrsets = zone.rrsets_at(owner);
   const auto* rrset = rrset_of(rrsets, type);
   if (rrset == nullptr) return;
   section.add_rrset(*rrset);
   if (const auto* sigs = rrset_of(rrsets, dns::RRType::kRRSIG)) {
-    section.add_sigs(*sigs, type, owner);
+    section.add_sigs(*sigs, type,
+                     spelling != nullptr ? *spelling : rrset->owner());
   }
 }
 
@@ -189,16 +191,23 @@ void add_rrset_with_sigs(const zone::Zone& zone, const dns::Name& owner,
 void add_nsec_proofs(const zone::Zone& zone, const DenialIndex& denial,
                      const dns::Name& qname, bool nxdomain,
                      QueryResult& result) {
+  // The index keeps owners in canonical case: a proof it locates goes out
+  // under its RRset's own spelling.
   const auto emit = [&](const dns::Name* owner) {
     if (owner == nullptr) return;
-    add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC, result.authorities);
+    add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC, result.authorities,
+                        nullptr);
   };
   if (!nxdomain) {
     // NODATA: the NSEC matching qname proves the type's absence (its
     // RRSIGs go out under qname's spelling); otherwise the predecessor
     // NSEC stands in (ENT case).
-    emit(denial.nsec_match(qname) != nullptr ? &qname
-                                             : denial.nsec_predecessor(qname));
+    if (denial.nsec_match(qname) != nullptr) {
+      add_rrset_with_sigs(zone, qname, dns::RRType::kNSEC, result.authorities,
+                          &qname);
+    } else {
+      emit(denial.nsec_predecessor(qname));
+    }
     return;
   }
   emit(denial.nsec_predecessor(qname));
@@ -214,7 +223,7 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
   const auto emit = [&](const dns::Name* owner) {
     if (owner == nullptr) return;
     add_rrset_with_sigs(zone, *owner, dns::RRType::kNSEC3,
-                        result.authorities);
+                        result.authorities, nullptr);
   };
   const auto hash_of = [&](const dns::NameView& name) {
     return zone::nsec3_hash(name, param->salt, param->iterations);
@@ -222,7 +231,7 @@ void add_nsec3_proofs(const zone::Zone& zone, const DenialIndex& denial,
   // The server cannot place these in the hash order, but it still serves
   // them alongside every negative answer — validation is the resolver's
   // job, not the server's.
-  for (const dns::Name* owner : denial.nsec3_undecodable()) emit(owner);
+  for (const dns::Name& owner : denial.nsec3_undecodable()) emit(&owner);
 
   if (!nxdomain) {
     // NODATA: NSEC3 matching qname.
@@ -266,7 +275,7 @@ void add_denial_proofs(const zone::Zone& zone, const DenialIndex& denial,
 void answer_positive(const zone::Zone& zone, const dns::Name& qname,
                      dns::RRType qtype, QueryResult& result) {
   result.rcode = dns::RCode::kNoError;
-  add_rrset_with_sigs(zone, qname, qtype, result.answers);
+  add_rrset_with_sigs(zone, qname, qtype, result.answers, &qname);
 }
 
 /// NODATA (the name exists, possibly as an empty non-terminal) or NXDOMAIN:
@@ -276,7 +285,7 @@ void answer_negative(const zone::Zone& zone, const DenialIndex& denial,
                      QueryResult& result) {
   result.rcode = nxdomain ? dns::RCode::kNXDomain : dns::RCode::kNoError;
   add_rrset_with_sigs(zone, zone.apex(), dns::RRType::kSOA,
-                      result.authorities);
+                      result.authorities, &zone.apex());
   add_denial_proofs(zone, denial, qname, nxdomain, result);
 }
 
@@ -306,7 +315,7 @@ void answer_referral(const zone::Zone& zone, const DenialIndex& denial,
   // DS (plus signature) travels with the referral; its absence is proven
   // with NSEC(3) like any other missing type.
   if (zone.find(cut, dns::RRType::kDS) != nullptr) {
-    add_rrset_with_sigs(zone, cut, dns::RRType::kDS, result.authorities);
+    add_rrset_with_sigs(zone, cut, dns::RRType::kDS, result.authorities, &cut);
   } else {
     add_denial_proofs(zone, denial, cut, /*nxdomain=*/false, result);
   }
@@ -381,7 +390,7 @@ QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
 
 QueryResult answer(std::shared_ptr<const HostedZone> hosted,
                    const dns::Name& qname, dns::RRType qtype) {
-  QueryResult result = answer(hosted->zone, hosted->denial, qname, qtype);
+  QueryResult result = answer(hosted->zone, *hosted->denial, qname, qtype);
   result.pin = std::move(hosted);
   return result;
 }
@@ -541,10 +550,20 @@ dns::Message QueryResult::to_message(const dns::Question& question,
 
 void AuthServer::set_lame(bool lame) { lame_ = lame; }
 
-std::shared_ptr<const HostedZone> load_version(zone::Zone zone) {
+HostedZone::HostedZone(zone::Zone z, std::uint64_t load_serial,
+                       const HostedZone* previous)
+    : zone(std::move(z)),
+      denial(previous != nullptr && zone.same_chain(previous->zone)
+                 ? previous->denial
+                 : std::make_shared<const DenialIndex>(zone)),
+      serial(load_serial) {}
+
+std::shared_ptr<const HostedZone> load_version(zone::Zone zone,
+                                               const HostedZone* previous) {
   static std::atomic<std::uint64_t> next_serial{1};
   return std::make_shared<const HostedZone>(
-      std::move(zone), next_serial.fetch_add(1, std::memory_order_relaxed));
+      std::move(zone), next_serial.fetch_add(1, std::memory_order_relaxed),
+      previous);
 }
 
 HostedZones::const_iterator find_hosted(const HostedZones& zones,
@@ -585,6 +604,12 @@ bool AuthServer::serves(const dns::Name& apex) const {
 const zone::Zone* AuthServer::zone_data(const dns::Name& apex) const {
   const auto it = zones_.find(apex);
   return it == zones_.end() ? nullptr : &it->second->zone;
+}
+
+std::shared_ptr<const HostedZone> AuthServer::hosted(
+    const dns::Name& apex) const {
+  const auto it = zones_.find(apex);
+  return it == zones_.end() ? nullptr : it->second;
 }
 
 // Hot by name collision with ZoneStore::query; this is the reference

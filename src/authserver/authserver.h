@@ -190,13 +190,14 @@ struct QueryResult {
 ///  - the NSEC3 owners whose first label does not decode (only a broken
 ///    signer makes them), in canonical order;
 ///  - whether the apex has an NSEC3PARAM RRset, and its first rdata.
-/// The layout is flat: owners are pointers to the owner names inside the
-/// zone's RRsets, and the decoded hashes share one array of fixed-width
-/// slots (the widest hash's length; shorter ones compare as the prefix
-/// they are). So the index is valid only while the zone version it was
-/// built from is alive and unwritten (zone::Zone's pointer rule): hold it
-/// beside a zone that nothing writes, as HostedZone does, or for the
-/// length of one call, as zonelint does.
+/// The index holds its owner names by value, in canonical case, and the
+/// decoded hashes share one array of fixed-width slots (the widest hash's
+/// length; shorter ones compare as the prefix they are). It reads nothing
+/// but the zone's apex and its NSEC, NSEC3 and NSEC3PARAM RRsets, so it
+/// serves every zone version with the same chain (zone::Zone::same_chain)
+/// and outlives the version it was built from. answer() looks each owner
+/// it returns up in the zone it answers from and serves the proof under
+/// that RRset's own spelling.
 class DenialIndex {
  public:
   explicit DenialIndex(const zone::Zone& zone);
@@ -227,7 +228,7 @@ class DenialIndex {
 
   /// NSEC3 owners with undecodable first labels; served with every NSEC3
   /// negative answer, since the server cannot place them in hash order.
-  const std::vector<const dns::Name*>& nsec3_undecodable() const {
+  const std::vector<dns::Name>& nsec3_undecodable() const {
     return nsec3_undecodable_;
   }
 
@@ -240,29 +241,31 @@ class DenialIndex {
   /// above it).
   std::size_t nsec3_bound(ByteView hash, bool or_equal) const;
 
-  std::vector<const dns::Name*> nsec_owners_;
+  std::vector<dns::Name> nsec_owners_;
   /// NSEC3 entry i: owner, and its hash in slot i of `nsec3_hashes_`.
-  std::vector<const dns::Name*> nsec3_owners_;
+  std::vector<dns::Name> nsec3_owners_;
   std::vector<std::uint8_t> nsec3_hashes_;
   std::vector<std::uint32_t> nsec3_lengths_;
   std::size_t nsec3_width_ = 0;
-  std::vector<const dns::Name*> nsec3_undecodable_;
+  std::vector<dns::Name> nsec3_undecodable_;
   bool nsec3_ = false;
   std::optional<dns::Nsec3ParamRdata> nsec3_param_;
 };
 
-/// One hosted zone version and the denial index built from it. Built
-/// once when the version is loaded and never changed afterwards (all
-/// members are const), so the index always describes the zone beside it
-/// and its pointers into that zone stay valid. AuthServer keeps one per
-/// hosted apex, shared by every server the version was pushed to; the
+/// One hosted zone version and its denial index. Built once when the
+/// version is loaded and never changed afterwards (all members are const).
+/// The index is the one `previous` (the version hosted at the apex
+/// before) holds when the two zones have the same chain
+/// (zone::Zone::same_chain), so a re-publish that leaves the chain alone
+/// builds none; otherwise it is built from `zone`. AuthServer keeps one
+/// per hosted apex, shared by every server the version was pushed to; the
 /// serving layer's ZoneStore shares them between published maps.
 struct HostedZone {
-  explicit HostedZone(zone::Zone z, std::uint64_t load_serial = 0)
-      : zone(std::move(z)), denial(zone), serial(load_serial) {}
+  explicit HostedZone(zone::Zone z, std::uint64_t load_serial = 0,
+                      const HostedZone* previous = nullptr);
 
   const zone::Zone zone;
-  const DenialIndex denial;
+  const std::shared_ptr<const DenialIndex> denial;
   /// load_version() draws it from one process-wide counter, so two loaded
   /// versions never share a serial and an unchanged serial means
   /// unchanged answers. 0 for versions built outside load_version().
@@ -284,10 +287,13 @@ HostedZones::const_iterator find_hosted(const HostedZones& zones,
                                         const dns::Name& qname,
                                         dns::RRType qtype);
 
-/// A new hosted version of `zone` with a fresh load serial. ServerFarm
-/// builds one per push and gives it to every server the push reaches, so
-/// servers holding the same serial hold the same version.
-std::shared_ptr<const HostedZone> load_version(zone::Zone zone);
+/// A new hosted version of `zone` with a fresh load serial, sharing the
+/// denial index of `previous` (the version hosted at its apex, if any)
+/// when the chain is unchanged. ServerFarm builds one per push and gives
+/// it to every server the push reaches, so servers holding the same serial
+/// hold the same version.
+std::shared_ptr<const HostedZone> load_version(
+    zone::Zone zone, const HostedZone* previous = nullptr);
 
 /// Answer a question from one zone with standard authoritative-server
 /// semantics: referral below a cut, positive (or CNAME) answer, NODATA,
@@ -296,10 +302,11 @@ std::shared_ptr<const HostedZone> load_version(zone::Zone zone);
 /// to the last record — so a corrupt chain is served as-is and the
 /// validator is the one that notices. The one answer path: AuthServer,
 /// the serving layer (ZoneStore, WireFrontend) and zonelint all call it.
-/// `denial` must have been built from `zone` as it is now. `qname` must
-/// lie within the zone. The result's sections are views into `zone`,
-/// valid while it lives unchanged; the HostedZone overload pins the
-/// version instead, so its result may outlive every other holder.
+/// `denial` must have been built from a zone with `zone`'s chain
+/// (zone::Zone::same_chain). `qname` must lie within the zone. The
+/// result's sections are views into `zone`, valid while it lives
+/// unchanged; the HostedZone overload pins the version instead, so its
+/// result may outlive every other holder.
 DFX_COLD("runs on answer-cache misses only; its results are cached")
 QueryResult answer(const zone::Zone& zone, const DenialIndex& denial,
                    const dns::Name& qname, dns::RRType qtype);
@@ -328,6 +335,8 @@ class AuthServer {
 
   bool serves(const dns::Name& apex) const;
   const zone::Zone* zone_data(const dns::Name& apex) const;
+  /// The hosted version at `apex`, or null.
+  std::shared_ptr<const HostedZone> hosted(const dns::Name& apex) const;
 
   /// Answer from the deepest hosted zone covering `qname` (answer()).
   QueryResult query(const dns::Name& qname, dns::RRType qtype) const;

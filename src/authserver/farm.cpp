@@ -25,9 +25,23 @@ const AuthServer* ServerFarm::find_server(const std::string& name) const {
   return it == servers_.end() ? nullptr : it->second.get();
 }
 
+std::shared_ptr<const HostedZone> ServerFarm::hosted_version(
+    const dns::Name& apex) const {
+  const MutexLock lock(*mu_);
+  const auto it = hosting_.find(apex);
+  if (it == hosting_.end()) return nullptr;
+  for (const auto& name : it->second) {
+    const auto srv = servers_.find(name);
+    if (srv == servers_.end()) continue;
+    if (auto version = srv->second->hosted(apex)) return version;
+  }
+  return nullptr;
+}
+
 void ServerFarm::host_zone(const std::vector<std::string>& server_names,
                            zone::Zone zone) {
-  const auto version = load_version(std::move(zone));
+  const auto previous = hosted_version(zone.apex());
+  const auto version = load_version(std::move(zone), previous.get());
   const dns::Name& apex = version->zone.apex();
   const MutexLock lock(*mu_);
   auto& hosts = hosting_[apex];
@@ -41,7 +55,8 @@ void ServerFarm::host_zone(const std::vector<std::string>& server_names,
 }
 
 void ServerFarm::sync_zone(const zone::Zone& zone) {
-  const auto version = load_version(zone);
+  const auto version =
+      load_version(zone, hosted_version(zone.apex()).get());
   const MutexLock lock(*mu_);
   const auto it = hosting_.find(zone.apex());
   if (it == hosting_.end()) {
@@ -53,7 +68,7 @@ void ServerFarm::sync_zone(const zone::Zone& zone) {
 
 void ServerFarm::push_to_one(const std::string& server_name,
                              const zone::Zone& zone) {
-  auto version = load_version(zone);
+  auto version = load_version(zone, hosted_version(zone.apex()).get());
   const MutexLock lock(*mu_);
   const auto it = hosting_.find(zone.apex());
   if (it == hosting_.end() ||

@@ -35,7 +35,9 @@ class ServerFarm {
   /// (creating servers as needed) and load one version of `zone` onto
   /// them: one copy, one DenialIndex, one load serial, shared by all of
   /// them. Servers already hosting the apex but not named keep their
-  /// version.
+  /// version. Every push hands load_version() the version a server of the
+  /// apex holds, so a push that leaves the denial chain alone shares its
+  /// DenialIndex.
   void host_zone(const std::vector<std::string>& server_names,
                  zone::Zone zone) DFX_EXCLUDES(*mu_);
 
@@ -67,6 +69,11 @@ class ServerFarm {
  private:
   /// Lookup-or-create for callers already holding mu_.
   AuthServer& server_locked(const std::string& name) DFX_REQUIRES(*mu_);
+  /// The version the first server hosting `apex` holds, or null. Taken
+  /// under mu_ and used after it is released, so the index build runs
+  /// outside the lock.
+  std::shared_ptr<const HostedZone> hosted_version(const dns::Name& apex) const
+      DFX_EXCLUDES(*mu_);
 
   // Heap-held so the farm (and the Sandbox embedding it by value) stays
   // movable; a moved-from farm is destroy-only. Never null otherwise.

@@ -104,12 +104,13 @@ bool NameCompressor::suffix_at(const Bytes& out, std::uint32_t offset,
 [[nodiscard]] std::optional<std::uint32_t> NameCompressor::lookup(
     const Bytes& out, std::uint64_t hash, ByteView folded) const {
   if (count_ == 0) return std::nullopt;
+  const Slot* slots = this->slots();
   std::size_t i = hash & mask_;
-  DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
-  while (slots_[i].offset != kEmptySlot) {
+  DFX_BOUNDED_LOOP(guard, mask_ + 2);
+  while (slots[i].offset != kEmptySlot) {
     guard.tick();
-    if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
-      return slots_[i].offset;
+    if (slots[i].hash == hash && suffix_at(out, slots[i].offset, folded)) {
+      return slots[i].offset;
     }
     i = (i + 1) & mask_;
   }
@@ -118,34 +119,40 @@ bool NameCompressor::suffix_at(const Bytes& out, std::uint32_t offset,
 
 void NameCompressor::insert_if_absent(const Bytes& out, std::uint64_t hash,
                       ByteView folded, std::uint32_t offset) {
-  if ((count_ + 1) * 4 >= slots_.size() * 3) grow();
+  if ((count_ + 1) * 4 >= (mask_ + 1) * 3) grow();
+  Slot* slots = this->slots();
   std::size_t i = hash & mask_;
-  DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
-  while (slots_[i].offset != kEmptySlot) {
+  DFX_BOUNDED_LOOP(guard, mask_ + 2);
+  while (slots[i].offset != kEmptySlot) {
     guard.tick();
-    if (slots_[i].hash == hash && suffix_at(out, slots_[i].offset, folded)) {
+    if (slots[i].hash == hash && suffix_at(out, slots[i].offset, folded)) {
       return;  // first occurrence wins, like the old map's emplace
     }
     i = (i + 1) & mask_;
   }
-  slots_[i] = Slot{hash, offset};
+  slots[i] = Slot{hash, offset};
   ++count_;
 }
 
 void NameCompressor::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  mask_ = slots_.size() - 1;
-  for (const Slot& s : old) {
+  // The old table (inline, or the heap block) stays untouched until the
+  // new one replaces it.
+  const Slot* old = slots();
+  const std::size_t old_size = mask_ + 1;
+  std::vector<Slot> next(old_size * 2);
+  mask_ = next.size() - 1;
+  for (std::size_t k = 0; k < old_size; ++k) {
+    const Slot& s = old[k];
     if (s.offset == kEmptySlot) continue;
     std::size_t i = s.hash & mask_;
-    DFX_BOUNDED_LOOP(guard, slots_.size() + 1);
-    while (slots_[i].offset != kEmptySlot) {
+    DFX_BOUNDED_LOOP(guard, next.size() + 1);
+    while (next[i].offset != kEmptySlot) {
       guard.tick();
       i = (i + 1) & mask_;
     }
-    slots_[i] = s;
+    next[i] = s;
   }
+  heap_ = std::move(next);
 }
 
 void write_question(Bytes& out, NameCompressor& comp,

@@ -8,6 +8,7 @@
 // replay probes exchange typed structures and never touch wire bytes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -83,7 +84,10 @@ struct Message {
 /// probes per label. Hash hits are verified by walking the
 /// already-emitted output bytes (following pointers), so collisions cannot
 /// corrupt the output; the emitted bytes are identical to the old
-/// map-based compressor's (pinned by a regression test).
+/// map-based compressor's (pinned by a regression test). The first table
+/// is inline (a response body registers a dozen or so suffixes); it moves
+/// to the heap, doubling, only when it fills. The output does not depend
+/// on the table size.
 class NameCompressor {
  public:
   void write_name(Bytes& out, const Name& name);
@@ -109,8 +113,17 @@ class NameCompressor {
                         ByteView folded, std::uint32_t offset);
   void grow();
 
-  std::vector<Slot> slots_ = std::vector<Slot>(64);
-  std::size_t mask_ = 63;
+  static constexpr std::size_t kInlineSlots = 32;
+
+  /// The table in use: the inline one until the first grow().
+  Slot* slots() { return heap_.empty() ? inline_.data() : heap_.data(); }
+  const Slot* slots() const {
+    return heap_.empty() ? inline_.data() : heap_.data();
+  }
+
+  std::array<Slot, kInlineSlots> inline_{};
+  std::vector<Slot> heap_;
+  std::size_t mask_ = kInlineSlots - 1;
   std::size_t count_ = 0;
 };
 

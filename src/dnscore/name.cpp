@@ -174,6 +174,15 @@ Name::Name(std::span<const std::string_view> labels) {
   if (wire != nullptr) wire[pos] = 0;
 }
 
+Name Name::canonical() const {
+  if ((flags_ & kMixed) == 0) return *this;
+  Name out;
+  // The label offsets and the folded wire, in the order the buffer keeps.
+  std::memcpy(out.allocate(length_, count_, /*mixed=*/false), data(),
+              2 * static_cast<std::size_t>(count_) + length_);
+  return out;
+}
+
 void Name::copy_from(const Name& other) {
   std::memcpy(buf_, other.buf_, kInline);
   flags_ = other.flags_;

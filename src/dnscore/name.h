@@ -192,6 +192,9 @@ class Name {
   /// Canonical wire form: ASCII lower-case, uncompressed (RFC 4034 §6.2).
   ByteView canonical_wire() const { return view().canonical_wire(); }
   Bytes to_canonical_wire() const;
+  /// The same name spelled in canonical (ASCII lower) case. It keeps no
+  /// presentation copy, so it stays inline up to 59 buffer bytes.
+  Name canonical() const;
 
   /// Presentation form with trailing dot; root renders as ".".
   std::string to_string() const;

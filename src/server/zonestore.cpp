@@ -55,8 +55,14 @@ bool ZoneStore::upsert(zone::Zone zone) {
       flagged_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  auto hosted = std::make_shared<const HostedZone>(std::move(zone));
-  auto next = std::make_shared<HostedZones>(*published());
+  // The version hosted at this apex lends its DenialIndex when the chain
+  // is unchanged (an incremental re-sign); writers are serialized, so it
+  // is still the hosted one when the new map is published.
+  const auto current = published();
+  const auto it = current->find(zone.apex());
+  auto hosted = std::make_shared<const HostedZone>(
+      std::move(zone), 0, it == current->end() ? nullptr : it->second.get());
+  auto next = std::make_shared<HostedZones>(*current);
   const dns::Name& apex = hosted->zone.apex();
   next->insert_or_assign(apex, std::move(hosted));
   publish(std::move(next));

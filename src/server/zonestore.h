@@ -1,17 +1,21 @@
 // Read-mostly zone store for the wire-level serving engine.
 //
 // Each hosted zone version is compiled once, at upsert, into an immutable
-// HostedZone: the zone plus its authserver::DenialIndex. The store
-// publishes one map of apexes to shared pointers to these
-// (authserver::HostedZones), so publishing copies pointers, never zones:
-// a zone that did not change is the same object in every published map
-// that includes it. The query path picks the answering zone with
-// authserver::find_hosted — the rule AuthServer uses — under the
-// ReadMostlyMutex read side, which writes only the reading thread's slot,
-// and copies the pointer of the zone it finds. A writer copies the
-// published map, edits the copy and swaps the pointer under the write
-// side, so readers see the old map or the new one, never a half-built
-// zone. There is no other master map: the published one is the truth.
+// HostedZone: the zone plus its authserver::DenialIndex. The index holds
+// its owner names by value, so one index serves every version with the
+// same denial chain: upsert hands the version hosted at the apex to the
+// new one, which shares its index when the two zones' chain stamps match
+// (zone::Zone::same_chain; an incremental re-sign touches no NSEC, NSEC3
+// or NSEC3PARAM RRset) and builds one otherwise. The store publishes one
+// map of apexes to shared pointers to these (authserver::HostedZones), so
+// publishing copies pointers, never zones: a zone that did not change is
+// the same object in every published map that includes it. The query
+// path picks the answering zone with authserver::find_hosted — the rule
+// AuthServer uses — under the ReadMostlyMutex read side, which writes only
+// the reading thread's slot, and copies the pointer of the zone it finds.
+// A writer copies the published map, edits the copy and swaps the pointer
+// under the write side, so readers see the old map or the new one, never
+// a half-built zone. There is no other master map: the published one is the truth.
 //
 // Thread-safety: `find`/`query`/`generation`/`zone_count` are safe from
 // any number of threads concurrently with one writer. `upsert`/`remove`/
@@ -96,7 +100,8 @@ class ZoneStore {
   // ---- Writer path (serialized) ----
 
   /// Install or replace one zone and publish a new map. The zone is
-  /// compiled into a HostedZone after admission. Returns false
+  /// compiled into a HostedZone after admission, sharing the DenialIndex
+  /// of the version it replaces when the chain is unchanged. Returns false
   /// (and publishes nothing) when the admission policy rejects the zone;
   /// flagged zones are admitted but counted.
   bool upsert(zone::Zone zone) DFX_EXCLUDES(writer_mu_);

@@ -61,7 +61,20 @@ void Zone::Tally::remove(std::uint32_t value) {
   --total_;
 }
 
+std::uint64_t Zone::next_chain_stamp() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Zone::Version::touch(dns::RRType type) {
+  if (type == dns::RRType::kNSEC || type == dns::RRType::kNSEC3 ||
+      type == dns::RRType::kNSEC3PARAM) {
+    chain_stamp = next_chain_stamp();
+  }
+}
+
 void Zone::Version::count(const dns::RRset& rrset) {
+  touch(rrset.type());
   if (!bound_known) return;  // find_mutable's writes went uncounted
   if (rrset.type() == dns::RRType::kRRSIG) {
     rrsig_set_sizes.add(static_cast<std::uint32_t>(rrset.size()));
@@ -75,6 +88,7 @@ void Zone::Version::count(const dns::RRset& rrset) {
 }
 
 void Zone::Version::uncount(const dns::RRset& rrset) {
+  touch(rrset.type());
   if (!bound_known) return;
   if (rrset.type() == dns::RRType::kRRSIG) {
     rrsig_set_sizes.remove(static_cast<std::uint32_t>(rrset.size()));
@@ -196,6 +210,7 @@ dns::RRset* Zone::find_mutable(const dns::Name& owner, dns::RRType type) {
   if (type == dns::RRType::kRRSIG || type == dns::RRType::kNSEC3) {
     version.bound_known = false;
   }
+  version.touch(type);
   return &version.records.find(owner)->second.find(type)->second;
 }
 

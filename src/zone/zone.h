@@ -35,6 +35,15 @@ namespace dfx::zone {
 /// removals included; a clone copies them and a copy shares them.
 /// find_mutable() cannot see what its caller writes: handing out an RRSIG
 /// or NSEC3 RRset makes the bound unknown for the rest of that version.
+///
+/// Chain stamp: each version also carries a stamp drawn from one
+/// process-wide counter, which stands for its denial chain (its NSEC,
+/// NSEC3 and NSEC3PARAM RRsets). A new version draws one, and so does
+/// every write that adds, changes or removes a chain RRset (find_mutable()
+/// handing one out included); a copy shares the stamp and a clone copies
+/// it. So two zones for which same_chain() holds have the same chain, and
+/// whatever is derived from the chain alone (the serving layer's denial
+/// index) may be shared between them.
 class Zone {
  public:
   /// What signature_bound() reports.
@@ -94,6 +103,18 @@ class Zone {
   /// once find_mutable() handed out an RRSIG or NSEC3 RRset of this
   /// version (then only a walk over the zone knows).
   [[nodiscard]] std::optional<SignatureBound> signature_bound() const;
+
+  /// The version's chain stamp; 0 for a zone that never held a record (an
+  /// empty or moved-from zone).
+  std::uint64_t chain_stamp() const {
+    return version_ != nullptr ? version_->chain_stamp : 0;
+  }
+  /// Same apex and the same non-zero chain stamp: the two zones' NSEC,
+  /// NSEC3 and NSEC3PARAM RRsets are identical.
+  bool same_chain(const Zone& other) const {
+    return chain_stamp() != 0 && chain_stamp() == other.chain_stamp() &&
+           apex_ == other.apex_;
+  }
 
   /// All RRsets at one owner.
   std::vector<const dns::RRset*> at(const dns::NameView& owner) const;
@@ -162,18 +183,24 @@ class Zone {
     std::size_t total_ = 0;
   };
 
-  /// One version of the zone: its records and their signature bound.
+  /// One version of the zone: its records, their signature bound and
+  /// their chain stamp.
   struct Version {
     Records records;
     Tally rrsig_set_sizes;
     Tally nsec3_iterations;
     bool bound_known = true;
+    std::uint64_t chain_stamp = next_chain_stamp();
 
     /// Count `rrset` into the bound, or take it out again; only RRSIG and
-    /// NSEC3 RRsets count.
+    /// NSEC3 RRsets count. Either one draws a fresh chain stamp when
+    /// `rrset` is a chain RRset.
     void count(const dns::RRset& rrset);
     void uncount(const dns::RRset& rrset);
+    /// Draw a fresh chain stamp when `type` is a chain type.
+    void touch(dns::RRType type);
   };
+  static std::uint64_t next_chain_stamp();
 
   /// The records for reading; an empty map when none were ever added.
   const Records& records() const {

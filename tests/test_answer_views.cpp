@@ -317,5 +317,73 @@ TEST(BuildBody, EqualsTheRecordSectionsOfEncodeMessage) {
   EXPECT_GT(stripped, compared);
 }
 
+// ---------------------------------------------------------------------------
+// A DenialIndex inherited across re-publishes outlives the versions before
+
+TEST(AnswerViews, InheritedIndexAnswersAfterEveryEarlierVersionIsDropped) {
+  const Name apex = Name::of("example.test.");
+  Rng rng{36};
+  zone::KeyStore keys{apex};
+  generate_keys(keys, rng);
+  int compared = 0;
+  for (const bool nsec3 : {false, true}) {
+    SCOPED_TRACE(nsec3 ? "nsec3" : "nsec");
+    ZoneStore store;
+    authserver::ServerFarm farm;
+    std::optional<zone::Zone> next = generated_zone(rng, apex, keys, nsec3);
+    ASSERT_TRUE(store.upsert(*next));
+    farm.host_zone({"ns1", "ns2"}, *next);
+    std::shared_ptr<const HostedZone> first = store.find(apex, RRType::kSOA);
+    ASSERT_NE(first, nullptr);
+    const std::weak_ptr<const HostedZone> first_version = first;
+    const std::weak_ptr<const authserver::DenialIndex> index = first->denial;
+    const auto farm_index = farm.server("ns1").hosted(apex)->denial;
+    first.reset();
+
+    // Three re-publishes edited outside the chain: each writes a fresh
+    // clone, so no RRset of the first version survives in the last one.
+    for (int v = 0; v < 3; ++v) {
+      next->bump_serial();
+      next->add(random_name(rng, apex, 3), RRType::kA, 60,
+                dns::ARdata{{10, 7, 7, static_cast<std::uint8_t>(v)}});
+      ASSERT_TRUE(store.upsert(*next));
+      farm.sync_zone(*next);
+    }
+    next.reset();
+    EXPECT_TRUE(first_version.expired());
+    const auto hosted = store.find(apex, RRType::kSOA);
+    ASSERT_NE(hosted, nullptr);
+    ASSERT_FALSE(index.expired());
+    EXPECT_EQ(hosted->denial, index.lock());
+    for (const char* server : {"ns1", "ns2"}) {
+      EXPECT_EQ(farm.server(server).hosted(apex)->denial, farm_index);
+    }
+
+    // Every answer from the inherited index equals one from an index built
+    // from the hosted zone itself, and encodes.
+    const authserver::DenialIndex rebuilt(hosted->zone);
+    const std::vector<Name> owners = hosted->zone.owner_names();
+    for (int q = 0; q < 120; ++q) {
+      const Name qname =
+          q % 3 == 0 ? owners[rng.uniform(owners.size())]
+                     : random_spelling(rng, random_name(rng, apex, 4));
+      const RRType qtype = q % 2 == 0 ? RRType::kA : RRType::kTXT;
+      const auto served = store.query(qname, qtype);
+      ASSERT_TRUE(served.has_value());
+      const QueryResult want =
+          authserver::answer(hosted->zone, rebuilt, qname, qtype);
+      ASSERT_EQ(render(served->second), render(want)) << qname.to_string();
+      ASSERT_EQ(render(farm.server("ns2").query(qname, qtype)), render(want))
+          << qname.to_string();
+      const dns::Question question{qname, qtype, dns::RRClass::kIN};
+      EXPECT_EQ(
+          WireFrontend::build_body(question, served->second, true).bytes,
+          WireFrontend::build_body(question, want, true).bytes);
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 2 * 120);
+}
+
 }  // namespace
 }  // namespace dfx::server

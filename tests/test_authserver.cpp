@@ -564,6 +564,34 @@ void remove_type(zone::Zone& z, RRType type) {
   for (const Name& owner : z.owner_names()) z.remove(owner, type);
 }
 
+/// Edit `z` outside its denial chain, as an incremental re-sign or a hand
+/// edit does: bump the SOA serial, re-put the apex RRSIGs (without their
+/// last rdata when there are several), add an address at a random name
+/// and drop one random RRset that is neither a chain RRset nor the SOA.
+void edit_outside_chain(Rng& rng, zone::Zone& z) {
+  z.bump_serial();
+  if (const dns::RRset* sigs = z.find(z.apex(), RRType::kRRSIG)) {
+    dns::RRset resigned(z.apex(), RRType::kRRSIG, sigs->ttl());
+    const std::size_t keep = sigs->size() > 1 ? sigs->size() - 1 : 1;
+    for (std::size_t i = 0; i < keep; ++i) resigned.add(sigs->rdatas()[i]);
+    z.put(std::move(resigned));
+  }
+  z.add(random_name(rng, z.apex(), 3), RRType::kA, 60,
+        dns::ARdata{{10, 9, 9, 9}});
+  std::vector<std::pair<Name, RRType>> others;
+  for (const auto* rrset : z.all_rrsets()) {
+    const RRType type = rrset->type();
+    if (type != RRType::kNSEC && type != RRType::kNSEC3 &&
+        type != RRType::kNSEC3PARAM && type != RRType::kSOA) {
+      others.emplace_back(rrset->owner(), type);
+    }
+  }
+  if (!others.empty()) {
+    const auto& [owner, type] = others[rng.uniform(others.size())];
+    EXPECT_TRUE(z.remove(owner, type));
+  }
+}
+
 struct Shape {
   const char* label;
   bool nsec3;
@@ -606,6 +634,13 @@ TEST(DenialIndex, MatchesLinearReferenceOnRandomZones) {
       zone::Zone z = random_zone(rng, apex, keys, shape.nsec3);
       shape.edit(z);
       const DenialIndex index(z);
+      // A later version edited outside the chain inherits the index of the
+      // one hosted before it, and answers from it.
+      const auto hosted = load_version(z);
+      zone::Zone edited = hosted->zone;
+      edit_outside_chain(rng, edited);
+      const auto inherited = load_version(std::move(edited), hosted.get());
+      ASSERT_EQ(inherited->denial, hosted->denial) << shape.label;
       std::vector<Name> owners = z.owner_names();
       for (int q = 0; q < 60; ++q) {
         Name qname;
@@ -630,6 +665,10 @@ TEST(DenialIndex, MatchesLinearReferenceOnRandomZones) {
         ASSERT_EQ(render(got), want)
             << shape.label << " round " << round << " " << qname.to_string()
             << " " << static_cast<int>(qtype);
+        ASSERT_EQ(render(answer(inherited, qname, qtype)),
+                  render(reference::answer(inherited->zone, qname, qtype)))
+            << "inherited index: " << shape.label << " round " << round
+            << " " << qname.to_string() << " " << static_cast<int>(qtype);
         negative += got.answers.empty() && got.authoritative ? 1 : 0;
         ++compared;
       }

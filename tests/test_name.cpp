@@ -77,6 +77,19 @@ TEST(Name, WireForms) {
             (Bytes{3, 'a', 'b', 'c', 2, 'd', 'e', 0}));
   EXPECT_EQ(Name::root().to_wire(), Bytes{0});
   EXPECT_EQ(name.wire_length(), 8u);
+  // canonical(): the same name spelled in canonical case, for inline and
+  // heap-held names alike.
+  for (const std::string& text : std::vector<std::string>{
+           "AbC.de.", "abc.de.", ".", std::string(32, 'Q') + ".Copy.Example.",
+           std::string(63, 'A') + "." + std::string(63, 'b') + ".example."}) {
+    const Name spelled = Name::of(text);
+    const Name folded = spelled.canonical();
+    EXPECT_EQ(folded, spelled) << text;
+    EXPECT_EQ(folded.label_count(), spelled.label_count()) << text;
+    EXPECT_EQ(folded.to_wire(), spelled.to_canonical_wire()) << text;
+    EXPECT_EQ(folded.to_canonical_wire(), spelled.to_canonical_wire()) << text;
+  }
+  EXPECT_EQ(name.canonical().to_string(), "abc.de.");
 }
 
 TEST(Name, CanonicalOrderingRfc4034Example) {

@@ -860,10 +860,10 @@ TEST(ZoneStoreTest, ViewCapturedBeforeReupsertAnswersFromOldVersion) {
             section_text(old_positive->second.answers));
 
   const auto positive =
-      authserver::answer(old_view->zone, old_view->denial, www, RRType::kA);
+      authserver::answer(old_view->zone, *old_view->denial, www, RRType::kA);
   EXPECT_EQ(section_text(positive.answers),
             section_text(old_positive->second.answers));
-  const auto negative = authserver::answer(old_view->zone, old_view->denial,
+  const auto negative = authserver::answer(old_view->zone, *old_view->denial,
                                            missing, RRType::kA);
   EXPECT_EQ(negative.rcode, dns::RCode::kNXDomain);
   EXPECT_EQ(section_text(negative.authorities),
@@ -924,7 +924,7 @@ TEST(QueryResultToMessage, RoundTripsThroughWireCodec) {
     const auto view = f.store.find(qname, qtype);
     ASSERT_NE(view, nullptr);
     const auto result =
-        authserver::answer(view->zone, view->denial, qname, qtype);
+        authserver::answer(view->zone, *view->denial, qname, qtype);
     const dns::Question question{qname, qtype, dns::RRClass::kIN};
     const dns::Message msg = result.to_message(question, 0xABCD);
     EXPECT_EQ(msg.header.id, 0xABCD);

@@ -454,6 +454,130 @@ TEST(ZoneCopy, MovedFromZoneIsEmptyAndUsable) {
   EXPECT_EQ(zone_text(assigned), pristine);
 }
 
+// ---------------------------------------------------------------------------
+// Chain stamps
+
+/// make_zone() with an NSEC chain over its three owners, one NSEC3 record,
+/// an apex NSEC3PARAM and an apex RRSIG.
+Zone chained_zone() {
+  Zone zone = make_zone();
+  const Name apex = zone.apex();
+  const Name owners[] = {apex, apex.child("ns1"), apex.child("www")};
+  for (std::size_t i = 0; i < std::size(owners); ++i) {
+    zone.add(owners[i], RRType::kNSEC, 3600,
+             dns::NsecRdata{owners[(i + 1) % std::size(owners)],
+                            {RRType::kA, RRType::kNSEC}});
+  }
+  zone.add(apex.child("0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"), RRType::kNSEC3,
+           3600, dns::Nsec3Rdata{});
+  zone.add(apex, RRType::kNSEC3PARAM, 0, dns::Nsec3ParamRdata{});
+  dns::RrsigRdata sig;
+  sig.type_covered = RRType::kSOA;
+  sig.signer = apex;
+  zone.add(apex, RRType::kRRSIG, 3600, sig);
+  return zone;
+}
+
+TEST(ChainStamp, CopiesAndEditsOutsideTheChainKeepTheStamp) {
+  const Zone original = chained_zone();
+  ASSERT_NE(original.chain_stamp(), 0u);
+  const Zone copy = original;
+  EXPECT_EQ(copy.chain_stamp(), original.chain_stamp());
+  EXPECT_TRUE(copy.same_chain(original));
+
+  // A clone edited only outside the chain: SOA bump, RRSIG re-put, A add.
+  Zone edited = original;
+  edited.bump_serial();
+  const dns::RRset* sigs = edited.find(edited.apex(), RRType::kRRSIG);
+  ASSERT_NE(sigs, nullptr);
+  edited.put(dns::RRset(*sigs));
+  edited.add(Name::of("new.example.com."), RRType::kA, 60,
+             dns::ARdata{{192, 0, 2, 8}});
+  edited.remove(Name::of("ns1.example.com."), RRType::kA);
+  EXPECT_NE(zone_text(edited), zone_text(original));
+  EXPECT_EQ(edited.chain_stamp(), original.chain_stamp());
+  EXPECT_TRUE(edited.same_chain(original));
+  EXPECT_TRUE(original.same_chain(edited));
+}
+
+TEST(ChainStamp, EveryChainWriteDrawsAFreshStamp) {
+  const Name apex = Name::of("example.com.");
+  const Name www = apex.child("www");
+  const dns::NsecRdata to_apex{apex, {RRType::kA, RRType::kNSEC}};
+  const std::vector<std::pair<std::string, std::function<void(Zone&)>>>
+      writes = {
+          {"add", [&](Zone& z) {
+             z.add(www, RRType::kNSEC, 3600,
+                   dns::NsecRdata{apex, {RRType::kA}});
+           }},
+          {"put", [&](Zone& z) {
+             dns::RRset nsec(www, RRType::kNSEC, 60);
+             nsec.add(to_apex);
+             z.put(std::move(nsec));
+           }},
+          {"remove",
+           [&](Zone& z) { EXPECT_TRUE(z.remove(www, RRType::kNSEC)); }},
+          {"remove_rdata",
+           [&](Zone& z) {
+             EXPECT_TRUE(z.remove_rdata(www, RRType::kNSEC, to_apex));
+           }},
+          {"remove_name", [&](Zone& z) { z.remove_name(www); }},
+          {"find_mutable",
+           [&](Zone& z) {
+             ASSERT_NE(z.find_mutable(www, RRType::kNSEC), nullptr);
+           }},
+          {"find_mutable nsec3",
+           [&](Zone& z) {
+             ASSERT_NE(
+                 z.find_mutable(apex.child("0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"),
+                                RRType::kNSEC3),
+                 nullptr);
+           }},
+          {"apex nsec3param", [&](Zone& z) {
+             z.add(apex, RRType::kNSEC3PARAM, 0,
+                   dns::Nsec3ParamRdata{1, 0, 5, {}});
+           }},
+      };
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    {  // a clone
+      const Zone original = chained_zone();
+      Zone copy = original;
+      write(copy);
+      EXPECT_NE(copy.chain_stamp(), 0u);
+      EXPECT_NE(copy.chain_stamp(), original.chain_stamp());
+      EXPECT_FALSE(copy.same_chain(original));
+    }
+    {  // a zone written in place
+      Zone sole = chained_zone();
+      const std::uint64_t before = sole.chain_stamp();
+      write(sole);
+      EXPECT_NE(sole.chain_stamp(), before);
+    }
+  }
+}
+
+TEST(ChainStamp, EmptyAndMovedFromZonesMatchNoZone) {
+  const Zone empty(Name::of("example.com."));
+  const Zone other_empty(Name::of("example.com."));
+  EXPECT_EQ(empty.chain_stamp(), 0u);
+  EXPECT_FALSE(empty.same_chain(other_empty));
+  EXPECT_FALSE(empty.same_chain(empty));
+
+  Zone source = chained_zone();
+  const Zone moved = std::move(source);
+  EXPECT_NE(moved.chain_stamp(), 0u);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the subject
+  EXPECT_EQ(source.chain_stamp(), 0u);
+  EXPECT_FALSE(source.same_chain(moved));
+  EXPECT_FALSE(moved.same_chain(source));
+  EXPECT_FALSE(source.same_chain(empty));
+  // NOLINTEND(bugprone-use-after-move)
+
+  // Another zone with the same records is another version.
+  EXPECT_FALSE(chained_zone().same_chain(moved));
+}
+
 /// The answer records a server gives for (qname, qtype), as text.
 std::vector<std::string> answer_text(const authserver::ServerFarm& farm,
                                      const std::string& server,
