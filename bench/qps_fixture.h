@@ -192,6 +192,9 @@ struct IdentityCheck {
   std::string first_mismatch;
   /// Probe answers the cache synthesized (must be > 0).
   std::int64_t synthesized = 0;
+  /// Negative-tier attempts skipped because another thread held the tier
+  /// (`server.cache.neg_busy`) over the whole check: 0 on one thread.
+  std::int64_t neg_busy = 0;
 };
 
 /// Serve every query cache-off and cache-on, twice, then the synthesis
@@ -199,6 +202,8 @@ struct IdentityCheck {
 /// the probes rely on what the first pass cached.
 inline IdentityCheck check_cache_identity(const QpsFixture& f) {
   IdentityCheck out;
+  auto& neg_busy = metrics::Registry::global().counter("server.cache.neg_busy");
+  const std::int64_t busy_before = neg_busy.value();
   const auto digest_of = [](const Bytes& bytes) {
     return fnv1a64(std::string_view(
         reinterpret_cast<const char*>(bytes.data()), bytes.size()));
@@ -223,6 +228,7 @@ inline IdentityCheck check_cache_identity(const QpsFixture& f) {
     compare(probes[i], "probe " + std::to_string(i));
   }
   out.synthesized = synth_hits.value() - synth_before;
+  out.neg_busy = neg_busy.value() - busy_before;
   return out;
 }
 

@@ -45,6 +45,10 @@ DenialIndex::DenialIndex(const zone::Zone& zone) {
   const auto first_label = [](const dns::Name& owner) -> std::string_view {
     return owner.is_root() ? std::string_view() : owner.label(0);
   };
+  // Sized from the zone's own chain counts: growing by doubling would move
+  // every owner copied so far at each step.
+  nsec_owners_.reserve(zone.nsec_rrsets());
+  nsec3_owners_.reserve(zone.nsec3_rrsets());
   // Owners are copied in canonical case (base32hex decodes either case).
   zone.for_each_rrset([&](const dns::RRset& rrset) {
     const auto& rdatas = rrset.rdatas();

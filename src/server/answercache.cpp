@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <iterator>
+#include <mutex>
 #include <string_view>
 #include <utility>
 #include <variant>
@@ -70,7 +71,8 @@ AnswerCache::AnswerCache(std::size_t max_entries_per_shard)
       synth_hits_(
           metrics::Registry::global().counter("server.cache.synth_hits")),
       synth_misses_(
-          metrics::Registry::global().counter("server.cache.synth_misses")) {
+          metrics::Registry::global().counter("server.cache.synth_misses")),
+      neg_busy_(metrics::Registry::global().counter("server.cache.neg_busy")) {
   DFX_CHECK(max_entries_per_shard_ > 0);
 }
 
@@ -147,8 +149,13 @@ void AnswerCache::observe(const dns::Name& apex,
 
   // Cut the authority section into the blocks add_rrset_with_sigs emits:
   // a view of one RRset, then the view of the RRSIGs covering its type at
-  // the same owner.
-  std::vector<ProofBlock> blocks;
+  // the same owner. An NSEC3 owner's hash is decoded here too, outside
+  // the lock.
+  struct Cut {
+    ProofBlock block;
+    std::optional<Bytes> nsec3_hash;
+  };
+  std::vector<Cut> blocks;
   const auto& parts = result.authorities.parts();
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const auto& part = parts[i];
@@ -167,19 +174,30 @@ void AnswerCache::observe(const dns::Name& apex,
         parts[i + 1].rrset->owner() == part.rrset->owner()) {
       block.sigs = parts[++i].rrset;
     }
-    blocks.push_back(block);
+    blocks.push_back(
+        {block, type == dns::RRType::kNSEC3
+                    ? base32hex_decode(part.rrset->owner().leftmost_label())
+                    : std::nullopt});
   }
   if (blocks.empty()) return;
 
-  const MutexLock lock(neg_mu_);
+  // Declared before the lock, so a replaced harvest (and the version it
+  // may be the last to pin) is released after the lock is.
+  NegZone replaced;
+  if (!neg_mu_.try_lock()) {
+    neg_busy_.add();
+    return;
+  }
+  const MutexLock lock(neg_mu_, std::adopt_lock);
   NegZone& neg = neg_zones_[apex];
   if (neg.epoch > epoch) return;  // a newer harvest already reset the zone
   if (neg.epoch < epoch || neg.pin != result.pin) {
-    neg = NegZone{};
+    replaced = std::exchange(neg, NegZone{});
     neg.epoch = epoch;
     neg.pin = result.pin;
   }
-  for (const ProofBlock& block : blocks) {
+  for (Cut& cut : blocks) {
+    const ProofBlock& block = cut.block;
     const dns::Name& owner = block.records->owner();
     if (!owner.is_subdomain_of(apex)) continue;
     // dfx-lint: allow(unchecked-front-back): Section adds no empty view
@@ -200,7 +218,7 @@ void AnswerCache::observe(const dns::Name& apex,
       case dns::RRType::kNSEC3: {
         const auto* rdata = std::get_if<dns::Nsec3Rdata>(&first);
         if (rdata == nullptr) break;
-        auto hash = base32hex_decode(owner.leftmost_label());
+        auto& hash = cut.nsec3_hash;
         // An undecodable owner or a parameter mismatch means the
         // authserver's emission (undecodable-records-first, one hash
         // order) cannot be reproduced from a harvest — stop synthesizing
@@ -231,7 +249,13 @@ void AnswerCache::observe(const dns::Name& apex,
 [[nodiscard]] std::optional<authserver::QueryResult> AnswerCache::synthesize(
     const dns::Name& apex, const dns::Name& qname, dns::RRType qtype,
     std::uint64_t epoch) const {
-  const MutexLock lock(neg_mu_);
+  // Another thread holds the harvest: refuse rather than wait, so the
+  // miss goes to the zone walk at once.
+  if (!neg_mu_.try_lock()) {
+    neg_busy_.add();
+    return std::nullopt;
+  }
+  const MutexLock lock(neg_mu_, std::adopt_lock);
   std::optional<authserver::QueryResult> out;
   const auto it = neg_zones_.find(apex);
   if (it != neg_zones_.end() && it->second.epoch == epoch &&

@@ -33,9 +33,14 @@
 // touched; `insert` and `size` take the write side, which waits for every
 // reader of the shard to leave. A `Hit` must therefore be dropped before
 // the same thread inserts (or looks up again) — holding it across either
-// deadlocks against the next writer. The negative tier serializes on one
-// Mutex but sits on the miss path only. TSan and the static-lock-cycle
-// lint rule audit both.
+// deadlocks against the next writer. The negative tier keeps its harvest
+// under one Mutex that no thread ever waits for: `synthesize` and
+// `observe` take it with try_lock, and when another thread holds it,
+// synthesis refuses (the frontend answers from the zone, as for every
+// refusal) and the harvest is dropped. Each such skip counts in
+// `server.cache.neg_busy`. A lone thread never finds the lock taken, so
+// its answers and counters do not depend on this. TSan and the
+// static-lock-cycle lint rule audit both tiers.
 #pragma once
 
 #include <array>
@@ -146,14 +151,16 @@ class AnswerCache {
   /// Harvest the SOA and NSEC/NSEC3 proof blocks from a slow-path answer
   /// for a query under `apex`: views into the version `result` pins (a
   /// result with no pin harvests nothing). A harvest from another version
-  /// than the zone's earlier harvests replaces them.
+  /// than the zone's earlier harvests replaces them. Harvests nothing when
+  /// another thread holds the negative tier.
   DFX_COLD("proof harvesting follows a slow-path zone walk")
   void observe(const dns::Name& apex, const authserver::QueryResult& result,
                std::uint64_t epoch) DFX_EXCLUDES(neg_mu_);
 
   /// Try to synthesize the answer for (qname, qtype) under `apex` from
   /// harvested proofs. Returns an answer *identical* to what the zone walk
-  /// would produce, or nullopt when that cannot be guaranteed.
+  /// would produce, or nullopt when that cannot be guaranteed or another
+  /// thread holds the negative tier.
   DFX_COLD("aggressive synthesis only runs after a packet-tier miss")
   [[nodiscard]] std::optional<authserver::QueryResult> synthesize(
       const dns::Name& apex, const dns::Name& qname, dns::RRType qtype,
@@ -255,6 +262,7 @@ class AnswerCache {
   metrics::Counter& evictions_;
   metrics::Counter& synth_hits_;
   metrics::Counter& synth_misses_;
+  metrics::Counter& neg_busy_;
 };
 
 }  // namespace dfx::server

@@ -363,8 +363,9 @@ Bytes WireFrontend::serve(DFX_TAINTED ByteView query) const {
       result = cache_->synthesize(apex, question.qname, question.qtype, epoch);
     }
     if (!result) {
-      // The result pins the version, so `hosted` (and `apex` with it)
-      // stays alive after the move.
+      // Synthesis refused, or another thread held the negative tier: walk
+      // the zone, which gives the same bytes. The result pins the version,
+      // so `hosted` (and `apex` with it) stays alive after the move.
       result = authserver::answer(std::move(hosted), question.qname,
                                   question.qtype);
       if (cache_ != nullptr) cache_->observe(apex, *result, epoch);

@@ -116,6 +116,9 @@ class DFX_CAPABILITY("mutex") Mutex {
 class DFX_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) DFX_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  /// Adopts a lock the caller already holds (after a successful
+  /// `try_lock()`): releases it on destruction, acquires nothing.
+  MutexLock(Mutex& mu, std::adopt_lock_t) DFX_REQUIRES(mu) : mu_(mu) {}
   ~MutexLock() DFX_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;

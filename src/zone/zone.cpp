@@ -75,6 +75,8 @@ void Zone::Version::touch(dns::RRType type) {
 
 void Zone::Version::count(const dns::RRset& rrset) {
   touch(rrset.type());
+  nsec_rrsets += rrset.type() == dns::RRType::kNSEC ? 1 : 0;
+  nsec3_rrsets += rrset.type() == dns::RRType::kNSEC3 ? 1 : 0;
   if (!bound_known) return;  // find_mutable's writes went uncounted
   if (rrset.type() == dns::RRType::kRRSIG) {
     rrsig_set_sizes.add(static_cast<std::uint32_t>(rrset.size()));
@@ -89,6 +91,8 @@ void Zone::Version::count(const dns::RRset& rrset) {
 
 void Zone::Version::uncount(const dns::RRset& rrset) {
   touch(rrset.type());
+  nsec_rrsets -= rrset.type() == dns::RRType::kNSEC ? 1 : 0;
+  nsec3_rrsets -= rrset.type() == dns::RRType::kNSEC3 ? 1 : 0;
   if (!bound_known) return;
   if (rrset.type() == dns::RRType::kRRSIG) {
     rrsig_set_sizes.remove(static_cast<std::uint32_t>(rrset.size()));

@@ -109,6 +109,14 @@ class Zone {
   std::uint64_t chain_stamp() const {
     return version_ != nullptr ? version_->chain_stamp : 0;
   }
+  /// The NSEC and the NSEC3 RRsets in the zone, kept by every write, so
+  /// that an index over the chain can be sized without a walk.
+  std::size_t nsec_rrsets() const {
+    return version_ != nullptr ? version_->nsec_rrsets : 0;
+  }
+  std::size_t nsec3_rrsets() const {
+    return version_ != nullptr ? version_->nsec3_rrsets : 0;
+  }
   /// Same apex and the same non-zero chain stamp: the two zones' NSEC,
   /// NSEC3 and NSEC3PARAM RRsets are identical.
   bool same_chain(const Zone& other) const {
@@ -183,18 +191,20 @@ class Zone {
     std::size_t total_ = 0;
   };
 
-  /// One version of the zone: its records, their signature bound and
-  /// their chain stamp.
+  /// One version of the zone: its records, their signature bound, their
+  /// chain stamp and the size of their chain.
   struct Version {
     Records records;
     Tally rrsig_set_sizes;
     Tally nsec3_iterations;
     bool bound_known = true;
     std::uint64_t chain_stamp = next_chain_stamp();
+    std::size_t nsec_rrsets = 0;
+    std::size_t nsec3_rrsets = 0;
 
-    /// Count `rrset` into the bound, or take it out again; only RRSIG and
-    /// NSEC3 RRsets count. Either one draws a fresh chain stamp when
-    /// `rrset` is a chain RRset.
+    /// Count `rrset` into the bound and the chain size, or take it out
+    /// again; only RRSIG, NSEC and NSEC3 RRsets count. Either one draws a
+    /// fresh chain stamp when `rrset` is a chain RRset.
     void count(const dns::RRset& rrset);
     void uncount(const dns::RRset& rrset);
     /// Draw a fresh chain stamp when `type` is a chain type.

@@ -365,6 +365,37 @@ TEST(InterprocRules, StaticLockGraphRecordsEveryNestedPair) {
   EXPECT_TRUE(p.pa.lock_cycles.empty());
 }
 
+// A MutexLock that adopts a lock taken by try_lock() is an acquisition of
+// its first argument, not of the adopt_lock tag after it.
+TEST(InterprocRules, StaticLockGraphReadsTheAdoptedMutex) {
+  const Program p = analyze({{"src/server/tier.cpp",
+                              "struct Tier {\n"
+                              "  Mutex outer_mu_;\n"
+                              "  Mutex inner_mu_;\n"
+                              "  void forward();\n"
+                              "  void backward();\n"
+                              "};\n"
+                              "void Tier::forward() {\n"
+                              "  MutexLock o(outer_mu_);\n"
+                              "  MutexLock i(inner_mu_);\n"
+                              "}\n"
+                              "void Tier::backward() {\n"
+                              "  if (!inner_mu_.try_lock()) return;\n"
+                              "  MutexLock i(inner_mu_, std::adopt_lock);\n"
+                              "  MutexLock o(outer_mu_);\n"
+                              "}\n"}});
+  bool adopted_edge = false;
+  for (const LockEdge& e : p.pa.lock_edges) {
+    EXPECT_EQ(e.from.find("adopt_lock"), std::string::npos) << e.from;
+    EXPECT_EQ(e.to.find("adopt_lock"), std::string::npos) << e.to;
+    if (e.from == "Tier::inner_mu_" && e.to == "Tier::outer_mu_") {
+      adopted_edge = true;
+    }
+  }
+  EXPECT_TRUE(adopted_edge) << "the adopted lock is held like any other";
+  EXPECT_EQ(p.pa.lock_cycles.size(), 1u);
+}
+
 // Both sides of a ReadMostlyMutex are acquisitions of one lock id: a read
 // side held around a Mutex in one method and the write side taken inside
 // that Mutex in another close a cycle.

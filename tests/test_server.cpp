@@ -78,6 +78,22 @@ zone::Zone build_child_zone(const Name& apex, zone::DenialMode denial,
   return zone::sign_zone(unsigned_zone, keys, config, kNow);
 }
 
+/// A recursion-desired query; `udp_size` 0 sends no OPT record.
+Bytes encode_query(const Name& qname, RRType qtype, bool do_bit = true,
+                   std::uint16_t udp_size = 4096, std::uint16_t id = 0x1234) {
+  dns::Message msg;
+  msg.header.id = id;
+  msg.header.rd = true;
+  msg.questions.push_back({qname, qtype, dns::RRClass::kIN});
+  if (udp_size != 0) {
+    dns::EdnsInfo edns;
+    edns.udp_size = udp_size;
+    edns.do_bit = do_bit;
+    msg.edns = edns;
+  }
+  return dns::encode_message(msg);
+}
+
 /// Store hosting a signed child plus its (unsigned) parent, with a cache-on
 /// and a cache-off frontend over the same store.
 struct Fixture {
@@ -110,17 +126,7 @@ struct Fixture {
   Bytes query_bytes(const Name& qname, RRType qtype, bool do_bit = true,
                     std::uint16_t udp_size = 4096,
                     std::uint16_t id = 0x1234) const {
-    dns::Message msg;
-    msg.header.id = id;
-    msg.header.rd = true;
-    msg.questions.push_back({qname, qtype, dns::RRClass::kIN});
-    if (udp_size != 0) {
-      dns::EdnsInfo edns;
-      edns.udp_size = udp_size;
-      edns.do_bit = do_bit;
-      msg.edns = edns;
-    }
-    return dns::encode_message(msg);
+    return encode_query(qname, qtype, do_bit, udp_size, id);
   }
 
   dns::Message serve_decoded(const Bytes& query) const {
@@ -747,6 +753,145 @@ TEST(AnswerCacheTest, EvictionUnderSnapshotSwapIsRaceFree) {
   for (const Bytes& q : {queries[0], queries[1]}) {
     (void)frontend.serve(q);
     EXPECT_EQ(f.uncached.serve(q), frontend.serve(q));
+  }
+}
+
+/// The next version of a signed zone with the same denial chain: SOA
+/// serial bumped and the SOA's RRSIGs made again (one second later).
+zone::Zone resign_soa(const zone::Zone& signed_zone,
+                      const zone::KeyStore& keys) {
+  const Name& apex = signed_zone.apex();
+  zone::Zone next = signed_zone;
+  next.bump_serial();
+  const dns::RRset* old_sigs = next.find(apex, RRType::kRRSIG);
+  dns::RRset sigs(apex, RRType::kRRSIG, old_sigs->ttl());
+  for (const auto& rdata : old_sigs->rdatas()) {
+    if (std::get<dns::RrsigRdata>(rdata).type_covered != RRType::kSOA) {
+      sigs.add(rdata);
+    }
+  }
+  const dns::RRset* soa = next.find(apex, RRType::kSOA);
+  for (const auto* key : keys.active_with_role(kNow, zone::KeyRole::kZsk)) {
+    sigs.add(zone::make_rrsig(*soa, *key, apex, kNow + 1, kNow + 30 * kDay));
+  }
+  next.put(std::move(sigs));
+  return next;
+}
+
+TEST(AnswerCacheTest, NegativeTierUnderRepublishesAnswersAsOneVersion) {
+  // An NSEC and an NSEC3 zone, each in two versions that share one chain.
+  // Readers race synthesis and harvest against each other and against a
+  // writer that alternates the versions (every upsert moves the epoch);
+  // each response must be the cache-off response of one of the versions.
+  Rng rng{77};
+  struct Hosted {
+    Name apex;
+    zone::Zone a;
+    zone::Zone b;
+  };
+  std::vector<Hosted> zones;
+  for (const auto& [apex, denial] :
+       {std::pair{Name::of("example.test."), zone::DenialMode::kNsec},
+        std::pair{Name::of("n3.test."), zone::DenialMode::kNsec3}}) {
+    zone::KeyStore keys(apex);
+    zone::Zone a = build_child_zone(apex, denial, keys, rng);
+    zone::Zone b = resign_soa(a, keys);
+    ASSERT_TRUE(b.same_chain(a));
+    zones.push_back({apex, std::move(a), std::move(b)});
+  }
+  ZoneStore version_a, version_b, store;
+  AnswerCache cache;
+  connect_invalidation(store, cache);
+  for (const Hosted& z : zones) {
+    ASSERT_TRUE(version_a.upsert(z.a));
+    ASSERT_TRUE(version_b.upsert(z.b));
+    ASSERT_TRUE(store.upsert(z.a));
+  }
+  const WireFrontend uncached_a{version_a, nullptr};
+  const WireFrontend uncached_b{version_b, nullptr};
+  const WireFrontend cached{store, &cache};
+
+  // Per zone: two harvest seeds (an NXDOMAIN and a NODATA), probes the
+  // packet tier has never seen, NODATA at existing names and at an empty
+  // non-terminal, and NXDOMAINs.
+  std::vector<Bytes> seeds, probes, queries;
+  for (const Hosted& z : zones) {
+    seeds.push_back(encode_query(z.apex.child("seed-nx"), RRType::kA));
+    seeds.push_back(encode_query(z.apex.child("www"), RRType::kMX));
+    for (int i = 0; i < 16; ++i) {
+      probes.push_back(
+          encode_query(z.apex.child("probe" + std::to_string(i)), RRType::kA));
+    }
+    for (const RRType qtype : {RRType::kTXT, RRType::kAAAA}) {
+      queries.push_back(encode_query(z.apex.child("www"), qtype));
+      queries.push_back(encode_query(z.apex.child("ns1"), qtype));
+    }
+    queries.push_back(encode_query(z.apex.child("ent"), RRType::kA));
+    for (int i = 0; i < 24; ++i) {
+      queries.push_back(
+          encode_query(z.apex.child("nx" + std::to_string(i)), RRType::kA));
+    }
+  }
+
+  // Warm, one thread, zone by zone: the seeds harvest, and the probes the
+  // harvested intervals cover are synthesized.
+  const std::size_t per_zone = probes.size() / zones.size();
+  for (std::size_t z = 0; z < zones.size(); ++z) {
+    const std::int64_t synth_before = counter("server.cache.synth_hits");
+    for (std::size_t i = 2 * z; i < 2 * z + 2; ++i) {
+      ASSERT_EQ(cached.serve(seeds[i]), uncached_a.serve(seeds[i]));
+    }
+    for (std::size_t i = z * per_zone; i < (z + 1) * per_zone; ++i) {
+      ASSERT_EQ(cached.serve(probes[i]), uncached_a.serve(probes[i]));
+    }
+    EXPECT_GT(counter("server.cache.synth_hits") - synth_before, 0)
+        << zones[z].apex.to_string();
+  }
+
+  for (const auto* set : {&seeds, &probes}) {
+    queries.insert(queries.end(), set->begin(), set->end());
+  }
+  std::vector<Bytes> want_a, want_b;
+  for (const Bytes& q : queries) {
+    want_a.push_back(uncached_a.serve(q));
+    want_b.push_back(uncached_b.serve(q));
+  }
+  constexpr int kReaders = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::latch every_reader_served(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::size_t at = static_cast<std::size_t>(t) * queries.size() / kReaders;
+      std::size_t served = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const Bytes response = cached.serve(queries[at]);
+        if (response != want_a[at] && response != want_b[at]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        at = (at + 1) % queries.size();
+        if (++served == queries.size()) every_reader_served.count_down();
+      }
+    });
+  }
+  // Each reader finishes at least one pass over every query while the
+  // versions alternate; the writer ends on version A.
+  for (int i = 0; i < 200 || !every_reader_served.try_wait() || i % 2 != 0;
+       ++i) {
+    for (const Hosted& z : zones) {
+      EXPECT_TRUE(store.upsert(i % 2 == 0 ? z.b : z.a));
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Settled on version A: the first serve fills the cache, the second
+  // reads it; both are version A's bytes.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(cached.serve(queries[i]), want_a[i]) << i;
+    EXPECT_EQ(cached.serve(queries[i]), want_a[i]) << i;
   }
 }
 

@@ -478,6 +478,18 @@ Zone chained_zone() {
   return zone;
 }
 
+/// The zone's NSEC and NSEC3 RRset counts agree with a walk.
+void expect_chain_counts(const Zone& zone) {
+  std::size_t nsec = 0;
+  std::size_t nsec3 = 0;
+  zone.for_each_rrset([&](const dns::RRset& rrset) {
+    nsec += rrset.type() == RRType::kNSEC ? 1 : 0;
+    nsec3 += rrset.type() == RRType::kNSEC3 ? 1 : 0;
+  });
+  EXPECT_EQ(zone.nsec_rrsets(), nsec);
+  EXPECT_EQ(zone.nsec3_rrsets(), nsec3);
+}
+
 TEST(ChainStamp, CopiesAndEditsOutsideTheChainKeepTheStamp) {
   const Zone original = chained_zone();
   ASSERT_NE(original.chain_stamp(), 0u);
@@ -498,6 +510,9 @@ TEST(ChainStamp, CopiesAndEditsOutsideTheChainKeepTheStamp) {
   EXPECT_EQ(edited.chain_stamp(), original.chain_stamp());
   EXPECT_TRUE(edited.same_chain(original));
   EXPECT_TRUE(original.same_chain(edited));
+  EXPECT_EQ(edited.nsec_rrsets(), 3u);
+  EXPECT_EQ(edited.nsec3_rrsets(), 1u);
+  expect_chain_counts(edited);
 }
 
 TEST(ChainStamp, EveryChainWriteDrawsAFreshStamp) {
@@ -547,12 +562,15 @@ TEST(ChainStamp, EveryChainWriteDrawsAFreshStamp) {
       EXPECT_NE(copy.chain_stamp(), 0u);
       EXPECT_NE(copy.chain_stamp(), original.chain_stamp());
       EXPECT_FALSE(copy.same_chain(original));
+      expect_chain_counts(copy);
+      expect_chain_counts(original);
     }
     {  // a zone written in place
       Zone sole = chained_zone();
       const std::uint64_t before = sole.chain_stamp();
       write(sole);
       EXPECT_NE(sole.chain_stamp(), before);
+      expect_chain_counts(sole);
     }
   }
 }
@@ -561,6 +579,7 @@ TEST(ChainStamp, EmptyAndMovedFromZonesMatchNoZone) {
   const Zone empty(Name::of("example.com."));
   const Zone other_empty(Name::of("example.com."));
   EXPECT_EQ(empty.chain_stamp(), 0u);
+  EXPECT_EQ(empty.nsec_rrsets() + empty.nsec3_rrsets(), 0u);
   EXPECT_FALSE(empty.same_chain(other_empty));
   EXPECT_FALSE(empty.same_chain(empty));
 

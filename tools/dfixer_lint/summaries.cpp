@@ -284,9 +284,18 @@ void scan_body(const CallGraph& g, std::size_t ni, FnSummary& s,
         (toks[j + 2].text == "(" || toks[j + 2].text == "{")) {
       const std::size_t close = match_paren_like(toks, j + 2, end);
       if (close == kNone) continue;
+      // The mutex is the first argument: `MutexLock l(mu_, std::adopt_lock)`
+      // names its tag second.
+      std::size_t arg_end = j + 3;
+      for (int depth = 0; arg_end < close; ++arg_end) {
+        const std::string_view y = toks[arg_end].text;
+        if (y == "(" || y == "[" || y == "{") ++depth;
+        if (y == ")" || y == "]" || y == "}") --depth;
+        if (y == "," && depth == 0) break;
+      }
       std::string_view lock_ident;
       bool memberish = false;
-      for (std::size_t k = j + 3; k < close; ++k) {
+      for (std::size_t k = j + 3; k < arg_end; ++k) {
         const std::string_view y = toks[k].text;
         if (y == "." || y == "->" || y == "[") memberish = true;
         if (toks[k].kind == Tok::kIdent) lock_ident = y;
@@ -295,7 +304,7 @@ void scan_body(const CallGraph& g, std::size_t ni, FnSummary& s,
         j = close;
         continue;
       }
-      if (close == j + 4 && lock_ident.ends_with("_")) memberish = true;
+      if (arg_end == j + 4 && lock_ident.ends_with("_")) memberish = true;
       // Member mutexes unify on Class::field so acquisition order is
       // compared across methods; bare locals stay file#function scoped so
       // unrelated same-named locals cannot fabricate cross-file cycles.
